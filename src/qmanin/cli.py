@@ -167,12 +167,17 @@ class RunConfig:
 
 
 def _grid_points(grid: dict) -> np.ndarray:
-    rmax = float(grid.get("rmax", 1.5))
-    rmin = float(grid.get("rmin", rmax / float(grid.get("nr", 10))))
-    nr = int(grid.get("nr", 10))
-    ntheta = int(grid.get("ntheta", 8))
-    if nr < 1 or ntheta < 1 or rmax <= 0:
-        raise ConfigError("grid needs nr, ntheta >= 1 and rmax > 0")
+    try:
+        rmax = float(grid.get("rmax", 1.5))
+        nr = int(grid.get("nr", 10))
+        ntheta = int(grid.get("ntheta", 8))
+        if nr < 1 or ntheta < 1 or not 0 < rmax < math.inf:
+            raise ConfigError("grid needs nr, ntheta >= 1 and 0 < rmax < inf")
+        rmin = float(grid.get("rmin", rmax / float(grid.get("nr", 10))))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"grid values must be numbers: {exc}") from exc
+    if not math.isfinite(rmin):
+        raise ConfigError("grid rmin must be finite")
     radii = np.linspace(rmin, rmax, nr)
     angles = 2.0 * math.pi * np.arange(ntheta) / ntheta
     return (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
@@ -246,11 +251,20 @@ def _cmd_kernel(cfg: RunConfig, outdir: Path) -> int:
     return 0
 
 
+def _moment_rule(cfg: RunConfig):
+    """The moment-solved rule at the configured order.  The solver may cap
+    the order, so ``cfg.order`` becomes the order solved and the artifacts
+    embed what ran."""
+    moments = MomentSequence.from_weights(cfg.weights, cfg.q, 2 * cfg.order - 1)
+    quad = gauss_quadrature_from_moments(moments, cfg.order)
+    cfg.order = quad.order
+    return quad
+
+
 def _cmd_measure(cfg: RunConfig, outdir: Path) -> int:
     basis = int(cfg.extra.get("basis", 10))
     angular = max(cfg.angular, 2 * basis + 1)
-    moments = MomentSequence.from_weights(cfg.weights, cfg.q, 2 * cfg.order - 1)
-    quad = gauss_quadrature_from_moments(moments, cfg.order)
+    quad = _moment_rule(cfg)
     nmax = min(2 * cfg.order - 1, 20)
     mom_rep = verify_moments(quad, cfg.weights, cfg.q, nmax, tol=cfg.tol)
     gram_rep = verify_resolution_identity(quad, cfg.weights, cfg.q, basis,
@@ -279,8 +293,7 @@ _NAMED_OPERATORS = {
 
 def _cmd_symbols(cfg: RunConfig, outdir: Path) -> int:
     f = PolynomialSymbol.parse(str(cfg.extra.get("phase_symbol", "L^1")))
-    moments = MomentSequence.from_weights(cfg.weights, cfg.q, 2 * cfg.order - 1)
-    quad = gauss_quadrature_from_moments(moments, cfg.order)
+    quad = _moment_rule(cfg)
     qcs = quantize_cs(f, quad, cfg.weights, cfg.q, cfg.cutoff)
     sec = secondary_toeplitz(f, quad, cfg.weights, cfg.q, cfg.cutoff)
 

@@ -20,7 +20,7 @@ class WeightHorizonError(ConfigError):
 
 
 class InputTooLargeError(ConfigError):
-    """Monomial exponents grew past the supported range."""
+    """Monomial exponents or powers of q grew past the supported range."""
 
 
 class InsufficientQuadratureError(ConfigError):

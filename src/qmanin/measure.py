@@ -7,11 +7,14 @@ measure must reproduce the moment targets
 
 A closed form is known for factorial weights with |q| = 1 (the radial
 Gaussian, t-density e^{-t}/pi); every other case goes through a
-Hankel-to-Jacobi Gauss rule built from the moments.  The recurrence
+Golub-Welsch Gauss rule built from the moments.  The three-term recurrence
 coefficients are computed in arbitrary precision because raw moment
 sequences at factorial scale annihilate double precision long before the
-orders used here; only the final nodes and masses are cast to float64,
-which perturbs the matched moments by a few ulps at most.
+orders used here.  The float64 eigenvalues of the Jacobi matrix only seed
+the nodes: Newton on the recurrence polishes each one at the recurrence's
+precision, and the masses are the Christoffel numbers at the polished
+nodes.  Only the final nodes and masses are cast to float64, which
+perturbs the matched moments by a few ulps at most.
 
 Atomic rules are accepted on purpose: only moment identities enter the
 downstream computations, so absolute continuity of the underlying measure
@@ -146,7 +149,7 @@ def closed_form_density(w: WeightSequence, q) -> Optional[ClosedFormDensity]:
     factorial_like = (w.kind == "factorial"
                       or (w.kind == "power-factorial" and w.s == 1.0))
     if factorial_like and abs(q.abs - 1.0) <= 1e-12:
-        amp = w.scale * (w.c if w.kind == "constant" else 1.0)
+        amp = w.scale
         return _RadialGaussian(
             name="radial-gaussian",
             description="t-density amplitude * exp(-t)/pi on [0, inf)",
@@ -210,8 +213,8 @@ def gauss_quadrature_from_moments(m: MomentSequence, order: int) -> RadialQuadra
     """Gauss rule with ``order`` points matching moments 0..2*order-1.
 
     Raises IndefiniteMomentsError when no positive measure exists at this
-    order and OrderTooHighError when precision escalation still cannot
-    stabilize the recurrence (the error carries the achievable order).
+    order and OrderTooHighError when the recurrence, the node polish or the
+    float64 surface breaks down (the error carries the achievable order).
     """
     if order < 1:
         raise ConfigError("quadrature order must be >= 1")
@@ -220,44 +223,93 @@ def gauss_quadrature_from_moments(m: MomentSequence, order: int) -> RadialQuadra
                       f"falling back to {MAX_ORDER}", stacklevel=2)
         order = MAX_ORDER
     try:
-        alpha, beta, atoms, log_s, log_m0, dps = _chebyshev_recurrence(m, order)
+        nodes, masses = _golub_welsch(m, order)
     except IndefiniteMomentsError:
         raise
-    except (mpmath.libmp.NoConvergence, ZeroDivisionError, OverflowError) as exc:
+    except (_Breakdown, mpmath.libmp.NoConvergence, ZeroDivisionError,
+            OverflowError) as exc:
         achievable = _probe_achievable(m, order)
+        reason = exc if isinstance(exc, _Breakdown) else "moment conditioning failed"
         raise OrderTooHighError(
-            f"moment conditioning failed at order {order}; largest achievable "
-            f"order is {achievable}", achievable=achievable) from exc
+            f"{reason} at order {order}; largest achievable order is "
+            f"{achievable}", achievable=achievable) from exc
+    return RadialQuadrature(nodes, masses, order, provenance="moment-solved")
 
+
+class _Breakdown(Exception):
+    """Newton polish or the float64 surface failed at this order."""
+
+
+_NEWTON_STEPS = 30
+
+
+def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and masses of the Gauss rule, ascending, as float64.
+
+    float64 eigenvalues of the Jacobi matrix seed Newton on the monic
+    recurrence p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1} at the
+    recurrence's own precision; each mass is the Christoffel number
+    1 / sum_k p_k(x)^2 / (beta_1 ... beta_k) in units where m_0 = 1.
+    """
+    alpha, beta, atoms, log_s, log_m0, dps = _chebyshev_recurrence(m, order)
     npts = atoms if atoms is not None else order
+    off = np.sqrt(np.array([float(b) for b in beta[1:npts]]))
+    jacobi = (np.diag([float(a) for a in alpha[:npts]])
+              + np.diag(off, 1) + np.diag(off, -1))
+    if not np.all(np.isfinite(jacobi)):
+        raise _Breakdown("the Jacobi matrix overflows float64")
+    seeds = np.linalg.eigvalsh(jacobi)
     with mpmath.workdps(dps):
-        J = mpmath.zeros(npts, npts)
-        for k in range(npts):
-            J[k, k] = alpha[k]
+        # Newton converges quadratically, so once a step is below 2^-70 |x|
+        # the node is exact far beyond float64
+        tol = mpmath.mpf(2) ** -70
+        norms = [mpmath.mpf(1)]             # beta_1 ... beta_k
         for k in range(1, npts):
-            off = mpmath.sqrt(beta[k])
-            J[k, k - 1] = off
-            J[k - 1, k] = off
-        try:
-            E, Q = mpmath.eigsy(J)
-        except mpmath.libmp.NoConvergence as exc:
-            achievable = _probe_achievable(m, order)
-            raise OrderTooHighError(
-                f"Jacobi eigen solve failed at order {order}", achievable=achievable
-            ) from exc
+            norms.append(norms[-1] * beta[k])
+        roots, weights = [], []
+        for seed in seeds:
+            x = mpmath.mpf(seed)
+            for _ in range(_NEWTON_STEPS):
+                _, p, dp = _monic_values(alpha, beta, npts, x)
+                dx = p / dp
+                x -= dx
+                if abs(dx) <= tol * abs(x):
+                    break
+            else:
+                raise _Breakdown(f"Newton polish did not converge from seed {seed!r}")
+            p = _monic_values(alpha, beta, npts, x)[0]
+            roots.append(x)
+            weights.append(1 / mpmath.fsum(v ** 2 / h for v, h in zip(p, norms)))
+        if any(a >= b for a, b in zip(roots, roots[1:])):
+            raise _Breakdown("two float64 seeds polished into one node")
         scale = mpmath.e ** log_s
         total = mpmath.e ** log_m0
-        nodes = np.array([float(E[i] * scale) for i in range(npts)])
-        masses = np.array([float(Q[0, i] ** 2 * total) for i in range(npts)])
-    idx = np.argsort(nodes)
-    return RadialQuadrature(nodes[idx], masses[idx], order,
-                            provenance="moment-solved")
+        nodes = np.array([float(x * scale) for x in roots])
+        masses = np.array([float(w * total) for w in weights])
+    if np.any(masses == 0.0):
+        raise _Breakdown("a Christoffel mass underflows float64")
+    return nodes, masses
+
+
+def _monic_values(alpha, beta, npts: int, x):
+    """[p_0(x) .. p_{npts-1}(x)], p_npts(x) and p_npts'(x)."""
+    p_prev, p = mpmath.mpf(0), mpmath.mpf(1)
+    dp_prev, dp = mpmath.mpf(0), mpmath.mpf(0)
+    values = []
+    for k in range(npts):
+        values.append(p)
+        t = x - alpha[k]
+        p_next = t * p - beta[k] * p_prev
+        dp_next = p + t * dp - beta[k] * dp_prev
+        p_prev, p = p, p_next
+        dp_prev, dp = dp, dp_next
+    return values, p, dp
 
 
 def _probe_achievable(m: MomentSequence, order: int) -> int:
     for k in range(order - 1, 0, -1):
         try:
-            _chebyshev_recurrence(m, k)
+            _golub_welsch(m, k)
             return k
         except Exception:
             continue

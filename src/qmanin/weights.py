@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, WeightHorizonError
+from .errors import ConfigError, InputTooLargeError, WeightHorizonError
 
 _RULE_KINDS = ("factorial", "constant", "power-factorial")
 KINDS = _RULE_KINDS + ("explicit",)
@@ -63,7 +63,7 @@ class QParam:
             return 1.0 + 0.0j
         m = e * self.log_abs
         if m > 700.0:
-            raise OverflowError(f"|q|**{e} overflows")
+            raise InputTooLargeError(f"|q|**{e} overflows a double")
         return math.exp(m) * complex(math.cos(e * self.arg), math.sin(e * self.arg))
 
 

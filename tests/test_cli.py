@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmanin
 from qmanin.cli import main, parse_manin_symbol
 from qmanin.errors import ConfigError
 
@@ -47,6 +52,46 @@ def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(tmp_path, "radius", "--config", str(bad)) == 2
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("operator", "--q", "0.1", "--cutoff", "400"), None),   # |q|^-400 overflows
+    (("kernel",), {"grid": {"rmax": "abc"}}),
+])
+def test_refusals_exit_2_without_traceback(tmp_path, argv, config):
+    extra = []
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        extra = ["--config", str(cfg)]
+    env = dict(os.environ, PYTHONPATH=str(Path(qmanin.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmanin.cli", "--out", str(tmp_path), *argv, *extra],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("key", ["rmax", "rmin", "nr", "ntheta"])
+def test_non_numeric_grid_value_is_config_error(tmp_path, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {key: "abc"}}))
+    assert run(tmp_path, "kernel", "--config", str(cfg)) == 2
+
+
+def test_capped_order_recorded_in_artifacts(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"order": 30, "cutoff": 4, "basis": 4,
+                               "grid": {"rmax": 1.0, "nr": 1, "ntheta": 1}}))
+    with pytest.warns(UserWarning, match="cap"):
+        assert run(tmp_path, "measure", "--config", str(cfg)) == 0
+    doc = load(tmp_path, "measure.json")
+    assert doc["result"]["quadrature"]["order"] == 20
+    assert doc["config"]["order"] == 20
+    with pytest.warns(UserWarning, match="cap"):
+        assert run(tmp_path, "symbols", "--config", str(cfg)) == 0
+    assert load(tmp_path, "quantize_cs.json")["config"]["order"] == 20
 
 
 def test_solver_error_exit_code(tmp_path):

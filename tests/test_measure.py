@@ -1,14 +1,18 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import roots_laguerre
 
+from qmanin import measure
 from qmanin import (ConfigError, IndefiniteMomentsError, MomentSequence,
                     RadialQuadrature, WeightSequence, closed_form_density,
                     gauss_quadrature_from_moments, norm_divergence_witness,
                     verify_density_moments, verify_moments,
                     verify_resolution_identity)
+from qmanin.errors import OrderTooHighError
 
 WFAC = WeightSequence.factorial()
 WCONST = WeightSequence.constant()
@@ -100,6 +104,50 @@ class TestMomentSolver:
         with pytest.raises(IndefiniteMomentsError):
             gauss_quadrature_from_moments(m, 2)
 
+    @pytest.mark.parametrize("w, q", [
+        (WFAC, 0.95 * cmath.exp(0.7j)),
+        (WCONST, 0.9),
+    ])
+    @pytest.mark.parametrize("order", [8, 12])
+    def test_matches_eigsy_oracle(self, w, q, order):
+        m = MomentSequence.from_weights(w, q, 2 * order - 1)
+        quad = gauss_quadrature_from_moments(m, order)
+        nodes, masses = _eigsy_rule(m, order)
+        np.testing.assert_allclose(quad.nodes, nodes, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(quad.masses, masses, rtol=1e-15, atol=0)
+
+    def test_collapsed_seeds_raise_order_too_high(self, monkeypatch):
+        # two seeds in one basin polish into the same node
+        real = np.linalg.eigvalsh
+
+        def duplicated(a):
+            seeds = real(a)
+            if len(seeds) > 1:
+                seeds[1] = seeds[0]
+            return seeds
+
+        monkeypatch.setattr(measure.np.linalg, "eigvalsh", duplicated)
+        m = MomentSequence.from_weights(WFAC, 1.0, 15)
+        with pytest.raises(OrderTooHighError) as info:
+            gauss_quadrature_from_moments(m, 8)
+        assert isinstance(info.value.achievable, int)
+        assert 0 <= info.value.achievable < 8
+
+    @pytest.mark.parametrize("w, q, order, achievable", [
+        # the smallest Christoffel mass underflows float64
+        (WCONST, 0.6, 20, 19),
+        # the recurrence coefficients overflow float64
+        (WFAC, 1e-6, 10, 4),
+    ])
+    def test_unrepresentable_rule_raises_order_too_high(self, w, q, order,
+                                                         achievable):
+        m = MomentSequence.from_weights(w, q, 2 * order - 1)
+        with pytest.raises(OrderTooHighError) as info:
+            gauss_quadrature_from_moments(m, order)
+        assert info.value.achievable == achievable
+        quad = gauss_quadrature_from_moments(m, achievable)
+        assert np.all(quad.masses > 0)
+
     def test_order_cap_warns_and_falls_back(self):
         m = MomentSequence.from_weights(WFAC, 1.0, 2 * 25 - 1)
         with pytest.warns(UserWarning, match="cap"):
@@ -116,6 +164,24 @@ class TestMomentSolver:
         back = RadialQuadrature.from_json(quad.to_json())
         assert np.allclose(back.nodes, quad.nodes)
         assert np.allclose(back.masses, quad.masses)
+
+
+def _eigsy_rule(m, order):
+    """Reference rule: the Jacobi matrix diagonalized by mpmath.eigsy at the
+    recurrence's precision, masses from the eigenvectors' first components."""
+    alpha, beta, atoms, log_s, log_m0, dps = measure._chebyshev_recurrence(m, order)
+    n = atoms if atoms is not None else order
+    with mpmath.workdps(dps):
+        J = mpmath.zeros(n, n)
+        for k in range(n):
+            J[k, k] = alpha[k]
+        for k in range(1, n):
+            J[k, k - 1] = J[k - 1, k] = mpmath.sqrt(beta[k])
+        E, Q = mpmath.eigsy(J)
+        nodes = np.array([float(E[i] * mpmath.e ** log_s) for i in range(n)])
+        masses = np.array([float(Q[0, i] ** 2 * mpmath.e ** log_m0) for i in range(n)])
+    idx = np.argsort(nodes)
+    return nodes[idx], masses[idx]
 
 
 @pytest.fixture(scope="module")
