@@ -1,35 +1,66 @@
-"""Backend selection for the hot numerical kernels.
+"""The hot numerical kernels, in numpy.
 
-The compiled Cython core is preferred when present; the numpy fallback is
-selected otherwise.  ``QMANIN_BACKEND=numpy`` forces the fallback (useful
-for benchmarking); ``QMANIN_BACKEND=cython`` insists on the compiled core
-and fails loudly when it is missing.
+The series sums, the moment power sums of a quadrature rule and the Gram
+assembly of the coherent state quantization all reduce to these four
+functions.
 """
 
 from __future__ import annotations
 
-import os
-
-_requested = os.environ.get("QMANIN_BACKEND", "").strip().lower()
-
-if _requested == "numpy":
-    from . import _pykernels as _impl
-elif _requested == "cython":
-    from . import _ckernels as _impl  # type: ignore[no-redef]
-else:
-    try:
-        from . import _ckernels as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _pykernels as _impl  # type: ignore[no-redef]
-
-BACKEND = _impl.NAME
-
-csum_logpolar = _impl.csum_logpolar
-log_power_sums = _impl.log_power_sums
-power_matrix = _impl.power_matrix
-weighted_gram = _impl.weighted_gram
+import numpy as np
 
 
 def backend_name() -> str:
-    """Name of the kernel backend active in this process."""
-    return BACKEND
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"
+
+
+def csum_logpolar(logmag, phase):
+    """Sum of exp(logmag[n]) * e^{i*phase[n]} in max-rescaled form.
+
+    Returns ``(acc, scale)`` with the true value equal to acc * exp(scale).
+    An all ``-inf`` input yields (0j, -inf).
+    """
+    logmag = np.asarray(logmag, dtype=np.float64)
+    phase = np.asarray(phase, dtype=np.float64)
+    if logmag.size == 0:
+        return 0j, -np.inf
+    m = float(np.max(logmag))
+    if m == -np.inf:
+        return 0j, -np.inf
+    mags = np.exp(logmag - m)
+    acc = complex(np.sum(mags * np.cos(phase)), np.sum(mags * np.sin(phase)))
+    return acc, m
+
+
+def log_power_sums(log_nodes, log_masses, nmax):
+    """log of S_n = sum_i mass_i * node_i**n for n = 0..nmax.
+
+    Works entirely in the log domain so huge nodes/masses cannot overflow.
+    """
+    log_nodes = np.asarray(log_nodes, dtype=np.float64)
+    log_masses = np.asarray(log_masses, dtype=np.float64)
+    n = np.arange(nmax + 1, dtype=np.float64)
+    # terms[i, n] = log(mass_i) + n*log(node_i)
+    terms = log_masses[:, None] + n[None, :] * log_nodes[:, None]
+    m = np.max(terms, axis=0)
+    out = m + np.log(np.sum(np.exp(terms - m[None, :]), axis=0))
+    out[np.isneginf(m)] = -np.inf
+    return out
+
+
+def power_matrix(z, nmax):
+    """V[p, k] = z_p**k for k = 0..nmax, built by cumulative products."""
+    z = np.asarray(z, dtype=np.complex128)
+    V = np.empty((z.size, nmax + 1), dtype=np.complex128)
+    V[:, 0] = 1.0
+    for k in range(1, nmax + 1):
+        np.multiply(V[:, k - 1], z, out=V[:, k])
+    return V
+
+
+def weighted_gram(V, wts):
+    """G[j, k] = sum_p V[p, j] * wts_p * conj(V[p, k])."""
+    V = np.asarray(V, dtype=np.complex128)
+    wts = np.asarray(wts, dtype=np.complex128)
+    return V.T @ (wts[:, None] * V.conj())

@@ -38,6 +38,11 @@ from .kernels import log_power_sums, power_matrix, weighted_gram
 from .weights import QParam, WeightSequence
 
 MAX_ORDER = 20
+# Working precision of the Gauss solver, in decimal digits.  Every rule that
+# solves in float64 needs at most a few hundred digits; moments spanning
+# more decades than this cap allows break down anyway, so they are refused
+# before any extended-precision arithmetic runs.
+MAX_DPS = 2000
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,10 @@ class MomentSequence:
             return True
         except IndefiniteMomentsError:
             return False
+        except _Breakdown as exc:
+            raise OrderTooHighError(
+                f"{exc}; positive definiteness at order {order} is "
+                f"undecided") from exc
 
 
 @dataclass(frozen=True)
@@ -169,13 +178,17 @@ def _chebyshev_recurrence(m: MomentSequence, order: int):
 
     Runs in mpmath arbitrary precision; returns (alpha, beta, atoms) where
     ``atoms`` is set when a vanishing beta reveals an exactly atomic
-    measure of fewer than ``order`` points.
+    measure of fewer than ``order`` points.  A precision above MAX_DPS is
+    refused with _Breakdown.
     """
     if 2 * order - 1 > m.jmax:
         raise ConfigError(f"order {order} needs moments up to {2 * order - 1}, "
                           f"have {m.jmax}")
     span = max(abs(x) for x in m.log_values[: 2 * order]) / math.log(10.0)
     dps = int(50 + 6 * order + span)
+    if dps > MAX_DPS:
+        raise _Breakdown(f"the moments need {dps} working digits, above the "
+                         f"cap of {MAX_DPS}")
     raw = m.mp_logs if len(m.mp_logs) > m.jmax else [mpmath.mpf(x) for x in m.log_values]
     with mpmath.workdps(dps):
         log_m0 = mpmath.mpf(raw[0])
@@ -213,8 +226,9 @@ def gauss_quadrature_from_moments(m: MomentSequence, order: int) -> RadialQuadra
     """Gauss rule with ``order`` points matching moments 0..2*order-1.
 
     Raises IndefiniteMomentsError when no positive measure exists at this
-    order and OrderTooHighError when the recurrence, the node polish or the
-    float64 surface breaks down (the error carries the achievable order).
+    order and OrderTooHighError when the working precision would exceed
+    MAX_DPS or the recurrence, the node polish or the float64 surface
+    breaks down (the error carries the achievable order).
     """
     if order < 1:
         raise ConfigError("quadrature order must be >= 1")
@@ -237,7 +251,8 @@ def gauss_quadrature_from_moments(m: MomentSequence, order: int) -> RadialQuadra
 
 
 class _Breakdown(Exception):
-    """Newton polish or the float64 surface failed at this order."""
+    """The working precision, Newton polish or the float64 surface failed
+    at this order."""
 
 
 _NEWTON_STEPS = 30

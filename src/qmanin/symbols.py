@@ -3,8 +3,11 @@ secondary Toeplitz operators on the generalized Segal-Bargmann basis.
 
 Upper symbols are restricted to the polynomial class spanned by
 lambda^a conj(lambda)^b: every identity proved for them is exact under a
-moment-matched quadrature with enough angular points, so the operators
-built here are quadrature-exact rather than approximate.
+moment-matched quadrature, so the operators built here are
+quadrature-exact rather than approximate.  The coherent state
+quantization and the secondary Toeplitz operator share one builder; the
+angular grid is sized from N and the symbol's degree, never chosen by the
+caller.
 """
 
 from __future__ import annotations
@@ -201,59 +204,41 @@ def lower_symbol_grid(A: TruncatedOperator, points, w: WeightSequence, q,
 # coherent state quantization and the secondary Toeplitz operators
 # ---------------------------------------------------------------------------
 
-def _entry_integrals(f: PolynomialSymbol, quad: RadialQuadrature,
-                     N: int, angular_points: int) -> np.ndarray:
-    """I[k, n] = integral of f(lambda) lambda^k conj(lambda)^n d rho,
-    evaluated on the node x angle grid."""
-    z, wts = polar_grid(quad, angular_points)
-    V = power_matrix(z, N)
-    fw = (f.evaluate(z) * wts).astype(complex)
-    return weighted_gram(V, fw)
+def _quantize(f: PolynomialSymbol, quad: RadialQuadrature, w: WeightSequence,
+              q, N: int, symbol: str, basis: str) -> TruncatedOperator:
+    """Entry (k, n) = pref_k conj(pref_n) * I[k, n], where
+    pref_k = q^{k(k+1)/2} w_k^{-1/2} and
+    I[k, n] = integral of f(lambda) lambda^k conj(lambda)^n d rho.
 
-
-def _check_reach(f: PolynomialSymbol, quad: RadialQuadrature, N: int) -> int:
-    """Validate quadrature order and return the angular point count."""
+    I is evaluated on the node x angle grid.  It is exact for polynomial f
+    when the radial order matches moments up to the reach N + deg f; the
+    2 * reach + 1 angles then integrate every angular frequency exactly.
+    """
+    q = QParam.of(q)
     reach = N + f.degree
     if 2 * quad.order - 1 < reach:
         raise InsufficientQuadratureError(
             f"radial order {quad.order} matches moments up to "
             f"{2 * quad.order - 1} but the integrands reach degree {reach}")
-    return 2 * reach + 1
-
-
-def _prefactors(w: WeightSequence, q: QParam, N: int) -> np.ndarray:
-    """pref_k = q^{k(k+1)/2} w_k^{-1/2}."""
+    z, wts = polar_grid(quad, 2 * reach + 1)
+    I = weighted_gram(power_matrix(z, N), (f.evaluate(z) * wts).astype(complex))
     k = np.arange(N + 1, dtype=float)
     tri = 0.5 * k * (k + 1.0)
     logmag = tri * q.log_abs - 0.5 * w.log_weights(0, N + 1)
-    return np.exp(logmag) * np.exp(1j * tri * q.arg)
+    pref = np.exp(logmag) * np.exp(1j * tri * q.arg)
+    mat = pref[:, None] * pref.conj()[None, :] * I
+    return TruncatedOperator(mat, OperatorMeta(
+        symbol=symbol, weights=w.describe(), q=q.value, exact=True, basis=basis))
 
 
 def quantize_cs(f: PolynomialSymbol, quad: RadialQuadrature,
-                w: WeightSequence, q, N: int,
-                angular_points: int | None = None) -> TruncatedOperator:
-    """Matrix of the coherent state quantization of f on phi_0..phi_N.
-
-    Entry (k, n) = pref_k conj(pref_n) * I[k, n]; exact for polynomial f
-    whenever the radial order covers the reach and the angular grid has at
-    least 2*(N + deg f) + 1 points (the default).
-    """
-    q = QParam.of(q)
-    auto_a = _check_reach(f, quad, N)
-    A = auto_a if angular_points is None else int(angular_points)
-    if A < auto_a:
-        raise InsufficientQuadratureError(
-            f"need >= {auto_a} angular points for exactness, got {A}")
-    I = _entry_integrals(f, quad, N, A)
-    pref = _prefactors(w, q, N)
-    mat = pref[:, None] * pref.conj()[None, :] * I
-    return TruncatedOperator(mat, OperatorMeta(
-        symbol=f"Qcs[{f.describe()}]", weights=w.describe(), q=q.value, exact=True))
+                w: WeightSequence, q, N: int) -> TruncatedOperator:
+    """Matrix of the coherent state quantization of f on phi_0..phi_N."""
+    return _quantize(f, quad, w, q, N, f"Qcs[{f.describe()}]", "phi")
 
 
 def secondary_toeplitz(f: PolynomialSymbol, quad: RadialQuadrature,
-                       w: WeightSequence, q, N: int,
-                       angular_points: int | None = None) -> TruncatedOperator:
+                       w: WeightSequence, q, N: int) -> TruncatedOperator:
     """Matrix of S_f = P_K(f .) on the orthonormal basis e_j of the
     generalized Segal-Bargmann space.
 
@@ -261,18 +246,7 @@ def secondary_toeplitz(f: PolynomialSymbol, quad: RadialQuadrature,
     <e_j, f e_k> coincide formula-for-formula with the quantization
     entries; only the basis tag differs.
     """
-    q = QParam.of(q)
-    auto_a = _check_reach(f, quad, N)
-    A = auto_a if angular_points is None else int(angular_points)
-    if A < auto_a:
-        raise InsufficientQuadratureError(
-            f"need >= {auto_a} angular points for exactness, got {A}")
-    I = _entry_integrals(f, quad, N, A)
-    pref = _prefactors(w, q, N)
-    mat = pref[:, None] * pref.conj()[None, :] * I
-    return TruncatedOperator(mat, OperatorMeta(
-        symbol=f"S[{f.describe()}]", weights=w.describe(), q=q.value, exact=True,
-        basis="B_AH"))
+    return _quantize(f, quad, w, q, N, f"S[{f.describe()}]", "B_AH")
 
 
 def quantize_cs_norm_bound(f: PolynomialSymbol, quad: RadialQuadrature,

@@ -22,6 +22,19 @@ def load(tmp_path, name):
     return json.loads((tmp_path / name).read_text())
 
 
+def run_cold(tmp_path, argv, config):
+    """The CLI in a fresh interpreter, with ``config`` passed by --config."""
+    extra = []
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        extra = ["--config", str(cfg)]
+    env = dict(os.environ, PYTHONPATH=str(Path(qmanin.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "qmanin.cli", "--out", str(tmp_path), *argv, *extra],
+        capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_radius_constant_unit(tmp_path):
     assert run(tmp_path, "radius", "--weights", "constant", "--q", "1") == 0
     doc = load(tmp_path, "radius.json")
@@ -59,17 +72,18 @@ def test_config_error_exit_code(tmp_path):
     (("kernel",), {"grid": {"rmax": "abc"}}),
 ])
 def test_refusals_exit_2_without_traceback(tmp_path, argv, config):
-    extra = []
-    if config is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        extra = ["--config", str(cfg)]
-    env = dict(os.environ, PYTHONPATH=str(Path(qmanin.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qmanin.cli", "--out", str(tmp_path), *argv, *extra],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = run_cold(tmp_path, argv, config)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_precision_cap_refusal_exits_4_without_traceback(tmp_path):
+    # factorial moments at |q| = 1e-30 need about 47,000 digits at order 20
+    proc = run_cold(tmp_path, ("measure", "--q", "1e-30"), {"order": 20})
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "largest achievable order is 2" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -1,4 +1,4 @@
-"""Backend equivalence: the compiled core and the numpy fallback must agree."""
+"""The numpy kernels against direct evaluation."""
 
 import importlib
 import math
@@ -6,19 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from qmanin import _pykernels
-
-BACKENDS = [_pykernels]
-try:
-    from qmanin import _ckernels
-    BACKENDS.append(_ckernels)
-except ImportError:
-    pass
-
-HAVE_BOTH = len(BACKENDS) == 2
+from qmanin import kernels
 
 
-@pytest.fixture(params=BACKENDS, ids=lambda m: m.NAME)
+@pytest.fixture(params=[kernels], ids=lambda m: m.backend_name())
 def backend(request):
     return request.param
 
@@ -77,36 +68,9 @@ def test_weighted_gram(backend):
     assert np.allclose(G, expect, rtol=1e-12)
 
 
-@pytest.mark.skipif(not HAVE_BOTH, reason="compiled backend not built")
-def test_backends_agree():
-    rng = np.random.default_rng(9)
-    logmag = rng.uniform(-40, 40, size=333)
-    phase = rng.uniform(0, 7, size=333)
-    a1 = _pykernels.csum_logpolar(logmag, phase)
-    a2 = _ckernels.csum_logpolar(logmag, phase)
-    assert a1[1] == a2[1]
-    assert abs(a1[0] - a2[0]) < 1e-12 * max(abs(a1[0]), 1.0)
-
-    z = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    assert np.allclose(_pykernels.power_matrix(z, 12),
-                       _ckernels.power_matrix(z, 12), rtol=1e-13)
-
-    V = _pykernels.power_matrix(z, 8)
-    wts = (rng.standard_normal(64) + 1j * rng.standard_normal(64))
-    assert np.allclose(_pykernels.weighted_gram(V, wts),
-                       _ckernels.weighted_gram(V, wts), rtol=1e-11)
-
-    ln = np.log(np.abs(rng.uniform(0.1, 50, size=20)))
-    lm = np.log(np.abs(rng.uniform(0.1, 2, size=20)))
-    assert np.allclose(_pykernels.log_power_sums(ln, lm, 15),
-                       _ckernels.log_power_sums(ln, lm, 15), rtol=1e-12)
-
-
 def test_selector_reports_backend(monkeypatch):
-    import qmanin.kernels as k
-    assert k.backend_name() in ("cython", "numpy")
-    # forcing numpy must work regardless of the build
-    monkeypatch.setenv("QMANIN_BACKEND", "numpy")
+    # the retired backend switch must not be read
+    monkeypatch.setenv("QMANIN_BACKEND", "cython")
     spec = importlib.util.find_spec("qmanin.kernels")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)

@@ -136,8 +136,10 @@ class TestMomentSolver:
     @pytest.mark.parametrize("w, q, order, achievable", [
         # the smallest Christoffel mass underflows float64
         (WCONST, 0.6, 20, 19),
-        # the recurrence coefficients overflow float64
+        # the moments need more working digits than the solver's cap, and
+        # the orders below it overflow or underflow float64
         (WFAC, 1e-6, 10, 4),
+        (WFAC, 1e-30, 20, 2),
     ])
     def test_unrepresentable_rule_raises_order_too_high(self, w, q, order,
                                                          achievable):
@@ -147,6 +149,12 @@ class TestMomentSolver:
         assert info.value.achievable == achievable
         quad = gauss_quadrature_from_moments(m, achievable)
         assert np.all(quad.masses > 0)
+
+    def test_precision_cap_leaves_definiteness_undecided(self):
+        m = MomentSequence.from_weights(WFAC, 1e-30, 39)
+        assert m.is_positive_definite(2)
+        with pytest.raises(OrderTooHighError, match="undecided"):
+            m.is_positive_definite(20)
 
     def test_order_cap_warns_and_falls_back(self):
         m = MomentSequence.from_weights(WFAC, 1.0, 2 * 25 - 1)

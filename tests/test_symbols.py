@@ -156,11 +156,6 @@ class TestQuantization:
         with pytest.raises(InsufficientQuadratureError):
             quantize_cs(PolynomialSymbol.lam(), quad3, WFAC, 1.0, 12)
 
-    def test_insufficient_angular_points(self, quad12):
-        with pytest.raises(InsufficientQuadratureError):
-            quantize_cs(PolynomialSymbol.lam(), quad12, WFAC, 1.0, 12,
-                        angular_points=10)
-
     def test_norm_bound(self, quad12):
         f = PolynomialSymbol.lam()
         assert quantize_cs_norm_bound(PolynomialSymbol({}), quad12, WFAC, 1.0) == 0.0
