@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, List
 
 import numpy as np
+from numpy.random import default_rng
 
 from .algebra import ManinElement, normal_order_product, project_P
 from .coherent import (coherent_coefficients, coherent_norm_sq, cs_transform,
@@ -50,10 +51,6 @@ class CriterionResult:
 def _qgauss_table(q_abs: float, length: int = 31) -> WeightSequence:
     """Explicit table w_n = |q|^{n(n+1)}, the radius-one family for any q."""
     return WeightSequence.explicit([q_abs ** (n * (n + 1)) for n in range(length)])
-
-
-def _fail(msg: str) -> CriterionResult:
-    raise AssertionError(msg)
 
 
 # -- 1 ----------------------------------------------------------------------
@@ -208,7 +205,7 @@ def criterion_transform_kernel() -> tuple[bool, str]:
     gram = verify_resolution_identity(quad, w, q, basis_size=10,
                                       angular_points=25, tol=1e-8)
     # Cor 6.1 and the diagonal identity
-    rng = np.random.default_rng(808)
+    rng = default_rng(808)
     worst_cor, worst_diag, worst_exp = 0.0, 0.0, 0.0
     for _ in range(20):
         lam = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
@@ -258,7 +255,7 @@ def criterion_secondary_quantization() -> tuple[bool, str]:
 def criterion_time_evolution() -> tuple[bool, str]:
     w = WeightSequence.factorial()
     q = cmath.exp(1j * math.pi / 5)
-    rng = np.random.default_rng(505)
+    rng = default_rng(505)
     worst, worst_norm = 0.0, 0.0
     for _ in range(20):
         lam = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
@@ -278,7 +275,7 @@ def criterion_time_evolution() -> tuple[bool, str]:
 # -- 11 ---------------------------------------------------------------------
 
 def criterion_paragrassmann() -> tuple[bool, str]:
-    rng = np.random.default_rng(1111)
+    rng = default_rng(1111)
     details = []
     ok = True
     for l in (2, 3, 5):
@@ -318,7 +315,7 @@ def _swap_oracle(i1, j1, i2, j2, q: complex) -> tuple[int, int, int]:
 
 
 def criterion_oracle_suites() -> tuple[bool, str]:
-    rng = np.random.default_rng(2024)
+    rng = default_rng(2024)
     # normal ordering vs swap rewriting
     for _ in range(200):
         i1, j1, i2, j2 = (int(x) for x in rng.integers(0, 9, size=4))

@@ -30,7 +30,8 @@ from .measure import (MomentSequence, closed_form_density,
                       verify_moments, verify_resolution_identity)
 from .operators import (adjoint_annihilation_matrix, annihilation_matrix,
                         creation_matrix, number_matrix, toeplitz_matrix)
-from .paragrassmann import ParagrassmannConfig, pg_annihilation, pg_structure_report
+from .paragrassmann import (MAX_PG_ORDER, ParagrassmannConfig, pg_annihilation,
+                            pg_structure_report)
 from .symbols import (PolynomialSymbol, lower_symbol_grid, quantize_cs,
                       secondary_toeplitz, split_terms)
 from .weights import QParam, WeightSequence
@@ -107,15 +108,14 @@ class RunConfig:
     cutoff: int = 16
     tol: float = 1e-12
     order: int = 12
-    angular: int = 25
     grid: dict = field(default_factory=lambda: {"rmax": 1.5, "nr": 10, "ntheta": 8})
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ConfigError("tolerance must be positive")
-        if self.cutoff < 0 or self.order < 1 or self.angular < 1:
-            raise ConfigError("cutoff, order and angular points must be positive")
+        if self.cutoff < 0 or self.order < 1:
+            raise ConfigError("cutoff and order must be positive")
         QParam.of(self.q)
 
     @classmethod
@@ -138,7 +138,7 @@ class RunConfig:
             doc["cutoff"] = args.cutoff
         if args.tol is not None:
             doc["tol"] = args.tol
-        known = {"weights", "q", "cutoff", "tol", "order", "angular", "grid"}
+        known = {"weights", "q", "cutoff", "tol", "order", "grid"}
         try:
             return cls(
                 weights=_parse_weights(doc.get("weights", "factorial")),
@@ -146,7 +146,6 @@ class RunConfig:
                 cutoff=int(doc.get("cutoff", 16)),
                 tol=float(doc.get("tol", 1e-12)),
                 order=int(doc.get("order", 12)),
-                angular=int(doc.get("angular", 25)),
                 grid=dict(doc.get("grid", {"rmax": 1.5, "nr": 10, "ntheta": 8})),
                 extra={k: v for k, v in doc.items() if k not in known},
             )
@@ -160,7 +159,6 @@ class RunConfig:
             "cutoff": self.cutoff,
             "tol": self.tol,
             "order": self.order,
-            "angular": self.angular,
             "grid": self.grid,
             **{k: v for k, v in sorted(self.extra.items())},
         }
@@ -263,12 +261,11 @@ def _moment_rule(cfg: RunConfig):
 
 def _cmd_measure(cfg: RunConfig, outdir: Path) -> int:
     basis = int(cfg.extra.get("basis", 10))
-    angular = max(cfg.angular, 2 * basis + 1)
     quad = _moment_rule(cfg)
     nmax = min(2 * cfg.order - 1, 20)
     mom_rep = verify_moments(quad, cfg.weights, cfg.q, nmax, tol=cfg.tol)
     gram_rep = verify_resolution_identity(quad, cfg.weights, cfg.q, basis,
-                                          angular, tol=cfg.tol)
+                                          2 * basis + 1, tol=cfg.tol)
     witness = norm_divergence_witness(quad, cfg.weights, cfg.q, nmax)
     density = closed_form_density(cfg.weights, cfg.q)
     _write(outdir, "measure.json", {
@@ -322,6 +319,8 @@ def _cmd_symbols(cfg: RunConfig, outdir: Path) -> int:
 
 def _cmd_paragrassmann(cfg: RunConfig, outdir: Path) -> int:
     l = int(cfg.extra.get("l", 3))
+    if l > MAX_PG_ORDER:
+        raise ConfigError(f"nilpotency order {l} exceeds the cap {MAX_PG_ORDER}")
     if "pg_weights" in cfg.extra:
         weights = tuple(float(x) for x in cfg.extra["pg_weights"])
     elif cfg.weights.kind == "explicit":

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+# np.median here and np.unique in series.py load numpy.ma on first call
+import numpy.ma  # noqa: F401
 
 from .errors import ConfigError, OutsidePhaseSpaceError
 from .kernels import csum_logpolar

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv as _csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -48,13 +48,12 @@ class TruncatedOperator:
 
     matrix: np.ndarray
     meta: OperatorMeta
-    _skip_checks: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise ConfigError(f"operator matrix must be square, got {m.shape}")
-        if not self._skip_checks and not np.all(np.isfinite(m)):
+        if not np.all(np.isfinite(m)):
             raise ConfigError("operator entries must be finite")
         object.__setattr__(self, "matrix", m)
 

@@ -22,10 +22,15 @@ from .errors import ConfigError
 from .operators import OperatorMeta, TruncatedOperator
 from .weights import QParam
 
+# Largest nilpotency order accepted.  pg_structure_report costs O(l^4):
+# about 1.5 s at l = 256 and 8 s at l = 512.
+MAX_PG_ORDER = 256
+
 
 @dataclass(frozen=True)
 class ParagrassmannConfig:
-    """Nilpotency order l >= 2, weights w_0..w_{l-1} > 0, and q."""
+    """Nilpotency order 2 <= l <= MAX_PG_ORDER, weights w_0..w_{l-1} > 0,
+    and q."""
 
     l: int
     weights: tuple
@@ -34,6 +39,9 @@ class ParagrassmannConfig:
     def __post_init__(self):
         if self.l < 2:
             raise ConfigError("nilpotency order must be at least 2")
+        if self.l > MAX_PG_ORDER:
+            raise ConfigError(f"nilpotency order {self.l} exceeds the cap "
+                              f"{MAX_PG_ORDER}")
         ws = tuple(float(x) for x in self.weights)
         if len(ws) != self.l:
             raise ConfigError(f"need exactly {self.l} weights, got {len(ws)}")

@@ -250,21 +250,19 @@ def secondary_toeplitz(f: PolynomialSymbol, quad: RadialQuadrature,
 
 
 def quantize_cs_norm_bound(f: PolynomialSymbol, quad: RadialQuadrature,
-                           w: WeightSequence, q,
-                           angular_points: int | None = None,
-                           norm_tol: float = 1e-12) -> float:
+                           w: WeightSequence, q) -> float:
     """Quadrature estimate of ||f||_1 in L^1(||phi_lambda||^2 d rho).
 
     Dominates the operator norm of the quantization of f; |f| is not a
     polynomial, so this is an estimate, not an exact integral.
     """
     q = QParam.of(q)
-    A = int(angular_points) if angular_points else max(64, 4 * f.degree + 1)
+    A = max(64, 4 * f.degree + 1)
     alpha = 2.0 * math.pi * np.arange(A) / A
     total = 0.0
     for t, mu in zip(quad.nodes, quad.masses):
         r = math.sqrt(t)
-        nsq = coherent_norm_sq(r, w, q, tol=norm_tol)
+        nsq = coherent_norm_sq(r, w, q, tol=1e-12)
         pts = r * np.exp(1j * alpha)
         mean_abs = float(np.mean(np.abs(f.evaluate(pts))))
         total += math.pi * mu * nsq * mean_abs

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -22,8 +23,9 @@ def load(tmp_path, name):
     return json.loads((tmp_path / name).read_text())
 
 
-def run_cold(tmp_path, argv, config):
-    """The CLI in a fresh interpreter, with ``config`` passed by --config."""
+def run_cold(tmp_path, argv, config, preexec_fn=None):
+    """The CLI in a fresh interpreter, with ``config`` passed by --config;
+    ``preexec_fn`` runs in the child before the interpreter starts."""
     extra = []
     if config is not None:
         cfg = tmp_path / "cfg.json"
@@ -32,7 +34,7 @@ def run_cold(tmp_path, argv, config):
     env = dict(os.environ, PYTHONPATH=str(Path(qmanin.__file__).parents[1]))
     return subprocess.run(
         [sys.executable, "-m", "qmanin.cli", "--out", str(tmp_path), *argv, *extra],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=preexec_fn)
 
 
 def test_radius_constant_unit(tmp_path):
@@ -84,6 +86,20 @@ def test_precision_cap_refusal_exits_4_without_traceback(tmp_path):
     assert proc.returncode == 4, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "largest achievable order is 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _limit_address_space():
+    # 1 GiB: enough for the CLI, while a 10^9-element weight tuple built
+    # before the order check would fail fast with MemoryError
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_paragrassmann_order_cap_exits_2_before_allocating(tmp_path):
+    proc = run_cold(tmp_path, ("paragrassmann",), {"l": 10**9},
+                    preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert "exceeds the cap 256" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -157,6 +173,17 @@ def test_measure_artifact(tmp_path):
     assert doc["result"]["moment_check"]["ok"] is True
     assert doc["result"]["closed_form"] is not None
     assert abs(doc["result"]["divergence_witness"]["slope"] - 1.0) < 1e-6
+
+
+def test_measure_config_is_what_ran(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"basis": 20, "order": 12}))
+    assert run(tmp_path, "measure", "--config", str(cfg)) == 0
+    doc = load(tmp_path, "measure.json")
+    assert "angular" not in doc["config"]
+    assert doc["config"]["basis"] == 20
+    assert doc["result"]["gram_check"]["dim"] == 21
+    assert doc["result"]["gram_check"]["ok"] is True
 
 
 def test_measure_determinism(tmp_path):

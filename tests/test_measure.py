@@ -1,11 +1,16 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.special import roots_laguerre
 
+import qmanin
 from qmanin import measure
 from qmanin import (ConfigError, IndefiniteMomentsError, MomentSequence,
                     RadialQuadrature, WeightSequence, closed_form_density,
@@ -43,6 +48,18 @@ class TestClosedForm:
         assert np.allclose(quad.nodes, nodes, rtol=1e-13)
         assert np.allclose(quad.masses, weights / math.pi, rtol=1e-13)
         assert quad.provenance == "closed-form"
+
+    def test_criterion_3_runs_without_scipy(self):
+        script = ("import sys, qmanin, qmanin.cli\n"
+                  "from qmanin import acceptance\n"
+                  "result = acceptance.run_criterion(3)\n"
+                  "assert result.passed, result.detail\n"
+                  "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                  "assert not loaded, loaded\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(qmanin.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestMomentSolver:

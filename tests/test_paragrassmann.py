@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qmanin.paragrassmann import MAX_PG_ORDER
 from qmanin import (ConfigError, ParagrassmannConfig, pg_annihilation,
                     pg_structure_report)
 
@@ -69,6 +70,12 @@ def test_config_validation():
         ParagrassmannConfig(2, (1.0, -1.0))
     with pytest.raises(ConfigError):
         ParagrassmannConfig(2, (1.0, 1.0), q=0.0)
+
+
+def test_order_cap():
+    assert ParagrassmannConfig(MAX_PG_ORDER, (1.0,) * MAX_PG_ORDER).l == 256
+    with pytest.raises(ConfigError, match="exceeds the cap 256"):
+        ParagrassmannConfig(MAX_PG_ORDER + 1, (1.0,) * (MAX_PG_ORDER + 1))
 
 
 def test_report_json():
