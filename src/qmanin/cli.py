@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,31 +24,16 @@ from .algebra import ManinElement
 from .coherent import (coherent_coefficients, coherent_norm_sq, eigen_residual,
                        kernel, radius_of_convergence)
 from .errors import ConfigError, QmaninError
-from .measure import (MomentSequence, closed_form_density,
+from .measure import (MAX_ORDER, MomentSequence, closed_form_density,
                       gauss_quadrature_from_moments, norm_divergence_witness,
                       verify_moments, verify_resolution_identity)
 from .operators import (adjoint_annihilation_matrix, annihilation_matrix,
                         creation_matrix, number_matrix, toeplitz_matrix)
 from .paragrassmann import (MAX_PG_ORDER, ParagrassmannConfig, pg_annihilation,
                             pg_structure_report)
-from .symbols import (PolynomialSymbol, lower_symbol_grid, quantize_cs,
-                      secondary_toeplitz, split_terms)
+from .symbols import (PolynomialSymbol, lower_symbol_grid, parse_complex,
+                      parse_terms, quantize_cs, secondary_toeplitz)
 from .weights import QParam, WeightSequence
-
-
-def _parse_complex(text) -> complex:
-    if isinstance(text, (int, float, complex)):
-        return complex(text)
-    if isinstance(text, (list, tuple)) and len(text) == 2:
-        return complex(float(text[0]), float(text[1]))
-    s = str(text).strip()
-    if "," in s:
-        re_, im_ = s.split(",", 1)
-        return complex(float(re_), float(im_))
-    try:
-        return complex(s.replace(" ", ""))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse complex number {text!r}") from exc
 
 
 def _parse_weights(spec) -> WeightSequence:
@@ -75,27 +59,13 @@ def _parse_weights(spec) -> WeightSequence:
     raise ConfigError(f"unknown weight spec {s!r}")
 
 
-_MANIN_TERM = re.compile(
-    r"^\s*(?:\(\s*(?P<coeff>[^)]+)\s*\)\s*\*?\s*)?"
-    r"(?:th\^(?P<i>\d+))?\s*(?:tb\^(?P<j>\d+))?\s*(?P<unit>1)?\s*$")
-
-
 def parse_manin_symbol(text: str, q) -> ManinElement:
     """Symbol grammar: terms `(coeff) th^i tb^j` joined by '+'.
 
     Bare `th`/`tb` mean power one, e.g. "th^2 tb^1 + (0.5) 1"."""
     out = ManinElement(q, {})
-    for raw in split_terms(str(text)):
-        piece = raw.strip()
-        piece = re.sub(r"\bth\b(?!\^)", "th^1", piece)
-        piece = re.sub(r"\btb\b(?!\^)", "tb^1", piece)
-        m = _MANIN_TERM.match(piece)
-        if not m or (m.group("i") is None and m.group("j") is None
-                     and m.group("unit") is None and m.group("coeff") is None):
-            raise ConfigError(f"cannot parse symbol term {raw!r}")
-        coeff = _parse_complex(m.group("coeff")) if m.group("coeff") else 1.0
-        out = out + ManinElement.monomial(q, int(m.group("i") or 0),
-                                          int(m.group("j") or 0), coeff)
+    for coeff, i, j in parse_terms(text, "th", "tb"):
+        out = out + ManinElement.monomial(q, i, j, coeff)
     return out
 
 
@@ -142,15 +112,24 @@ class RunConfig:
         try:
             return cls(
                 weights=_parse_weights(doc.get("weights", "factorial")),
-                q=_parse_complex(doc.get("q", 1.0)),
+                q=parse_complex(doc.get("q", 1.0)),
                 cutoff=int(doc.get("cutoff", 16)),
                 tol=float(doc.get("tol", 1e-12)),
                 order=int(doc.get("order", 12)),
                 grid=dict(doc.get("grid", {"rmax": 1.5, "nr": 10, "ntheta": 8})),
                 extra={k: v for k, v in doc.items() if k not in known},
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid config value: {exc}") from exc
+
+    def extra_value(self, key: str, default, convert):
+        """The extra key ``key`` (or ``default``) through ``convert``; a
+        value that does not convert is a ConfigError."""
+        value = self.extra.get(key, default)
+        try:
+            return convert(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"invalid value for {key!r}: {value!r}") from exc
 
     def resolved(self) -> dict:
         return {
@@ -197,15 +176,15 @@ def _write(outdir: Path, name: str, payload) -> Path:
 # ---------------------------------------------------------------------------
 
 def _cmd_radius(cfg: RunConfig, outdir: Path) -> int:
-    horizon = int(cfg.extra.get("horizon", 10**15))
-    cap = float(cfg.extra.get("cap", 1e6))
+    horizon = cfg.extra_value("horizon", 10**15, int)
+    cap = cfg.extra_value("cap", 1e6, float)
     est = radius_of_convergence(cfg.weights, cfg.q, horizon=horizon, cap=cap)
     _write(outdir, "radius.json", {"config": cfg.resolved(), "result": est.to_json()})
     return 0
 
 
 def _cmd_operator(cfg: RunConfig, outdir: Path) -> int:
-    text = str(cfg.extra.get("symbol", "tb^1"))
+    text = cfg.extra_value("symbol", "tb^1", str)
     g = parse_manin_symbol(text, cfg.q)
     op = toeplitz_matrix(g, cfg.weights, cfg.q, cfg.cutoff)
     _write(outdir, "operator.json", {"config": cfg.resolved(), "result": op.to_json()})
@@ -214,7 +193,7 @@ def _cmd_operator(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _cmd_coherent(cfg: RunConfig, outdir: Path) -> int:
-    lam = _parse_complex(cfg.extra.get("lambda", 1.0))
+    lam = cfg.extra_value("lambda", 1.0, parse_complex)
     state = coherent_coefficients(lam, cfg.weights, cfg.q, tol=cfg.tol)
     window = max(cfg.cutoff, state.n_cutoff)
     res = eigen_residual(state, cfg.weights, cfg.q)
@@ -237,7 +216,7 @@ def _cmd_kernel(cfg: RunConfig, outdir: Path) -> int:
             v = coherent_norm_sq(z, cfg.weights, cfg.q, tol=cfg.tol)
             lines.append(f"{float(z.real)!r},{float(z.imag)!r},{float(v)!r},0.0")
     else:
-        mu = _parse_complex(mu)
+        mu = parse_complex(mu)
         for z in pts:
             v = kernel(mu, z, cfg.weights, cfg.q, tol=cfg.tol)
             lines.append(f"{float(z.real)!r},{float(z.imag)!r},"
@@ -250,17 +229,18 @@ def _cmd_kernel(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _moment_rule(cfg: RunConfig):
-    """The moment-solved rule at the configured order.  The solver may cap
-    the order, so ``cfg.order`` becomes the order solved and the artifacts
-    embed what ran."""
-    moments = MomentSequence.from_weights(cfg.weights, cfg.q, 2 * cfg.order - 1)
+    """The moment-solved rule at the configured order.  The solver caps the
+    order at MAX_ORDER, so only the moments a capped rule matches are built,
+    ``cfg.order`` becomes the order solved and the artifacts embed what ran."""
+    jmax = 2 * min(cfg.order, MAX_ORDER) - 1
+    moments = MomentSequence.from_weights(cfg.weights, cfg.q, jmax)
     quad = gauss_quadrature_from_moments(moments, cfg.order)
     cfg.order = quad.order
     return quad
 
 
 def _cmd_measure(cfg: RunConfig, outdir: Path) -> int:
-    basis = int(cfg.extra.get("basis", 10))
+    basis = cfg.extra_value("basis", 10, int)
     quad = _moment_rule(cfg)
     nmax = min(2 * cfg.order - 1, 20)
     mom_rep = verify_moments(quad, cfg.weights, cfg.q, nmax, tol=cfg.tol)
@@ -289,13 +269,13 @@ _NAMED_OPERATORS = {
 
 
 def _cmd_symbols(cfg: RunConfig, outdir: Path) -> int:
-    f = PolynomialSymbol.parse(str(cfg.extra.get("phase_symbol", "L^1")))
+    f = PolynomialSymbol.parse(cfg.extra_value("phase_symbol", "L^1", str))
     quad = _moment_rule(cfg)
     qcs = quantize_cs(f, quad, cfg.weights, cfg.q, cfg.cutoff)
     sec = secondary_toeplitz(f, quad, cfg.weights, cfg.q, cfg.cutoff)
 
-    name = str(cfg.extra.get("operator", "annihilation"))
-    window = cfg.weights.max_index(int(cfg.extra.get("window", max(96, cfg.cutoff))))
+    name = cfg.extra_value("operator", "annihilation", str)
+    window = cfg.weights.max_index(cfg.extra_value("window", max(96, cfg.cutoff), int))
     if name == "number":
         op = number_matrix(window)
     elif name in _NAMED_OPERATORS:
@@ -305,7 +285,7 @@ def _cmd_symbols(cfg: RunConfig, outdir: Path) -> int:
                           f"{sorted(_NAMED_OPERATORS) + ['number']}")
     pts = _grid_points(cfg.grid)
     grid = lower_symbol_grid(op, pts, cfg.weights, cfg.q,
-                             normalized=bool(cfg.extra.get("normalized", True)))
+                             normalized=cfg.extra_value("normalized", True, bool))
 
     _write(outdir, "quantize_cs.json", {"config": cfg.resolved(),
                                         "result": qcs.to_json()})
@@ -318,11 +298,12 @@ def _cmd_symbols(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _cmd_paragrassmann(cfg: RunConfig, outdir: Path) -> int:
-    l = int(cfg.extra.get("l", 3))
+    l = cfg.extra_value("l", 3, int)
     if l > MAX_PG_ORDER:
         raise ConfigError(f"nilpotency order {l} exceeds the cap {MAX_PG_ORDER}")
     if "pg_weights" in cfg.extra:
-        weights = tuple(float(x) for x in cfg.extra["pg_weights"])
+        weights = cfg.extra_value("pg_weights", (),
+                          lambda v: tuple(float(x) for x in v))
     elif cfg.weights.kind == "explicit":
         weights = cfg.weights.table[:l]
     else:

@@ -3,7 +3,13 @@
 A coherent state phi_lambda is the eigenvector of the annihilation
 operator with eigenvalue lambda; its basis coefficients are
 
-    a_n = lambda^n * q^{n(n+1)/2} * w_n^{-1/2}.
+    a_n = lambda^n * q^{n(n+1)/2} * w_n^{-1/2},
+
+and ``coeff_log_arrays`` is their one home.  The reproducing kernel
+K(mu, lambda) = sum_n conj(a_n(mu)) a_n(lambda) is one certified series,
+and the squared norm ||phi_lambda||^2 is its diagonal K(lambda, lambda):
+the norm, the truncation of phi_lambda and the transform's domain check
+all sum that diagonal.
 
 The q power grows quadratically in the exponent, so coefficients are kept
 in log-polar form (log-magnitude plus phase) and every norm or inner
@@ -26,8 +32,6 @@ from .errors import ConfigError, OutsidePhaseSpaceError
 from .kernels import csum_logpolar
 from .series import SeriesDivergence, geometric_indexes, sum_series
 from .weights import QParam, WeightSequence
-
-_TWO_PI = 2.0 * math.pi
 
 
 def _tri(n: np.ndarray) -> np.ndarray:
@@ -55,19 +59,33 @@ def coeff_log_arrays(lam: complex, w: WeightSequence, q: QParam,
     return logmag, phase
 
 
-def _norm_logmag_fn(lam_abs: float, w: WeightSequence, q: QParam):
-    """Log magnitudes of the norm-series terms |lam|^{2n} |q|^{n(n+1)} / w_n."""
-    if lam_abs == 0.0:
-        def fn(n0, n1):
-            n = np.arange(n0, n1, dtype=float)
-            return np.where(n == 0, -w.log_weight(0), -np.inf)
-        return fn
-    log_r2 = 2.0 * math.log(lam_abs)
+def _kernel_series(mu: complex, lam: complex, w: WeightSequence, q: QParam,
+                   tol: float, n_max: int = 200_000, series: str = "norm"):
+    """Certified sum of K(mu, lam) = sum_n conj(a_n(mu)) a_n(lam) for
+    non-zero mu and lam, capped at the weight horizon.
 
-    def fn(n0, n1):
+    A divergent series means the point lies outside the phase space; the
+    OutsidePhaseSpaceError carries ``series`` ("norm" on the diagonal)."""
+    if w.horizon is not None:
+        n_max = min(n_max, w.horizon + 1)
+    base = math.log(abs(mu)) + math.log(abs(lam))
+    dphase = cmath.phase(lam) - cmath.phase(mu)
+
+    def logmag_fn(n0, n1):
         n = np.arange(n0, n1, dtype=float)
-        return n * log_r2 + 2.0 * _tri(n) * q.log_abs - w.log_weights(n0, n1)
-    return fn
+        return n * base + 2.0 * _tri(n) * q.log_abs - w.log_weights(n0, n1)
+
+    def phase_fn(n0, n1):
+        return np.arange(n0, n1, dtype=float) * dphase
+
+    try:
+        return sum_series(logmag_fn, phase_fn, tol=tol, n_max=n_max)
+    except SeriesDivergence as exc:
+        where = (f"lambda = {lam}: |lambda| is outside the phase space for "
+                 f"these weights and q" if series == "norm"
+                 else f"(mu, lambda) = ({mu}, {lam})")
+        raise OutsidePhaseSpaceError(f"{series} series diverges at {where}",
+                                     series=series) from exc
 
 
 @dataclass(frozen=True)
@@ -136,7 +154,7 @@ def coherent_coefficients(lam: complex, w: WeightSequence, q,
                                    phase=np.array([0.0]),
                                    tail_bound=0.0,
                                    norm_sq=math.exp(-lw0))
-    res = _norm_series(lam, w, q, tol, n_max)
+    res = _kernel_series(lam, lam, w, q, tol, n_max)
     ncut = res.nterms - 1
     logmag, phase = coeff_log_arrays(lam, w, q, 0, ncut + 1)
     return CoherentStateVector(
@@ -148,25 +166,14 @@ def coherent_coefficients(lam: complex, w: WeightSequence, q,
     )
 
 
-def _norm_series(lam, w, q, tol, n_max=200_000):
-    if w.horizon is not None:
-        n_max = min(n_max, w.horizon + 1)
-    try:
-        return sum_series(_norm_logmag_fn(abs(lam), w, q), tol=tol, n_max=n_max)
-    except SeriesDivergence as exc:
-        raise OutsidePhaseSpaceError(
-            f"norm series diverges at lambda = {lam}: |lambda| is outside the "
-            f"phase space for these weights and q", series="norm") from exc
-
-
 def coherent_norm_sq(lam: complex, w: WeightSequence, q,
                      tol: float = 1e-12) -> float:
-    """The squared norm series sum |lam|^{2n} |q|^{n(n+1)} / w_n."""
+    """The squared norm K(lam, lam) = sum |lam|^{2n} |q|^{n(n+1)} / w_n."""
     q = QParam.of(q)
     lam = _checked(lam)
     if lam == 0:
         return 1.0 / w.weight(0)
-    return float(_norm_series(lam, w, q, tol).float_value.real)
+    return float(_kernel_series(lam, lam, w, q, tol).float_value.real)
 
 
 class EigenResidual(NamedTuple):
@@ -224,7 +231,7 @@ def cs_transform(psi_coeffs: Sequence[complex], lam: complex,
     lam = _checked(lam)
     c = np.asarray(psi_coeffs, dtype=complex)
     if check_domain and lam != 0:
-        _norm_series(lam, w, q, tol=1e-6, n_max=50_000)
+        _kernel_series(lam, lam, w, q, tol=1e-6, n_max=50_000)
     if c.size == 0:
         return 0j
     logmag, phase = coeff_log_arrays(lam, w, q, 0, c.size)
@@ -243,27 +250,9 @@ def kernel(mu: complex, lam: complex, w: WeightSequence, q,
     """Reproducing kernel K(mu, lambda) = <phi_mu, phi_lambda>."""
     q = QParam.of(q)
     mu, lam = _checked(mu), _checked(lam)
-    rm, rl = abs(mu), abs(lam)
-    if rm == 0.0 or rl == 0.0:
+    if mu == 0 or lam == 0:
         return 1.0 / w.weight(0) + 0j
-    base = math.log(rm) + math.log(rl)
-    dphase = cmath.phase(lam) - cmath.phase(mu)
-
-    def logmag_fn(n0, n1):
-        n = np.arange(n0, n1, dtype=float)
-        return n * base + 2.0 * _tri(n) * q.log_abs - w.log_weights(n0, n1)
-
-    def phase_fn(n0, n1):
-        return np.arange(n0, n1, dtype=float) * dphase
-
-    n_max = 200_000 if w.horizon is None else w.horizon + 1
-    try:
-        res = sum_series(logmag_fn, phase_fn, tol=tol, n_max=n_max)
-    except SeriesDivergence as exc:
-        raise OutsidePhaseSpaceError(
-            f"kernel series diverges at (mu, lambda) = ({mu}, {lam})",
-            series="kernel") from exc
-    return res.float_value
+    return _kernel_series(mu, lam, w, q, tol, series="kernel").float_value
 
 
 @dataclass(frozen=True)
@@ -314,9 +303,7 @@ def boundary_series_verdict(radius: float, w: WeightSequence, q,
     if hb < 40:
         return "inconclusive"
     ns = np.arange(hb // 2, hb, dtype=np.int64)
-    logu = (2.0 * ns * math.log(radius)
-            + ns * (ns + 1.0) * q.log_abs
-            - np.array([w.log_weight(int(k)) for k in ns]))
+    logu = 2.0 * coeff_log_arrays(radius, w, q, hb // 2, hb)[0]   # log|a_n|^2
     ratios = np.exp(logu[:-1] - logu[1:])       # u_n / u_{n+1}
     raabe = ns[:-1] * (ratios - 1.0)
     est = float(np.median(raabe[-max(8, raabe.size // 4):]))

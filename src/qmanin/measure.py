@@ -34,6 +34,7 @@ import mpmath
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
+from .coherent import coeff_log_arrays
 from .errors import ConfigError, IndefiniteMomentsError, OrderTooHighError
 from .kernels import log_power_sums, power_matrix, weighted_gram
 from .weights import QParam, WeightSequence
@@ -57,7 +58,6 @@ class MomentSequence:
 
     values: tuple
     log_values: tuple
-    scale: float
     mp_logs: tuple = ()
 
     @classmethod
@@ -70,8 +70,7 @@ class MomentSequence:
                             for j in range(jmax + 1))
         logs = tuple(float(x) for x in mp_logs)
         vals = tuple(math.exp(x) if x < 709 else math.inf for x in logs)
-        scale = math.exp(logs[1] - logs[0]) if jmax >= 1 else 1.0
-        return cls(tuple(vals), logs, scale, mp_logs)
+        return cls(vals, logs, mp_logs)
 
     @property
     def jmax(self) -> int:
@@ -344,17 +343,22 @@ class MomentCheckReport:
                 "tol": self.tol, "ok": self.ok}
 
 
+def _normalization_terms(quad: RadialQuadrature, w: WeightSequence, q: QParam,
+                         nmax: int) -> list:
+    """pi * S_n * |q|^{n(n+1)} / w_n = pi * S_n * |a_n(1)|^2 for n = 0..nmax,
+    with S_n the n-th moment of the rule; the resolution of the identity
+    makes every term 1."""
+    log_t, log_mu = quad.log_arrays()
+    log_s = log_power_sums(log_t, log_mu, nmax)
+    return [math.exp(math.log(math.pi) + log_s[n]
+                     + n * (n + 1) * q.log_abs - w.log_weight(n))
+            for n in range(nmax + 1)]
+
+
 def verify_moments(quad: RadialQuadrature, w: WeightSequence, q,
                    nmax: int, tol: float = 1e-8) -> MomentCheckReport:
     """Check the normalization integrals for n = 0..nmax on the rule."""
-    q = QParam.of(q)
-    log_t, log_mu = quad.log_arrays()
-    log_s = log_power_sums(log_t, log_mu, nmax)
-    devs = []
-    for n in range(nmax + 1):
-        log_val = (math.log(math.pi) + log_s[n]
-                   + n * (n + 1) * q.log_abs - w.log_weight(n))
-        devs.append(abs(math.exp(log_val) - 1.0))
+    devs = [abs(t - 1.0) for t in _normalization_terms(quad, w, QParam.of(q), nmax)]
     return MomentCheckReport(tuple(devs), max(devs), tol)
 
 
@@ -426,9 +430,8 @@ def verify_resolution_identity(quad: RadialQuadrature, w: WeightSequence, q,
                           f"points, got {angular_points}")
     z, wts = polar_grid(quad, angular_points, angle_offset)
     V = power_matrix(z, basis_size)
-    j = np.arange(basis_size + 1, dtype=float)
-    pref_log = 0.5 * j * (j + 1) * q.log_abs - 0.5 * w.log_weights(0, basis_size + 1)
-    pref = np.exp(pref_log) * np.exp(1j * (0.5 * j * (j + 1) * q.arg))
+    logmag, phase = coeff_log_arrays(1.0, w, q, 0, basis_size + 1)
+    pref = np.exp(logmag) * np.exp(1j * phase)       # a_j(1)
     G = weighted_gram(V * pref[None, :], wts.astype(complex))
     dev = float(np.max(np.abs(G - np.eye(basis_size + 1))))
     return GramReport(G, dev, tol)
@@ -451,12 +454,7 @@ class DivergenceWitness:
 def norm_divergence_witness(quad: RadialQuadrature, w: WeightSequence, q,
                             n_terms: int) -> DivergenceWitness:
     """Evaluate the term-by-term divergence of the squared-norm integral."""
-    q = QParam.of(q)
-    log_t, log_mu = quad.log_arrays()
-    log_s = log_power_sums(log_t, log_mu, n_terms)
-    terms = [math.exp(math.log(math.pi) + log_s[n]
-                      + n * (n + 1) * q.log_abs - w.log_weight(n))
-             for n in range(n_terms + 1)]
+    terms = _normalization_terms(quad, w, QParam.of(q), n_terms)
     sums = np.cumsum(terms)
     slope = float(np.polyfit(np.arange(n_terms + 1), sums, 1)[0])
     return DivergenceWitness(tuple(terms), tuple(float(x) for x in sums), slope)

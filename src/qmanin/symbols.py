@@ -19,7 +19,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .coherent import coherent_coefficients, coherent_norm_sq
+from .coherent import coeff_log_arrays, coherent_coefficients, coherent_norm_sq
 from .errors import ConfigError, InsufficientQuadratureError, WindowTooSmallError
 from .kernels import power_matrix, weighted_gram
 from .measure import RadialQuadrature, polar_grid
@@ -41,6 +41,41 @@ def split_terms(text: str) -> list[str]:
         else:
             cur.append(ch)
     out.append("".join(cur))
+    return out
+
+
+def parse_complex(text) -> complex:
+    """A number, an [re, im] pair, an "re,im" string or Python syntax."""
+    try:
+        if isinstance(text, (int, float, complex)):
+            return complex(text)
+        if isinstance(text, (list, tuple)) and len(text) == 2:
+            return complex(float(text[0]), float(text[1]))
+        s = str(text).strip()
+        if "," in s:
+            re_, im_ = s.split(",", 1)
+            return complex(float(re_), float(im_))
+        return complex(s.replace(" ", ""))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"cannot parse complex number {text!r}") from exc
+
+
+def parse_terms(text, x: str, y: str) -> list[tuple[complex, int, int]]:
+    """(coeff, a, b) for each term `(coeff) x^a y^b` of a '+'-joined sum.
+
+    A bare ``x`` or ``y`` means power one, and `(coeff)` or `1` alone is a
+    constant term.  Both symbol grammars are this one: Manin symbols use
+    th/tb, phase-space symbols L/Lc."""
+    term = re.compile(
+        r"^\s*(?:\(\s*(?P<coeff>[^)]+)\s*\)\s*\*?\s*)?"
+        rf"(?:{x}\^(?P<a>\d+))?\s*(?:{y}\^(?P<b>\d+))?\s*(?P<unit>1)?\s*$")
+    out = []
+    for raw in split_terms(text):
+        m = term.match(re.sub(rf"\b({x}|{y})\b(?!\^)", r"\1^1", raw.strip()))
+        if not m or not any(m.groupdict().values()):
+            raise ConfigError(f"cannot parse symbol term {raw!r}")
+        coeff = parse_complex(m.group("coeff")) if m.group("coeff") else 1.0
+        out.append((coeff, int(m.group("a") or 0), int(m.group("b") or 0)))
     return out
 
 
@@ -117,24 +152,12 @@ class PolynomialSymbol:
             bits.append(f"{prefix}{core}")
         return " + ".join(bits)
 
-    _TERM_RE = re.compile(
-        r"^\s*(?:\(\s*(?P<coeff>[^)]+)\s*\)\s*\*?\s*)?"
-        r"(?:L\^(?P<a>\d+))?\s*(?:Lc\^(?P<b>\d+))?\s*(?P<unit>1)?\s*$")
-
     @classmethod
     def parse(cls, text: str) -> "PolynomialSymbol":
-        """Tiny grammar: terms `(coeff) L^a Lc^b` joined by '+'."""
+        """Terms `(coeff) L^a Lc^b` joined by '+' (see ``parse_terms``)."""
         coeffs: Dict[Tuple[int, int], complex] = {}
-        for raw in split_terms(text):
-            m = cls._TERM_RE.match(raw)
-            if not m or (m.group("a") is None and m.group("b") is None
-                         and m.group("unit") is None and m.group("coeff") is None):
-                raise ConfigError(f"cannot parse symbol term {raw!r}")
-            c = complex(m.group("coeff").replace(" ", "")) if m.group("coeff") else 1.0
-            a = int(m.group("a") or 0)
-            b = int(m.group("b") or 0)
-            key = (a, b)
-            coeffs[key] = coeffs.get(key, 0j) + c
+        for c, a, b in parse_terms(text, "L", "Lc"):
+            coeffs[(a, b)] = coeffs.get((a, b), 0j) + c
         return cls(coeffs)
 
 
@@ -207,7 +230,7 @@ def lower_symbol_grid(A: TruncatedOperator, points, w: WeightSequence, q,
 def _quantize(f: PolynomialSymbol, quad: RadialQuadrature, w: WeightSequence,
               q, N: int, symbol: str, basis: str) -> TruncatedOperator:
     """Entry (k, n) = pref_k conj(pref_n) * I[k, n], where
-    pref_k = q^{k(k+1)/2} w_k^{-1/2} and
+    pref_k = a_k(1) = q^{k(k+1)/2} w_k^{-1/2} and
     I[k, n] = integral of f(lambda) lambda^k conj(lambda)^n d rho.
 
     I is evaluated on the node x angle grid.  It is exact for polynomial f
@@ -222,10 +245,8 @@ def _quantize(f: PolynomialSymbol, quad: RadialQuadrature, w: WeightSequence,
             f"{2 * quad.order - 1} but the integrands reach degree {reach}")
     z, wts = polar_grid(quad, 2 * reach + 1)
     I = weighted_gram(power_matrix(z, N), (f.evaluate(z) * wts).astype(complex))
-    k = np.arange(N + 1, dtype=float)
-    tri = 0.5 * k * (k + 1.0)
-    logmag = tri * q.log_abs - 0.5 * w.log_weights(0, N + 1)
-    pref = np.exp(logmag) * np.exp(1j * tri * q.arg)
+    logmag, phase = coeff_log_arrays(1.0, w, q, 0, N + 1)
+    pref = np.exp(logmag) * np.exp(1j * phase)
     mat = pref[:, None] * pref.conj()[None, :] * I
     return TruncatedOperator(mat, OperatorMeta(
         symbol=symbol, weights=w.describe(), q=q.value, exact=True, basis=basis))

@@ -72,6 +72,16 @@ def test_config_error_exit_code(tmp_path):
 @pytest.mark.parametrize("argv, config", [
     (("operator", "--q", "0.1", "--cutoff", "400"), None),   # |q|^-400 overflows
     (("kernel",), {"grid": {"rmax": "abc"}}),
+    (("measure",), {"basis": "abc"}),
+    (("radius",), {"cap": "abc"}),
+    (("radius",), {"horizon": "abc"}),
+    (("paragrassmann",), {"l": "abc"}),
+    (("paragrassmann",), {"pg_weights": ["x", 1, 2]}),
+    (("paragrassmann",), {"l": 3, "pg_weights": 5}),
+    (("coherent",), {"lambda": [1, "x"]}),
+    (("symbols",), {"window": "abc"}),
+    (("symbols",), {"phase_symbol": "(abc) L^1"}),
+    (("coherent",), {"cutoff": float("inf")}),     # JSON Infinity
 ])
 def test_refusals_exit_2_without_traceback(tmp_path, argv, config):
     proc = run_cold(tmp_path, argv, config)
@@ -108,6 +118,17 @@ def test_non_numeric_grid_value_is_config_error(tmp_path, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid": {key: "abc"}}))
     assert run(tmp_path, "kernel", "--config", str(cfg)) == 2
+
+
+def test_huge_order_builds_only_the_capped_moments(tmp_path):
+    # 2 * 10^9 - 1 moments in mpmath would never finish; the rule is capped
+    # at order 20, so only moments 0..39 are built
+    proc = run_cold(tmp_path, ("measure",), {"order": 10**9},
+                    preexec_fn=_limit_address_space)
+    assert proc.returncode == 0, proc.stderr
+    doc = load(tmp_path, "measure.json")
+    assert doc["config"]["order"] == 20
+    assert doc["result"]["quadrature"]["order"] == 20
 
 
 def test_capped_order_recorded_in_artifacts(tmp_path):
@@ -236,6 +257,8 @@ def test_parse_manin_symbol():
     assert g.coefficient(0, 0) == 0.5
     with pytest.raises(ConfigError):
         parse_manin_symbol("widget", 1.0)
+    with pytest.raises(ConfigError):
+        parse_manin_symbol("(abc) th^1", 1.0)
 
 
 def test_verify_runs_clean(tmp_path, capsys):

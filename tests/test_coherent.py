@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import qgauss_table
-from qmanin import (OutsidePhaseSpaceError, WeightSequence,
-                    coherent_coefficients, coherent_norm_sq, cs_transform,
+from qmanin import (OutsidePhaseSpaceError, ToleranceUnreachableError,
+                    WeightSequence, coherent_coefficients, coherent_norm_sq, cs_transform,
                     eigen_residual, evolve, evolve_state, kernel,
                     radius_of_convergence)
 from qmanin.weights import QParam
@@ -191,6 +191,40 @@ class TestKernel:
     def test_out_of_disk(self):
         with pytest.raises(OutsidePhaseSpaceError):
             kernel(1.1, 1.1, WCONST, 1.0)
+
+
+class TestSeriesTag:
+    # the norm, the coefficients and the transform's domain check sum the
+    # kernel's diagonal, tagged "norm"; only the kernel itself is "kernel"
+    @pytest.mark.parametrize("call, tag", [
+        (lambda: coherent_coefficients(1.5, WCONST, 1.0), "norm"),
+        (lambda: coherent_norm_sq(1.5, WCONST, 1.0), "norm"),
+        (lambda: cs_transform([1.0], 1.5, WCONST, 1.0), "norm"),
+        (lambda: kernel(1.2, 1.5, WCONST, 1.0), "kernel"),
+    ])
+    def test_divergence_carries_series_tag(self, call, tag):
+        with pytest.raises(OutsidePhaseSpaceError) as info:
+            call()
+        assert info.value.series == tag
+
+
+class TestExplicitHorizon:
+    FACT = [float(math.factorial(n)) for n in range(60)]
+
+    def test_long_table_matches_the_rule(self):
+        w = WeightSequence.explicit(self.FACT)
+        mu, lam = 0.6 + 0.3j, -1.1 + 0.4j
+        assert abs(kernel(mu, lam, w, 1.0) - kernel(mu, lam, WFAC, 1.0)) < 1e-14
+        assert abs(coherent_norm_sq(lam, w, 1.0)
+                   - coherent_norm_sq(lam, WFAC, 1.0)) < 1e-14
+
+    def test_short_table_stops_at_its_horizon(self):
+        # 9 weights: both series stop after 9 terms, never asking for w_9
+        w = WeightSequence.explicit(self.FACT[:9])
+        for call in (lambda: kernel(1.0, 1.5, w, 1.0),
+                     lambda: coherent_norm_sq(1.5, w, 1.0)):
+            with pytest.raises(ToleranceUnreachableError, match="within 9 terms"):
+                call()
 
 
 class TestRadius:

@@ -95,9 +95,7 @@ class TestMomentSolver:
         atoms = np.linspace(0.5, 9.0, 6) + rng.uniform(-0.2, 0.2, size=6)
         masses = rng.uniform(0.2, 2.0, size=6)
         vals = [float(np.sum(masses * atoms**j)) for j in range(12)]
-        m = MomentSequence(tuple(vals),
-                           tuple(math.log(v) for v in vals),
-                           vals[1] / vals[0])
+        m = MomentSequence(tuple(vals), tuple(math.log(v) for v in vals))
         quad = gauss_quadrature_from_moments(m, 6)
         for j in range(12):
             s = float(np.sum(quad.masses * quad.nodes**j))

@@ -34,6 +34,13 @@ class TestPolynomialSymbol:
             PolynomialSymbol.parse("L^x")
         with pytest.raises(ConfigError):
             PolynomialSymbol.parse("th^1")
+        with pytest.raises(ConfigError):
+            PolynomialSymbol.parse("(abc) L^1")
+
+    def test_parse_shares_the_manin_grammar(self):
+        # bare names mean power one, as in parse_manin_symbol
+        f = PolynomialSymbol.parse("L Lc + (2) Lc + (1,2) 1")
+        assert f.coeffs == {(0, 0): 1 + 2j, (0, 1): 2.0, (1, 1): 1.0}
 
     def test_conjugate(self):
         f = PolynomialSymbol({(2, 1): 1 + 2j})
