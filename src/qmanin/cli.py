@@ -35,6 +35,17 @@ from .symbols import (PolynomialSymbol, lower_symbol_grid, parse_complex,
                       parse_terms, quantize_cs, secondary_toeplitz)
 from .weights import QParam, WeightSequence
 
+# Size caps, checked before anything is allocated; MAX_CUTOFF also caps the window.
+MAX_CUTOFF = 1024
+MAX_BASIS = 256
+MAX_GRID_POINTS = 100_000   # nr * ntheta
+
+
+def _capped(name: str, value: int, cap: int) -> int:
+    if value > cap:
+        raise ConfigError(f"{name} {value} exceeds the cap {cap}")
+    return value
+
 
 def _parse_weights(spec) -> WeightSequence:
     if isinstance(spec, WeightSequence):
@@ -86,6 +97,7 @@ class RunConfig:
             raise ConfigError("tolerance must be positive")
         if self.cutoff < 0 or self.order < 1:
             raise ConfigError("cutoff and order must be positive")
+        _capped("cutoff", self.cutoff, MAX_CUTOFF)
         QParam.of(self.q)
 
     @classmethod
@@ -150,6 +162,7 @@ def _grid_points(grid: dict) -> np.ndarray:
         ntheta = int(grid.get("ntheta", 8))
         if nr < 1 or ntheta < 1 or not 0 < rmax < math.inf:
             raise ConfigError("grid needs nr, ntheta >= 1 and 0 < rmax < inf")
+        _capped("grid size nr * ntheta", nr * ntheta, MAX_GRID_POINTS)
         rmin = float(grid.get("rmin", rmax / float(grid.get("nr", 10))))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"grid values must be numbers: {exc}") from exc
@@ -240,7 +253,7 @@ def _moment_rule(cfg: RunConfig):
 
 
 def _cmd_measure(cfg: RunConfig, outdir: Path) -> int:
-    basis = cfg.extra_value("basis", 10, int)
+    basis = _capped("basis", cfg.extra_value("basis", 10, int), MAX_BASIS)
     quad = _moment_rule(cfg)
     nmax = min(2 * cfg.order - 1, 20)
     mom_rep = verify_moments(quad, cfg.weights, cfg.q, nmax, tol=cfg.tol)
@@ -269,13 +282,14 @@ _NAMED_OPERATORS = {
 
 
 def _cmd_symbols(cfg: RunConfig, outdir: Path) -> int:
+    window = cfg.weights.max_index(_capped(
+        "window", cfg.extra_value("window", max(96, cfg.cutoff), int), MAX_CUTOFF))
     f = PolynomialSymbol.parse(cfg.extra_value("phase_symbol", "L^1", str))
     quad = _moment_rule(cfg)
     qcs = quantize_cs(f, quad, cfg.weights, cfg.q, cfg.cutoff)
     sec = secondary_toeplitz(f, quad, cfg.weights, cfg.q, cfg.cutoff)
 
     name = cfg.extra_value("operator", "annihilation", str)
-    window = cfg.weights.max_index(cfg.extra_value("window", max(96, cfg.cutoff), int))
     if name == "number":
         op = number_matrix(window)
     elif name in _NAMED_OPERATORS:
@@ -304,8 +318,6 @@ def _cmd_paragrassmann(cfg: RunConfig, outdir: Path) -> int:
     if "pg_weights" in cfg.extra:
         weights = cfg.extra_value("pg_weights", (),
                           lambda v: tuple(float(x) for x in v))
-    elif cfg.weights.kind == "explicit":
-        weights = cfg.weights.table[:l]
     else:
         weights = tuple(cfg.weights.weight(n) for n in range(l))
     pg = ParagrassmannConfig(l, weights, q=cfg.q)

@@ -259,11 +259,12 @@ def kernel(mu: complex, lam: complex, w: WeightSequence, q,
 class RadiusEstimate:
     """Finite-sample estimate of the phase-space radius R_w.
 
-    ``value`` is the running-min liminf estimate over the sample tail,
-    ``math.inf`` when the samples blow past ``cap`` monotonically and 0.0
-    when they decay below 1/cap; ``extreme`` mirrors value == 0 (the
-    one-point phase space).  ``uncertainty`` combines the tail-window
-    spread with the drift between the mid and final samples.
+    ``samples`` holds log r_n at ``indexes``, so fast-growing weights
+    cannot overflow them.  ``value`` is the running-min liminf estimate
+    over the sample tail, ``math.inf`` when the samples blow past ``cap``
+    monotonically and 0.0 when they decay below 1/cap; ``extreme`` mirrors
+    value == 0 (the one-point phase space).  ``uncertainty`` combines the
+    tail-window spread with the drift between the mid and final samples.
     """
 
     value: float
@@ -285,8 +286,8 @@ class RadiusEstimate:
             "monotone": self.monotone,
             "horizon": self.horizon,
             "cap": self.cap,
-            "samples": [{"n": int(n), "r": float(r)}
-                        for n, r in zip(self.indexes, self.samples)],
+            "samples": [{"n": int(n), "log_r": float(lr)}
+                        for n, lr in zip(self.indexes, self.samples)],
         }
 
 
@@ -357,18 +358,16 @@ def radius_of_convergence(w: WeightSequence, q, horizon: int = 10**15,
     last = logr[-min(50, len(logr)):]
     log_cap = math.log(cap)
     if np.all(last > log_cap) and np.all(np.diff(last) >= 0):
-        return RadiusEstimate(math.inf, tuple(np.exp(logr)), tuple(idx),
-                              "inconclusive", False, math.inf, monotone,
-                              horizon, cap)
-    if np.all(last < -log_cap) and np.all(np.diff(last) <= 0):
-        return RadiusEstimate(0.0, tuple(np.exp(logr)), tuple(idx),
-                              "converges", True, 0.0, monotone, horizon, cap)
-
-    window = logr[-max(8, len(logr) // 4):]
-    value = float(math.exp(np.min(window)))
-    spread = float(math.exp(np.max(window)) - math.exp(np.min(window)))
-    drift = abs(float(math.exp(logr[-1]) - math.exp(logr[len(logr) // 2])))
-    uncertainty = spread + drift + 1e-12
-    verdict = _bracketed_boundary_verdict(value, uncertainty, w, q, horizon)
-    return RadiusEstimate(value, tuple(np.exp(logr)), tuple(idx), verdict,
-                          False, uncertainty, monotone, horizon, cap)
+        value, verdict, extreme, uncertainty = math.inf, "inconclusive", False, math.inf
+    elif np.all(last < -log_cap) and np.all(np.diff(last) <= 0):
+        value, verdict, extreme, uncertainty = 0.0, "converges", True, 0.0
+    else:
+        window = logr[-max(8, len(logr) // 4):]
+        value = float(math.exp(np.min(window)))
+        spread = float(math.exp(np.max(window)) - math.exp(np.min(window)))
+        drift = abs(float(math.exp(logr[-1]) - math.exp(logr[len(logr) // 2])))
+        uncertainty = spread + drift + 1e-12
+        verdict = _bracketed_boundary_verdict(value, uncertainty, w, q, horizon)
+        extreme = False
+    return RadiusEstimate(value, tuple(logr), tuple(idx), verdict, extreme,
+                          uncertainty, monotone, horizon, cap)

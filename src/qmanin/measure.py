@@ -149,12 +149,11 @@ class ClosedFormDensity:
 
 
 def closed_form_density(w: WeightSequence, q) -> Optional[ClosedFormDensity]:
-    """The known closed form: factorial weights at |q| = 1, else None."""
+    """The known closed form: w_n = c * n! (the rule at s = 1) at |q| = 1,
+    else None."""
     q = QParam.of(q)
-    factorial_like = (w.kind == "factorial"
-                      or (w.kind == "power-factorial" and w.s == 1.0))
-    if factorial_like and abs(q.abs - 1.0) <= 1e-12:
-        return ClosedFormDensity(w.scale)
+    if w.table is None and w.s == 1.0 and abs(q.abs - 1.0) <= 1e-12:
+        return ClosedFormDensity(w.c * w.scale)
     return None
 
 

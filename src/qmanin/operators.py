@@ -98,8 +98,11 @@ def _band_coeff(w: WeightSequence, n: int, i: int, j: int) -> float:
     hi, lo1, lo2 = w.weight(n + i), w.weight(n), w.weight(n + i - j)
     if math.isfinite(hi) and math.isfinite(lo1) and math.isfinite(lo2):
         return math.sqrt(hi / lo1) * math.sqrt(hi / lo2)
-    return math.exp(w.log_weight(n + i)
-                    - 0.5 * (w.log_weight(n) + w.log_weight(n + i - j)))
+    try:
+        return math.exp(w.log_weight(n + i)
+                        - 0.5 * (w.log_weight(n) + w.log_weight(n + i - j)))
+    except OverflowError:
+        return math.inf     # too large for a double: TruncatedOperator refuses it
 
 
 def toeplitz_matrix(g: ManinElement, w: WeightSequence, q, N: int) -> TruncatedOperator:
@@ -235,9 +238,8 @@ def boundedness_report(w: WeightSequence, q, horizon: int = 200) -> BoundednessR
     if horizon < 10:
         raise ConfigError("boundedness classification needs horizon >= 10")
     n = np.arange(1, horizon + 1, dtype=np.int64)
-    log_ratios = np.array([-2.0 * k * q.log_abs
-                           + w.log_weight(int(k)) - w.log_weight(int(k) - 1)
-                           for k in n])
+    lw = w.log_weights(0, horizon + 1)
+    log_ratios = -2.0 * n * q.log_abs + lw[1:] - lw[:-1]
     ratios = np.exp(log_ratios)
     window = ratios[-max(8, ratios.size // 4):]
     sup = float(np.max(ratios))
@@ -288,12 +290,12 @@ def domain_membership(coeff_source: CoefficientSource, w: WeightSequence, q,
         return "in_domain"
     horizon = w.max_index(int(horizon))
     n = np.arange(1, horizon + 1, dtype=np.int64)
-    log_t = np.empty(n.size)
+    log_a = np.empty(n.size)
     for k in n:
         a = complex(coeff_source(int(k)))
-        la = math.log(abs(a)) if a != 0 else -math.inf
-        log_t[k - 1] = (2.0 * la - 2.0 * k * q.log_abs
-                        + w.log_weight(int(k)) - w.log_weight(int(k) - 1))
+        log_a[k - 1] = math.log(abs(a)) if a != 0 else -math.inf
+    lw = w.log_weights(0, horizon + 1)
+    log_t = 2.0 * log_a - 2.0 * n * q.log_abs + lw[1:] - lw[:-1]
     if np.all(np.isneginf(log_t[-(n.size // 4):])):
         return "in_domain"          # effectively finite support
 

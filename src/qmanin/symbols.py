@@ -203,15 +203,13 @@ def lower_symbol(A: TruncatedOperator, lam: complex, w: WeightSequence, q,
     vec = np.zeros(A.dim, dtype=complex)
     vec[: n + 1] = b
     quad_form = complex(vec.conj() @ (A.matrix @ vec)) * math.exp(2.0 * m)
+    value = quad_form / state.norm_sq if normalized else quad_form
+    if not return_error:
+        return value
     # certified error: tail mass times the operator's column reach
     op_norm = float(np.linalg.norm(A.matrix, 2))
     err = 2.0 * math.sqrt(max(state.tail_bound, 0.0) * state.norm_sq) * op_norm
-    if normalized:
-        value = quad_form / state.norm_sq
-        err = err / state.norm_sq
-    else:
-        value = quad_form
-    return (value, err) if return_error else value
+    return value, (err / state.norm_sq if normalized else err)
 
 
 def lower_symbol_grid(A: TruncatedOperator, points, w: WeightSequence, q,

@@ -5,6 +5,7 @@ determines the whole theory: the sesquilinear form, the operator matrices,
 the phase-space radius and the moment problem all read their numbers from
 here.  The convention w_m = 1 for m < 0 is baked in.
 
+Every rule is one family, w_n = c * (n!)**s; only explicit tables differ.
 Weights can be astronomically large (factorial, |q|-power tables), so every
 consumer that cares about overflow goes through ``log_weight`` /
 ``log_weights`` instead of ``weight``.
@@ -13,15 +14,14 @@ consumer that cares about overflow goes through ``log_weight`` /
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InputTooLargeError, WeightHorizonError
 
-_RULE_KINDS = ("factorial", "constant", "power-factorial")
-KINDS = _RULE_KINDS + ("explicit",)
+KINDS = ("factorial", "constant", "power-factorial", "explicit")
 
 # largest n with n! finite in float64
 _MAX_EXACT_FACTORIAL = 170
@@ -71,10 +71,11 @@ class QParam:
 class WeightSequence:
     """Rule-based or tabulated positive weights w_n.
 
-    kind 'factorial' gives w_n = n!, 'constant' gives w_n = c,
-    'power-factorial' gives w_n = (n!)**s, 'explicit' reads a finite table.
-    ``scale`` multiplies every weight; it exists so the radius-invariance
-    of w -> c*w can be exercised without rebuilding tables.
+    The rule kinds are one family w_n = c * (n!)**s, with (c, s) fixed by
+    the kind: 'factorial' (1, 1), 'constant' (c, 0), 'power-factorial'
+    (1, s).  'explicit' reads a finite table.  ``scale`` multiplies every
+    weight; it exists so the radius-invariance of w -> c*w can be exercised
+    without rebuilding tables.
     """
 
     kind: str
@@ -83,7 +84,6 @@ class WeightSequence:
     table: Optional[tuple] = None
     horizon: Optional[int] = None
     scale: float = 1.0
-    _log_table: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -99,14 +99,16 @@ class WeightSequence:
                     raise ConfigError(f"w_{n} = {x!r} violates w_n > 0")
             object.__setattr__(self, "table", tab)
             object.__setattr__(self, "horizon", len(tab) - 1)
-            object.__setattr__(self, "_log_table", tuple(math.log(x) for x in tab))
-        else:
-            if self.table is not None:
-                raise ConfigError(f"kind {self.kind!r} does not take a table")
-            if self.kind == "constant" and (self.c <= 0 or not math.isfinite(self.c)):
-                raise ConfigError("constant weight must be positive and finite")
-            if self.kind == "power-factorial" and not math.isfinite(self.s):
-                raise ConfigError("power-factorial exponent must be finite")
+            return
+        if self.table is not None:
+            raise ConfigError(f"kind {self.kind!r} does not take a table")
+        c, s = {"factorial": (1.0, 1.0), "constant": (float(self.c), 0.0),
+                "power-factorial": (1.0, float(self.s))}[self.kind]
+        if not (0 < c < math.inf and math.isfinite(s)):
+            raise ConfigError(f"{self.kind} weights need 0 < c < inf and a finite s, "
+                              f"got c = {c!r}, s = {s!r}")
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "s", s)
 
     # -- constructors ------------------------------------------------------
 
@@ -143,17 +145,17 @@ class WeightSequence:
         if n < 0:
             return 1.0
         self._check(n)
-        if self.kind == "factorial":
-            base = float(math.factorial(n)) if n <= _MAX_EXACT_FACTORIAL else math.inf
-        elif self.kind == "constant":
+        if self.table is not None:
+            base = self.table[n]
+        elif self.s == 0.0:
             base = self.c
-        elif self.kind == "power-factorial":
+        else:
             try:
-                base = math.exp(self.s * math.lgamma(n + 1))
+                base = self.c * (float(math.factorial(n)) ** self.s
+                                 if n <= _MAX_EXACT_FACTORIAL
+                                 else math.exp(self.s * math.lgamma(n + 1)))
             except OverflowError:
                 base = math.inf
-        else:
-            base = self.table[n]
         return base * self.scale
 
     def log_weight(self, n) -> float:
@@ -162,13 +164,10 @@ class WeightSequence:
             return 0.0
         self._check(n)
         ls = math.log(self.scale)
-        if self.kind == "factorial":
-            return math.lgamma(n + 1) + ls
-        if self.kind == "constant":
-            return math.log(self.c) + ls
-        if self.kind == "power-factorial":
-            return self.s * math.lgamma(n + 1) + ls
-        return self._log_table[n] + ls
+        if self.table is not None:
+            return math.log(self.table[n]) + ls
+        lg = self.s * math.lgamma(n + 1) if self.s else 0.0
+        return lg + math.log(self.c) + ls
 
     def log_weights(self, n0: int, n1: int) -> np.ndarray:
         """Array of log w_n for n0 <= n < n1 (supports negative n0)."""
@@ -178,14 +177,12 @@ class WeightSequence:
         n = np.arange(n0, n1)
         nn = np.maximum(n, 0)
         ls = math.log(self.scale)
-        if self.kind == "factorial":
-            out = np.array([math.lgamma(k + 1) for k in nn], dtype=float) + ls
-        elif self.kind == "constant":
-            out = np.full(n.shape, math.log(self.c) + ls)
-        elif self.kind == "power-factorial":
-            out = self.s * np.array([math.lgamma(k + 1) for k in nn], dtype=float) + ls
+        if self.table is not None:
+            out = np.array([math.log(self.table[k]) for k in nn], dtype=float) + ls
         else:
-            out = np.array([self._log_table[k] for k in nn], dtype=float) + ls
+            lg = (self.s * np.array([math.lgamma(k + 1) for k in nn], dtype=float)
+                  if self.s else np.zeros(n.shape))
+            out = lg + math.log(self.c) + ls
         out[n < 0] = 0.0
         return out
 
@@ -197,27 +194,20 @@ class WeightSequence:
             return mpmath.mpf(0)
         self._check(n)
         ls = mpmath.log(mpmath.mpf(self.scale))
-        if self.kind == "factorial":
-            return mpmath.loggamma(n + 1) + ls
-        if self.kind == "constant":
-            return mpmath.log(mpmath.mpf(self.c)) + ls
-        if self.kind == "power-factorial":
-            return mpmath.mpf(self.s) * mpmath.loggamma(n + 1) + ls
-        return mpmath.log(mpmath.mpf(self.table[n])) + ls
+        if self.table is not None:
+            return mpmath.log(mpmath.mpf(self.table[n])) + ls
+        lg = mpmath.mpf(self.s) * mpmath.loggamma(n + 1) if self.s else 0
+        return lg + mpmath.log(mpmath.mpf(self.c)) + ls
 
     def ratio(self, n: int) -> float:
-        """w_n / w_{n-1} (w_{-1} = 1), in closed form where the kind allows
-        so huge indices do not go through lossy lgamma differences."""
+        """w_n / w_{n-1} (w_{-1} = 1); n**s for the rule, so huge indices
+        do not go through lossy lgamma differences."""
         if n <= 0:
             return self.weight(n)
         self._check(n)
-        if self.kind == "factorial":
-            return float(n)
-        if self.kind == "constant":
-            return 1.0
-        if self.kind == "power-factorial":
-            return float(n) ** self.s
-        return self.table[n] / self.table[n - 1]
+        if self.table is not None:
+            return self.table[n] / self.table[n - 1]
+        return float(n) ** self.s
 
     def sqrt_ratio(self, n: int) -> float:
         """(w_n / w_{n-1})**(1/2), the universal band entry."""
@@ -254,13 +244,11 @@ class WeightSequence:
     @classmethod
     def from_json(cls, doc: dict) -> "WeightSequence":
         try:
-            kind = doc["kind"]
-        except (TypeError, KeyError):
-            raise ConfigError("weight spec must be an object with a 'kind'")
-        params = doc.get("params", {})
-        ws = cls(kind,
-                 c=float(params.get("c", 1.0)),
-                 s=float(params.get("s", 1.0)),
-                 table=tuple(doc["table"]) if kind == "explicit" else None)
-        scale = float(params.get("scale", 1.0))
-        return ws if scale == 1.0 else ws.scaled(scale)
+            kind, params = doc["kind"], doc.get("params", {})
+            c, s = float(params.get("c", 1.0)), float(params.get("s", 1.0))
+            scale = float(params.get("scale", 1.0))
+            table = tuple(doc["table"]) if kind == "explicit" else None
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"weight spec must be an object with a 'kind' and "
+                              f"valid 'params' and 'table': {exc!r}") from exc
+        return cls(kind, c=c, s=s, table=table, scale=scale)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import qmanin
-from qmanin.cli import main, parse_manin_symbol
+from qmanin.cli import (MAX_BASIS, MAX_CUTOFF, MAX_GRID_POINTS, RunConfig,
+                        _grid_points, main, parse_manin_symbol)
 from qmanin.errors import ConfigError
 
 
@@ -82,6 +84,9 @@ def test_config_error_exit_code(tmp_path):
     (("symbols",), {"window": "abc"}),
     (("symbols",), {"phase_symbol": "(abc) L^1"}),
     (("coherent",), {"cutoff": float("inf")}),     # JSON Infinity
+    (("operator", "--cutoff", "400"), {"symbol": "th^400"}),   # sqrt(400!) overflows
+    (("radius",), {"weights": {"kind": "explicit"}}),
+    (("radius",), {"weights": {"kind": "constant", "params": [2.0]}}),
 ])
 def test_refusals_exit_2_without_traceback(tmp_path, argv, config):
     proc = run_cold(tmp_path, argv, config)
@@ -111,6 +116,49 @@ def test_paragrassmann_order_cap_exits_2_before_allocating(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "exceeds the cap 256" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("operator", "--cutoff", "100000"), None),
+    (("kernel",), {"grid": {"nr": 100_000, "ntheta": 100_000}}),
+    (("symbols",), {"window": 1_000_000}),
+    (("measure",), {"basis": 100_000}),
+])
+def test_size_caps_exit_2_before_allocating(tmp_path, argv, config):
+    proc = run_cold(tmp_path, argv, config, preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert "exceeds the cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_size_caps_admit_their_limits(tmp_path):
+    assert RunConfig(cutoff=MAX_CUTOFF).cutoff == MAX_CUTOFF
+    with pytest.raises(ConfigError):
+        RunConfig(cutoff=MAX_CUTOFF + 1)
+    assert _grid_points({"nr": 1000, "ntheta": MAX_GRID_POINTS // 1000}).size \
+        == MAX_GRID_POINTS
+    with pytest.raises(ConfigError):
+        _grid_points({"nr": 1001, "ntheta": MAX_GRID_POINTS // 1000})
+    cfg = tmp_path / "cfg.json"
+    for cmd, key, cap in (("measure", "basis", MAX_BASIS), ("symbols", "window", MAX_CUTOFF)):
+        cfg.write_text(json.dumps({key: cap + 1}))
+        assert run(tmp_path, cmd, "--config", str(cfg)) == 2
+
+
+def test_radius_samples_stay_finite_for_fast_growing_weights(tmp_path):
+    # r_n grows like (n!)^{3/(4n)} 0.9^{-(n+1)/2}: exp of the log samples
+    # overflows a double long before the horizon
+    proc = run_cold(tmp_path, ("radius", "--weights", "power-factorial:1.5",
+                               "--q", "0.9"), None)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    doc = load(tmp_path, "radius.json")
+    samples = doc["result"]["samples"]
+    assert len(samples) > 300
+    assert all(isinstance(s["log_r"], float) and math.isfinite(s["log_r"])
+               for s in samples)
+    assert samples[-1]["log_r"] > 709      # r_n itself is beyond a double
+    assert doc["result"]["value"] == "inf"
 
 
 @pytest.mark.parametrize("key", ["rmax", "rmin", "nr", "ntheta"])
@@ -243,6 +291,16 @@ def test_paragrassmann_artifact(tmp_path):
     doc = load(tmp_path, "paragrassmann.json")
     assert doc["result"]["report"]["nilpotency_index"] == 4
     assert doc["result"]["report"]["extreme"] is True
+
+
+def test_paragrassmann_reads_scaled_explicit_weights(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"l": 4, "weights": {
+        "kind": "explicit", "table": [1, 2, 3, 4, 5], "params": {"scale": 2.0}}}))
+    assert run(tmp_path, "paragrassmann", "--config", str(cfg)) == 0
+    doc = load(tmp_path, "paragrassmann.json")
+    assert doc["result"]["weights"] == [2.0, 4.0, 6.0, 8.0]
+    assert doc["config"]["weights"]["params"]["scale"] == 2.0
 
 
 def test_stdin_config(tmp_path, monkeypatch):

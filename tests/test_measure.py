@@ -25,16 +25,18 @@ WCONST = WeightSequence.constant()
 
 class TestClosedForm:
     def test_factorial_unit_q_present(self):
-        d = closed_form_density(WFAC, 1.0)
-        assert d is not None
-        assert abs(d.density(0.0) - 1 / math.pi) < 1e-15
-        assert abs(d.density(2.0) - math.exp(-2) / math.pi) < 1e-15
+        for w in (WFAC, WeightSequence.power_factorial(1.0)):
+            d = closed_form_density(w, 1.0)
+            assert d is not None
+            assert abs(d.density(0.0) - 1 / math.pi) < 1e-15
+            assert abs(d.density(2.0) - math.exp(-2) / math.pi) < 1e-15
 
     def test_absent_cases(self):
         assert closed_form_density(WCONST, 1.0) is None
         assert closed_form_density(
             WeightSequence.explicit([1.0, 3.0, 7.0]), 1.0) is None
         assert closed_form_density(WFAC, 2.0) is None
+        assert closed_form_density(WeightSequence.power_factorial(2.0), 1.0) is None
 
     def test_density_satisfies_moment_identities(self):
         d = closed_form_density(WFAC, 1.0)

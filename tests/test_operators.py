@@ -86,6 +86,15 @@ class TestToeplitzMatrix:
         mixed = ManinElement.theta(q) + ManinElement.theta_bar(q)
         assert not toeplitz_matrix(mixed, WFAC, q, 5).meta.exact
 
+    def test_entry_too_large_for_a_double_is_refused(self):
+        # th^200 at N = 200: the one entry sqrt(200!) ~ 1e187 still fits
+        T = toeplitz_matrix(ManinElement.monomial(1.0, 200, 0), WFAC, 1.0, 200)
+        assert math.isclose(T.matrix[200, 0].real, math.exp(0.5 * math.lgamma(201)),
+                            rel_tol=1e-12)
+        # th^400 at N = 400: sqrt(400!) overflows, so the operator is refused
+        with pytest.raises(ConfigError, match="finite"):
+            toeplitz_matrix(ManinElement.monomial(1.0, 400, 0), WFAC, 1.0, 400)
+
     def test_horizon_failure_is_config_error(self):
         w = WeightSequence.explicit([1.0, 2.0, 3.0])
         with pytest.raises(ConfigError):

@@ -115,6 +115,16 @@ class TestLowerSymbol:
         assert err < 1e-9
         assert abs(v - 1.2) <= max(err, 1e-12)
 
+    def test_operator_norm_only_for_the_error(self, monkeypatch):
+        A = annihilation_matrix(WFAC, 1.0, 90)
+        _, err = lower_symbol(A, 1.2, WFAC, 1.0, return_error=True)
+
+        def no_norm(*args, **kwargs):
+            raise AssertionError("operator norm computed without return_error")
+
+        monkeypatch.setattr(np.linalg, "norm", no_norm)
+        assert abs(lower_symbol(A, 1.2, WFAC, 1.0) - 1.2) <= max(err, 1e-12)
+
     def test_grid_csv(self):
         A = annihilation_matrix(WFAC, 1.0, 80)
         grid = lower_symbol_grid(A, [0.5, 0.5j], WFAC, 1.0)

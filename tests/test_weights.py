@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -88,3 +89,55 @@ def test_describe_strings():
     assert WeightSequence.factorial().describe() == "factorial"
     assert "constant" in WeightSequence.constant(2.0).describe()
     assert "explicit" in WeightSequence.explicit([1.0]).describe()
+
+
+def test_kind_fixes_the_family_parameters():
+    # w_n = c * (n!)**s: each kind fixes (c, s) instead of ignoring one
+    assert WeightSequence("factorial", c=5.0, s=3.0) == WeightSequence.factorial()
+    assert (WeightSequence.factorial().c, WeightSequence.factorial().s) == (1.0, 1.0)
+    assert (WeightSequence.constant(2.5).c, WeightSequence.constant(2.5).s) == (2.5, 0.0)
+    pf = WeightSequence("power-factorial", c=7.0, s=1.5)
+    assert (pf.c, pf.s) == (1.0, 1.5)
+    for bad in (dict(kind="constant", c=0.0), dict(kind="constant", c=math.inf),
+                dict(kind="power-factorial", s=math.nan)):
+        with pytest.raises(ConfigError):
+            WeightSequence(**bad)
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.7])
+def test_power_factorial_one_is_factorial_bit_for_bit(scale):
+    fac = WeightSequence.factorial().scaled(scale)
+    pf1 = WeightSequence.power_factorial(1.0).scaled(scale)
+    for n in range(-1, 201):
+        assert pf1.weight(n) == fac.weight(n)
+        assert pf1.log_weight(n) == fac.log_weight(n)
+        assert pf1.ratio(n) == fac.ratio(n)
+        with mpmath.workdps(40):
+            assert pf1.mp_log_weight(n) == fac.mp_log_weight(n)
+    assert np.array_equal(pf1.log_weights(-2, 201), fac.log_weights(-2, 201))
+
+
+@pytest.mark.parametrize("s", [0.5, 1.5, 2.0])
+def test_power_factorial_weight_matches_mpmath(s):
+    w = WeightSequence.power_factorial(s)
+    finite = 0
+    for n in range(171):
+        v = w.weight(n)
+        if math.isinf(v):
+            continue
+        finite += 1
+        with mpmath.workdps(50):
+            ref = mpmath.factorial(n) ** mpmath.mpf(s)
+            assert abs(mpmath.mpf(v) / ref - 1) <= 4e-16, n
+    assert finite >= 85
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "explicit"},                               # no table
+    {"kind": "constant", "params": []},                 # params not an object
+    {"params": {}},                                     # no kind
+    {"kind": "constant", "params": {"scale": "x"}},
+])
+def test_malformed_json_spec_is_config_error(doc):
+    with pytest.raises(ConfigError):
+        WeightSequence.from_json(doc)
