@@ -20,9 +20,8 @@ from .kernels import backend_name
 from .measure import (ClosedFormDensity, DivergenceWitness, GramReport,
                       MomentCheckReport, MomentSequence, RadialQuadrature,
                       closed_form_density, gauss_quadrature_from_moments,
-                      norm_divergence_witness, polar_grid,
-                      verify_density_moments, verify_moments,
-                      verify_resolution_identity)
+                      norm_divergence_witness, verify_density_moments,
+                      verify_moments, verify_resolution_identity)
 from .operators import (BoundednessReport, OperatorMeta, TruncatedOperator,
                         adjoint_annihilation_matrix, annihilation_matrix,
                         boundedness_report, creation_matrix, domain_membership,
@@ -53,7 +52,7 @@ __all__ = [
     "gauss_quadrature_from_moments", "identity_matrix", "kernel",
     "lower_symbol", "lower_symbol_grid", "norm_divergence_witness",
     "normal_order_product", "number_matrix", "pg_annihilation",
-    "pg_structure_report", "polar_grid", "project_P", "quantize_cs",
+    "pg_structure_report", "project_P", "quantize_cs",
     "quantize_cs_norm_bound", "radius_of_convergence", "secondary_toeplitz",
     "sesquilinear_form", "toeplitz_matrix", "verify_density_moments",
     "verify_moments", "verify_resolution_identity",

@@ -23,7 +23,7 @@ from . import acceptance, jsonio
 from .algebra import ManinElement
 from .coherent import (coherent_coefficients, coherent_norm_sq, eigen_residual,
                        kernel, radius_of_convergence)
-from .errors import ConfigError, QmaninError
+from .errors import ConfigError, InputTooLargeError, QmaninError
 from .measure import (MAX_ORDER, MomentSequence, closed_form_density,
                       gauss_quadrature_from_moments, norm_divergence_witness,
                       verify_moments, verify_resolution_identity)
@@ -44,6 +44,13 @@ MAX_GRID_POINTS = 100_000   # nr * ntheta
 def _capped(name: str, value: int, cap: int) -> int:
     if value > cap:
         raise ConfigError(f"{name} {value} exceeds the cap {cap}")
+    return value
+
+
+def _json_bool(value) -> bool:
+    """JSON true or false only: bool("false") would read as true."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
     return value
 
 
@@ -208,6 +215,9 @@ def _cmd_operator(cfg: RunConfig, outdir: Path) -> int:
 def _cmd_coherent(cfg: RunConfig, outdir: Path) -> int:
     lam = cfg.extra_value("lambda", 1.0, parse_complex)
     state = coherent_coefficients(lam, cfg.weights, cfg.q, tol=cfg.tol)
+    if not math.isfinite(state.norm_sq):
+        raise InputTooLargeError(f"the coherent state at lambda = {lam} has "
+                                 f"coefficients too large for a double")
     window = max(cfg.cutoff, state.n_cutoff)
     res = eigen_residual(state, cfg.weights, cfg.q)
     _write(outdir, "coherent.json", {
@@ -299,7 +309,7 @@ def _cmd_symbols(cfg: RunConfig, outdir: Path) -> int:
                           f"{sorted(_NAMED_OPERATORS) + ['number']}")
     pts = _grid_points(cfg.grid)
     grid = lower_symbol_grid(op, pts, cfg.weights, cfg.q,
-                             normalized=cfg.extra_value("normalized", True, bool))
+                             normalized=cfg.extra_value("normalized", True, _json_bool))
 
     _write(outdir, "quantize_cs.json", {"config": cfg.resolved(),
                                         "result": qcs.to_json()})

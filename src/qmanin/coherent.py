@@ -340,11 +340,13 @@ def radius_of_convergence(w: WeightSequence, q, horizon: int = 10**15,
     when the last 50 samples pass ``cap`` (resp. 1/cap) monotonically.
     """
     q = QParam.of(q)
+    if not 1.0 < cap < math.inf:
+        raise ConfigError(f"radius cap must be finite and > 1, got {cap!r}")
     horizon = w.max_index(int(horizon))
     if horizon < 20:
         raise ConfigError("radius estimation needs a horizon of at least 20")
     idx = geometric_indexes(1, horizon, samples)
-    logr = np.array([0.5 * (w.log_weight(int(n)) / n - (n + 1) * q.log_abs)
+    logr = np.array([0.5 * (w.log_weight(n) / n - (n + 1) * q.log_abs)
                      for n in idx])
 
     d = np.diff(logr)

@@ -1,8 +1,9 @@
 """The hot numerical kernels, in numpy.
 
-The series sums, the moment power sums of a quadrature rule and the Gram
-assembly of the coherent state quantization all reduce to these four
-functions.
+The certified series sums reduce to ``csum_logpolar``, and the moment
+checks and the closed-form quantization entries to ``log_power_sums``.
+``power_matrix`` and ``weighted_gram`` assemble the Gram matrix of the
+polar-grid certificate of the resolution of the identity.
 """
 
 from __future__ import annotations

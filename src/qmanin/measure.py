@@ -16,11 +16,14 @@ orders used here.  The float64 eigenvalues of the Jacobi matrix only seed
 the nodes: Newton on the recurrence polishes each one at the recurrence's
 precision, and the masses are the Christoffel numbers at the polished
 nodes.  Only the final nodes and masses are cast to float64, which
-perturbs the matched moments by a few ulps at most.
+perturbs the matched moments by a few ulps at most.  A polished node
+below zero means no positive measure on t >= 0 fits the moments, even
+with a definite Hankel matrix, and the rule is refused as indefinite.
 
 Atomic rules are accepted on purpose: only moment identities enter the
 downstream computations, so absolute continuity of the underlying measure
-is not required of the quadrature surrogate.
+is not required of the quadrature surrogate.  Only the certificate
+``verify_resolution_identity`` samples a rule over a polar grid.
 """
 
 from __future__ import annotations
@@ -109,6 +112,8 @@ class RadialQuadrature:
             raise ConfigError("nodes and masses must be parallel 1-d arrays")
         if np.any(masses <= 0):
             raise ConfigError("quadrature masses must be positive")
+        if np.any(nodes < 0):
+            raise ConfigError("quadrature nodes t = r^2 must be non-negative")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "masses", masses)
 
@@ -285,6 +290,10 @@ def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray
             weights.append(1 / mpmath.fsum(v ** 2 / h for v, h in zip(p, norms)))
         if any(a >= b for a, b in zip(roots, roots[1:])):
             raise _Breakdown("two float64 seeds polished into one node")
+        if roots[0] < 0:
+            raise IndefiniteMomentsError(
+                f"the order-{npts} Gauss rule has a node t = r^2 < 0: no "
+                f"positive measure on t >= 0 matches these moments", order=npts)
         scale = mpmath.e ** log_s
         total = mpmath.e ** log_m0
         nodes = np.array([float(x * scale) for x in roots])
@@ -382,19 +391,6 @@ def verify_density_moments(density: ClosedFormDensity, w: WeightSequence, q,
     return MomentCheckReport(tuple(devs), max(devs), tol)
 
 
-def polar_grid(quad: RadialQuadrature, angles: int,
-               offset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Node-major complex sample points lambda = sqrt(t) e^{i alpha} and
-    real weights pi * mass / angles approximating integration against rho."""
-    if angles < 1:
-        raise ConfigError("need at least one angular point")
-    alpha = offset + 2.0 * math.pi * np.arange(angles) / angles
-    r = np.sqrt(quad.nodes)
-    z = (r[:, None] * np.exp(1j * alpha)[None, :]).ravel()
-    wts = np.repeat(quad.masses * (math.pi / angles), angles)
-    return z, wts
-
-
 @dataclass(frozen=True)
 class GramReport:
     """Reconstruction of <phi_j, phi_k> from the quadrature resolution."""
@@ -421,13 +417,16 @@ def verify_resolution_identity(quad: RadialQuadrature, w: WeightSequence, q,
     """Rebuild the basis Gram matrix through the coherent-state frame.
 
     G[j][k] = sum over the polar grid of weight * a_j(lambda) conj(a_k(lambda))
-    must reproduce the identity for j, k <= basis_size.
+    must reproduce the identity for j, k <= basis_size; the grid weights
+    of lambda = sqrt(t) e^{i alpha} are pi * mass / angular_points.
     """
     q = QParam.of(q)
     if angular_points < 2 * basis_size + 1:
         raise ConfigError(f"angular exactness needs >= {2 * basis_size + 1} "
                           f"points, got {angular_points}")
-    z, wts = polar_grid(quad, angular_points, angle_offset)
+    alpha = angle_offset + 2.0 * math.pi * np.arange(angular_points) / angular_points
+    z = (np.sqrt(quad.nodes)[:, None] * np.exp(1j * alpha)[None, :]).ravel()
+    wts = np.repeat(quad.masses * (math.pi / angular_points), angular_points)
     V = power_matrix(z, basis_size)
     logmag, phase = coeff_log_arrays(1.0, w, q, 0, basis_size + 1)
     pref = np.exp(logmag) * np.exp(1j * phase)       # a_j(1)

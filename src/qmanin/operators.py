@@ -153,24 +153,20 @@ def annihilation_matrix(w: WeightSequence, q, N: int) -> TruncatedOperator:
 
 
 def creation_matrix(w: WeightSequence, q, N: int) -> TruncatedOperator:
-    """T_th: entry (n+1, n) = (w_{n+1} / w_n)^{1/2}, q-free."""
-    q = QParam.of(q)
-    mat = np.zeros((N + 1, N + 1), dtype=complex)
-    for n in range(N):
-        mat[n + 1, n] = w.sqrt_ratio(n + 1)
+    """T_th: entry (n+1, n) = (w_{n+1} / w_n)^{1/2}, q-free; the conjugate
+    transpose of the annihilation band at q = 1."""
     # column N's image phi_{N+1} falls outside the window
-    return TruncatedOperator(mat, OperatorMeta("th", w.describe(), q.value, exact=False))
+    return TruncatedOperator(annihilation_matrix(w, 1.0, N).matrix.conj().T,
+                             OperatorMeta("th", w.describe(), QParam.of(q).value,
+                                          exact=False))
 
 
 def adjoint_annihilation_matrix(w: WeightSequence, q, N: int) -> TruncatedOperator:
     """(T_tb)*: the conjugate transpose band, entry (n+1, n) =
     conj(q)^{-(n+1)} (w_{n+1} / w_n)^{1/2}."""
-    q = QParam.of(q)
-    qc = QParam(q.value.conjugate())
-    mat = np.zeros((N + 1, N + 1), dtype=complex)
-    for n in range(N):
-        mat[n + 1, n] = qc.power(-(n + 1)) * w.sqrt_ratio(n + 1)
-    return TruncatedOperator(mat, OperatorMeta("tb*", w.describe(), q.value, exact=False))
+    return TruncatedOperator(annihilation_matrix(w, q, N).matrix.conj().T,
+                             OperatorMeta("tb*", w.describe(), QParam.of(q).value,
+                                          exact=False))
 
 
 def number_matrix(N: int) -> TruncatedOperator:

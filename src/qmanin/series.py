@@ -153,8 +153,10 @@ def sum_series(logmag_fn, phase_fn=None, tol: float = 1e-12,
 
 
 def geometric_indexes(lo: int, hi: int, count: int) -> np.ndarray:
-    """Unique integer sample points, geometrically spaced on [lo, hi]."""
+    """Unique integer sample points, geometrically spaced on [lo, hi], as an
+    object array of Python ints: a horizon may lie beyond int64."""
     if hi <= lo:
-        return np.array([lo], dtype=np.int64)
+        return np.array([lo], dtype=object)
     pts = np.geomspace(float(lo), float(hi), num=count)
-    return np.unique(np.round(pts).astype(np.int64))
+    return np.array(sorted({min(hi, max(lo, round(float(x)))) for x in pts}),
+                    dtype=object)

@@ -5,9 +5,9 @@ Upper symbols are restricted to the polynomial class spanned by
 lambda^a conj(lambda)^b: every identity proved for them is exact under a
 moment-matched quadrature, so the operators built here are
 quadrature-exact rather than approximate.  The coherent state
-quantization and the secondary Toeplitz operator share one builder; the
-angular grid is sized from N and the symbol's degree, never chosen by the
-caller.
+quantization and the secondary Toeplitz operator share one builder, which
+takes each entry in closed form from the moments of the rule: the measure
+is rotation invariant, so no angular grid is sampled.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import numpy as np
 
 from .coherent import coeff_log_arrays, coherent_coefficients, coherent_norm_sq
 from .errors import ConfigError, InsufficientQuadratureError, WindowTooSmallError
-from .kernels import power_matrix, weighted_gram
-from .measure import RadialQuadrature, polar_grid
+from .kernels import log_power_sums
+from .measure import RadialQuadrature
 from .operators import OperatorMeta, TruncatedOperator
 from .weights import QParam, WeightSequence
 
@@ -227,13 +227,13 @@ def lower_symbol_grid(A: TruncatedOperator, points, w: WeightSequence, q,
 
 def _quantize(f: PolynomialSymbol, quad: RadialQuadrature, w: WeightSequence,
               q, N: int, symbol: str, basis: str) -> TruncatedOperator:
-    """Entry (k, n) = pref_k conj(pref_n) * I[k, n], where
-    pref_k = a_k(1) = q^{k(k+1)/2} w_k^{-1/2} and
+    """Entry (k, n) = a_k(1) conj(a_n(1)) * I[k, n], where
     I[k, n] = integral of f(lambda) lambda^k conj(lambda)^n d rho.
 
-    I is evaluated on the node x angle grid.  It is exact for polynomial f
-    when the radial order matches moments up to the reach N + deg f; the
-    2 * reach + 1 angles then integrate every angular frequency exactly.
+    rho is rotation invariant, so only the terms c_ab lambda^a conj(lambda)^b
+    with k + a = n + b survive, and I[k, n] = pi * sum of c_ab S_{k+a} with
+    S_j = sum_i mass_i t_i^j, which the rule matches for j <= 2 * order - 1.
+    Each entry is summed in the log domain, so no factor overflows alone.
     """
     q = QParam.of(q)
     reach = N + f.degree
@@ -241,11 +241,14 @@ def _quantize(f: PolynomialSymbol, quad: RadialQuadrature, w: WeightSequence,
         raise InsufficientQuadratureError(
             f"radial order {quad.order} matches moments up to "
             f"{2 * quad.order - 1} but the integrands reach degree {reach}")
-    z, wts = polar_grid(quad, 2 * reach + 1)
-    I = weighted_gram(power_matrix(z, N), (f.evaluate(z) * wts).astype(complex))
+    log_s = log_power_sums(*quad.log_arrays(), reach)
     logmag, phase = coeff_log_arrays(1.0, w, q, 0, N + 1)
-    pref = np.exp(logmag) * np.exp(1j * phase)
-    mat = pref[:, None] * pref.conj()[None, :] * I
+    mat = np.zeros((N + 1, N + 1), dtype=complex)
+    for (a, b), c in f.coeffs.items():
+        k = np.arange(max(0, b - a), N + 1 - max(0, a - b))
+        n = k + a - b
+        mat[k, n] += c * np.exp(math.log(math.pi) + log_s[k + a] + logmag[k]
+                                + logmag[n]) * np.exp(1j * (phase[k] - phase[n]))
     return TruncatedOperator(mat, OperatorMeta(
         symbol=symbol, weights=w.describe(), q=q.value, exact=True, basis=basis))
 

@@ -6,10 +6,14 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qmanin
 from qmanin.cli import (MAX_BASIS, MAX_CUTOFF, MAX_GRID_POINTS, RunConfig,
@@ -87,6 +91,9 @@ def test_config_error_exit_code(tmp_path):
     (("operator", "--cutoff", "400"), {"symbol": "th^400"}),   # sqrt(400!) overflows
     (("radius",), {"weights": {"kind": "explicit"}}),
     (("radius",), {"weights": {"kind": "constant", "params": [2.0]}}),
+    (("radius",), {"cap": 0}),                     # log(cap) has no value
+    (("symbols",), {"normalized": "false"}),       # a string, not JSON false
+    (("coherent",), {"lambda": 30}),               # |a_n| passes 1e308
 ])
 def test_refusals_exit_2_without_traceback(tmp_path, argv, config):
     proc = run_cold(tmp_path, argv, config)
@@ -102,6 +109,15 @@ def test_precision_cap_refusal_exits_4_without_traceback(tmp_path):
     assert proc.stderr.startswith("error: ")
     assert "largest achievable order is 2" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_negative_node_rule_exits_4_without_nan(tmp_path):
+    # the Hankel matrix is definite, but the order-2 rule has a node t < 0
+    proc = run_cold(tmp_path, ("measure", "--q", "1.3"), {"order": 2})
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "nan" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "measure.json").exists()
 
 
 def _limit_address_space():
@@ -159,6 +175,29 @@ def test_radius_samples_stay_finite_for_fast_growing_weights(tmp_path):
                for s in samples)
     assert samples[-1]["log_r"] > 709      # r_n itself is beyond a double
     assert doc["result"]["value"] == "inf"
+
+
+def test_radius_horizon_beyond_int64(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"horizon": 10**21}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(tmp_path, "radius", "--config", str(cfg)) == 0
+    n = [s["n"] for s in load(tmp_path, "radius.json")["result"]["samples"]]
+    assert n[0] == 1 and n[-1] == 10**21
+    assert all(a < b for a, b in zip(n, n[1:]))
+
+
+@pytest.mark.parametrize("normalized, value", [(True, 1.0), (False, math.e)])
+def test_symbols_normalized_key(tmp_path, normalized, value):
+    # at lambda = 1 the Berezin symbol of the annihilation operator is 1 and
+    # the unnormalized one is 1 * K(1, 1) = e
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"normalized": normalized, "cutoff": 4,
+                               "grid": {"rmax": 1.0, "nr": 1, "ntheta": 1}}))
+    assert run(tmp_path, "symbols", "--config", str(cfg)) == 0
+    row = (tmp_path / "lower_symbol.csv").read_text().splitlines()[1].split(",")
+    assert float(row[0]) == 1.0 and float(row[2]) == pytest.approx(value, rel=1e-12)
 
 
 @pytest.mark.parametrize("key", ["rmax", "rmin", "nr", "ntheta"])
@@ -325,3 +364,82 @@ def test_verify_runs_clean(tmp_path, capsys):
     assert out.count("PASS") == 12
     doc = load(tmp_path, "verify.json")
     assert all(item["passed"] for item in doc["result"])
+
+
+# ---------------------------------------------------------------------------
+# the failure contract under random input
+# ---------------------------------------------------------------------------
+
+def _complex_text(r, phase):
+    return f"{r * math.cos(phase)!r},{r * math.sin(phase)!r}"
+
+
+_complex = st.builds(_complex_text, st.floats(0.0, 3.0), st.floats(-4.0, 4.0))
+# Sizes are kept small so that 200 examples run in a few seconds; the size
+# caps themselves are covered by the tests above.
+_weights = st.one_of(
+    st.sampled_from(["factorial", "constant", "nonsense", "constant:-1",
+                     "power-factorial:nan", "explicit:1,0,2"]),
+    st.floats(0.1, 4.0).map("constant:{!r}".format),
+    st.floats(0.0, 3.5).map("power-factorial:{!r}".format),
+    st.lists(st.floats(0.1, 50.0), min_size=1, max_size=12).map(
+        lambda t: "explicit:" + ",".join(map(repr, t))),
+)
+_q = st.one_of(st.builds(_complex_text, st.floats(0.05, 2.0), st.floats(-4.0, 4.0)),
+               st.sampled_from(["1", "0.9", "1j", "-1", "0", "abc", "inf"]))
+_valid = {
+    "cutoff": st.integers(0, 40),
+    "order": st.integers(1, 20),
+    "tol": st.sampled_from([1e-14, 1e-12, 1e-8]),
+    "grid": st.fixed_dictionaries({}, optional={
+        "rmax": st.floats(0.01, 3.0), "rmin": st.floats(0.0, 3.0),
+        "nr": st.integers(1, 4), "ntheta": st.integers(1, 4)}),
+    "symbol": st.sampled_from(["tb^1", "th^2 tb^1 + (0.5) 1", "(1j) th^5", "tb^7 + th"]),
+    "lambda": _complex,
+    "mu": _complex,
+    "basis": st.integers(0, 12),
+    "cap": st.floats(1.5, 1e9),
+    "horizon": st.one_of(st.integers(20, 10**4), st.just(10**15), st.just(10**21)),
+    "l": st.integers(1, 8),
+    "pg_weights": st.lists(st.floats(0.1, 10.0), min_size=1, max_size=6),
+    "window": st.integers(0, 30),
+    "phase_symbol": st.sampled_from(["L^1", "Lc^2 + (1j) L^1 Lc^1",
+                                     "(0.5-1j) L^2 Lc^1 + (2) Lc^3"]),
+    "operator": st.sampled_from(["annihilation", "creation", "adjoint", "number"]),
+    "normalized": st.booleans(),
+}
+_junk = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                  st.floats(allow_nan=True, allow_infinity=True),
+                  st.integers(-10**30, 10**30), st.lists(st.integers(-2, 5), max_size=3))
+# every key valid, or one key replaced by a junk value of any type
+_config = st.builds(lambda valid, junk: {**valid, **junk},
+                    st.fixed_dictionaries({}, optional=_valid),
+                    st.one_of(st.just({}),
+                              st.dictionaries(st.sampled_from(sorted(_valid)), _junk,
+                                              max_size=1)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(command=st.sampled_from(["radius", "operator", "coherent", "kernel",
+                                "measure", "symbols", "paragrassmann"]),
+       weights=_weights, q=_q, config=_config)
+@example("measure", "factorial", "1.3", {"order": 2})      # a node at t < 0
+@example("symbols", "power-factorial:2", "1.05", {"order": 8, "cutoff": 6})
+@example("radius", "factorial", "1", {"cap": 0})
+@example("radius", "factorial", "1", {"horizon": 10**21})
+@example("symbols", "factorial", "1", {"normalized": "false", "cutoff": 4})
+@example("coherent", "factorial", "1", {"lambda": 30})   # |a_n| passes 1e308
+def test_cli_failure_contract(command, weights, q, config):
+    """Any input exits 0, 2, 3 or 4, and nothing escapes or warns."""
+    with tempfile.TemporaryDirectory() as out, \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cfg = Path(out) / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        try:
+            code = main(["--out", out, command, "--config", str(cfg),
+                         "--weights", weights, f"--q={q}"])
+        except SystemExit as exc:       # argparse
+            code = exc.code
+    assert code in (0, 2, 3, 4)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -121,6 +121,19 @@ class TestMomentSolver:
         with pytest.raises(IndefiniteMomentsError):
             gauss_quadrature_from_moments(m, 2)
 
+    @pytest.mark.parametrize("w, q, order", [
+        (WFAC, 1.3, 2),
+        (WeightSequence.power_factorial(2.0), 1.05j, 8),
+        (WeightSequence.power_factorial(1.5), 1.02, 12),
+    ])
+    def test_negative_node_rejected(self, w, q, order):
+        # the Hankel matrix is positive definite, but the Gauss rule puts a
+        # node at t = r^2 < 0: no positive measure on t >= 0 fits
+        m = MomentSequence.from_weights(w, q, 2 * order - 1)
+        assert m.is_positive_definite(order)
+        with pytest.raises(IndefiniteMomentsError, match="node"):
+            gauss_quadrature_from_moments(m, order)
+
     @pytest.mark.parametrize("w, q", [
         (WFAC, 0.95 * cmath.exp(0.7j)),
         (WCONST, 0.9),
@@ -182,6 +195,8 @@ class TestMomentSolver:
     def test_positivity_enforced(self):
         with pytest.raises(ConfigError):
             RadialQuadrature(np.array([1.0]), np.array([-0.5]), 1, "moment-solved")
+        with pytest.raises(ConfigError, match="nodes"):
+            RadialQuadrature(np.array([-1.0]), np.array([0.5]), 1, "moment-solved")
 
     def test_json_roundtrip(self):
         m = MomentSequence.from_weights(WFAC, 1.0, 9)

@@ -82,3 +82,7 @@ def test_geometric_indexes():
     assert idx[0] == 1 and idx[-1] == 10**6
     assert np.all(np.diff(idx) > 0)
     assert geometric_indexes(5, 5, 10).tolist() == [5]
+    # past int64 the points stay exact ints in [lo, hi]
+    big = geometric_indexes(1, 10**21, 400)
+    assert big[0] == 1 and big[-1] == 10**21
+    assert all(type(n) is int for n in big) and np.all(np.diff(big) > 0)

@@ -167,6 +167,36 @@ class TestQuantization:
         for lam in (0.4, 0.5j, -0.3 + 0.3j):
             assert abs(lower_symbol(Q1, lam, WFAC, 1.0) - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("w, q", [
+        (WFAC, 0.95 * cmath.exp(0.7j)),
+        (WeightSequence.power_factorial(2.0), 1.0),
+        (WeightSequence.constant(), 0.9),
+    ])
+    def test_closed_form_matches_grid_oracle(self, w, q):
+        f = PolynomialSymbol.parse("(0.5-1j) L^2 Lc^1 + (2) Lc^3 + (1j) 1")
+        N, order = 10, 8
+        quad = gauss_quadrature_from_moments(
+            MomentSequence.from_weights(w, q, 2 * order - 1), order)
+        # oracle: I[k, n] sampled on the node x angle grid, whose
+        # 2 * (N + deg f) + 1 angles integrate every angular frequency exactly
+        angles = 2 * (N + f.degree) + 1
+        z = (np.sqrt(quad.nodes)[:, None]
+             * np.exp(2j * math.pi * np.arange(angles) / angles)[None, :]).ravel()
+        wts = np.repeat(quad.masses * (math.pi / angles), angles)
+        V = z[:, None] ** np.arange(N + 1)[None, :]
+        I = V.T @ ((f.evaluate(z) * wts)[:, None] * V.conj())
+        pref = np.array([complex(q) ** (k * (k + 1) // 2) / math.sqrt(w.weight(k))
+                         for k in range(N + 1)])
+        expect = pref[:, None] * pref.conj()[None, :] * I
+        for builder in (quantize_cs, secondary_toeplitz):
+            M = builder(f, quad, w, q, N).matrix
+            assert np.max(np.abs(M - expect)) <= 1e-13 * np.max(np.abs(expect))
+            # entry (k, n) is reached only by terms with a - b = n - k
+            shift = np.subtract.outer(np.arange(N + 1), np.arange(N + 1))
+            reached = np.isin(-shift, [a - b for a, b in f.coeffs])
+            assert np.all(M[~reached] == 0)
+            assert np.all(M[reached] != 0)
+
     def test_insufficient_radial_order(self):
         quad3 = gauss_quadrature_from_moments(
             MomentSequence.from_weights(WFAC, 1.0, 5), 3)
