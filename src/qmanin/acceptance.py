@@ -31,8 +31,8 @@ from .measure import (MomentSequence, closed_form_density,
 from .operators import (adjoint_annihilation_matrix, annihilation_matrix,
                         toeplitz_matrix)
 from .paragrassmann import ParagrassmannConfig, pg_annihilation, pg_structure_report
-from .symbols import PolynomialSymbol, lower_symbol, quantize_cs, \
-    quantize_cs_norm_bound, secondary_toeplitz
+from .symbols import (PolynomialSymbol, lower_symbol, lower_symbol_grid,
+                      quantize_cs, quantize_cs_norm_bound, secondary_toeplitz)
 from .weights import QParam, WeightSequence
 
 
@@ -143,9 +143,9 @@ def criterion_lower_symbols() -> tuple[bool, str]:
     for w, q, scale in configs:
         window = w.max_index(120)
         A = annihilation_matrix(w, q, window)
-        for lam in _lambda_grid(scale):
-            v = lower_symbol(A, lam, w, q, normalized=True)
-            worst_flat = max(worst_flat, abs(v - lam))
+        pts = _lambda_grid(scale)
+        vals = lower_symbol_grid(A, pts, w, q, normalized=True).values
+        worst_flat = max(worst_flat, float(np.max(np.abs(vals - pts))))
     ok_flat = worst_flat <= 1e-10
 
     worst_sharp = 0.0
@@ -206,17 +206,15 @@ def criterion_transform_kernel() -> tuple[bool, str]:
                                       angular_points=25, tol=1e-8)
     # Cor 6.1 and the diagonal identity
     rng = default_rng(808)
-    worst_cor, worst_diag, worst_exp = 0.0, 0.0, 0.0
-    for _ in range(20):
-        lam = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
-        mu = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
-        st = coherent_coefficients(lam, w, q, tol=1e-14)
-        worst_cor = max(worst_cor, abs(cs_transform(st.coefficients(), mu, w, q)
-                                       - kernel(mu, lam, w, q, tol=1e-14)))
-        worst_diag = max(worst_diag, abs(kernel(lam, lam, w, q, tol=1e-14)
-                                         - coherent_norm_sq(lam, w, q, tol=1e-14)))
-        worst_exp = max(worst_exp, abs(kernel(mu, lam, w, q, tol=1e-14)
-                                       - cmath.exp(mu.conjugate() * lam)))
+    lam, mu = np.array([[complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
+                         for _ in range(2)] for _ in range(20)]).T
+    K = kernel(mu, lam, w, q, tol=1e-14)
+    worst_cor = max(abs(cs_transform(coherent_coefficients(l, w, q, tol=1e-14)
+                                     .coefficients(), m, w, q) - k)
+                    for l, m, k in zip(lam, mu, K))
+    worst_diag = float(np.max(np.abs(kernel(lam, lam, w, q, tol=1e-14)
+                                     - coherent_norm_sq(lam, w, q, tol=1e-14))))
+    worst_exp = float(np.max(np.abs(K - np.exp(mu.conj() * lam))))
     ok = (worst_basis <= 1e-12 and gram.ok and worst_cor <= 1e-10
           and worst_diag <= 1e-12 and worst_exp <= 1e-10)
     return ok, (f"basis-image dev {worst_basis:.3e}, image Gram dev "

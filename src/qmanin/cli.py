@@ -233,17 +233,17 @@ def _cmd_coherent(cfg: RunConfig, outdir: Path) -> int:
 def _cmd_kernel(cfg: RunConfig, outdir: Path) -> int:
     pts = _grid_points(cfg.grid)
     mu = cfg.extra.get("mu")
-    lines = ["re_lambda,im_lambda,re_value,im_value"]
     if mu is None:
-        for z in pts:
-            v = coherent_norm_sq(z, cfg.weights, cfg.q, tol=cfg.tol)
-            lines.append(f"{float(z.real)!r},{float(z.imag)!r},{float(v)!r},0.0")
+        vals = coherent_norm_sq(pts, cfg.weights, cfg.q, tol=cfg.tol) + 0j
     else:
-        mu = parse_complex(mu)
-        for z in pts:
-            v = kernel(mu, z, cfg.weights, cfg.q, tol=cfg.tol)
-            lines.append(f"{float(z.real)!r},{float(z.imag)!r},"
-                         f"{float(v.real)!r},{float(v.imag)!r}")
+        vals = kernel(parse_complex(mu), pts, cfg.weights, cfg.q, tol=cfg.tol)
+    big = np.flatnonzero(~np.isfinite(vals))
+    if big.size:
+        raise InputTooLargeError(f"the {'norm' if mu is None else 'kernel'} at "
+                                 f"lambda = {complex(pts[big[0]])} overflows a double")
+    lines = ["re_lambda,im_lambda,re_value,im_value"]
+    for z, v in zip(pts.tolist(), vals.tolist()):
+        lines.append(f"{z.real!r},{z.imag!r},{v.real!r},{v.imag!r}")
     _write(outdir, "kernel.csv", "\n".join(lines) + "\n")
     _write(outdir, "kernel.json", {"config": cfg.resolved(),
                                    "result": {"points": len(pts),

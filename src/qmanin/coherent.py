@@ -22,15 +22,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from numbers import Number
 from typing import NamedTuple, Sequence
 
 import numpy as np
 # np.median here and np.unique in series.py load numpy.ma on first call
 import numpy.ma  # noqa: F401
 
-from .errors import ConfigError, OutsidePhaseSpaceError
+from .errors import ConfigError, OutsidePhaseSpaceError, ToleranceUnreachableError
 from .kernels import csum_logpolar
-from .series import SeriesDivergence, geometric_indexes, sum_series
+from .series import (SeriesDivergence, SeriesResult, geometric_indexes, sum_series,
+                     sum_series_rows)
 from .weights import QParam, WeightSequence
 
 
@@ -45,11 +47,21 @@ def _checked(lam) -> complex:
     return lam
 
 
-def coeff_log_arrays(lam: complex, w: WeightSequence, q: QParam,
+def coeff_log_arrays(lam, w: WeightSequence, q: QParam,
                      n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log|a_n|, arg a_n) for n0 <= n < n1 at eigenvalue ``lam``."""
+    """(log|a_n|, arg a_n) for n0 <= n < n1 at eigenvalue ``lam``; for a
+    1-D array of eigenvalues, one row per point."""
     n = np.arange(n0, n1, dtype=float)
     lw = w.log_weights(n0, n1)
+    if not isinstance(lam, Number):
+        pts = np.asarray(lam, dtype=complex).tolist()
+        zero = np.array([z == 0 for z in pts])[:, None]
+        logr = np.array([math.log(abs(z)) if z else 0.0 for z in pts])[:, None]
+        arg = np.array([cmath.phase(z) for z in pts])[:, None]
+        logmag = n * logr + _tri(n) * q.log_abs - 0.5 * lw
+        logmag = np.where(zero, np.where(n == 0, -0.5 * lw, -np.inf), logmag)
+        phase = np.where(zero, 0.0, n * arg + _tri(n) * q.arg)
+        return logmag, phase
     r = abs(lam)
     if r == 0.0:
         logmag = np.where(n == 0, -0.5 * lw, -np.inf)
@@ -59,33 +71,87 @@ def coeff_log_arrays(lam: complex, w: WeightSequence, q: QParam,
     return logmag, phase
 
 
-def _kernel_series(mu: complex, lam: complex, w: WeightSequence, q: QParam,
-                   tol: float, n_max: int = 200_000, series: str = "norm"):
-    """Certified sum of K(mu, lam) = sum_n conj(a_n(mu)) a_n(lam) for
-    non-zero mu and lam, capped at the weight horizon.
+def _kernel_series(mu, lam, w: WeightSequence, q: QParam, tol: float,
+                   n_max: int = 200_000, series: str = "norm") -> list:
+    """Certified sums of K(mu, lam) = sum_n conj(a_n(mu)) a_n(lam) at the
+    points of the equal-length sequences mu and lam, capped at the weight
+    horizon.
 
-    A divergent series means the point lies outside the phase space; the
-    OutsidePhaseSpaceError carries ``series`` ("norm" on the diagonal)."""
+    Returns, per point, its SeriesResult or the error it raises: a
+    ConfigError for a point that is not finite, an OutsidePhaseSpaceError
+    carrying ``series`` ("norm" on the diagonal) where the series diverges
+    (the point lies outside the phase space), a ToleranceUnreachableError.
+    A point with mu = 0 or lam = 0 is the single term 1/w_0.  One
+    remaining point is summed by ``sum_series``, more as the rows of one
+    array.
+    """
     if w.horizon is not None:
         n_max = min(n_max, w.horizon + 1)
-    base = math.log(abs(mu)) + math.log(abs(lam))
-    dphase = cmath.phase(lam) - cmath.phase(mu)
+    out, live, base, dphase = [], [], [], []
+    for m, l in zip(mu, lam):
+        try:
+            m, l = _checked(m), _checked(l)
+        except ConfigError as exc:
+            out.append(exc)
+            continue
+        if m == 0 or l == 0:
+            out.append(SeriesResult(1.0 / w.weight(0) + 0j, 0.0, 1, -math.inf))
+            continue
+        live.append(len(out))
+        out.append((m, l))
+        base.append(math.log(abs(m)) + math.log(abs(l)))
+        dphase.append(cmath.phase(l) - cmath.phase(m))
+    if not live:
+        return out
 
-    def logmag_fn(n0, n1):
-        n = np.arange(n0, n1, dtype=float)
-        return n * base + 2.0 * _tri(n) * q.log_abs - w.log_weights(n0, n1)
+    if len(live) == 1:
+        (b,), (d,) = base, dphase
 
-    def phase_fn(n0, n1):
-        return np.arange(n0, n1, dtype=float) * dphase
+        def logmag_fn(n0, n1):
+            n = np.arange(n0, n1, dtype=float)
+            return n * b + 2.0 * _tri(n) * q.log_abs - w.log_weights(n0, n1)
 
-    try:
-        return sum_series(logmag_fn, phase_fn, tol=tol, n_max=n_max)
-    except SeriesDivergence as exc:
-        where = (f"lambda = {lam}: |lambda| is outside the phase space for "
-                 f"these weights and q" if series == "norm"
-                 else f"(mu, lambda) = ({mu}, {lam})")
-        raise OutsidePhaseSpaceError(f"{series} series diverges at {where}",
-                                     series=series) from exc
+        def phase_fn(n0, n1):
+            return np.arange(n0, n1, dtype=float) * d
+
+        try:
+            sums = [sum_series(logmag_fn, phase_fn, tol=tol, n_max=n_max)]
+        except (SeriesDivergence, ToleranceUnreachableError) as exc:
+            sums = [exc]
+    else:
+        base, dphase = np.array(base), np.array(dphase)
+
+        def logmag_fn(rows, n0, n1):
+            n = np.arange(n0, n1, dtype=float)
+            return (n * base[rows, None] + 2.0 * _tri(n) * q.log_abs
+                    - w.log_weights(n0, n1))
+
+        def phase_fn(rows, n0, n1):
+            return np.arange(n0, n1, dtype=float) * dphase[rows, None]
+
+        sums = sum_series_rows(logmag_fn, phase_fn, len(live), tol=tol, n_max=n_max)
+
+    for i, res in zip(live, sums):
+        if isinstance(res, SeriesDivergence):
+            m, l = out[i]
+            where = (f"lambda = {l}: |lambda| is outside the phase space for "
+                     f"these weights and q" if series == "norm"
+                     else f"(mu, lambda) = ({m}, {l})")
+            err = OutsidePhaseSpaceError(f"{series} series diverges at {where}",
+                                         series=series)
+            err.__cause__ = res
+            res = err
+        out[i] = res
+    return out
+
+
+def _settled(outcomes: list) -> list:
+    """The SeriesResults of ``_kernel_series``; the first point's error is
+    raised, as a point-by-point loop would raise it."""
+    for res in outcomes:
+        if isinstance(res, Exception):
+            raise res
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -154,7 +220,7 @@ def coherent_coefficients(lam: complex, w: WeightSequence, q,
                                    phase=np.array([0.0]),
                                    tail_bound=0.0,
                                    norm_sq=math.exp(-lw0))
-    res = _kernel_series(lam, lam, w, q, tol, n_max)
+    res, = _settled(_kernel_series([lam], [lam], w, q, tol, n_max))
     ncut = res.nterms - 1
     logmag, phase = coeff_log_arrays(lam, w, q, 0, ncut + 1)
     return CoherentStateVector(
@@ -166,14 +232,28 @@ def coherent_coefficients(lam: complex, w: WeightSequence, q,
     )
 
 
-def coherent_norm_sq(lam: complex, w: WeightSequence, q,
-                     tol: float = 1e-12) -> float:
-    """The squared norm K(lam, lam) = sum |lam|^{2n} |q|^{n(n+1)} / w_n."""
+def coherent_cutoffs(lam, w: WeightSequence, q, tol: float = 1e-12) -> list:
+    """Per point of the 1-D array ``lam``, the cutoff N at which
+    ``coherent_coefficients`` truncates phi_lambda, or the error it raises
+    there; every point's series is summed together."""
+    pts = np.asarray(lam, dtype=complex).tolist()
+    return [r if isinstance(r, Exception) else r.nterms - 1
+            for r in _kernel_series(pts, pts, w, QParam.of(q), tol)]
+
+
+def coherent_norm_sq(lam, w: WeightSequence, q, tol: float = 1e-12):
+    """The squared norm K(lam, lam) = sum |lam|^{2n} |q|^{n(n+1)} / w_n.
+
+    For an array of points, an array of their norms; every point's series
+    is summed together and the first failing point's error is raised."""
     q = QParam.of(q)
-    lam = _checked(lam)
-    if lam == 0:
-        return 1.0 / w.weight(0)
-    return float(_kernel_series(lam, lam, w, q, tol).float_value.real)
+    if isinstance(lam, Number):
+        res, = _settled(_kernel_series([lam], [lam], w, q, tol))
+        return float(res.float_value.real)
+    pts = np.asarray(lam, dtype=complex)
+    flat = pts.ravel().tolist()
+    res = _settled(_kernel_series(flat, flat, w, q, tol))
+    return np.array([r.float_value.real for r in res]).reshape(pts.shape)
 
 
 class EigenResidual(NamedTuple):
@@ -230,8 +310,8 @@ def cs_transform(psi_coeffs: Sequence[complex], lam: complex,
     q = QParam.of(q)
     lam = _checked(lam)
     c = np.asarray(psi_coeffs, dtype=complex)
-    if check_domain and lam != 0:
-        _kernel_series(lam, lam, w, q, tol=1e-6, n_max=50_000)
+    if check_domain:
+        _settled(_kernel_series([lam], [lam], w, q, tol=1e-6, n_max=50_000))
     if c.size == 0:
         return 0j
     logmag, phase = coeff_log_arrays(lam, w, q, 0, c.size)
@@ -245,14 +325,21 @@ def cs_transform(psi_coeffs: Sequence[complex], lam: complex,
     return acc * math.exp(scale)
 
 
-def kernel(mu: complex, lam: complex, w: WeightSequence, q,
-           tol: float = 1e-12) -> complex:
-    """Reproducing kernel K(mu, lambda) = <phi_mu, phi_lambda>."""
+def kernel(mu, lam, w: WeightSequence, q, tol: float = 1e-12):
+    """Reproducing kernel K(mu, lambda) = <phi_mu, phi_lambda>.
+
+    mu and lam broadcast; for arrays the values come back as an array of
+    the broadcast shape, every point's series is summed together and the
+    first failing point's error is raised."""
     q = QParam.of(q)
-    mu, lam = _checked(mu), _checked(lam)
-    if mu == 0 or lam == 0:
-        return 1.0 / w.weight(0) + 0j
-    return _kernel_series(mu, lam, w, q, tol, series="kernel").float_value
+    if isinstance(mu, Number) and isinstance(lam, Number):
+        res, = _settled(_kernel_series([mu], [lam], w, q, tol, series="kernel"))
+        return res.float_value
+    mu, lam = np.broadcast_arrays(np.asarray(mu, dtype=complex),
+                                  np.asarray(lam, dtype=complex))
+    res = _settled(_kernel_series(mu.ravel().tolist(), lam.ravel().tolist(),
+                                  w, q, tol, series="kernel"))
+    return np.array([r.float_value for r in res]).reshape(mu.shape)
 
 
 @dataclass(frozen=True)

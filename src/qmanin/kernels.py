@@ -20,10 +20,18 @@ def csum_logpolar(logmag, phase):
     """Sum of exp(logmag[n]) * e^{i*phase[n]} in max-rescaled form.
 
     Returns ``(acc, scale)`` with the true value equal to acc * exp(scale).
-    An all ``-inf`` input yields (0j, -inf).
+    An all ``-inf`` input yields (0j, -inf).  On 2-D input each row is one
+    sum, and ``acc`` and ``scale`` are arrays with one entry per row.
     """
     logmag = np.asarray(logmag, dtype=np.float64)
     phase = np.asarray(phase, dtype=np.float64)
+    if logmag.ndim == 2:
+        m = np.max(logmag, axis=1)
+        mags = np.exp(logmag - np.where(m == -np.inf, 0.0, m)[:, None])
+        acc = np.empty(m.shape, dtype=np.complex128)
+        acc.real = np.sum(mags * np.cos(phase), axis=1)
+        acc.imag = np.sum(mags * np.sin(phase), axis=1)
+        return acc, m
     if logmag.size == 0:
         return 0j, -np.inf
     m = float(np.max(logmag))

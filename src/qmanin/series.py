@@ -15,6 +15,11 @@ here (log-convex weights with |q| <= 1) and is checked, not assumed.
 Divergence is reported when term magnitudes stop decaying and their
 growth rate is not shrinking; that is the numerical signature of a point
 outside the phase space.
+
+``sum_series`` sums one series.  ``sum_series_rows`` sums many series as
+the rows of one array, in blocks of ``ROW_BLOCK`` rows: every row follows
+the same rule with its own certificate and retires as soon as it is
+decided, so a grid point gets the term count it would get alone.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ _WINDOW = 12
 _DIV_WINDOW = 64
 _RHO_CAP = math.log(0.9999)   # ratios must sit below this to certify a tail
 _NOISE = math.log(1e-17)      # tail below the summation's own rounding floor
+ROW_BLOCK = 1024              # rows summed together; bounds the memory of a grid
 
 
 class SeriesDivergence(ArithmeticError):
@@ -150,6 +156,114 @@ def sum_series(logmag_fn, phase_fn=None, tol: float = 1e-12,
 
     raise ToleranceUnreachableError(
         f"could not certify tail <= {tol:g} within {n_max} terms")
+
+
+def sum_series_rows(logmag_fn, phase_fn, nrows: int, tol: float = 1e-12,
+                    n_max: int = 200_000) -> list:
+    """Sum ``nrows`` series as the rows of one array, each by the rule of
+    :func:`sum_series`.
+
+    ``logmag_fn(rows, n0, n1)`` and ``phase_fn(rows, n0, n1)`` produce
+    ``(len(rows), n1 - n0)`` arrays for the rows indexed by ``rows``.
+    Returns, per row, its :class:`SeriesResult` or the exception
+    (:class:`SeriesDivergence`, :class:`ToleranceUnreachableError`) that
+    :func:`sum_series` raises on that row alone.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    out = [None] * nrows
+    for start in range(0, nrows, ROW_BLOCK):
+        rows = np.arange(start, min(start + ROW_BLOCK, nrows))
+        _sum_block(rows, logmag_fn, phase_fn, math.log(tol), n_max, out)
+    return [ToleranceUnreachableError(
+                f"could not certify tail <= {tol:g} within {n_max} terms")
+            if r is None else r for r in out]
+
+
+def _sum_block(rows, logmag_fn, phase_fn, log_tol, n_max, out) -> None:
+    """Rows of one block in lockstep; a decided row leaves every array."""
+    acc = np.zeros(rows.size, dtype=complex)
+    scale = np.full(rows.size, -np.inf)
+    max_logmag = np.full(rows.size, -np.inf)
+    tail = np.empty((rows.size, 0))       # the last 65 log magnitudes
+    n = 0
+    while n < n_max and rows.size:
+        hi = min(n + _CHUNK, n_max)
+        lm = np.asarray(logmag_fn(rows, n, hi), dtype=float)
+        ph = (np.zeros(lm.shape) if phase_fn is None
+              else np.asarray(phase_fn(rows, n, hi), dtype=float))
+
+        # exact termination: an all-zero chunk means the series is finite
+        if n > 0:
+            cut = (lm == -np.inf).all(axis=1)
+            if cut.any():
+                for i in np.flatnonzero(cut):
+                    out[rows[i]] = SeriesResult(complex(acc[i]), float(scale[i]),
+                                                n, -math.inf)
+                keep = ~cut
+                rows, acc, scale, max_logmag, tail, lm, ph = (
+                    a[keep] for a in (rows, acc, scale, max_logmag, tail, lm, ph))
+
+        part, m = csum_logpolar(lm, ph)
+        new_scale = np.maximum(scale, m)
+        live = m > -np.inf
+        with np.errstate(invalid="ignore"):
+            acc = np.where(live, acc * np.exp(scale - new_scale)
+                           + part * np.exp(m - new_scale), acc)
+        scale = np.where(live, new_scale, scale)
+        max_logmag = np.maximum(max_logmag, m)
+
+        tail = np.concatenate([tail, lm], axis=1)[:, -(max(_WINDOW, _DIV_WINDOW) + 1):]
+        n = hi
+        with np.errstate(invalid="ignore"):
+            diffs = np.diff(tail, axis=1)
+        nan = np.isnan(diffs)
+        if nan.any():
+            # drop NaN ratios (pairs of -inf): the valid ones move to the
+            # end of each row, in order.  A row left with fewer valid ratios
+            # than a window keeps a NaN in it, and every test below is
+            # false on NaN: such a row neither certifies nor diverges.
+            diffs = np.take_along_axis(
+                diffs, np.argsort(~nan, axis=1, kind="stable"), axis=1)
+        if diffs.shape[1] < _WINDOW:
+            continue
+        win = diffs[:, -_WINDOW:]
+        last_lm = tail[:, -1]
+
+        # tail certificate: ratios below one and not increasing
+        rho_log = win.max(axis=1)
+        trend_ok = (np.diff(win, axis=1) <= 1e-12).all(axis=1)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            tail_log = last_lm + rho_log - np.log1p(-np.exp(rho_log))
+            log_sum = np.log(np.abs(acc)) + scale
+        done = ((rho_log < _RHO_CAP) & trend_ok
+                & ((tail_log <= log_tol + log_sum)
+                   | (tail_log <= max_logmag + _NOISE)))
+
+        # divergence: magnitudes not decaying and growth rate not shrinking
+        diverged = np.zeros(rows.size, dtype=bool)
+        if diffs.shape[1] >= _DIV_WINDOW:
+            dwin = diffs[:, -_DIV_WINDOW:]
+            slack = (1e-12 * np.maximum(1.0, np.abs(last_lm)))[:, None]
+            diverged = (~done & (last_lm > -np.inf)
+                        & (dwin >= -slack).all(axis=1)
+                        & (np.diff(dwin, axis=1) >= -slack).all(axis=1))
+
+        decided = done | diverged
+        if not decided.any():
+            continue
+        for i in np.flatnonzero(done):
+            # recorded with sum_series' own arithmetic, so a row's
+            # certificate does not depend on the block it was summed in
+            r = float(rho_log[i])
+            cert = float(last_lm[i]) + r - math.log1p(-math.exp(r))
+            out[rows[i]] = SeriesResult(complex(acc[i]), float(scale[i]), n, cert)
+        for i in np.flatnonzero(diverged):
+            out[rows[i]] = SeriesDivergence(
+                f"series terms stopped decaying after {n} terms", n)
+        keep = ~decided
+        rows, acc, scale, max_logmag, tail = (
+            a[keep] for a in (rows, acc, scale, max_logmag, tail))
 
 
 def geometric_indexes(lo: int, hi: int, count: int) -> np.ndarray:

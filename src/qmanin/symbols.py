@@ -8,6 +8,13 @@ quadrature-exact rather than approximate.  The coherent state
 quantization and the secondary Toeplitz operator share one builder, which
 takes each entry in closed form from the moments of the rule: the measure
 is rotation invariant, so no angular grid is sampled.
+
+A lower symbol is the quadratic form b^H A b of the scaled coefficients
+b = a * exp(-m) of the truncated coherent state, on the block of A that
+its indexes reach.  The Berezin symbol divides by b^H b, so it never
+forms ||phi_lambda||^2, which can overflow a double where the symbol does
+not.  A grid sums the diagonal series of all its points together and
+takes the quadratic forms of a block of points in one matrix product.
 """
 
 from __future__ import annotations
@@ -19,11 +26,14 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .coherent import coeff_log_arrays, coherent_coefficients, coherent_norm_sq
-from .errors import ConfigError, InsufficientQuadratureError, WindowTooSmallError
+from .coherent import (coeff_log_arrays, coherent_coefficients, coherent_cutoffs,
+                       coherent_norm_sq)
+from .errors import (ConfigError, InputTooLargeError, InsufficientQuadratureError,
+                     WindowTooSmallError)
 from .kernels import log_power_sums
 from .measure import RadialQuadrature
 from .operators import OperatorMeta, TruncatedOperator
+from .series import ROW_BLOCK
 from .weights import QParam, WeightSequence
 
 
@@ -181,6 +191,33 @@ class SymbolValueGrid:
 # lower (covariant) symbols
 # ---------------------------------------------------------------------------
 
+def _window_error(A: TruncatedOperator, n: int, tol: float) -> WindowTooSmallError:
+    return WindowTooSmallError(
+        f"operator window N={A.cutoff} cannot hold the coherent state "
+        f"(needs n <= {n} at tol={tol:g})")
+
+
+def _forms(A: TruncatedOperator, B: np.ndarray, m: np.ndarray, pts,
+           normalized: bool) -> np.ndarray:
+    """<phi, A phi> for each row b of B, where phi = b * exp(m) on the
+    indexes 0..K-1 and A acts on the K x K block those indexes reach.
+
+    The normalized form is b^H A b / b^H b, taken in the scaled domain;
+    an unnormalized value beyond a double is refused."""
+    K = B.shape[1]
+    Bc = B.conj()
+    forms = (Bc * (B @ A.matrix[:K, :K].T)).sum(axis=1)
+    if normalized:
+        return forms / (Bc * B).real.sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.where(forms == 0, 0j, forms * np.exp(2.0 * m))
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise InputTooLargeError(f"the unnormalized lower symbol at lambda = "
+                                 f"{complex(pts[bad[0]])} overflows a double")
+    return vals
+
+
 def lower_symbol(A: TruncatedOperator, lam: complex, w: WeightSequence, q,
                  normalized: bool = True, tol: float = 1e-14,
                  return_error: bool = False):
@@ -196,14 +233,9 @@ def lower_symbol(A: TruncatedOperator, lam: complex, w: WeightSequence, q,
     state = coherent_coefficients(lam, w, q, tol=tol)
     n = state.n_cutoff
     if n > A.cutoff:
-        raise WindowTooSmallError(
-            f"operator window N={A.cutoff} cannot hold the coherent state "
-            f"(needs n <= {n} at tol={tol:g})")
+        raise _window_error(A, n, tol)
     b, m = state.scaled_coefficients()
-    vec = np.zeros(A.dim, dtype=complex)
-    vec[: n + 1] = b
-    quad_form = complex(vec.conj() @ (A.matrix @ vec)) * math.exp(2.0 * m)
-    value = quad_form / state.norm_sq if normalized else quad_form
+    value = complex(_forms(A, b[None, :], np.array([m]), [state.lam], normalized)[0])
     if not return_error:
         return value
     # certified error: tail mass times the operator's column reach
@@ -214,9 +246,27 @@ def lower_symbol(A: TruncatedOperator, lam: complex, w: WeightSequence, q,
 
 def lower_symbol_grid(A: TruncatedOperator, points, w: WeightSequence, q,
                       normalized: bool = True, tol: float = 1e-14) -> SymbolValueGrid:
+    """``lower_symbol`` at every point, with the points' diagonal series
+    summed together and the quadratic forms of ROW_BLOCK points taken in
+    one matrix product.  The first point that fails raises its error."""
+    q = QParam.of(q)
     pts = np.asarray(points, dtype=complex).ravel()
-    vals = np.array([lower_symbol(A, z, w, q, normalized=normalized, tol=tol)
-                     for z in pts])
+    cuts = coherent_cutoffs(pts, w, q, tol=tol)
+    for n in cuts:
+        if isinstance(n, Exception):
+            raise n
+        if n > A.cutoff:
+            raise _window_error(A, n, tol)
+    cuts = np.array(cuts, dtype=int)
+    vals = np.empty(pts.size, dtype=complex)
+    for start in range(0, pts.size, ROW_BLOCK):
+        blk = slice(start, start + ROW_BLOCK)
+        K = int(cuts[blk].max()) + 1
+        logmag, phase = coeff_log_arrays(pts[blk], w, q, 0, K)
+        logmag[np.arange(K) > cuts[blk, None]] = -np.inf
+        m = logmag.max(axis=1)
+        B = np.exp(logmag - m[:, None]) * np.exp(1j * phase)
+        vals[blk] = _forms(A, B, m, pts[blk], normalized)
     tag = "normalized" if normalized else "unnormalized"
     return SymbolValueGrid(pts, vals, f"{tag} lower symbol of {A.meta.symbol}")
 
@@ -281,11 +331,7 @@ def quantize_cs_norm_bound(f: PolynomialSymbol, quad: RadialQuadrature,
     q = QParam.of(q)
     A = max(64, 4 * f.degree + 1)
     alpha = 2.0 * math.pi * np.arange(A) / A
-    total = 0.0
-    for t, mu in zip(quad.nodes, quad.masses):
-        r = math.sqrt(t)
-        nsq = coherent_norm_sq(r, w, q, tol=1e-12)
-        pts = r * np.exp(1j * alpha)
-        mean_abs = float(np.mean(np.abs(f.evaluate(pts))))
-        total += math.pi * mu * nsq * mean_abs
-    return total
+    r = np.sqrt(quad.nodes)
+    nsq = coherent_norm_sq(r, w, q, tol=1e-12)
+    mean_abs = np.mean(np.abs(f.evaluate(r[:, None] * np.exp(1j * alpha))), axis=1)
+    return float(np.sum(math.pi * quad.masses * nsq * mean_abs))

@@ -94,6 +94,10 @@ def test_config_error_exit_code(tmp_path):
     (("radius",), {"cap": 0}),                     # log(cap) has no value
     (("symbols",), {"normalized": "false"}),       # a string, not JSON false
     (("coherent",), {"lambda": 30}),               # |a_n| passes 1e308
+    (("kernel",), {"grid": {"rmax": 30, "nr": 2, "ntheta": 1}}),   # K = e^900
+    (("kernel",), {"mu": 30, "grid": {"rmax": 30, "nr": 2, "ntheta": 1}}),
+    (("symbols",), {"grid": {"rmax": 27, "rmin": 27, "nr": 1, "ntheta": 1},
+                    "window": 1024, "order": 4, "cutoff": 4, "normalized": False}),
 ])
 def test_refusals_exit_2_without_traceback(tmp_path, argv, config):
     proc = run_cold(tmp_path, argv, config)
@@ -205,6 +209,35 @@ def test_non_numeric_grid_value_is_config_error(tmp_path, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid": {key: "abc"}}))
     assert run(tmp_path, "kernel", "--config", str(cfg)) == 2
+
+
+def test_kernel_grid_at_the_size_cap_fits_in_memory(tmp_path):
+    # the grid's series are summed in blocks of rows, so memory does not
+    # grow with the grid
+    grid = {"nr": 1000, "ntheta": MAX_GRID_POINTS // 1000}
+    proc = run_cold(tmp_path, ("kernel",), {"grid": grid},
+                    preexec_fn=_limit_address_space)
+    assert proc.returncode == 0, proc.stderr
+    lines = (tmp_path / "kernel.csv").read_text().splitlines()
+    assert len(lines) == 1 + MAX_GRID_POINTS
+    re_, im_, value, _ = (float(x) for x in lines[-1].split(","))
+    assert value == pytest.approx(math.exp(re_ * re_ + im_ * im_), rel=1e-10)
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+def test_lower_symbol_past_a_double(tmp_path, normalized):
+    # at lambda = 27, ||phi_lambda||^2 = e^729 overflows a double; the
+    # Berezin symbol of the annihilation operator is still lambda, while
+    # the unnormalized symbol lambda * e^729 is refused
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"rmax": 27, "rmin": 27, "nr": 1, "ntheta": 1},
+                               "window": 1024, "order": 4, "cutoff": 4,
+                               "normalized": normalized}))
+    assert run(tmp_path, "symbols", "--config", str(cfg)) == (0 if normalized else 2)
+    if normalized:
+        row = (tmp_path / "lower_symbol.csv").read_text().splitlines()[1].split(",")
+        assert float(row[2]) == pytest.approx(27.0, rel=1e-12)
+        assert abs(float(row[3])) <= 1e-12
 
 
 def test_huge_order_builds_only_the_capped_moments(tmp_path):
@@ -429,6 +462,13 @@ _config = st.builds(lambda valid, junk: {**valid, **junk},
 @example("radius", "factorial", "1", {"horizon": 10**21})
 @example("symbols", "factorial", "1", {"normalized": "false", "cutoff": 4})
 @example("coherent", "factorial", "1", {"lambda": 30})   # |a_n| passes 1e308
+@example("kernel", "factorial", "1", {"grid": {"rmax": 30, "nr": 2, "ntheta": 1}})
+@example("symbols", "factorial", "1",                   # ||phi_lambda||^2 = e^729
+         {"grid": {"rmax": 27, "rmin": 27, "nr": 1, "ntheta": 1}, "window": 1024,
+          "order": 4, "cutoff": 4})
+@example("symbols", "factorial", "1",
+         {"grid": {"rmax": 27, "rmin": 27, "nr": 1, "ntheta": 1}, "window": 1024,
+          "order": 4, "cutoff": 4, "normalized": False})
 def test_cli_failure_contract(command, weights, q, config):
     """Any input exits 0, 2, 3 or 4, and nothing escapes or warns."""
     with tempfile.TemporaryDirectory() as out, \

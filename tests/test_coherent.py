@@ -274,3 +274,30 @@ class TestRadius:
     def test_json_inf_marker(self):
         doc = radius_of_convergence(WFAC, 1.0).to_json()
         assert doc["value"] == "inf"
+
+
+class TestArrayPoints:
+    def test_kernel_broadcasts_and_matches_scalars(self):
+        mu = np.array([[0.5 + 0.2j], [-1.0 + 0.0j]])
+        lam = np.array([0.0, 0.3j, 1.1 - 0.4j])
+        got = kernel(mu, lam, WFAC, 1j, tol=1e-13)
+        assert got.shape == (2, 3) and got.dtype == complex
+        for i in range(2):
+            for j in range(3):
+                one = kernel(complex(mu[i, 0]), complex(lam[j]), WFAC, 1j, tol=1e-13)
+                assert abs(got[i, j] - one) <= 1e-14 * abs(one)
+        assert np.all(got[:, 0] == 1.0)           # a zero point keeps 1/w_0
+
+    def test_norm_array_matches_scalars(self):
+        w = WeightSequence.constant(4.0)
+        lam = np.array([0.0, 0.5, 0.3 - 0.6j, 0.9j])
+        got = coherent_norm_sq(lam, w, 0.9)
+        assert got.shape == (4,) and got[0] == 0.25
+        for z, v in zip(lam, got):
+            one = coherent_norm_sq(complex(z), w, 0.9)
+            assert abs(v - one) <= 1e-14 * one
+
+    def test_scalars_keep_their_types(self):
+        assert type(kernel(0.5, 0.5j, WFAC, 1.0)) is complex
+        assert type(coherent_norm_sq(0.5, WFAC, 1.0)) is float
+        assert type(kernel(0.0, 0.5j, WFAC, 1.0)) is complex

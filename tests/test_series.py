@@ -1,10 +1,14 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from qmanin.errors import ToleranceUnreachableError
-from qmanin.series import SeriesDivergence, geometric_indexes, sum_series
+from qmanin.coherent import _kernel_series, coherent_norm_sq, kernel
+from qmanin.errors import OutsidePhaseSpaceError, ToleranceUnreachableError
+from qmanin.series import (ROW_BLOCK, SeriesDivergence, SeriesResult, geometric_indexes,
+                           sum_series, sum_series_rows)
+from qmanin.weights import QParam, WeightSequence
 
 
 def geometric_logmag(ratio):
@@ -86,3 +90,151 @@ def test_geometric_indexes():
     big = geometric_indexes(1, 10**21, 400)
     assert big[0] == 1 and big[-1] == 10**21
     assert all(type(n) is int for n in big) and np.all(np.diff(big) > 0)
+
+
+# ---------------------------------------------------------------------------
+# the row engine against the one-row path
+# ---------------------------------------------------------------------------
+
+def _agree(rows, one):
+    """Same outcome per point: the same error, or the same term count and
+    certificate with values within 1e-14 of the largest term."""
+    assert len(rows) == len(one)
+    for a, b in zip(rows, one):
+        if isinstance(b, Exception):
+            assert type(a) is type(b) and str(a) == str(b)
+            continue
+        assert (a.nterms, a.tail_log, a.log_scale) == (b.nterms, b.tail_log, b.log_scale)
+        assert abs(a.value - b.value) <= 1e-14 * math.exp(b.log_scale - a.log_scale)
+
+
+def _rows_and_single(logmag_rows, phase_rows, nrows, **kw):
+    rows = sum_series_rows(logmag_rows, phase_rows, nrows, **kw)
+    one = []
+    for i in range(nrows):
+        idx = np.array([i])
+        try:
+            one.append(sum_series(
+                lambda n0, n1: logmag_rows(idx, n0, n1)[0],
+                None if phase_rows is None else lambda n0, n1: phase_rows(idx, n0, n1)[0],
+                **kw))
+        except (SeriesDivergence, ToleranceUnreachableError) as exc:
+            one.append(exc)
+    return rows, one
+
+
+def test_rows_finite_cut_divergent_and_unreachable_rows():
+    # one row per kind, each kind repeated with a shifted constant term
+    lgamma = np.vectorize(math.lgamma)
+    kinds = [
+        lambda n, k: n * math.log(0.5) - k,                       # geometric
+        lambda n, k: np.where(n > 3 + k, -np.inf, -0.5 * n),      # finite
+        lambda n, k: 0.0 * n - k,                                 # divergent
+        lambda n, k: n * math.log(0.999999) - k,                  # too slow
+        lambda n, k: -3.0 * np.sqrt(n) - k,                       # ratios rise
+        lambda n, k: np.where(n % 2 == 1, -np.inf, -0.5 * n - k),  # every other
+        lambda n, k: n * math.log(30.0) - lgamma(n + 1) - k,      # e^-30, alternating
+        lambda n, k: 2.3 * n - 0.005 * n * (n + 1) - k,           # rise, then fall
+        lambda n, k: np.where(n == 0, -k, n * math.log(0.99999) - 50 - k),
+    ]
+    kinds_n = len(kinds)
+
+    def lm(rows, n0, n1):
+        n = np.arange(n0, n1, dtype=float)
+        return np.array([kinds[r % kinds_n](n, r // kinds_n) for r in rows])
+
+    def ph(rows, n0, n1):
+        return np.where(rows[:, None] % kinds_n == 6, math.pi, 0.0) * np.arange(n0, n1)
+
+    rows, one = _rows_and_single(lm, ph, 5 * kinds_n, tol=1e-14, n_max=800)
+    _agree(rows, one)
+    assert [type(r).__name__ for r in rows[:kinds_n]] == [
+        "SeriesResult", "SeriesResult", "SeriesDivergence",
+        "ToleranceUnreachableError", "ToleranceUnreachableError",
+        "ToleranceUnreachableError", "SeriesResult", "SeriesResult",
+        "ToleranceUnreachableError"]
+    assert rows[1].tail_bound == 0.0 and rows[1].nterms == 16
+    # the sum cancels to e^-30, below the rounding of its largest term
+    largest = math.exp(rows[6].log_scale)
+    assert abs(rows[6].float_value - math.exp(-30.0)) <= 1e-13 * largest
+
+
+def test_rows_drop_nan_ratios_like_one_row():
+    # a run of 2 to 4 zero terms, starting at a different index per row,
+    # puts -inf pairs and so NaN ratios into the window; they are dropped
+    # per row, and the terms after the run certify the tail
+    def lm(rows, n0, n1):
+        n = np.arange(n0, n1, dtype=float)
+        start = 3 + rows[:, None] % 20
+        gap = (n >= start) & (n < start + 2 + rows[:, None] % 3)
+        return np.where(gap, -np.inf, -0.3 * n - 0.01 * rows[:, None])
+
+    rows, one = _rows_and_single(lm, None, 60, tol=1e-12, n_max=2000)
+    _agree(rows, one)
+    assert all(isinstance(r, SeriesResult) for r in rows)
+
+
+def test_rows_span_blocks():
+    base = np.linspace(-6.0, 1.6, ROW_BLOCK + 37)
+
+    def lm(rows, n0, n1):
+        n = np.arange(n0, n1, dtype=float)
+        return n * base[rows, None] - np.array([math.lgamma(k + 1) for k in range(n0, n1)])
+
+    def ph(rows, n0, n1):
+        return np.arange(n0, n1, dtype=float) * base[rows, None]
+
+    rows = sum_series_rows(lm, ph, base.size, tol=1e-13)
+    for i in (0, ROW_BLOCK - 1, ROW_BLOCK, base.size - 1):
+        res = rows[i]
+        want = np.exp(np.exp(base[i]) * np.exp(1j * base[i]))
+        assert abs(res.float_value - want) <= 1e-12 * abs(want)
+
+
+_FAMILIES = [
+    (WeightSequence.factorial(), 1.0, 3.0),
+    (WeightSequence.factorial(), 0.8, 3.0),
+    (WeightSequence.factorial(), cmath.exp(1j * math.pi / 5), 3.0),
+    (WeightSequence.constant(), 1.0, 1.3),            # |lambda| > 1 diverges
+    (WeightSequence.constant(2.0), 0.9 * cmath.exp(0.4j), 1.3),
+    (WeightSequence.power_factorial(2.0), 1.0, 6.0),
+    (WeightSequence.power_factorial(0.5), 0.95, 1.5),
+    (WeightSequence.explicit([math.factorial(n) for n in range(12)]), 1.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-14])
+@pytest.mark.parametrize("w, q, radius", _FAMILIES)
+def test_kernel_rows_match_single_points(w, q, radius, tol):
+    rng = np.random.default_rng(17)
+    lam = radius * rng.uniform(0, 1, 60) * np.exp(2j * math.pi * rng.uniform(0, 1, 60))
+    mu = radius * rng.uniform(0, 1, 60) * np.exp(2j * math.pi * rng.uniform(0, 1, 60))
+    lam[:3] = 0.0
+    mu[5] = 0.0
+    qp = QParam.of(q)
+    for series, a, b in (("norm", lam, lam), ("kernel", mu, lam)):
+        a, b = a.tolist(), b.tolist()
+        rows = _kernel_series(a, b, w, qp, tol, series=series)
+        one = [_kernel_series([x], [y], w, qp, tol, series=series)[0]
+               for x, y in zip(a, b)]
+        _agree(rows, one)
+    if w.kind == "explicit":
+        # the short table caps every series at its horizon
+        assert any(isinstance(r, ToleranceUnreachableError) for r in rows)
+
+
+def test_mixed_grid_raises_the_first_failing_points_error():
+    w = WeightSequence.constant()
+    lam = np.array([0.5, 0.0, 0.9j, 1.2, 0.3, 1.5 + 1j])
+    with pytest.raises(OutsidePhaseSpaceError) as grid:
+        coherent_norm_sq(lam, w, 1.0)
+    with pytest.raises(OutsidePhaseSpaceError) as alone:
+        coherent_norm_sq(1.2, w, 1.0)
+    assert str(grid.value) == str(alone.value) and grid.value.series == "norm"
+    # a short table: the tolerance error of the first point past its reach
+    table = WeightSequence.explicit([math.factorial(n) for n in range(9)])
+    with pytest.raises(ToleranceUnreachableError, match="within 9 terms"):
+        kernel(1.0, np.array([0.1, 1.5, 2.0]), table, 1.0)
+    # a point that is not finite fails in its turn
+    with pytest.raises(OutsidePhaseSpaceError):
+        kernel(1.0, np.array([0.5, 2.0, np.inf]), w, 1.0)

@@ -6,12 +6,14 @@ import pytest
 
 from conftest import qgauss_table
 from qmanin import (ConfigError, InsufficientQuadratureError, MomentSequence,
-                    PolynomialSymbol, WeightSequence, WindowTooSmallError,
-                    adjoint_annihilation_matrix, annihilation_matrix,
+                    OutsidePhaseSpaceError, PolynomialSymbol, WeightSequence,
+                    WindowTooSmallError, adjoint_annihilation_matrix, annihilation_matrix,
                     coherent_norm_sq, gauss_quadrature_from_moments,
                     identity_matrix, lower_symbol, lower_symbol_grid,
                     number_matrix, quantize_cs, quantize_cs_norm_bound,
                     secondary_toeplitz)
+from qmanin.errors import InputTooLargeError
+from qmanin.operators import TruncatedOperator
 
 WFAC = WeightSequence.factorial()
 
@@ -242,3 +244,40 @@ class TestSecondaryToeplitz:
         for k in range(11):
             expect = WFAC.weight(k + 1) / WFAC.weight(k)
             assert abs(S.matrix[k, k] - expect) < 1e-8 * expect
+
+
+class TestLowerSymbolGrid:
+    def test_grid_matches_single_points(self):
+        rng = np.random.default_rng(8)
+        pts = 2.0 * rng.uniform(0, 1, 40) * np.exp(2j * math.pi * rng.uniform(0, 1, 40))
+        pts[3] = 0.0
+        for q, normalized in ((1j, True), (0.8, False)):
+            A = adjoint_annihilation_matrix(WFAC, q, 90)
+            grid = lower_symbol_grid(A, pts, WFAC, q, normalized=normalized)
+            for z, v in zip(pts, grid.values):
+                one = lower_symbol(A, complex(z), WFAC, q, normalized=normalized)
+                assert abs(v - one) <= 1e-15 * max(abs(one), 1.0)
+
+    def test_first_failing_point_raises(self):
+        A = annihilation_matrix(WeightSequence.constant(), 1.0, 30)
+        w = WeightSequence.constant()
+        # point 1 needs more than 30 terms, point 2 lies outside the disk
+        with pytest.raises(WindowTooSmallError):
+            lower_symbol_grid(A, [0.1, 0.8, 1.5], w, 1.0)
+        with pytest.raises(OutsidePhaseSpaceError):
+            lower_symbol_grid(A, [0.1, 1.5, 0.8], w, 1.0)
+
+    def test_past_a_double(self):
+        # ||phi_27||^2 = e^729: the Berezin symbol stays finite, the
+        # unnormalized one is refused
+        A = annihilation_matrix(WFAC, 1.0, 1024)
+        assert abs(lower_symbol(A, 27.0, WFAC, 1.0) - 27.0) <= 1e-12 * 27
+        grid = lower_symbol_grid(A, [27.0, 1.0], WFAC, 1.0)
+        assert np.all(np.abs(grid.values - [27.0, 1.0]) <= 1e-12 * 27)
+        with pytest.raises(InputTooLargeError):
+            lower_symbol(A, 27.0, WFAC, 1.0, normalized=False)
+        with pytest.raises(InputTooLargeError):
+            lower_symbol_grid(A, [1.0, 27.0], WFAC, 1.0, normalized=False)
+        # a vanishing form stays 0, not 0 * e^729
+        Z = TruncatedOperator(np.zeros((1025, 1025)), A.meta)
+        assert lower_symbol(Z, 27.0, WFAC, 1.0, normalized=False) == 0
