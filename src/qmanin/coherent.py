@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 from numbers import Number
 from typing import NamedTuple, Sequence
 
@@ -31,8 +32,8 @@ import numpy.ma  # noqa: F401
 
 from .errors import ConfigError, OutsidePhaseSpaceError, ToleranceUnreachableError
 from .kernels import csum_logpolar
-from .series import (SeriesDivergence, SeriesResult, geometric_indexes, sum_series,
-                     sum_series_rows)
+from .series import (SeriesDivergence, SeriesResult, bound_from_log, geometric_indexes,
+                     sum_series, sum_series_rows)
 from .weights import QParam, WeightSequence
 
 
@@ -51,23 +52,20 @@ def coeff_log_arrays(lam, w: WeightSequence, q: QParam,
                      n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
     """(log|a_n|, arg a_n) for n0 <= n < n1 at eigenvalue ``lam``; for a
     1-D array of eigenvalues, one row per point."""
+    pts = [lam] if isinstance(lam, Number) else np.asarray(lam, dtype=complex).tolist()
     n = np.arange(n0, n1, dtype=float)
     lw = w.log_weights(n0, n1)
-    if not isinstance(lam, Number):
-        pts = np.asarray(lam, dtype=complex).tolist()
-        zero = np.array([z == 0 for z in pts])[:, None]
-        logr = np.array([math.log(abs(z)) if z else 0.0 for z in pts])[:, None]
-        arg = np.array([cmath.phase(z) for z in pts])[:, None]
-        logmag = n * logr + _tri(n) * q.log_abs - 0.5 * lw
-        logmag = np.where(zero, np.where(n == 0, -0.5 * lw, -np.inf), logmag)
-        phase = np.where(zero, 0.0, n * arg + _tri(n) * q.arg)
-        return logmag, phase
-    r = abs(lam)
-    if r == 0.0:
-        logmag = np.where(n == 0, -0.5 * lw, -np.inf)
-        return logmag, np.zeros_like(logmag)
-    logmag = n * math.log(r) + _tri(n) * q.log_abs - 0.5 * lw
-    phase = n * cmath.phase(lam) + _tri(n) * q.arg
+    logr = np.array([math.log(abs(z)) if z else 0.0 for z in pts])[:, None]
+    arg = np.array([cmath.phase(z) for z in pts])[:, None]
+    logmag = n * logr + _tri(n) * q.log_abs - 0.5 * lw
+    phase = n * arg + _tri(n) * q.arg
+    zero = [z == 0 for z in pts]
+    if any(zero):
+        # at lambda = 0 only a_0 = w_0^{-1/2} survives
+        logmag[zero] = np.where(n == 0, -0.5 * lw, -np.inf)
+        phase[zero] = 0.0
+    if isinstance(lam, Number):
+        return logmag[0], phase[0]
     return logmag, phase
 
 
@@ -104,31 +102,24 @@ def _kernel_series(mu, lam, w: WeightSequence, q: QParam, tol: float,
     if not live:
         return out
 
+    base, dphase = np.array(base), np.array(dphase)
+
+    def logmag_fn(rows, n0, n1):
+        n = np.arange(n0, n1, dtype=float)
+        return (n * base[rows, None] + 2.0 * _tri(n) * q.log_abs
+                - w.log_weights(n0, n1))
+
+    def phase_fn(rows, n0, n1):
+        return np.arange(n0, n1, dtype=float) * dphase[rows, None]
+
     if len(live) == 1:
-        (b,), (d,) = base, dphase
-
-        def logmag_fn(n0, n1):
-            n = np.arange(n0, n1, dtype=float)
-            return n * b + 2.0 * _tri(n) * q.log_abs - w.log_weights(n0, n1)
-
-        def phase_fn(n0, n1):
-            return np.arange(n0, n1, dtype=float) * d
-
+        # row 0 alone: an integer row index gives the 1-D terms of one series
         try:
-            sums = [sum_series(logmag_fn, phase_fn, tol=tol, n_max=n_max)]
+            sums = [sum_series(partial(logmag_fn, 0), partial(phase_fn, 0),
+                               tol=tol, n_max=n_max)]
         except (SeriesDivergence, ToleranceUnreachableError) as exc:
             sums = [exc]
     else:
-        base, dphase = np.array(base), np.array(dphase)
-
-        def logmag_fn(rows, n0, n1):
-            n = np.arange(n0, n1, dtype=float)
-            return (n * base[rows, None] + 2.0 * _tri(n) * q.log_abs
-                    - w.log_weights(n0, n1))
-
-        def phase_fn(rows, n0, n1):
-            return np.arange(n0, n1, dtype=float) * dphase[rows, None]
-
         sums = sum_series_rows(logmag_fn, phase_fn, len(live), tol=tol, n_max=n_max)
 
     for i, res in zip(live, sums):
@@ -158,20 +149,24 @@ def _settled(outcomes: list) -> list:
 class CoherentStateVector:
     """Truncated phi_lambda in log-polar coefficient storage.
 
-    ``logmag[n]`` and ``phase[n]`` describe a_n for n = 0..N; ``tail_bound``
-    certifies the discarded mass sum_{n>N} |a_n|^2 and ``norm_sq`` is the
-    retained sum_{n<=N} |a_n|^2.
+    ``logmag[n]`` and ``phase[n]`` describe a_n for n = 0..N; ``tail_log``
+    is the log of the certified bound on the discarded mass
+    sum_{n>N} |a_n|^2 and ``norm_sq`` is the retained sum_{n<=N} |a_n|^2.
     """
 
     lam: complex
     logmag: np.ndarray
     phase: np.ndarray
-    tail_bound: float
+    tail_log: float
     norm_sq: float
 
     @property
     def n_cutoff(self) -> int:
         return len(self.logmag) - 1
+
+    @property
+    def tail_bound(self) -> float:
+        return bound_from_log(self.tail_log)
 
     @property
     def norm(self) -> float:
@@ -218,7 +213,7 @@ def coherent_coefficients(lam: complex, w: WeightSequence, q,
         return CoherentStateVector(lam=0j,
                                    logmag=np.array([-0.5 * lw0]),
                                    phase=np.array([0.0]),
-                                   tail_bound=0.0,
+                                   tail_log=-math.inf,
                                    norm_sq=math.exp(-lw0))
     res, = _settled(_kernel_series([lam], [lam], w, q, tol, n_max))
     ncut = res.nterms - 1
@@ -227,7 +222,7 @@ def coherent_coefficients(lam: complex, w: WeightSequence, q,
         lam=lam,
         logmag=logmag,
         phase=phase,
-        tail_bound=res.tail_bound,
+        tail_log=res.tail_log,
         norm_sq=float(res.float_value.real),
     )
 
@@ -295,7 +290,7 @@ def evolve_state(state: CoherentStateVector, t: float) -> CoherentStateVector:
         lam=evolve(state.lam, t),
         logmag=state.logmag.copy(),
         phase=state.phase - t * n,
-        tail_bound=state.tail_bound,
+        tail_log=state.tail_log,
         norm_sq=state.norm_sq,
     )
 

@@ -19,7 +19,10 @@ outside the phase space.
 ``sum_series`` sums one series.  ``sum_series_rows`` sums many series as
 the rows of one array, in blocks of ``ROW_BLOCK`` rows: every row follows
 the same rule with its own certificate and retires as soon as it is
-decided, so a grid point gets the term count it would get alone.
+decided.  A row's chunk sums come from the same numpy kernel as in
+``sum_series``, and its rescaling and stop test are taken with the same
+libm arithmetic, so a grid point gets the term count and certificate it
+would get alone.
 """
 
 from __future__ import annotations
@@ -48,6 +51,15 @@ class SeriesDivergence(ArithmeticError):
         self.nterms = nterms
 
 
+def bound_from_log(log_bound: float) -> float:
+    """exp(log_bound), or ``math.inf`` where a bound overflows a double
+    (its log-domain form remains meaningful)."""
+    try:
+        return math.exp(log_bound)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass
 class SeriesResult:
     """Scaled sum: the true value is ``value * exp(log_scale)``."""
@@ -72,14 +84,7 @@ class SeriesResult:
 
     @property
     def tail_bound(self) -> float:
-        if self.tail_log == -math.inf:
-            return 0.0
-        try:
-            return math.exp(self.tail_log)
-        except OverflowError:
-            # absolute tail overflows a double (the sum itself is larger
-            # still); the log-domain certificate remains meaningful
-            return math.inf
+        return bound_from_log(self.tail_log)
 
     @property
     def log_abs(self) -> float:
@@ -208,8 +213,8 @@ def _sum_block(rows, logmag_fn, phase_fn, log_tol, n_max, out) -> None:
         new_scale = np.maximum(scale, m)
         live = m > -np.inf
         with np.errstate(invalid="ignore"):
-            acc = np.where(live, acc * np.exp(scale - new_scale)
-                           + part * np.exp(m - new_scale), acc)
+            acc = np.where(live, acc * _libm_exp(scale - new_scale)
+                           + part * _libm_exp(m - new_scale), acc)
         scale = np.where(live, new_scale, scale)
         max_logmag = np.maximum(max_logmag, m)
 
@@ -230,15 +235,25 @@ def _sum_block(rows, logmag_fn, phase_fn, log_tol, n_max, out) -> None:
         win = diffs[:, -_WINDOW:]
         last_lm = tail[:, -1]
 
-        # tail certificate: ratios below one and not increasing
+        # tail certificate: ratios below one and not increasing.  numpy's
+        # exp and log pick the rows whose tail may be small enough; each of
+        # them is decided with the libm arithmetic of sum_series, so a row
+        # stops where it stops alone and records the same certificate
         rho_log = win.max(axis=1)
         trend_ok = (np.diff(win, axis=1) <= 1e-12).all(axis=1)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            tail_log = last_lm + rho_log - np.log1p(-np.exp(rho_log))
-            log_sum = np.log(np.abs(acc)) + scale
-        done = ((rho_log < _RHO_CAP) & trend_ok
-                & ((tail_log <= log_tol + log_sum)
-                   | (tail_log <= max_logmag + _NOISE)))
+            approx = last_lm + rho_log - np.log1p(-np.exp(rho_log))
+            bound = np.maximum(log_tol + np.log(np.abs(acc)) + scale, max_logmag + _NOISE)
+            far = approx > bound + 1e-9 * (1.0 + np.abs(bound))
+        done = np.zeros(rows.size, dtype=bool)
+        for i in np.flatnonzero((rho_log < _RHO_CAP) & trend_ok & ~far):
+            r, a, s = float(rho_log[i]), complex(acc[i]), float(scale[i])
+            tail_log = float(last_lm[i]) + r - math.log1p(-math.exp(r))
+            log_sum = (math.log(abs(a)) + s) if a != 0 else -math.inf
+            if (tail_log <= log_tol + log_sum
+                    or tail_log <= float(max_logmag[i]) + _NOISE):
+                out[rows[i]] = SeriesResult(a, s, n, tail_log)
+                done[i] = True
 
         # divergence: magnitudes not decaying and growth rate not shrinking
         diverged = np.zeros(rows.size, dtype=bool)
@@ -252,18 +267,21 @@ def _sum_block(rows, logmag_fn, phase_fn, log_tol, n_max, out) -> None:
         decided = done | diverged
         if not decided.any():
             continue
-        for i in np.flatnonzero(done):
-            # recorded with sum_series' own arithmetic, so a row's
-            # certificate does not depend on the block it was summed in
-            r = float(rho_log[i])
-            cert = float(last_lm[i]) + r - math.log1p(-math.exp(r))
-            out[rows[i]] = SeriesResult(complex(acc[i]), float(scale[i]), n, cert)
         for i in np.flatnonzero(diverged):
             out[rows[i]] = SeriesDivergence(
                 f"series terms stopped decaying after {n} terms", n)
         keep = ~decided
         rows, acc, scale, max_logmag, tail = (
             a[keep] for a in (rows, acc, scale, max_logmag, tail))
+
+
+def _libm_exp(x: np.ndarray) -> np.ndarray:
+    """exp of every entry with libm's rounding, as ``sum_series`` takes it
+    (numpy's vectorized exp may differ in the last bit)."""
+    out = np.ones(x.shape)
+    idx = np.flatnonzero(x != 0)
+    out[idx] = [math.exp(v) for v in x[idx].tolist()]
+    return out
 
 
 def geometric_indexes(lo: int, hi: int, count: int) -> np.ndarray:

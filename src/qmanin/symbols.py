@@ -33,7 +33,7 @@ from .errors import (ConfigError, InputTooLargeError, InsufficientQuadratureErro
 from .kernels import log_power_sums
 from .measure import RadialQuadrature
 from .operators import OperatorMeta, TruncatedOperator
-from .series import ROW_BLOCK
+from .series import ROW_BLOCK, bound_from_log
 from .weights import QParam, WeightSequence
 
 
@@ -227,7 +227,8 @@ def lower_symbol(A: TruncatedOperator, lam: complex, w: WeightSequence, q,
     must fit inside the operator window, otherwise the quadratic form
     would silently ignore certified mass (WindowTooSmallError).  The
     certified truncation error of the quadratic form is available via
-    ``return_error``.
+    ``return_error``; it is taken in the log domain, and an unnormalized
+    bound beyond a double is refused (InputTooLargeError).
     """
     q = QParam.of(q)
     state = coherent_coefficients(lam, w, q, tol=tol)
@@ -238,10 +239,18 @@ def lower_symbol(A: TruncatedOperator, lam: complex, w: WeightSequence, q,
     value = complex(_forms(A, b[None, :], np.array([m]), [state.lam], normalized)[0])
     if not return_error:
         return value
-    # certified error: tail mass times the operator's column reach
+    # certified error: tail mass times the operator's column reach, taken
+    # in the log domain, where ||phi_lambda||^2 may pass a double
     op_norm = float(np.linalg.norm(A.matrix, 2))
-    err = 2.0 * math.sqrt(max(state.tail_bound, 0.0) * state.norm_sq) * op_norm
-    return value, (err / state.norm_sq if normalized else err)
+    log_norm_sq = 2.0 * m + math.log(float(np.vdot(b, b).real))
+    log_err = 0.5 * (state.tail_log + log_norm_sq)
+    if normalized:
+        log_err -= log_norm_sq
+    err = 2.0 * op_norm * bound_from_log(log_err) if op_norm else 0.0
+    if not math.isfinite(err):
+        raise InputTooLargeError(f"the error bound of the unnormalized lower symbol "
+                                 f"at lambda = {state.lam} overflows a double")
+    return value, err
 
 
 def lower_symbol_grid(A: TruncatedOperator, points, w: WeightSequence, q,
@@ -252,21 +261,23 @@ def lower_symbol_grid(A: TruncatedOperator, points, w: WeightSequence, q,
     q = QParam.of(q)
     pts = np.asarray(points, dtype=complex).ravel()
     cuts = coherent_cutoffs(pts, w, q, tol=tol)
-    for n in cuts:
-        if isinstance(n, Exception):
-            raise n
-        if n > A.cutoff:
-            raise _window_error(A, n, tol)
-    cuts = np.array(cuts, dtype=int)
+    # the points before the first failing one are formed first, so an
+    # overflow among them is raised before that failure
+    fail = next((i for i, n in enumerate(cuts)
+                 if isinstance(n, Exception) or n > A.cutoff), len(cuts))
+    reach = np.array(cuts[:fail], dtype=int)
     vals = np.empty(pts.size, dtype=complex)
-    for start in range(0, pts.size, ROW_BLOCK):
-        blk = slice(start, start + ROW_BLOCK)
-        K = int(cuts[blk].max()) + 1
+    for start in range(0, fail, ROW_BLOCK):
+        blk = slice(start, min(start + ROW_BLOCK, fail))
+        K = int(reach[blk].max()) + 1
         logmag, phase = coeff_log_arrays(pts[blk], w, q, 0, K)
-        logmag[np.arange(K) > cuts[blk, None]] = -np.inf
+        logmag[np.arange(K) > reach[blk, None]] = -np.inf
         m = logmag.max(axis=1)
         B = np.exp(logmag - m[:, None]) * np.exp(1j * phase)
         vals[blk] = _forms(A, B, m, pts[blk], normalized)
+    if fail < len(cuts):
+        n = cuts[fail]
+        raise n if isinstance(n, Exception) else _window_error(A, n, tol)
     tag = "normalized" if normalized else "unnormalized"
     return SymbolValueGrid(pts, vals, f"{tag} lower symbol of {A.meta.symbol}")
 

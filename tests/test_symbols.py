@@ -8,7 +8,8 @@ from conftest import qgauss_table
 from qmanin import (ConfigError, InsufficientQuadratureError, MomentSequence,
                     OutsidePhaseSpaceError, PolynomialSymbol, WeightSequence,
                     WindowTooSmallError, adjoint_annihilation_matrix, annihilation_matrix,
-                    coherent_norm_sq, gauss_quadrature_from_moments,
+                    coherent_coefficients, coherent_norm_sq,
+                    gauss_quadrature_from_moments,
                     identity_matrix, lower_symbol, lower_symbol_grid,
                     number_matrix, quantize_cs, quantize_cs_norm_bound,
                     secondary_toeplitz)
@@ -266,6 +267,13 @@ class TestLowerSymbolGrid:
             lower_symbol_grid(A, [0.1, 0.8, 1.5], w, 1.0)
         with pytest.raises(OutsidePhaseSpaceError):
             lower_symbol_grid(A, [0.1, 1.5, 0.8], w, 1.0)
+        # lambda = 35 needs more than a 1,024 window, lambda = 27 overflows
+        # unnormalized: whichever comes first in the grid raises
+        A = annihilation_matrix(WFAC, 1.0, 1024)
+        with pytest.raises(InputTooLargeError):
+            lower_symbol_grid(A, [1.0, 27.0, 35.0], WFAC, 1.0, normalized=False)
+        with pytest.raises(WindowTooSmallError):
+            lower_symbol_grid(A, [1.0, 35.0, 27.0], WFAC, 1.0, normalized=False)
 
     def test_past_a_double(self):
         # ||phi_27||^2 = e^729: the Berezin symbol stays finite, the
@@ -281,3 +289,20 @@ class TestLowerSymbolGrid:
         # a vanishing form stays 0, not 0 * e^729
         Z = TruncatedOperator(np.zeros((1025, 1025)), A.meta)
         assert lower_symbol(Z, 27.0, WFAC, 1.0, normalized=False) == 0
+
+    def test_error_bound_past_a_double(self):
+        # the certified error is taken in the log domain: finite for the
+        # Berezin symbol at ||phi_27||^2 = e^729, refused unnormalized
+        A = annihilation_matrix(WFAC, 1.0, 1024)
+        v, err = lower_symbol(A, 27.0, WFAC, 1.0, return_error=True)
+        assert abs(v - 27.0) <= 1e-12 * 27 and 0.0 < err < 1e-4
+        with pytest.raises(InputTooLargeError):
+            lower_symbol(A, 27.0, WFAC, 1.0, normalized=False, return_error=True)
+        # where everything fits a double it is 2 ||A|| sqrt(tail * ||phi||^2)
+        st = coherent_coefficients(1.7, WFAC, 1.0, tol=1e-14)
+        op_norm = float(np.linalg.norm(A.matrix, 2))
+        plain = 2.0 * math.sqrt(st.tail_bound * st.norm_sq) * op_norm
+        for normalized, want in ((False, plain), (True, plain / st.norm_sq)):
+            _, err = lower_symbol(A, 1.7, WFAC, 1.0, normalized=normalized,
+                                  return_error=True)
+            assert abs(err - want) <= 1e-12 * want
