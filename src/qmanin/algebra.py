@@ -247,12 +247,8 @@ def project_P(a: ManinElement, w: WeightSequence) -> ManinElement:
         k = mon.i - mon.j
         if k < 0:
             continue
-        wi, wk = w.weight(mon.i), w.weight(k)
-        if math.isfinite(wi) and math.isfinite(wk):
-            factor = wi / wk
-        else:
-            factor = math.exp(w.log_weight(mon.i) - w.log_weight(k))
-        term = c.scaled(factor)
+        ratios = (w.ratio(m) for m in range(k + 1, mon.i + 1))    # w_i / w_k
+        term = c.scaled(math.prod(ratios, start=1.0))
         tgt = ManinMonomial(k, 0)
         out[tgt] = _merge(out[tgt], term, a.q) if tgt in out else term
     return ManinElement(a.q, out)

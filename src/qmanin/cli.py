@@ -288,6 +288,7 @@ _NAMED_OPERATORS = {
     "annihilation": annihilation_matrix,
     "creation": creation_matrix,
     "adjoint": adjoint_annihilation_matrix,
+    "number": lambda w, q, N: number_matrix(N),
 }
 
 
@@ -300,13 +301,10 @@ def _cmd_symbols(cfg: RunConfig, outdir: Path) -> int:
     sec = secondary_toeplitz(f, quad, cfg.weights, cfg.q, cfg.cutoff)
 
     name = cfg.extra_value("operator", "annihilation", str)
-    if name == "number":
-        op = number_matrix(window)
-    elif name in _NAMED_OPERATORS:
-        op = _NAMED_OPERATORS[name](cfg.weights, cfg.q, window)
-    else:
+    if name not in _NAMED_OPERATORS:
         raise ConfigError(f"unknown operator {name!r}; expected one of "
-                          f"{sorted(_NAMED_OPERATORS) + ['number']}")
+                          f"{sorted(_NAMED_OPERATORS)}")
+    op = _NAMED_OPERATORS[name](cfg.weights, cfg.q, window)
     pts = _grid_points(cfg.grid)
     grid = lower_symbol_grid(op, pts, cfg.weights, cfg.q,
                              normalized=cfg.extra_value("normalized", True, _json_bool))

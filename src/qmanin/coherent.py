@@ -296,17 +296,17 @@ def evolve_state(state: CoherentStateVector, t: float) -> CoherentStateVector:
 
 
 def cs_transform(psi_coeffs: Sequence[complex], lam: complex,
-                 w: WeightSequence, q, check_domain: bool = True) -> complex:
+                 w: WeightSequence, q) -> complex:
     """Coherent state transform <phi_lambda, psi> of a finite vector.
 
     psi is given by its basis coefficients c_k; the value is
-    sum_k conj(a_k(lambda)) c_k.
+    sum_k conj(a_k(lambda)) c_k.  A lambda outside the phase space is
+    refused with OutsidePhaseSpaceError.
     """
     q = QParam.of(q)
     lam = _checked(lam)
     c = np.asarray(psi_coeffs, dtype=complex)
-    if check_domain:
-        _settled(_kernel_series([lam], [lam], w, q, tol=1e-6, n_max=50_000))
+    _settled(_kernel_series([lam], [lam], w, q, tol=1e-6, n_max=50_000))
     if c.size == 0:
         return 0j
     logmag, phase = coeff_log_arrays(lam, w, q, 0, c.size)

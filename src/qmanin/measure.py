@@ -269,8 +269,10 @@ def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray
     seeds = np.linalg.eigvalsh(jacobi)
     with mpmath.workdps(dps):
         # Newton converges quadratically, so once a step is below 2^-70 |x|
-        # the node is exact far beyond float64
+        # the node is exact far beyond float64; a node at t = 0 only meets
+        # the recurrence's own noise floor, and inside it the node is 0
         tol = mpmath.mpf(2) ** -70
+        floor = mpmath.mpf(10) ** (-(dps // 2))
         norms = [mpmath.mpf(1)]             # beta_1 ... beta_k
         for k in range(1, npts):
             norms.append(norms[-1] * beta[k])
@@ -281,10 +283,11 @@ def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray
                 _, p, dp = _monic_values(alpha, beta, npts, x)
                 dx = p / dp
                 x -= dx
-                if abs(dx) <= tol * abs(x):
+                if abs(dx) <= max(tol * abs(x), floor):
                     break
             else:
                 raise _Breakdown(f"Newton polish did not converge from seed {seed!r}")
+            x = x if abs(x) > floor else mpmath.mpf(0)
             p = _monic_values(alpha, beta, npts, x)[0]
             roots.append(x)
             weights.append(1 / mpmath.fsum(v ** 2 / h for v, h in zip(p, norms)))

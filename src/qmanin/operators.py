@@ -2,15 +2,16 @@
 
 Column n of T_{theta^i tb^j} holds a single entry
 
-    q^{-jn} * w_{n+i} / (w_n * w_{n+i-j})^{1/2}       at row n + i - j,
+    q^{-jn} * (w_{n+i} / w_n)^{1/2} * (w_{n+i} / w_{n+i-j})^{1/2}   at row n + i - j,
 
-extended linearly over the symbol's terms.  Degree-raising terms push
+extended linearly over the symbol's terms; each weight quotient is a
+product of the exact ratios w_k / w_{k-1}.  Degree-raising terms push
 entries past the cutoff window; those are dropped and the operator's
 exactness flag is cleared so truncation loss is never silent.
 
 Also here: the boundedness/compactness classifier for the annihilation
 operator and the domain membership test, both driven by the ratio
-sequence |q|^{-2n} w_n / w_{n-1}.
+sequence |q|^{-2n} w_n / w_{n-1} taken from the same ratios.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .algebra import ManinElement
-from .errors import ConfigError
+from .errors import ConfigError, InputTooLargeError
 from .weights import QParam, WeightSequence
 
 
@@ -65,17 +66,16 @@ class TruncatedOperator:
     def cutoff(self) -> int:
         return self.dim - 1
 
+    def _relabel(self, **changes) -> "TruncatedOperator":
+        """The same, already validated matrix under changed metadata."""
+        op = object.__new__(TruncatedOperator)
+        object.__setattr__(op, "matrix", self.matrix)
+        object.__setattr__(op, "meta", replace(self.meta, **changes))
+        return op
+
     def adjoint(self) -> "TruncatedOperator":
         return TruncatedOperator(self.matrix.conj().T,
                                  replace(self.meta, symbol=f"({self.meta.symbol})*"))
-
-    def __matmul__(self, other):
-        if isinstance(other, TruncatedOperator):
-            return TruncatedOperator(
-                self.matrix @ other.matrix,
-                replace(self.meta, symbol=f"{self.meta.symbol}@{other.meta.symbol}",
-                        exact=self.meta.exact and other.meta.exact))
-        return self.matrix @ other
 
     def to_json(self) -> dict:
         return {
@@ -93,20 +93,15 @@ class TruncatedOperator:
         return buf.getvalue()
 
 
-def _band_coeff(w: WeightSequence, n: int, i: int, j: int) -> float:
-    """w_{n+i} / (w_n w_{n+i-j})^{1/2} in overflow-safe split form."""
-    hi, lo1, lo2 = w.weight(n + i), w.weight(n), w.weight(n + i - j)
-    if math.isfinite(hi) and math.isfinite(lo1) and math.isfinite(lo2):
-        return math.sqrt(hi / lo1) * math.sqrt(hi / lo2)
-    try:
-        return math.exp(w.log_weight(n + i)
-                        - 0.5 * (w.log_weight(n) + w.log_weight(n + i - j)))
-    except OverflowError:
-        return math.inf     # too large for a double: TruncatedOperator refuses it
+# ratio factors one band entry may multiply; a longer band is refused
+_MAX_BAND_FACTORS = 1 << 16
 
 
 def toeplitz_matrix(g: ManinElement, w: WeightSequence, q, N: int) -> TruncatedOperator:
-    """Truncated matrix of T_g on the basis phi_0..phi_N."""
+    """Truncated matrix of T_g on the basis phi_0..phi_N.
+
+    Each square-root weight quotient is a product of w.sqrt_ratio(k) taken
+    from 1.0 in increasing k; an entry past a double is inf and refused."""
     q = QParam.of(q)
     if g.q.value != q.value:
         raise ConfigError("symbol was built over a different q")
@@ -116,15 +111,26 @@ def toeplitz_matrix(g: ManinElement, w: WeightSequence, q, N: int) -> TruncatedO
     exact = True
     for mon, coeff in g:
         i, j = mon.i, mon.j
-        for n in range(N + 1):
-            row = n + i - j
-            if row < 0:
-                continue
-            if row > N:
-                exact = False
-                continue
-            z = coeff.evaluate(g.q) * q.power(-j * n) * _band_coeff(w, n, i, j)
-            mat[row, n] += z
+        exact = exact and i <= j       # else column N's image leaves the window
+        lo, hi = max(0, j - i), N + min(0, j - i)   # columns with rows in the window
+        if lo > hi:
+            continue
+        if i + j > _MAX_BAND_FACTORS:
+            raise InputTooLargeError(f"th^{i} tb^{j} needs {i + j} weight ratios "
+                                     f"per entry, above the cap {_MAX_BAND_FACTORS}")
+        z = np.array([coeff.evaluate(g.q) * q.power(-j * n) for n in range(lo, hi + 1)])
+        s = np.array([w.sqrt_ratio(k) for k in range(1, hi + i + 1)])
+        # column n takes s[k - 1] = sqrt_ratio(k) at k = n + t, first over
+        # 0 < t <= i for (w_{n+i}/w_n)^{1/2}, then over i-j < t <= i for
+        # (w_{n+i}/w_{n+i-j})^{1/2}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ts in (range(1, i + 1), range(i - j + 1, i + 1)):
+                band = np.ones(hi - lo + 1)
+                for t in ts:
+                    band *= s[lo + t - 1:hi + t]
+                z = z * band
+        cols = np.arange(lo, hi + 1)
+        mat[cols + i - j, cols] += z
     return TruncatedOperator(mat, OperatorMeta(
         symbol=_symbol_string(g), weights=w.describe(), q=q.value, exact=exact))
 
@@ -146,27 +152,20 @@ def _symbol_string(g: ManinElement) -> str:
 def annihilation_matrix(w: WeightSequence, q, N: int) -> TruncatedOperator:
     """T_tb: entry (n-1, n) = q^{-n} (w_n / w_{n-1})^{1/2}."""
     q = QParam.of(q)
-    mat = np.zeros((N + 1, N + 1), dtype=complex)
-    for n in range(1, N + 1):
-        mat[n - 1, n] = q.power(-n) * w.sqrt_ratio(n)
-    return TruncatedOperator(mat, OperatorMeta("tb", w.describe(), q.value, exact=True))
+    return toeplitz_matrix(ManinElement.theta_bar(q), w, q, N)._relabel(symbol="tb")
 
 
 def creation_matrix(w: WeightSequence, q, N: int) -> TruncatedOperator:
-    """T_th: entry (n+1, n) = (w_{n+1} / w_n)^{1/2}, q-free; the conjugate
-    transpose of the annihilation band at q = 1."""
-    # column N's image phi_{N+1} falls outside the window
-    return TruncatedOperator(annihilation_matrix(w, 1.0, N).matrix.conj().T,
-                             OperatorMeta("th", w.describe(), QParam.of(q).value,
-                                          exact=False))
+    """T_th: entry (n+1, n) = (w_{n+1} / w_n)^{1/2}, q-free; column N's
+    image phi_{N+1} falls outside the window."""
+    q = QParam.of(q)
+    return toeplitz_matrix(ManinElement.theta(q), w, q, N)._relabel(symbol="th")
 
 
 def adjoint_annihilation_matrix(w: WeightSequence, q, N: int) -> TruncatedOperator:
     """(T_tb)*: the conjugate transpose band, entry (n+1, n) =
     conj(q)^{-(n+1)} (w_{n+1} / w_n)^{1/2}."""
-    return TruncatedOperator(annihilation_matrix(w, q, N).matrix.conj().T,
-                             OperatorMeta("tb*", w.describe(), QParam.of(q).value,
-                                          exact=False))
+    return annihilation_matrix(w, q, N).adjoint()._relabel(symbol="tb*", exact=False)
 
 
 def number_matrix(N: int) -> TruncatedOperator:
@@ -234,15 +233,17 @@ def boundedness_report(w: WeightSequence, q, horizon: int = 200) -> BoundednessR
     if horizon < 10:
         raise ConfigError("boundedness classification needs horizon >= 10")
     n = np.arange(1, horizon + 1, dtype=np.int64)
-    lw = w.log_weights(0, horizon + 1)
-    log_ratios = -2.0 * n * q.log_abs + lw[1:] - lw[:-1]
-    ratios = np.exp(log_ratios)
+    with np.errstate(divide="ignore", over="ignore"):
+        ratios = np.exp(-2.0 * n * q.log_abs + np.log([w.ratio(k) for k in n]))
     window = ratios[-max(8, ratios.size // 4):]
     sup = float(np.max(ratios))
     zero_tol = 1e-12 * max(1.0, sup)
 
     bounded, compact = "inconclusive", "inconclusive"
-    if np.all(np.diff(window) <= 1e-12 * np.maximum(window[:-1], 1e-300)):
+    if math.isinf(sup):
+        # the squared norm is at least every ratio, and one is past a double
+        bounded, compact = "no", "no"
+    elif np.all(np.diff(window) <= 1e-12 * np.maximum(window[:-1], 1e-300)):
         # non-increasing tail
         if window[-1] <= zero_tol:
             bounded, compact = "yes", "yes"
@@ -290,8 +291,10 @@ def domain_membership(coeff_source: CoefficientSource, w: WeightSequence, q,
     for k in n:
         a = complex(coeff_source(int(k)))
         log_a[k - 1] = math.log(abs(a)) if a != 0 else -math.inf
-    lw = w.log_weights(0, horizon + 1)
-    log_t = 2.0 * log_a - 2.0 * n * q.log_abs + lw[1:] - lw[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_t = 2.0 * log_a - 2.0 * n * q.log_abs + np.log([w.ratio(k) for k in n])
+    if np.any(np.isnan(log_t) | np.isposinf(log_t)):
+        return "inconclusive"       # a weight ratio past a double
     if np.all(np.isneginf(log_t[-(n.size // 4):])):
         return "in_domain"          # effectively finite support
 

@@ -13,14 +13,13 @@ textbook extreme quantum theory.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .operators import OperatorMeta, TruncatedOperator
-from .weights import QParam
+from .operators import TruncatedOperator, annihilation_matrix
+from .weights import QParam, WeightSequence
 
 # Largest nilpotency order accepted.  pg_structure_report costs O(l^4):
 # about 1.5 s at l = 256 and 8 s at l = 512.
@@ -42,24 +41,20 @@ class ParagrassmannConfig:
         if self.l > MAX_PG_ORDER:
             raise ConfigError(f"nilpotency order {self.l} exceeds the cap "
                               f"{MAX_PG_ORDER}")
-        ws = tuple(float(x) for x in self.weights)
+        ws = WeightSequence.explicit(self.weights).table    # positive, finite
         if len(ws) != self.l:
             raise ConfigError(f"need exactly {self.l} weights, got {len(ws)}")
-        if any(not (x > 0) or not math.isfinite(x) for x in ws):
-            raise ConfigError("paragrassmann weights must be positive and finite")
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "q", QParam.of(self.q).value)
 
 
 def pg_annihilation(cfg: ParagrassmannConfig) -> TruncatedOperator:
-    """The l x l annihilation matrix: superdiagonal (w_j / w_{j-1})^{1/2}.
+    """The l x l annihilation matrix: superdiagonal (w_j / w_{j-1})^{1/2},
+    the annihilation band of the table at q = 1.
 
     q-independent; exact, since nothing is truncated away."""
-    mat = np.zeros((cfg.l, cfg.l), dtype=complex)
-    for j in range(1, cfg.l):
-        mat[j - 1, j] = math.sqrt(cfg.weights[j] / cfg.weights[j - 1])
-    return TruncatedOperator(mat, OperatorMeta(
-        symbol="tb (paragrassmann)", weights=f"pg[{cfg.l}]", q=cfg.q, exact=True))
+    A = annihilation_matrix(WeightSequence.explicit(cfg.weights), 1.0, cfg.l - 1)
+    return A._relabel(symbol="tb (paragrassmann)", weights=f"pg[{cfg.l}]", q=cfg.q)
 
 
 @dataclass(frozen=True)

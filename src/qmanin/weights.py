@@ -8,7 +8,7 @@ here.  The convention w_m = 1 for m < 0 is baked in.
 Every rule is one family, w_n = c * (n!)**s; only explicit tables differ.
 Weights can be astronomically large (factorial, |q|-power tables), so every
 consumer that cares about overflow goes through ``log_weight`` /
-``log_weights`` instead of ``weight``.
+``log_weights``, and every weight quotient is a product of ``ratio``.
 """
 
 from __future__ import annotations
@@ -201,13 +201,17 @@ class WeightSequence:
 
     def ratio(self, n: int) -> float:
         """w_n / w_{n-1} (w_{-1} = 1); n**s for the rule, so huge indices
-        do not go through lossy lgamma differences."""
+        do not go through lossy lgamma differences.  A ratio too large for
+        a double is inf."""
         if n <= 0:
             return self.weight(n)
         self._check(n)
         if self.table is not None:
             return self.table[n] / self.table[n - 1]
-        return float(n) ** self.s
+        try:
+            return float(n) ** self.s
+        except OverflowError:
+            return math.inf
 
     def sqrt_ratio(self, n: int) -> float:
         """(w_n / w_{n-1})**(1/2), the universal band entry."""

@@ -327,13 +327,30 @@ def test_measure_config_is_what_ran(tmp_path):
     assert doc["result"]["gram_check"]["ok"] is True
 
 
-def test_measure_determinism(tmp_path):
+# a small configuration per subcommand for the rerun check
+_RERUN_CONFIGS = {
+    "radius": {"weights": "power-factorial:1.5", "q": "0.9"},
+    "operator": {"symbol": "th^2 tb^1 + (0.5-1j) tb^3", "q": "0.9+0.3j"},
+    "coherent": {"lambda": [1.0, 0.5]},
+    "kernel": {"grid": {"rmax": 1.5, "nr": 3, "ntheta": 4}},
+    "measure": {"order": 8},
+    "symbols": {"cutoff": 8, "grid": {"rmax": 1.0, "nr": 2, "ntheta": 3}},
+    "paragrassmann": {"l": 5},
+}
+
+
+@pytest.mark.parametrize("cmd", list(_RERUN_CONFIGS))
+def test_measure_determinism(tmp_path, cmd):
+    # every artifact of a subcommand is byte-identical between two runs
     out1, out2 = tmp_path / "a", tmp_path / "b"
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"order": 8}))
-    assert main(["--out", str(out1), "measure", "--config", str(cfg)]) == 0
-    assert main(["--out", str(out2), "measure", "--config", str(cfg)]) == 0
-    assert (out1 / "measure.json").read_bytes() == (out2 / "measure.json").read_bytes()
+    cfg.write_text(json.dumps(_RERUN_CONFIGS[cmd]))
+    assert main(["--out", str(out1), cmd, "--config", str(cfg)]) == 0
+    assert main(["--out", str(out2), cmd, "--config", str(cfg)]) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names and names == sorted(p.name for p in out2.iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_symbols_artifacts(tmp_path):

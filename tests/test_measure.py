@@ -121,6 +121,15 @@ class TestMomentSolver:
         with pytest.raises(IndefiniteMomentsError):
             gauss_quadrature_from_moments(m, 2)
 
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_node_at_zero_polishes_to_zero(self, order):
+        # moments m_j = w_j / pi = (2, 1, 1, ...): the measure delta_0 + delta_1
+        w = WeightSequence.explicit([math.pi * x for x in (2, 1, 1, 1, 1, 1, 1, 1)])
+        quad = gauss_quadrature_from_moments(
+            MomentSequence.from_weights(w, 1.0, 2 * order - 1), order)
+        assert list(quad.nodes) == [0.0, 1.0]
+        assert list(quad.masses) == [1.0, 1.0]
+
     @pytest.mark.parametrize("w, q, order", [
         (WFAC, 1.3, 2),
         (WeightSequence.power_factorial(2.0), 1.05j, 8),

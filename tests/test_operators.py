@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from qmanin import (ConfigError, ManinElement, WeightSequence,
                     adjoint_annihilation_matrix, annihilation_matrix,
                     boundedness_report, creation_matrix, domain_membership,
                     identity_matrix, number_matrix, toeplitz_matrix)
+from qmanin.errors import InputTooLargeError
 from qmanin.operators import TruncatedOperator, OperatorMeta
 from qmanin.weights import QParam
 
@@ -100,6 +102,35 @@ class TestToeplitzMatrix:
         with pytest.raises(ConfigError):
             toeplitz_matrix(ManinElement.theta(1.0), w, 1.0, 5)
 
+    def test_band_entries_exact_to_rounding(self):
+        # factorial weights at q = 1: entry (n+i-j, n) is
+        # sqrt(perm(n+i, i) * perm(n+i, j)); the th tb diagonal is n + 1
+        N = 1024
+        d = toeplitz_matrix(ManinElement.monomial(1.0, 1, 1), WFAC, 1.0, N).matrix
+        n = np.arange(N + 1)
+        assert np.max(np.abs(np.diag(d).real - (n + 1)) / (n + 1)) <= 4.5e-16
+        for i in range(4):
+            for j in range(4):
+                T = toeplitz_matrix(ManinElement.monomial(1.0, i, j), WFAC, 1.0, N).matrix
+                for col in range(max(0, j - i), N + 1 + min(0, j - i)):
+                    exact = math.sqrt(math.perm(col + i, i) * math.perm(col + i, j))
+                    assert abs(T[col + i - j, col] - exact) <= 1e-15 * exact, (i, j, col)
+
+    def test_long_band_refused_before_allocation(self):
+        # th^K tb^K stays on the diagonal, but each entry would multiply 2K
+        # ratios; th^K alone leaves the window and costs nothing
+        K = 10**9
+        with pytest.raises(InputTooLargeError):
+            toeplitz_matrix(ManinElement.monomial(1.0, K, K), WCONST, 1.0, 4)
+        T = toeplitz_matrix(ManinElement.theta(1.0, K), WCONST, 1.0, 4)
+        assert not T.matrix.any() and not T.meta.exact
+
+    def test_ratio_past_a_double_is_refused(self):
+        # w_n / w_{n-1} = n^200 passes a double from n = 35 on
+        w = WeightSequence.power_factorial(200.0)
+        with pytest.raises(ConfigError, match="finite"):
+            annihilation_matrix(w, 1.0, 100)
+
 
 class TestNamedMatrices:
     def test_annihilation_superdiagonal(self):
@@ -130,6 +161,18 @@ class TestNamedMatrices:
         C1 = creation_matrix(WFAC, 1.0, 6).matrix
         A1 = adjoint_annihilation_matrix(WFAC, 1.0, 6).matrix
         assert np.allclose(C1, A1, rtol=1e-14)
+
+    def test_named_bands_are_toeplitz_matrices(self):
+        for w in (WFAC, WeightSequence.power_factorial(-0.5), WeightSequence.constant(2.0)):
+            for q in (1.0, cmath.exp(0.6j), 0.9, 2 + 1j, -1.0):
+                A = annihilation_matrix(w, q, 120)
+                C = creation_matrix(w, q, 120)
+                assert np.array_equal(
+                    A.matrix, toeplitz_matrix(ManinElement.theta_bar(q), w, q, 120).matrix)
+                assert np.array_equal(
+                    C.matrix, toeplitz_matrix(ManinElement.theta(q), w, q, 120).matrix)
+                assert (A.meta.symbol, A.meta.exact) == ("tb", True)
+                assert (C.meta.symbol, C.meta.exact) == ("th", False)
 
     def test_creation_is_q_free(self):
         a = creation_matrix(WFAC, 2.0, 5).matrix
@@ -192,6 +235,14 @@ class TestBoundedness:
             table.append(acc)
         rep = boundedness_report(WeightSequence.explicit(table), 1.0, horizon=150)
         assert rep.bounded == "inconclusive"
+
+    def test_overflowing_ratios_are_unbounded_without_warning(self):
+        # |q|^{-2n} n! passes a double near n = 150
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = boundedness_report(WFAC, 0.1)
+        assert math.isinf(max(rep.ratio_sequence))
+        assert rep.bounded == "no" and math.isinf(rep.sup_estimate)
 
     def test_invariant_guard(self):
         from qmanin.operators import BoundednessReport
