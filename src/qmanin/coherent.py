@@ -27,8 +27,6 @@ from numbers import Number
 from typing import NamedTuple, Sequence
 
 import numpy as np
-# np.median here and np.unique in series.py load numpy.ma on first call
-import numpy.ma  # noqa: F401
 
 from .errors import ConfigError, OutsidePhaseSpaceError, ToleranceUnreachableError
 from .kernels import csum_logpolar
@@ -373,6 +371,16 @@ class RadiusEstimate:
         }
 
 
+def _median(x: np.ndarray) -> float:
+    """The float np.median gives for a 1-d array (NaN if any entry is NaN),
+    without the numpy.ma import that np.median pays on its first call."""
+    if np.isnan(x).any():
+        return math.nan
+    s = np.sort(x)
+    mid = s.size // 2
+    return float(s[mid]) if s.size % 2 else float((s[mid - 1] + s[mid]) / 2.0)
+
+
 def boundary_series_verdict(radius: float, w: WeightSequence, q,
                             horizon: int = 10_000) -> str:
     """Raabe test on the norm series at |lambda| = radius.
@@ -389,7 +397,7 @@ def boundary_series_verdict(radius: float, w: WeightSequence, q,
     logu = 2.0 * coeff_log_arrays(radius, w, q, hb // 2, hb)[0]   # log|a_n|^2
     ratios = np.exp(logu[:-1] - logu[1:])       # u_n / u_{n+1}
     raabe = ns[:-1] * (ratios - 1.0)
-    est = float(np.median(raabe[-max(8, raabe.size // 4):]))
+    est = _median(raabe[-max(8, raabe.size // 4):])
     if est > 1.1:
         return "converges"
     if est < 0.9:

@@ -15,10 +15,14 @@ sequences at factorial scale annihilate double precision long before the
 orders used here.  The float64 eigenvalues of the Jacobi matrix only seed
 the nodes: Newton on the recurrence polishes each one at the recurrence's
 precision, and the masses are the Christoffel numbers at the polished
-nodes.  Only the final nodes and masses are cast to float64, which
-perturbs the matched moments by a few ulps at most.  A polished node
-below zero means no positive measure on t >= 0 fits the moments, even
-with a definite Hankel matrix, and the rule is refused as indefinite.
+nodes.  The recurrence and the polish run on mpmath's raw mpf tuples
+(``mpmath.libmp``) at the working precision, each operation rounded to
+nearest as an mpf object would round it, so the rule is the one mpf
+arithmetic gives, without an object per operation.  Only the final
+nodes and masses are cast to float64, which perturbs the matched moments
+by a few ulps at most.  A polished node below zero means no positive
+measure on t >= 0 fits the moments, even with a definite Hankel matrix,
+and the rule is refused as indefinite.
 
 Atomic rules are accepted on purpose: only moment identities enter the
 downstream computations, so absolute continuity of the underlying measure
@@ -35,6 +39,9 @@ from typing import Optional
 
 import mpmath
 import numpy as np
+from mpmath.libmp import (fone, from_float, fzero, mpf_abs, mpf_add, mpf_div, mpf_le,
+                          mpf_lt, mpf_mul, mpf_neg, mpf_rdiv_int, mpf_sub, mpf_sum,
+                          round_nearest as _RND)
 from numpy.polynomial.laguerre import laggauss
 
 from .coherent import coeff_log_arrays
@@ -166,13 +173,23 @@ def closed_form_density(w: WeightSequence, q) -> Optional[ClosedFormDensity]:
 # moments -> Gauss rule
 # ---------------------------------------------------------------------------
 
+class _Breakdown(Exception):
+    """The working precision, Newton polish or the float64 surface failed
+    at this order."""
+
+
+# the solver's own failures at an order; anything else is a fault and propagates
+_SOLVER_FAILURES = (_Breakdown, mpmath.libmp.NoConvergence, ZeroDivisionError,
+                    OverflowError)
+
+
 def _chebyshev_recurrence(m: MomentSequence, order: int):
     """Three-term recurrence coefficients from the (scaled) moments.
 
-    Runs in mpmath arbitrary precision; returns (alpha, beta, atoms) where
-    ``atoms`` is set when a vanishing beta reveals an exactly atomic
-    measure of fewer than ``order`` points.  A precision above MAX_DPS is
-    refused with _Breakdown.
+    Runs in mpmath arbitrary precision; returns (alpha, beta, atoms, log_s,
+    log_m0, dps) with alpha and beta as lists of mpf, where ``atoms`` is set
+    when a vanishing beta reveals an exactly atomic measure of fewer than
+    ``order`` points.  A precision above MAX_DPS is refused with _Breakdown.
     """
     if 2 * order - 1 > m.jmax:
         raise ConfigError(f"order {order} needs moments up to {2 * order - 1}, "
@@ -184,35 +201,44 @@ def _chebyshev_recurrence(m: MomentSequence, order: int):
                          f"cap of {MAX_DPS}")
     raw = m.mp_logs if len(m.mp_logs) > m.jmax else [mpmath.mpf(x) for x in m.log_values]
     with mpmath.workdps(dps):
+        prec = mpmath.mp.prec
         log_m0 = mpmath.mpf(raw[0])
         log_s = mpmath.mpf(raw[1]) - log_m0 if m.jmax >= 1 else mpmath.mpf(0)
         # scaled moments nu_j = m_j / (m_0 * s^j); nu_0 = nu_1 = 1
-        nu = [mpmath.e ** (mpmath.mpf(raw[j]) - log_m0 - j * log_s)
+        nu = [(mpmath.e ** (mpmath.mpf(raw[j]) - log_m0 - j * log_s))._mpf_
               for j in range(2 * order)]
-        alpha = [nu[1] / nu[0]]
-        beta = [nu[0]]
-        eps = mpmath.mpf(10) ** (-(dps // 2))
-        sig_prev = [mpmath.mpf(0)] * (2 * order)
-        sig_cur = list(nu)
-        atoms = None
-        for k in range(1, order):
-            sig_next = [mpmath.mpf(0)] * (2 * order)
-            for l in range(k, 2 * order - k):
-                sig_next[l] = (sig_cur[l + 1]
-                               - alpha[k - 1] * sig_cur[l]
-                               - beta[k - 1] * sig_prev[l])
-            b = sig_next[k] / sig_cur[k - 1]
-            if b <= eps * max(1, abs(beta[-1])):
-                if b < -eps * max(1, abs(beta[-1])):
-                    raise IndefiniteMomentsError(
-                        f"Hankel matrix indefinite at order {k + 1}: no positive "
-                        f"measure matches these moments", order=k + 1)
-                atoms = k          # exactly k atoms carry all the mass
-                break
-            alpha.append(sig_next[k + 1] / sig_next[k] - sig_cur[k] / sig_cur[k - 1])
-            beta.append(b)
-            sig_prev, sig_cur = sig_cur, sig_next
-        return alpha, beta, atoms, log_s, log_m0, dps
+        eps = (mpmath.mpf(10) ** (-(dps // 2)))._mpf_
+    # raw mpf tuples from here on, each operation rounded to nearest at prec
+    alpha = [mpf_div(nu[1], nu[0], prec, _RND)]
+    beta = [nu[0]]
+    sig_prev = [fzero] * (2 * order)
+    sig_cur = nu
+    atoms = None
+    for k in range(1, order):
+        a, b = alpha[k - 1], beta[k - 1]
+        sig_next = [fzero] * (2 * order)
+        for l in range(k, 2 * order - k):
+            sig_next[l] = mpf_sub(
+                mpf_sub(sig_cur[l + 1], mpf_mul(a, sig_cur[l], prec, _RND), prec, _RND),
+                mpf_mul(b, sig_prev[l], prec, _RND), prec, _RND)
+        # every beta so far is positive, so max(1, |beta_{k-1}|) needs no abs
+        thresh = mpf_mul(eps, b, prec, _RND) if mpf_lt(fone, b) else eps
+        beta_k = mpf_div(sig_next[k], sig_cur[k - 1], prec, _RND)
+        if mpf_le(beta_k, thresh):
+            if mpf_lt(beta_k, mpf_neg(thresh)):
+                raise IndefiniteMomentsError(
+                    f"Hankel matrix indefinite at order {k + 1}: no positive "
+                    f"measure matches these moments", order=k + 1)
+            atoms = k          # exactly k atoms carry all the mass
+            break
+        alpha.append(mpf_sub(mpf_div(sig_next[k + 1], sig_next[k], prec, _RND),
+                             mpf_div(sig_cur[k], sig_cur[k - 1], prec, _RND),
+                             prec, _RND))
+        beta.append(beta_k)
+        sig_prev, sig_cur = sig_cur, sig_next
+    make = mpmath.mp.make_mpf
+    return ([make(a) for a in alpha], [make(b) for b in beta], atoms,
+            log_s, log_m0, dps)
 
 
 def gauss_quadrature_from_moments(m: MomentSequence, order: int) -> RadialQuadrature:
@@ -233,19 +259,13 @@ def gauss_quadrature_from_moments(m: MomentSequence, order: int) -> RadialQuadra
         nodes, masses = _golub_welsch(m, order)
     except IndefiniteMomentsError:
         raise
-    except (_Breakdown, mpmath.libmp.NoConvergence, ZeroDivisionError,
-            OverflowError) as exc:
+    except _SOLVER_FAILURES as exc:
         achievable = _probe_achievable(m, order)
         reason = exc if isinstance(exc, _Breakdown) else "moment conditioning failed"
         raise OrderTooHighError(
             f"{reason} at order {order}; largest achievable order is "
             f"{achievable}", achievable=achievable) from exc
     return RadialQuadrature(nodes, masses, order, provenance="moment-solved")
-
-
-class _Breakdown(Exception):
-    """The working precision, Newton polish or the float64 surface failed
-    at this order."""
 
 
 _NEWTON_STEPS = 30
@@ -267,58 +287,71 @@ def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray
     if not np.all(np.isfinite(jacobi)):
         raise _Breakdown("the Jacobi matrix overflows float64")
     seeds = np.linalg.eigvalsh(jacobi)
+    roots, weights = _polish(alpha[:npts], beta[:npts], seeds, dps)
+    if any(mpf_le(b, a) for a, b in zip(roots, roots[1:])):
+        raise _Breakdown("two float64 seeds polished into one node")
+    if mpf_lt(roots[0], fzero):
+        raise IndefiniteMomentsError(
+            f"the order-{npts} Gauss rule has a node t = r^2 < 0: no "
+            f"positive measure on t >= 0 matches these moments", order=npts)
     with mpmath.workdps(dps):
-        # Newton converges quadratically, so once a step is below 2^-70 |x|
-        # the node is exact far beyond float64; a node at t = 0 only meets
-        # the recurrence's own noise floor, and inside it the node is 0
-        tol = mpmath.mpf(2) ** -70
-        floor = mpmath.mpf(10) ** (-(dps // 2))
-        norms = [mpmath.mpf(1)]             # beta_1 ... beta_k
-        for k in range(1, npts):
-            norms.append(norms[-1] * beta[k])
-        roots, weights = [], []
-        for seed in seeds:
-            x = mpmath.mpf(seed)
-            for _ in range(_NEWTON_STEPS):
-                _, p, dp = _monic_values(alpha, beta, npts, x)
-                dx = p / dp
-                x -= dx
-                if abs(dx) <= max(tol * abs(x), floor):
-                    break
-            else:
-                raise _Breakdown(f"Newton polish did not converge from seed {seed!r}")
-            x = x if abs(x) > floor else mpmath.mpf(0)
-            p = _monic_values(alpha, beta, npts, x)[0]
-            roots.append(x)
-            weights.append(1 / mpmath.fsum(v ** 2 / h for v, h in zip(p, norms)))
-        if any(a >= b for a, b in zip(roots, roots[1:])):
-            raise _Breakdown("two float64 seeds polished into one node")
-        if roots[0] < 0:
-            raise IndefiniteMomentsError(
-                f"the order-{npts} Gauss rule has a node t = r^2 < 0: no "
-                f"positive measure on t >= 0 matches these moments", order=npts)
         scale = mpmath.e ** log_s
         total = mpmath.e ** log_m0
-        nodes = np.array([float(x * scale) for x in roots])
-        masses = np.array([float(w * total) for w in weights])
+        make = mpmath.mp.make_mpf
+        nodes = np.array([float(make(x) * scale) for x in roots])
+        masses = np.array([float(make(w) * total) for w in weights])
     if np.any(masses == 0.0):
         raise _Breakdown("a Christoffel mass underflows float64")
     return nodes, masses
 
 
-def _monic_values(alpha, beta, npts: int, x):
-    """[p_0(x) .. p_{npts-1}(x)], p_npts(x) and p_npts'(x)."""
-    p_prev, p = mpmath.mpf(0), mpmath.mpf(1)
-    dp_prev, dp = mpmath.mpf(0), mpmath.mpf(0)
-    values = []
-    for k in range(npts):
-        values.append(p)
-        t = x - alpha[k]
-        p_next = t * p - beta[k] * p_prev
-        dp_next = p + t * dp - beta[k] * dp_prev
-        p_prev, p = p, p_next
-        dp_prev, dp = dp, dp_next
-    return values, p, dp
+def _polish(alpha, beta, seeds, dps: int) -> tuple[list, list]:
+    """Newton-polished zeros of p_npts, npts = len(alpha), from the float64
+    seeds, and the Christoffel number at each, as raw mpf tuples at ``dps``
+    digits, every operation rounded to nearest as mpf objects round it."""
+    with mpmath.workdps(dps):
+        prec = mpmath.mp.prec
+        # Newton converges quadratically, so once a step is below 2^-70 |x|
+        # the node is exact far beyond float64; a node at t = 0 only meets
+        # the recurrence's own noise floor, and inside it the node is 0
+        tol = (mpmath.mpf(2) ** -70)._mpf_
+        floor = (mpmath.mpf(10) ** (-(dps // 2)))._mpf_
+    coeffs = [(a._mpf_, b._mpf_) for a, b in zip(alpha, beta)]
+    norms = [fone]                          # beta_1 ... beta_k
+    for _, b in coeffs[1:]:
+        norms.append(mpf_mul(norms[-1], b, prec, _RND))
+    roots, weights = [], []
+    for seed in seeds:
+        x = from_float(seed)
+        for _ in range(_NEWTON_STEPS):
+            # p_npts(x) and p_npts'(x) by the recurrence and its derivative
+            p_prev, p, dp_prev, dp = fzero, fone, fzero, fzero
+            for a, b in coeffs:
+                t = mpf_sub(x, a, prec, _RND)
+                p_next = mpf_sub(mpf_mul(t, p, prec, _RND),
+                                 mpf_mul(b, p_prev, prec, _RND), prec, _RND)
+                dp_next = mpf_sub(mpf_add(p, mpf_mul(t, dp, prec, _RND), prec, _RND),
+                                  mpf_mul(b, dp_prev, prec, _RND), prec, _RND)
+                p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
+            dx = mpf_div(p, dp, prec, _RND)
+            x = mpf_sub(x, dx, prec, _RND)
+            bound = mpf_mul(tol, mpf_abs(x), prec, _RND)
+            if mpf_le(mpf_abs(dx), floor if mpf_lt(bound, floor) else bound):
+                break
+        else:
+            raise _Breakdown(f"Newton polish did not converge from seed {seed!r}")
+        if not mpf_lt(floor, mpf_abs(x)):
+            x = fzero
+        # the Christoffel number needs p_0(x) .. p_{npts-1}(x) only; the
+        # k = 0 term is p_0^2 / 1 = 1
+        terms, p_prev, p = [fone], fzero, fone
+        for (a, b), h in zip(coeffs, norms[1:]):
+            p_prev, p = p, mpf_sub(mpf_mul(mpf_sub(x, a, prec, _RND), p, prec, _RND),
+                                   mpf_mul(b, p_prev, prec, _RND), prec, _RND)
+            terms.append(mpf_div(mpf_mul(p, p, prec, _RND), h, prec, _RND))
+        roots.append(x)
+        weights.append(mpf_rdiv_int(1, mpf_sum(terms, prec, _RND), prec, _RND))
+    return roots, weights
 
 
 def _probe_achievable(m: MomentSequence, order: int) -> int:
@@ -326,7 +359,7 @@ def _probe_achievable(m: MomentSequence, order: int) -> int:
         try:
             _golub_welsch(m, k)
             return k
-        except Exception:
+        except (IndefiniteMomentsError, *_SOLVER_FAILURES):
             continue
     return 0
 

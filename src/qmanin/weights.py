@@ -14,7 +14,7 @@ consumer that cares about overflow goes through ``log_weight`` /
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,6 +32,9 @@ class QParam:
     """The non-zero complex parameter q of the commutation relation."""
 
     value: complex
+    # computed once per q: every Toeplitz column calls ``power``
+    log_abs: float = field(init=False, repr=False, compare=False)
+    arg: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = complex(self.value)
@@ -40,6 +43,8 @@ class QParam:
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise ConfigError("q must be finite")
         object.__setattr__(self, "value", v)
+        object.__setattr__(self, "log_abs", math.log(abs(v)))
+        object.__setattr__(self, "arg", math.atan2(v.imag, v.real))
 
     @classmethod
     def of(cls, q) -> "QParam":
@@ -48,14 +53,6 @@ class QParam:
     @property
     def abs(self) -> float:
         return abs(self.value)
-
-    @property
-    def log_abs(self) -> float:
-        return math.log(abs(self.value))
-
-    @property
-    def arg(self) -> float:
-        return math.atan2(self.value.imag, self.value.real)
 
     def power(self, e: int) -> complex:
         """q**e for integer e, via logs so large |e| cannot silently wrap."""

@@ -265,6 +265,16 @@ class TestRadius:
         assert abs(est.value - 1.0) <= 2e-2
         assert est.boundary_verdict == "inconclusive"
 
+    def test_median_is_numpys(self):
+        from qmanin.coherent import _median
+        rng = np.random.default_rng(3)
+        for size in range(1, 41):
+            x = rng.normal(size=size)
+            x[rng.random(size) < 0.1] = np.inf
+            assert _median(x) == float(np.median(x))
+        x[size // 2] = np.nan
+        assert math.isnan(_median(x))
+
     def test_scale_invariance_within_uncertainty(self):
         base = radius_of_convergence(WCONST, 1.0, horizon=10**6)
         scaled = radius_of_convergence(WCONST.scaled(4.0), 1.0, horizon=10**6)

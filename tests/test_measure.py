@@ -189,6 +189,19 @@ class TestMomentSolver:
         quad = gauss_quadrature_from_moments(m, achievable)
         assert np.all(quad.masses > 0)
 
+    def test_probe_lets_faults_through(self, monkeypatch):
+        # only the solver's own failures lower the achievable order; a
+        # programming error at a lower order is raised, not swallowed
+        def solver(m, order):
+            if order == 8:
+                raise measure._Breakdown("forced breakdown")
+            raise TypeError("a fault below the requested order")
+
+        monkeypatch.setattr(measure, "_golub_welsch", solver)
+        m = MomentSequence.from_weights(WFAC, 1.0, 15)
+        with pytest.raises(TypeError, match="fault below"):
+            gauss_quadrature_from_moments(m, 8)
+
     def test_precision_cap_leaves_definiteness_undecided(self):
         m = MomentSequence.from_weights(WFAC, 1e-30, 39)
         assert m.is_positive_definite(2)
@@ -213,6 +226,182 @@ class TestMomentSolver:
         back = RadialQuadrature.from_json(quad.to_json())
         assert np.allclose(back.nodes, quad.nodes)
         assert np.allclose(back.masses, quad.masses)
+
+
+# delta_0 + delta_1 at |q| = 1: moments (2, 1, 1, ...), an atomic measure
+WDELTA01 = WeightSequence.explicit([math.pi * x for x in (2,) + (1,) * 39])
+
+
+def _outcome(solve, *args):
+    """The solver's result, or the type, message and achievable order of
+    what it raised."""
+    try:
+        return solve(*args)
+    except (ConfigError, OrderTooHighError, IndefiniteMomentsError,
+            measure._Breakdown) as exc:
+        return type(exc), str(exc), getattr(exc, "achievable", None)
+
+
+def _refused(outcome):
+    return isinstance(outcome, tuple) and isinstance(outcome[0], type)
+
+
+@pytest.mark.parametrize("w", [WFAC, WeightSequence.power_factorial(2.0), WCONST,
+                               WDELTA01],
+                         ids=["factorial", "power-factorial-2", "constant",
+                              "delta0+delta1"])
+@pytest.mark.parametrize("q", [1.0, 0.95 * cmath.exp(0.7j), 0.7, 1.3, 0.5],
+                         ids=["1", "0.95e^0.7i", "0.7", "1.3", "0.5"])
+@pytest.mark.parametrize("order", [2, 8, 14, 20])
+def test_raw_tuple_solver_matches_mpf_objects(w, q, order, monkeypatch):
+    # the recurrence and the polish on raw mpf tuples round every operation
+    # as mpf objects do, so every coefficient, polished node and Christoffel
+    # number is the same to the last bit of the working precision, and so is
+    # every rule and refusal; at |q| = 0.5 order 20 is refused below it
+    m = MomentSequence.from_weights(w, q, 2 * order - 1)
+    got = _outcome(measure._chebyshev_recurrence, m, order)
+    want = _outcome(_mpf_recurrence, m, order)
+    if _refused(want):
+        assert got == want
+    else:
+        alpha, beta, atoms, _, _, dps = got
+        assert all(isinstance(x, mpmath.mpf) for x in alpha + beta)
+        assert alpha == want[0] and beta == want[1]
+        assert got[2:] == want[2:]
+        npts = atoms if atoms is not None else order
+        seeds = _outcome(_jacobi_seeds, alpha, beta, npts)
+        if not _refused(seeds):
+            args = (alpha[:npts], beta[:npts], seeds, dps)
+            polished = _outcome(measure._polish, *args)
+            ref = _outcome(_mpf_polish, *args)
+            if _refused(ref):
+                assert polished == ref
+            else:
+                assert polished == tuple([x._mpf_ for x in xs] for xs in ref)
+    rule = _outcome(gauss_quadrature_from_moments, m, order)
+    monkeypatch.setattr(measure, "_golub_welsch", _mpf_golub_welsch)
+    ref = _outcome(gauss_quadrature_from_moments, m, order)
+    if _refused(ref):
+        assert rule == ref
+    else:
+        assert np.array_equal(rule.nodes, ref.nodes)
+        assert np.array_equal(rule.masses, ref.masses)
+
+
+def _mpf_recurrence(m, order):
+    """``measure._chebyshev_recurrence`` in mpf-object arithmetic."""
+    if 2 * order - 1 > m.jmax:
+        raise ConfigError(f"order {order} needs moments up to {2 * order - 1}, "
+                          f"have {m.jmax}")
+    span = max(abs(x) for x in m.log_values[: 2 * order]) / math.log(10.0)
+    dps = int(50 + 6 * order + span)
+    if dps > measure.MAX_DPS:
+        raise measure._Breakdown(f"the moments need {dps} working digits, above "
+                                 f"the cap of {measure.MAX_DPS}")
+    raw = m.mp_logs if len(m.mp_logs) > m.jmax else [mpmath.mpf(x) for x in m.log_values]
+    with mpmath.workdps(dps):
+        log_m0 = mpmath.mpf(raw[0])
+        log_s = mpmath.mpf(raw[1]) - log_m0 if m.jmax >= 1 else mpmath.mpf(0)
+        nu = [mpmath.e ** (mpmath.mpf(raw[j]) - log_m0 - j * log_s)
+              for j in range(2 * order)]
+        alpha = [nu[1] / nu[0]]
+        beta = [nu[0]]
+        eps = mpmath.mpf(10) ** (-(dps // 2))
+        sig_prev = [mpmath.mpf(0)] * (2 * order)
+        sig_cur = list(nu)
+        atoms = None
+        for k in range(1, order):
+            sig_next = [mpmath.mpf(0)] * (2 * order)
+            for l in range(k, 2 * order - k):
+                sig_next[l] = (sig_cur[l + 1]
+                               - alpha[k - 1] * sig_cur[l]
+                               - beta[k - 1] * sig_prev[l])
+            b = sig_next[k] / sig_cur[k - 1]
+            if b <= eps * max(1, abs(beta[-1])):
+                if b < -eps * max(1, abs(beta[-1])):
+                    raise IndefiniteMomentsError(
+                        f"Hankel matrix indefinite at order {k + 1}: no positive "
+                        f"measure matches these moments", order=k + 1)
+                atoms = k
+                break
+            alpha.append(sig_next[k + 1] / sig_next[k] - sig_cur[k] / sig_cur[k - 1])
+            beta.append(b)
+            sig_prev, sig_cur = sig_cur, sig_next
+        return alpha, beta, atoms, log_s, log_m0, dps
+
+
+def _jacobi_seeds(alpha, beta, npts):
+    off = np.sqrt(np.array([float(b) for b in beta[1:npts]]))
+    jacobi = (np.diag([float(a) for a in alpha[:npts]])
+              + np.diag(off, 1) + np.diag(off, -1))
+    if not np.all(np.isfinite(jacobi)):
+        raise measure._Breakdown("the Jacobi matrix overflows float64")
+    return np.linalg.eigvalsh(jacobi)
+
+
+def _mpf_polish(alpha, beta, seeds, dps):
+    """``measure._polish`` in mpf-object arithmetic, returning mpf."""
+    npts = len(alpha)
+    with mpmath.workdps(dps):
+        tol = mpmath.mpf(2) ** -70
+        floor = mpmath.mpf(10) ** (-(dps // 2))
+        norms = [mpmath.mpf(1)]
+        for k in range(1, npts):
+            norms.append(norms[-1] * beta[k])
+        roots, weights = [], []
+        for seed in seeds:
+            x = mpmath.mpf(seed)
+            for _ in range(measure._NEWTON_STEPS):
+                _, p, dp = _monic_values(alpha, beta, npts, x)
+                dx = p / dp
+                x -= dx
+                if abs(dx) <= max(tol * abs(x), floor):
+                    break
+            else:
+                raise measure._Breakdown(
+                    f"Newton polish did not converge from seed {seed!r}")
+            x = x if abs(x) > floor else mpmath.mpf(0)
+            p = _monic_values(alpha, beta, npts, x)[0]
+            roots.append(x)
+            weights.append(1 / mpmath.fsum(v ** 2 / h for v, h in zip(p, norms)))
+        return roots, weights
+
+
+def _mpf_golub_welsch(m, order):
+    """``measure._golub_welsch`` in mpf-object arithmetic throughout."""
+    alpha, beta, atoms, log_s, log_m0, dps = _mpf_recurrence(m, order)
+    npts = atoms if atoms is not None else order
+    seeds = _jacobi_seeds(alpha, beta, npts)
+    roots, weights = _mpf_polish(alpha[:npts], beta[:npts], seeds, dps)
+    with mpmath.workdps(dps):
+        if any(a >= b for a, b in zip(roots, roots[1:])):
+            raise measure._Breakdown("two float64 seeds polished into one node")
+        if roots[0] < 0:
+            raise IndefiniteMomentsError(
+                f"the order-{npts} Gauss rule has a node t = r^2 < 0: no "
+                f"positive measure on t >= 0 matches these moments", order=npts)
+        scale = mpmath.e ** log_s
+        total = mpmath.e ** log_m0
+        nodes = np.array([float(x * scale) for x in roots])
+        masses = np.array([float(w * total) for w in weights])
+    if np.any(masses == 0.0):
+        raise measure._Breakdown("a Christoffel mass underflows float64")
+    return nodes, masses
+
+
+def _monic_values(alpha, beta, npts, x):
+    """[p_0(x) .. p_{npts-1}(x)], p_npts(x) and p_npts'(x) in mpf objects."""
+    p_prev, p = mpmath.mpf(0), mpmath.mpf(1)
+    dp_prev, dp = mpmath.mpf(0), mpmath.mpf(0)
+    values = []
+    for k in range(npts):
+        values.append(p)
+        t = x - alpha[k]
+        p_next = t * p - beta[k] * p_prev
+        dp_next = p + t * dp - beta[k] * dp_prev
+        p_prev, p = p, p_next
+        dp_prev, dp = dp, dp_next
+    return values, p, dp
 
 
 def _eigsy_rule(m, order):

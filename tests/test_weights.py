@@ -22,6 +22,17 @@ def test_qparam_integer_powers():
     assert abs(QParam(2.0).power(10) - 1024.0) < 1e-9
 
 
+def test_qparam_logs_are_computed_once_outside_equality():
+    q = QParam(0.9 * complex(math.cos(0.4), math.sin(0.4)))
+    log_abs, arg = math.log(abs(q.value)), math.atan2(q.value.imag, q.value.real)
+    for e in (-7, 1, 12):
+        assert q.power(e) == math.exp(e * log_abs) * complex(math.cos(e * arg),
+                                                             math.sin(e * arg))
+    fresh = QParam(q.value)
+    assert q == fresh and hash(q) == hash(fresh)
+    assert repr(q) == f"QParam(value={q.value!r})"
+
+
 def test_factorial_weights_exact_small():
     w = WeightSequence.factorial()
     assert w.weight(0) == 1.0
