@@ -395,7 +395,10 @@ def boundary_series_verdict(radius: float, w: WeightSequence, q,
         return "inconclusive"
     ns = np.arange(hb // 2, hb, dtype=np.int64)
     logu = 2.0 * coeff_log_arrays(radius, w, q, hb // 2, hb)[0]   # log|a_n|^2
-    ratios = np.exp(logu[:-1] - logu[1:])       # u_n / u_{n+1}
+    # u_n / u_{n+1}; a ratio past a double is an infinite Raabe value,
+    # which reads as "converges"
+    with np.errstate(over="ignore"):
+        ratios = np.exp(logu[:-1] - logu[1:])
     raabe = ns[:-1] * (ratios - 1.0)
     est = _median(raabe[-max(8, raabe.size // 4):])
     if est > 1.1:

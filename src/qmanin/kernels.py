@@ -34,11 +34,11 @@ def csum_logpolar(logmag, phase):
         return acc, m
     if logmag.size == 0:
         return 0j, -np.inf
-    m = float(np.max(logmag))
+    m = float(logmag.max())
     if m == -np.inf:
         return 0j, -np.inf
     mags = np.exp(logmag - m)
-    acc = complex(np.sum(mags * np.cos(phase)), np.sum(mags * np.sin(phase)))
+    acc = complex((mags * np.cos(phase)).sum(), (mags * np.sin(phase)).sum())
     return acc, m
 
 

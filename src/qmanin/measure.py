@@ -39,9 +39,9 @@ from typing import Optional
 
 import mpmath
 import numpy as np
-from mpmath.libmp import (fone, from_float, fzero, mpf_abs, mpf_add, mpf_div, mpf_le,
-                          mpf_lt, mpf_mul, mpf_neg, mpf_rdiv_int, mpf_sub, mpf_sum,
-                          round_nearest as _RND)
+from mpmath.libmp import (fone, from_float, fzero, mpf_abs, mpf_add, mpf_div, mpf_e,
+                          mpf_exp, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_neg, mpf_pow,
+                          mpf_rdiv_int, mpf_sub, mpf_sum, round_nearest as _RND)
 from numpy.polynomial.laguerre import laggauss
 
 from .coherent import coeff_log_arrays
@@ -205,8 +205,8 @@ def _chebyshev_recurrence(m: MomentSequence, order: int):
         log_m0 = mpmath.mpf(raw[0])
         log_s = mpmath.mpf(raw[1]) - log_m0 if m.jmax >= 1 else mpmath.mpf(0)
         # scaled moments nu_j = m_j / (m_0 * s^j); nu_0 = nu_1 = 1
-        nu = [(mpmath.e ** (mpmath.mpf(raw[j]) - log_m0 - j * log_s))._mpf_
-              for j in range(2 * order)]
+        nu = _e_powers([(mpmath.mpf(raw[j]) - log_m0 - j * log_s)._mpf_
+                        for j in range(2 * order)], prec)
         eps = (mpmath.mpf(10) ** (-(dps // 2)))._mpf_
     # raw mpf tuples from here on, each operation rounded to nearest at prec
     alpha = [mpf_div(nu[1], nu[0], prec, _RND)]
@@ -239,6 +239,18 @@ def _chebyshev_recurrence(m: MomentSequence, order: int):
     make = mpmath.mp.make_mpf
     return ([make(a) for a in alpha], [make(b) for b in beta], atoms,
             log_s, log_m0, dps)
+
+
+def _e_powers(xs, prec: int) -> list:
+    """e ** x for each raw mpf x, rounded to nearest at ``prec`` bits as
+    ``mpmath.e ** x`` rounds it, with log e taken once for all of them.
+
+    A fractional exponent goes mpf_pow's own way, exp(x log e) with log e at
+    prec + 10 bits; integer and half-integer exponents keep mpf_pow."""
+    e = mpf_e(prec, _RND)
+    loge = mpf_log(e, prec + 10, _RND)
+    return [mpf_exp(mpf_mul(x, loge), prec, _RND) if x[2] < -1
+            else mpf_pow(e, x, prec, _RND) for x in xs]
 
 
 def gauss_quadrature_from_moments(m: MomentSequence, order: int) -> RadialQuadrature:
@@ -295,9 +307,8 @@ def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray
             f"the order-{npts} Gauss rule has a node t = r^2 < 0: no "
             f"positive measure on t >= 0 matches these moments", order=npts)
     with mpmath.workdps(dps):
-        scale = mpmath.e ** log_s
-        total = mpmath.e ** log_m0
         make = mpmath.mp.make_mpf
+        scale, total = map(make, _e_powers([log_s._mpf_, log_m0._mpf_], mpmath.mp.prec))
         nodes = np.array([float(make(x) * scale) for x in roots])
         masses = np.array([float(make(w) * total) for w in weights])
     if np.any(masses == 0.0):

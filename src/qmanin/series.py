@@ -16,19 +16,24 @@ Divergence is reported when term magnitudes stop decaying and their
 growth rate is not shrinking; that is the numerical signature of a point
 outside the phase space.
 
-``sum_series`` sums one series.  ``sum_series_rows`` sums many series as
-the rows of one array, in blocks of ``ROW_BLOCK`` rows: every row follows
-the same rule with its own certificate and retires as soon as it is
-decided.  A row's chunk sums come from the same numpy kernel as in
-``sum_series``, and its rescaling and stop test are taken with the same
-libm arithmetic, so a grid point gets the term count and certificate it
-would get alone.
+``sum_series`` sums one series.  Its terms and chunk sums are numpy; the
+certificate's bookkeeping (the window of log-ratios, the trend and
+divergence tests, the tail bound) runs on Python floats, a few dozen per
+chunk, with the same IEEE double subtractions and comparisons numpy would
+take.  ``sum_series_rows`` sums many series as the rows of one array, in
+blocks of ``ROW_BLOCK`` rows: every row follows the same rule with its own
+certificate and retires as soon as it is decided.  A row's chunk sums come
+from the same numpy kernel as in ``sum_series``, its rescaling is taken
+with the same libm arithmetic and its stop test is the same
+``_certified_tail``, so a grid point gets the term count and certificate
+it would get alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
@@ -38,6 +43,7 @@ from .kernels import csum_logpolar
 _CHUNK = 16
 _WINDOW = 12
 _DIV_WINDOW = 64
+_KEEP = max(_WINDOW, _DIV_WINDOW)   # log-ratios a chunk's tests look back on
 _RHO_CAP = math.log(0.9999)   # ratios must sit below this to certify a tail
 _NOISE = math.log(1e-17)      # tail below the summation's own rounding floor
 ROW_BLOCK = 1024              # rows summed together; bounds the memory of a grid
@@ -102,20 +108,24 @@ def sum_series(logmag_fn, phase_fn=None, tol: float = 1e-12,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    log_tol = math.log(tol)
     acc = 0j
     scale = -math.inf
     max_logmag = -math.inf
-    prev_tail = np.empty(0)
+    # the certificate's bookkeeping runs on Python floats: each subtraction
+    # and comparison is the IEEE double operation numpy would take
+    ratios = []         # log-ratios of the last _KEEP + 1 terms, NaN kept
+    last_lm = None      # log magnitude of the last term summed
     n = 0
     while n < n_max:
         hi = min(n + _CHUNK, n_max)
         lm = np.asarray(logmag_fn(n, hi), dtype=float)
         ph = (np.zeros(hi - n) if phase_fn is None
               else np.asarray(phase_fn(n, hi), dtype=float))
+        new = lm.tolist()
 
         # exact termination: an all-zero chunk means the series is finite
-        finite_cut = lm == -np.inf
-        if finite_cut.all() and n > 0:
+        if n > 0 and new.count(-math.inf) == len(new):
             return SeriesResult(acc, scale, n, -math.inf)
 
         part, m = csum_logpolar(lm, ph)
@@ -125,42 +135,49 @@ def sum_series(logmag_fn, phase_fn=None, tol: float = 1e-12,
             scale = new_scale
             max_logmag = max(max_logmag, m)
 
-        joined = np.concatenate([prev_tail, lm])
-        keep = max(_WINDOW, _DIV_WINDOW) + 1
-        prev_tail = joined[-keep:]
+        if last_lm is not None:
+            ratios.append(new[0] - last_lm)
+        ratios.extend(map(sub, new[1:], new))
+        del ratios[:-_KEEP]
+        last_lm = new[-1]
         n = hi
 
-        with np.errstate(invalid="ignore"):
-            diffs = np.diff(prev_tail)
-        diffs = diffs[~np.isnan(diffs)]
-        if diffs.size < _WINDOW:
+        # NaN ratios (pairs of zero terms) are dropped
+        diffs = [d for d in ratios if d == d]
+        if len(diffs) < _WINDOW:
             continue
         win = diffs[-_WINDOW:]
 
         # tail certificate: ratios below one and not increasing
-        rho_log = float(np.max(win))
-        trend_ok = bool(np.all(np.diff(win) <= 1e-12))
-        last_lm = float(prev_tail[-1])
-        if rho_log < _RHO_CAP and trend_ok:
-            # log of |t_last| * rho/(1-rho)
-            rho = math.exp(rho_log)
-            tail_log = last_lm + rho_log - math.log1p(-rho)
-            log_sum = (math.log(abs(acc)) + scale) if acc != 0 else -math.inf
-            if (tail_log <= math.log(tol) + log_sum
-                    or tail_log <= max_logmag + _NOISE):
+        rho_log = max(win)
+        if rho_log < _RHO_CAP and all(b - a <= 1e-12 for a, b in zip(win, win[1:])):
+            tail_log = _certified_tail(last_lm, rho_log, log_tol, acc, scale, max_logmag)
+            if tail_log is not None:
                 return SeriesResult(acc, scale, n, tail_log)
 
         # divergence: magnitudes not decaying and growth rate not shrinking;
         # the slack scales with the log magnitude (rounding of n*c grows with n)
-        if diffs.size >= _DIV_WINDOW and last_lm > -math.inf:
+        if len(diffs) >= _DIV_WINDOW and last_lm > -math.inf:
             dwin = diffs[-_DIV_WINDOW:]
             slack = 1e-12 * max(1.0, abs(last_lm))
-            if np.all(dwin >= -slack) and np.all(np.diff(dwin) >= -slack):
+            if (all(d >= -slack for d in dwin)
+                    and all(b - a >= -slack for a, b in zip(dwin, dwin[1:]))):
                 raise SeriesDivergence(
                     f"series terms stopped decaying after {n} terms", n)
 
     raise ToleranceUnreachableError(
         f"could not certify tail <= {tol:g} within {n_max} terms")
+
+
+def _certified_tail(last_lm, rho_log, log_tol, acc, scale, max_logmag):
+    """log of the tail bound |t_last| * rho/(1 - rho), taken with libm, when
+    it certifies the sum acc * exp(scale) to relative ``exp(log_tol)`` or
+    sits below the summation's rounding floor; otherwise None."""
+    tail_log = last_lm + rho_log - math.log1p(-math.exp(rho_log))
+    log_sum = (math.log(abs(acc)) + scale) if acc != 0 else -math.inf
+    if tail_log <= log_tol + log_sum or tail_log <= max_logmag + _NOISE:
+        return tail_log
+    return None
 
 
 def sum_series_rows(logmag_fn, phase_fn, nrows: int, tol: float = 1e-12,
@@ -218,7 +235,7 @@ def _sum_block(rows, logmag_fn, phase_fn, log_tol, n_max, out) -> None:
         scale = np.where(live, new_scale, scale)
         max_logmag = np.maximum(max_logmag, m)
 
-        tail = np.concatenate([tail, lm], axis=1)[:, -(max(_WINDOW, _DIV_WINDOW) + 1):]
+        tail = np.concatenate([tail, lm], axis=1)[:, -(_KEEP + 1):]
         n = hi
         with np.errstate(invalid="ignore"):
             diffs = np.diff(tail, axis=1)
@@ -247,11 +264,10 @@ def _sum_block(rows, logmag_fn, phase_fn, log_tol, n_max, out) -> None:
             far = approx > bound + 1e-9 * (1.0 + np.abs(bound))
         done = np.zeros(rows.size, dtype=bool)
         for i in np.flatnonzero((rho_log < _RHO_CAP) & trend_ok & ~far):
-            r, a, s = float(rho_log[i]), complex(acc[i]), float(scale[i])
-            tail_log = float(last_lm[i]) + r - math.log1p(-math.exp(r))
-            log_sum = (math.log(abs(a)) + s) if a != 0 else -math.inf
-            if (tail_log <= log_tol + log_sum
-                    or tail_log <= float(max_logmag[i]) + _NOISE):
+            a, s = complex(acc[i]), float(scale[i])
+            tail_log = _certified_tail(float(last_lm[i]), float(rho_log[i]), log_tol,
+                                       a, s, float(max_logmag[i]))
+            if tail_log is not None:
                 out[rows[i]] = SeriesResult(a, s, n, tail_log)
                 done[i] = True
 

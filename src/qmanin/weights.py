@@ -172,7 +172,7 @@ class WeightSequence:
             return np.empty(0)
         self._check(n1 - 1)
         n = np.arange(n0, n1)
-        nn = np.maximum(n, 0)
+        nn = np.maximum(n, 0).tolist()     # Python ints for math.lgamma
         ls = math.log(self.scale)
         if self.table is not None:
             out = np.array([math.log(self.table[k]) for k in nn], dtype=float) + ls

@@ -265,6 +265,21 @@ class TestRadius:
         assert abs(est.value - 1.0) <= 2e-2
         assert est.boundary_verdict == "inconclusive"
 
+    @pytest.mark.parametrize("w", [WFAC, WeightSequence.power_factorial(2.0),
+                                   WeightSequence.power_factorial(-0.5),
+                                   WeightSequence.constant(2.0)],
+                             ids=["factorial", "power-factorial-2",
+                                  "power-factorial--0.5", "constant-2"])
+    def test_boundary_verdict_past_a_double_is_quiet(self, w):
+        # at |q| < 1 the ratios u_n / u_{n+1} deep in the window pass a
+        # double; their infinite Raabe values read as "converges", silently
+        import warnings
+        from qmanin.coherent import boundary_series_verdict
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for radius in (0.5, 1.0, 2.0, 3.0):
+                assert boundary_series_verdict(radius, w, 0.9) == "converges"
+
     def test_median_is_numpys(self):
         from qmanin.coherent import _median
         rng = np.random.default_rng(3)

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from qmanin.coherent import _kernel_series, coherent_norm_sq, kernel
+from conftest import qgauss_table
+from qmanin import series
+from qmanin.coherent import _kernel_series, coeff_log_arrays, coherent_norm_sq, kernel
 from qmanin.errors import OutsidePhaseSpaceError, ToleranceUnreachableError
+from qmanin.kernels import csum_logpolar
 from qmanin.series import (ROW_BLOCK, SeriesDivergence, SeriesResult, geometric_indexes,
                            sum_series, sum_series_rows)
 from qmanin.weights import QParam, WeightSequence
@@ -90,6 +93,138 @@ def test_geometric_indexes():
     big = geometric_indexes(1, 10**21, 400)
     assert big[0] == 1 and big[-1] == 10**21
     assert all(type(n) is int for n in big) and np.all(np.diff(big) > 0)
+
+
+# ---------------------------------------------------------------------------
+# the one-series loop against its numpy bookkeeping
+# ---------------------------------------------------------------------------
+
+def _numpy_sum_series(logmag_fn, phase_fn=None, tol=1e-12, n_max=200_000):
+    """``series.sum_series`` with its certificate kept in numpy arrays."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    acc = 0j
+    scale = -math.inf
+    max_logmag = -math.inf
+    prev_tail = np.empty(0)
+    n = 0
+    while n < n_max:
+        hi = min(n + series._CHUNK, n_max)
+        lm = np.asarray(logmag_fn(n, hi), dtype=float)
+        ph = (np.zeros(hi - n) if phase_fn is None
+              else np.asarray(phase_fn(n, hi), dtype=float))
+        if (lm == -np.inf).all() and n > 0:
+            return SeriesResult(acc, scale, n, -math.inf)
+        part, m = csum_logpolar(lm, ph)
+        if m > -math.inf:
+            new_scale = max(scale, m)
+            acc = acc * math.exp(scale - new_scale) + part * math.exp(m - new_scale)
+            scale = new_scale
+            max_logmag = max(max_logmag, m)
+        prev_tail = np.concatenate([prev_tail, lm])[-(series._KEEP + 1):]
+        n = hi
+        with np.errstate(invalid="ignore"):
+            diffs = np.diff(prev_tail)
+        diffs = diffs[~np.isnan(diffs)]
+        if diffs.size < series._WINDOW:
+            continue
+        win = diffs[-series._WINDOW:]
+        rho_log = float(np.max(win))
+        trend_ok = bool(np.all(np.diff(win) <= 1e-12))
+        last_lm = float(prev_tail[-1])
+        if rho_log < series._RHO_CAP and trend_ok:
+            rho = math.exp(rho_log)
+            tail_log = last_lm + rho_log - math.log1p(-rho)
+            log_sum = (math.log(abs(acc)) + scale) if acc != 0 else -math.inf
+            if (tail_log <= math.log(tol) + log_sum
+                    or tail_log <= max_logmag + series._NOISE):
+                return SeriesResult(acc, scale, n, tail_log)
+        if diffs.size >= series._DIV_WINDOW and last_lm > -math.inf:
+            dwin = diffs[-series._DIV_WINDOW:]
+            slack = 1e-12 * max(1.0, abs(last_lm))
+            if np.all(dwin >= -slack) and np.all(np.diff(dwin) >= -slack):
+                raise SeriesDivergence(
+                    f"series terms stopped decaying after {n} terms", n)
+    raise ToleranceUnreachableError(
+        f"could not certify tail <= {tol:g} within {n_max} terms")
+
+
+def _outcome(engine, *args, **kw):
+    """Every bit of a result, or the error's type and message."""
+    try:
+        r = engine(*args, **kw)
+    except (SeriesDivergence, ToleranceUnreachableError) as exc:
+        return type(exc).__name__, str(exc)
+    return ("SeriesResult", r.value.real.hex(), r.value.imag.hex(), r.log_scale.hex(),
+            r.nterms, r.tail_log.hex())
+
+
+def _same_as_numpy(logmag_fn, phase_fn, **kw):
+    got = _outcome(sum_series, logmag_fn, phase_fn, **kw)
+    assert got == _outcome(_numpy_sum_series, logmag_fn, phase_fn, **kw)
+    return got[0]
+
+
+_ORACLE_WEIGHTS = [
+    WeightSequence.factorial(),
+    WeightSequence.constant(),
+    WeightSequence.power_factorial(2.0),
+    WeightSequence.power_factorial(0.5),
+    qgauss_table(1.5, 41),                  # horizon 40
+]
+
+
+def test_one_series_loop_is_bit_identical_to_numpy_bookkeeping():
+    rng = np.random.default_rng(5)
+    seen = set()
+    for w in _ORACLE_WEIGHTS:
+        n_max = 1000 if w.horizon is None else w.horizon + 1
+        for q in (1.0, 0.8, cmath.exp(0.6j), 1.3, 0.5):
+            qp = QParam.of(q)
+            for tol in (1e-6, 1e-12, 1e-14):
+                for radius in (0.3, 0.9, 1.1, 2.5, 6.0):
+                    mu, lam = radius * np.exp(2j * math.pi * rng.uniform(0, 1, 2))
+                    # K(mu, lam): the terms conj(a_n(mu)) a_n(lam)
+
+                    def logmag(n0, n1, mu=mu, lam=lam):
+                        return (coeff_log_arrays(mu, w, qp, n0, n1)[0]
+                                + coeff_log_arrays(lam, w, qp, n0, n1)[0])
+
+                    def phase(n0, n1, mu=mu, lam=lam):
+                        return (coeff_log_arrays(lam, w, qp, n0, n1)[1]
+                                - coeff_log_arrays(mu, w, qp, n0, n1)[1])
+
+                    seen.add(_same_as_numpy(logmag, phase, tol=tol, n_max=n_max))
+    assert seen == {"SeriesResult", "SeriesDivergence", "ToleranceUnreachableError"}
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-14])
+def test_one_series_loop_matches_numpy_on_zero_terms_and_turns(tol):
+    # zero terms (NaN ratios between them), finite series, alternating
+    # signs and ratios that rise before they fall, cut at n_max = 1000;
+    # the series that turns zero at n = 995 certifies on its last chunk
+    # only when the NaN ratios after its last -inf ratio are dropped
+    lgamma = np.vectorize(math.lgamma)
+    kinds = [
+        lambda n: np.where(n > 5, -np.inf, -0.5 * n),
+        lambda n: np.where(n < 995, -0.001 * n, -np.inf),
+        lambda n: np.where(n % 2 == 1, -np.inf, -0.5 * n),
+        lambda n: np.where((n >= 7) & (n < 10), -np.inf, -0.3 * n),
+        lambda n: np.where(n % 17 < 3, -np.inf, 0.0 * n),
+        lambda n: n * math.log(30.0) - lgamma(n + 1),
+        lambda n: 2.3 * n - 0.005 * n * (n + 1),
+        lambda n: -3.0 * np.sqrt(n),
+        lambda n: 900.0 - 5.0 * n,
+    ]
+    for kind in kinds:
+        def logmag(n0, n1, kind=kind):
+            return kind(np.arange(n0, n1, dtype=float))
+
+        def phase(n0, n1):
+            return math.pi * np.arange(n0, n1, dtype=float)
+
+        for ph in (None, phase):
+            _same_as_numpy(logmag, ph, tol=tol, n_max=1000)
 
 
 # ---------------------------------------------------------------------------
