@@ -9,12 +9,14 @@ a double during normal ordering.
 
 The sesquilinear form <theta^i thetabar^j, theta^k thetabar^l>
 = w_{i+l} delta_{i-j,k-l} (antilinear in the first slot) and the induced
-projection P onto the holomorphic subalgebra live here too.
+projection P onto the holomorphic subalgebra live here too, as does the
+one symbol grammar, read by ``parse_terms`` and written by ``format_terms``.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, NamedTuple, Tuple
 
@@ -252,3 +254,51 @@ def project_P(a: ManinElement, w: WeightSequence) -> ManinElement:
         tgt = ManinMonomial(k, 0)
         out[tgt] = _merge(out[tgt], term, a.q) if tgt in out else term
     return ManinElement(a.q, out)
+
+
+def parse_complex(text) -> complex:
+    """A number, an [re, im] pair, an "re,im" string or Python syntax."""
+    try:
+        if isinstance(text, (int, float, complex)):
+            return complex(text)
+        if isinstance(text, (list, tuple)) and len(text) == 2:
+            return complex(float(text[0]), float(text[1]))
+        s = str(text).strip()
+        if "," in s:
+            re_, im_ = s.split(",", 1)
+            return complex(float(re_), float(im_))
+        return complex(s.replace(" ", ""))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"cannot parse complex number {text!r}") from exc
+
+
+def parse_terms(text, x: str, y: str) -> list[tuple[complex, int, int]]:
+    """(coeff, a, b) for each term `(coeff) x^a y^b` of a '+'-joined sum.
+
+    A bare ``x`` or ``y`` means power one, and `(coeff)` or `1` alone is a
+    constant term.  Both symbol grammars are this one: Manin symbols use
+    th/tb, phase-space symbols L/Lc."""
+    term = re.compile(
+        r"^\s*(?:\(\s*(?P<coeff>[^)]+)\s*\)\s*\*?\s*)?"
+        rf"(?:{x}\^(?P<a>\d+))?\s*(?:{y}\^(?P<b>\d+))?\s*(?P<unit>1)?\s*$")
+    out = []
+    # '+' splits terms, except inside a parenthesized coefficient
+    for raw in re.split(r"\+(?![^()]*\))", str(text)):
+        m = term.match(re.sub(rf"\b({x}|{y})\b(?!\^)", r"\1^1", raw.strip()))
+        if not m or not any(m.groupdict().values()):
+            raise ConfigError(f"cannot parse symbol term {raw!r}")
+        coeff = parse_complex(m.group("coeff")) if m.group("coeff") else 1.0
+        out.append((coeff, int(m.group("a") or 0), int(m.group("b") or 0)))
+    return out
+
+
+def format_terms(terms, x: str, y: str) -> str:
+    """The '+'-joined terms `(coeff)*x^a y^b` of (coeff, a, b) triples, in
+    the grammar ``parse_terms`` reads; a unit coefficient is left out and
+    no terms at all is "0"."""
+    bits = []
+    for c, a, b in terms:
+        core = " ".join(f"{v}^{p}" for v, p in ((x, a), (y, b)) if p) or "1"
+        prefix = "" if c == 1 else f"({c:g})*" if c.imag == 0 else f"({c})*"
+        bits.append(prefix + core)
+    return " + ".join(bits) or "0"

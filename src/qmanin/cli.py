@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance, jsonio
-from .algebra import ManinElement
+from .algebra import ManinElement, parse_complex, parse_terms
 from .coherent import (coherent_coefficients, coherent_norm_sq, eigen_residual,
                        kernel, radius_of_convergence)
 from .errors import ConfigError, InputTooLargeError, QmaninError
@@ -31,14 +31,18 @@ from .operators import (adjoint_annihilation_matrix, annihilation_matrix,
                         creation_matrix, number_matrix, toeplitz_matrix)
 from .paragrassmann import (MAX_PG_ORDER, ParagrassmannConfig, pg_annihilation,
                             pg_structure_report)
-from .symbols import (PolynomialSymbol, lower_symbol_grid, parse_complex,
-                      parse_terms, quantize_cs, secondary_toeplitz)
+from .symbols import (PolynomialSymbol, SymbolValueGrid, lower_symbol_grid,
+                      quantize_cs, secondary_toeplitz)
 from .weights import QParam, WeightSequence
 
 # Size caps, checked before anything is allocated; MAX_CUTOFF also caps the window.
 MAX_CUTOFF = 1024
 MAX_BASIS = 256
 MAX_GRID_POINTS = 100_000   # nr * ntheta
+
+# keys beyond RunConfig's own that some subcommand reads; any other is refused
+_EXTRA_KEYS = frozenset({"horizon", "cap", "symbol", "lambda", "mu", "basis", "window",
+                         "phase_symbol", "operator", "normalized", "l", "pg_weights"})
 
 
 def _capped(name: str, value: int, cap: int) -> int:
@@ -89,7 +93,9 @@ def parse_manin_symbol(text: str, q) -> ManinElement:
 
 @dataclass
 class RunConfig:
-    """Resolved run configuration; every artifact embeds ``resolved()``."""
+    """Resolved run configuration; every artifact embeds ``resolved()``:
+    the shared keys and the extra keys the subcommand read, each with the
+    value it ran with."""
 
     weights: WeightSequence = field(default_factory=WeightSequence.factorial)
     q: complex = 1.0 + 0j
@@ -98,10 +104,12 @@ class RunConfig:
     order: int = 12
     grid: dict = field(default_factory=lambda: {"rmax": 1.5, "nr": 10, "ntheta": 8})
     extra: dict = field(default_factory=dict)
+    used: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ConfigError("tolerance must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"tolerance must be a positive finite number, "
+                              f"got {self.tol!r}")
         if self.cutoff < 0 or self.order < 1:
             raise ConfigError("cutoff and order must be positive")
         _capped("cutoff", self.cutoff, MAX_CUTOFF)
@@ -127,28 +135,30 @@ class RunConfig:
             doc["cutoff"] = args.cutoff
         if args.tol is not None:
             doc["tol"] = args.tol
-        known = {"weights", "q", "cutoff", "tol", "order", "grid"}
+        # the shared keys, each through its parser; an absent one takes the
+        # field's default
+        shared = {"weights": _parse_weights, "q": parse_complex, "cutoff": int,
+                  "tol": float, "order": int, "grid": dict}
+        unknown = sorted(set(doc) - set(shared) - _EXTRA_KEYS)
+        if unknown:
+            raise ConfigError(f"no subcommand reads the config key "
+                              f"{', '.join(map(repr, unknown))}")
         try:
-            return cls(
-                weights=_parse_weights(doc.get("weights", "factorial")),
-                q=parse_complex(doc.get("q", 1.0)),
-                cutoff=int(doc.get("cutoff", 16)),
-                tol=float(doc.get("tol", 1e-12)),
-                order=int(doc.get("order", 12)),
-                grid=dict(doc.get("grid", {"rmax": 1.5, "nr": 10, "ntheta": 8})),
-                extra={k: v for k, v in doc.items() if k not in known},
-            )
+            return cls(**{k: shared[k](v) for k, v in doc.items() if k in shared},
+                       extra={k: v for k, v in doc.items() if k not in shared})
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid config value: {exc}") from exc
 
     def extra_value(self, key: str, default, convert):
-        """The extra key ``key`` (or ``default``) through ``convert``; a
-        value that does not convert is a ConfigError."""
+        """The extra key ``key`` (or ``default``) through ``convert``, which
+        may derive the value that runs from it; a value that does not
+        convert is a ConfigError.  The value is recorded for ``resolved()``."""
         value = self.extra.get(key, default)
         try:
-            return convert(value)
+            self.used[key] = convert(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid value for {key!r}: {value!r}") from exc
+        return self.used[key]
 
     def resolved(self) -> dict:
         return {
@@ -158,7 +168,7 @@ class RunConfig:
             "tol": self.tol,
             "order": self.order,
             "grid": self.grid,
-            **{k: v for k, v in sorted(self.extra.items())},
+            **self.used,
         }
 
 
@@ -232,19 +242,17 @@ def _cmd_coherent(cfg: RunConfig, outdir: Path) -> int:
 
 def _cmd_kernel(cfg: RunConfig, outdir: Path) -> int:
     pts = _grid_points(cfg.grid)
-    mu = cfg.extra.get("mu")
+    # no mu: the diagonal, the squared norms K(lambda, lambda)
+    mu = cfg.extra_value("mu", None, lambda v: v if v is None else parse_complex(v))
     if mu is None:
         vals = coherent_norm_sq(pts, cfg.weights, cfg.q, tol=cfg.tol) + 0j
     else:
-        vals = kernel(parse_complex(mu), pts, cfg.weights, cfg.q, tol=cfg.tol)
+        vals = kernel(mu, pts, cfg.weights, cfg.q, tol=cfg.tol)
     big = np.flatnonzero(~np.isfinite(vals))
     if big.size:
         raise InputTooLargeError(f"the {'norm' if mu is None else 'kernel'} at "
                                  f"lambda = {complex(pts[big[0]])} overflows a double")
-    lines = ["re_lambda,im_lambda,re_value,im_value"]
-    for z, v in zip(pts.tolist(), vals.tolist()):
-        lines.append(f"{z.real!r},{z.imag!r},{v.real!r},{v.imag!r}")
-    _write(outdir, "kernel.csv", "\n".join(lines) + "\n")
+    _write(outdir, "kernel.csv", SymbolValueGrid(pts, vals, "kernel").to_csv())
     _write(outdir, "kernel.json", {"config": cfg.resolved(),
                                    "result": {"points": len(pts),
                                               "csv": "kernel.csv"}})
@@ -293,8 +301,8 @@ _NAMED_OPERATORS = {
 
 
 def _cmd_symbols(cfg: RunConfig, outdir: Path) -> int:
-    window = cfg.weights.max_index(_capped(
-        "window", cfg.extra_value("window", max(96, cfg.cutoff), int), MAX_CUTOFF))
+    window = cfg.extra_value("window", max(96, cfg.cutoff), lambda v: cfg.weights.max_index(
+        _capped("window", int(v), MAX_CUTOFF)))
     f = PolynomialSymbol.parse(cfg.extra_value("phase_symbol", "L^1", str))
     quad = _moment_rule(cfg)
     qcs = quantize_cs(f, quad, cfg.weights, cfg.q, cfg.cutoff)
@@ -323,11 +331,9 @@ def _cmd_paragrassmann(cfg: RunConfig, outdir: Path) -> int:
     l = cfg.extra_value("l", 3, int)
     if l > MAX_PG_ORDER:
         raise ConfigError(f"nilpotency order {l} exceeds the cap {MAX_PG_ORDER}")
-    if "pg_weights" in cfg.extra:
-        weights = cfg.extra_value("pg_weights", (),
-                          lambda v: tuple(float(x) for x in v))
-    else:
-        weights = tuple(cfg.weights.weight(n) for n in range(l))
+    # no pg_weights: w_0..w_{l-1} of the run's weights
+    weights = cfg.extra_value("pg_weights", None, lambda v: tuple(
+        (cfg.weights.weight(n) for n in range(l)) if v is None else (float(x) for x in v)))
     pg = ParagrassmannConfig(l, weights, q=cfg.q)
     op = pg_annihilation(pg)
     rep = pg_structure_report(pg)

@@ -9,7 +9,9 @@ and ``coeff_log_arrays`` is their one home.  The reproducing kernel
 K(mu, lambda) = sum_n conj(a_n(mu)) a_n(lambda) is one certified series,
 and the squared norm ||phi_lambda||^2 is its diagonal K(lambda, lambda):
 the norm, the truncation of phi_lambda and the transform's domain check
-all sum that diagonal.
+all sum that diagonal.  One private core, ``_coefficient_rows``, builds
+truncated coherent states for a block of points from that sum: one state,
+a lower symbol and a grid of lower symbols all go through it.
 
 The q power grows quadratically in the exponent, so coefficients are kept
 in log-polar form (log-magnitude plus phase) and every norm or inner
@@ -49,14 +51,15 @@ def _checked(lam) -> complex:
 def coeff_log_arrays(lam, w: WeightSequence, q: QParam,
                      n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
     """(log|a_n|, arg a_n) for n0 <= n < n1 at eigenvalue ``lam``; for a
-    1-D array of eigenvalues, one row per point."""
-    pts = [lam] if isinstance(lam, Number) else np.asarray(lam, dtype=complex).tolist()
+    sequence of eigenvalues, one row per point."""
+    pts = [lam] if isinstance(lam, Number) else [complex(z) for z in lam]
     n = np.arange(n0, n1, dtype=float)
+    tri = _tri(n)
     lw = w.log_weights(n0, n1)
     logr = np.array([math.log(abs(z)) if z else 0.0 for z in pts])[:, None]
     arg = np.array([cmath.phase(z) for z in pts])[:, None]
-    logmag = n * logr + _tri(n) * q.log_abs - 0.5 * lw
-    phase = n * arg + _tri(n) * q.arg
+    logmag = n * logr + tri * q.log_abs - 0.5 * lw
+    phase = n * arg + tri * q.arg
     zero = [z == 0 for z in pts]
     if any(zero):
         # at lambda = 0 only a_0 = w_0^{-1/2} survives
@@ -177,8 +180,6 @@ class CoherentStateVector:
     def scaled_coefficients(self) -> tuple[np.ndarray, float]:
         """(b, m) with a_n = b_n * exp(m) and max |b_n| = 1."""
         m = float(np.max(self.logmag))
-        if m == -np.inf:
-            m = 0.0
         return np.exp(self.logmag - m) * np.exp(1j * self.phase), m
 
     def to_json(self) -> dict:
@@ -194,6 +195,27 @@ class CoherentStateVector:
         }
 
 
+def _coefficient_rows(pts: list, w: WeightSequence, q: QParam, tol: float,
+                      n_max: int = 200_000, cut_max: float = math.inf):
+    """(outcomes, logmag, phase) of the truncated coherent states at
+    ``pts``, a block of at most ROW_BLOCK points: each point's norm series
+    from ``_kernel_series``, and a row (log|a_n|, arg a_n) up to its cutoff
+    nterms - 1, -inf past it, for each point before the first one that
+    fails or whose cutoff passes ``cut_max``."""
+    outcomes = _kernel_series(pts, pts, w, q, tol, n_max)
+    sizes = []
+    for res in outcomes:
+        if isinstance(res, Exception) or res.nterms > cut_max + 1:
+            break
+        sizes.append(res.nterms)
+    K = max(sizes, default=0)
+    logmag, phase = coeff_log_arrays(pts[:len(sizes)], w, q, 0, K)
+    for i, k in enumerate(sizes):
+        if k < K:
+            logmag[i, k:] = -np.inf
+    return outcomes, logmag, phase
+
+
 def coherent_coefficients(lam: complex, w: WeightSequence, q,
                           tol: float = 1e-12,
                           n_max: int = 200_000) -> CoherentStateVector:
@@ -205,33 +227,15 @@ def coherent_coefficients(lam: complex, w: WeightSequence, q,
     """
     q = QParam.of(q)
     lam = _checked(lam)
-    if lam == 0:
-        # only a_0 = w_0^{-1/2} survives; no tail, no weights beyond w_0
-        lw0 = w.log_weight(0)
-        return CoherentStateVector(lam=0j,
-                                   logmag=np.array([-0.5 * lw0]),
-                                   phase=np.array([0.0]),
-                                   tail_log=-math.inf,
-                                   norm_sq=math.exp(-lw0))
-    res, = _settled(_kernel_series([lam], [lam], w, q, tol, n_max))
-    ncut = res.nterms - 1
-    logmag, phase = coeff_log_arrays(lam, w, q, 0, ncut + 1)
+    outcomes, logmag, phase = _coefficient_rows([lam], w, q, tol, n_max)
+    res, = _settled(outcomes)
     return CoherentStateVector(
         lam=lam,
-        logmag=logmag,
-        phase=phase,
+        logmag=logmag[0],
+        phase=phase[0],
         tail_log=res.tail_log,
         norm_sq=float(res.float_value.real),
     )
-
-
-def coherent_cutoffs(lam, w: WeightSequence, q, tol: float = 1e-12) -> list:
-    """Per point of the 1-D array ``lam``, the cutoff N at which
-    ``coherent_coefficients`` truncates phi_lambda, or the error it raises
-    there; every point's series is summed together."""
-    pts = np.asarray(lam, dtype=complex).tolist()
-    return [r if isinstance(r, Exception) else r.nterms - 1
-            for r in _kernel_series(pts, pts, w, QParam.of(q), tol)]
 
 
 def coherent_norm_sq(lam, w: WeightSequence, q, tol: float = 1e-12):
@@ -438,9 +442,20 @@ def radius_of_convergence(w: WeightSequence, q, horizon: int = 10**15,
     horizon = w.max_index(int(horizon))
     if horizon < 20:
         raise ConfigError("radius estimation needs a horizon of at least 20")
+
+    def log_r(n):
+        return 0.5 * (w.log_weight(n) / n - (n + 1) * q.log_abs)
+
+    # |log w_n| and the samples grow with n, so the horizon's are the largest
+    try:
+        last = log_r(horizon)
+    except OverflowError:
+        last = math.inf
+    if not math.isfinite(last):
+        raise ConfigError(f"a radius horizon of {len(str(horizon))} digits takes the "
+                          f"samples or log weights past the double range")
     idx = geometric_indexes(1, horizon, samples)
-    logr = np.array([0.5 * (w.log_weight(n) / n - (n + 1) * q.log_abs)
-                     for n in idx])
+    logr = np.array([log_r(n) for n in idx])
 
     d = np.diff(logr)
     if np.all(d >= -1e-15):

@@ -24,7 +24,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .algebra import ManinElement
+from .algebra import ManinElement, format_terms
 from .errors import ConfigError, InputTooLargeError
 from .weights import QParam, WeightSequence
 
@@ -132,21 +132,9 @@ def toeplitz_matrix(g: ManinElement, w: WeightSequence, q, N: int) -> TruncatedO
         cols = np.arange(lo, hi + 1)
         mat[cols + i - j, cols] += z
     return TruncatedOperator(mat, OperatorMeta(
-        symbol=_symbol_string(g), weights=w.describe(), q=q.value, exact=exact))
-
-
-def _symbol_string(g: ManinElement) -> str:
-    if not g.terms:
-        return "0"
-    bits = []
-    for mon, _ in g:
-        c = g.coefficient(mon.i, mon.j)
-        prefix = "" if c == 1 else f"({c:g})*" if c.imag == 0 else f"({c})*"
-        th = f"th^{mon.i}" if mon.i else ""
-        tb = f"tb^{mon.j}" if mon.j else ""
-        core = " ".join(x for x in (th, tb) if x) or "1"
-        bits.append(f"{prefix}{core}")
-    return " + ".join(bits)
+        symbol=format_terms(((g.coefficient(mon.i, mon.j), mon.i, mon.j) for mon, _ in g),
+                            "th", "tb"),
+        weights=w.describe(), q=q.value, exact=exact))
 
 
 def annihilation_matrix(w: WeightSequence, q, N: int) -> TruncatedOperator:

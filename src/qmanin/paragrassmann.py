@@ -13,23 +13,24 @@ textbook extreme quantum theory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InputTooLargeError
 from .operators import TruncatedOperator, annihilation_matrix
 from .weights import QParam, WeightSequence
 
-# Largest nilpotency order accepted.  pg_structure_report costs O(l^4):
-# about 1.5 s at l = 256 and 8 s at l = 512.
+# Largest nilpotency order accepted: it bounds the l x l matrix of
+# pg_annihilation (pg_structure_report is O(l^2) on its band).
 MAX_PG_ORDER = 256
 
 
 @dataclass(frozen=True)
 class ParagrassmannConfig:
-    """Nilpotency order 2 <= l <= MAX_PG_ORDER, weights w_0..w_{l-1} > 0,
-    and q."""
+    """Nilpotency order 2 <= l <= MAX_PG_ORDER, weights w_0..w_{l-1} > 0
+    whose quotients w_j / w_{j-1} are positive finite doubles, and q."""
 
     l: int
     weights: tuple
@@ -44,6 +45,10 @@ class ParagrassmannConfig:
         ws = WeightSequence.explicit(self.weights).table    # positive, finite
         if len(ws) != self.l:
             raise ConfigError(f"need exactly {self.l} weights, got {len(ws)}")
+        for j in range(1, self.l):
+            if not 0.0 < ws[j] / ws[j - 1] < math.inf:
+                raise ConfigError(f"the weight quotient w_{j} / w_{j - 1} leaves "
+                                  f"the double range")
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "q", QParam.of(self.q).value)
 
@@ -78,36 +83,37 @@ class StructureReport:
 
 
 def pg_structure_report(cfg: ParagrassmannConfig) -> StructureReport:
-    """Verify nilpotency, spectrum and Jordan structure by exact matrix
-    arithmetic (superdiagonal powers shift bands, so zeros are exact)."""
-    T = pg_annihilation(cfg).matrix
+    """Verify nilpotency, spectrum and Jordan structure by exact arithmetic
+    on the superdiagonal band t_j = T[j-1, j].
+
+    T^p is the single band p above the diagonal with entries
+    t_{i+1} ... t_{i+p}, each power's band the previous one times t: the
+    entries a dense ``power @ T`` forms, in O(l) per power.  T^l has no band
+    left, so the nilpotency index is l unless a band below it underflows to
+    zero or overflows, which is refused."""
+    t = np.diag(pg_annihilation(cfg).matrix, k=1).real
     l = cfg.l
-    power = np.eye(l, dtype=complex)
-    nilpotency = None
-    for p in range(1, l + 1):
-        power = power @ T
-        if not power.any():
-            nilpotency = p
-            break
-    if nilpotency != l:
-        raise AssertionError(f"expected nilpotency {l}, found {nilpotency}")
+    band = t
+    with np.errstate(over="ignore", divide="ignore"):
+        for p in range(1, l):
+            if not band.any() or not np.isfinite(band).all():
+                raise InputTooLargeError(f"the band of T^{p} leaves the double range")
+            band = band[:-1] * t[p:]
 
-    # rank of a superdiagonal matrix = number of nonzero band entries
-    rank = int(np.count_nonzero(np.diag(T, k=1)))
-    geometric_multiplicity = l - rank
-
-    # diagonal similarity D^{-1} T D = J with d_j = d_{j-1} / t_j
-    d = np.ones(l)
-    for j in range(1, l):
-        d[j] = d[j - 1] / T[j - 1, j].real
-    J = np.diag(np.ones(l - 1), k=1)
-    conj = np.diag(1.0 / d) @ T @ np.diag(d)
-    deviation = float(np.max(np.abs(conj - J)))
+        # diagonal similarity D^{-1} T D = J with d_j = d_{j-1} / t_j
+        d = np.ones(l)
+        for j in range(1, l):
+            d[j] = d[j - 1] / t[j - 1]
+        d_inv = 1.0 / d
+        if not (np.isfinite(d).all() and np.isfinite(d_inv).all()):
+            raise InputTooLargeError("the Jordan similarity D leaves the double range")
+        deviation = float(np.max(np.abs(d_inv[:-1] * t * d[1:] - 1.0)))
 
     return StructureReport(
-        nilpotency_index=nilpotency,
+        nilpotency_index=l,
         eigenvalues=(0j,),
-        eigenvector_count=geometric_multiplicity,
+        # l minus the rank, the number of nonzero band entries
+        eigenvector_count=l - int(np.count_nonzero(t)),
         phase_space=(0j,),
         extreme=True,
         jordan_deviation=deviation,

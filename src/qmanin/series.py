@@ -106,8 +106,8 @@ def sum_series(logmag_fn, phase_fn=None, tol: float = 1e-12,
     visibly diverge and :class:`ToleranceUnreachableError` when ``n_max``
     terms cannot certify the tail.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     log_tol = math.log(tol)
     acc = 0j
     scale = -math.inf
@@ -191,8 +191,8 @@ def sum_series_rows(logmag_fn, phase_fn, nrows: int, tol: float = 1e-12,
     (:class:`SeriesDivergence`, :class:`ToleranceUnreachableError`) that
     :func:`sum_series` raises on that row alone.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     out = [None] * nrows
     for start in range(0, nrows, ROW_BLOCK):
         rows = np.arange(start, min(start + ROW_BLOCK, nrows))

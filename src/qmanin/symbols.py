@@ -13,21 +13,22 @@ A lower symbol is the quadratic form b^H A b of the scaled coefficients
 b = a * exp(-m) of the truncated coherent state, on the block of A that
 its indexes reach.  The Berezin symbol divides by b^H b, so it never
 forms ||phi_lambda||^2, which can overflow a double where the symbol does
-not.  A grid sums the diagonal series of all its points together and
-takes the quadratic forms of a block of points in one matrix product.
+not.  Points are taken ROW_BLOCK at a time: a block's diagonal series are
+summed together, its coefficient rows come from the one coherent-state
+core in ``coherent``, and its quadratic forms are one matrix product.  A
+single point is the block of one.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
 
-from .coherent import (coeff_log_arrays, coherent_coefficients, coherent_cutoffs,
-                       coherent_norm_sq)
+from .algebra import format_terms, parse_terms
+from .coherent import _coefficient_rows, coeff_log_arrays, coherent_norm_sq
 from .errors import (ConfigError, InputTooLargeError, InsufficientQuadratureError,
                      WindowTooSmallError)
 from .kernels import log_power_sums
@@ -35,58 +36,6 @@ from .measure import RadialQuadrature
 from .operators import OperatorMeta, TruncatedOperator
 from .series import ROW_BLOCK, bound_from_log
 from .weights import QParam, WeightSequence
-
-
-def split_terms(text: str) -> list[str]:
-    """Split on '+' at paren depth zero, so complex coefficients survive."""
-    out, depth, cur = [], 0, []
-    for ch in str(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(0, depth - 1)
-        if ch == "+" and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    out.append("".join(cur))
-    return out
-
-
-def parse_complex(text) -> complex:
-    """A number, an [re, im] pair, an "re,im" string or Python syntax."""
-    try:
-        if isinstance(text, (int, float, complex)):
-            return complex(text)
-        if isinstance(text, (list, tuple)) and len(text) == 2:
-            return complex(float(text[0]), float(text[1]))
-        s = str(text).strip()
-        if "," in s:
-            re_, im_ = s.split(",", 1)
-            return complex(float(re_), float(im_))
-        return complex(s.replace(" ", ""))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"cannot parse complex number {text!r}") from exc
-
-
-def parse_terms(text, x: str, y: str) -> list[tuple[complex, int, int]]:
-    """(coeff, a, b) for each term `(coeff) x^a y^b` of a '+'-joined sum.
-
-    A bare ``x`` or ``y`` means power one, and `(coeff)` or `1` alone is a
-    constant term.  Both symbol grammars are this one: Manin symbols use
-    th/tb, phase-space symbols L/Lc."""
-    term = re.compile(
-        r"^\s*(?:\(\s*(?P<coeff>[^)]+)\s*\)\s*\*?\s*)?"
-        rf"(?:{x}\^(?P<a>\d+))?\s*(?:{y}\^(?P<b>\d+))?\s*(?P<unit>1)?\s*$")
-    out = []
-    for raw in split_terms(text):
-        m = term.match(re.sub(rf"\b({x}|{y})\b(?!\^)", r"\1^1", raw.strip()))
-        if not m or not any(m.groupdict().values()):
-            raise ConfigError(f"cannot parse symbol term {raw!r}")
-        coeff = parse_complex(m.group("coeff")) if m.group("coeff") else 1.0
-        out.append((coeff, int(m.group("a") or 0), int(m.group("b") or 0)))
-    return out
 
 
 class PolynomialSymbol:
@@ -151,16 +100,7 @@ class PolynomialSymbol:
         return out if out.ndim else complex(out)
 
     def describe(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for (a, b), c in self.coeffs.items():
-            la = f"L^{a}" if a else ""
-            lc = f"Lc^{b}" if b else ""
-            core = " ".join(x for x in (la, lc) if x) or "1"
-            prefix = "" if c == 1 else f"({c:g})*" if c.imag == 0 else f"({c})*"
-            bits.append(f"{prefix}{core}")
-        return " + ".join(bits)
+        return format_terms(((c, a, b) for (a, b), c in self.coeffs.items()), "L", "Lc")
 
     @classmethod
     def parse(cls, text: str) -> "PolynomialSymbol":
@@ -173,7 +113,7 @@ class PolynomialSymbol:
 
 @dataclass(frozen=True)
 class SymbolValueGrid:
-    """Lower-symbol samples over a lambda grid."""
+    """Samples over a lambda grid: lower symbols, kernels or squared norms."""
 
     points: np.ndarray
     values: np.ndarray
@@ -190,12 +130,6 @@ class SymbolValueGrid:
 # ---------------------------------------------------------------------------
 # lower (covariant) symbols
 # ---------------------------------------------------------------------------
-
-def _window_error(A: TruncatedOperator, n: int, tol: float) -> WindowTooSmallError:
-    return WindowTooSmallError(
-        f"operator window N={A.cutoff} cannot hold the coherent state "
-        f"(needs n <= {n} at tol={tol:g})")
-
 
 def _forms(A: TruncatedOperator, B: np.ndarray, m: np.ndarray, pts,
            normalized: bool) -> np.ndarray:
@@ -218,6 +152,24 @@ def _forms(A: TruncatedOperator, B: np.ndarray, m: np.ndarray, pts,
     return vals
 
 
+def _lower_symbols(A: TruncatedOperator, pts: list, w: WeightSequence, q: QParam,
+                   normalized: bool, tol: float):
+    """<phi_lambda, A phi_lambda> at a block of at most ROW_BLOCK points, from
+    their coefficient rows: (values, scaled rows B, scales m, outcomes).
+    The points before the first that fails, or whose cutoff passes the
+    operator window (WindowTooSmallError), are formed before it raises."""
+    outcomes, logmag, phase = _coefficient_rows(pts, w, q, tol, cut_max=A.cutoff)
+    m = logmag.max(axis=1, initial=-np.inf)
+    B = np.exp(logmag - m[:, None]) * np.exp(1j * phase)
+    vals = _forms(A, B, m, pts, normalized)
+    if len(vals) < len(pts):
+        res = outcomes[len(vals)]
+        raise res if isinstance(res, Exception) else WindowTooSmallError(
+            f"operator window N={A.cutoff} cannot hold the coherent state "
+            f"(needs n <= {res.nterms - 1} at tol={tol:g})")
+    return vals, B, m, outcomes
+
+
 def lower_symbol(A: TruncatedOperator, lam: complex, w: WeightSequence, q,
                  normalized: bool = True, tol: float = 1e-14,
                  return_error: bool = False):
@@ -230,54 +182,35 @@ def lower_symbol(A: TruncatedOperator, lam: complex, w: WeightSequence, q,
     ``return_error``; it is taken in the log domain, and an unnormalized
     bound beyond a double is refused (InputTooLargeError).
     """
-    q = QParam.of(q)
-    state = coherent_coefficients(lam, w, q, tol=tol)
-    n = state.n_cutoff
-    if n > A.cutoff:
-        raise _window_error(A, n, tol)
-    b, m = state.scaled_coefficients()
-    value = complex(_forms(A, b[None, :], np.array([m]), [state.lam], normalized)[0])
+    vals, B, m, (res,) = _lower_symbols(A, [lam], w, QParam.of(q), normalized, tol)
+    value = complex(vals[0])
     if not return_error:
         return value
     # certified error: tail mass times the operator's column reach, taken
     # in the log domain, where ||phi_lambda||^2 may pass a double
     op_norm = float(np.linalg.norm(A.matrix, 2))
-    log_norm_sq = 2.0 * m + math.log(float(np.vdot(b, b).real))
-    log_err = 0.5 * (state.tail_log + log_norm_sq)
+    log_norm_sq = 2.0 * m[0] + math.log(float(np.vdot(B[0], B[0]).real))
+    log_err = 0.5 * (res.tail_log + log_norm_sq)
     if normalized:
         log_err -= log_norm_sq
     err = 2.0 * op_norm * bound_from_log(log_err) if op_norm else 0.0
     if not math.isfinite(err):
         raise InputTooLargeError(f"the error bound of the unnormalized lower symbol "
-                                 f"at lambda = {state.lam} overflows a double")
+                                 f"at lambda = {complex(lam)} overflows a double")
     return value, err
 
 
 def lower_symbol_grid(A: TruncatedOperator, points, w: WeightSequence, q,
                       normalized: bool = True, tol: float = 1e-14) -> SymbolValueGrid:
-    """``lower_symbol`` at every point, with the points' diagonal series
-    summed together and the quadratic forms of ROW_BLOCK points taken in
+    """``lower_symbol`` at every point, ROW_BLOCK points at a time: their
+    diagonal series are summed together and their quadratic forms taken in
     one matrix product.  The first point that fails raises its error."""
     q = QParam.of(q)
     pts = np.asarray(points, dtype=complex).ravel()
-    cuts = coherent_cutoffs(pts, w, q, tol=tol)
-    # the points before the first failing one are formed first, so an
-    # overflow among them is raised before that failure
-    fail = next((i for i, n in enumerate(cuts)
-                 if isinstance(n, Exception) or n > A.cutoff), len(cuts))
-    reach = np.array(cuts[:fail], dtype=int)
     vals = np.empty(pts.size, dtype=complex)
-    for start in range(0, fail, ROW_BLOCK):
-        blk = slice(start, min(start + ROW_BLOCK, fail))
-        K = int(reach[blk].max()) + 1
-        logmag, phase = coeff_log_arrays(pts[blk], w, q, 0, K)
-        logmag[np.arange(K) > reach[blk, None]] = -np.inf
-        m = logmag.max(axis=1)
-        B = np.exp(logmag - m[:, None]) * np.exp(1j * phase)
-        vals[blk] = _forms(A, B, m, pts[blk], normalized)
-    if fail < len(cuts):
-        n = cuts[fail]
-        raise n if isinstance(n, Exception) else _window_error(A, n, tol)
+    for start in range(0, pts.size, ROW_BLOCK):
+        blk = pts[start:start + ROW_BLOCK].tolist()
+        vals[start:start + len(blk)] = _lower_symbols(A, blk, w, q, normalized, tol)[0]
     tag = "normalized" if normalized else "unnormalized"
     return SymbolValueGrid(pts, vals, f"{tag} lower symbol of {A.meta.symbol}")
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import qmanin
 from qmanin.cli import (MAX_BASIS, MAX_CUTOFF, MAX_GRID_POINTS, RunConfig,
-                        _grid_points, main, parse_manin_symbol)
+                        _EXTRA_KEYS, _grid_points, main, parse_manin_symbol)
 from qmanin.errors import ConfigError
 
 
@@ -98,6 +98,12 @@ def test_config_error_exit_code(tmp_path):
     (("kernel",), {"mu": 30, "grid": {"rmax": 30, "nr": 2, "ntheta": 1}}),
     (("symbols",), {"grid": {"rmax": 27, "rmin": 27, "nr": 1, "ntheta": 1},
                     "window": 1024, "order": 4, "cutoff": 4, "normalized": False}),
+    (("radius",), {"horizon": 10**306}),           # log w_n passes a double
+    (("radius",), {"horizon": 10**400}),           # n itself passes a double
+    (("coherent",), {"tol": "nan"}),
+    (("coherent", "--tol", "inf"), None),
+    (("paragrassmann",), {"l": 3, "pg_weights": [1e300, 1e-300, 1.0]}),
+    (("coherent",), {"lamda": [2, 0]}),            # a key no subcommand reads
 ])
 def test_refusals_exit_2_without_traceback(tmp_path, argv, config):
     proc = run_cold(tmp_path, argv, config)
@@ -179,6 +185,24 @@ def test_radius_samples_stay_finite_for_fast_growing_weights(tmp_path):
                for s in samples)
     assert samples[-1]["log_r"] > 709      # r_n itself is beyond a double
     assert doc["result"]["value"] == "inf"
+
+
+def test_refusals_name_what_they_refuse(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for config, cmd, text in (
+            ({"lamda": [2, 0]}, "coherent", "'lamda'"),
+            ({"l": 3, "pg_weights": [1e300, 1e-300, 1.0]}, "paragrassmann", "w_1 / w_0"),
+            ({"tol": "nan"}, "kernel", "positive finite")):
+        cfg.write_text(json.dumps(config))
+        assert run(tmp_path, cmd, "--config", str(cfg)) == 2
+        assert text in capsys.readouterr().err
+
+
+def test_radius_horizon_at_the_double_range(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    for exp, code in ((305, 0), (306, 2), (308, 2), (309, 2)):
+        cfg.write_text(json.dumps({"horizon": 10**exp}))
+        assert run(tmp_path, "radius", "--config", str(cfg)) == code
 
 
 def test_radius_horizon_beyond_int64(tmp_path):
@@ -392,6 +416,32 @@ def test_paragrassmann_reads_scaled_explicit_weights(tmp_path):
     assert doc["config"]["weights"]["params"]["scale"] == 2.0
 
 
+def test_defaults_that_ran_are_embedded(tmp_path):
+    assert run(tmp_path, "coherent") == 0
+    assert load(tmp_path, "coherent.json")["config"]["lambda"] == [1.0, 0.0]
+    # a derived default: the symbols window is clamped to a table's horizon
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"weights": "explicit:" + ",".join(["1"] * 40),
+                               "q": "0.5", "cutoff": 4, "order": 4,
+                               "grid": {"rmax": 0.5, "nr": 1, "ntheta": 1}}))
+    assert run(tmp_path, "symbols", "--config", str(cfg)) == 0
+    assert load(tmp_path, "quantize_cs.json")["config"]["window"] == 39
+
+
+def test_every_extra_key_is_read_by_a_subcommand(tmp_path):
+    # each subcommand embeds the extra keys it read, defaults included;
+    # together they are exactly the keys the config accepts
+    shared = set(RunConfig().resolved())
+    read = set()
+    for cmd, name in (("radius", "radius.json"), ("operator", "operator.json"),
+                      ("coherent", "coherent.json"), ("kernel", "kernel.json"),
+                      ("measure", "measure.json"), ("symbols", "quantize_cs.json"),
+                      ("paragrassmann", "paragrassmann.json")):
+        assert run(tmp_path, cmd) == 0
+        read |= set(load(tmp_path, name)["config"]) - shared
+    assert read == _EXTRA_KEYS
+
+
 def test_stdin_config(tmp_path, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"lambda": [0.5, 0]})))
     assert run(tmp_path, "coherent", "--config", "-") == 0
@@ -486,6 +536,12 @@ _config = st.builds(lambda valid, junk: {**valid, **junk},
 @example("symbols", "factorial", "1",
          {"grid": {"rmax": 27, "rmin": 27, "nr": 1, "ntheta": 1}, "window": 1024,
           "order": 4, "cutoff": 4, "normalized": False})
+@example("radius", "factorial", "1", {"horizon": 10**306})
+@example("radius", "factorial", "1", {"horizon": 10**400})
+@example("coherent", "factorial", "1", {"tol": "nan"})
+@example("coherent", "factorial", "1", {"tol": "inf"})
+@example("paragrassmann", "factorial", "1", {"l": 3, "pg_weights": [1e300, 1e-300, 1.0]})
+@example("coherent", "factorial", "1", {"lamda": [2, 0]})
 def test_cli_failure_contract(command, weights, q, config):
     """Any input exits 0, 2, 3 or 4, and nothing escapes or warns."""
     with tempfile.TemporaryDirectory() as out, \

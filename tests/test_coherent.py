@@ -9,6 +9,7 @@ from qmanin import (OutsidePhaseSpaceError, ToleranceUnreachableError,
                     WeightSequence, coherent_coefficients, coherent_norm_sq, cs_transform,
                     eigen_residual, evolve, evolve_state, kernel,
                     radius_of_convergence)
+from qmanin.coherent import coeff_log_arrays
 from qmanin.weights import QParam
 
 WFAC = WeightSequence.factorial()
@@ -27,6 +28,27 @@ class TestCoefficients:
         assert st.n_cutoff == 0
         assert st.coefficients()[0] == 1.0
         assert st.tail_bound == 0.0 and st.norm_sq == 1.0
+
+    @pytest.mark.parametrize("w", [WeightSequence.constant(7.0),
+                                   WeightSequence.explicit([6.0, 1.0, 2.0, 5.0])])
+    def test_lambda_zero_has_the_norms_one_rule(self, w):
+        # one rule at lambda = 0: the single term 1 / w_0 of the norm series
+        st = coherent_coefficients(0.0, w, 0.9j)
+        assert st.norm_sq == coherent_norm_sq(0.0, w, 0.9j) == kernel(0, 0, w, 0.9j).real
+        assert st.norm_sq == 1.0 / w.weight(0)
+        assert st.logmag.tolist() == [-0.5 * math.log(w.weight(0))]
+        assert st.phase.tolist() == [0.0] and st.tail_log == -math.inf
+
+    def test_state_is_its_norm_series_cut(self):
+        # the coefficients are coeff_log_arrays up to the cutoff of the
+        # certified norm series, and the norm is that series' sum
+        for w, q, lam in ((WFAC, 1j, 1.3 - 0.4j), (WCONST, 0.8, 0.6j),
+                          (qgauss_table(1.5, 41), cmath.exp(0.6j), 2.0)):
+            st = coherent_coefficients(lam, w, q, tol=1e-13)
+            logmag, phase = coeff_log_arrays(lam, w, QParam.of(q), 0, st.n_cutoff + 1)
+            assert st.logmag.tobytes() == logmag.tobytes()
+            assert st.phase.tobytes() == phase.tobytes()
+            assert st.norm_sq == coherent_norm_sq(lam, w, q, tol=1e-13)
 
     def test_pinned_a2_value(self):
         # a_2 = (1/2)^2 * i^3 / sqrt(2) = -i / (4 sqrt 2)

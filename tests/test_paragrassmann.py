@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qmanin.errors import InputTooLargeError
 from qmanin.paragrassmann import MAX_PG_ORDER
 from qmanin import (ConfigError, ParagrassmannConfig, pg_annihilation,
                     pg_structure_report)
@@ -82,3 +83,49 @@ def test_report_json():
     doc = pg_structure_report(ParagrassmannConfig(3, (1.0, 1.0, 1.0))).to_json()
     assert doc["nilpotency_index"] == 3
     assert doc["extreme"] is True
+
+
+def _dense_report(cfg):
+    """Nilpotency index, eigenvector count and Jordan deviation from the
+    dense l x l matrix products."""
+    T = pg_annihilation(cfg).matrix
+    l = cfg.l
+    power = np.eye(l, dtype=complex)
+    nilpotency = None
+    for p in range(1, l + 1):
+        power = power @ T
+        if not power.any():
+            nilpotency = p
+            break
+    d = np.ones(l)
+    for j in range(1, l):
+        d[j] = d[j - 1] / T[j - 1, j].real
+    conj = np.diag(1.0 / d) @ T @ np.diag(d)
+    deviation = float(np.max(np.abs(conj - np.diag(np.ones(l - 1), k=1))))
+    return nilpotency, l - int(np.count_nonzero(np.diag(T, k=1))), deviation
+
+
+@pytest.mark.parametrize("l", [2, 3, 5, 40, 256])
+def test_band_report_is_the_dense_report(l):
+    rng = np.random.default_rng(l)
+    for sigma in (0.1, 3.0):
+        w = tuple(np.exp(np.cumsum(rng.normal(0.0, sigma, l))).tolist())
+        cfg = ParagrassmannConfig(l, w, q=0.7j)
+        rep = pg_structure_report(cfg)
+        assert (rep.nilpotency_index, rep.eigenvector_count,
+                rep.jordan_deviation) == _dense_report(cfg)
+
+
+def test_weight_quotient_past_a_double_is_refused():
+    with pytest.raises(ConfigError, match="w_1 / w_0"):
+        ParagrassmannConfig(3, (1e300, 1e-300, 1.0))       # underflows to 0
+    with pytest.raises(ConfigError, match="w_2 / w_1"):
+        ParagrassmannConfig(3, (1.0, 1e-300, 1e300))       # overflows
+
+
+def test_band_power_past_a_double_is_refused():
+    # every quotient is a double, but T^3's band (w_3 / w_0)^{1/2} is not
+    cfg = ParagrassmannConfig(4, (5e-324, 1e-20, 1e150, 1e308))
+    with pytest.raises(InputTooLargeError, match="T\\^3"):
+        pg_structure_report(cfg)
+

@@ -84,6 +84,15 @@ def test_scale_handling_huge_terms():
                         rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+def test_tolerance_must_be_positive(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        sum_series(geometric_logmag(0.5), tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        sum_series_rows(lambda rows, n0, n1: np.zeros((len(rows), n1 - n0)),
+                        lambda rows, n0, n1: np.zeros((len(rows), n1 - n0)), 2, tol=tol)
+
+
 def test_geometric_indexes():
     idx = geometric_indexes(1, 10**6, 50)
     assert idx[0] == 1 and idx[-1] == 10**6

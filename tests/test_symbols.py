@@ -13,8 +13,12 @@ from qmanin import (ConfigError, InsufficientQuadratureError, MomentSequence,
                     identity_matrix, lower_symbol, lower_symbol_grid,
                     number_matrix, quantize_cs, quantize_cs_norm_bound,
                     secondary_toeplitz)
+from qmanin.coherent import _kernel_series, coeff_log_arrays
 from qmanin.errors import InputTooLargeError
 from qmanin.operators import TruncatedOperator
+from qmanin.series import bound_from_log
+from qmanin.symbols import _forms
+from qmanin.weights import QParam
 
 WFAC = WeightSequence.factorial()
 
@@ -306,3 +310,62 @@ class TestLowerSymbolGrid:
             _, err = lower_symbol(A, 1.7, WFAC, 1.0, normalized=normalized,
                                   return_error=True)
             assert abs(err - want) <= 1e-12 * want
+
+
+# ---------------------------------------------------------------------------
+# the one coherent-state core against the state-based path
+# ---------------------------------------------------------------------------
+
+def _lower_symbol_via_state(A, lam, w, q, normalized, tol):
+    """The lower symbol and its error bound taken through the stored
+    coherent state: coherent_coefficients, scaled_coefficients, _forms."""
+    state = coherent_coefficients(lam, w, q, tol=tol)
+    if state.n_cutoff > A.cutoff:
+        raise WindowTooSmallError(state.n_cutoff)
+    b, m = state.scaled_coefficients()
+    value = complex(_forms(A, b[None, :], np.array([m]), [state.lam], normalized)[0])
+    op_norm = float(np.linalg.norm(A.matrix, 2))
+    log_norm_sq = 2.0 * m + math.log(float(np.vdot(b, b).real))
+    log_err = 0.5 * (state.tail_log + log_norm_sq)
+    if normalized:
+        log_err -= log_norm_sq
+    return value, 2.0 * op_norm * bound_from_log(log_err) if op_norm else 0.0
+
+
+def _grid_via_cutoffs(A, pts, w, q, normalized, tol):
+    """The lower symbols of a grid from its cutoffs, one mask over the
+    rows of one coefficient array."""
+    qp = QParam.of(q)
+    cuts = np.array([r.nterms - 1 for r in _kernel_series(pts, pts, w, qp, tol)])
+    K = int(cuts.max()) + 1
+    logmag, phase = coeff_log_arrays(pts, w, qp, 0, K)
+    logmag[np.arange(K) > cuts[:, None]] = -np.inf
+    m = logmag.max(axis=1)
+    B = np.exp(logmag - m[:, None]) * np.exp(1j * phase)
+    return _forms(A, B, m, pts, normalized)
+
+
+_CORE_WEIGHTS = [WFAC, WeightSequence.constant(), WeightSequence.power_factorial(2.0),
+                 qgauss_table(1.5, 41)]
+_CORE_Q = [1.0, 1j, 0.8, cmath.exp(1j * math.pi / 5)]
+
+
+@pytest.mark.parametrize("w", _CORE_WEIGHTS, ids=["fac", "const", "pf2", "table"])
+def test_lower_symbol_is_the_state_path_bit_for_bit(w):
+    rng = np.random.default_rng(31)
+    lams = [0.0, 0.05, 0.4 + 0.3j, -0.6j] + [
+        0.9 * rng.uniform() * cmath.exp(2j * math.pi * rng.uniform()) for _ in range(3)]
+    for q in _CORE_Q:
+        N = w.max_index(90)
+        for A in (annihilation_matrix(w, q, N), adjoint_annihilation_matrix(w, q, N),
+                  number_matrix(N)):
+            for normalized in (True, False):
+                for lam in lams:
+                    got = lower_symbol(A, lam, w, q, normalized=normalized,
+                                       return_error=True)
+                    assert got == _lower_symbol_via_state(A, lam, w, q, normalized, 1e-14)
+                    assert lower_symbol(A, lam, w, q, normalized=normalized) == got[0]
+                grid = lower_symbol_grid(A, lams, w, q, normalized=normalized)
+                want = _grid_via_cutoffs(A, lams, w, q, normalized, 1e-14)
+                assert grid.values.tobytes() == want.tobytes()
+
