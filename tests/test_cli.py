@@ -200,7 +200,7 @@ def test_refusals_name_what_they_refuse(tmp_path, capsys):
 
 def test_radius_horizon_at_the_double_range(tmp_path):
     cfg = tmp_path / "cfg.json"
-    for exp, code in ((305, 0), (306, 2), (308, 2), (309, 2)):
+    for exp, code in ((305, 0), (308, 2), (309, 2)):
         cfg.write_text(json.dumps({"horizon": 10**exp}))
         assert run(tmp_path, "radius", "--config", str(cfg)) == code
 
