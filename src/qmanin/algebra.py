@@ -256,6 +256,23 @@ def project_P(a: ManinElement, w: WeightSequence) -> ManinElement:
     return ManinElement(a.q, out)
 
 
+def split_terms(text: str) -> list[str]:
+    """Split on '+' at paren depth zero, so complex coefficients survive."""
+    out, depth, cur = [], 0, []
+    for ch in str(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth = max(0, depth - 1)
+        if ch == "+" and depth == 0:
+            out.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    out.append("".join(cur))
+    return out
+
+
 def parse_complex(text) -> complex:
     """A number, an [re, im] pair, an "re,im" string or Python syntax."""
     try:
@@ -282,8 +299,7 @@ def parse_terms(text, x: str, y: str) -> list[tuple[complex, int, int]]:
         r"^\s*(?:\(\s*(?P<coeff>[^)]+)\s*\)\s*\*?\s*)?"
         rf"(?:{x}\^(?P<a>\d+))?\s*(?:{y}\^(?P<b>\d+))?\s*(?P<unit>1)?\s*$")
     out = []
-    # '+' splits terms, except inside a parenthesized coefficient
-    for raw in re.split(r"\+(?![^()]*\))", str(text)):
+    for raw in split_terms(text):
         m = term.match(re.sub(rf"\b({x}|{y})\b(?!\^)", r"\1^1", raw.strip()))
         if not m or not any(m.groupdict().values()):
             raise ConfigError(f"cannot parse symbol term {raw!r}")

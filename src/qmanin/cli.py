@@ -104,7 +104,7 @@ class RunConfig:
     order: int = 12
     grid: dict = field(default_factory=lambda: {"rmax": 1.5, "nr": 10, "ntheta": 8})
     extra: dict = field(default_factory=dict)
-    used: dict = field(default_factory=dict)
+    used: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
@@ -118,23 +118,18 @@ class RunConfig:
     @classmethod
     def load(cls, args) -> "RunConfig":
         doc = {}
-        if args.config:
-            raw = (sys.stdin.read() if args.config == "-"
-                   else Path(args.config).read_text())
+        config = getattr(args, "config", None)
+        if config:
+            raw = sys.stdin.read() if config == "-" else Path(config).read_text()
             try:
                 doc = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
             if not isinstance(doc, dict):
                 raise ConfigError("config document must be a JSON object")
-        if args.weights is not None:
-            doc["weights"] = args.weights
-        if args.q is not None:
-            doc["q"] = args.q
-        if args.cutoff is not None:
-            doc["cutoff"] = args.cutoff
-        if args.tol is not None:
-            doc["tol"] = args.tol
+        for key in ("weights", "q", "cutoff", "tol"):    # the flag overrides
+            if getattr(args, key, None) is not None:
+                doc[key] = getattr(args, key)
         # the shared keys, each through its parser; an absent one takes the
         # field's default
         shared = {"weights": _parse_weights, "q": parse_complex, "cutoff": int,
@@ -201,6 +196,11 @@ def _write(outdir: Path, name: str, payload) -> Path:
     return path
 
 
+def _write_result(outdir: Path, name: str, cfg: RunConfig, result) -> Path:
+    """The artifact ``name``: ``result`` with the config that ran embedded."""
+    return _write(outdir, name, {"config": cfg.resolved(), "result": result})
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -209,7 +209,7 @@ def _cmd_radius(cfg: RunConfig, outdir: Path) -> int:
     horizon = cfg.extra_value("horizon", 10**15, int)
     cap = cfg.extra_value("cap", 1e6, float)
     est = radius_of_convergence(cfg.weights, cfg.q, horizon=horizon, cap=cap)
-    _write(outdir, "radius.json", {"config": cfg.resolved(), "result": est.to_json()})
+    _write_result(outdir, "radius.json", cfg, est.to_json())
     return 0
 
 
@@ -217,7 +217,7 @@ def _cmd_operator(cfg: RunConfig, outdir: Path) -> int:
     text = cfg.extra_value("symbol", "tb^1", str)
     g = parse_manin_symbol(text, cfg.q)
     op = toeplitz_matrix(g, cfg.weights, cfg.q, cfg.cutoff)
-    _write(outdir, "operator.json", {"config": cfg.resolved(), "result": op.to_json()})
+    _write_result(outdir, "operator.json", cfg, op.to_json())
     _write(outdir, "operator.csv", op.to_csv())
     return 0
 
@@ -230,13 +230,10 @@ def _cmd_coherent(cfg: RunConfig, outdir: Path) -> int:
                                  f"coefficients too large for a double")
     window = max(cfg.cutoff, state.n_cutoff)
     res = eigen_residual(state, cfg.weights, cfg.q)
-    _write(outdir, "coherent.json", {
-        "config": cfg.resolved(),
-        "result": {"state": state.to_json(),
-                   "residual": res.residual,
-                   "leakage": res.leakage,
-                   "window": window},
-    })
+    _write_result(outdir, "coherent.json", cfg, {"state": state.to_json(),
+                                                 "residual": res.residual,
+                                                 "leakage": res.leakage,
+                                                 "window": window})
     return 0
 
 
@@ -253,9 +250,7 @@ def _cmd_kernel(cfg: RunConfig, outdir: Path) -> int:
         raise InputTooLargeError(f"the {'norm' if mu is None else 'kernel'} at "
                                  f"lambda = {complex(pts[big[0]])} overflows a double")
     _write(outdir, "kernel.csv", SymbolValueGrid(pts, vals, "kernel").to_csv())
-    _write(outdir, "kernel.json", {"config": cfg.resolved(),
-                                   "result": {"points": len(pts),
-                                              "csv": "kernel.csv"}})
+    _write_result(outdir, "kernel.json", cfg, {"points": len(pts), "csv": "kernel.csv"})
     return 0
 
 
@@ -279,15 +274,12 @@ def _cmd_measure(cfg: RunConfig, outdir: Path) -> int:
                                           2 * basis + 1, tol=cfg.tol)
     witness = norm_divergence_witness(quad, cfg.weights, cfg.q, nmax)
     density = closed_form_density(cfg.weights, cfg.q)
-    _write(outdir, "measure.json", {
-        "config": cfg.resolved(),
-        "result": {
-            "quadrature": quad.to_json(),
-            "closed_form": None if density is None else density.description,
-            "moment_check": mom_rep.to_json(),
-            "gram_check": gram_rep.to_json(),
-            "divergence_witness": witness.to_json(),
-        },
+    _write_result(outdir, "measure.json", cfg, {
+        "quadrature": quad.to_json(),
+        "closed_form": None if density is None else density.description,
+        "moment_check": mom_rep.to_json(),
+        "gram_check": gram_rep.to_json(),
+        "divergence_witness": witness.to_json(),
     })
     return 0
 
@@ -301,8 +293,10 @@ _NAMED_OPERATORS = {
 
 
 def _cmd_symbols(cfg: RunConfig, outdir: Path) -> int:
-    window = cfg.extra_value("window", max(96, cfg.cutoff), lambda v: cfg.weights.max_index(
-        _capped("window", int(v), MAX_CUTOFF)))
+    def capped_window(v):
+        return cfg.weights.max_index(_capped("window", int(v), MAX_CUTOFF))
+
+    window = cfg.extra_value("window", max(96, cfg.cutoff), capped_window)
     f = PolynomialSymbol.parse(cfg.extra_value("phase_symbol", "L^1", str))
     quad = _moment_rule(cfg)
     qcs = quantize_cs(f, quad, cfg.weights, cfg.q, cfg.cutoff)
@@ -317,12 +311,9 @@ def _cmd_symbols(cfg: RunConfig, outdir: Path) -> int:
     grid = lower_symbol_grid(op, pts, cfg.weights, cfg.q,
                              normalized=cfg.extra_value("normalized", True, _json_bool))
 
-    _write(outdir, "quantize_cs.json", {"config": cfg.resolved(),
-                                        "result": qcs.to_json()})
-    _write(outdir, "quantize_cs.csv", qcs.to_csv())
-    _write(outdir, "secondary.json", {"config": cfg.resolved(),
-                                      "result": sec.to_json()})
-    _write(outdir, "secondary.csv", sec.to_csv())
+    for name, mat in (("quantize_cs", qcs), ("secondary", sec)):
+        _write_result(outdir, f"{name}.json", cfg, mat.to_json())
+        _write(outdir, f"{name}.csv", mat.to_csv())
     _write(outdir, "lower_symbol.csv", grid.to_csv())
     return 0
 
@@ -331,17 +322,18 @@ def _cmd_paragrassmann(cfg: RunConfig, outdir: Path) -> int:
     l = cfg.extra_value("l", 3, int)
     if l > MAX_PG_ORDER:
         raise ConfigError(f"nilpotency order {l} exceeds the cap {MAX_PG_ORDER}")
-    # no pg_weights: w_0..w_{l-1} of the run's weights
-    weights = cfg.extra_value("pg_weights", None, lambda v: tuple(
-        (cfg.weights.weight(n) for n in range(l)) if v is None else (float(x) for x in v)))
+
+    def pg_weights(v):
+        if v is None:       # w_0..w_{l-1} of the run's weights
+            return tuple(cfg.weights.weight(n) for n in range(l))
+        return tuple(float(x) for x in v)
+
+    weights = cfg.extra_value("pg_weights", None, pg_weights)
     pg = ParagrassmannConfig(l, weights, q=cfg.q)
     op = pg_annihilation(pg)
     rep = pg_structure_report(pg)
-    _write(outdir, "paragrassmann.json", {
-        "config": cfg.resolved(),
-        "result": {"l": l, "weights": list(weights),
-                   "matrix": op.to_json(), "report": rep.to_json()},
-    })
+    _write_result(outdir, "paragrassmann.json", cfg, {
+        "l": l, "weights": list(weights), "matrix": op.to_json(), "report": rep.to_json()})
     return 0
 
 
@@ -349,11 +341,9 @@ def _cmd_verify(cfg: RunConfig, outdir: Path) -> int:
     results = acceptance.run_all()
     for r in results:
         print(r.line())
-    _write(outdir, "verify.json", {
-        "config": cfg.resolved(),
-        "result": [{"number": r.number, "name": r.name, "passed": r.passed,
-                    "detail": r.detail} for r in results],
-    })
+    _write_result(outdir, "verify.json", cfg, [
+        {"number": r.number, "name": r.name, "passed": r.passed, "detail": r.detail}
+        for r in results])
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -409,9 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for name in ("config", "q", "weights", "cutoff", "tol"):
-        if not hasattr(args, name):
-            setattr(args, name, None)
     try:
         cfg = RunConfig.load(args)
         return _DISPATCH[args.command](cfg, Path(getattr(args, "out", ".") or "."))

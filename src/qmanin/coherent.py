@@ -243,14 +243,11 @@ def coherent_norm_sq(lam, w: WeightSequence, q, tol: float = 1e-12):
 
     For an array of points, an array of their norms; every point's series
     is summed together and the first failing point's error is raised."""
-    q = QParam.of(q)
-    if isinstance(lam, Number):
-        res, = _settled(_kernel_series([lam], [lam], w, q, tol))
-        return float(res.float_value.real)
     pts = np.asarray(lam, dtype=complex)
     flat = pts.ravel().tolist()
-    res = _settled(_kernel_series(flat, flat, w, q, tol))
-    return np.array([r.float_value.real for r in res]).reshape(pts.shape)
+    res = _settled(_kernel_series(flat, flat, w, QParam.of(q), tol))
+    vals = [r.float_value.real for r in res]
+    return vals[0] if isinstance(lam, Number) else np.array(vals).reshape(pts.shape)
 
 
 class EigenResidual(NamedTuple):

@@ -75,40 +75,59 @@ def test_config_error_exit_code(tmp_path):
     assert run(tmp_path, "radius", "--config", str(bad)) == 2
 
 
-@pytest.mark.parametrize("argv, config", [
-    (("operator", "--q", "0.1", "--cutoff", "400"), None),   # |q|^-400 overflows
-    (("kernel",), {"grid": {"rmax": "abc"}}),
-    (("measure",), {"basis": "abc"}),
-    (("radius",), {"cap": "abc"}),
-    (("radius",), {"horizon": "abc"}),
-    (("paragrassmann",), {"l": "abc"}),
-    (("paragrassmann",), {"pg_weights": ["x", 1, 2]}),
-    (("paragrassmann",), {"l": 3, "pg_weights": 5}),
-    (("coherent",), {"lambda": [1, "x"]}),
-    (("symbols",), {"window": "abc"}),
-    (("symbols",), {"phase_symbol": "(abc) L^1"}),
-    (("coherent",), {"cutoff": float("inf")}),     # JSON Infinity
-    (("operator", "--cutoff", "400"), {"symbol": "th^400"}),   # sqrt(400!) overflows
-    (("radius",), {"weights": {"kind": "explicit"}}),
-    (("radius",), {"weights": {"kind": "constant", "params": [2.0]}}),
-    (("radius",), {"cap": 0}),                     # log(cap) has no value
-    (("symbols",), {"normalized": "false"}),       # a string, not JSON false
-    (("coherent",), {"lambda": 30}),               # |a_n| passes 1e308
-    (("kernel",), {"grid": {"rmax": 30, "nr": 2, "ntheta": 1}}),   # K = e^900
-    (("kernel",), {"mu": 30, "grid": {"rmax": 30, "nr": 2, "ntheta": 1}}),
+_REFUSALS = [
+    (("operator", "--q", "0.1", "--cutoff", "400"), None,     # |q|^-400 overflows
+     "|q|**-305 overflows"),
+    (("kernel",), {"grid": {"rmax": "abc"}}, "grid values must be numbers"),
+    (("measure",), {"basis": "abc"}, "'basis'"),
+    (("radius",), {"cap": "abc"}, "'cap'"),
+    (("radius",), {"horizon": "abc"}, "'horizon'"),
+    (("paragrassmann",), {"l": "abc"}, "'l'"),
+    (("paragrassmann",), {"pg_weights": ["x", 1, 2]}, "'pg_weights'"),
+    (("paragrassmann",), {"l": 3, "pg_weights": 5}, "'pg_weights'"),
+    (("coherent",), {"lambda": [1, "x"]}, "cannot parse complex number"),
+    (("symbols",), {"window": "abc"}, "'window'"),
+    (("symbols",), {"phase_symbol": "(abc) L^1"}, "cannot parse complex number 'abc'"),
+    (("coherent",), {"cutoff": float("inf")},      # JSON Infinity
+     "invalid config value"),
+    (("operator", "--cutoff", "400"), {"symbol": "th^400"},   # sqrt(400!) overflows
+     "entries must be finite"),
+    (("radius",), {"weights": {"kind": "explicit"}}, "weight spec"),
+    (("radius",), {"weights": {"kind": "constant", "params": [2.0]}}, "weight spec"),
+    (("radius",), {"cap": 0}, "radius cap"),       # log(cap) has no value
+    (("symbols",), {"normalized": "false"},        # a string, not JSON false
+     "'normalized'"),
+    (("coherent",), {"lambda": 30},                # |a_n| passes 1e308
+     "too large for a double"),
+    (("kernel",), {"grid": {"rmax": 30, "nr": 2, "ntheta": 1}},   # K = e^900
+     "the norm at lambda = (30+0j)"),
+    (("kernel",), {"mu": 30, "grid": {"rmax": 30, "nr": 2, "ntheta": 1}},
+     "the kernel at lambda = (30+0j)"),
     (("symbols",), {"grid": {"rmax": 27, "rmin": 27, "nr": 1, "ntheta": 1},
-                    "window": 1024, "order": 4, "cutoff": 4, "normalized": False}),
-    (("radius",), {"horizon": 10**306}),           # log w_n passes a double
-    (("radius",), {"horizon": 10**400}),           # n itself passes a double
-    (("coherent",), {"tol": "nan"}),
-    (("coherent", "--tol", "inf"), None),
-    (("paragrassmann",), {"l": 3, "pg_weights": [1e300, 1e-300, 1.0]}),
-    (("coherent",), {"lamda": [2, 0]}),            # a key no subcommand reads
-])
-def test_refusals_exit_2_without_traceback(tmp_path, argv, config):
+                    "window": 1024, "order": 4, "cutoff": 4, "normalized": False},
+     "unnormalized lower symbol at lambda = (27+0j)"),
+    (("radius",), {"horizon": 10**306},            # log w_n passes a double
+     "horizon of 307 digits"),
+    (("radius",), {"horizon": 10**400},            # n itself passes a double
+     "horizon of 401 digits"),
+    (("coherent",), {"tol": "nan"}, "positive finite number, got nan"),
+    (("coherent", "--tol", "inf"), None, "positive finite number, got inf"),
+    (("paragrassmann",), {"l": 3, "pg_weights": [1e300, 1e-300, 1.0]},
+     "w_1 / w_0"),
+    (("coherent",), {"lamda": [2, 0]},             # a key no subcommand reads
+     "config key 'lamda'"),
+    (("radius",), {"horizon": 10**308}, "horizon of 309 digits"),
+]
+
+
+# the ids name each case by its argv and config alone, as argvN-configN
+@pytest.mark.parametrize("argv, config, text", _REFUSALS, ids=[
+    f"argv{i}-{'None' if c is None else f'config{i}'}" for i, (_, c, _) in enumerate(_REFUSALS)])
+def test_refusals_exit_2_without_traceback(tmp_path, argv, config, text):
     proc = run_cold(tmp_path, argv, config)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
+    assert text in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -187,30 +206,15 @@ def test_radius_samples_stay_finite_for_fast_growing_weights(tmp_path):
     assert doc["result"]["value"] == "inf"
 
 
-def test_refusals_name_what_they_refuse(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    for config, cmd, text in (
-            ({"lamda": [2, 0]}, "coherent", "'lamda'"),
-            ({"l": 3, "pg_weights": [1e300, 1e-300, 1.0]}, "paragrassmann", "w_1 / w_0"),
-            ({"tol": "nan"}, "kernel", "positive finite")):
-        cfg.write_text(json.dumps(config))
-        assert run(tmp_path, cmd, "--config", str(cfg)) == 2
-        assert text in capsys.readouterr().err
-
-
-def test_radius_horizon_at_the_double_range(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    for exp, code in ((305, 0), (308, 2), (309, 2)):
-        cfg.write_text(json.dumps({"horizon": 10**exp}))
-        assert run(tmp_path, "radius", "--config", str(cfg)) == code
-
-
 def test_radius_horizon_beyond_int64(tmp_path):
+    # at factorial weights, 10^305 is the largest power of ten whose
+    # samples and log weights stay in a double
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"horizon": 10**21}))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert run(tmp_path, "radius", "--config", str(cfg)) == 0
+    for horizon in (10**305, 10**21):
+        cfg.write_text(json.dumps({"horizon": horizon}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(tmp_path, "radius", "--config", str(cfg)) == 0
     n = [s["n"] for s in load(tmp_path, "radius.json")["result"]["samples"]]
     assert n[0] == 1 and n[-1] == 10**21
     assert all(a < b for a, b in zip(n, n[1:]))

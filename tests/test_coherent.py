@@ -9,7 +9,6 @@ from qmanin import (OutsidePhaseSpaceError, ToleranceUnreachableError,
                     WeightSequence, coherent_coefficients, coherent_norm_sq, cs_transform,
                     eigen_residual, evolve, evolve_state, kernel,
                     radius_of_convergence)
-from qmanin.coherent import coeff_log_arrays
 from qmanin.weights import QParam
 
 WFAC = WeightSequence.factorial()
@@ -38,17 +37,6 @@ class TestCoefficients:
         assert st.norm_sq == 1.0 / w.weight(0)
         assert st.logmag.tolist() == [-0.5 * math.log(w.weight(0))]
         assert st.phase.tolist() == [0.0] and st.tail_log == -math.inf
-
-    def test_state_is_its_norm_series_cut(self):
-        # the coefficients are coeff_log_arrays up to the cutoff of the
-        # certified norm series, and the norm is that series' sum
-        for w, q, lam in ((WFAC, 1j, 1.3 - 0.4j), (WCONST, 0.8, 0.6j),
-                          (qgauss_table(1.5, 41), cmath.exp(0.6j), 2.0)):
-            st = coherent_coefficients(lam, w, q, tol=1e-13)
-            logmag, phase = coeff_log_arrays(lam, w, QParam.of(q), 0, st.n_cutoff + 1)
-            assert st.logmag.tobytes() == logmag.tobytes()
-            assert st.phase.tobytes() == phase.tobytes()
-            assert st.norm_sq == coherent_norm_sq(lam, w, q, tol=1e-13)
 
     def test_pinned_a2_value(self):
         # a_2 = (1/2)^2 * i^3 / sqrt(2) = -i / (4 sqrt 2)
