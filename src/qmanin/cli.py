@@ -6,6 +6,10 @@ JSON/CSV files under ``--out`` that embed the fully resolved config.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 out-of-phase-space input, 4 solver conditioning failure.
+
+Each subcommand imports the modules it runs in its handler, so a cold
+``operator`` or ``kernel`` never loads mpmath, the Gauss solver
+(``measure``) or the acceptance suite.
 """
 
 from __future__ import annotations
@@ -14,25 +18,15 @@ import argparse
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import acceptance, jsonio
+from . import jsonio
 from .algebra import ManinElement, parse_complex, parse_terms
-from .coherent import (coherent_coefficients, coherent_norm_sq, eigen_residual,
-                       kernel, radius_of_convergence)
 from .errors import ConfigError, InputTooLargeError, QmaninError
-from .measure import (MAX_ORDER, MomentSequence, closed_form_density,
-                      gauss_quadrature_from_moments, norm_divergence_witness,
-                      verify_moments, verify_resolution_identity)
-from .operators import (adjoint_annihilation_matrix, annihilation_matrix,
-                        creation_matrix, number_matrix, toeplitz_matrix)
-from .paragrassmann import (MAX_PG_ORDER, ParagrassmannConfig, pg_annihilation,
-                            pg_structure_report)
-from .symbols import (PolynomialSymbol, SymbolValueGrid, lower_symbol_grid,
-                      quantize_cs, secondary_toeplitz)
 from .weights import QParam, WeightSequence
 
 # Size caps, checked before anything is allocated; MAX_CUTOFF also caps the window.
@@ -202,10 +196,13 @@ def _write_result(outdir: Path, name: str, cfg: RunConfig, result) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands; each imports what it runs, reading the module attributes at
+# call time
 # ---------------------------------------------------------------------------
 
 def _cmd_radius(cfg: RunConfig, outdir: Path) -> int:
+    from .coherent import radius_of_convergence
+
     horizon = cfg.extra_value("horizon", 10**15, int)
     cap = cfg.extra_value("cap", 1e6, float)
     est = radius_of_convergence(cfg.weights, cfg.q, horizon=horizon, cap=cap)
@@ -214,6 +211,8 @@ def _cmd_radius(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _cmd_operator(cfg: RunConfig, outdir: Path) -> int:
+    from .operators import toeplitz_matrix
+
     text = cfg.extra_value("symbol", "tb^1", str)
     g = parse_manin_symbol(text, cfg.q)
     op = toeplitz_matrix(g, cfg.weights, cfg.q, cfg.cutoff)
@@ -223,6 +222,8 @@ def _cmd_operator(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _cmd_coherent(cfg: RunConfig, outdir: Path) -> int:
+    from .coherent import coherent_coefficients, eigen_residual
+
     lam = cfg.extra_value("lambda", 1.0, parse_complex)
     state = coherent_coefficients(lam, cfg.weights, cfg.q, tol=cfg.tol)
     if not math.isfinite(state.norm_sq):
@@ -238,6 +239,9 @@ def _cmd_coherent(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _cmd_kernel(cfg: RunConfig, outdir: Path) -> int:
+    from .coherent import coherent_norm_sq, kernel
+    from .symbols import SymbolValueGrid
+
     pts = _grid_points(cfg.grid)
     # no mu: the diagonal, the squared norms K(lambda, lambda)
     mu = cfg.extra_value("mu", None, lambda v: v if v is None else parse_complex(v))
@@ -258,6 +262,8 @@ def _moment_rule(cfg: RunConfig):
     """The moment-solved rule at the configured order.  The solver caps the
     order at MAX_ORDER, so only the moments a capped rule matches are built,
     ``cfg.order`` becomes the order solved and the artifacts embed what ran."""
+    from .measure import MAX_ORDER, MomentSequence, gauss_quadrature_from_moments
+
     jmax = 2 * min(cfg.order, MAX_ORDER) - 1
     moments = MomentSequence.from_weights(cfg.weights, cfg.q, jmax)
     quad = gauss_quadrature_from_moments(moments, cfg.order)
@@ -266,6 +272,9 @@ def _moment_rule(cfg: RunConfig):
 
 
 def _cmd_measure(cfg: RunConfig, outdir: Path) -> int:
+    from .measure import (closed_form_density, norm_divergence_witness, verify_moments,
+                          verify_resolution_identity)
+
     basis = _capped("basis", cfg.extra_value("basis", 10, int), MAX_BASIS)
     quad = _moment_rule(cfg)
     nmax = min(2 * cfg.order - 1, 20)
@@ -284,15 +293,18 @@ def _cmd_measure(cfg: RunConfig, outdir: Path) -> int:
     return 0
 
 
-_NAMED_OPERATORS = {
-    "annihilation": annihilation_matrix,
-    "creation": creation_matrix,
-    "adjoint": adjoint_annihilation_matrix,
-    "number": lambda w, q, N: number_matrix(N),
-}
-
-
 def _cmd_symbols(cfg: RunConfig, outdir: Path) -> int:
+    from .operators import (adjoint_annihilation_matrix, annihilation_matrix,
+                            creation_matrix, number_matrix)
+    from .symbols import PolynomialSymbol, lower_symbol_grid, quantize_cs, secondary_toeplitz
+
+    named_operators = {
+        "annihilation": annihilation_matrix,
+        "creation": creation_matrix,
+        "adjoint": adjoint_annihilation_matrix,
+        "number": lambda w, q, N: number_matrix(N),
+    }
+
     def capped_window(v):
         return cfg.weights.max_index(_capped("window", int(v), MAX_CUTOFF))
 
@@ -303,10 +315,10 @@ def _cmd_symbols(cfg: RunConfig, outdir: Path) -> int:
     sec = secondary_toeplitz(f, quad, cfg.weights, cfg.q, cfg.cutoff)
 
     name = cfg.extra_value("operator", "annihilation", str)
-    if name not in _NAMED_OPERATORS:
+    if name not in named_operators:
         raise ConfigError(f"unknown operator {name!r}; expected one of "
-                          f"{sorted(_NAMED_OPERATORS)}")
-    op = _NAMED_OPERATORS[name](cfg.weights, cfg.q, window)
+                          f"{sorted(named_operators)}")
+    op = named_operators[name](cfg.weights, cfg.q, window)
     pts = _grid_points(cfg.grid)
     grid = lower_symbol_grid(op, pts, cfg.weights, cfg.q,
                              normalized=cfg.extra_value("normalized", True, _json_bool))
@@ -319,6 +331,9 @@ def _cmd_symbols(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _cmd_paragrassmann(cfg: RunConfig, outdir: Path) -> int:
+    from .paragrassmann import (MAX_PG_ORDER, ParagrassmannConfig, pg_annihilation,
+                                pg_structure_report)
+
     l = cfg.extra_value("l", 3, int)
     if l > MAX_PG_ORDER:
         raise ConfigError(f"nilpotency order {l} exceeds the cap {MAX_PG_ORDER}")
@@ -338,9 +353,17 @@ def _cmd_paragrassmann(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, outdir: Path) -> int:
-    results = acceptance.run_all()
-    for r in results:
+    from . import acceptance
+
+    # the PASS/FAIL lines to stdout; each criterion's wall time to stderr only
+    results = []
+    for num, _, _ in acceptance.CRITERIA:
+        start = time.perf_counter()
+        r = acceptance.run_criterion(num)
+        elapsed = time.perf_counter() - start
         print(r.line())
+        print(f"criterion {num:02d} took {1e3 * elapsed:.1f} ms", file=sys.stderr)
+        results.append(r)
     _write_result(outdir, "verify.json", cfg, [
         {"number": r.number, "name": r.name, "passed": r.passed, "detail": r.detail}
         for r in results])

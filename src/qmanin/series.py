@@ -300,11 +300,26 @@ def _libm_exp(x: np.ndarray) -> np.ndarray:
     return out
 
 
+_LN2 = math.log(2.0)
+
+
+def _exp_int(t: float) -> int:
+    """round(exp(t)) as a Python int, also where exp(t) is past a double."""
+    shift = max(0, int(t / _LN2) - 60)
+    return round(math.exp(t - shift * _LN2)) << shift
+
+
 def geometric_indexes(lo: int, hi: int, count: int) -> np.ndarray:
     """Unique integer sample points, geometrically spaced on [lo, hi], as an
-    object array of Python ints: a horizon may lie beyond int64."""
+    object array of Python ints: a horizon may lie beyond int64, or beyond
+    a double.  The first point is exactly ``lo`` and the last exactly ``hi``;
+    only the points between are rounded."""
     if hi <= lo:
         return np.array([lo], dtype=object)
-    pts = np.geomspace(float(lo), float(hi), num=count)
-    return np.array(sorted({min(hi, max(lo, round(float(x)))) for x in pts}),
+    try:
+        inner = np.geomspace(float(lo), float(hi), num=count)[1:-1].tolist()
+    except OverflowError:       # past a double: the same spacing, from the logs
+        step = (math.log(hi) - math.log(lo)) / max(count - 1, 1)
+        inner = [_exp_int(math.log(lo) + k * step) for k in range(1, count - 1)]
+    return np.array(sorted({lo, hi} | {min(hi, max(lo, round(x))) for x in inner}),
                     dtype=object)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
 
@@ -32,10 +32,12 @@ from .coherent import _coefficient_rows, coeff_log_arrays, coherent_norm_sq
 from .errors import (ConfigError, InputTooLargeError, InsufficientQuadratureError,
                      WindowTooSmallError)
 from .kernels import log_power_sums
-from .measure import RadialQuadrature
 from .operators import OperatorMeta, TruncatedOperator
 from .series import ROW_BLOCK, bound_from_log
 from .weights import QParam, WeightSequence
+
+if TYPE_CHECKING:       # annotations only: a lower symbol needs no Gauss solver
+    from .measure import RadialQuadrature
 
 
 class PolynomialSymbol:

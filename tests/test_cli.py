@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -464,10 +465,15 @@ def test_parse_manin_symbol():
 
 def test_verify_runs_clean(tmp_path, capsys):
     assert run(tmp_path, "verify") == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 12
+    captured = capsys.readouterr()
+    assert captured.out.count("PASS") == 12
     doc = load(tmp_path, "verify.json")
     assert all(item["passed"] for item in doc["result"])
+    # each criterion's wall time goes to stderr, never to stdout or the artifact
+    timing = re.compile(r"^criterion (\d\d) took \d+\.\d ms$", re.M)
+    assert timing.findall(captured.err) == [f"{n:02d}" for n in range(1, 13)]
+    assert " took " not in captured.out
+    assert " took " not in (tmp_path / "verify.json").read_text()
 
 
 # ---------------------------------------------------------------------------

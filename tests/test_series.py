@@ -104,6 +104,19 @@ def test_geometric_indexes():
     assert all(type(n) is int for n in big) and np.all(np.diff(big) > 0)
 
 
+@pytest.mark.parametrize("horizon", [10**21, 10**305, 10**400])
+def test_geometric_indexes_end_exactly_at_the_horizon(horizon):
+    # 10**305 is not a double, and 10**400 is past the double range
+    idx = geometric_indexes(1, horizon, 400)
+    assert idx[0] == 1 and idx[-1] == horizon
+    assert all(type(n) is int for n in idx)
+    assert all(a < b for a, b in zip(idx, idx[1:]))
+    # the points between stay geometric: past rounding, one common ratio
+    step = math.exp(math.log(horizon) / 399)
+    ratios = [b / a for a, b in zip(idx, idx[1:]) if a > 10**6]
+    assert ratios and all(abs(r / step - 1) < 1e-5 for r in ratios)
+
+
 # ---------------------------------------------------------------------------
 # the one-series loop against its numpy bookkeeping
 # ---------------------------------------------------------------------------
