@@ -14,8 +14,9 @@ coefficients are computed in arbitrary precision because raw moment
 sequences at factorial scale annihilate double precision long before the
 orders used here.  The float64 eigenvalues of the Jacobi matrix only seed
 the nodes: Newton on the recurrence polishes each one at the recurrence's
-precision, and the masses are the Christoffel numbers at the polished
-nodes.  The recurrence and the polish run on mpmath's raw mpf tuples
+precision, and the masses are the Christoffel numbers, each read off the
+last Newton step by the confluent Christoffel-Darboux identity.  The
+recurrence and the polish run on mpmath's raw mpf tuples
 (``mpmath.libmp``) at the working precision, each operation rounded to
 nearest as an mpf object would round it, so the rule is the one mpf
 arithmetic gives, without an object per operation.  Only the final
@@ -41,7 +42,7 @@ import mpmath
 import numpy as np
 from mpmath.libmp import (fone, from_float, fzero, mpf_abs, mpf_add, mpf_div, mpf_e,
                           mpf_exp, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_neg, mpf_pow,
-                          mpf_rdiv_int, mpf_sub, mpf_sum, round_nearest as _RND)
+                          mpf_sub, round_nearest as _RND)
 from numpy.polynomial.laguerre import laggauss
 
 from .coherent import coeff_log_arrays
@@ -76,8 +77,8 @@ class MomentSequence:
         with mpmath.workdps(120):
             log_q = mpmath.log(abs(mpmath.mpc(q.value)))
             log_pi = mpmath.log(mpmath.pi)
-            mp_logs = tuple(-j * (j + 1) * log_q + w.mp_log_weight(j) - log_pi
-                            for j in range(jmax + 1))
+            mp_logs = tuple(-j * (j + 1) * log_q + log_w - log_pi
+                            for j, log_w in enumerate(w.mp_log_weights(jmax + 1)))
         logs = tuple(float(x) for x in mp_logs)
         vals = tuple(math.exp(x) if x < 709 else math.inf for x in logs)
         return cls(vals, logs, mp_logs)
@@ -289,7 +290,9 @@ def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray
     float64 eigenvalues of the Jacobi matrix seed Newton on the monic
     recurrence p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1} at the
     recurrence's own precision; each mass is the Christoffel number
-    1 / sum_k p_k(x)^2 / (beta_1 ... beta_k) in units where m_0 = 1.
+    1 / sum_k p_k(x)^2 / (beta_1 ... beta_k) in units where m_0 = 1, taken
+    from the last Newton sweep by the Christoffel-Darboux identity.  A mass
+    below the smallest normal double is refused as an underflow.
     """
     alpha, beta, atoms, log_s, log_m0, dps = _chebyshev_recurrence(m, order)
     npts = atoms if atoms is not None else order
@@ -311,7 +314,8 @@ def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray
         scale, total = map(make, _e_powers([log_s._mpf_, log_m0._mpf_], mpmath.mp.prec))
         nodes = np.array([float(make(x) * scale) for x in roots])
         masses = np.array([float(make(w) * total) for w in weights])
-    if np.any(masses == 0.0):
+    # a subnormal mass keeps only a few bits, too few for the moments it matches
+    if np.any(masses < np.finfo(float).tiny):
         raise _Breakdown("a Christoffel mass underflows float64")
     return nodes, masses
 
@@ -319,7 +323,20 @@ def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray
 def _polish(alpha, beta, seeds, dps: int) -> tuple[list, list]:
     """Newton-polished zeros of p_npts, npts = len(alpha), from the float64
     seeds, and the Christoffel number at each, as raw mpf tuples at ``dps``
-    digits, every operation rounded to nearest as mpf objects round it."""
+    digits, every operation rounded to nearest as mpf objects round it.
+
+    Each Newton sweep ends with p_npts, p_npts', p_{npts-1} and p_{npts-1}'
+    at its iterate, and the confluent Christoffel-Darboux identity, exact at
+    every x,
+
+        sum_{k<npts} p_k(x)^2 / h_k = (p_npts' p_{npts-1} - p_npts p_{npts-1}') / h_{npts-1}
+
+    with h_k = beta_1 ... beta_k, gives the Christoffel number 1 / sum as
+    h_{npts-1} over that numerator, with no further sweep.  It is taken at
+    the iterate just before the node: the stop rule bounds that last step
+    by 2^-70 |x|, and from float64 seeds the step is about the square of
+    the seed's error, far below float64.  A numerator that is not positive
+    is a breakdown."""
     with mpmath.workdps(dps):
         prec = mpmath.mp.prec
         # Newton converges quadratically, so once a step is below 2^-70 |x|
@@ -328,9 +345,9 @@ def _polish(alpha, beta, seeds, dps: int) -> tuple[list, list]:
         tol = (mpmath.mpf(2) ** -70)._mpf_
         floor = (mpmath.mpf(10) ** (-(dps // 2)))._mpf_
     coeffs = [(a._mpf_, b._mpf_) for a, b in zip(alpha, beta)]
-    norms = [fone]                          # beta_1 ... beta_k
+    h_last = fone                           # beta_1 ... beta_{npts-1}
     for _, b in coeffs[1:]:
-        norms.append(mpf_mul(norms[-1], b, prec, _RND))
+        h_last = mpf_mul(h_last, b, prec, _RND)
     roots, weights = [], []
     for seed in seeds:
         x = from_float(seed)
@@ -353,15 +370,14 @@ def _polish(alpha, beta, seeds, dps: int) -> tuple[list, list]:
             raise _Breakdown(f"Newton polish did not converge from seed {seed!r}")
         if not mpf_lt(floor, mpf_abs(x)):
             x = fzero
-        # the Christoffel number needs p_0(x) .. p_{npts-1}(x) only; the
-        # k = 0 term is p_0^2 / 1 = 1
-        terms, p_prev, p = [fone], fzero, fone
-        for (a, b), h in zip(coeffs, norms[1:]):
-            p_prev, p = p, mpf_sub(mpf_mul(mpf_sub(x, a, prec, _RND), p, prec, _RND),
-                                   mpf_mul(b, p_prev, prec, _RND), prec, _RND)
-            terms.append(mpf_div(mpf_mul(p, p, prec, _RND), h, prec, _RND))
+        # the last sweep's values, at the iterate before x
+        cd = mpf_sub(mpf_mul(dp, p_prev, prec, _RND), mpf_mul(p, dp_prev, prec, _RND),
+                     prec, _RND)
+        if not mpf_lt(fzero, cd):
+            raise _Breakdown(f"the Christoffel-Darboux numerator is not positive "
+                             f"at the node polished from seed {seed!r}")
         roots.append(x)
-        weights.append(mpf_rdiv_int(1, mpf_sum(terms, prec, _RND), prec, _RND))
+        weights.append(mpf_div(h_last, cd, prec, _RND))
     return roots, weights
 
 

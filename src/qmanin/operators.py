@@ -66,6 +66,19 @@ class TruncatedOperator:
     def cutoff(self) -> int:
         return self.dim - 1
 
+    def norm_bound(self) -> float:
+        """An upper bound of the spectral norm ||A||_2 in O(entries).
+
+        When every non-zero entry lies on one diagonal, as on the
+        annihilation, creation and number bands, it is max |entry|, which is
+        ||A||_2 itself; otherwise it is sqrt(||A||_1 ||A||_inf), which is
+        also below the sum over the diagonals of their largest |entry|."""
+        a = np.abs(self.matrix)
+        rows, cols = np.nonzero(a)
+        if rows.size and np.all(cols - rows == cols[0] - rows[0]):
+            return float(a.max())
+        return math.sqrt(float(a.sum(axis=0).max())) * math.sqrt(float(a.sum(axis=1).max()))
+
     def _relabel(self, **changes) -> "TruncatedOperator":
         """The same, already validated matrix under changed metadata."""
         op = object.__new__(TruncatedOperator)

@@ -181,8 +181,9 @@ def lower_symbol(A: TruncatedOperator, lam: complex, w: WeightSequence, q,
     must fit inside the operator window, otherwise the quadratic form
     would silently ignore certified mass (WindowTooSmallError).  The
     certified truncation error of the quadratic form is available via
-    ``return_error``; it is taken in the log domain, and an unnormalized
-    bound beyond a double is refused (InputTooLargeError).
+    ``return_error``; it is taken in the log domain with ||A|| from
+    ``A.norm_bound()``, and an unnormalized bound beyond a double is
+    refused (InputTooLargeError).
     """
     vals, B, m, (res,) = _lower_symbols(A, [lam], w, QParam.of(q), normalized, tol)
     value = complex(vals[0])
@@ -190,7 +191,7 @@ def lower_symbol(A: TruncatedOperator, lam: complex, w: WeightSequence, q,
         return value
     # certified error: tail mass times the operator's column reach, taken
     # in the log domain, where ||phi_lambda||^2 may pass a double
-    op_norm = float(np.linalg.norm(A.matrix, 2))
+    op_norm = A.norm_bound()
     log_norm_sq = 2.0 * m[0] + math.log(float(np.vdot(B[0], B[0]).real))
     log_err = 0.5 * (res.tail_log + log_norm_sq)
     if normalized:

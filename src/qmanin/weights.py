@@ -185,16 +185,32 @@ class WeightSequence:
 
     def mp_log_weight(self, n: int):
         """log w_n as an mpmath float under the caller's precision context."""
+        if n < 0:
+            import mpmath
+
+            return mpmath.mpf(0)
+        return self._mp_log_weights(range(n, n + 1))[0]
+
+    def mp_log_weights(self, count: int) -> list:
+        """[log w_0, ..., log w_{count-1}] as mpmath floats under the caller's
+        precision context, each exactly ``mp_log_weight(n)``, with log c and
+        log scale taken once."""
+        return self._mp_log_weights(range(count))
+
+    def _mp_log_weights(self, ns: range) -> list:
         import mpmath
 
-        if n < 0:
-            return mpmath.mpf(0)
-        self._check(n)
+        if not ns:
+            return []
+        self._check(ns[-1])
         ls = mpmath.log(mpmath.mpf(self.scale))
         if self.table is not None:
-            return mpmath.log(mpmath.mpf(self.table[n])) + ls
-        lg = mpmath.mpf(self.s) * mpmath.loggamma(n + 1) if self.s else 0
-        return lg + mpmath.log(mpmath.mpf(self.c)) + ls
+            return [mpmath.log(mpmath.mpf(self.table[n])) + ls for n in ns]
+        log_c = mpmath.log(mpmath.mpf(self.c))
+        if not self.s:
+            return [log_c + ls] * len(ns)
+        s = mpmath.mpf(self.s)
+        return [s * mpmath.loggamma(n + 1) + log_c + ls for n in ns]
 
     def ratio(self, n: int) -> float:
         """w_n / w_{n-1} (w_{-1} = 1); n**s for the rule, so huge indices

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import os
 import subprocess
@@ -21,6 +22,8 @@ from qmanin.errors import OrderTooHighError
 
 WFAC = WeightSequence.factorial()
 WCONST = WeightSequence.constant()
+# delta_0 + delta_1 at |q| = 1: moments (2, 1, 1, ...), an atomic measure
+WDELTA01 = WeightSequence.explicit([math.pi * x for x in (2,) + (1,) * 39])
 
 
 class TestClosedForm:
@@ -189,6 +192,23 @@ class TestMomentSolver:
         quad = gauss_quadrature_from_moments(m, achievable)
         assert np.all(quad.masses > 0)
 
+    @pytest.mark.parametrize("w, q, order, achievable", [
+        (WCONST, 0.5, 17, 16),
+        (WeightSequence.constant(2.0), 0.5, 17, 16),
+        (WDELTA01, 0.5, 17, 16),
+        (WeightSequence.power_factorial(0.5), 0.3, 13, 12),
+    ])
+    def test_subnormal_mass_refused(self, w, q, order, achievable):
+        # a subnormal mass keeps a few bits only: cast as is, these rules
+        # miss their own moments up to 2 * order - 1 by 8e-5 to 3.5e-3
+        m = MomentSequence.from_weights(w, q, 2 * order - 1)
+        with pytest.raises(OrderTooHighError, match="Christoffel mass underflows") as info:
+            gauss_quadrature_from_moments(m, order)
+        assert info.value.achievable == achievable
+        quad = gauss_quadrature_from_moments(m, achievable)
+        assert np.all(quad.masses >= np.finfo(float).tiny)
+        assert verify_moments(quad, w, q, 2 * achievable - 1).ok
+
     def test_probe_lets_faults_through(self, monkeypatch):
         # only the solver's own failures lower the achievable order; a
         # programming error at a lower order is raised, not swallowed
@@ -226,10 +246,6 @@ class TestMomentSolver:
         back = RadialQuadrature.from_json(quad.to_json())
         assert np.allclose(back.nodes, quad.nodes)
         assert np.allclose(back.masses, quad.masses)
-
-
-# delta_0 + delta_1 at |q| = 1: moments (2, 1, 1, ...), an atomic measure
-WDELTA01 = WeightSequence.explicit([math.pi * x for x in (2,) + (1,) * 39])
 
 
 def _outcome(solve, *args):
@@ -279,13 +295,17 @@ def test_raw_tuple_solver_matches_mpf_objects(w, q, order, monkeypatch):
             else:
                 assert polished == tuple([x._mpf_ for x in xs] for xs in ref)
     rule = _outcome(gauss_quadrature_from_moments, m, order)
-    monkeypatch.setattr(measure, "_golub_welsch", _mpf_golub_welsch)
-    ref = _outcome(gauss_quadrature_from_moments, m, order)
-    if _refused(ref):
-        assert rule == ref
-    else:
-        assert np.array_equal(rule.nodes, ref.nodes)
-        assert np.array_equal(rule.masses, ref.masses)
+    # the float64 rule is also the one the Christoffel sum at the polished
+    # node gives, as the masses differ far below float64
+    for polish in (_mpf_polish, _mpf_christoffel_polish):
+        monkeypatch.setattr(measure, "_golub_welsch",
+                            functools.partial(_mpf_golub_welsch, polish=polish))
+        ref = _outcome(gauss_quadrature_from_moments, m, order)
+        if _refused(ref):
+            assert rule == ref
+        else:
+            assert np.array_equal(rule.nodes, ref.nodes)
+            assert np.array_equal(rule.masses, ref.masses)
 
 
 def _mpf_recurrence(m, order):
@@ -339,40 +359,71 @@ def _jacobi_seeds(alpha, beta, npts):
     return np.linalg.eigvalsh(jacobi)
 
 
-def _mpf_polish(alpha, beta, seeds, dps):
-    """``measure._polish`` in mpf-object arithmetic, returning mpf."""
+def _mpf_newton(alpha, beta, seed, dps):
+    """The polished node from one seed and the last Newton sweep's values,
+    as ``measure._polish`` takes them, in mpf objects at ``dps`` digits."""
     npts = len(alpha)
     with mpmath.workdps(dps):
         tol = mpmath.mpf(2) ** -70
         floor = mpmath.mpf(10) ** (-(dps // 2))
+        x = mpmath.mpf(seed)
+        for _ in range(measure._NEWTON_STEPS):
+            sweep = _monic_values(alpha, beta, npts, x)
+            dx = sweep[1] / sweep[2]           # p_npts / p_npts'
+            x -= dx
+            if abs(dx) <= max(tol * abs(x), floor):
+                break
+        else:
+            raise measure._Breakdown(
+                f"Newton polish did not converge from seed {seed!r}")
+        return (x if abs(x) > floor else mpmath.mpf(0)), sweep
+
+
+def _mpf_polish(alpha, beta, seeds, dps):
+    """``measure._polish`` in mpf-object arithmetic, returning mpf: each mass
+    is h_{npts-1} / (p_npts' p_{npts-1} - p_npts p_{npts-1}') from the last
+    Newton sweep, the confluent Christoffel-Darboux identity."""
+    with mpmath.workdps(dps):
+        h_last = mpmath.mpf(1)
+        for b in beta[1:]:
+            h_last *= b
+        roots, weights = [], []
+        for seed in seeds:
+            x, (values, p, dp, dp_prev) = _mpf_newton(alpha, beta, seed, dps)
+            cd = dp * values[-1] - p * dp_prev
+            if not cd > 0:
+                raise measure._Breakdown(
+                    f"the Christoffel-Darboux numerator is not positive at the "
+                    f"node polished from seed {seed!r}")
+            roots.append(x)
+            weights.append(h_last / cd)
+        return roots, weights
+
+
+def _mpf_christoffel_polish(alpha, beta, seeds, dps):
+    """The same nodes with each mass the Christoffel sum
+    1 / sum_k p_k(x)^2 / (beta_1 ... beta_k), taken in a further sweep at
+    the polished node, in mpf objects."""
+    npts = len(alpha)
+    with mpmath.workdps(dps):
         norms = [mpmath.mpf(1)]
         for k in range(1, npts):
             norms.append(norms[-1] * beta[k])
         roots, weights = [], []
         for seed in seeds:
-            x = mpmath.mpf(seed)
-            for _ in range(measure._NEWTON_STEPS):
-                _, p, dp = _monic_values(alpha, beta, npts, x)
-                dx = p / dp
-                x -= dx
-                if abs(dx) <= max(tol * abs(x), floor):
-                    break
-            else:
-                raise measure._Breakdown(
-                    f"Newton polish did not converge from seed {seed!r}")
-            x = x if abs(x) > floor else mpmath.mpf(0)
+            x, _ = _mpf_newton(alpha, beta, seed, dps)
             p = _monic_values(alpha, beta, npts, x)[0]
             roots.append(x)
             weights.append(1 / mpmath.fsum(v ** 2 / h for v, h in zip(p, norms)))
         return roots, weights
 
 
-def _mpf_golub_welsch(m, order):
+def _mpf_golub_welsch(m, order, polish=_mpf_polish):
     """``measure._golub_welsch`` in mpf-object arithmetic throughout."""
     alpha, beta, atoms, log_s, log_m0, dps = _mpf_recurrence(m, order)
     npts = atoms if atoms is not None else order
     seeds = _jacobi_seeds(alpha, beta, npts)
-    roots, weights = _mpf_polish(alpha[:npts], beta[:npts], seeds, dps)
+    roots, weights = polish(alpha[:npts], beta[:npts], seeds, dps)
     with mpmath.workdps(dps):
         if any(a >= b for a, b in zip(roots, roots[1:])):
             raise measure._Breakdown("two float64 seeds polished into one node")
@@ -384,13 +435,14 @@ def _mpf_golub_welsch(m, order):
         total = mpmath.e ** log_m0
         nodes = np.array([float(x * scale) for x in roots])
         masses = np.array([float(w * total) for w in weights])
-    if np.any(masses == 0.0):
+    if np.any(masses < np.finfo(float).tiny):
         raise measure._Breakdown("a Christoffel mass underflows float64")
     return nodes, masses
 
 
 def _monic_values(alpha, beta, npts, x):
-    """[p_0(x) .. p_{npts-1}(x)], p_npts(x) and p_npts'(x) in mpf objects."""
+    """[p_0(x) .. p_{npts-1}(x)], p_npts(x), p_npts'(x) and p_{npts-1}'(x)
+    in mpf objects."""
     p_prev, p = mpmath.mpf(0), mpmath.mpf(1)
     dp_prev, dp = mpmath.mpf(0), mpmath.mpf(0)
     values = []
@@ -401,7 +453,7 @@ def _monic_values(alpha, beta, npts, x):
         dp_next = p + t * dp - beta[k] * dp_prev
         p_prev, p = p, p_next
         dp_prev, dp = dp, dp_next
-    return values, p, dp
+    return values, p, dp, dp_prev
 
 
 def _eigsy_rule(m, order):
@@ -420,6 +472,55 @@ def _eigsy_rule(m, order):
         masses = np.array([float(Q[0, i] ** 2 * mpmath.e ** log_m0) for i in range(n)])
     idx = np.argsort(nodes)
     return nodes[idx], masses[idx]
+
+
+@pytest.mark.parametrize("q_abs, solved", [
+    (0.95, 20), (0.8, 20), (0.7, 20), (0.5, 16), (0.3, 12)])
+def test_stieltjes_wigert_closed_form(q_abs, solved):
+    # constant weights at |q| < 1: m_n = (c/pi) r^{n(n+1)}, r = 1/|q|, the
+    # Stieltjes-Wigert moments, whose monic recurrence is in closed form,
+    # alpha_n = r^2n (r^2n (1 + r^2) - 1) and beta_n = r^{6n-2} (r^2n - 1)
+    c = 2.0
+    w = WeightSequence.constant(c)
+    orders = []
+    for order in range(1, measure.MAX_ORDER + 1):
+        m = MomentSequence.from_weights(w, q_abs, 2 * order - 1)
+        try:
+            # not the public solver, whose refusals re-solve every lower order
+            nodes, masses = measure._golub_welsch(m, order)
+        except measure._SOLVER_FAILURES:
+            continue
+        orders.append(order)
+        alpha, beta, atoms, log_s, _, dps = measure._chebyshev_recurrence(m, order)
+        assert atoms is None
+        with mpmath.workdps(2 * dps):
+            r2 = 1 / mpmath.mpf(q_abs) ** 2
+            a = [r2 ** n * (r2 ** n * (1 + r2) - 1) for n in range(order)]
+            b = [mpmath.mpf(c) / mpmath.pi] + [r2 ** (3 * n - 1) * (r2 ** n - 1)
+                                                for n in range(1, order)]
+            # the solver works in t / s with s = m_1 / m_0
+            s = mpmath.e ** log_s
+            for n in range(order):
+                assert abs(alpha[n] * s / a[n] - 1) <= 1e-50
+                if n:
+                    assert abs(beta[n] * s ** 2 / b[n] - 1) <= 1e-50
+            # nodes: the eigenvalues of the closed-form Jacobi matrix; masses:
+            # the Christoffel sum b_0 / sum_k p_k(x)^2 / (b_1 ... b_k) there
+            J = mpmath.zeros(order, order)
+            for n in range(order):
+                J[n, n] = a[n]
+                if n:
+                    J[n, n - 1] = J[n - 1, n] = mpmath.sqrt(b[n])
+            for k, x in enumerate(sorted(mpmath.eigsy(J, eigvals_only=True))):
+                total, p_prev, p, h = 0, 0, mpmath.mpf(1), mpmath.mpf(1)
+                for n in range(order):
+                    if n:
+                        h *= b[n]
+                    total += p ** 2 / h
+                    p_prev, p = p, (x - a[n]) * p - b[n] * p_prev
+                for got, want in ((nodes[k], x), (masses[k], b[0] / total)):
+                    assert abs(got - want) <= 4 * np.spacing(float(want))
+    assert orders == list(range(1, solved + 1))
 
 
 @pytest.fixture(scope="module")

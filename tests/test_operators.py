@@ -203,6 +203,44 @@ class TestTruncatedOperator:
         assert np.array_equal(identity_matrix(WFAC, 1.0, 4).matrix, np.eye(5))
 
 
+def _norm_bound_cases():
+    """(matrix, one band?) pairs: the lower-symbol bands over weight families,
+    q values and windows, and matrices of several bands."""
+    rng = np.random.default_rng(5)
+    for w in (WFAC, WCONST, WeightSequence.power_factorial(2.0),
+              WeightSequence.explicit([1.5 ** (n * (n + 1)) for n in range(42)])):
+        for q in (1.0, 1j, 0.8, 1.3 * cmath.exp(0.4j)):
+            for N in (10, 40):
+                ann = annihilation_matrix(w, q, N).matrix
+                yield ann, True
+                yield creation_matrix(w, q, N).matrix, True
+                yield adjoint_annihilation_matrix(w, q, N).matrix, True
+                yield ann + ann.conj().T, False
+                g = ManinElement.monomial(q, 2, 1) + ManinElement.monomial(q, 0, 1, 0.5j)
+                yield toeplitz_matrix(g, w, q, N).matrix, False
+    for N in (0, 10, 120):
+        yield number_matrix(N).matrix, True
+        dense = rng.normal(size=(N + 1, N + 1)) + 1j * rng.normal(size=(N + 1, N + 1))
+        yield dense, N == 0
+        yield np.triu(np.tril(dense, 2), -1), N == 0
+
+
+def test_norm_bound_against_svd():
+    # an upper bound of ||A||_2 up to rounding, and ||A||_2 itself on one band
+    count = 0
+    for matrix, one_band in _norm_bound_cases():
+        A = TruncatedOperator(matrix, OperatorMeta("A", "w", 1.0, True))
+        svd = float(np.linalg.norm(A.matrix, 2))
+        ulp4 = 4 * np.spacing(svd)
+        assert A.norm_bound() >= svd - ulp4
+        if one_band:
+            assert abs(A.norm_bound() - svd) <= ulp4
+        count += 1
+    assert count == 2 * 4 * 4 * 5 + 3 * 3
+    zero = TruncatedOperator(np.zeros((4, 4)), OperatorMeta("0", "w", 1.0, True))
+    assert zero.norm_bound() == 0.0
+
+
 class TestBoundedness:
     def test_constant_unit_q_bounded_not_compact(self):
         rep = boundedness_report(WCONST, 1.0)

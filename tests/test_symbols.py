@@ -324,7 +324,7 @@ def _lower_symbol_via_state(A, lam, w, q, normalized, tol):
         raise WindowTooSmallError(state.n_cutoff)
     b, m = state.scaled_coefficients()
     value = complex(_forms(A, b[None, :], np.array([m]), [state.lam], normalized)[0])
-    op_norm = float(np.linalg.norm(A.matrix, 2))
+    op_norm = A.norm_bound()
     log_norm_sq = 2.0 * m + math.log(float(np.vdot(b, b).real))
     log_err = 0.5 * (state.tail_log + log_norm_sq)
     if normalized:
