@@ -200,8 +200,10 @@ def criterion_transform_kernel() -> tuple[bool, str]:
             got = cs_transform(e, lam, w, q)
             expect = w.weight(j) ** -0.5 * complex(lam).conjugate() ** j
             worst_basis = max(worst_basis, abs(got - expect))
-    # orthonormality of the images under the quadrature inner product
-    quad = gauss_quadrature_from_moments(MomentSequence.from_weights(w, q, 23), 12)
+    # orthonormality of the images under the quadrature inner product, on the
+    # Gauss-Laguerre surrogate of e^{-t}/pi (criterion 4 certifies the
+    # moment-solved rule)
+    quad = closed_form_density(w, q).quadrature(12)
     gram = verify_resolution_identity(quad, w, q, basis_size=10,
                                       angular_points=25, tol=1e-8)
     # Cor 6.1 and the diagonal identity

@@ -16,10 +16,13 @@ orders used here.  The float64 eigenvalues of the Jacobi matrix only seed
 the nodes: Newton on the recurrence polishes each one at the recurrence's
 precision, and the masses are the Christoffel numbers, each read off the
 last Newton step by the confluent Christoffel-Darboux identity.  The
-recurrence and the polish run on mpmath's raw mpf tuples
-(``mpmath.libmp``) at the working precision, each operation rounded to
-nearest as an mpf object would round it, so the rule is the one mpf
-arithmetic gives, without an object per operation.  Only the final
+recurrence and the polish run on signed (mantissa, exponent) integer pairs
+at the working precision, through a small kernel of their own.  Each
+operation rounds its exact result half-even to the working precision.
+Under round_nearest, mpmath's mpf_add, mpf_sub, mpf_mul and mpf_div are
+correctly rounded in the same sense, and a correctly rounded result is
+unique, so every coefficient, node and mass is bit for bit the one mpf
+arithmetic gives, without mpmath's cost per operation.  Only the final
 nodes and masses are cast to float64, which perturbs the matched moments
 by a few ulps at most.  A polished node below zero means no positive
 measure on t >= 0 fits the moments, even with a definite Hankel matrix,
@@ -27,8 +30,14 @@ and the rule is refused as indefinite.
 
 Atomic rules are accepted on purpose: only moment identities enter the
 downstream computations, so absolute continuity of the underlying measure
-is not required of the quadrature surrogate.  Only the certificate
-``verify_resolution_identity`` samples a rule over a polar grid.
+is not required of the quadrature surrogate.  Nor need the measure be
+unique.  For constant weights at |q| < 1 the moment problem is
+indeterminate: the moments (c/pi) |q|^{-n(n+1)} are those of a log-normal
+law in t (the Stieltjes-Wigert case, the classical example) and of
+infinitely many other measures.  The rule is one of them, and its
+certificate is the moment match, which is all that ``quantize_cs`` uses.
+Only the certificate ``verify_resolution_identity`` samples a rule over a
+polar grid.
 """
 
 from __future__ import annotations
@@ -40,9 +49,8 @@ from typing import Optional
 
 import mpmath
 import numpy as np
-from mpmath.libmp import (fone, from_float, fzero, mpf_abs, mpf_add, mpf_div, mpf_e,
-                          mpf_exp, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_neg, mpf_pow,
-                          mpf_sub, round_nearest as _RND)
+from mpmath.libmp import (from_float, from_man_exp, fzero, mpf_e, mpf_exp, mpf_le,
+                          mpf_log, mpf_lt, mpf_mul, mpf_pow, round_nearest as _RND)
 from numpy.polynomial.laguerre import laggauss
 
 from .coherent import coeff_log_arrays
@@ -184,13 +192,75 @@ _SOLVER_FAILURES = (_Breakdown, mpmath.libmp.NoConvergence, ZeroDivisionError,
                     OverflowError)
 
 
+# Correctly rounded arithmetic on integer pairs.  A pair (m, e) is the value
+# m * 2**e with m a signed int of at most ``prec`` bits.  Each operation
+# rounds its exact result half-even to ``prec`` bits.  Under round_nearest,
+# mpmath's mpf_add, mpf_sub, mpf_mul and mpf_div round the same way, so the
+# two agree to the last bit; mpmath also strips trailing zeros, which
+# from_man_exp does at the boundary.
+
+def _round(m: int, e: int, prec: int) -> tuple:
+    n = abs(m)
+    sh = n.bit_length() - prec
+    if sh <= 0:
+        return m, e
+    t = n >> (sh - 1)                   # the kept bits and one more
+    if t & 1 and (t & 2 or n & ((1 << (sh - 1)) - 1)):
+        n = (t >> 1) + 1
+        if n.bit_length() > prec:       # carried to 2**prec
+            n >>= 1
+            sh += 1
+    else:
+        n = t >> 1
+    return (-n if m < 0 else n), e + sh
+
+
+def _add(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple:
+    if e1 < e2:
+        m1, e1, m2, e2 = m2, e2, m1, e1
+    off = e1 - e2
+    # mpmath's shortcut condition: exponents more than 100 apart and m2 more
+    # than prec + 4 bits below the top of m1.  Then m2 is under a quarter
+    # ulp of m1, and the sum rounds to m1.
+    if off > 100 and m1 and m1.bit_length() + off - m2.bit_length() > prec + 4:
+        return m1, e1
+    return _round((m1 << off) + m2, e2, prec)
+
+
+def _div(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple:
+    # a quotient of at least prec + 2 bits, with a sticky bit for the rest;
+    # divmod raises ZeroDivisionError on a zero divisor, as mpf_div does
+    extra = max(prec + 2 - m1.bit_length() + m2.bit_length(), 0)
+    n, r = divmod(abs(m1) << extra, abs(m2))
+    if r:
+        n = n << 1 | 1
+        extra += 1
+    return _round(-n if (m1 < 0) != (m2 < 0) else n, e1 - e2 - extra, prec)
+
+
+def _lt(m1: int, e1: int, m2: int, e2: int) -> bool:
+    """m1 2**e1 < m2 2**e2, by the sign of the exact difference."""
+    if e1 < e2:
+        return m1 < m2 << (e2 - e1)
+    return m1 << (e1 - e2) < m2
+
+
+def _pair(x: tuple) -> tuple:
+    """A raw mpf tuple as an integer pair."""
+    sign, man, exp, _ = x
+    return (-man if sign else man), exp
+
+
 def _chebyshev_recurrence(m: MomentSequence, order: int):
     """Three-term recurrence coefficients from the (scaled) moments.
 
-    Runs in mpmath arbitrary precision; returns (alpha, beta, atoms, log_s,
-    log_m0, dps) with alpha and beta as lists of mpf, where ``atoms`` is set
-    when a vanishing beta reveals an exactly atomic measure of fewer than
-    ``order`` points.  A precision above MAX_DPS is refused with _Breakdown.
+    The scaled moments come from mpmath at the working precision; the
+    recurrence itself runs on integer pairs, each operation correctly
+    rounded as mpf arithmetic rounds it.  Returns (alpha, beta, atoms,
+    log_s, log_m0, dps) with alpha and beta as lists of mpf, where ``atoms``
+    is set when a vanishing beta reveals an exactly atomic measure of fewer
+    than ``order`` points.  A precision above MAX_DPS is refused with
+    _Breakdown.
     """
     if 2 * order - 1 > m.jmax:
         raise ConfigError(f"order {order} needs moments up to {2 * order - 1}, "
@@ -206,40 +276,45 @@ def _chebyshev_recurrence(m: MomentSequence, order: int):
         log_m0 = mpmath.mpf(raw[0])
         log_s = mpmath.mpf(raw[1]) - log_m0 if m.jmax >= 1 else mpmath.mpf(0)
         # scaled moments nu_j = m_j / (m_0 * s^j); nu_0 = nu_1 = 1
-        nu = _e_powers([(mpmath.mpf(raw[j]) - log_m0 - j * log_s)._mpf_
-                        for j in range(2 * order)], prec)
-        eps = (mpmath.mpf(10) ** (-(dps // 2)))._mpf_
-    # raw mpf tuples from here on, each operation rounded to nearest at prec
-    alpha = [mpf_div(nu[1], nu[0], prec, _RND)]
+        logs = [(mpmath.mpf(raw[j]) - log_m0 - j * log_s)._mpf_ for j in range(2 * order)]
+        nu = [_pair(x) for x in _e_powers(logs, prec)]
+        eps_m, eps_e = _pair((mpmath.mpf(10) ** (-(dps // 2)))._mpf_)
+    # integer pairs from here on, each operation rounded to nearest at prec
+    alpha = [_div(*nu[1], *nu[0], prec)]
     beta = [nu[0]]
-    sig_prev = [fzero] * (2 * order)
+    zero = (0, 0)
+    sig_prev = [zero] * (2 * order)
     sig_cur = nu
     atoms = None
     for k in range(1, order):
-        a, b = alpha[k - 1], beta[k - 1]
-        sig_next = [fzero] * (2 * order)
+        (am, ae), (bm, be) = alpha[k - 1], beta[k - 1]
+        sig_next = [zero] * (2 * order)
         for l in range(k, 2 * order - k):
-            sig_next[l] = mpf_sub(
-                mpf_sub(sig_cur[l + 1], mpf_mul(a, sig_cur[l], prec, _RND), prec, _RND),
-                mpf_mul(b, sig_prev[l], prec, _RND), prec, _RND)
+            cm, ce = sig_cur[l]
+            um, ue = _round(am * cm, ae + ce, prec)
+            vm, ve = _add(*sig_cur[l + 1], -um, ue, prec)
+            cm, ce = sig_prev[l]
+            um, ue = _round(bm * cm, be + ce, prec)
+            sig_next[l] = _add(vm, ve, -um, ue, prec)
         # every beta so far is positive, so max(1, |beta_{k-1}|) needs no abs
-        thresh = mpf_mul(eps, b, prec, _RND) if mpf_lt(fone, b) else eps
-        beta_k = mpf_div(sig_next[k], sig_cur[k - 1], prec, _RND)
-        if mpf_le(beta_k, thresh):
-            if mpf_lt(beta_k, mpf_neg(thresh)):
+        tm, te = (_round(eps_m * bm, eps_e + be, prec) if _lt(1, 0, bm, be)
+                  else (eps_m, eps_e))
+        km, ke = _div(*sig_next[k], *sig_cur[k - 1], prec)
+        if not _lt(tm, te, km, ke):
+            if _lt(km, ke, -tm, te):
                 raise IndefiniteMomentsError(
                     f"Hankel matrix indefinite at order {k + 1}: no positive "
                     f"measure matches these moments", order=k + 1)
             atoms = k          # exactly k atoms carry all the mass
             break
-        alpha.append(mpf_sub(mpf_div(sig_next[k + 1], sig_next[k], prec, _RND),
-                             mpf_div(sig_cur[k], sig_cur[k - 1], prec, _RND),
-                             prec, _RND))
-        beta.append(beta_k)
+        um, ue = _div(*sig_next[k + 1], *sig_next[k], prec)
+        vm, ve = _div(*sig_cur[k], *sig_cur[k - 1], prec)
+        alpha.append(_add(um, ue, -vm, ve, prec))
+        beta.append((km, ke))
         sig_prev, sig_cur = sig_cur, sig_next
     make = mpmath.mp.make_mpf
-    return ([make(a) for a in alpha], [make(b) for b in beta], atoms,
-            log_s, log_m0, dps)
+    return ([make(from_man_exp(*a)) for a in alpha],
+            [make(from_man_exp(*b)) for b in beta], atoms, log_s, log_m0, dps)
 
 
 def _e_powers(xs, prec: int) -> list:
@@ -323,7 +398,8 @@ def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray
 def _polish(alpha, beta, seeds, dps: int) -> tuple[list, list]:
     """Newton-polished zeros of p_npts, npts = len(alpha), from the float64
     seeds, and the Christoffel number at each, as raw mpf tuples at ``dps``
-    digits, every operation rounded to nearest as mpf objects round it.
+    digits.  The iteration runs on integer pairs, every operation correctly
+    rounded to nearest, so each tuple is the one mpf arithmetic gives.
 
     Each Newton sweep ends with p_npts, p_npts', p_{npts-1} and p_{npts-1}'
     at its iterate, and the confluent Christoffel-Darboux identity, exact at
@@ -342,42 +418,48 @@ def _polish(alpha, beta, seeds, dps: int) -> tuple[list, list]:
         # Newton converges quadratically, so once a step is below 2^-70 |x|
         # the node is exact far beyond float64; a node at t = 0 only meets
         # the recurrence's own noise floor, and inside it the node is 0
-        tol = (mpmath.mpf(2) ** -70)._mpf_
-        floor = (mpmath.mpf(10) ** (-(dps // 2)))._mpf_
-    coeffs = [(a._mpf_, b._mpf_) for a, b in zip(alpha, beta)]
-    h_last = fone                           # beta_1 ... beta_{npts-1}
-    for _, b in coeffs[1:]:
-        h_last = mpf_mul(h_last, b, prec, _RND)
+        floor_m, floor_e = _pair((mpmath.mpf(10) ** (-(dps // 2)))._mpf_)
+    coeffs = [(*_pair(a._mpf_), *_pair(b._mpf_)) for a, b in zip(alpha, beta)]
+    hm, he = 1, 0                           # beta_1 ... beta_{npts-1}
+    for _, _, bm, be in coeffs[1:]:
+        hm, he = _round(hm * bm, he + be, prec)
     roots, weights = [], []
     for seed in seeds:
-        x = from_float(seed)
+        xm, xe = _pair(from_float(seed))
         for _ in range(_NEWTON_STEPS):
             # p_npts(x) and p_npts'(x) by the recurrence and its derivative
-            p_prev, p, dp_prev, dp = fzero, fone, fzero, fzero
-            for a, b in coeffs:
-                t = mpf_sub(x, a, prec, _RND)
-                p_next = mpf_sub(mpf_mul(t, p, prec, _RND),
-                                 mpf_mul(b, p_prev, prec, _RND), prec, _RND)
-                dp_next = mpf_sub(mpf_add(p, mpf_mul(t, dp, prec, _RND), prec, _RND),
-                                  mpf_mul(b, dp_prev, prec, _RND), prec, _RND)
-                p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
-            dx = mpf_div(p, dp, prec, _RND)
-            x = mpf_sub(x, dx, prec, _RND)
-            bound = mpf_mul(tol, mpf_abs(x), prec, _RND)
-            if mpf_le(mpf_abs(dx), floor if mpf_lt(bound, floor) else bound):
+            qm = qe = pe = dqm = dqe = dpm = dpe = 0     # p_prev, p, dp_prev, dp
+            pm = 1
+            for am, ae, bm, be in coeffs:
+                tm, te = _add(xm, xe, -am, ae, prec)
+                um, ue = _round(tm * pm, te + pe, prec)
+                vm, ve = _round(bm * qm, be + qe, prec)
+                nm, ne = _add(um, ue, -vm, ve, prec)
+                um, ue = _round(tm * dpm, te + dpe, prec)
+                um, ue = _add(pm, pe, um, ue, prec)
+                vm, ve = _round(bm * dqm, be + dqe, prec)
+                dqm, dqe, dpm, dpe = dpm, dpe, *_add(um, ue, -vm, ve, prec)
+                qm, qe, pm, pe = pm, pe, nm, ne
+            dm, de = _div(pm, pe, dpm, dpe, prec)
+            xm, xe = _add(xm, xe, -dm, de, prec)
+            sm, se = abs(xm), xe - 70                  # 2^-70 |x|, exact
+            if _lt(sm, se, floor_m, floor_e):
+                sm, se = floor_m, floor_e
+            if not _lt(sm, se, abs(dm), de):
                 break
         else:
             raise _Breakdown(f"Newton polish did not converge from seed {seed!r}")
-        if not mpf_lt(floor, mpf_abs(x)):
-            x = fzero
+        if not _lt(floor_m, floor_e, abs(xm), xe):
+            xm = 0
         # the last sweep's values, at the iterate before x
-        cd = mpf_sub(mpf_mul(dp, p_prev, prec, _RND), mpf_mul(p, dp_prev, prec, _RND),
-                     prec, _RND)
-        if not mpf_lt(fzero, cd):
+        um, ue = _round(dpm * qm, dpe + qe, prec)
+        vm, ve = _round(pm * dqm, pe + dqe, prec)
+        cm, ce = _add(um, ue, -vm, ve, prec)
+        if cm <= 0:
             raise _Breakdown(f"the Christoffel-Darboux numerator is not positive "
                              f"at the node polished from seed {seed!r}")
-        roots.append(x)
-        weights.append(mpf_div(h_last, cd, prec, _RND))
+        roots.append(from_man_exp(xm, xe))
+        weights.append(from_man_exp(*_div(hm, he, cm, ce, prec)))
     return roots, weights
 
 

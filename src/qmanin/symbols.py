@@ -270,15 +270,15 @@ def secondary_toeplitz(f: PolynomialSymbol, quad: RadialQuadrature,
 
 def quantize_cs_norm_bound(f: PolynomialSymbol, quad: RadialQuadrature,
                            w: WeightSequence, q) -> float:
-    """Quadrature estimate of ||f||_1 in L^1(||phi_lambda||^2 d rho).
+    """Upper bound of ||f||_1 in L^1(||phi_lambda||^2 d rho) on the rule.
 
-    Dominates the operator norm of the quantization of f; |f| is not a
-    polynomial, so this is an estimate, not an exact integral.
+    Dominates the operator norm of the quantization of f.  On the circle
+    |lambda| = r, |f| is at most sum |c_ab| r^{a+b}, so that majorant at
+    each node bounds the rule integral of |f| from above with no angular
+    grid; for a monomial it is the rule integral itself.
     """
     q = QParam.of(q)
-    A = max(64, 4 * f.degree + 1)
-    alpha = 2.0 * math.pi * np.arange(A) / A
     r = np.sqrt(quad.nodes)
     nsq = coherent_norm_sq(r, w, q, tol=1e-12)
-    mean_abs = np.mean(np.abs(f.evaluate(r[:, None] * np.exp(1j * alpha))), axis=1)
-    return float(np.sum(math.pi * quad.masses * nsq * mean_abs))
+    majorant = sum(abs(c) * r ** (a + b) for (a, b), c in f.coeffs.items())
+    return float(np.sum(math.pi * quad.masses * nsq * majorant))

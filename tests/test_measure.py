@@ -2,6 +2,7 @@ import cmath
 import functools
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,9 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import libmp
 from scipy.special import roots_laguerre
 
 import qmanin
@@ -454,6 +458,79 @@ def _monic_values(alpha, beta, npts, x):
         p_prev, p = p, p_next
         dp_prev, dp = dp, dp_next
     return values, p, dp, dp_prev
+
+
+# the solver's integer-pair arithmetic against mpmath.libmp at round_nearest:
+# both round the exact result half-even, so they agree after normalization;
+# the largest precision is the MAX_DPS cap in bits
+_PRECS = [53, 113, 333, 1000, libmp.dps_to_prec(measure.MAX_DPS)]
+_BINARY = [(measure._add, libmp.mpf_add), (measure._div, libmp.mpf_div),
+           (lambda m1, e1, m2, e2, prec: measure._add(m1, e1, -m2, e2, prec),
+            libmp.mpf_sub),
+           (lambda m1, e1, m2, e2, prec: measure._round(m1 * m2, e1 + e2, prec),
+            libmp.mpf_mul)]
+
+
+def _check_kernel(a, b, prec):
+    """Every kernel operation on the pairs a, b against mpmath's."""
+    x, y = libmp.from_man_exp(*a), libmp.from_man_exp(*b)
+    for op, ref in _BINARY:
+        if ref is libmp.mpf_div and not b[0]:
+            with pytest.raises(ZeroDivisionError):
+                ref(x, y, prec, libmp.round_nearest)
+            with pytest.raises(ZeroDivisionError):
+                op(*a, *b, prec)
+            continue
+        m, e = op(*a, *b, prec)
+        assert abs(m).bit_length() <= prec
+        assert libmp.from_man_exp(m, e) == ref(x, y, prec, libmp.round_nearest)
+    assert measure._lt(*a, *b) == libmp.mpf_lt(x, y)
+    assert (not measure._lt(*b, *a)) == libmp.mpf_le(x, y)
+
+
+@st.composite
+def _kernel_operands(draw):
+    """Two pairs of at most prec bits whose exponents lie 0-300 apart."""
+    prec = draw(st.sampled_from(_PRECS))
+
+    def pair(e):
+        bits = draw(st.integers(0, prec))
+        m = draw(st.integers(0, 2 ** bits - 1)) | (1 << bits >> 1)
+        return (-m if draw(st.booleans()) else m), e
+
+    e = draw(st.integers(-2000, 2000))
+    a, b = pair(e), pair(e - draw(st.integers(0, 300)))
+    return (a, b, prec) if draw(st.booleans()) else (b, a, prec)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(_kernel_operands())
+def test_kernel_matches_libmp(operands):
+    _check_kernel(*operands)
+
+
+@pytest.mark.parametrize("prec", _PRECS)
+def test_kernel_matches_libmp_on_edge_cases(prec):
+    top = 2 ** prec - 1
+    half = random.Random(prec).getrandbits(prec) | 1 << (prec - 1)
+    cases = []
+    for kept in (half & ~1, half | 1, top):
+        # exact ties on an even and an odd kept mantissa, and the carry to
+        # 2**prec from an odd tie and from above the tie
+        cases += [((kept, 1), (1, 0)), ((kept, 1), (-1, 0)),
+                  ((kept, 2), (3, 0)), ((-kept, 1), (-1, 0))]
+        # exact cancellation, and zero operands
+        cases += [((kept, 5), (kept, 5)), ((kept, 5), (0, 0)), ((0, -9), (kept, 5)),
+                  ((0, 0), (0, 7))]
+    for gap in range(0, 301, 7):
+        # a full, a short and a one-bit operand at exponent gaps 0 to 294,
+        # so the exact sum and the shortcut past 100 bits both run
+        for small in (top, 2 ** (prec // 2) + 1, 1):
+            cases += [((half, gap), (small, 0)), ((half, gap), (-small, 0)),
+                      ((top, gap - prec), (small, -prec)), ((1, gap), (-small, 0))]
+    for a, b in cases:
+        _check_kernel(a, b, prec)
+        _check_kernel(b, a, prec)
 
 
 def _eigsy_rule(m, order):

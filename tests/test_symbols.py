@@ -219,6 +219,37 @@ class TestQuantization:
         op = np.linalg.norm(quantize_cs(f, quad12, WFAC, 1.0, 15).matrix, 2)
         assert op <= b1
 
+    def test_norm_bound_dominates_grid_and_operator_norm(self, quad12):
+        # the majorant sum |c_ab| r^{a+b} bounds the angular mean of |f| on
+        # every node, with equality for a monomial
+        q_off = 0.9 * cmath.exp(0.4j)
+        rules = [(quad12, 1.0), (gauss_quadrature_from_moments(
+            MomentSequence.from_weights(WFAC, q_off, 27), 14), q_off)]
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            powers = rng.integers(0, 4, size=(int(rng.integers(1, 5)), 2))
+            f = PolynomialSymbol({(int(a), int(b)): complex(*rng.normal(size=2))
+                                  for a, b in powers})
+            for quad, q in rules:
+                bound = quantize_cs_norm_bound(f, quad, WFAC, q)
+                grid = _grid_norm_estimate(f, quad, WFAC, q)
+                assert bound >= grid * (1 - 1e-14)
+                if len(f.coeffs) == 1:
+                    assert abs(bound - grid) <= 1e-14 * grid
+                op = np.linalg.norm(quantize_cs(f, quad, WFAC, q, 12).matrix, 2)
+                assert op <= bound
+
+
+def _grid_norm_estimate(f, quad, w, q):
+    """The rule integral of |f| ||phi_lambda||^2 with the angular mean of
+    |f| taken over max(64, 4 deg f + 1) angles on each node."""
+    count = max(64, 4 * f.degree + 1)
+    alpha = 2.0 * math.pi * np.arange(count) / count
+    r = np.sqrt(quad.nodes)
+    nsq = coherent_norm_sq(r, w, q, tol=1e-12)
+    mean_abs = np.mean(np.abs(f.evaluate(r[:, None] * np.exp(1j * alpha))), axis=1)
+    return float(np.sum(math.pi * quad.masses * nsq * mean_abs))
+
 
 class TestSecondaryToeplitz:
     def test_unit_symbol_fixes_basis(self, quad12):
