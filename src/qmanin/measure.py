@@ -12,21 +12,32 @@ tanh-sinh quadrature in double precision.  Every other case goes through a
 Golub-Welsch Gauss rule built from the moments.  The three-term recurrence
 coefficients are computed in arbitrary precision because raw moment
 sequences at factorial scale annihilate double precision long before the
-orders used here.  The float64 eigenvalues of the Jacobi matrix only seed
-the nodes: Newton on the recurrence polishes each one at the recurrence's
-precision, and the masses are the Christoffel numbers, each read off the
-last Newton step by the confluent Christoffel-Darboux identity.  The
-recurrence and the polish run on signed (mantissa, exponent) integer pairs
-at the working precision, through a small kernel of their own.  Each
-operation rounds its exact result half-even to the working precision.
-Under round_nearest, mpmath's mpf_add, mpf_sub, mpf_mul and mpf_div are
-correctly rounded in the same sense, and a correctly rounded result is
-unique, so every coefficient, node and mass is bit for bit the one mpf
-arithmetic gives, without mpmath's cost per operation.  Only the final
-nodes and masses are cast to float64, which perturbs the matched moments
-by a few ulps at most.  A polished node below zero means no positive
-measure on t >= 0 fits the moments, even with a definite Hankel matrix,
-and the rule is refused as indefinite.
+orders used here: going from moments to the recurrence is exponentially
+ill-conditioned, so its working precision is 50 + 6 * order + span digits.
+The float64 eigenvalues of the Jacobi matrix only seed the nodes: Newton
+on the recurrence polishes each one, and the masses are the Christoffel
+numbers, each read off the last Newton step by the confluent
+Christoffel-Darboux identity.  The polish starts from the recurrence and
+keeps only a float64 node and mass, so it runs at 192 bits: a 53-bit seed
+and the 2^-70 stop rule take 123 bits, and 192 leaves 64 guard bits above
+128.  A rule whose nodes are ill conditioned relative to the entries of
+its Jacobi matrix, as a node near t = 0 far below the rest makes them,
+keeps the recurrence's precision.
+
+The recurrence and the polish run on signed (mantissa, exponent) integer
+pairs, through a small kernel of their own.  Each operation rounds its
+exact result half-even to the precision at hand.  Under round_nearest,
+mpmath's mpf_add, mpf_sub, mpf_mul and mpf_div are correctly rounded in
+the same sense, and a correctly rounded result is unique.  So the
+recurrence is bit for bit mpf arithmetic at the working precision, and the
+polish is bit for bit mpf arithmetic at 192 bits on the coefficients
+rounded once to 192 bits, without mpmath's cost per operation.  That the
+float64 rules are the ones a polish at the working precision gives was
+checked by sweep over weights, q and orders; it does not hold by
+construction.  Only the final nodes and masses are cast to float64, which
+perturbs the matched moments by a few ulps at most.  A polished node below
+zero means no positive measure on t >= 0 fits the moments, even with a
+definite Hankel matrix, and the rule is refused as indefinite.
 
 Atomic rules are accepted on purpose: only moment identities enter the
 downstream computations, so absolute continuity of the underlying measure
@@ -49,8 +60,9 @@ from typing import Optional
 
 import mpmath
 import numpy as np
-from mpmath.libmp import (from_float, from_man_exp, fzero, mpf_e, mpf_exp, mpf_le,
-                          mpf_log, mpf_lt, mpf_mul, mpf_pow, round_nearest as _RND)
+from mpmath.libmp import (dps_to_prec, from_float, from_man_exp, fzero, mpf_e, mpf_exp,
+                          mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_pow,
+                          round_nearest as _RND)
 from numpy.polynomial.laguerre import laggauss
 
 from .coherent import coeff_log_arrays
@@ -357,17 +369,27 @@ def gauss_quadrature_from_moments(m: MomentSequence, order: int) -> RadialQuadra
 
 
 _NEWTON_STEPS = 30
+# Arithmetic precision of the Newton polish, in bits.  A float64 seed and the
+# 2^-70 stop rule take 53 + 70 = 123 bits; 192 leaves 64 guard bits above 128.
+_POLISH_BITS = 192
+# the largest relative condition of the nodes at which the polish runs at
+# _POLISH_BITS (see _polish_prec)
+_MAX_CONDITION = 2.0 ** 48
 
 
 def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and masses of the Gauss rule, ascending, as float64.
 
     float64 eigenvalues of the Jacobi matrix seed Newton on the monic
-    recurrence p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1} at the
-    recurrence's own precision; each mass is the Christoffel number
-    1 / sum_k p_k(x)^2 / (beta_1 ... beta_k) in units where m_0 = 1, taken
-    from the last Newton sweep by the Christoffel-Darboux identity.  A mass
-    below the smallest normal double is refused as an underflow.
+    recurrence p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1} at
+    _POLISH_BITS, capped at the recurrence's precision; each mass is the
+    Christoffel number 1 / sum_k p_k(x)^2 / (beta_1 ... beta_k) in units
+    where m_0 = 1, taken from the last Newton sweep by the
+    Christoffel-Darboux identity.  With the nodes' relative condition at
+    most 2^48, 192 bits keep more than 144 bits of each node, 74 above the
+    stop rule; a worse conditioned rule is polished at the recurrence's
+    precision (see _polish_prec).  A mass below the smallest normal double
+    is refused as an underflow.
     """
     alpha, beta, atoms, log_s, log_m0, dps = _chebyshev_recurrence(m, order)
     npts = atoms if atoms is not None else order
@@ -377,7 +399,8 @@ def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray
     if not np.all(np.isfinite(jacobi)):
         raise _Breakdown("the Jacobi matrix overflows float64")
     seeds = np.linalg.eigvalsh(jacobi)
-    roots, weights = _polish(alpha[:npts], beta[:npts], seeds, dps)
+    roots, weights = _polish(alpha[:npts], beta[:npts], seeds, dps,
+                             prec=_polish_prec(jacobi, dps))
     if any(mpf_le(b, a) for a, b in zip(roots, roots[1:])):
         raise _Breakdown("two float64 seeds polished into one node")
     if mpf_lt(roots[0], fzero):
@@ -395,11 +418,41 @@ def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray
     return nodes, masses
 
 
-def _polish(alpha, beta, seeds, dps: int) -> tuple[list, list]:
+def _polish_prec(jacobi: np.ndarray, dps: int) -> int:
+    """The polish's precision in bits: _POLISH_BITS, capped at the
+    recurrence's, when the nodes are well conditioned relative to the
+    entries of the Jacobi matrix J, else the recurrence's.
+
+    A sweep rounded to b bits is exact for J with each entry moved by a
+    few 2^-b of itself.  For a definite J that moves each node by at most
+    about 2^-b / lambda_min(H) of itself, with H = D^-1/2 J D^-1/2 and
+    D = diag(J) (Demmel and Veselic 1992).  Nodes spread over many decades
+    by a graded J keep lambda_min(H) near 1.  A node near t = 0 far below
+    the rest, as a nearly atomic measure at 0 gives, drives it to float64
+    noise, and 192 bits would hold that node too coarsely for the stop
+    rule."""
+    prec = dps_to_prec(dps)
+    diag = np.diag(jacobi)
+    if np.all(diag > 0):
+        d = 1.0 / np.sqrt(diag)
+        with np.errstate(over="ignore"):
+            h = d[:, None] * jacobi * d[None, :]
+        if (np.all(np.isfinite(h))
+                and np.linalg.eigvalsh(h)[0] * _MAX_CONDITION >= 1.0):
+            return min(prec, _POLISH_BITS)
+    return prec
+
+
+def _polish(alpha, beta, seeds, dps: int, *,
+            prec: Optional[int] = None) -> tuple[list, list]:
     """Newton-polished zeros of p_npts, npts = len(alpha), from the float64
-    seeds, and the Christoffel number at each, as raw mpf tuples at ``dps``
-    digits.  The iteration runs on integer pairs, every operation correctly
-    rounded to nearest, so each tuple is the one mpf arithmetic gives.
+    seeds, and the Christoffel number at each, as raw mpf tuples at ``prec``
+    bits, by default the precision of ``dps`` digits.  Each alpha_k and
+    beta_k is rounded once to ``prec`` bits, as mpf(+a) rounds it there, and
+    the iteration runs on integer pairs, every operation correctly rounded
+    to nearest, so each tuple is the one mpf arithmetic gives at ``prec``
+    bits.  The noise floor 10^-(dps // 2) still comes from the recurrence's
+    ``dps``.
 
     Each Newton sweep ends with p_npts, p_npts', p_{npts-1} and p_{npts-1}'
     at its iterate, and the confluent Christoffel-Darboux identity, exact at
@@ -413,13 +466,16 @@ def _polish(alpha, beta, seeds, dps: int) -> tuple[list, list]:
     by 2^-70 |x|, and from float64 seeds the step is about the square of
     the seed's error, far below float64.  A numerator that is not positive
     is a breakdown."""
-    with mpmath.workdps(dps):
-        prec = mpmath.mp.prec
+    if prec is None:
+        prec = dps_to_prec(dps)
+    with mpmath.workprec(prec):
         # Newton converges quadratically, so once a step is below 2^-70 |x|
         # the node is exact far beyond float64; a node at t = 0 only meets
         # the recurrence's own noise floor, and inside it the node is 0
         floor_m, floor_e = _pair((mpmath.mpf(10) ** (-(dps // 2)))._mpf_)
-    coeffs = [(*_pair(a._mpf_), *_pair(b._mpf_)) for a, b in zip(alpha, beta)]
+    # each coefficient rounded once to prec bits, as mpf(+a) rounds it
+    coeffs = [(*_round(*_pair(a._mpf_), prec), *_round(*_pair(b._mpf_), prec))
+              for a, b in zip(alpha, beta)]
     hm, he = 1, 0                           # beta_1 ... beta_{npts-1}
     for _, _, bm, be in coeffs[1:]:
         hm, he = _round(hm * bm, he + be, prec)

@@ -312,6 +312,88 @@ def test_raw_tuple_solver_matches_mpf_objects(w, q, order, monkeypatch):
             assert np.array_equal(rule.masses, ref.masses)
 
 
+@pytest.mark.parametrize("w", [WFAC, WeightSequence.power_factorial(2.0), WCONST,
+                               WDELTA01],
+                         ids=["factorial", "power-factorial-2", "constant",
+                              "delta0+delta1"])
+@pytest.mark.parametrize("q", [1.0, 0.95 * cmath.exp(0.7j), 0.7, 1.3, 0.5],
+                         ids=["1", "0.95e^0.7i", "0.7", "1.3", "0.5"])
+@pytest.mark.parametrize("order", [2, 8, 14, 20])
+def test_polish_bits_match_mpf_objects(w, q, order):
+    # the solver polishes at _POLISH_BITS, below the recurrence's precision:
+    # with each coefficient rounded once to those bits and the noise floor
+    # still taken from the recurrence's dps, every node and Christoffel
+    # number is the raw tuple mpf objects give at those bits; a refused
+    # recurrence or seed leaves nothing to polish
+    m = MomentSequence.from_weights(w, q, 2 * order - 1)
+    recurrence = _outcome(measure._chebyshev_recurrence, m, order)
+    if _refused(recurrence):
+        return
+    alpha, beta, atoms, _, _, dps = recurrence
+    assert libmp.dps_to_prec(dps) > measure._POLISH_BITS
+    npts = atoms if atoms is not None else order
+    seeds = _outcome(_jacobi_seeds, alpha, beta, npts)
+    if _refused(seeds):
+        return
+    args = (alpha[:npts], beta[:npts], seeds, dps)
+    polished = _outcome(functools.partial(measure._polish,
+                                          prec=measure._POLISH_BITS), *args)
+    ref = _outcome(functools.partial(_mpf_polish, prec=measure._POLISH_BITS), *args)
+    if _refused(ref):
+        assert polished == ref
+    else:
+        assert polished == tuple([x._mpf_ for x in xs] for xs in ref)
+
+
+@pytest.mark.parametrize("w", [WFAC, WeightSequence.power_factorial(2.0), WCONST,
+                               WDELTA01],
+                         ids=["factorial", "power-factorial-2", "constant",
+                              "delta0+delta1"])
+@pytest.mark.parametrize("q", [1.0, 0.95 * cmath.exp(0.7j), 0.7, 1.3, 0.5],
+                         ids=["1", "0.95e^0.7i", "0.7", "1.3", "0.5"])
+@pytest.mark.parametrize("order", [2, 8, 14, 20])
+def test_polish_bits_keep_a_guard_margin(w, q, order, monkeypatch):
+    # a float64 seed and the 2^-70 stop rule need 123 bits; the polish at
+    # 128 bits already gives every float64 rule and refusal it gives at
+    # _POLISH_BITS, so the production precision keeps 64 guard bits
+    m = MomentSequence.from_weights(w, q, 2 * order - 1)
+    rule = _outcome(gauss_quadrature_from_moments, m, order)
+    monkeypatch.setattr(measure, "_POLISH_BITS", 128)
+    lean = _outcome(gauss_quadrature_from_moments, m, order)
+    if _refused(rule):
+        assert lean == rule
+    else:
+        assert np.array_equal(lean.nodes, rule.nodes)
+        assert np.array_equal(lean.masses, rule.masses)
+
+
+@pytest.mark.parametrize("w, q, order, full", [
+    (WFAC, 0.1, 9, False),              # nodes over 33 decades, each well conditioned
+    (WFAC, 0.95, 20, False),
+    (WDELTA01, 0.9999, 16, True),       # a node near t = 0, 40 decades below the rest
+    (WDELTA01, 0.99999, 12, True),
+    (WDELTA01, 0.9999999, 8, True),
+], ids=["factorial-0.1", "factorial-0.95", "delta0+delta1-0.9999",
+        "delta0+delta1-0.99999", "delta0+delta1-0.9999999"])
+def test_polish_precision_follows_the_nodes_condition(w, q, order, full, monkeypatch):
+    # 192 bits hold a node near t = 0 far below the rest too coarsely: the
+    # stop rule then fails, or the polish stops a few ulps off, so such a
+    # rule is polished at the recurrence's precision; a graded Jacobi matrix
+    # spreads its nodes over many decades and keeps each well conditioned
+    m = MomentSequence.from_weights(w, q, 2 * order - 1)
+    dps = measure._chebyshev_recurrence(m, order)[5]
+    bits = []
+    polish = measure._polish
+    monkeypatch.setattr(measure, "_polish",
+                        lambda *args, prec: bits.append(prec) or polish(*args, prec=prec))
+    rule = gauss_quadrature_from_moments(m, order)
+    assert bits == [libmp.dps_to_prec(dps) if full else measure._POLISH_BITS]
+    monkeypatch.setattr(measure, "_POLISH_BITS", 10**6)
+    exact = gauss_quadrature_from_moments(m, order)
+    assert np.array_equal(rule.nodes, exact.nodes)
+    assert np.array_equal(rule.masses, exact.masses)
+
+
 def _mpf_recurrence(m, order):
     """``measure._chebyshev_recurrence`` in mpf-object arithmetic."""
     if 2 * order - 1 > m.jmax:
@@ -363,11 +445,12 @@ def _jacobi_seeds(alpha, beta, npts):
     return np.linalg.eigvalsh(jacobi)
 
 
-def _mpf_newton(alpha, beta, seed, dps):
+def _mpf_newton(alpha, beta, seed, dps, prec=None):
     """The polished node from one seed and the last Newton sweep's values,
-    as ``measure._polish`` takes them, in mpf objects at ``dps`` digits."""
+    as ``measure._polish`` takes them, in mpf objects at ``prec`` bits, by
+    default the precision of ``dps`` digits; the floor comes from ``dps``."""
     npts = len(alpha)
-    with mpmath.workdps(dps):
+    with mpmath.workprec(prec or libmp.dps_to_prec(dps)):
         tol = mpmath.mpf(2) ** -70
         floor = mpmath.mpf(10) ** (-(dps // 2))
         x = mpmath.mpf(seed)
@@ -383,17 +466,19 @@ def _mpf_newton(alpha, beta, seed, dps):
         return (x if abs(x) > floor else mpmath.mpf(0)), sweep
 
 
-def _mpf_polish(alpha, beta, seeds, dps):
+def _mpf_polish(alpha, beta, seeds, dps, prec=None):
     """``measure._polish`` in mpf-object arithmetic, returning mpf: each mass
     is h_{npts-1} / (p_npts' p_{npts-1} - p_npts p_{npts-1}') from the last
-    Newton sweep, the confluent Christoffel-Darboux identity."""
-    with mpmath.workdps(dps):
+    Newton sweep, the confluent Christoffel-Darboux identity.  Every
+    coefficient is first rounded to the working precision."""
+    with mpmath.workprec(prec or libmp.dps_to_prec(dps)):
+        alpha, beta = [+a for a in alpha], [+b for b in beta]
         h_last = mpmath.mpf(1)
         for b in beta[1:]:
             h_last *= b
         roots, weights = [], []
         for seed in seeds:
-            x, (values, p, dp, dp_prev) = _mpf_newton(alpha, beta, seed, dps)
+            x, (values, p, dp, dp_prev) = _mpf_newton(alpha, beta, seed, dps, prec)
             cd = dp * values[-1] - p * dp_prev
             if not cd > 0:
                 raise measure._Breakdown(

@@ -400,3 +400,40 @@ def test_lower_symbol_is_the_state_path_bit_for_bit(w):
                 want = _grid_via_cutoffs(A, lams, w, q, normalized, 1e-14)
                 assert grid.values.tobytes() == want.tobytes()
 
+
+
+_DEGREE_2 = [(a, b) for a in range(3) for b in range(3) if a + b <= 2]
+
+
+@pytest.mark.parametrize("w", [WFAC, WeightSequence.power_factorial(2.0),
+                               WeightSequence.constant()],
+                         ids=["factorial", "power-factorial-2", "constant"])
+@pytest.mark.parametrize("q", [1.0, 1j, 0.9 * cmath.exp(0.4j), 0.7],
+                         ids=["1", "i", "0.9e^0.4i", "0.7"])
+class TestWickIdentities:
+    """The coherent state quantization quantizes the Toeplitz quantization:
+    at degree <= 2 it is anti-Wick in A, and Berezin symbols are Wick."""
+
+    def test_anti_wick(self, w, q):
+        # Q_cs(lambda^a conj(lambda)^b) = A^a (A*)^b from an order-16 rule
+        # solved from the moments; the window N + 4 holds every index the
+        # products reach from the (N + 1)^2 block
+        N = 10
+        quad = gauss_quadrature_from_moments(MomentSequence.from_weights(w, q, 31), 16)
+        A = annihilation_matrix(w, q, N + 4).matrix
+        for a, b in _DEGREE_2:
+            Q = quantize_cs(PolynomialSymbol({(a, b): 1.0}), quad, w, q, N).matrix
+            P = (np.linalg.matrix_power(A, a)
+                 @ np.linalg.matrix_power(A.conj().T, b))[:N + 1, :N + 1]
+            assert np.max(np.abs(Q - P)) <= 1e-12 * np.max(np.abs(P))
+
+    def test_wick(self, w, q):
+        # the normalized lower symbol of (A*)^b A^a is conj(lambda)^b lambda^a
+        A = annihilation_matrix(w, q, 120)
+        pts = np.array([0.3 + 0.4j, -0.5 + 0.2j, 0.6 - 0.35j])
+        for a, b in _DEGREE_2:
+            M = (np.linalg.matrix_power(A.matrix.conj().T, b)
+                 @ np.linalg.matrix_power(A.matrix, a))
+            got = lower_symbol_grid(TruncatedOperator(M, A.meta), pts, w, q).values
+            want = pts.conj() ** b * pts ** a
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
