@@ -2,7 +2,7 @@
 
 One JSON config document (file or stdin) drives every subcommand, with
 ``--q/--weights/--cutoff/--tol`` overrides; artifacts are deterministic
-JSON/CSV files under ``--out`` that embed the fully resolved config.
+JSON/CSV files under ``--out`` that embed the config that ran.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 out-of-phase-space input, 4 solver conditioning failure.
@@ -19,7 +19,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -34,16 +33,6 @@ MAX_CUTOFF = 1024
 MAX_BASIS = 256
 MAX_GRID_POINTS = 100_000   # nr * ntheta
 
-# keys beyond RunConfig's own that some subcommand reads; any other is refused
-_EXTRA_KEYS = frozenset({"horizon", "cap", "symbol", "lambda", "mu", "basis", "window",
-                         "phase_symbol", "operator", "normalized", "l", "pg_weights"})
-
-
-def _capped(name: str, value: int, cap: int) -> int:
-    if value > cap:
-        raise ConfigError(f"{name} {value} exceeds the cap {cap}")
-    return value
-
 
 def _json_bool(value) -> bool:
     """JSON true or false only: bool("false") would read as true."""
@@ -53,8 +42,6 @@ def _json_bool(value) -> bool:
 
 
 def _parse_weights(spec) -> WeightSequence:
-    if isinstance(spec, WeightSequence):
-        return spec
     if isinstance(spec, dict):
         return WeightSequence.from_json(spec)
     s = str(spec).strip()
@@ -85,29 +72,96 @@ def parse_manin_symbol(text: str, q) -> ManinElement:
     return out
 
 
-@dataclass
-class RunConfig:
-    """Resolved run configuration; every artifact embeds ``resolved()``:
-    the shared keys and the extra keys the subcommand read, each with the
-    value it ran with."""
+def _count(name: str, value, low: int = 0, cap: float = math.inf) -> int:
+    """An integer key from ``low`` up to ``cap``."""
+    n = int(value)
+    if n > cap:
+        raise ConfigError(f"{name} {n} exceeds the cap {cap}")
+    if n < low:
+        raise ConfigError(f"{name} must be at least {low}, got {n}")
+    return n
 
-    weights: WeightSequence = field(default_factory=WeightSequence.factorial)
-    q: complex = 1.0 + 0j
-    cutoff: int = 16
-    tol: float = 1e-12
-    order: int = 12
-    grid: dict = field(default_factory=lambda: {"rmax": 1.5, "nr": 10, "ntheta": 8})
-    extra: dict = field(default_factory=dict)
-    used: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if not 0 < self.tol < math.inf:
-            raise ConfigError(f"tolerance must be a positive finite number, "
-                              f"got {self.tol!r}")
-        if self.cutoff < 0 or self.order < 1:
-            raise ConfigError("cutoff and order must be positive")
-        _capped("cutoff", self.cutoff, MAX_CUTOFF)
-        QParam.of(self.q)
+def _tol(value) -> float:
+    tol = float(value)
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"tolerance must be a positive finite number, got {tol!r}")
+    return tol
+
+
+def _grid(value) -> dict:
+    """nr radii from rmin (default rmax / nr) to rmax, times ntheta angles."""
+    try:
+        value = dict(value)
+        rmax = float(value.get("rmax", 1.5))
+        nr = int(value.get("nr", 10))
+        ntheta = int(value.get("ntheta", 8))
+        if nr < 1 or ntheta < 1 or not 0 < rmax < math.inf:
+            raise ConfigError("grid needs nr, ntheta >= 1 and 0 < rmax < inf")
+        _count("grid size nr * ntheta", nr * ntheta, cap=MAX_GRID_POINTS)
+        rmin = float(value.get("rmin", rmax / nr))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"grid values must be numbers: {exc}") from exc
+    if not math.isfinite(rmin):
+        raise ConfigError("grid rmin must be finite")
+    return {"rmax": rmax, "rmin": rmin, "nr": nr, "ntheta": ntheta}
+
+
+def _operator(name) -> str:
+    if name not in ("adjoint", "annihilation", "creation", "number"):
+        raise ConfigError(f"unknown operator {name!r}; expected adjoint, annihilation, "
+                          f"creation or number")
+    return name
+
+
+def _nilpotency_order(value) -> int:
+    from .paragrassmann import MAX_PG_ORDER
+    return _count("nilpotency order", value, cap=MAX_PG_ORDER)
+
+
+# Every config key: its parser and its default, which may be a function of
+# the config that derives it from keys above it.  A parser refuses a value
+# that cannot run, with a ConfigError or a TypeError/ValueError/OverflowError.
+_KEYS = {
+    "weights": (_parse_weights, "factorial"),
+    "q": (lambda v: QParam.of(parse_complex(v)).value, 1.0),
+    "cutoff": (lambda v: _count("cutoff", v, cap=MAX_CUTOFF), 16),
+    "tol": (_tol, 1e-12),
+    "order": (lambda v: _count("order", v, low=1), 12),
+    "grid": (_grid, {}),
+    "horizon": (lambda v: _count("horizon", v), 10**15),
+    "cap": (float, 1e6),
+    "symbol": (str, "tb^1"),
+    "lambda": (parse_complex, 1.0),
+    # no mu: the diagonal, the squared norms K(lambda, lambda)
+    "mu": (lambda v: v if v is None else parse_complex(v), None),
+    "basis": (lambda v: _count("basis", v, cap=MAX_BASIS), 10),
+    "window": (lambda v: _count("window", v, cap=MAX_CUTOFF),
+               lambda cfg: max(96, cfg["cutoff"])),
+    "phase_symbol": (str, "L^1"),
+    "operator": (_operator, "annihilation"),
+    "normalized": (_json_bool, True),
+    "l": (_nilpotency_order, 3),
+    # no pg_weights: w_0..w_{l-1} of the run's weights
+    "pg_weights": (lambda v: tuple(float(x) for x in v),
+                   lambda cfg: [cfg["weights"].weight(n) for n in range(cfg["l"])]),
+}
+
+
+class RunConfig(dict):
+    """The config of one run, as a dict of the values that ran: ``cfg[key]``
+    parses a key on its first read, from the document or else its default,
+    and records the value.  Every artifact embeds ``resolved()``."""
+
+    def __init__(self, doc: dict | None = None):
+        super().__init__()
+        self.doc = dict(doc or {})
+        unknown = sorted(set(self.doc) - set(_KEYS))
+        if unknown:
+            raise ConfigError(f"no subcommand reads the config key "
+                              f"{', '.join(map(repr, unknown))}")
+        for key in self.doc:        # a given key is checked whatever runs
+            self._parse(key)
 
     @classmethod
     def load(cls, args) -> "RunConfig":
@@ -121,61 +175,31 @@ class RunConfig:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
             if not isinstance(doc, dict):
                 raise ConfigError("config document must be a JSON object")
-        for key in ("weights", "q", "cutoff", "tol"):    # the flag overrides
-            if getattr(args, key, None) is not None:
-                doc[key] = getattr(args, key)
-        # the shared keys, each through its parser; an absent one takes the
-        # field's default
-        shared = {"weights": _parse_weights, "q": parse_complex, "cutoff": int,
-                  "tol": float, "order": int, "grid": dict}
-        unknown = sorted(set(doc) - set(shared) - _EXTRA_KEYS)
-        if unknown:
-            raise ConfigError(f"no subcommand reads the config key "
-                              f"{', '.join(map(repr, unknown))}")
-        try:
-            return cls(**{k: shared[k](v) for k, v in doc.items() if k in shared},
-                       extra={k: v for k, v in doc.items() if k not in shared})
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"invalid config value: {exc}") from exc
+        doc.update((k, v) for k, v in vars(args).items() if k in _KEYS)   # the flags
+        return cls(doc)
 
-    def extra_value(self, key: str, default, convert):
-        """The extra key ``key`` (or ``default``) through ``convert``, which
-        may derive the value that runs from it; a value that does not
-        convert is a ConfigError.  The value is recorded for ``resolved()``."""
-        value = self.extra.get(key, default)
+    def _parse(self, key: str):
+        parse, default = _KEYS[key]
+        value = self.doc.get(key, default)
+        if callable(value):     # a derived default
+            value = value(self)
         try:
-            self.used[key] = convert(value)
+            return parse(value)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"invalid value for {key!r}: {value!r}") from exc
-        return self.used[key]
+            raise ConfigError(f"invalid config value for {key!r}: {value!r}") from exc
+
+    def __missing__(self, key: str):
+        self[key] = value = self._parse(key)
+        return value
 
     def resolved(self) -> dict:
-        return {
-            "weights": self.weights.to_json(),
-            "q": [self.q.real, self.q.imag],
-            "cutoff": self.cutoff,
-            "tol": self.tol,
-            "order": self.order,
-            "grid": self.grid,
-            **self.used,
-        }
+        return {k: v.to_json() if isinstance(v, WeightSequence) else v
+                for k, v in self.items()}
 
 
 def _grid_points(grid: dict) -> np.ndarray:
-    try:
-        rmax = float(grid.get("rmax", 1.5))
-        nr = int(grid.get("nr", 10))
-        ntheta = int(grid.get("ntheta", 8))
-        if nr < 1 or ntheta < 1 or not 0 < rmax < math.inf:
-            raise ConfigError("grid needs nr, ntheta >= 1 and 0 < rmax < inf")
-        _capped("grid size nr * ntheta", nr * ntheta, MAX_GRID_POINTS)
-        rmin = float(grid.get("rmin", rmax / float(grid.get("nr", 10))))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"grid values must be numbers: {exc}") from exc
-    if not math.isfinite(rmin):
-        raise ConfigError("grid rmin must be finite")
-    radii = np.linspace(rmin, rmax, nr)
-    angles = 2.0 * math.pi * np.arange(ntheta) / ntheta
+    radii = np.linspace(grid["rmin"], grid["rmax"], grid["nr"])
+    angles = 2.0 * math.pi * np.arange(grid["ntheta"]) / grid["ntheta"]
     return (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
 
 
@@ -203,9 +227,8 @@ def _write_result(outdir: Path, name: str, cfg: RunConfig, result) -> Path:
 def _cmd_radius(cfg: RunConfig, outdir: Path) -> int:
     from .coherent import radius_of_convergence
 
-    horizon = cfg.extra_value("horizon", 10**15, int)
-    cap = cfg.extra_value("cap", 1e6, float)
-    est = radius_of_convergence(cfg.weights, cfg.q, horizon=horizon, cap=cap)
+    est = radius_of_convergence(cfg["weights"], cfg["q"], horizon=cfg["horizon"],
+                                cap=cfg["cap"])
     _write_result(outdir, "radius.json", cfg, est.to_json())
     return 0
 
@@ -213,9 +236,8 @@ def _cmd_radius(cfg: RunConfig, outdir: Path) -> int:
 def _cmd_operator(cfg: RunConfig, outdir: Path) -> int:
     from .operators import toeplitz_matrix
 
-    text = cfg.extra_value("symbol", "tb^1", str)
-    g = parse_manin_symbol(text, cfg.q)
-    op = toeplitz_matrix(g, cfg.weights, cfg.q, cfg.cutoff)
+    g = parse_manin_symbol(cfg["symbol"], cfg["q"])
+    op = toeplitz_matrix(g, cfg["weights"], cfg["q"], cfg["cutoff"])
     _write_result(outdir, "operator.json", cfg, op.to_json())
     _write(outdir, "operator.csv", op.to_csv())
     return 0
@@ -224,13 +246,13 @@ def _cmd_operator(cfg: RunConfig, outdir: Path) -> int:
 def _cmd_coherent(cfg: RunConfig, outdir: Path) -> int:
     from .coherent import coherent_coefficients, eigen_residual
 
-    lam = cfg.extra_value("lambda", 1.0, parse_complex)
-    state = coherent_coefficients(lam, cfg.weights, cfg.q, tol=cfg.tol)
+    lam, w, q = cfg["lambda"], cfg["weights"], cfg["q"]
+    state = coherent_coefficients(lam, w, q, tol=cfg["tol"])
     if not math.isfinite(state.norm_sq):
         raise InputTooLargeError(f"the coherent state at lambda = {lam} has "
                                  f"coefficients too large for a double")
-    window = max(cfg.cutoff, state.n_cutoff)
-    res = eigen_residual(state, cfg.weights, cfg.q)
+    window = max(cfg["cutoff"], state.n_cutoff)
+    res = eigen_residual(state, w, q)
     _write_result(outdir, "coherent.json", cfg, {"state": state.to_json(),
                                                  "residual": res.residual,
                                                  "leakage": res.leakage,
@@ -242,13 +264,12 @@ def _cmd_kernel(cfg: RunConfig, outdir: Path) -> int:
     from .coherent import coherent_norm_sq, kernel
     from .symbols import SymbolValueGrid
 
-    pts = _grid_points(cfg.grid)
-    # no mu: the diagonal, the squared norms K(lambda, lambda)
-    mu = cfg.extra_value("mu", None, lambda v: v if v is None else parse_complex(v))
+    pts = _grid_points(cfg["grid"])
+    w, q, tol, mu = cfg["weights"], cfg["q"], cfg["tol"], cfg["mu"]
     if mu is None:
-        vals = coherent_norm_sq(pts, cfg.weights, cfg.q, tol=cfg.tol) + 0j
+        vals = coherent_norm_sq(pts, w, q, tol=tol) + 0j
     else:
-        vals = kernel(mu, pts, cfg.weights, cfg.q, tol=cfg.tol)
+        vals = kernel(mu, pts, w, q, tol=tol)
     big = np.flatnonzero(~np.isfinite(vals))
     if big.size:
         raise InputTooLargeError(f"the {'norm' if mu is None else 'kernel'} at "
@@ -261,13 +282,13 @@ def _cmd_kernel(cfg: RunConfig, outdir: Path) -> int:
 def _moment_rule(cfg: RunConfig):
     """The moment-solved rule at the configured order.  The solver caps the
     order at MAX_ORDER, so only the moments a capped rule matches are built,
-    ``cfg.order`` becomes the order solved and the artifacts embed what ran."""
+    and the order recorded is the order solved."""
     from .measure import MAX_ORDER, MomentSequence, gauss_quadrature_from_moments
 
-    jmax = 2 * min(cfg.order, MAX_ORDER) - 1
-    moments = MomentSequence.from_weights(cfg.weights, cfg.q, jmax)
-    quad = gauss_quadrature_from_moments(moments, cfg.order)
-    cfg.order = quad.order
+    jmax = 2 * min(cfg["order"], MAX_ORDER) - 1
+    moments = MomentSequence.from_weights(cfg["weights"], cfg["q"], jmax)
+    quad = gauss_quadrature_from_moments(moments, cfg["order"])
+    cfg["order"] = quad.order
     return quad
 
 
@@ -275,14 +296,14 @@ def _cmd_measure(cfg: RunConfig, outdir: Path) -> int:
     from .measure import (closed_form_density, norm_divergence_witness, verify_moments,
                           verify_resolution_identity)
 
-    basis = _capped("basis", cfg.extra_value("basis", 10, int), MAX_BASIS)
+    basis = cfg["basis"]
     quad = _moment_rule(cfg)
-    nmax = min(2 * cfg.order - 1, 20)
-    mom_rep = verify_moments(quad, cfg.weights, cfg.q, nmax, tol=cfg.tol)
-    gram_rep = verify_resolution_identity(quad, cfg.weights, cfg.q, basis,
-                                          2 * basis + 1, tol=cfg.tol)
-    witness = norm_divergence_witness(quad, cfg.weights, cfg.q, nmax)
-    density = closed_form_density(cfg.weights, cfg.q)
+    w, q, tol = cfg["weights"], cfg["q"], cfg["tol"]
+    nmax = min(2 * quad.order - 1, 20)
+    mom_rep = verify_moments(quad, w, q, nmax, tol=tol)
+    gram_rep = verify_resolution_identity(quad, w, q, basis, 2 * basis + 1, tol=tol)
+    witness = norm_divergence_witness(quad, w, q, nmax)
+    density = closed_form_density(w, q)
     _write_result(outdir, "measure.json", cfg, {
         "quadrature": quad.to_json(),
         "closed_form": None if density is None else density.description,
@@ -298,30 +319,19 @@ def _cmd_symbols(cfg: RunConfig, outdir: Path) -> int:
                             creation_matrix, number_matrix)
     from .symbols import PolynomialSymbol, lower_symbol_grid, quantize_cs, secondary_toeplitz
 
-    named_operators = {
-        "annihilation": annihilation_matrix,
-        "creation": creation_matrix,
-        "adjoint": adjoint_annihilation_matrix,
-        "number": lambda w, q, N: number_matrix(N),
-    }
-
-    def capped_window(v):
-        return cfg.weights.max_index(_capped("window", int(v), MAX_CUTOFF))
-
-    window = cfg.extra_value("window", max(96, cfg.cutoff), capped_window)
-    f = PolynomialSymbol.parse(cfg.extra_value("phase_symbol", "L^1", str))
+    named_operators = {"annihilation": annihilation_matrix, "creation": creation_matrix,
+                       "adjoint": adjoint_annihilation_matrix,
+                       "number": lambda w, q, N: number_matrix(N)}
+    w, q, cutoff = cfg["weights"], cfg["q"], cfg["cutoff"]
+    window = cfg["window"] = w.max_index(cfg["window"])
+    f = PolynomialSymbol.parse(cfg["phase_symbol"])
     quad = _moment_rule(cfg)
-    qcs = quantize_cs(f, quad, cfg.weights, cfg.q, cfg.cutoff)
-    sec = secondary_toeplitz(f, quad, cfg.weights, cfg.q, cfg.cutoff)
+    qcs = quantize_cs(f, quad, w, q, cutoff)
+    sec = secondary_toeplitz(f, quad, w, q, cutoff)
 
-    name = cfg.extra_value("operator", "annihilation", str)
-    if name not in named_operators:
-        raise ConfigError(f"unknown operator {name!r}; expected one of "
-                          f"{sorted(named_operators)}")
-    op = named_operators[name](cfg.weights, cfg.q, window)
-    pts = _grid_points(cfg.grid)
-    grid = lower_symbol_grid(op, pts, cfg.weights, cfg.q,
-                             normalized=cfg.extra_value("normalized", True, _json_bool))
+    op = named_operators[cfg["operator"]](w, q, window)
+    pts = _grid_points(cfg["grid"])
+    grid = lower_symbol_grid(op, pts, w, q, normalized=cfg["normalized"])
 
     for name, mat in (("quantize_cs", qcs), ("secondary", sec)):
         _write_result(outdir, f"{name}.json", cfg, mat.to_json())
@@ -331,20 +341,10 @@ def _cmd_symbols(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _cmd_paragrassmann(cfg: RunConfig, outdir: Path) -> int:
-    from .paragrassmann import (MAX_PG_ORDER, ParagrassmannConfig, pg_annihilation,
-                                pg_structure_report)
+    from .paragrassmann import ParagrassmannConfig, pg_annihilation, pg_structure_report
 
-    l = cfg.extra_value("l", 3, int)
-    if l > MAX_PG_ORDER:
-        raise ConfigError(f"nilpotency order {l} exceeds the cap {MAX_PG_ORDER}")
-
-    def pg_weights(v):
-        if v is None:       # w_0..w_{l-1} of the run's weights
-            return tuple(cfg.weights.weight(n) for n in range(l))
-        return tuple(float(x) for x in v)
-
-    weights = cfg.extra_value("pg_weights", None, pg_weights)
-    pg = ParagrassmannConfig(l, weights, q=cfg.q)
+    l, weights = cfg["l"], cfg["pg_weights"]
+    pg = ParagrassmannConfig(l, weights, q=cfg["q"])
     op = pg_annihilation(pg)
     rep = pg_structure_report(pg)
     _write_result(outdir, "paragrassmann.json", cfg, {

@@ -17,8 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qmanin
-from qmanin.cli import (MAX_BASIS, MAX_CUTOFF, MAX_GRID_POINTS, RunConfig,
-                        _EXTRA_KEYS, _grid_points, main, parse_manin_symbol)
+from qmanin.cli import (MAX_BASIS, MAX_CUTOFF, MAX_GRID_POINTS, RunConfig, _KEYS,
+                        _grid_points, main, parse_manin_symbol)
 from qmanin.errors import ConfigError
 
 
@@ -178,13 +178,13 @@ def test_size_caps_exit_2_before_allocating(tmp_path, argv, config):
 
 
 def test_size_caps_admit_their_limits(tmp_path):
-    assert RunConfig(cutoff=MAX_CUTOFF).cutoff == MAX_CUTOFF
+    assert RunConfig({"cutoff": MAX_CUTOFF})["cutoff"] == MAX_CUTOFF
     with pytest.raises(ConfigError):
-        RunConfig(cutoff=MAX_CUTOFF + 1)
-    assert _grid_points({"nr": 1000, "ntheta": MAX_GRID_POINTS // 1000}).size \
-        == MAX_GRID_POINTS
+        RunConfig({"cutoff": MAX_CUTOFF + 1})
+    grid = RunConfig({"grid": {"nr": 1000, "ntheta": MAX_GRID_POINTS // 1000}})["grid"]
+    assert _grid_points(grid).size == MAX_GRID_POINTS
     with pytest.raises(ConfigError):
-        _grid_points({"nr": 1001, "ntheta": MAX_GRID_POINTS // 1000})
+        RunConfig({"grid": {"nr": 1001, "ntheta": MAX_GRID_POINTS // 1000}})
     cfg = tmp_path / "cfg.json"
     for cmd, key, cap in (("measure", "basis", MAX_BASIS), ("symbols", "window", MAX_CUTOFF)):
         cfg.write_text(json.dumps({key: cap + 1}))
@@ -433,18 +433,34 @@ def test_defaults_that_ran_are_embedded(tmp_path):
     assert load(tmp_path, "quantize_cs.json")["config"]["window"] == 39
 
 
-def test_every_extra_key_is_read_by_a_subcommand(tmp_path):
-    # each subcommand embeds the extra keys it read, defaults included;
-    # together they are exactly the keys the config accepts
-    shared = set(RunConfig().resolved())
-    read = set()
-    for cmd, name in (("radius", "radius.json"), ("operator", "operator.json"),
-                      ("coherent", "coherent.json"), ("kernel", "kernel.json"),
-                      ("measure", "measure.json"), ("symbols", "quantize_cs.json"),
-                      ("paragrassmann", "paragrassmann.json")):
+# the config keys each subcommand reads, by the artifacts that embed them;
+# paragrassmann reads weights only to derive pg_weights
+_READ = {
+    "radius": (("radius.json",), {"weights", "q", "horizon", "cap"}),
+    "operator": (("operator.json",), {"weights", "q", "cutoff", "symbol"}),
+    "coherent": (("coherent.json",), {"weights", "q", "tol", "cutoff", "lambda"}),
+    "kernel": (("kernel.json",), {"weights", "q", "tol", "grid", "mu"}),
+    "measure": (("measure.json",), {"weights", "q", "order", "tol", "basis"}),
+    "symbols": (("quantize_cs.json", "secondary.json"),
+                {"weights", "q", "cutoff", "order", "grid", "window", "phase_symbol",
+                 "operator", "normalized"}),
+    "paragrassmann": (("paragrassmann.json",), {"q", "l", "pg_weights", "weights"}),
+    "verify": (("verify.json",), set()),
+}
+
+
+def test_artifacts_embed_exactly_the_keys_read(tmp_path):
+    # each artifact embeds the keys its subcommand read, defaults and derived
+    # values included, and nothing else; together they are every config key
+    for cmd, (names, keys) in _READ.items():
         assert run(tmp_path, cmd) == 0
-        read |= set(load(tmp_path, name)["config"]) - shared
-    assert read == _EXTRA_KEYS
+        for name in names:
+            assert set(load(tmp_path, name)["config"]) == keys, (cmd, name)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pg_weights": [1, 1, 2]}))
+    assert run(tmp_path, "paragrassmann", "--config", str(cfg)) == 0
+    assert set(load(tmp_path, "paragrassmann.json")["config"]) == {"q", "l", "pg_weights"}
+    assert set().union(*(keys for _, keys in _READ.values())) == set(_KEYS)
 
 
 def test_stdin_config(tmp_path, monkeypatch):
