@@ -73,7 +73,10 @@ def parse_manin_symbol(text: str, q) -> ManinElement:
 
 
 def _count(name: str, value, low: int = 0, cap: float = math.inf) -> int:
-    """An integer key from ``low`` up to ``cap``."""
+    """An integer key from ``low`` up to ``cap``: a JSON integer or an
+    integral number, where int() alone would read 3.7 as 3 and true as 1."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     n = int(value)
     if n > cap:
         raise ConfigError(f"{name} {n} exceeds the cap {cap}")
@@ -91,13 +94,18 @@ def _tol(value) -> float:
 
 def _grid(value) -> dict:
     """nr radii from rmin (default rmax / nr) to rmax, times ntheta angles."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"grid must be a JSON object, got {value!r}")
+    unknown = sorted(set(value) - {"rmax", "rmin", "nr", "ntheta"})
+    if unknown:
+        raise ConfigError(f"no grid key {', '.join(map(repr, unknown))}; "
+                          f"a grid has rmax, rmin, nr and ntheta")
     try:
-        value = dict(value)
         rmax = float(value.get("rmax", 1.5))
-        nr = int(value.get("nr", 10))
-        ntheta = int(value.get("ntheta", 8))
-        if nr < 1 or ntheta < 1 or not 0 < rmax < math.inf:
-            raise ConfigError("grid needs nr, ntheta >= 1 and 0 < rmax < inf")
+        nr = _count("grid nr", value.get("nr", 10), low=1)
+        ntheta = _count("grid ntheta", value.get("ntheta", 8), low=1)
+        if not 0 < rmax < math.inf:
+            raise ConfigError(f"grid rmax must be positive and finite, got {rmax!r}")
         _count("grid size nr * ntheta", nr * ntheta, cap=MAX_GRID_POINTS)
         rmin = float(value.get("rmin", rmax / nr))
     except (TypeError, ValueError, OverflowError) as exc:
@@ -168,14 +176,16 @@ class RunConfig(dict):
         doc = {}
         config = getattr(args, "config", None)
         if config:
-            raw = sys.stdin.read() if config == "-" else Path(config).read_text()
-            try:
+            try:    # text that is not UTF-8 or nests past the parser's recursion
+                raw = (sys.stdin.read() if config == "-"
+                       else Path(config).read_text(encoding="utf-8"))
                 doc = json.loads(raw)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
             if not isinstance(doc, dict):
                 raise ConfigError("config document must be a JSON object")
-        doc.update((k, v) for k, v in vars(args).items() if k in _KEYS)   # the flags
+        # the flags --weights, --q, --cutoff and --tol override the document
+        doc.update((k, v) for k, v in vars(args).items() if k in _KEYS)
         return cls(doc)
 
     def _parse(self, key: str):

@@ -118,6 +118,19 @@ _REFUSALS = [
     (("coherent",), {"lamda": [2, 0]},             # a key no subcommand reads
      "config key 'lamda'"),
     (("radius",), {"horizon": 10**308}, "horizon of 309 digits"),
+    (("coherent",), {"cutoff": 3.7}, "invalid config value for 'cutoff': 3.7"),
+    (("measure",), {"order": True}, "invalid config value for 'order': True"),
+    (("measure",), {"basis": 2.5}, "'basis'"),
+    (("measure",), {"basis": -1}, "basis must be at least 0, got -1"),
+    (("symbols",), {"window": True}, "'window'"),
+    (("paragrassmann",), {"l": 3.5}, "'l'"),
+    (("radius",), {"horizon": 20.5}, "'horizon'"),
+    (("kernel",), {"grid": {"nr": 1.5}}, "nr must be an integer, got 1.5"),
+    (("kernel",), {"grid": {"ntheta": True}}, "ntheta must be an integer, got True"),
+    (("kernel",), {"grid": {"rmxa": 0.5, "nr": 2, "ntheta": 1}},   # a misspelt rmax
+     "no grid key 'rmxa'"),
+    (("kernel",), {"grid": [["rmax", 0.5], ["nr", 2], ["ntheta", 1]]},
+     "grid must be a JSON object"),
 ]
 
 
@@ -219,6 +232,51 @@ def test_radius_horizon_beyond_int64(tmp_path):
     n = [s["n"] for s in load(tmp_path, "radius.json")["result"]["samples"]]
     assert n[0] == 1 and n[-1] == 10**21
     assert all(a < b for a, b in zip(n, n[1:]))
+
+
+def test_integral_numbers_are_counts(tmp_path):
+    # an integral float is the integer it equals: 1e21 runs horizon 10^21
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"horizon": 1e21}))
+    assert run(tmp_path, "radius", "--config", str(cfg)) == 0
+    doc = load(tmp_path, "radius.json")
+    assert doc["config"]["horizon"] == 10**21
+    assert doc["result"]["samples"][-1]["n"] == 10**21
+
+
+def test_grid_embeds_the_values_that_ran(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"rmax": 0.5, "nr": 2.0, "ntheta": 1}}))
+    assert run(tmp_path, "kernel", "--config", str(cfg)) == 0
+    assert load(tmp_path, "kernel.json")["config"]["grid"] == {
+        "rmax": 0.5, "rmin": 0.25, "nr": 2, "ntheta": 1}
+
+
+def _run_raw(tmp_path, raw: bytes, stdin: bool):
+    """The CLI in a fresh interpreter on config text ``raw``, from a file or
+    from stdin; stdin decodes strictly, as under a UTF-8 locale."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qmanin.__file__).parents[1]),
+               PYTHONIOENCODING="utf-8:strict")
+    path = tmp_path / "cfg.json"
+    path.write_bytes(raw)
+    return subprocess.run(
+        [sys.executable, "-m", "qmanin.cli", "--out", str(tmp_path), "radius",
+         "--config", "-" if stdin else str(path)],
+        input=raw if stdin else None, capture_output=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("raw, stdin", [
+    (b"\xff\xfe{}", False),                     # not UTF-8
+    (b"\xff\xfe{}", True),
+    (b"[" * 200_000, False),                     # nested past the parser's recursion
+    (b'{"cutoff": 1' + b"0" * 5000 + b"}", False),   # past int's 4300-digit limit
+], ids=["not-utf8", "not-utf8-stdin", "too-deep", "too-many-digits"])
+def test_unreadable_config_text_exits_2(tmp_path, raw, stdin):
+    proc = _run_raw(tmp_path, raw, stdin)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert err.startswith("error: config is not valid JSON")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("normalized, value", [(True, 1.0), (False, math.e)])
@@ -461,6 +519,33 @@ def test_artifacts_embed_exactly_the_keys_read(tmp_path):
     assert run(tmp_path, "paragrassmann", "--config", str(cfg)) == 0
     assert set(load(tmp_path, "paragrassmann.json")["config"]) == {"q", "l", "pg_weights"}
     assert set().union(*(keys for _, keys in _READ.values())) == set(_KEYS)
+
+
+def _readme_key_table() -> dict:
+    """key -> (default, read by) of the config key table in README."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    rows = {}
+    for line in lines[lines.index("| key | default | cap or constraint | read by |") + 2:]:
+        if not line.startswith("|"):
+            break
+        key, default, _, read_by = (cell.strip() for cell in line.strip("|").split(" | "))
+        rows[key.strip("`")] = (default, read_by)
+    return rows
+
+
+def test_readme_key_table_lists_every_key_with_its_default():
+    rows = _readme_key_table()
+    assert list(rows) == list(_KEYS)
+    for key, (_, default) in _KEYS.items():
+        cell, read_by = rows[key]
+        if callable(default):       # a derived default names the keys it reads
+            cfg = RunConfig()
+            default(cfg)
+            assert cfg and all(f"`{k}`" in cell for k in cfg), key
+        else:
+            assert json.loads(cell.strip("`")) == default, key
+        assert set(re.findall(r"\w+", read_by)) == {
+            cmd for cmd, (_, keys) in _READ.items() if key in keys}, key
 
 
 def test_stdin_config(tmp_path, monkeypatch):
