@@ -131,6 +131,9 @@ _REFUSALS = [
      "no grid key 'rmxa'"),
     (("kernel",), {"grid": [["rmax", 0.5], ["nr", 2], ["ntheta", 1]]},
      "grid must be a JSON object"),
+    # every key given is checked at load, also where the subcommand reads none
+    (("verify", "--cutoff", "5000"), None, "cutoff 5000 exceeds the cap 1024"),
+    (("radius",), {"window": 2000}, "window 2000 exceeds the cap 1024"),
 ]
 
 
