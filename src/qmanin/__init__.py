@@ -24,8 +24,8 @@ _HOME = {name: module for module, names in {
                  "radius_of_convergence"),
     "errors": ("ConfigError", "IndefiniteMomentsError", "InsufficientQuadratureError",
                "OrderTooHighError", "OutsidePhaseSpaceError", "QmaninError",
-               "SolverError", "ToleranceUnreachableError", "VerificationFailure",
-               "WeightHorizonError", "WindowTooSmallError"),
+               "SolverError", "ToleranceUnreachableError", "WeightHorizonError",
+               "WindowTooSmallError"),
     "kernels": ("backend_name",),
     "measure": ("ClosedFormDensity", "DivergenceWitness", "GramReport",
                 "MomentCheckReport", "MomentSequence", "RadialQuadrature",
@@ -35,7 +35,7 @@ _HOME = {name: module for module, names in {
     "operators": ("BoundednessReport", "OperatorMeta", "TruncatedOperator",
                   "adjoint_annihilation_matrix", "annihilation_matrix",
                   "boundedness_report", "creation_matrix", "domain_membership",
-                  "identity_matrix", "number_matrix", "toeplitz_matrix"),
+                  "number_matrix", "toeplitz_matrix"),
     "paragrassmann": ("ParagrassmannConfig", "StructureReport", "pg_annihilation",
                       "pg_structure_report"),
     "symbols": ("PolynomialSymbol", "SymbolValueGrid", "lower_symbol",

@@ -401,7 +401,3 @@ def run_criterion(number: int) -> CriterionResult:
                 return CriterionResult(num, name, False, f"raised {exc!r}")
             return CriterionResult(num, name, passed, detail)
     raise KeyError(f"no criterion {number}")
-
-
-def run_all() -> List[CriterionResult]:
-    return [run_criterion(num) for num, _, _ in CRITERIA]

@@ -110,12 +110,6 @@ class ManinElement:
         c = self.terms.get(ManinMonomial(i, j))
         return 0j if c is None else c.evaluate(self.q)
 
-    def lazy_coefficient(self, i: int, j: int) -> QCoeff | None:
-        return self.terms.get(ManinMonomial(i, j))
-
-    def is_holomorphic(self) -> bool:
-        return all(m.j == 0 for m in self.terms)
-
     def __iter__(self) -> Iterable[Tuple[ManinMonomial, QCoeff]]:
         return iter(self.terms.items())
 
@@ -131,16 +125,6 @@ class ManinElement:
 
     def __hash__(self):
         return hash((self.q.value, tuple(self.terms)))
-
-    def allclose(self, other: "ManinElement", rtol: float = 1e-12) -> bool:
-        if self.q.value != other.q.value:
-            return False
-        monomials = set(self.terms) | set(other.terms)
-        for m in monomials:
-            a, b = self.coefficient(*m), other.coefficient(*m)
-            if abs(a - b) > rtol * max(abs(a), abs(b), 1e-300):
-                return False
-        return True
 
     def __repr__(self):
         if not self.terms:
@@ -189,15 +173,6 @@ class ManinElement:
                  "re": self.coefficient(m.i, m.j).real,
                  "im": self.coefficient(m.i, m.j).imag}
                 for m in self.terms]
-
-    @classmethod
-    def from_json(cls, q, records: list) -> "ManinElement":
-        terms: Dict[ManinMonomial, QCoeff] = {}
-        for r in records:
-            mon = ManinMonomial(int(r["i"]), int(r["j"]))
-            c = QCoeff(complex(float(r["re"]), float(r["im"])))
-            terms[mon] = _merge(terms[mon], c, QParam.of(q)) if mon in terms else c
-        return cls(q, terms)
 
 
 def normal_order_product(a: ManinElement, b: ManinElement) -> ManinElement:

@@ -26,7 +26,7 @@ import numpy as np
 from . import jsonio
 from .algebra import ManinElement, parse_complex, parse_terms
 from .errors import ConfigError, InputTooLargeError, QmaninError
-from .weights import QParam, WeightSequence
+from .weights import QParam, WeightSequence, json_number
 
 # Size caps, checked before anything is allocated; MAX_CUTOFF also caps the window.
 MAX_CUTOFF = 1024
@@ -39,27 +39,6 @@ def _json_bool(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"expected true or false, got {value!r}")
     return value
-
-
-def _parse_weights(spec) -> WeightSequence:
-    if isinstance(spec, dict):
-        return WeightSequence.from_json(spec)
-    s = str(spec).strip()
-    if ":" in s:
-        kind, arg = s.split(":", 1)
-        kind = kind.strip()
-        if kind == "constant":
-            return WeightSequence.constant(float(arg))
-        if kind == "power-factorial":
-            return WeightSequence.power_factorial(float(arg))
-        if kind == "explicit":
-            return WeightSequence.explicit([float(x) for x in arg.split(",")])
-        raise ConfigError(f"unknown weight shorthand {s!r}")
-    if s == "factorial":
-        return WeightSequence.factorial()
-    if s == "constant":
-        return WeightSequence.constant()
-    raise ConfigError(f"unknown weight spec {s!r}")
 
 
 def parse_manin_symbol(text: str, q) -> ManinElement:
@@ -85,8 +64,23 @@ def _count(name: str, value, low: int = 0, cap: float = math.inf) -> int:
     return n
 
 
+def _real(value) -> float:
+    """float(value), where float(true) would read as 1.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _complex(value) -> complex:
+    """A complex key in its number, pair or string form, not a JSON bool."""
+    if isinstance(value, bool) or isinstance(value, list) and any(
+            isinstance(x, bool) for x in value):
+        raise ValueError(f"expected a complex number, got {value!r}")
+    return parse_complex(value)
+
+
 def _tol(value) -> float:
-    tol = float(value)
+    tol = _real(value)
     if not 0 < tol < math.inf:
         raise ConfigError(f"tolerance must be a positive finite number, got {tol!r}")
     return tol
@@ -101,13 +95,13 @@ def _grid(value) -> dict:
         raise ConfigError(f"no grid key {', '.join(map(repr, unknown))}; "
                           f"a grid has rmax, rmin, nr and ntheta")
     try:
-        rmax = float(value.get("rmax", 1.5))
+        rmax = _real(value.get("rmax", 1.5))
         nr = _count("grid nr", value.get("nr", 10), low=1)
         ntheta = _count("grid ntheta", value.get("ntheta", 8), low=1)
         if not 0 < rmax < math.inf:
             raise ConfigError(f"grid rmax must be positive and finite, got {rmax!r}")
         _count("grid size nr * ntheta", nr * ntheta, cap=MAX_GRID_POINTS)
-        rmin = float(value.get("rmin", rmax / nr))
+        rmin = _real(value.get("rmin", rmax / nr))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"grid values must be numbers: {exc}") from exc
     if not math.isfinite(rmin):
@@ -131,18 +125,18 @@ def _nilpotency_order(value) -> int:
 # the config that derives it from keys above it.  A parser refuses a value
 # that cannot run, with a ConfigError or a TypeError/ValueError/OverflowError.
 _KEYS = {
-    "weights": (_parse_weights, "factorial"),
-    "q": (lambda v: QParam.of(parse_complex(v)).value, 1.0),
+    "weights": (WeightSequence.from_json, "factorial"),
+    "q": (lambda v: QParam.of(_complex(v)).value, 1.0),
     "cutoff": (lambda v: _count("cutoff", v, cap=MAX_CUTOFF), 16),
     "tol": (_tol, 1e-12),
     "order": (lambda v: _count("order", v, low=1), 12),
     "grid": (_grid, {}),
     "horizon": (lambda v: _count("horizon", v), 10**15),
-    "cap": (float, 1e6),
+    "cap": (_real, 1e6),
     "symbol": (str, "tb^1"),
-    "lambda": (parse_complex, 1.0),
+    "lambda": (_complex, 1.0),
     # no mu: the diagonal, the squared norms K(lambda, lambda)
-    "mu": (lambda v: v if v is None else parse_complex(v), None),
+    "mu": (lambda v: v if v is None else _complex(v), None),
     "basis": (lambda v: _count("basis", v, cap=MAX_BASIS), 10),
     "window": (lambda v: _count("window", v, cap=MAX_CUTOFF),
                lambda cfg: max(96, cfg["cutoff"])),
@@ -151,7 +145,7 @@ _KEYS = {
     "normalized": (_json_bool, True),
     "l": (_nilpotency_order, 3),
     # no pg_weights: w_0..w_{l-1} of the run's weights
-    "pg_weights": (lambda v: tuple(float(x) for x in v),
+    "pg_weights": (lambda v: tuple(map(json_number, v)),
                    lambda cfg: [cfg["weights"].weight(n) for n in range(cfg["l"])]),
 }
 

@@ -2,6 +2,8 @@
 
 The CLI maps these onto exit codes: configuration problems exit 2,
 out-of-phase-space inputs exit 3, solver conditioning failures exit 4.
+No error maps to exit 1: that is ``qmanin verify``'s own return value when
+an acceptance criterion fails.
 """
 
 
@@ -66,9 +68,3 @@ class OrderTooHighError(SolverError):
 
 class WindowTooSmallError(ConfigError):
     """Operator truncation window cannot hold the coherent state tail."""
-
-
-class VerificationFailure(QmaninError):
-    """An acceptance criterion failed (CLI `verify` exits 1)."""
-
-    exit_code = 1

@@ -80,14 +80,14 @@ MAX_DPS = 2000
 
 @dataclass(frozen=True)
 class MomentSequence:
-    """Targets m_j with parallel log storage for huge entries.
+    """Targets m_j, kept as their logs log m_j, since the moments of
+    factorial-scale weights leave the double range.
 
     ``mp_logs`` carries the same logs at extended precision when the
-    sequence was produced from a weight rule; the solver prefers them so
-    its nodes are accurate to float64 and not merely moment-consistent.
+    sequence was produced from weights; the solver prefers them so its
+    nodes are accurate to float64 and not merely moment-consistent.
     """
 
-    values: tuple
     log_values: tuple
     mp_logs: tuple = ()
 
@@ -99,9 +99,7 @@ class MomentSequence:
             log_pi = mpmath.log(mpmath.pi)
             mp_logs = tuple(-j * (j + 1) * log_q + log_w - log_pi
                             for j, log_w in enumerate(w.mp_log_weights(jmax + 1)))
-        logs = tuple(float(x) for x in mp_logs)
-        vals = tuple(math.exp(x) if x < 709 else math.inf for x in logs)
-        return cls(vals, logs, mp_logs)
+        return cls(tuple(float(x) for x in mp_logs), mp_logs)
 
     @property
     def jmax(self) -> int:
@@ -154,12 +152,6 @@ class RadialQuadrature:
                 "masses": [float(x) for x in self.masses],
                 "order": self.order, "provenance": self.provenance}
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "RadialQuadrature":
-        return cls(np.array(doc["nodes"], dtype=float),
-                   np.array(doc["masses"], dtype=float),
-                   int(doc["order"]), str(doc["provenance"]))
-
 
 @dataclass(frozen=True)
 class ClosedFormDensity:
@@ -167,7 +159,6 @@ class ClosedFormDensity:
     which solves the moment conditions of factorial weights at |q| = 1."""
 
     amplitude: float
-    name = "radial-gaussian"
     description = "t-density amplitude * exp(-t)/pi on [0, inf)"
     support = (0.0, math.inf)
 

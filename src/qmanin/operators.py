@@ -175,12 +175,6 @@ def number_matrix(N: int) -> TruncatedOperator:
                              OperatorMeta("N", "any", 1.0 + 0j, exact=False))
 
 
-def identity_matrix(w: WeightSequence, q, N: int) -> TruncatedOperator:
-    return TruncatedOperator(np.eye(N + 1, dtype=complex),
-                             OperatorMeta("1", w.describe(), QParam.of(q).value,
-                                          exact=True))
-
-
 # ---------------------------------------------------------------------------
 # boundedness / compactness classification
 # ---------------------------------------------------------------------------

@@ -67,10 +67,6 @@ class PolynomialSymbol:
     def lam_conj(cls) -> "PolynomialSymbol":
         return cls({(0, 1): 1.0})
 
-    @classmethod
-    def abs_sq(cls) -> "PolynomialSymbol":
-        return cls({(1, 1): 1.0})
-
     @property
     def degree(self) -> int:
         return max((a + b for a, b in self.coeffs), default=0)

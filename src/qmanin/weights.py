@@ -71,8 +71,7 @@ class WeightSequence:
     The rule kinds are one family w_n = c * (n!)**s, with (c, s) fixed by
     the kind: 'factorial' (1, 1), 'constant' (c, 0), 'power-factorial'
     (1, s).  'explicit' reads a finite table.  ``scale`` multiplies every
-    weight; it exists so the radius-invariance of w -> c*w can be exercised
-    without rebuilding tables.
+    weight; it is a weights object's ``params.scale``.
     """
 
     kind: str
@@ -124,11 +123,6 @@ class WeightSequence:
     @classmethod
     def explicit(cls, table: Sequence[float]) -> "WeightSequence":
         return cls("explicit", table=tuple(table))
-
-    def scaled(self, c: float) -> "WeightSequence":
-        """The sequence n -> c * w_n."""
-        return WeightSequence(self.kind, c=self.c, s=self.s, table=self.table,
-                              horizon=self.horizon, scale=self.scale * float(c))
 
     # -- evaluation --------------------------------------------------------
 
@@ -183,34 +177,22 @@ class WeightSequence:
         out[n < 0] = 0.0
         return out
 
-    def mp_log_weight(self, n: int):
-        """log w_n as an mpmath float under the caller's precision context."""
-        if n < 0:
-            import mpmath
-
-            return mpmath.mpf(0)
-        return self._mp_log_weights(range(n, n + 1))[0]
-
     def mp_log_weights(self, count: int) -> list:
         """[log w_0, ..., log w_{count-1}] as mpmath floats under the caller's
-        precision context, each exactly ``mp_log_weight(n)``, with log c and
-        log scale taken once."""
-        return self._mp_log_weights(range(count))
-
-    def _mp_log_weights(self, ns: range) -> list:
+        precision context, with log c and log scale taken once."""
         import mpmath
 
-        if not ns:
+        if count <= 0:
             return []
-        self._check(ns[-1])
+        self._check(count - 1)
         ls = mpmath.log(mpmath.mpf(self.scale))
         if self.table is not None:
-            return [mpmath.log(mpmath.mpf(self.table[n])) + ls for n in ns]
+            return [mpmath.log(mpmath.mpf(self.table[n])) + ls for n in range(count)]
         log_c = mpmath.log(mpmath.mpf(self.c))
         if not self.s:
-            return [log_c + ls] * len(ns)
+            return [log_c + ls] * count
         s = mpmath.mpf(self.s)
-        return [s * mpmath.loggamma(n + 1) + log_c + ls for n in ns]
+        return [s * mpmath.loggamma(n + 1) + log_c + ls for n in range(count)]
 
     def ratio(self, n: int) -> float:
         """w_n / w_{n-1} (w_{-1} = 1); n**s for the rule, so huge indices
@@ -259,13 +241,66 @@ class WeightSequence:
         return doc
 
     @classmethod
-    def from_json(cls, doc: dict) -> "WeightSequence":
+    def from_json(cls, spec) -> "WeightSequence":
+        """The weights a config names: a shorthand (``factorial``,
+        ``constant[:C]``, ``power-factorial:S``, ``explicit:w0,w1,...``) or
+        the object ``to_json`` writes.  An object holds ``kind``, ``params``
+        with ``scale`` and its kind's own ``c`` or ``s``, and a ``table`` for
+        explicit weights; any other key, and a value that is not a JSON
+        number, is refused by name."""
+        if isinstance(spec, str):
+            spec = _shorthand(spec)
+        if not isinstance(spec, dict) or "kind" not in spec:
+            raise ConfigError(f"weight spec must be a shorthand or an object with a "
+                              f"'kind', got {spec!r}")
+        kind, params = spec["kind"], spec.get("params", {})
+        if kind not in KINDS:
+            raise ConfigError(f"unknown weight kind {kind!r}; expected one of {KINDS}")
+        if not isinstance(params, dict):
+            raise ConfigError(f"weight spec params must be an object, got {params!r}")
+        _refuse_unknown(spec, ("kind", "params", "table") if kind == "explicit"
+                        else ("kind", "params"), f"a {kind} weight spec has")
+        _refuse_unknown(params, _PARAMS[kind], f"{kind} weight params are")
+        if kind == "explicit" and "table" not in spec:
+            raise ConfigError("an explicit weight spec needs a 'table'")
         try:
-            kind, params = doc["kind"], doc.get("params", {})
-            c, s = float(params.get("c", 1.0)), float(params.get("s", 1.0))
-            scale = float(params.get("scale", 1.0))
-            table = tuple(doc["table"]) if kind == "explicit" else None
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"weight spec must be an object with a 'kind' and "
-                              f"valid 'params' and 'table': {exc!r}") from exc
-        return cls(kind, c=c, s=s, table=table, scale=scale)
+            numbers = {k: json_number(v) for k, v in params.items()}
+            table = tuple(map(json_number, spec["table"])) if kind == "explicit" else None
+        except (TypeError, OverflowError) as exc:
+            raise ConfigError(f"weight spec values must be numbers: {exc}") from exc
+        return cls(kind, table=table, **numbers)
+
+
+# the params each kind reads: the scale, and a rule's own c or s
+_PARAMS = {"factorial": ("scale",), "constant": ("scale", "c"),
+           "power-factorial": ("scale", "s"), "explicit": ("scale",)}
+
+
+def json_number(value) -> float:
+    """A JSON number as a float, where float() would also read true as 1.0
+    and "2" as 2.0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _refuse_unknown(doc: dict, keys: tuple, has: str) -> None:
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ConfigError(f"no weight spec key {', '.join(map(repr, unknown))}; "
+                          f"{has} {', '.join(keys)}")
+
+
+def _shorthand(text: str) -> dict:
+    """The weights object a ``kind:arg`` shorthand stands for."""
+    kind, colon, arg = (part.strip() for part in text.partition(":"))
+    try:
+        if not colon and kind in ("factorial", "constant"):
+            return {"kind": kind}
+        if colon and kind in ("constant", "power-factorial"):
+            return {"kind": kind, "params": {_PARAMS[kind][1]: float(arg)}}
+        if colon and kind == "explicit":
+            return {"kind": kind, "table": [float(x) for x in arg.split(",")]}
+    except ValueError as exc:
+        raise ConfigError(f"weight spec {text!r} needs numbers: {exc}") from exc
+    raise ConfigError(f"unknown weight spec {text!r}")

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import qmanin
 from qmanin.cli import (MAX_BASIS, MAX_CUTOFF, MAX_GRID_POINTS, RunConfig, _KEYS,
                         _grid_points, main, parse_manin_symbol)
+from qmanin import errors
 from qmanin.errors import ConfigError
 
 
@@ -74,6 +75,14 @@ def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(tmp_path, "radius", "--config", str(bad)) == 2
+
+
+def test_no_error_exits_1():
+    # exit 1 is verify's own return value when a criterion fails; main()
+    # exits 2 for an error without an exit_code
+    codes = {getattr(cls, "exit_code", 2) for cls in vars(errors).values()
+             if isinstance(cls, type) and issubclass(cls, errors.QmaninError)}
+    assert codes == {2, 3, 4}
 
 
 _REFUSALS = [
@@ -134,6 +143,27 @@ _REFUSALS = [
     # every key given is checked at load, also where the subcommand reads none
     (("verify", "--cutoff", "5000"), None, "cutoff 5000 exceeds the cap 1024"),
     (("radius",), {"window": 2000}, "window 2000 exceeds the cap 1024"),
+    # a weights object holds exactly the keys its kind reads, each a number
+    (("radius",), {"weights": {"kind": "constant", "parms": {"c": 2}}},
+     "no weight spec key 'parms'"),
+    (("radius",), {"weights": {"kind": "factorial", "params": {"s": 3}}},
+     "no weight spec key 's'"),
+    (("radius",), {"weights": {"kind": "constant", "params": {"c": True}}},
+     "weight spec values must be numbers"),
+    (("radius",), {"weights": {"kind": "explicit", "table": [1, "2"]}},
+     "weight spec values must be numbers"),
+    (("paragrassmann",), {"l": 3, "pg_weights": [1, "2", True]},
+     "invalid config value for 'pg_weights'"),
+    # a JSON bool is not a number, where float(true) would read as 1.0
+    (("coherent",), {"tol": True}, "invalid config value for 'tol': True"),
+    (("radius",), {"q": True}, "invalid config value for 'q': True"),
+    (("coherent",), {"lambda": True}, "invalid config value for 'lambda': True"),
+    (("kernel",), {"mu": False}, "invalid config value for 'mu': False"),
+    (("kernel",), {"mu": [1, True]}, "invalid config value for 'mu': [1, True]"),
+    (("radius",), {"cap": True}, "invalid config value for 'cap': True"),
+    (("kernel",), {"grid": {"rmax": True, "nr": 2, "ntheta": 1}},
+     "grid values must be numbers"),
+    (("kernel",), {"grid": {"rmin": False}}, "grid values must be numbers"),
 ]
 
 
@@ -591,6 +621,21 @@ def _complex_text(r, phase):
 _complex = st.builds(_complex_text, st.floats(0.0, 3.0), st.floats(-4.0, 4.0))
 # Sizes are kept small so that 200 examples run in a few seconds; the size
 # caps themselves are covered by the tests above.
+# a weights value: a number, or a string or bool where a number belongs
+_weight_value = st.one_of(st.floats(0.1, 3.5), st.integers(1, 3), st.booleans(),
+                          st.sampled_from(["2", "x"]))
+# weights objects, with misspelt and extra keys among the ones each kind reads
+_weights_object = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["factorial", "constant", "power-factorial", "explicit",
+                              "constnt"])},
+    optional={
+        "params": st.dictionaries(st.sampled_from(["c", "s", "scale", "C", "scael"]),
+                                  _weight_value, max_size=3),
+        "table": st.lists(_weight_value, max_size=12),
+        "tabel": st.lists(st.floats(0.1, 50.0), max_size=3),
+        "parms": st.dictionaries(st.sampled_from(["c", "s"]), _weight_value, max_size=1),
+    })
+# a string goes in by --weights, an object in the config document
 _weights = st.one_of(
     st.sampled_from(["factorial", "constant", "nonsense", "constant:-1",
                      "power-factorial:nan", "explicit:1,0,2"]),
@@ -598,9 +643,12 @@ _weights = st.one_of(
     st.floats(0.0, 3.5).map("power-factorial:{!r}".format),
     st.lists(st.floats(0.1, 50.0), min_size=1, max_size=12).map(
         lambda t: "explicit:" + ",".join(map(repr, t))),
+    _weights_object,
 )
+# a string goes in by --q, a bool in the config document
 _q = st.one_of(st.builds(_complex_text, st.floats(0.05, 2.0), st.floats(-4.0, 4.0)),
-               st.sampled_from(["1", "0.9", "1j", "-1", "0", "abc", "inf"]))
+               st.sampled_from(["1", "0.9", "1j", "-1", "0", "abc", "inf"]),
+               st.booleans())
 _valid = {
     "cutoff": st.integers(0, 40),
     "order": st.integers(1, 20),
@@ -625,12 +673,19 @@ _valid = {
 _junk = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
                   st.floats(allow_nan=True, allow_infinity=True),
                   st.integers(-10**30, 10**30), st.lists(st.integers(-2, 5), max_size=3))
-# every key valid, or one key replaced by a junk value of any type
+# a JSON bool for a numeric key, where float(true) would read as 1.0
+_bool_number = st.one_of(
+    st.dictionaries(st.sampled_from(["tol", "cap", "lambda", "mu"]), st.booleans(),
+                    min_size=1, max_size=1),
+    st.builds(lambda key, b: {"grid": {key: b}}, st.sampled_from(["rmax", "rmin"]),
+              st.booleans()))
+# every key valid, or one key replaced by a junk value of any type or a bool
 _config = st.builds(lambda valid, junk: {**valid, **junk},
                     st.fixed_dictionaries({}, optional=_valid),
                     st.one_of(st.just({}),
                               st.dictionaries(st.sampled_from(sorted(_valid)), _junk,
-                                              max_size=1)))
+                                              max_size=1),
+                              _bool_number))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -656,16 +711,23 @@ _config = st.builds(lambda valid, junk: {**valid, **junk},
 @example("coherent", "factorial", "1", {"tol": "inf"})
 @example("paragrassmann", "factorial", "1", {"l": 3, "pg_weights": [1e300, 1e-300, 1.0]})
 @example("coherent", "factorial", "1", {"lamda": [2, 0]})
+@example("radius", {"kind": "constant", "parms": {"c": 2}}, "1", {})
+@example("paragrassmann", "factorial", True, {"l": 3, "pg_weights": [1, "2", True]})
 def test_cli_failure_contract(command, weights, q, config):
     """Any input exits 0, 2, 3 or 4, and nothing escapes or warns."""
+    flags = []
+    for key, value in (("weights", weights), ("q", q)):
+        if isinstance(value, str):
+            flags.append(f"--{key}={value}")
+        else:
+            config = {**config, key: value}
     with tempfile.TemporaryDirectory() as out, \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cfg = Path(out) / "cfg.json"
         cfg.write_text(json.dumps(config))
         try:
-            code = main(["--out", out, command, "--config", str(cfg),
-                         "--weights", weights, f"--q={q}"])
+            code = main(["--out", out, command, "--config", str(cfg), *flags])
         except SystemExit as exc:       # argparse
             code = exc.code
     assert code in (0, 2, 3, 4)

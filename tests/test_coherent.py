@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -302,7 +303,7 @@ class TestRadius:
 
     def test_scale_invariance_within_uncertainty(self):
         base = radius_of_convergence(WCONST, 1.0, horizon=10**6)
-        scaled = radius_of_convergence(WCONST.scaled(4.0), 1.0, horizon=10**6)
+        scaled = radius_of_convergence(replace(WCONST, scale=4.0), 1.0, horizon=10**6)
         assert (abs(base.value - scaled.value)
                 <= base.uncertainty + scaled.uncertainty)
 

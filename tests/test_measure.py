@@ -82,8 +82,9 @@ class TestMomentSolver:
     def test_one_point_rule(self):
         m = MomentSequence.from_weights(WFAC, 1.0, 1)
         quad = gauss_quadrature_from_moments(m, 1)
-        assert abs(quad.nodes[0] - m.values[1] / m.values[0]) < 1e-14
-        assert abs(quad.masses[0] - m.values[0]) < 1e-16
+        m0, m1 = (math.exp(x) for x in m.log_values)
+        assert abs(quad.nodes[0] - m1 / m0) < 1e-14
+        assert abs(quad.masses[0] - m0) < 1e-16
 
     def test_constant_weights_unit_atom(self):
         # all moments 1/pi force the single atom at t = 1, any order
@@ -104,7 +105,7 @@ class TestMomentSolver:
         atoms = np.linspace(0.5, 9.0, 6) + rng.uniform(-0.2, 0.2, size=6)
         masses = rng.uniform(0.2, 2.0, size=6)
         vals = [float(np.sum(masses * atoms**j)) for j in range(12)]
-        m = MomentSequence(tuple(vals), tuple(math.log(v) for v in vals))
+        m = MomentSequence(tuple(math.log(v) for v in vals))
         quad = gauss_quadrature_from_moments(m, 6)
         for j in range(12):
             s = float(np.sum(quad.masses * quad.nodes**j))
@@ -243,13 +244,6 @@ class TestMomentSolver:
             RadialQuadrature(np.array([1.0]), np.array([-0.5]), 1, "moment-solved")
         with pytest.raises(ConfigError, match="nodes"):
             RadialQuadrature(np.array([-1.0]), np.array([0.5]), 1, "moment-solved")
-
-    def test_json_roundtrip(self):
-        m = MomentSequence.from_weights(WFAC, 1.0, 9)
-        quad = gauss_quadrature_from_moments(m, 5)
-        back = RadialQuadrature.from_json(quad.to_json())
-        assert np.allclose(back.nodes, quad.nodes)
-        assert np.allclose(back.masses, quad.masses)
 
 
 def _outcome(solve, *args):

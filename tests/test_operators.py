@@ -9,7 +9,7 @@ from conftest import column_from_projection
 from qmanin import (ConfigError, ManinElement, WeightSequence,
                     adjoint_annihilation_matrix, annihilation_matrix,
                     boundedness_report, creation_matrix, domain_membership,
-                    identity_matrix, number_matrix, toeplitz_matrix)
+                    number_matrix, toeplitz_matrix)
 from qmanin.errors import InputTooLargeError
 from qmanin.operators import TruncatedOperator, OperatorMeta
 from qmanin.weights import QParam
@@ -198,9 +198,6 @@ class TestTruncatedOperator:
         # three quoted "re,im" cells: 3 commas inside + 2 separators
         assert rows[0].count(",") == 5
         assert rows[0].count('"') == 6
-
-    def test_identity_helper(self):
-        assert np.array_equal(identity_matrix(WFAC, 1.0, 4).matrix, np.eye(5))
 
 
 def _norm_bound_cases():

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import qgauss_table
-from qmanin import (ConfigError, InsufficientQuadratureError, MomentSequence,
-                    OutsidePhaseSpaceError, PolynomialSymbol, WeightSequence,
+from qmanin import (ConfigError, InsufficientQuadratureError, ManinElement,
+                    MomentSequence, OutsidePhaseSpaceError, PolynomialSymbol,
+                    WeightSequence,
                     WindowTooSmallError, adjoint_annihilation_matrix, annihilation_matrix,
                     coherent_coefficients, coherent_norm_sq,
                     gauss_quadrature_from_moments,
-                    identity_matrix, lower_symbol, lower_symbol_grid,
-                    number_matrix, quantize_cs, quantize_cs_norm_bound,
-                    secondary_toeplitz)
+                    lower_symbol, lower_symbol_grid, number_matrix, quantize_cs,
+                    quantize_cs_norm_bound, secondary_toeplitz, toeplitz_matrix)
 from qmanin.coherent import _kernel_series, coeff_log_arrays
 from qmanin.errors import InputTooLargeError
 from qmanin.operators import TruncatedOperator
@@ -79,7 +79,7 @@ class TestLowerSymbol:
         assert max(abs(v - lam) for v in values) < 1e-12
 
     def test_identity_symbol(self):
-        I = identity_matrix(WFAC, 1.0, 80)
+        I = toeplitz_matrix(ManinElement.one(1.0), WFAC, 1.0, 80)
         assert abs(lower_symbol(I, 1.4, WFAC, 1.0) - 1.0) < 1e-13
 
     def test_adjoint_unnormalized(self):
@@ -274,7 +274,7 @@ class TestSecondaryToeplitz:
             assert np.max(np.abs(S.matrix - A.matrix)) <= 1e-8 * scale
 
     def test_radial_symbol_diagonal(self, quad12):
-        S = secondary_toeplitz(PolynomialSymbol.abs_sq(), quad12, WFAC, 1.0, 10)
+        S = secondary_toeplitz(PolynomialSymbol({(1, 1): 1.0}), quad12, WFAC, 1.0, 10)
         off = S.matrix - np.diag(np.diag(S.matrix))
         assert np.max(np.abs(off)) < 1e-10
         for k in range(11):

@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmanin import ConfigError, QParam, WeightHorizonError, WeightSequence
 
@@ -79,16 +82,16 @@ def test_overflowing_rule_weights_fall_back_to_logs():
 
 
 def test_scaled_copies():
-    w = WeightSequence.factorial().scaled(4.0)
+    w = replace(WeightSequence.factorial(), scale=4.0)
     assert w.weight(3) == 24.0
     assert math.isclose(w.log_weight(3), math.log(24.0), rel_tol=1e-14)
-    again = w.scaled(0.25)
+    again = replace(w, scale=w.scale * 0.25)
     assert again.weight(3) == 6.0
 
 
 def test_json_roundtrip():
     for w in (WeightSequence.factorial(), WeightSequence.constant(2.5),
-              WeightSequence.power_factorial(0.5).scaled(3.0),
+              replace(WeightSequence.power_factorial(0.5), scale=3.0),
               WeightSequence.explicit([1.0, 5.0, 7.0])):
         back = WeightSequence.from_json(w.to_json())
         assert back.kind == w.kind
@@ -117,14 +120,14 @@ def test_kind_fixes_the_family_parameters():
 
 @pytest.mark.parametrize("scale", [1.0, 3.7])
 def test_power_factorial_one_is_factorial_bit_for_bit(scale):
-    fac = WeightSequence.factorial().scaled(scale)
-    pf1 = WeightSequence.power_factorial(1.0).scaled(scale)
+    fac = replace(WeightSequence.factorial(), scale=scale)
+    pf1 = replace(WeightSequence.power_factorial(1.0), scale=scale)
     for n in range(-1, 201):
         assert pf1.weight(n) == fac.weight(n)
         assert pf1.log_weight(n) == fac.log_weight(n)
         assert pf1.ratio(n) == fac.ratio(n)
-        with mpmath.workdps(40):
-            assert pf1.mp_log_weight(n) == fac.mp_log_weight(n)
+    with mpmath.workdps(40):
+        assert pf1.mp_log_weights(201) == fac.mp_log_weights(201)
     assert np.array_equal(pf1.log_weights(-2, 201), fac.log_weights(-2, 201))
 
 
@@ -143,14 +146,14 @@ def _mp_log_weight_reference(w, n):
                                WeightSequence.explicit([1.0, 3.0, 7.5, 2e300, 0.1])],
                          ids=["factorial", "constant", "power-factorial", "explicit"])
 def test_mp_log_weights_are_mp_log_weight_bit_for_bit(w, scale):
-    w = w.scaled(scale)
+    w = replace(w, scale=scale)
     count = w.max_index(40) + 1
     for dps in (40, 120):
         with mpmath.workdps(dps):
             logs = w.mp_log_weights(count)
             assert len(logs) == count and w.mp_log_weights(0) == []
             for n in range(count):
-                assert logs[n] == w.mp_log_weight(n) == _mp_log_weight_reference(w, n)
+                assert logs[n] == _mp_log_weight_reference(w, n)
     with pytest.raises(WeightHorizonError):
         WeightSequence.explicit([1.0, 2.0]).mp_log_weights(3)
 
@@ -179,3 +182,66 @@ def test_power_factorial_weight_matches_mpmath(s):
 def test_malformed_json_spec_is_config_error(doc):
     with pytest.raises(ConfigError):
         WeightSequence.from_json(doc)
+
+
+_positive = st.floats(1e-300, 1e300)
+_specs = st.one_of(
+    st.builds(WeightSequence, st.just("factorial"), scale=_positive),
+    st.builds(WeightSequence, st.just("constant"), c=_positive, scale=_positive),
+    st.builds(WeightSequence, st.just("power-factorial"), s=st.floats(-50.0, 50.0),
+              scale=_positive),
+    st.builds(WeightSequence, st.just("explicit"), scale=_positive,
+              table=st.lists(_positive, min_size=1, max_size=20).map(tuple)),
+)
+
+
+@given(_specs)
+def test_json_roundtrip_is_exact(w):
+    assert WeightSequence.from_json(w.to_json()) == w
+
+
+@pytest.mark.parametrize("text, doc", [
+    ("factorial", {"kind": "factorial"}),
+    (" constant ", {"kind": "constant", "params": {"c": 1.0}}),
+    ("constant:2.5", {"kind": "constant", "params": {"c": 2.5}}),
+    ("power-factorial:1.5", {"kind": "power-factorial", "params": {"s": 1.5}}),
+    ("explicit:1,2,6", {"kind": "explicit", "table": [1, 2, 6]}),
+])
+def test_shorthand_is_its_object(text, doc):
+    assert WeightSequence.from_json(text) == WeightSequence.from_json(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "factorial"},
+    {"kind": "factorial", "params": {"scale": 2.0}},
+    {"kind": "constant", "params": {"c": 2.0, "scale": 0.5}},
+    {"kind": "power-factorial", "params": {"s": 2, "scale": 1}},
+    {"kind": "explicit", "table": [1, 2.5], "params": {"scale": 3.0}},
+])
+def test_object_forms_parse(doc):
+    w = WeightSequence.from_json(doc)
+    assert w.scale == doc.get("params", {}).get("scale", 1.0)
+
+
+@pytest.mark.parametrize("spec, text", [
+    ({"kind": "constant", "parms": {"c": 2}}, "no weight spec key 'parms'"),
+    ({"kind": "constant", "params": {"C": 2}}, "no weight spec key 'C'"),
+    ({"kind": "factorial", "params": {"s": 3}}, "no weight spec key 's'"),
+    ({"kind": "power-factorial", "params": {"c": 3}}, "no weight spec key 'c'"),
+    ({"kind": "factorial", "tabel": [1, 2]}, "no weight spec key 'tabel'"),
+    ({"kind": "factorial", "table": [1, 2]}, "no weight spec key 'table'"),
+    ({"kind": "constant", "params": {"c": True}}, "must be numbers"),
+    ({"kind": "constant", "params": {"c": "2"}}, "must be numbers"),
+    ({"kind": "factorial", "params": {"scale": None}}, "must be numbers"),
+    ({"kind": "explicit", "table": [1, "2"]}, "must be numbers"),
+    ({"kind": "explicit", "table": [1, False]}, "must be numbers"),
+    ({"kind": "explicit", "table": "12"}, "must be numbers"),
+    ({"kind": "nonsense"}, "unknown weight kind"),
+    ([1, 2], "weight spec must be"),
+    (True, "weight spec must be"),
+    ("constant:abc", "needs numbers"),
+    ("factorial:3", "unknown weight spec"),
+])
+def test_spec_refuses_what_it_does_not_read(spec, text):
+    with pytest.raises(ConfigError, match=text):
+        WeightSequence.from_json(spec)
