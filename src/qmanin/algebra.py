@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, NamedTuple, Tuple
 
 from .errors import ConfigError, InputTooLargeError
-from .weights import QParam, WeightSequence
+from .weights import QParam, WeightSequence, json_number
 
 # exponents past this point are a configuration mistake, not a computation
 _MAX_EXPONENT = 2**31
@@ -249,12 +249,16 @@ def split_terms(text: str) -> list[str]:
 
 
 def parse_complex(text) -> complex:
-    """A number, an [re, im] pair, an "re,im" string or Python syntax."""
+    """A JSON number, an [re, im] pair of them, an "re,im" string or Python
+    syntax.  A JSON bool, alone or in a pair, is a TypeError."""
+    if isinstance(text, bool) or isinstance(text, (list, tuple)) and any(
+            isinstance(x, bool) for x in text):
+        raise TypeError(f"expected a complex number, got {text!r}")
     try:
         if isinstance(text, (int, float, complex)):
             return complex(text)
         if isinstance(text, (list, tuple)) and len(text) == 2:
-            return complex(float(text[0]), float(text[1]))
+            return complex(json_number(text[0]), json_number(text[1]))
         s = str(text).strip()
         if "," in s:
             re_, im_ = s.split(",", 1)

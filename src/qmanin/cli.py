@@ -26,7 +26,7 @@ import numpy as np
 from . import jsonio
 from .algebra import ManinElement, parse_complex, parse_terms
 from .errors import ConfigError, InputTooLargeError, QmaninError
-from .weights import QParam, WeightSequence, json_number
+from .weights import QParam, WeightSequence, json_number, json_object
 
 # Size caps, checked before anything is allocated; MAX_CUTOFF also caps the window.
 MAX_CUTOFF = 1024
@@ -53,10 +53,11 @@ def parse_manin_symbol(text: str, q) -> ManinElement:
 
 def _count(name: str, value, low: int = 0, cap: float = math.inf) -> int:
     """An integer key from ``low`` up to ``cap``: a JSON integer or an
-    integral number, where int() alone would read 3.7 as 3 and true as 1."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    n = int(value)
+    integral JSON number, kept exact."""
+    try:
+        n = json_number(value, integral=True)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from exc
     if n > cap:
         raise ConfigError(f"{name} {n} exceeds the cap {cap}")
     if n < low:
@@ -64,23 +65,8 @@ def _count(name: str, value, low: int = 0, cap: float = math.inf) -> int:
     return n
 
 
-def _real(value) -> float:
-    """float(value), where float(true) would read as 1.0."""
-    if isinstance(value, bool):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _complex(value) -> complex:
-    """A complex key in its number, pair or string form, not a JSON bool."""
-    if isinstance(value, bool) or isinstance(value, list) and any(
-            isinstance(x, bool) for x in value):
-        raise ValueError(f"expected a complex number, got {value!r}")
-    return parse_complex(value)
-
-
 def _tol(value) -> float:
-    tol = _real(value)
+    tol = json_number(value)
     if not 0 < tol < math.inf:
         raise ConfigError(f"tolerance must be a positive finite number, got {tol!r}")
     return tol
@@ -88,20 +74,15 @@ def _tol(value) -> float:
 
 def _grid(value) -> dict:
     """nr radii from rmin (default rmax / nr) to rmax, times ntheta angles."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"grid must be a JSON object, got {value!r}")
-    unknown = sorted(set(value) - {"rmax", "rmin", "nr", "ntheta"})
-    if unknown:
-        raise ConfigError(f"no grid key {', '.join(map(repr, unknown))}; "
-                          f"a grid has rmax, rmin, nr and ntheta")
+    json_object(value, ("rmax", "rmin", "nr", "ntheta"), "grid")
     try:
-        rmax = _real(value.get("rmax", 1.5))
+        rmax = json_number(value.get("rmax", 1.5))
         nr = _count("grid nr", value.get("nr", 10), low=1)
         ntheta = _count("grid ntheta", value.get("ntheta", 8), low=1)
         if not 0 < rmax < math.inf:
             raise ConfigError(f"grid rmax must be positive and finite, got {rmax!r}")
         _count("grid size nr * ntheta", nr * ntheta, cap=MAX_GRID_POINTS)
-        rmin = _real(value.get("rmin", rmax / nr))
+        rmin = json_number(value.get("rmin", rmax / nr))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"grid values must be numbers: {exc}") from exc
     if not math.isfinite(rmin):
@@ -126,17 +107,17 @@ def _nilpotency_order(value) -> int:
 # that cannot run, with a ConfigError or a TypeError/ValueError/OverflowError.
 _KEYS = {
     "weights": (WeightSequence.from_json, "factorial"),
-    "q": (lambda v: QParam.of(_complex(v)).value, 1.0),
+    "q": (lambda v: QParam.of(parse_complex(v)).value, 1.0),
     "cutoff": (lambda v: _count("cutoff", v, cap=MAX_CUTOFF), 16),
     "tol": (_tol, 1e-12),
     "order": (lambda v: _count("order", v, low=1), 12),
     "grid": (_grid, {}),
     "horizon": (lambda v: _count("horizon", v), 10**15),
-    "cap": (_real, 1e6),
+    "cap": (json_number, 1e6),
     "symbol": (str, "tb^1"),
-    "lambda": (_complex, 1.0),
+    "lambda": (parse_complex, 1.0),
     # no mu: the diagonal, the squared norms K(lambda, lambda)
-    "mu": (lambda v: v if v is None else _complex(v), None),
+    "mu": (lambda v: v if v is None else parse_complex(v), None),
     "basis": (lambda v: _count("basis", v, cap=MAX_BASIS), 10),
     "window": (lambda v: _count("window", v, cap=MAX_CUTOFF),
                lambda cfg: max(96, cfg["cutoff"])),
@@ -155,13 +136,11 @@ class RunConfig(dict):
     parses a key on its first read, from the document or else its default,
     and records the value.  Every artifact embeds ``resolved()``."""
 
-    def __init__(self, doc: dict | None = None):
+    def __init__(self, doc: dict | None = None, flags: dict | None = None):
         super().__init__()
-        self.doc = dict(doc or {})
-        unknown = sorted(set(self.doc) - set(_KEYS))
-        if unknown:
-            raise ConfigError(f"no subcommand reads the config key "
-                              f"{', '.join(map(repr, unknown))}")
+        # the flags --weights, --q, --cutoff and --tol override the document
+        doc = json_object({} if doc is None else doc, _KEYS, "config")
+        self.doc = {**doc, **(flags or {})}
         for key in self.doc:        # a given key is checked whatever runs
             self._parse(key)
 
@@ -176,11 +155,7 @@ class RunConfig(dict):
                 doc = json.loads(raw)
             except (ValueError, RecursionError) as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
-            if not isinstance(doc, dict):
-                raise ConfigError("config document must be a JSON object")
-        # the flags --weights, --q, --cutoff and --tol override the document
-        doc.update((k, v) for k, v in vars(args).items() if k in _KEYS)
-        return cls(doc)
+        return cls(doc, {k: v for k, v in vars(args).items() if k in _KEYS})
 
     def _parse(self, key: str):
         parse, default = _KEYS[key]

@@ -5,23 +5,42 @@ determines the whole theory: the sesquilinear form, the operator matrices,
 the phase-space radius and the moment problem all read their numbers from
 here.  The convention w_m = 1 for m < 0 is baked in.
 
-Every rule is one family, w_n = c * (n!)**s; only explicit tables differ.
-Weights can be astronomically large (factorial, |q|-power tables), so every
-consumer that cares about overflow goes through ``log_weight`` /
-``log_weights``, and every weight quotient is a product of ``ratio``.
+Every rule is one family, w_n = c * (n!)**s; only explicit tables differ,
+and only a table has a ``horizon``, its last index.  Weights can be
+astronomically large (factorial, |q|-power tables), so every consumer that
+cares about overflow goes through ``log_weight`` / ``log_weights``, and
+every weight quotient is a product of ``ratio``.
+
+``json_number`` and ``json_object`` decide, for every input the package
+reads, what a JSON number is and which keys an object may hold.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InputTooLargeError, WeightHorizonError
 
-KINDS = ("factorial", "constant", "power-factorial", "explicit")
+
+class _Kind(NamedTuple):
+    fixed: Optional[dict]   # the (c, s) a rule kind fixes; None: explicit, a table
+    param: Optional[str]    # the c or s its params set, beside scale
+    bare: bool              # its shorthand may leave that argument out
+
+    def params(self) -> tuple:
+        return ("scale", self.param) if self.param else ("scale",)
+
+
+# what each kind reads: every reader and writer of weights asks here
+_KINDS = {"factorial": _Kind({"c": 1.0, "s": 1.0}, None, True),
+          "constant": _Kind({"s": 0.0}, "c", True),
+          "power-factorial": _Kind({"c": 1.0}, "s", False),
+          "explicit": _Kind(None, None, False)}
+KINDS = tuple(_KINDS)
 
 # largest n with n! finite in float64
 _MAX_EXACT_FACTORIAL = 170
@@ -70,25 +89,25 @@ class WeightSequence:
 
     The rule kinds are one family w_n = c * (n!)**s, with (c, s) fixed by
     the kind: 'factorial' (1, 1), 'constant' (c, 0), 'power-factorial'
-    (1, s).  'explicit' reads a finite table.  ``scale`` multiplies every
-    weight; it is a weights object's ``params.scale``.
+    (1, s).  'explicit' reads a finite table, whose last index is the
+    ``horizon``; a rule has none (None).  ``scale`` multiplies every weight;
+    it is a weights object's ``params.scale``.
     """
 
     kind: str
     c: float = 1.0
     s: float = 1.0
     table: Optional[tuple] = None
-    horizon: Optional[int] = None
+    horizon: Optional[int] = field(init=False, default=None)
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown weight kind {self.kind!r}; expected one of {KINDS}")
+        fixed = _kind(self.kind).fixed
         if self.scale <= 0 or not math.isfinite(self.scale):
             raise ConfigError("weight scale must be a positive finite real")
-        if self.kind == "explicit":
+        if fixed is None:
             if not self.table:
-                raise ConfigError("explicit weights need a non-empty table")
+                raise ConfigError("an explicit weight spec needs a non-empty 'table'")
             tab = tuple(float(x) for x in self.table)
             for n, x in enumerate(tab):
                 if not (x > 0) or not math.isfinite(x):
@@ -98,8 +117,7 @@ class WeightSequence:
             return
         if self.table is not None:
             raise ConfigError(f"kind {self.kind!r} does not take a table")
-        c, s = {"factorial": (1.0, 1.0), "constant": (float(self.c), 0.0),
-                "power-factorial": (1.0, float(self.s))}[self.kind]
+        c, s = float(fixed.get("c", self.c)), float(fixed.get("s", self.s))
         if not (0 < c < math.inf and math.isfinite(s)):
             raise ConfigError(f"{self.kind} weights need 0 < c < inf and a finite s, "
                               f"got c = {c!r}, s = {s!r}")
@@ -219,24 +237,15 @@ class WeightSequence:
     # -- serialization -----------------------------------------------------
 
     def describe(self) -> str:
-        if self.kind == "constant":
-            core = f"constant({self.c:g})"
-        elif self.kind == "power-factorial":
-            core = f"power-factorial({self.s:g})"
-        elif self.kind == "explicit":
-            core = f"explicit[{self.horizon + 1}]"
-        else:
-            core = "factorial"
+        arg = _KINDS[self.kind].param
+        core = (f"{self.kind}[{len(self.table)}]" if self.table is not None
+                else f"{self.kind}({getattr(self, arg):g})" if arg else self.kind)
         return core if self.scale == 1.0 else f"{self.scale:g}*{core}"
 
     def to_json(self) -> dict:
-        params = {"scale": self.scale}
-        if self.kind == "constant":
-            params["c"] = self.c
-        if self.kind == "power-factorial":
-            params["s"] = self.s
-        doc = {"kind": self.kind, "params": params}
-        if self.kind == "explicit":
+        doc = {"kind": self.kind,
+               "params": {k: getattr(self, k) for k in _KINDS[self.kind].params()}}
+        if self.table is not None:
             doc["table"] = list(self.table)
         return doc
 
@@ -254,52 +263,62 @@ class WeightSequence:
             raise ConfigError(f"weight spec must be a shorthand or an object with a "
                               f"'kind', got {spec!r}")
         kind, params = spec["kind"], spec.get("params", {})
-        if kind not in KINDS:
-            raise ConfigError(f"unknown weight kind {kind!r}; expected one of {KINDS}")
+        reads = _kind(kind)
         if not isinstance(params, dict):
             raise ConfigError(f"weight spec params must be an object, got {params!r}")
-        _refuse_unknown(spec, ("kind", "params", "table") if kind == "explicit"
-                        else ("kind", "params"), f"a {kind} weight spec has")
-        _refuse_unknown(params, _PARAMS[kind], f"{kind} weight params are")
-        if kind == "explicit" and "table" not in spec:
-            raise ConfigError("an explicit weight spec needs a 'table'")
+        keys = ("kind", "params") if reads.fixed else ("kind", "params", "table")
+        json_object(spec, keys, "weight spec")
+        json_object(params, reads.params(), "weight spec")
         try:
             numbers = {k: json_number(v) for k, v in params.items()}
-            table = tuple(map(json_number, spec["table"])) if kind == "explicit" else None
+            table = tuple(map(json_number, spec["table"])) if "table" in spec else None
         except (TypeError, OverflowError) as exc:
             raise ConfigError(f"weight spec values must be numbers: {exc}") from exc
         return cls(kind, table=table, **numbers)
 
 
-# the params each kind reads: the scale, and a rule's own c or s
-_PARAMS = {"factorial": ("scale",), "constant": ("scale", "c"),
-           "power-factorial": ("scale", "s"), "explicit": ("scale",)}
+def _kind(name) -> _Kind:
+    if name not in KINDS:
+        raise ConfigError(f"unknown weight kind {name!r}; expected one of {KINDS}")
+    return _KINDS[name]
 
 
-def json_number(value) -> float:
-    """A JSON number as a float, where float() would also read true as 1.0
-    and "2" as 2.0."""
+def json_number(value, integral: bool = False):
+    """A JSON number as a float, or with ``integral`` as the exact int it
+    equals, where float() and int() would also read true as 1 and "2" as 2.
+    A value that is not a number is a TypeError, a non-integral one for
+    ``integral`` a ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+    if not integral:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
-def _refuse_unknown(doc: dict, keys: tuple, has: str) -> None:
+def json_object(doc, keys, what: str) -> dict:
+    """``doc``, a JSON object that holds only the keys ``keys``; any other
+    key is refused by name."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - set(keys))
     if unknown:
-        raise ConfigError(f"no weight spec key {', '.join(map(repr, unknown))}; "
-                          f"{has} {', '.join(keys)}")
+        raise ConfigError(f"no {what} key {', '.join(map(repr, unknown))}; "
+                          f"expected {', '.join(keys)}")
+    return doc
 
 
 def _shorthand(text: str) -> dict:
     """The weights object a ``kind:arg`` shorthand stands for."""
     kind, colon, arg = (part.strip() for part in text.partition(":"))
+    k = _KINDS.get(kind)
     try:
-        if not colon and kind in ("factorial", "constant"):
+        if k and not colon and k.bare:
             return {"kind": kind}
-        if colon and kind in ("constant", "power-factorial"):
-            return {"kind": kind, "params": {_PARAMS[kind][1]: float(arg)}}
-        if colon and kind == "explicit":
+        if k and colon and k.param:
+            return {"kind": kind, "params": {k.param: float(arg)}}
+        if k and colon and k.fixed is None:
             return {"kind": kind, "table": [float(x) for x in arg.split(",")]}
     except ValueError as exc:
         raise ConfigError(f"weight spec {text!r} needs numbers: {exc}") from exc

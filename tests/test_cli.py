@@ -120,7 +120,7 @@ _REFUSALS = [
      "horizon of 307 digits"),
     (("radius",), {"horizon": 10**400},            # n itself passes a double
      "horizon of 401 digits"),
-    (("coherent",), {"tol": "nan"}, "positive finite number, got nan"),
+    (("coherent",), {"tol": "nan"}, "invalid config value for 'tol'"),   # a string
     (("coherent", "--tol", "inf"), None, "positive finite number, got inf"),
     (("paragrassmann",), {"l": 3, "pg_weights": [1e300, 1e-300, 1.0]},
      "w_1 / w_0"),
@@ -164,6 +164,7 @@ _REFUSALS = [
     (("kernel",), {"grid": {"rmax": True, "nr": 2, "ntheta": 1}},
      "grid values must be numbers"),
     (("kernel",), {"grid": {"rmin": False}}, "grid values must be numbers"),
+    (("coherent",), {"tol": float("nan")}, "positive finite number, got nan"),   # JSON NaN
 ]
 
 
