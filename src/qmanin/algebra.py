@@ -166,14 +166,6 @@ class ManinElement:
             return normal_order_product(self, other)
         return NotImplemented
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> list:
-        return [{"i": m.i, "j": m.j,
-                 "re": self.coefficient(m.i, m.j).real,
-                 "im": self.coefficient(m.i, m.j).imag}
-                for m in self.terms]
-
 
 def normal_order_product(a: ManinElement, b: ManinElement) -> ManinElement:
     """The algebra product, returned in normal order.

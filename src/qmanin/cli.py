@@ -90,6 +90,14 @@ def _grid(value) -> dict:
     return {"rmax": rmax, "rmin": rmin, "nr": nr, "ntheta": ntheta}
 
 
+def _symbol(text, x: str, y: str) -> str:
+    """A symbol key: a JSON string in the grammar ``parse_terms`` reads."""
+    if not isinstance(text, str):
+        raise TypeError(f"expected a string, got {text!r}")
+    parse_terms(text, x, y)
+    return text
+
+
 def _operator(name) -> str:
     if name not in ("adjoint", "annihilation", "creation", "number"):
         raise ConfigError(f"unknown operator {name!r}; expected adjoint, annihilation, "
@@ -114,14 +122,14 @@ _KEYS = {
     "grid": (_grid, {}),
     "horizon": (lambda v: _count("horizon", v), 10**15),
     "cap": (json_number, 1e6),
-    "symbol": (str, "tb^1"),
+    "symbol": (lambda v: _symbol(v, "th", "tb"), "tb^1"),
     "lambda": (parse_complex, 1.0),
     # no mu: the diagonal, the squared norms K(lambda, lambda)
     "mu": (lambda v: v if v is None else parse_complex(v), None),
     "basis": (lambda v: _count("basis", v, cap=MAX_BASIS), 10),
     "window": (lambda v: _count("window", v, cap=MAX_CUTOFF),
                lambda cfg: max(96, cfg["cutoff"])),
-    "phase_symbol": (str, "L^1"),
+    "phase_symbol": (lambda v: _symbol(v, "L", "Lc"), "L^1"),
     "operator": (_operator, "annihilation"),
     "normalized": (_json_bool, True),
     "l": (_nilpotency_order, 3),
@@ -253,7 +261,7 @@ def _cmd_kernel(cfg: RunConfig, outdir: Path) -> int:
     if big.size:
         raise InputTooLargeError(f"the {'norm' if mu is None else 'kernel'} at "
                                  f"lambda = {complex(pts[big[0]])} overflows a double")
-    _write(outdir, "kernel.csv", SymbolValueGrid(pts, vals, "kernel").to_csv())
+    _write(outdir, "kernel.csv", SymbolValueGrid(pts, vals).to_csv())
     _write_result(outdir, "kernel.json", cfg, {"points": len(pts), "csv": "kernel.csv"})
     return 0
 

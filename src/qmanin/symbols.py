@@ -115,7 +115,6 @@ class SymbolValueGrid:
 
     points: np.ndarray
     values: np.ndarray
-    label: str
 
     def to_csv(self) -> str:
         lines = ["re_lambda,im_lambda,re_value,im_value"]
@@ -210,8 +209,7 @@ def lower_symbol_grid(A: TruncatedOperator, points, w: WeightSequence, q,
     for start in range(0, pts.size, ROW_BLOCK):
         blk = pts[start:start + ROW_BLOCK].tolist()
         vals[start:start + len(blk)] = _lower_symbols(A, blk, w, q, normalized, tol)[0]
-    tag = "normalized" if normalized else "unnormalized"
-    return SymbolValueGrid(pts, vals, f"{tag} lower symbol of {A.meta.symbol}")
+    return SymbolValueGrid(pts, vals)
 
 
 # ---------------------------------------------------------------------------

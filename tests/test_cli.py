@@ -165,6 +165,22 @@ _REFUSALS = [
      "grid values must be numbers"),
     (("kernel",), {"grid": {"rmin": False}}, "grid values must be numbers"),
     (("coherent",), {"tol": float("nan")}, "positive finite number, got nan"),   # JSON NaN
+    # a number or a count is a JSON number, where float("5") would read 5
+    (("coherent",), {"cutoff": "5"}, "invalid config value for 'cutoff': '5'"),
+    (("radius",), {"horizon": "100"}, "invalid config value for 'horizon': '100'"),
+    (("paragrassmann",), {"l": "3"}, "invalid config value for 'l': '3'"),
+    (("radius",), {"cap": "1e6"}, "invalid config value for 'cap': '1e6'"),
+    (("coherent",), {"tol": "1e-8"}, "invalid config value for 'tol': '1e-8'"),
+    (("kernel",), {"grid": {"nr": "2", "ntheta": 1, "rmax": "0.5"}},
+     "grid values must be numbers"),
+    (("kernel",), {"grid": {"nr": "2", "ntheta": 1, "rmax": 0.5}},
+     "nr must be an integer, got '2'"),
+    (("coherent",), {"lambda": ["0.5", "0"]}, "cannot parse complex number"),
+    (("radius",), {"q": ["1", "0"]}, "cannot parse complex number"),
+    # a symbol key is a JSON string in its grammar, checked at load
+    (("radius",), {"symbol": "(abc) th"}, "cannot parse complex number 'abc'"),
+    (("radius",), {"phase_symbol": "zz"}, "cannot parse symbol term 'zz'"),
+    (("operator",), {"symbol": 1}, "invalid config value for 'symbol': 1"),
 ]
 
 
@@ -582,6 +598,24 @@ def test_readme_key_table_lists_every_key_with_its_default():
             cmd for cmd, (_, keys) in _READ.items() if key in keys}, key
 
 
+# the keys whose string form is documented: a complex number as "re,im"
+_STRING_FORMS = {"q", "lambda", "mu"}
+
+
+def test_every_number_and_count_key_refuses_a_numeric_string():
+    # a count or a number must be a JSON number; every other key refuses "5"
+    # too, being an object, a symbol, a name or a list
+    for key in _readme_key_table():
+        if key in _STRING_FORMS:
+            assert RunConfig({key: "5"})[key] == 5
+            continue
+        with pytest.raises(ConfigError, match=f"{key}|grid|weight spec|symbol term"):
+            RunConfig({key: "5"})
+    for sub in ("rmax", "rmin", "nr", "ntheta"):
+        with pytest.raises(ConfigError, match="grid values must be numbers"):
+            RunConfig({"grid": {sub: "5"}})
+
+
 def test_stdin_config(tmp_path, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"lambda": [0.5, 0]})))
     assert run(tmp_path, "coherent", "--config", "-") == 0
@@ -680,13 +714,30 @@ _bool_number = st.one_of(
                     min_size=1, max_size=1),
     st.builds(lambda key, b: {"grid": {key: b}}, st.sampled_from(["rmax", "rmin"]),
               st.booleans()))
-# every key valid, or one key replaced by a junk value of any type or a bool
+# a numeric string for a number or count key, where float("5") would read 5
+_numeric_text = st.one_of(st.integers(-3, 40).map(str), st.floats(0.0, 3.0).map(repr),
+                          st.sampled_from(["1e-8", "nan", "inf", "1e6"]))
+_string_number = st.one_of(
+    st.dictionaries(st.sampled_from(["cutoff", "order", "tol", "horizon", "cap", "basis",
+                                     "window", "l"]), _numeric_text, min_size=1, max_size=1),
+    st.builds(lambda key, v: {"grid": {key: v}},
+              st.sampled_from(["rmax", "rmin", "nr", "ntheta"]), _numeric_text),
+    # q is left out: a string q goes in by --q, which overrides the document
+    st.builds(lambda key, v: {key: v}, st.sampled_from(["lambda", "mu"]),
+              st.lists(_numeric_text, min_size=2, max_size=2)),
+    st.builds(lambda v: {"pg_weights": v}, st.lists(_numeric_text, min_size=1, max_size=4)))
+# a number for a symbol key, where str(1) would read the constant symbol 1
+_number_symbol = st.dictionaries(st.sampled_from(["symbol", "phase_symbol"]),
+                                 st.one_of(st.integers(-2, 5), st.floats(-2.0, 2.0)),
+                                 min_size=1, max_size=1)
+# every key valid, or one key replaced by a junk value of any type, a bool,
+# a numeric string or a number for a symbol
 _config = st.builds(lambda valid, junk: {**valid, **junk},
                     st.fixed_dictionaries({}, optional=_valid),
                     st.one_of(st.just({}),
                               st.dictionaries(st.sampled_from(sorted(_valid)), _junk,
                                               max_size=1),
-                              _bool_number))
+                              _bool_number, _string_number, _number_symbol))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)

@@ -105,6 +105,38 @@ def test_describe_strings():
     assert "explicit" in WeightSequence.explicit([1.0]).describe()
 
 
+@pytest.mark.parametrize("w, text, doc", [
+    (WeightSequence.factorial(), "factorial",
+     {"kind": "factorial", "params": {"scale": 1.0}}),
+    (replace(WeightSequence.factorial(), scale=2.0), "2*factorial",
+     {"kind": "factorial", "params": {"scale": 2.0}}),
+    (WeightSequence.constant(2.5), "constant(2.5)",
+     {"kind": "constant", "params": {"scale": 1.0, "c": 2.5}}),
+    (replace(WeightSequence.constant(2.5), scale=0.5), "0.5*constant(2.5)",
+     {"kind": "constant", "params": {"scale": 0.5, "c": 2.5}}),
+    (WeightSequence.power_factorial(1.5), "power-factorial(1.5)",
+     {"kind": "power-factorial", "params": {"scale": 1.0, "s": 1.5}}),
+    (replace(WeightSequence.power_factorial(1.5), scale=3.0), "3*power-factorial(1.5)",
+     {"kind": "power-factorial", "params": {"scale": 3.0, "s": 1.5}}),
+    (WeightSequence.explicit([1, 2, 6]), "explicit[3]",
+     {"kind": "explicit", "params": {"scale": 1.0}, "table": [1.0, 2.0, 6.0]}),
+    (replace(WeightSequence.explicit([1, 2, 6]), scale=2.0), "2*explicit[3]",
+     {"kind": "explicit", "params": {"scale": 2.0}, "table": [1.0, 2.0, 6.0]}),
+], ids=["factorial", "factorial-scaled", "constant", "constant-scaled", "power-factorial",
+        "power-factorial-scaled", "explicit", "explicit-scaled"])
+def test_describe_and_to_json_of_each_kind(w, text, doc):
+    assert w.describe() == text
+    assert w.to_json() == doc
+    assert list(w.to_json()["params"]) == list(doc["params"])
+
+
+def test_only_a_table_sets_the_horizon():
+    with pytest.raises(TypeError):
+        WeightSequence("factorial", horizon=10)
+    assert WeightSequence.power_factorial(2.0).horizon is None
+    assert replace(WeightSequence.explicit([1, 2, 6]), scale=2.0).horizon == 2
+
+
 def test_kind_fixes_the_family_parameters():
     # w_n = c * (n!)**s: each kind fixes (c, s) instead of ignoring one
     assert WeightSequence("factorial", c=5.0, s=3.0) == WeightSequence.factorial()
