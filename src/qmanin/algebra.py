@@ -96,12 +96,12 @@ class ManinElement:
         return cls.monomial(q, 0, 0)
 
     @classmethod
-    def theta(cls, q, power: int = 1) -> "ManinElement":
-        return cls.monomial(q, power, 0)
+    def theta(cls, q) -> "ManinElement":
+        return cls.monomial(q, 1, 0)
 
     @classmethod
-    def theta_bar(cls, q, power: int = 1) -> "ManinElement":
-        return cls.monomial(q, 0, power)
+    def theta_bar(cls, q) -> "ManinElement":
+        return cls.monomial(q, 0, 1)
 
     # -- inspection --------------------------------------------------------
 

@@ -98,16 +98,33 @@ def _symbol(text, x: str, y: str) -> str:
     return text
 
 
+# each operator name -> the function of qmanin.operators that builds it,
+# looked up when the handler runs; "number" takes the window alone
+_OPERATORS = {"adjoint": "adjoint_annihilation_matrix",
+              "annihilation": "annihilation_matrix",
+              "creation": "creation_matrix",
+              "number": "number_matrix"}
+
+
 def _operator(name) -> str:
-    if name not in ("adjoint", "annihilation", "creation", "number"):
-        raise ConfigError(f"unknown operator {name!r}; expected adjoint, annihilation, "
-                          f"creation or number")
+    if name not in _OPERATORS:
+        raise ConfigError(f"unknown operator {name!r}; expected {', '.join(_OPERATORS)}")
     return name
 
 
 def _nilpotency_order(value) -> int:
     from .paragrassmann import MAX_PG_ORDER
-    return _count("nilpotency order", value, cap=MAX_PG_ORDER)
+    return _count("nilpotency order", value, low=2, cap=MAX_PG_ORDER)
+
+
+def _horizon(value) -> int:
+    from .coherent import MIN_HORIZON
+    return _count("horizon", value, low=MIN_HORIZON)
+
+
+def _cap(value) -> float:
+    from .coherent import _checked_cap
+    return _checked_cap(json_number(value))
 
 
 # Every config key: its parser and its default, which may be a function of
@@ -120,8 +137,8 @@ _KEYS = {
     "tol": (_tol, 1e-12),
     "order": (lambda v: _count("order", v, low=1), 12),
     "grid": (_grid, {}),
-    "horizon": (lambda v: _count("horizon", v), 10**15),
-    "cap": (json_number, 1e6),
+    "horizon": (_horizon, 10**15),
+    "cap": (_cap, 1e6),
     "symbol": (lambda v: _symbol(v, "th", "tb"), "tb^1"),
     "lambda": (parse_complex, 1.0),
     # no mu: the diagonal, the squared norms K(lambda, lambda)
@@ -133,8 +150,9 @@ _KEYS = {
     "operator": (_operator, "annihilation"),
     "normalized": (_json_bool, True),
     "l": (_nilpotency_order, 3),
-    # no pg_weights: w_0..w_{l-1} of the run's weights
-    "pg_weights": (lambda v: tuple(map(json_number, v)),
+    # no pg_weights: w_0..w_{l-1} of the run's weights; each positive and
+    # finite, as in an explicit table
+    "pg_weights": (lambda v: WeightSequence.explicit(map(json_number, v)).table,
                    lambda cfg: [cfg["weights"].weight(n) for n in range(cfg["l"])]),
 }
 
@@ -302,13 +320,9 @@ def _cmd_measure(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _cmd_symbols(cfg: RunConfig, outdir: Path) -> int:
-    from .operators import (adjoint_annihilation_matrix, annihilation_matrix,
-                            creation_matrix, number_matrix)
+    from . import operators
     from .symbols import PolynomialSymbol, lower_symbol_grid, quantize_cs, secondary_toeplitz
 
-    named_operators = {"annihilation": annihilation_matrix, "creation": creation_matrix,
-                       "adjoint": adjoint_annihilation_matrix,
-                       "number": lambda w, q, N: number_matrix(N)}
     w, q, cutoff = cfg["weights"], cfg["q"], cfg["cutoff"]
     window = cfg["window"] = w.max_index(cfg["window"])
     f = PolynomialSymbol.parse(cfg["phase_symbol"])
@@ -316,7 +330,9 @@ def _cmd_symbols(cfg: RunConfig, outdir: Path) -> int:
     qcs = quantize_cs(f, quad, w, q, cutoff)
     sec = secondary_toeplitz(f, quad, w, q, cutoff)
 
-    op = named_operators[cfg["operator"]](w, q, window)
+    name = cfg["operator"]
+    build = getattr(operators, _OPERATORS[name])
+    op = build(window) if name == "number" else build(w, q, window)
     pts = _grid_points(cfg["grid"])
     grid = lower_symbol_grid(op, pts, w, q, normalized=cfg["normalized"])
 
@@ -357,15 +373,17 @@ def _cmd_verify(cfg: RunConfig, outdir: Path) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-_DISPATCH = {
-    "radius": _cmd_radius,
-    "operator": _cmd_operator,
-    "coherent": _cmd_coherent,
-    "kernel": _cmd_kernel,
-    "measure": _cmd_measure,
-    "symbols": _cmd_symbols,
-    "paragrassmann": _cmd_paragrassmann,
-    "verify": _cmd_verify,
+# each subcommand -> its handler and its help line
+_SUBCOMMANDS = {
+    "radius": (_cmd_radius, "estimate the phase-space radius"),
+    "operator": (_cmd_operator, "Toeplitz matrix of a Manin symbol (config key 'symbol')"),
+    "coherent": (_cmd_coherent, "coherent state vector and eigen residual (key 'lambda')"),
+    "kernel": (_cmd_kernel, "kernel / squared-norm grid as CSV (optional key 'mu')"),
+    "measure": (_cmd_measure, "moment-solved quadrature plus certifications"),
+    "symbols": (_cmd_symbols, "quantization, secondary Toeplitz and lower-symbol grids"),
+    "paragrassmann": (_cmd_paragrassmann,
+                      "nilpotent degenerate case structure report (key 'l')"),
+    "verify": (_cmd_verify, "run the full acceptance suite"),
 }
 
 
@@ -393,16 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "coherent states, measures and symbol calculus.",
         parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("radius", "estimate the phase-space radius"),
-        ("operator", "Toeplitz matrix of a Manin symbol (config key 'symbol')"),
-        ("coherent", "coherent state vector and eigen residual (key 'lambda')"),
-        ("kernel", "kernel / squared-norm grid as CSV (optional key 'mu')"),
-        ("measure", "moment-solved quadrature plus certifications"),
-        ("symbols", "quantization, secondary Toeplitz and lower-symbol grids"),
-        ("paragrassmann", "nilpotent degenerate case structure report (key 'l')"),
-        ("verify", "run the full acceptance suite"),
-    ]:
+    for name, (_, help_text) in _SUBCOMMANDS.items():
         sub.add_parser(name, help=help_text, parents=[common])
     return parser
 
@@ -411,7 +420,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig.load(args)
-        return _DISPATCH[args.command](cfg, Path(getattr(args, "out", ".") or "."))
+        handler, _ = _SUBCOMMANDS[args.command]
+        return handler(cfg, Path(getattr(args, "out", ".") or "."))
     except QmaninError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)

@@ -169,10 +169,6 @@ class CoherentStateVector:
     def tail_bound(self) -> float:
         return bound_from_log(self.tail_log)
 
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq)
-
     def coefficients(self) -> np.ndarray:
         """Plain complex a_n; may overflow for extreme parameters."""
         return np.exp(self.logmag) * np.exp(1j * self.phase)
@@ -196,13 +192,13 @@ class CoherentStateVector:
 
 
 def _coefficient_rows(pts: list, w: WeightSequence, q: QParam, tol: float,
-                      n_max: int = 200_000, cut_max: float = math.inf):
+                      cut_max: float = math.inf):
     """(outcomes, logmag, phase) of the truncated coherent states at
     ``pts``, a block of at most ROW_BLOCK points: each point's norm series
     from ``_kernel_series``, and a row (log|a_n|, arg a_n) up to its cutoff
     nterms - 1, -inf past it, for each point before the first one that
     fails or whose cutoff passes ``cut_max``."""
-    outcomes = _kernel_series(pts, pts, w, q, tol, n_max)
+    outcomes = _kernel_series(pts, pts, w, q, tol)
     sizes = []
     for res in outcomes:
         if isinstance(res, Exception) or res.nterms > cut_max + 1:
@@ -217,17 +213,16 @@ def _coefficient_rows(pts: list, w: WeightSequence, q: QParam, tol: float,
 
 
 def coherent_coefficients(lam: complex, w: WeightSequence, q,
-                          tol: float = 1e-12,
-                          n_max: int = 200_000) -> CoherentStateVector:
+                          tol: float = 1e-12) -> CoherentStateVector:
     """Construct phi_lambda truncated so the tail is below ``tol * norm^2``.
 
     Raises OutsidePhaseSpaceError when the defining series diverges at
     ``lam`` (no coherent state there) and ToleranceUnreachableError when
-    the tolerance cannot be certified within ``n_max`` terms.
+    the tolerance cannot be certified within 200,000 terms.
     """
     q = QParam.of(q)
     lam = _checked(lam)
-    outcomes, logmag, phase = _coefficient_rows([lam], w, q, tol, n_max)
+    outcomes, logmag, phase = _coefficient_rows([lam], w, q, tol)
     res, = _settled(outcomes)
     return CoherentStateVector(
         lam=lam,
@@ -425,20 +420,30 @@ def _bracketed_boundary_verdict(value: float, uncertainty: float,
     return at_point if at_point == at_low else "inconclusive"
 
 
+# the smallest horizon a radius estimate runs on
+MIN_HORIZON = 20
+
+
+def _checked_cap(cap: float) -> float:
+    if not 1.0 < cap < math.inf:
+        raise ConfigError(f"radius cap must be finite and > 1, got {cap!r}")
+    return cap
+
+
 def radius_of_convergence(w: WeightSequence, q, horizon: int = 10**15,
-                          cap: float = 1e6, samples: int = 400) -> RadiusEstimate:
+                          cap: float = 1e6) -> RadiusEstimate:
     """Estimate R_w from the samples r_n = (|q|^{-(n+1)} w_n^{1/n})^{1/2}.
 
     The liminf is approximated by the running minimum over the final
-    quarter of a geometric index sample; infinity and zero are flagged
-    when the last 50 samples pass ``cap`` (resp. 1/cap) monotonically.
+    quarter of 400 geometrically spaced indexes; infinity and zero are
+    flagged when the last 50 samples pass ``cap`` (resp. 1/cap)
+    monotonically.
     """
     q = QParam.of(q)
-    if not 1.0 < cap < math.inf:
-        raise ConfigError(f"radius cap must be finite and > 1, got {cap!r}")
+    _checked_cap(cap)
     horizon = w.max_index(int(horizon))
-    if horizon < 20:
-        raise ConfigError("radius estimation needs a horizon of at least 20")
+    if horizon < MIN_HORIZON:
+        raise ConfigError(f"radius estimation needs a horizon of at least {MIN_HORIZON}")
 
     def log_r(n):
         return 0.5 * (w.log_weight(n) / n - (n + 1) * q.log_abs)
@@ -451,7 +456,7 @@ def radius_of_convergence(w: WeightSequence, q, horizon: int = 10**15,
     if not math.isfinite(last):
         raise ConfigError(f"a radius horizon of {len(str(horizon))} digits takes the "
                           f"samples or log weights past the double range")
-    idx = geometric_indexes(1, horizon, samples)
+    idx = geometric_indexes(1, horizon, 400)
     logr = np.array([log_r(n) for n in idx])
 
     d = np.diff(logr)

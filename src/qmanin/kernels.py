@@ -49,9 +49,11 @@ def log_power_sums(log_nodes, log_masses, nmax):
     """
     log_nodes = np.asarray(log_nodes, dtype=np.float64)
     log_masses = np.asarray(log_masses, dtype=np.float64)
-    n = np.arange(nmax + 1, dtype=np.float64)
-    # terms[i, n] = log(mass_i) + n*log(node_i)
-    terms = log_masses[:, None] + n[None, :] * log_nodes[:, None]
+    n = np.arange(1, nmax + 1, dtype=np.float64)
+    # terms[i, n] = log(mass_i) + n*log(node_i); column 0 is log(mass_i), as
+    # node**0 = 1 also at a node 0, where 0 * log 0 would be NaN
+    terms = np.repeat(log_masses[:, None], nmax + 1, axis=1)
+    terms[:, 1:] += n[None, :] * log_nodes[:, None]
     m = np.max(terms, axis=0)
     out = m + np.log(np.sum(np.exp(terms - m[None, :]), axis=0))
     out[np.isneginf(m)] = -np.inf

@@ -191,8 +191,7 @@ class _Breakdown(Exception):
 
 
 # the solver's own failures at an order; anything else is a fault and propagates
-_SOLVER_FAILURES = (_Breakdown, mpmath.libmp.NoConvergence, ZeroDivisionError,
-                    OverflowError)
+_SOLVER_FAILURES = (_Breakdown, ZeroDivisionError, OverflowError)
 
 
 # Correctly rounded arithmetic on integer pairs.  A pair (m, e) is the value
@@ -265,6 +264,8 @@ def _chebyshev_recurrence(m: MomentSequence, order: int):
     than ``order`` points.  A precision above MAX_DPS is refused with
     _Breakdown.
     """
+    if order < 1:
+        raise ConfigError("quadrature order must be >= 1")
     if 2 * order - 1 > m.jmax:
         raise ConfigError(f"order {order} needs moments up to {2 * order - 1}, "
                           f"have {m.jmax}")
@@ -277,7 +278,7 @@ def _chebyshev_recurrence(m: MomentSequence, order: int):
     with mpmath.workdps(dps):
         prec = mpmath.mp.prec
         log_m0 = mpmath.mpf(raw[0])
-        log_s = mpmath.mpf(raw[1]) - log_m0 if m.jmax >= 1 else mpmath.mpf(0)
+        log_s = mpmath.mpf(raw[1]) - log_m0
         # scaled moments nu_j = m_j / (m_0 * s^j); nu_0 = nu_1 = 1
         logs = [(mpmath.mpf(raw[j]) - log_m0 - j * log_s)._mpf_ for j in range(2 * order)]
         nu = [_pair(x) for x in _e_powers(logs, prec)]
@@ -340,8 +341,6 @@ def gauss_quadrature_from_moments(m: MomentSequence, order: int) -> RadialQuadra
     MAX_DPS or the recurrence, the node polish or the float64 surface
     breaks down (the error carries the achievable order).
     """
-    if order < 1:
-        raise ConfigError("quadrature order must be >= 1")
     if order > MAX_ORDER:
         warnings.warn(f"order {order} exceeds the supported cap {MAX_ORDER}; "
                       f"falling back to {MAX_ORDER}", stacklevel=2)
@@ -604,8 +603,7 @@ class GramReport:
 
 def verify_resolution_identity(quad: RadialQuadrature, w: WeightSequence, q,
                                basis_size: int, angular_points: int,
-                               tol: float = 1e-8,
-                               angle_offset: float = 0.0) -> GramReport:
+                               tol: float = 1e-8) -> GramReport:
     """Rebuild the basis Gram matrix through the coherent-state frame.
 
     G[j][k] = sum over the polar grid of weight * a_j(lambda) conj(a_k(lambda))
@@ -616,7 +614,7 @@ def verify_resolution_identity(quad: RadialQuadrature, w: WeightSequence, q,
     if angular_points < 2 * basis_size + 1:
         raise ConfigError(f"angular exactness needs >= {2 * basis_size + 1} "
                           f"points, got {angular_points}")
-    alpha = angle_offset + 2.0 * math.pi * np.arange(angular_points) / angular_points
+    alpha = 2.0 * math.pi * np.arange(angular_points) / angular_points
     z = (np.sqrt(quad.nodes)[:, None] * np.exp(1j * alpha)[None, :]).ravel()
     wts = np.repeat(quad.masses * (math.pi / angular_points), angular_points)
     V = power_matrix(z, basis_size)

@@ -88,14 +88,6 @@ class SeriesResult:
                 math.copysign(math.inf, self.value.imag) if self.value.imag else 0.0)
         return self.value * scale
 
-    @property
-    def tail_bound(self) -> float:
-        return bound_from_log(self.tail_log)
-
-    @property
-    def log_abs(self) -> float:
-        return math.log(abs(self.value)) + self.log_scale if self.value != 0 else -math.inf
-
 
 def sum_series(logmag_fn, phase_fn=None, tol: float = 1e-12,
                n_max: int = 200_000) -> SeriesResult:

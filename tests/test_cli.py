@@ -181,6 +181,12 @@ _REFUSALS = [
     (("radius",), {"symbol": "(abc) th"}, "cannot parse complex number 'abc'"),
     (("radius",), {"phase_symbol": "zz"}, "cannot parse symbol term 'zz'"),
     (("operator",), {"symbol": 1}, "invalid config value for 'symbol': 1"),
+    # a key whose constraint reads its own value alone is checked at load
+    (("operator",), {"cap": 0.5}, "radius cap must be finite and > 1, got 0.5"),
+    (("operator",), {"cap": float("inf")}, "radius cap must be finite and > 1, got inf"),
+    (("operator",), {"horizon": 3}, "horizon must be at least 20, got 3"),
+    (("operator",), {"l": 1}, "nilpotency order must be at least 2, got 1"),
+    (("operator",), {"pg_weights": [1, -2, 3]}, "w_1 = -2.0 violates w_n > 0"),
 ]
 
 
@@ -572,14 +578,15 @@ def test_artifacts_embed_exactly_the_keys_read(tmp_path):
 
 
 def _readme_key_table() -> dict:
-    """key -> (default, read by) of the config key table in README."""
+    """key -> (default, constraint, read by) of the config key table in README."""
     lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
     rows = {}
     for line in lines[lines.index("| key | default | cap or constraint | read by |") + 2:]:
         if not line.startswith("|"):
             break
-        key, default, _, read_by = (cell.strip() for cell in line.strip("|").split(" | "))
-        rows[key.strip("`")] = (default, read_by)
+        key, default, constraint, read_by = (cell.strip()
+                                             for cell in line.strip("|").split(" | "))
+        rows[key.strip("`")] = (default, constraint, read_by)
     return rows
 
 
@@ -587,7 +594,7 @@ def test_readme_key_table_lists_every_key_with_its_default():
     rows = _readme_key_table()
     assert list(rows) == list(_KEYS)
     for key, (_, default) in _KEYS.items():
-        cell, read_by = rows[key]
+        cell, _, read_by = rows[key]
         if callable(default):       # a derived default names the keys it reads
             cfg = RunConfig()
             default(cfg)
@@ -596,6 +603,59 @@ def test_readme_key_table_lists_every_key_with_its_default():
             assert json.loads(cell.strip("`")) == default, key
         assert set(re.findall(r"\w+", read_by)) == {
             cmd for cmd, (_, keys) in _READ.items() if key in keys}, key
+
+
+# per key, values that break its constraint on their own, beyond the bounds
+# _stated_bounds reads from the key table
+_OWN_VIOLATIONS = {
+    "weights": [{"kind": "constant", "params": {"c": -1}}, "explicit:1,0"],
+    "q": [0, [math.inf, 0]],
+    "cutoff": [-1],
+    "tol": [0, math.inf],
+    "order": [],
+    "grid": [{"nr": 0}, {"rmax": -1}, {"nr": 400, "ntheta": 400}],
+    "horizon": [],
+    "cap": [math.inf],
+    "symbol": ["zz"],
+    "lambda": ["x"],
+    "mu": ["x"],
+    "basis": [-1],
+    "window": [-1],
+    "phase_symbol": ["zz"],
+    "operator": ["identity"],
+    "normalized": [1],
+    "l": [],
+    "pg_weights": [[1, -2, 3], [1, 0], [1, math.inf], []],
+}
+
+
+def _stated_bounds(constraint: str) -> tuple:
+    """(violating, allowed) values of a count or number key from the bounds
+    its key-table cell states: at least N, at most N, from A to B, above N."""
+    if not constraint.startswith(("count", "finite")):
+        return [], []
+    low = [int(n) for n in re.findall(r"(?:at least|from) (\d+)", constraint)]
+    high = [int(n) for n in re.findall(r"(?:at most|to) (\d+)", constraint)]
+    above = [int(n) for n in re.findall(r"above (\d+)", constraint)]
+    return ([n - 1 for n in low] + [n + 1 for n in high] + above, low + high)
+
+
+def test_every_key_refuses_a_violating_value_at_load(tmp_path):
+    # under operator, which reads none of them but q, weights, cutoff and
+    # symbol: every given key is checked at load, whichever subcommand runs
+    rows = _readme_key_table()
+    assert list(_OWN_VIOLATIONS) == list(rows)
+    cfg = tmp_path / "cfg.json"
+    for key, (_, constraint, _) in rows.items():
+        violating, allowed = _stated_bounds(constraint)
+        for value in allowed:
+            RunConfig({key: value})
+        values = violating + _OWN_VIOLATIONS[key]
+        assert values, key
+        for value in values:
+            cfg.write_text(json.dumps({key: value}))
+            assert run(tmp_path, "operator", "--config", str(cfg)) == 2, (key, value)
+    assert not (tmp_path / "operator.json").exists()
 
 
 # the keys whose string form is documented: a complex number as "re,im"

@@ -18,10 +18,10 @@ from scipy.special import roots_laguerre
 import qmanin
 from qmanin import measure
 from qmanin import (ConfigError, IndefiniteMomentsError, MomentSequence,
-                    RadialQuadrature, WeightSequence, closed_form_density,
-                    gauss_quadrature_from_moments, norm_divergence_witness,
-                    verify_density_moments, verify_moments,
-                    verify_resolution_identity)
+                    PolynomialSymbol, RadialQuadrature, WeightSequence,
+                    closed_form_density, gauss_quadrature_from_moments,
+                    norm_divergence_witness, quantize_cs, verify_density_moments,
+                    verify_moments, verify_resolution_identity)
 from qmanin.errors import OrderTooHighError
 
 WFAC = WeightSequence.factorial()
@@ -137,6 +137,27 @@ class TestMomentSolver:
             MomentSequence.from_weights(w, 1.0, 2 * order - 1), order)
         assert list(quad.nodes) == [0.0, 1.0]
         assert list(quad.masses) == [1.0, 1.0]
+
+    def test_node_at_zero_keeps_the_checks_finite(self):
+        # t**0 = 1 at the node t = 0, where 0 * log 0 would give NaN moments
+        quad = gauss_quadrature_from_moments(
+            MomentSequence.from_weights(WDELTA01, 1.0, 5), 3)
+        assert list(quad.nodes) == [0.0, 1.0]
+        rep = verify_moments(quad, WDELTA01, 1.0, 5, tol=1e-12)
+        assert rep.ok and rep.max_deviation <= 1e-15
+        wit = norm_divergence_witness(quad, WDELTA01, 1.0, 5)
+        assert np.allclose(wit.partial_sums, np.arange(1.0, 7.0), rtol=0, atol=1e-14)
+        assert abs(wit.slope - 1.0) <= 1e-12
+        one = quantize_cs(PolynomialSymbol.one(), quad, WDELTA01, 1.0, 2)
+        assert np.max(np.abs(one.matrix - np.eye(3))) <= 1e-15
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_refused(self, order):
+        m = MomentSequence.from_weights(WFAC, 1.0, 3)
+        with pytest.raises(ConfigError, match="order must be >= 1"):
+            m.is_positive_definite(order)
+        with pytest.raises(ConfigError, match="order must be >= 1"):
+            gauss_quadrature_from_moments(m, order)
 
     @pytest.mark.parametrize("w, q, order", [
         (WFAC, 1.3, 2),
@@ -706,12 +727,6 @@ class TestVerification:
         assert rep.ok
         off = rep.matrix - np.diag(np.diag(rep.matrix))
         assert np.max(np.abs(off)) < 1e-12   # angular orthogonality is exact
-
-    def test_gram_offset_invariance(self, quad12):
-        a = verify_resolution_identity(quad12, WFAC, 1.0, 8, 21)
-        b = verify_resolution_identity(quad12, WFAC, 1.0, 8, 21,
-                                       angle_offset=0.37)
-        assert abs(a.max_deviation - b.max_deviation) < 1e-12
 
     def test_angular_undersampling_rejected(self, quad12):
         with pytest.raises(ConfigError):

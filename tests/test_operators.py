@@ -56,7 +56,7 @@ class TestToeplitzMatrix:
     def test_multi_term_symbol_oracle(self):
         q = 1.1 * cmath.exp(0.3j)
         g = (ManinElement.monomial(q, 2, 1, 0.5 - 0.5j)
-             + ManinElement.theta_bar(q, 2)
+             + ManinElement.monomial(q, 0, 2)
              + ManinElement.one(q) * 2.0)
         T = toeplitz_matrix(g, WFAC, q, 10)
         for n in range(11):
@@ -122,7 +122,7 @@ class TestToeplitzMatrix:
         K = 10**9
         with pytest.raises(InputTooLargeError):
             toeplitz_matrix(ManinElement.monomial(1.0, K, K), WCONST, 1.0, 4)
-        T = toeplitz_matrix(ManinElement.theta(1.0, K), WCONST, 1.0, 4)
+        T = toeplitz_matrix(ManinElement.monomial(1.0, K, 0), WCONST, 1.0, 4)
         assert not T.matrix.any() and not T.meta.exact
 
     def test_ratio_past_a_double_is_refused(self):
