@@ -160,7 +160,7 @@ _KEYS = {
 class RunConfig(dict):
     """The config of one run, as a dict of the values that ran: ``cfg[key]``
     parses a key on its first read, from the document or else its default,
-    and records the value.  Every artifact embeds ``resolved()``."""
+    and records the value.  Every artifact embeds it."""
 
     def __init__(self, doc: dict | None = None, flags: dict | None = None):
         super().__init__()
@@ -192,14 +192,14 @@ class RunConfig(dict):
             return parse(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid config value for {key!r}: {value!r}") from exc
+        except ConfigError as exc:
+            if key not in self.doc:     # a derived default keeps its message
+                raise
+            raise ConfigError(f"invalid config value for {key!r}: {exc}") from exc
 
     def __missing__(self, key: str):
         self[key] = value = self._parse(key)
         return value
-
-    def resolved(self) -> dict:
-        return {k: v.to_json() if isinstance(v, WeightSequence) else v
-                for k, v in self.items()}
 
 
 def _grid_points(grid: dict) -> np.ndarray:
@@ -221,7 +221,7 @@ def _write(outdir: Path, name: str, payload) -> Path:
 
 def _write_result(outdir: Path, name: str, cfg: RunConfig, result) -> Path:
     """The artifact ``name``: ``result`` with the config that ran embedded."""
-    return _write(outdir, name, {"config": cfg.resolved(), "result": result})
+    return _write(outdir, name, {"config": cfg, "result": result})
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,7 @@ def _cmd_radius(cfg: RunConfig, outdir: Path) -> int:
 
     est = radius_of_convergence(cfg["weights"], cfg["q"], horizon=cfg["horizon"],
                                 cap=cfg["cap"])
-    _write_result(outdir, "radius.json", cfg, est.to_json())
+    _write_result(outdir, "radius.json", cfg, est)
     return 0
 
 
@@ -243,7 +243,7 @@ def _cmd_operator(cfg: RunConfig, outdir: Path) -> int:
 
     g = parse_manin_symbol(cfg["symbol"], cfg["q"])
     op = toeplitz_matrix(g, cfg["weights"], cfg["q"], cfg["cutoff"])
-    _write_result(outdir, "operator.json", cfg, op.to_json())
+    _write_result(outdir, "operator.json", cfg, op)
     _write(outdir, "operator.csv", op.to_csv())
     return 0
 
@@ -258,7 +258,7 @@ def _cmd_coherent(cfg: RunConfig, outdir: Path) -> int:
                                  f"coefficients too large for a double")
     window = max(cfg["cutoff"], state.n_cutoff)
     res = eigen_residual(state, w, q)
-    _write_result(outdir, "coherent.json", cfg, {"state": state.to_json(),
+    _write_result(outdir, "coherent.json", cfg, {"state": state,
                                                  "residual": res.residual,
                                                  "leakage": res.leakage,
                                                  "window": window})
@@ -310,11 +310,11 @@ def _cmd_measure(cfg: RunConfig, outdir: Path) -> int:
     witness = norm_divergence_witness(quad, w, q, nmax)
     density = closed_form_density(w, q)
     _write_result(outdir, "measure.json", cfg, {
-        "quadrature": quad.to_json(),
+        "quadrature": quad,
         "closed_form": None if density is None else density.description,
-        "moment_check": mom_rep.to_json(),
-        "gram_check": gram_rep.to_json(),
-        "divergence_witness": witness.to_json(),
+        "moment_check": mom_rep,
+        "gram_check": gram_rep,
+        "divergence_witness": witness,
     })
     return 0
 
@@ -337,7 +337,7 @@ def _cmd_symbols(cfg: RunConfig, outdir: Path) -> int:
     grid = lower_symbol_grid(op, pts, w, q, normalized=cfg["normalized"])
 
     for name, mat in (("quantize_cs", qcs), ("secondary", sec)):
-        _write_result(outdir, f"{name}.json", cfg, mat.to_json())
+        _write_result(outdir, f"{name}.json", cfg, mat)
         _write(outdir, f"{name}.csv", mat.to_csv())
     _write(outdir, "lower_symbol.csv", grid.to_csv())
     return 0
@@ -351,7 +351,7 @@ def _cmd_paragrassmann(cfg: RunConfig, outdir: Path) -> int:
     op = pg_annihilation(pg)
     rep = pg_structure_report(pg)
     _write_result(outdir, "paragrassmann.json", cfg, {
-        "l": l, "weights": list(weights), "matrix": op.to_json(), "report": rep.to_json()})
+        "l": l, "weights": weights, "matrix": op, "report": rep})
     return 0
 
 
@@ -367,9 +367,7 @@ def _cmd_verify(cfg: RunConfig, outdir: Path) -> int:
         print(r.line())
         print(f"criterion {num:02d} took {1e3 * elapsed:.1f} ms", file=sys.stderr)
         results.append(r)
-    _write_result(outdir, "verify.json", cfg, [
-        {"number": r.number, "name": r.name, "passed": r.passed, "detail": r.detail}
-        for r in results])
+    _write_result(outdir, "verify.json", cfg, results)
     return 0 if all(r.passed for r in results) else 1
 
 

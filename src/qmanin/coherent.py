@@ -30,7 +30,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, OutsidePhaseSpaceError, ToleranceUnreachableError
+from .errors import (ConfigError, InputTooLargeError, OutsidePhaseSpaceError,
+                     ToleranceUnreachableError)
 from .kernels import csum_logpolar
 from .series import (SeriesDivergence, SeriesResult, bound_from_log, geometric_indexes,
                      sum_series, sum_series_rows)
@@ -45,6 +46,8 @@ def _checked(lam) -> complex:
     lam = complex(lam)
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
         raise ConfigError(f"lambda must be finite, got {lam!r}")
+    if math.hypot(lam.real, lam.imag) == math.inf:
+        raise InputTooLargeError(f"the point {lam!r} has a modulus past the double range")
     return lam
 
 
@@ -57,7 +60,8 @@ def coeff_log_arrays(lam, w: WeightSequence, q: QParam,
     tri = _tri(n)
     lw = w.log_weights(n0, n1)
     logr = np.array([math.log(abs(z)) if z else 0.0 for z in pts])[:, None]
-    arg = np.array([cmath.phase(z) for z in pts])[:, None]
+    # atan2, as QParam.arg: cmath.phase raises where atan2 underflows
+    arg = np.array([math.atan2(z.imag, z.real) for z in pts])[:, None]
     logmag = n * logr + tri * q.log_abs - 0.5 * lw
     phase = n * arg + tri * q.arg
     zero = [z == 0 for z in pts]
@@ -99,7 +103,7 @@ def _kernel_series(mu, lam, w: WeightSequence, q: QParam, tol: float,
         live.append(len(out))
         out.append((m, l))
         base.append(math.log(abs(m)) + math.log(abs(l)))
-        dphase.append(cmath.phase(l) - cmath.phase(m))
+        dphase.append(math.atan2(l.imag, l.real) - math.atan2(m.imag, m.real))
     if not live:
         return out
 
@@ -179,16 +183,10 @@ class CoherentStateVector:
         return np.exp(self.logmag - m) * np.exp(1j * self.phase), m
 
     def to_json(self) -> dict:
-        c = self.coefficients()
-        return {
-            "lambda": [self.lam.real, self.lam.imag],
-            "n_cutoff": self.n_cutoff,
-            "coeffs": [[v.real, v.imag] for v in c],
-            "log_magnitudes": [float(x) for x in self.logmag],
-            "phases": [float(x) for x in self.phase],
-            "tail_bound": self.tail_bound,
-            "norm_sq": self.norm_sq,
-        }
+        return {"lambda": self.lam, "n_cutoff": self.n_cutoff,
+                "coeffs": self.coefficients(), "log_magnitudes": self.logmag,
+                "phases": self.phase, "tail_bound": self.tail_bound,
+                "norm_sq": self.norm_sq}
 
 
 def _coefficient_rows(pts: list, w: WeightSequence, q: QParam, tol: float,
@@ -355,14 +353,14 @@ class RadiusEstimate:
 
     def to_json(self) -> dict:
         return {
-            "value": "inf" if math.isinf(self.value) else self.value,
+            "value": self.value,
             "boundary_verdict": self.boundary_verdict,
             "extreme": self.extreme,
             "uncertainty": self.uncertainty,
             "monotone": self.monotone,
             "horizon": self.horizon,
             "cap": self.cap,
-            "samples": [{"n": int(n), "log_r": float(lr)}
+            "samples": [{"n": n, "log_r": lr}
                         for n, lr in zip(self.indexes, self.samples)],
         }
 

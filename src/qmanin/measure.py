@@ -147,11 +147,6 @@ class RadialQuadrature:
         with np.errstate(divide="ignore"):
             return np.log(self.nodes), np.log(self.masses)
 
-    def to_json(self) -> dict:
-        return {"nodes": [float(x) for x in self.nodes],
-                "masses": [float(x) for x in self.masses],
-                "order": self.order, "provenance": self.provenance}
-
 
 @dataclass(frozen=True)
 class ClosedFormDensity:
@@ -433,16 +428,14 @@ def _polish_prec(jacobi: np.ndarray, dps: int) -> int:
     return prec
 
 
-def _polish(alpha, beta, seeds, dps: int, *,
-            prec: Optional[int] = None) -> tuple[list, list]:
+def _polish(alpha, beta, seeds, dps: int, *, prec: int) -> tuple[list, list]:
     """Newton-polished zeros of p_npts, npts = len(alpha), from the float64
     seeds, and the Christoffel number at each, as raw mpf tuples at ``prec``
-    bits, by default the precision of ``dps`` digits.  Each alpha_k and
-    beta_k is rounded once to ``prec`` bits, as mpf(+a) rounds it there, and
-    the iteration runs on integer pairs, every operation correctly rounded
-    to nearest, so each tuple is the one mpf arithmetic gives at ``prec``
-    bits.  The noise floor 10^-(dps // 2) still comes from the recurrence's
-    ``dps``.
+    bits.  Each alpha_k and beta_k is rounded once to ``prec`` bits, as
+    mpf(+a) rounds it there, and the iteration runs on integer pairs, every
+    operation correctly rounded to nearest, so each tuple is the one mpf
+    arithmetic gives at ``prec`` bits.  The noise floor 10^-(dps // 2) still
+    comes from the recurrence's ``dps``.
 
     Each Newton sweep ends with p_npts, p_npts', p_{npts-1} and p_{npts-1}'
     at its iterate, and the confluent Christoffel-Darboux identity, exact at
@@ -456,8 +449,6 @@ def _polish(alpha, beta, seeds, dps: int, *,
     by 2^-70 |x|, and from float64 seeds the step is about the square of
     the seed's error, far below float64.  A numerator that is not positive
     is a breakdown."""
-    if prec is None:
-        prec = dps_to_prec(dps)
     with mpmath.workprec(prec):
         # Newton converges quadratically, so once a step is below 2^-70 |x|
         # the node is exact far beyond float64; a node at t = 0 only meets
@@ -537,8 +528,7 @@ class MomentCheckReport:
         return self.max_deviation <= self.tol
 
     def to_json(self) -> dict:
-        return {"deviations": list(self.deviations),
-                "max_deviation": self.max_deviation,
+        return {"deviations": self.deviations, "max_deviation": self.max_deviation,
                 "tol": self.tol, "ok": self.ok}
 
 
@@ -598,7 +588,7 @@ class GramReport:
         dev = np.abs(self.matrix - np.eye(self.matrix.shape[0]))
         return {"max_deviation": self.max_deviation, "tol": self.tol,
                 "ok": self.ok, "dim": self.matrix.shape[0],
-                "row_deviations": [float(x) for x in dev.max(axis=1)]}
+                "row_deviations": dev.max(axis=1)}
 
 
 def verify_resolution_identity(quad: RadialQuadrature, w: WeightSequence, q,
@@ -632,11 +622,6 @@ class DivergenceWitness:
     terms: tuple
     partial_sums: tuple
     slope: float
-
-    def to_json(self) -> dict:
-        return {"terms": list(self.terms),
-                "partial_sums": list(self.partial_sums),
-                "slope": self.slope}
 
 
 def norm_divergence_witness(quad: RadialQuadrature, w: WeightSequence, q,

@@ -37,11 +37,6 @@ class OperatorMeta:
     exact: bool
     basis: str = "phi"
 
-    def to_json(self) -> dict:
-        return {"symbol": self.symbol, "weights": self.weights,
-                "q": [self.q.real, self.q.imag], "exact": self.exact,
-                "basis": self.basis}
-
 
 @dataclass(frozen=True)
 class TruncatedOperator:
@@ -91,11 +86,7 @@ class TruncatedOperator:
                                  replace(self.meta, symbol=f"({self.meta.symbol})*"))
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "entries": [[[z.real, z.imag] for z in row] for row in self.matrix],
-            "meta": self.meta.to_json(),
-        }
+        return {"dim": self.dim, "entries": self.matrix, "meta": self.meta}
 
     def to_csv(self) -> str:
         """Row-major CSV with quoted "re,im" cells."""
@@ -193,12 +184,6 @@ class BoundednessReport:
             raise ConfigError("bounded=yes requires a finite sup estimate")
         if self.compact == "yes" and self.bounded != "yes":
             raise ConfigError("compact=yes implies bounded=yes")
-
-    def to_json(self) -> dict:
-        return {"ratio_sequence": list(self.ratio_sequence),
-                "bounded": self.bounded, "compact": self.compact,
-                "sup_estimate": ("inf" if math.isinf(self.sup_estimate)
-                                 else self.sup_estimate)}
 
 
 def _increment_slope(ratios: np.ndarray, idx: np.ndarray) -> float | None:

@@ -71,16 +71,6 @@ class StructureReport:
     extreme: bool
     jordan_deviation: float
 
-    def to_json(self) -> dict:
-        return {
-            "nilpotency_index": self.nilpotency_index,
-            "eigenvalues": [[z.real, z.imag] for z in self.eigenvalues],
-            "eigenvector_count": self.eigenvector_count,
-            "phase_space": [[z.real, z.imag] for z in self.phase_space],
-            "extreme": self.extreme,
-            "jordan_deviation": self.jordan_deviation,
-        }
-
 
 def pg_structure_report(cfg: ParagrassmannConfig) -> StructureReport:
     """Verify nilpotency, spectrum and Jordan structure by exact arithmetic

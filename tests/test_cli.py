@@ -187,6 +187,17 @@ _REFUSALS = [
     (("operator",), {"horizon": 3}, "horizon must be at least 20, got 3"),
     (("operator",), {"l": 1}, "nilpotency order must be at least 2, got 1"),
     (("operator",), {"pg_weights": [1, -2, 3]}, "w_1 = -2.0 violates w_n > 0"),
+    # a refused weight names its key
+    (("radius",), {"pg_weights": [1, -2]},
+     "invalid config value for 'pg_weights': w_1 = -2.0 violates w_n > 0"),
+    (("radius",), {"pg_weights": []}, "invalid config value for 'pg_weights'"),
+    (("radius",), {"weights": {"kind": "explicit", "table": [1, -2]}},
+     "invalid config value for 'weights': w_1 = -2.0 violates w_n > 0"),
+    # a point whose modulus passes a double
+    (("coherent",), {"lambda": [1e308, 1.7e308]},
+     "the point (1e+308+1.7e+308j) has a modulus past the double range"),
+    (("kernel",), {"mu": [1e308, 1.7e308]},
+     "the point (1e+308+1.7e+308j) has a modulus past the double range"),
 ]
 
 
@@ -640,9 +651,10 @@ def _stated_bounds(constraint: str) -> tuple:
     return ([n - 1 for n in low] + [n + 1 for n in high] + above, low + high)
 
 
-def test_every_key_refuses_a_violating_value_at_load(tmp_path):
+def test_every_key_refuses_a_violating_value_at_load(tmp_path, capsys):
     # under operator, which reads none of them but q, weights, cutoff and
-    # symbol: every given key is checked at load, whichever subcommand runs
+    # symbol: every given key is checked at load, whichever subcommand runs,
+    # and the message names the key
     rows = _readme_key_table()
     assert list(_OWN_VIOLATIONS) == list(rows)
     cfg = tmp_path / "cfg.json"
@@ -655,7 +667,16 @@ def test_every_key_refuses_a_violating_value_at_load(tmp_path):
         for value in values:
             cfg.write_text(json.dumps({key: value}))
             assert run(tmp_path, "operator", "--config", str(cfg)) == 2, (key, value)
+            assert f"{key!r}" in capsys.readouterr().err, (key, value)
     assert not (tmp_path / "operator.json").exists()
+
+
+@pytest.mark.parametrize("sub, config", [("coherent", {"lambda": [25, 5e-324]}),
+                                         ("kernel", {"mu": [2, 5e-324]})])
+def test_subnormal_phase_runs(tmp_path, sub, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(tmp_path, sub, "--config", str(cfg)) == 0
 
 
 # the keys whose string form is documented: a complex number as "re,im"

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 from dataclasses import replace
 
@@ -10,6 +11,8 @@ from qmanin import (OutsidePhaseSpaceError, ToleranceUnreachableError,
                     WeightSequence, coherent_coefficients, coherent_norm_sq, cs_transform,
                     eigen_residual, evolve, evolve_state, kernel,
                     radius_of_convergence)
+from qmanin import jsonio
+from qmanin.errors import InputTooLargeError
 from qmanin.weights import QParam
 
 WFAC = WeightSequence.factorial()
@@ -87,6 +90,21 @@ class TestCoefficients:
         assert np.all(np.isfinite(b)) and scale > 700
         r = eigen_residual(st, WFAC, 1.0)
         assert r.residual <= 1e-9
+
+    def test_subnormal_phase(self):
+        # atan2(5e-324, 25) underflows to 0, where cmath.phase raised
+        st, real = (coherent_coefficients(lam, WFAC, 1.0) for lam in (25 + 5e-324j, 25))
+        assert st.logmag.tolist() == real.logmag.tolist()
+        assert st.phase.tolist() == real.phase.tolist()
+        assert (st.tail_log, st.norm_sq) == (real.tail_log, real.norm_sq)
+        assert kernel(2 + 5e-324j, 1.0, WFAC, 1.0) == kernel(2, 1.0, WFAC, 1.0)
+
+    def test_modulus_past_a_double_refused(self):
+        lam = complex(1e308, 1.7e308)
+        with pytest.raises(InputTooLargeError, match=r"point \(1e\+308\+1\.7e\+308j\)"):
+            coherent_coefficients(lam, WFAC, 1.0)
+        with pytest.raises(InputTooLargeError, match="modulus past the double range"):
+            kernel(lam, 1.0, WFAC, 1.0)
 
 
 class TestNorm:
@@ -308,7 +326,7 @@ class TestRadius:
                 <= base.uncertainty + scaled.uncertainty)
 
     def test_json_inf_marker(self):
-        doc = radius_of_convergence(WFAC, 1.0).to_json()
+        doc = json.loads(jsonio.dumps(radius_of_convergence(WFAC, 1.0)))
         assert doc["value"] == "inf"
 
 

@@ -307,7 +307,8 @@ def test_raw_tuple_solver_matches_mpf_objects(w, q, order, monkeypatch):
         seeds = _outcome(_jacobi_seeds, alpha, beta, npts)
         if not _refused(seeds):
             args = (alpha[:npts], beta[:npts], seeds, dps)
-            polished = _outcome(measure._polish, *args)
+            polished = _outcome(functools.partial(measure._polish,
+                                                  prec=libmp.dps_to_prec(dps)), *args)
             ref = _outcome(_mpf_polish, *args)
             if _refused(ref):
                 assert polished == ref

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import warnings
 
@@ -10,6 +11,7 @@ from qmanin import (ConfigError, ManinElement, WeightSequence,
                     adjoint_annihilation_matrix, annihilation_matrix,
                     boundedness_report, creation_matrix, domain_membership,
                     number_matrix, toeplitz_matrix)
+from qmanin import jsonio
 from qmanin.errors import InputTooLargeError
 from qmanin.operators import TruncatedOperator, OperatorMeta
 from qmanin.weights import QParam
@@ -189,7 +191,7 @@ class TestTruncatedOperator:
 
     def test_json_and_csv(self):
         A = annihilation_matrix(WFAC, 1j, 2)
-        doc = A.to_json()
+        doc = json.loads(jsonio.dumps(A))
         assert doc["dim"] == 3
         assert doc["meta"]["symbol"] == "tb"
         csv_text = A.to_csv()

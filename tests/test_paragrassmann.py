@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from qmanin import jsonio
 from qmanin.errors import InputTooLargeError
 from qmanin.paragrassmann import MAX_PG_ORDER
 from qmanin import (ConfigError, ParagrassmannConfig, pg_annihilation,
@@ -80,7 +82,7 @@ def test_order_cap():
 
 
 def test_report_json():
-    doc = pg_structure_report(ParagrassmannConfig(3, (1.0, 1.0, 1.0))).to_json()
+    doc = json.loads(jsonio.dumps(pg_structure_report(ParagrassmannConfig(3, (1.0, 1.0, 1.0)))))
     assert doc["nilpotency_index"] == 3
     assert doc["extreme"] is True
 
