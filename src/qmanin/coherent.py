@@ -254,7 +254,8 @@ def eigen_residual(state: CoherentStateVector, w: WeightSequence, q) -> EigenRes
     """|| T phi - lambda phi || / ||phi|| on the truncation window.
 
     The single window-edge row (which only sees the discarded a_{N+1}) is
-    excluded from the residual and reported as ``leakage`` instead.
+    excluded from the residual and reported as ``leakage`` instead.  A band
+    entry past a double is refused with InputTooLargeError.
     """
     q = QParam.of(q)
     b, _ = state.scaled_coefficients()
@@ -263,6 +264,10 @@ def eigen_residual(state: CoherentStateVector, w: WeightSequence, q) -> EigenRes
     if ncut == 0:
         return EigenResidual(0.0, abs(state.lam))
     band = np.array([q.power(-k) * w.sqrt_ratio(k) for k in range(1, ncut + 1)])
+    past = np.flatnonzero(~np.isfinite(band))
+    if past.size:
+        raise InputTooLargeError(f"the annihilation band entry of column {past[0] + 1} "
+                                 f"is past the double range")
     resid_vec = band * b[1:] - state.lam * b[:-1]
     return EigenResidual(
         residual=float(np.linalg.norm(resid_vec)) / nrm,
@@ -449,7 +454,7 @@ def radius_of_convergence(w: WeightSequence, q, horizon: int = 10**15,
     # |log w_n| and the samples grow with n, so the horizon's are the largest
     try:
         last = log_r(horizon)
-    except OverflowError:
+    except (OverflowError, InputTooLargeError):
         last = math.inf
     if not math.isfinite(last):
         raise ConfigError(f"a radius horizon of {len(str(horizon))} digits takes the "

@@ -27,6 +27,10 @@ from the same numpy kernel as in ``sum_series``, its rescaling is taken
 with the same libm arithmetic and its stop test is the same
 ``_certified_tail``, so a grid point gets the term count and certificate
 it would get alone.
+
+Every log magnitude the engines receive is finite: their only caller,
+``coherent._kernel_series``, sums no zero term, and ``WeightSequence``
+refuses a log weight past the double range.  No chunk is checked for it.
 """
 
 from __future__ import annotations
@@ -106,7 +110,7 @@ def sum_series(logmag_fn, phase_fn=None, tol: float = 1e-12,
     max_logmag = -math.inf
     # the certificate's bookkeeping runs on Python floats: each subtraction
     # and comparison is the IEEE double operation numpy would take
-    ratios = []         # log-ratios of the last _KEEP + 1 terms, NaN kept
+    ratios = []         # log-ratios of the last _KEEP + 1 terms
     last_lm = None      # log magnitude of the last term summed
     n = 0
     while n < n_max:
@@ -116,16 +120,11 @@ def sum_series(logmag_fn, phase_fn=None, tol: float = 1e-12,
               else np.asarray(phase_fn(n, hi), dtype=float))
         new = lm.tolist()
 
-        # exact termination: an all-zero chunk means the series is finite
-        if n > 0 and new.count(-math.inf) == len(new):
-            return SeriesResult(acc, scale, n, -math.inf)
-
         part, m = csum_logpolar(lm, ph)
-        if m > -math.inf:
-            new_scale = max(scale, m)
-            acc = acc * math.exp(scale - new_scale) + part * math.exp(m - new_scale)
-            scale = new_scale
-            max_logmag = max(max_logmag, m)
+        new_scale = max(scale, m)
+        acc = acc * math.exp(scale - new_scale) + part * math.exp(m - new_scale)
+        scale = new_scale
+        max_logmag = max(max_logmag, m)
 
         if last_lm is not None:
             ratios.append(new[0] - last_lm)
@@ -134,11 +133,9 @@ def sum_series(logmag_fn, phase_fn=None, tol: float = 1e-12,
         last_lm = new[-1]
         n = hi
 
-        # NaN ratios (pairs of zero terms) are dropped
-        diffs = [d for d in ratios if d == d]
-        if len(diffs) < _WINDOW:
+        if len(ratios) < _WINDOW:
             continue
-        win = diffs[-_WINDOW:]
+        win = ratios[-_WINDOW:]
 
         # tail certificate: ratios below one and not increasing
         rho_log = max(win)
@@ -149,8 +146,8 @@ def sum_series(logmag_fn, phase_fn=None, tol: float = 1e-12,
 
         # divergence: magnitudes not decaying and growth rate not shrinking;
         # the slack scales with the log magnitude (rounding of n*c grows with n)
-        if len(diffs) >= _DIV_WINDOW and last_lm > -math.inf:
-            dwin = diffs[-_DIV_WINDOW:]
+        if len(ratios) >= _DIV_WINDOW:
+            dwin = ratios[-_DIV_WINDOW:]
             slack = 1e-12 * max(1.0, abs(last_lm))
             if (all(d >= -slack for d in dwin)
                     and all(b - a >= -slack for a, b in zip(dwin, dwin[1:]))):
@@ -207,38 +204,15 @@ def _sum_block(rows, logmag_fn, phase_fn, log_tol, n_max, out) -> None:
         ph = (np.zeros(lm.shape) if phase_fn is None
               else np.asarray(phase_fn(rows, n, hi), dtype=float))
 
-        # exact termination: an all-zero chunk means the series is finite
-        if n > 0:
-            cut = (lm == -np.inf).all(axis=1)
-            if cut.any():
-                for i in np.flatnonzero(cut):
-                    out[rows[i]] = SeriesResult(complex(acc[i]), float(scale[i]),
-                                                n, -math.inf)
-                keep = ~cut
-                rows, acc, scale, max_logmag, tail, lm, ph = (
-                    a[keep] for a in (rows, acc, scale, max_logmag, tail, lm, ph))
-
         part, m = csum_logpolar(lm, ph)
         new_scale = np.maximum(scale, m)
-        live = m > -np.inf
-        with np.errstate(invalid="ignore"):
-            acc = np.where(live, acc * _libm_exp(scale - new_scale)
-                           + part * _libm_exp(m - new_scale), acc)
-        scale = np.where(live, new_scale, scale)
+        acc = acc * _libm_exp(scale - new_scale) + part * _libm_exp(m - new_scale)
+        scale = new_scale
         max_logmag = np.maximum(max_logmag, m)
 
         tail = np.concatenate([tail, lm], axis=1)[:, -(_KEEP + 1):]
         n = hi
-        with np.errstate(invalid="ignore"):
-            diffs = np.diff(tail, axis=1)
-        nan = np.isnan(diffs)
-        if nan.any():
-            # drop NaN ratios (pairs of -inf): the valid ones move to the
-            # end of each row, in order.  A row left with fewer valid ratios
-            # than a window keeps a NaN in it, and every test below is
-            # false on NaN: such a row neither certifies nor diverges.
-            diffs = np.take_along_axis(
-                diffs, np.argsort(~nan, axis=1, kind="stable"), axis=1)
+        diffs = np.diff(tail, axis=1)
         if diffs.shape[1] < _WINDOW:
             continue
         win = diffs[:, -_WINDOW:]
@@ -268,8 +242,7 @@ def _sum_block(rows, logmag_fn, phase_fn, log_tol, n_max, out) -> None:
         if diffs.shape[1] >= _DIV_WINDOW:
             dwin = diffs[:, -_DIV_WINDOW:]
             slack = (1e-12 * np.maximum(1.0, np.abs(last_lm)))[:, None]
-            diverged = (~done & (last_lm > -np.inf)
-                        & (dwin >= -slack).all(axis=1)
+            diverged = (~done & (dwin >= -slack).all(axis=1)
                         & (np.diff(dwin, axis=1) >= -slack).all(axis=1))
 
         decided = done | diverged
@@ -292,26 +265,13 @@ def _libm_exp(x: np.ndarray) -> np.ndarray:
     return out
 
 
-_LN2 = math.log(2.0)
-
-
-def _exp_int(t: float) -> int:
-    """round(exp(t)) as a Python int, also where exp(t) is past a double."""
-    shift = max(0, int(t / _LN2) - 60)
-    return round(math.exp(t - shift * _LN2)) << shift
-
-
 def geometric_indexes(lo: int, hi: int, count: int) -> np.ndarray:
     """Unique integer sample points, geometrically spaced on [lo, hi], as an
-    object array of Python ints: a horizon may lie beyond int64, or beyond
+    object array of Python ints: a horizon may lie beyond int64, not beyond
     a double.  The first point is exactly ``lo`` and the last exactly ``hi``;
     only the points between are rounded."""
     if hi <= lo:
         return np.array([lo], dtype=object)
-    try:
-        inner = np.geomspace(float(lo), float(hi), num=count)[1:-1].tolist()
-    except OverflowError:       # past a double: the same spacing, from the logs
-        step = (math.log(hi) - math.log(lo)) / max(count - 1, 1)
-        inner = [_exp_int(math.log(lo) + k * step) for k in range(1, count - 1)]
+    inner = np.geomspace(float(lo), float(hi), num=count)[1:-1].tolist()
     return np.array(sorted({lo, hi} | {min(hi, max(lo, round(x))) for x in inner}),
                     dtype=object)

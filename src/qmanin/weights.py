@@ -168,18 +168,21 @@ class WeightSequence:
         return base * self.scale
 
     def log_weight(self, n) -> float:
-        """log w_n, overflow-free; log w_n = 0 for n < 0."""
+        """log w_n, a double also where w_n is not; log w_n = 0 for n < 0.
+        A log weight past the double range is an InputTooLargeError."""
         if n < 0:
             return 0.0
         self._check(n)
-        ls = math.log(self.scale)
         if self.table is not None:
-            return math.log(self.table[n]) + ls
-        lg = self.s * math.lgamma(n + 1) if self.s else 0.0
-        return lg + math.log(self.c) + ls
+            return math.log(self.table[n]) + math.log(self.scale)
+        out = self._rule_log(n)
+        if not math.isfinite(out):
+            raise self._refused(n)
+        return out
 
     def log_weights(self, n0: int, n1: int) -> np.ndarray:
-        """Array of log w_n for n0 <= n < n1 (supports negative n0)."""
+        """Array of log w_n for n0 <= n < n1 (supports negative n0), refused
+        as ``log_weight`` refuses."""
         if n1 <= n0:
             return np.empty(0)
         self._check(n1 - 1)
@@ -189,11 +192,28 @@ class WeightSequence:
         if self.table is not None:
             out = np.array([math.log(self.table[k]) for k in nn], dtype=float) + ls
         else:
+            # log w_n is monotone in n: the last one decides the whole call
+            if self.s and not math.isfinite(self._rule_log(nn[-1])):
+                raise self._refused(nn[-1])
             lg = (self.s * np.array([math.lgamma(k + 1) for k in nn], dtype=float)
                   if self.s else np.zeros(n.shape))
             out = lg + math.log(self.c) + ls
         out[n < 0] = 0.0
         return out
+
+    def _rule_log(self, n: int) -> float:
+        lg = self.s * math.lgamma(n + 1) if self.s else 0.0
+        return lg + math.log(self.c) + math.log(self.scale)
+
+    def _refused(self, n: int) -> InputTooLargeError:
+        """The refusal naming the first k <= n whose log w_k, as log w_n, is
+        past the double range; log w_k is monotone in k, so bisection finds it."""
+        lo = 0          # log w_lo is finite, log w_n is not
+        while n - lo > 1:
+            mid = (lo + n) // 2
+            lo, n = (mid, n) if math.isfinite(self._rule_log(mid)) else (lo, mid)
+        return InputTooLargeError(
+            f"log w_{n} of {self.describe()} weights is past the double range")
 
     def mp_log_weights(self, count: int) -> list:
         """[log w_0, ..., log w_{count-1}] as mpmath floats under the caller's
@@ -227,8 +247,15 @@ class WeightSequence:
             return math.inf
 
     def sqrt_ratio(self, n: int) -> float:
-        """(w_n / w_{n-1})**(1/2), the universal band entry."""
-        return math.sqrt(self.ratio(n))
+        """(w_n / w_{n-1})**(1/2), the universal band entry.  Where a rule's
+        n**s is past a double it is n**(s/2), inf only past a double too."""
+        r = self.ratio(n)
+        if r == math.inf and self.table is None and n > 0:
+            try:
+                return float(n) ** (0.5 * self.s)
+            except OverflowError:
+                return math.inf
+        return math.sqrt(r)
 
     def max_index(self, requested: int) -> int:
         """Clamp a horizon request to what is materializable."""

@@ -198,6 +198,13 @@ _REFUSALS = [
      "the point (1e+308+1.7e+308j) has a modulus past the double range"),
     (("kernel",), {"mu": [1e308, 1.7e308]},
      "the point (1e+308+1.7e+308j) has a modulus past the double range"),
+    # a log weight or a band entry past a double
+    (("coherent", "--weights", "power-factorial:-1e306"), None,
+     "log w_58 of power-factorial(-1e+306) weights is past the double range"),
+    (("kernel", "--weights", "power-factorial:1e307"), None,
+     "log w_12 of power-factorial(1e+307) weights is past the double range"),
+    (("coherent", "--weights", "power-factorial:600"), {"lambda": [1.5, 0]},
+     "the annihilation band entry of column 11 is past the double range"),
 ]
 
 
@@ -210,6 +217,15 @@ def test_refusals_exit_2_without_traceback(tmp_path, argv, config, text):
     assert proc.stderr.startswith("error: ")
     assert text in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_coherent_band_entry_inside_a_double(tmp_path):
+    # w_n / w_{n-1} = n^300 passes a double, its square root does not
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda": [1.5, 0]}))
+    assert run(tmp_path, "coherent", "--weights", "power-factorial:300",
+               "--config", str(cfg)) == 0
+    assert load(tmp_path, "coherent.json")["result"]["residual"] <= 1e-12
 
 
 def test_precision_cap_refusal_exits_4_without_traceback(tmp_path):
@@ -846,6 +862,8 @@ _config = st.builds(lambda valid, junk: {**valid, **junk},
 @example("coherent", "factorial", "1", {"lamda": [2, 0]})
 @example("radius", {"kind": "constant", "parms": {"c": 2}}, "1", {})
 @example("paragrassmann", "factorial", True, {"l": 3, "pg_weights": [1, "2", True]})
+@example("coherent", "power-factorial:-1e306", "1", {})     # log w_58 past a double
+@example("kernel", "power-factorial:1e307", "1", {})        # log w_12 past a double
 def test_cli_failure_contract(command, weights, q, config):
     """Any input exits 0, 2, 3 or 4, and nothing escapes or warns."""
     flags = []

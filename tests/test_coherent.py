@@ -121,6 +121,28 @@ class TestNorm:
             coherent_norm_sq(2.0, WCONST, 1.0)
 
 
+    def test_log_weights_near_the_double_range_keep_their_sums(self):
+        # log w_n = 1e306 log n! is finite up to n = 57: every term past
+        # |lambda|^2 |q|^2 / w_1 underflows
+        w = WeightSequence.power_factorial(1e306)
+        assert coherent_norm_sq(1.5, w, 1.0) == 3.25
+        assert kernel(1.5, 0.7 + 0.2j, w, 0.8) == complex(
+            float.fromhex("0x1.ac083126e978ep+0"), float.fromhex("0x1.89374bc6a7efcp-3"))
+        grid = coherent_norm_sq(np.array([0.5, 2.0, 3j]), w, 0.9)
+        assert [x.hex() for x in grid] == [
+            "0x1.33d70a3d70a3ep+0", "0x1.0f5c28f5c28f6p+2", "0x1.0947ae147ae15p+3"]
+
+    def test_log_weight_past_a_double_is_refused_not_summed(self):
+        # log w_58 = -1e306 log 58! is past a double: refused on the chunk
+        # that reaches it, not summed to the 200,000-term cap
+        w = WeightSequence.power_factorial(-1e306)
+        for call in (lambda: coherent_norm_sq(1.5, w, 1.0),
+                     lambda: kernel(1.5, 0.7j, w, 1.0),
+                     lambda: coherent_norm_sq(np.array([0.5, 1.0, 2.0]), w, 0.9)):
+            with pytest.raises(InputTooLargeError, match="log w_58 of"):
+                call()
+
+
 class TestEigenResidual:
     def test_zero_eigenvalue_exact(self):
         st = coherent_coefficients(0.0, WFAC, 1.0)
@@ -139,6 +161,22 @@ class TestEigenResidual:
             r = eigen_residual(st, w, q)
             assert r.residual <= 1e-11
             assert r.leakage <= 10 * abs(lam) * math.sqrt(st.tail_bound / st.norm_sq)
+
+
+    def test_band_entry_inside_a_double_where_its_ratio_is_not(self):
+        # w_n / w_{n-1} = n^300 passes a double from n = 11 on, its square
+        # root from n = 114 on
+        w = WeightSequence.power_factorial(300.0)
+        st = coherent_coefficients(1.5, w, 1.0)
+        assert 11 <= st.n_cutoff < 114
+        assert eigen_residual(st, w, 1.0).residual <= 1e-12
+
+    def test_band_entry_past_a_double_is_refused(self):
+        # (w_11 / w_10)^{1/2} = 11^300 passes a double
+        w = WeightSequence.power_factorial(600.0)
+        st = coherent_coefficients(1.5, w, 1.0)
+        with pytest.raises(InputTooLargeError, match="entry of column 11 is past"):
+            eigen_residual(st, w, 1.0)
 
 
 class TestEvolution:

@@ -128,10 +128,17 @@ class TestToeplitzMatrix:
         assert not T.matrix.any() and not T.meta.exact
 
     def test_ratio_past_a_double_is_refused(self):
-        # w_n / w_{n-1} = n^200 passes a double from n = 35 on
-        w = WeightSequence.power_factorial(200.0)
+        # the band entry (w_n / w_{n-1})^{1/2} = n^200 passes a double from
+        # n = 35 on
+        w = WeightSequence.power_factorial(400.0)
         with pytest.raises(ConfigError, match="finite"):
             annihilation_matrix(w, 1.0, 100)
+
+    def test_band_entry_inside_a_double_builds_where_its_square_does_not(self):
+        # w_15 / w_14 = 15^300 passes a double, its square root 15^150 does not
+        A = annihilation_matrix(WeightSequence.power_factorial(300.0), 1.0, 15)
+        assert math.isclose(A.matrix[14, 15].real, float(15**150), rel_tol=1e-14)
+        assert np.isfinite(A.matrix).all()
 
 
 class TestNamedMatrices:

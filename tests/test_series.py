@@ -60,15 +60,6 @@ def test_rise_then_fall_converges():
     assert abs(res.float_value - direct) <= 1e-9 * direct
 
 
-def test_finite_series_terminates_exactly():
-    def fn(n0, n1):
-        n = np.arange(n0, n1)
-        out = np.where(n < 3, -float(n0 + 1), -np.inf)
-        return out.astype(float)
-    res = sum_series(fn, tol=1e-10)
-    assert res.tail_log == -math.inf
-
-
 def test_unreachable_tolerance():
     with pytest.raises(ToleranceUnreachableError):
         sum_series(geometric_logmag(0.999999), tol=1e-14, n_max=64)
@@ -104,9 +95,9 @@ def test_geometric_indexes():
     assert all(type(n) is int for n in big) and np.all(np.diff(big) > 0)
 
 
-@pytest.mark.parametrize("horizon", [10**21, 10**305, 10**400])
+@pytest.mark.parametrize("horizon", [10**21, 10**305])
 def test_geometric_indexes_end_exactly_at_the_horizon(horizon):
-    # 10**305 is not a double, and 10**400 is past the double range
+    # 10**305 is not a double
     idx = geometric_indexes(1, horizon, 400)
     assert idx[0] == 1 and idx[-1] == horizon
     assert all(type(n) is int for n in idx)
@@ -135,19 +126,14 @@ def _numpy_sum_series(logmag_fn, phase_fn=None, tol=1e-12, n_max=200_000):
         lm = np.asarray(logmag_fn(n, hi), dtype=float)
         ph = (np.zeros(hi - n) if phase_fn is None
               else np.asarray(phase_fn(n, hi), dtype=float))
-        if (lm == -np.inf).all() and n > 0:
-            return SeriesResult(acc, scale, n, -math.inf)
         part, m = csum_logpolar(lm, ph)
-        if m > -math.inf:
-            new_scale = max(scale, m)
-            acc = acc * math.exp(scale - new_scale) + part * math.exp(m - new_scale)
-            scale = new_scale
-            max_logmag = max(max_logmag, m)
+        new_scale = max(scale, m)
+        acc = acc * math.exp(scale - new_scale) + part * math.exp(m - new_scale)
+        scale = new_scale
+        max_logmag = max(max_logmag, m)
         prev_tail = np.concatenate([prev_tail, lm])[-(series._KEEP + 1):]
         n = hi
-        with np.errstate(invalid="ignore"):
-            diffs = np.diff(prev_tail)
-        diffs = diffs[~np.isnan(diffs)]
+        diffs = np.diff(prev_tail)
         if diffs.size < series._WINDOW:
             continue
         win = diffs[-series._WINDOW:]
@@ -161,7 +147,7 @@ def _numpy_sum_series(logmag_fn, phase_fn=None, tol=1e-12, n_max=200_000):
             if (tail_log <= math.log(tol) + log_sum
                     or tail_log <= max_logmag + series._NOISE):
                 return SeriesResult(acc, scale, n, tail_log)
-        if diffs.size >= series._DIV_WINDOW and last_lm > -math.inf:
+        if diffs.size >= series._DIV_WINDOW:
             dwin = diffs[-series._DIV_WINDOW:]
             slack = 1e-12 * max(1.0, abs(last_lm))
             if np.all(dwin >= -slack) and np.all(np.diff(dwin) >= -slack):
@@ -221,18 +207,11 @@ def test_one_series_loop_is_bit_identical_to_numpy_bookkeeping():
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-14])
-def test_one_series_loop_matches_numpy_on_zero_terms_and_turns(tol):
-    # zero terms (NaN ratios between them), finite series, alternating
-    # signs and ratios that rise before they fall, cut at n_max = 1000;
-    # the series that turns zero at n = 995 certifies on its last chunk
-    # only when the NaN ratios after its last -inf ratio are dropped
+def test_one_series_loop_matches_numpy_on_turns(tol):
+    # alternating signs, ratios that rise before they fall and terms past a
+    # double, cut at n_max = 1000
     lgamma = np.vectorize(math.lgamma)
     kinds = [
-        lambda n: np.where(n > 5, -np.inf, -0.5 * n),
-        lambda n: np.where(n < 995, -0.001 * n, -np.inf),
-        lambda n: np.where(n % 2 == 1, -np.inf, -0.5 * n),
-        lambda n: np.where((n >= 7) & (n < 10), -np.inf, -0.3 * n),
-        lambda n: np.where(n % 17 < 3, -np.inf, 0.0 * n),
         lambda n: n * math.log(30.0) - lgamma(n + 1),
         lambda n: 2.3 * n - 0.005 * n * (n + 1),
         lambda n: -3.0 * np.sqrt(n),
@@ -285,11 +264,9 @@ def test_rows_finite_cut_divergent_and_unreachable_rows():
     lgamma = np.vectorize(math.lgamma)
     kinds = [
         lambda n, k: n * math.log(0.5) - k,                       # geometric
-        lambda n, k: np.where(n > 3 + k, -np.inf, -0.5 * n),      # finite
         lambda n, k: 0.0 * n - k,                                 # divergent
         lambda n, k: n * math.log(0.999999) - k,                  # too slow
         lambda n, k: -3.0 * np.sqrt(n) - k,                       # ratios rise
-        lambda n, k: np.where(n % 2 == 1, -np.inf, -0.5 * n - k),  # every other
         lambda n, k: n * math.log(30.0) - lgamma(n + 1) - k,      # e^-30, alternating
         lambda n, k: 2.3 * n - 0.005 * n * (n + 1) - k,           # rise, then fall
         lambda n, k: np.where(n == 0, -k, n * math.log(0.99999) - 50 - k),
@@ -301,34 +278,17 @@ def test_rows_finite_cut_divergent_and_unreachable_rows():
         return np.array([kinds[r % kinds_n](n, r // kinds_n) for r in rows])
 
     def ph(rows, n0, n1):
-        return np.where(rows[:, None] % kinds_n == 6, math.pi, 0.0) * np.arange(n0, n1)
+        return np.where(rows[:, None] % kinds_n == 4, math.pi, 0.0) * np.arange(n0, n1)
 
     rows, one = _rows_and_single(lm, ph, 5 * kinds_n, tol=1e-14, n_max=800)
     _agree(rows, one)
     assert [type(r).__name__ for r in rows[:kinds_n]] == [
-        "SeriesResult", "SeriesResult", "SeriesDivergence",
-        "ToleranceUnreachableError", "ToleranceUnreachableError",
+        "SeriesResult", "SeriesDivergence", "ToleranceUnreachableError",
         "ToleranceUnreachableError", "SeriesResult", "SeriesResult",
         "ToleranceUnreachableError"]
-    assert rows[1].tail_log == -math.inf and rows[1].nterms == 16
     # the sum cancels to e^-30, below the rounding of its largest term
-    largest = math.exp(rows[6].log_scale)
-    assert abs(rows[6].float_value - math.exp(-30.0)) <= 1e-13 * largest
-
-
-def test_rows_drop_nan_ratios_like_one_row():
-    # a run of 2 to 4 zero terms, starting at a different index per row,
-    # puts -inf pairs and so NaN ratios into the window; they are dropped
-    # per row, and the terms after the run certify the tail
-    def lm(rows, n0, n1):
-        n = np.arange(n0, n1, dtype=float)
-        start = 3 + rows[:, None] % 20
-        gap = (n >= start) & (n < start + 2 + rows[:, None] % 3)
-        return np.where(gap, -np.inf, -0.3 * n - 0.01 * rows[:, None])
-
-    rows, one = _rows_and_single(lm, None, 60, tol=1e-12, n_max=2000)
-    _agree(rows, one)
-    assert all(isinstance(r, SeriesResult) for r in rows)
+    largest = math.exp(rows[4].log_scale)
+    assert abs(rows[4].float_value - math.exp(-30.0)) <= 1e-13 * largest
 
 
 def test_rows_span_blocks():

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmanin import ConfigError, QParam, WeightHorizonError, WeightSequence
+from qmanin.errors import InputTooLargeError
 
 
 def test_qparam_rejects_zero_and_nonfinite():
@@ -79,6 +80,19 @@ def test_overflowing_rule_weights_fall_back_to_logs():
     assert math.isfinite(w.log_weight(200))
     # ratio still finite through the log path
     assert math.isclose(w.ratio(200), 200.0, rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("s, first", [(-1e306, 58), (1e307, 12), (1e308, 4)])
+def test_log_weight_past_a_double_is_refused_at_its_first_index(s, first):
+    w = WeightSequence.power_factorial(s)
+    assert math.isfinite(w.log_weight(first - 1))
+    assert np.isfinite(w.log_weights(-2, first)).all()
+    refusal = f"log w_{first} of power-factorial({s:g}) weights is past the double range"
+    for call in (lambda: w.log_weight(first), lambda: w.log_weight(10 * first),
+                 lambda: w.log_weights(0, first + 1), lambda: w.log_weights(-3, 200)):
+        with pytest.raises(InputTooLargeError) as exc:
+            call()
+        assert str(exc.value) == refusal
 
 
 def test_scaled_copies():
