@@ -263,11 +263,12 @@ def eigen_residual(state: CoherentStateVector, w: WeightSequence, q) -> EigenRes
     nrm = float(np.linalg.norm(b))
     if ncut == 0:
         return EigenResidual(0.0, abs(state.lam))
-    band = np.array([q.power(-k) * w.sqrt_ratio(k) for k in range(1, ncut + 1)])
-    past = np.flatnonzero(~np.isfinite(band))
+    roots = w.sqrt_ratios(1, ncut + 1)
+    past = np.flatnonzero(roots == math.inf)
     if past.size:
         raise InputTooLargeError(f"the annihilation band entry of column {past[0] + 1} "
                                  f"is past the double range")
+    band = q.powers(range(-1, -ncut - 1, -1)) * roots
     resid_vec = band * b[1:] - state.lam * b[:-1]
     return EigenResidual(
         residual=float(np.linalg.norm(resid_vec)) / nrm,

@@ -9,8 +9,11 @@ magnitudes, and stops once the geometric tail bound
 
 drops below the requested relative tolerance.  The bound is certified
 under the observed trend: the last window of magnitude ratios must be
-below one and non-increasing, which holds for every weight family shipped
-here (log-convex weights with |q| <= 1) and is checked, not assumed.
+below one and non-increasing.  For the rule family w_n = c * (n!)**s with
+s >= 0 and |q| <= 1 that premise holds for the whole series, since log w_n
+is convex.  For an explicit table it is only checked on the window, so a
+table whose ratios rise again past the window (one small w_n) can be
+certified short of its sum.
 
 Divergence is reported when term magnitudes stop decaying and their
 growth rate is not shrinking; that is the numerical signature of a point

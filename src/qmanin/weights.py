@@ -11,6 +11,18 @@ astronomically large (factorial, |q|-power tables), so every consumer that
 cares about overflow goes through ``log_weight`` / ``log_weights``, and
 every weight quotient is a product of ``ratio``.
 
+Each ``WeightSequence`` builds two tables once, per instance: log w_n and
+the band entries (w_n / w_{n-1})^{1/2}.  ``log_weights`` and
+``sqrt_ratios`` compute entries on demand, up to the largest index asked
+for, into a buffer that doubles and never passes the horizon or the series
+cap of 200,000 terms; ``log_weight`` and ``sqrt_ratio`` read an entry the
+table already holds.
+An entry is the per-index formula's value, bit for bit, wherever it is
+taken.  A band entry is the square root of w_n / w_{n-1} where that
+quotient is a normal double, and otherwise the quotient of the square
+roots (n^(s/2) for a rule), so it leaves the double range only where the
+entry itself does.
+
 ``json_number`` and ``json_object`` decide, for every input the package
 reads, what a JSON number is and which keys an object may hold.
 """
@@ -44,6 +56,10 @@ KINDS = tuple(_KINDS)
 
 # largest n with n! finite in float64
 _MAX_EXACT_FACTORIAL = 170
+# the most terms a series sums; no table grows past it
+_SERIES_CAP = 200_000
+# the smallest normal double
+_NORMAL_MIN = 2.0 ** -1022
 
 
 @dataclass(frozen=True)
@@ -82,6 +98,11 @@ class QParam:
             raise InputTooLargeError(f"|q|**{e} overflows a double")
         return math.exp(m) * complex(math.cos(e * self.arg), math.sin(e * self.arg))
 
+    def powers(self, exps) -> np.ndarray:
+        """q**e for each integer e of ``exps`` as one complex array, each
+        entry taken and refused as ``power`` takes it."""
+        return np.array([self.power(e) for e in exps], dtype=complex)
+
 
 @dataclass(frozen=True)
 class WeightSequence:
@@ -100,6 +121,9 @@ class WeightSequence:
     table: Optional[tuple] = None
     horizon: Optional[int] = field(init=False, default=None)
     scale: float = 1.0
+    # (buffer, size) of log w_n and of sqrt ratio n, computed for n < size
+    _tables: list = field(init=False, repr=False, compare=False,
+                          default_factory=lambda: [(np.empty(0), 0)] * 2)
 
     def __post_init__(self):
         fixed = _kind(self.kind).fixed
@@ -173,9 +197,8 @@ class WeightSequence:
         if n < 0:
             return 0.0
         self._check(n)
-        if self.table is not None:
-            return math.log(self.table[n]) + math.log(self.scale)
-        out = self._rule_log(n)
+        logs, size = self._tables[0]
+        out = float(logs[n]) if n < size else self._log_entry(n)
         if not math.isfinite(out):
             raise self._refused(n)
         return out
@@ -183,27 +206,29 @@ class WeightSequence:
     def log_weights(self, n0: int, n1: int) -> np.ndarray:
         """Array of log w_n for n0 <= n < n1 (supports negative n0), refused
         as ``log_weight`` refuses."""
-        if n1 <= n0:
-            return np.empty(0)
-        self._check(n1 - 1)
-        n = np.arange(n0, n1)
-        nn = np.maximum(n, 0).tolist()     # Python ints for math.lgamma
-        ls = math.log(self.scale)
-        if self.table is not None:
-            out = np.array([math.log(self.table[k]) for k in nn], dtype=float) + ls
-        else:
-            # log w_n is monotone in n: the last one decides the whole call
-            if self.s and not math.isfinite(self._rule_log(nn[-1])):
-                raise self._refused(nn[-1])
-            lg = (self.s * np.array([math.lgamma(k + 1) for k in nn], dtype=float)
-                  if self.s else np.zeros(n.shape))
-            out = lg + math.log(self.c) + ls
-        out[n < 0] = 0.0
-        return out
+        return self._entries(0, n0, n1, 0.0)
 
-    def _rule_log(self, n: int) -> float:
+    def _log_entry(self, n: int) -> float:
+        if self.table is not None:
+            return math.log(self.table[n]) + math.log(self.scale)
         lg = self.s * math.lgamma(n + 1) if self.s else 0.0
         return lg + math.log(self.c) + math.log(self.scale)
+
+    def _log_fill(self, n0: int, n1: int) -> np.ndarray:
+        """``_log_entry`` at 0 <= n0 <= n < n1, with the same IEEE operations
+        taken elementwise; refused as ``log_weight`` refuses."""
+        ls = math.log(self.scale)
+        if self.table is not None:
+            return np.array([math.log(x) for x in self.table[n0:n1]], dtype=float) + ls
+        # log w_n is monotone in n: the last one decides the whole fill
+        if self.s and not math.isfinite(self._log_entry(n1 - 1)):
+            raise self._refused(n1 - 1)
+        lg = (self.s * np.array([math.lgamma(n + 1) for n in range(n0, n1)], dtype=float)
+              if self.s else np.zeros(n1 - n0))
+        return lg + math.log(self.c) + ls
+
+    def _sqrt_fill(self, n0: int, n1: int) -> np.ndarray:
+        return np.array([self._sqrt_entry(n) for n in range(n0, n1)], dtype=float)
 
     def _refused(self, n: int) -> InputTooLargeError:
         """The refusal naming the first k <= n whose log w_k, as log w_n, is
@@ -211,9 +236,41 @@ class WeightSequence:
         lo = 0          # log w_lo is finite, log w_n is not
         while n - lo > 1:
             mid = (lo + n) // 2
-            lo, n = (mid, n) if math.isfinite(self._rule_log(mid)) else (lo, mid)
+            lo, n = (mid, n) if math.isfinite(self._log_entry(mid)) else (lo, mid)
         return InputTooLargeError(
             f"log w_{n} of {self.describe()} weights is past the double range")
+
+    def _entries(self, which: int, n0: int, n1: int, pad: float) -> np.ndarray:
+        """A fresh array of table ``which`` (0: log w_n, 1: sqrt ratio n) at
+        n0 <= n < n1, ``pad`` for n < 0; past the series cap nothing is kept."""
+        if n1 <= n0:
+            return np.empty(0)
+        self._check(n1 - 1)
+        lo = max(n0, 0)
+        if n1 > _SERIES_CAP:
+            out = (self._log_fill, self._sqrt_fill)[which](lo, n1)
+        else:
+            buf, size = self._tables[which]
+            if n1 > size:
+                buf = self._filled(which, n1)
+            out = buf[lo:max(n1, 0)].copy()
+        if n0 < 0:
+            out = np.concatenate((np.full(min(n1, 0) - n0, pad), out))
+        return out
+
+    def _filled(self, which: int, n1: int) -> np.ndarray:
+        """The buffer of table ``which`` with its entries n < n1 computed,
+        each once; a full buffer doubles, up to the horizon or the series
+        cap.  (buffer, size) is replaced as one tuple, so a reader never
+        sees an entry that is not computed."""
+        buf, size = self._tables[which]
+        if n1 > buf.size:
+            limit = _SERIES_CAP if self.horizon is None else self.horizon + 1
+            grown = min(max(n1, 2 * buf.size), limit)
+            buf = np.concatenate((buf[:size], np.empty(grown - size)))
+        buf[size:n1] = (self._log_fill, self._sqrt_fill)[which](size, n1)
+        self._tables[which] = (buf, n1)
+        return buf
 
     def mp_log_weights(self, count: int) -> list:
         """[log w_0, ..., log w_{count-1}] as mpmath floats under the caller's
@@ -247,15 +304,30 @@ class WeightSequence:
             return math.inf
 
     def sqrt_ratio(self, n: int) -> float:
-        """(w_n / w_{n-1})**(1/2), the universal band entry.  Where a rule's
-        n**s is past a double it is n**(s/2), inf only past a double too."""
+        """(w_n / w_{n-1})**(1/2), the universal band entry; inf only where
+        the entry itself is past a double."""
+        if n < 0:
+            return 1.0
+        self._check(n)
+        roots, size = self._tables[1]
+        return float(roots[n]) if n < size else self._sqrt_entry(n)
+
+    def sqrt_ratios(self, n0: int, n1: int) -> np.ndarray:
+        """Array of ``sqrt_ratio(n)`` for n0 <= n < n1."""
+        return self._entries(1, n0, n1, 1.0)
+
+    def _sqrt_entry(self, n: int) -> float:
+        """sqrt(w_n / w_{n-1}) where the quotient is a normal double, else
+        sqrt(w_n) / sqrt(w_{n-1}), which is n**(s/2) for a rule."""
         r = self.ratio(n)
-        if r == math.inf and self.table is None and n > 0:
-            try:
-                return float(n) ** (0.5 * self.s)
-            except OverflowError:
-                return math.inf
-        return math.sqrt(r)
+        if n <= 0 or _NORMAL_MIN <= r < math.inf:
+            return math.sqrt(r)
+        if self.table is not None:
+            return math.sqrt(self.table[n]) / math.sqrt(self.table[n - 1])
+        try:
+            return float(n) ** (0.5 * self.s)
+        except OverflowError:
+            return math.inf
 
     def max_index(self, requested: int) -> int:
         """Clamp a horizon request to what is materializable."""

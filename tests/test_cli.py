@@ -228,6 +228,16 @@ def test_coherent_band_entry_inside_a_double(tmp_path):
     assert load(tmp_path, "coherent.json")["result"]["residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("table, entry", [("1e-300,1e300,1", 1e300),
+                                          ("1e300,1e-300,1", 1e-300)])
+def test_table_band_entry_whose_quotient_leaves_a_double(tmp_path, table, entry):
+    # w_1 / w_0 = 1e600 or 1e-600 leaves a double; (w_1 / w_0)^{1/2} does not
+    assert run(tmp_path, "operator", "--weights", f"explicit:{table}",
+               "--cutoff", "2", "--q", "1") == 0
+    re_, im_ = load(tmp_path, "operator.json")["result"]["entries"][0][1]
+    assert math.isclose(re_, entry, rel_tol=1e-15) and im_ == 0.0
+
+
 def test_precision_cap_refusal_exits_4_without_traceback(tmp_path):
     # factorial moments at |q| = 1e-30 need about 47,000 digits at order 20
     proc = run_cold(tmp_path, ("measure", "--q", "1e-30"), {"order": 20})

@@ -4,7 +4,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmanin import ConfigError, QParam, WeightHorizonError, WeightSequence
@@ -32,6 +32,9 @@ def test_qparam_logs_are_computed_once_outside_equality():
     for e in (-7, 1, 12):
         assert q.power(e) == math.exp(e * log_abs) * complex(math.cos(e * arg),
                                                              math.sin(e * arg))
+    assert q.powers(range(-7, 13)).tolist() == [q.power(e) for e in range(-7, 13)]
+    with pytest.raises(InputTooLargeError, match=r"\|q\|\*\*-7000 overflows"):
+        q.powers([0, -7000])
     fresh = QParam(q.value)
     assert q == fresh and hash(q) == hash(fresh)
     assert repr(q) == f"QParam(value={q.value!r})"
@@ -291,3 +294,145 @@ def test_object_forms_parse(doc):
 def test_spec_refuses_what_it_does_not_read(spec, text):
     with pytest.raises(ConfigError, match=text):
         WeightSequence.from_json(spec)
+
+
+# -- the per-instance log-weight and band tables -------------------------------
+
+_NORMAL_MIN = 2.0 ** -1022
+
+
+def _log_reference(w, n):
+    """log w_n as the per-index formula takes it."""
+    if n < 0:
+        return 0.0
+    if w.table is not None:
+        return math.log(w.table[n]) + math.log(w.scale)
+    lg = w.s * math.lgamma(n + 1) if w.s else 0.0
+    return lg + math.log(w.c) + math.log(w.scale)
+
+
+def _sqrt_reference(w, n):
+    """sqrt(w_n / w_{n-1}) where the quotient is a normal double; past it,
+    sqrt(w_n) / sqrt(w_{n-1}), n**(s/2) for a rule."""
+    r = w.ratio(n)
+    if n <= 0 or _NORMAL_MIN <= r < math.inf:
+        return math.sqrt(r)
+    if w.table is not None:
+        return math.sqrt(w.table[n]) / math.sqrt(w.table[n - 1])
+    return float(n) ** (0.5 * w.s)
+
+
+_table_specs = st.one_of(
+    st.builds(WeightSequence, st.just("factorial"), scale=_positive),
+    st.builds(WeightSequence, st.just("constant"), c=_positive, scale=_positive),
+    st.builds(WeightSequence, st.just("power-factorial"), scale=_positive,
+              s=st.one_of(st.floats(-50.0, -1e-3), st.just(0.0), st.floats(1e-3, 50.0))),
+    st.builds(WeightSequence, st.just("explicit"), scale=_positive,
+              table=st.lists(_positive, min_size=1, max_size=300).map(tuple)),
+)
+_requests = st.lists(st.tuples(st.integers(-20, 400), st.integers(0, 200)),
+                     min_size=1, max_size=8)
+
+
+@settings(deadline=None)
+@given(_table_specs, _requests, st.randoms(use_true_random=False))
+def test_table_slices_are_the_per_index_values_bit_for_bit(w, requests, rnd):
+    requests = [(n0, w.max_index(n0 + k - 1) + 1) for n0, k in requests]
+    shuffled = rnd.sample(requests, len(requests))
+    orders = (shuffled, sorted(requests, key=lambda r: -r[1]), sorted(requests, key=lambda r: r[1]))
+    for order in orders:
+        fresh = replace(w)
+        for n0, n1 in order:
+            logs, roots = fresh.log_weights(n0, n1), fresh.sqrt_ratios(n0, n1)
+            assert logs.shape == roots.shape == (max(n1 - n0, 0),)
+            want_logs = [_log_reference(w, n).hex() for n in range(n0, n1)]
+            want_roots = [_sqrt_reference(w, n).hex() for n in range(n0, n1)]
+            assert [x.hex() for x in logs.tolist()] == want_logs
+            assert [x.hex() for x in roots.tolist()] == want_roots
+            assert [fresh.log_weight(n).hex() for n in range(n0, n1)] == want_logs
+            assert [fresh.sqrt_ratio(n).hex() for n in range(n0, n1)] == want_roots
+
+
+@pytest.mark.parametrize("table, n, root", [
+    ([1e-300, 1e300, 1.0], 1, 1e300),      # w_1 / w_0 = 1e600 passes a double
+    ([1e300, 1e-300, 1.0], 1, 1e-300),     # w_1 / w_0 = 1e-600 is below it
+    ([1.0, 1e-310, 1.0], 1, math.sqrt(1e-310)),   # a subnormal quotient
+])
+def test_table_band_entry_at_half_range(table, n, root):
+    w = WeightSequence.explicit(table)
+    for got in (w.sqrt_ratio(n), w.sqrt_ratios(0, len(table))[n], w.sqrt_ratio(n)):
+        assert math.isclose(got, root, rel_tol=1e-15)
+    # in-range quotients keep sqrt(ratio) bit for bit
+    for k in range(len(table)):
+        r = w.ratio(k)
+        if _NORMAL_MIN <= r < math.inf:
+            assert w.sqrt_ratio(k) == math.sqrt(r)
+
+
+def test_rule_band_entry_below_the_normal_range():
+    # 2**-1100 underflows a double; its square root 2**-550 does not
+    w = WeightSequence.power_factorial(-1100.0)
+    assert w.ratio(2) == 0.0
+    assert w.sqrt_ratio(2) == w.sqrt_ratios(0, 3)[2] == 2.0 ** -550
+
+
+def test_refusals_are_the_same_on_a_cold_and_a_warm_table():
+    refusal = "log w_58 of power-factorial(1e+306) weights is past the double range"
+    cold, warm = (WeightSequence.from_json("power-factorial:1e306") for _ in range(2))
+    first = warm.log_weights(0, 16)
+    for w in (cold, warm, warm):
+        for call in (lambda: w.log_weights(0, 100), lambda: w.log_weights(50, 59),
+                     lambda: w.log_weight(58), lambda: w.log_weights(-3, 200)):
+            with pytest.raises(InputTooLargeError) as exc:
+                call()
+            assert str(exc.value) == refusal
+        assert w.log_weights(0, 16).tolist() == first.tolist()
+        assert np.isfinite(w.log_weights(40, 58)).all()
+
+
+def test_a_warm_table_keeps_its_horizon():
+    w = WeightSequence.explicit([1.0, 2.0, 6.0])
+    w.log_weights(0, 3), w.sqrt_ratios(-2, 3)
+    for call in (lambda: w.log_weights(0, 4), lambda: w.sqrt_ratios(1, 4),
+                 lambda: w.log_weight(3), lambda: w.sqrt_ratio(3)):
+        with pytest.raises(WeightHorizonError):
+            call()
+
+
+def test_returned_arrays_do_not_alias_the_tables():
+    w = WeightSequence.factorial()
+    for read in (w.log_weights, w.sqrt_ratios):
+        for n0, n1 in ((0, 10), (-3, 10), (4, 8), (-5, -1), (-3, 0)):
+            before = read(n0, n1).tolist()
+            read(n0, n1)[:] = 7.0
+            assert read(n0, n1).tolist() == before
+
+
+def test_a_warm_table_pads_indexes_below_zero():
+    w = WeightSequence.factorial()
+    w.log_weights(0, 40), w.sqrt_ratios(0, 40)
+    assert w.log_weights(-5, -1).tolist() == [0.0] * 4
+    assert w.sqrt_ratios(-3, 0).tolist() == [1.0] * 3
+    assert w.log_weights(-2, 2).tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert w.sqrt_ratios(-2, 2).tolist() == [1.0, 1.0, 1.0, 1.0]
+
+
+def test_a_request_past_the_series_cap_is_served():
+    w = WeightSequence.factorial()
+    n0, n1 = 199_998, 200_003
+    assert w.log_weights(n0, n1).tolist() == [_log_reference(w, n) for n in range(n0, n1)]
+    assert w.log_weight(n1 + 10) == _log_reference(w, n1 + 10)
+
+
+@pytest.mark.parametrize("w", [WeightSequence.factorial(),
+                               replace(WeightSequence.constant(2.5), scale=0.5),
+                               WeightSequence.power_factorial(-1.5),
+                               replace(WeightSequence.explicit([1, 2, 6]), scale=2.0)],
+                         ids=["factorial", "constant", "power-factorial", "explicit"])
+def test_a_warm_table_leaves_equality_hash_and_json(w):
+    cold = replace(w)
+    w.log_weights(-2, w.max_index(40) + 1), w.sqrt_ratios(0, w.max_index(40) + 1)
+    assert w == cold and hash(w) == hash(cold)
+    assert w.describe() == cold.describe()
+    assert w.to_json() == cold.to_json()
+    assert repr(w) == repr(cold)
