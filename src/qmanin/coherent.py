@@ -35,7 +35,7 @@ from .errors import (ConfigError, InputTooLargeError, OutsidePhaseSpaceError,
 from .kernels import csum_logpolar
 from .series import (SeriesDivergence, SeriesResult, bound_from_log, geometric_indexes,
                      sum_series, sum_series_rows)
-from .weights import QParam, WeightSequence
+from .weights import SERIES_CAP, QParam, WeightSequence
 
 
 def _tri(n: np.ndarray) -> np.ndarray:
@@ -75,7 +75,7 @@ def coeff_log_arrays(lam, w: WeightSequence, q: QParam,
 
 
 def _kernel_series(mu, lam, w: WeightSequence, q: QParam, tol: float,
-                   n_max: int = 200_000, series: str = "norm") -> list:
+                   n_max: int = SERIES_CAP, series: str = "norm") -> list:
     """Certified sums of K(mu, lam) = sum_n conj(a_n(mu)) a_n(lam) at the
     points of the equal-length sequences mu and lam, capped at the weight
     horizon.
@@ -263,12 +263,11 @@ def eigen_residual(state: CoherentStateVector, w: WeightSequence, q) -> EigenRes
     nrm = float(np.linalg.norm(b))
     if ncut == 0:
         return EigenResidual(0.0, abs(state.lam))
-    roots = w.sqrt_ratios(1, ncut + 1)
-    past = np.flatnonzero(roots == math.inf)
+    band = np.array([q.power(-k) * w.sqrt_ratio(k) for k in range(1, ncut + 1)])
+    past = np.flatnonzero(~np.isfinite(band))
     if past.size:
         raise InputTooLargeError(f"the annihilation band entry of column {past[0] + 1} "
                                  f"is past the double range")
-    band = q.powers(range(-1, -ncut - 1, -1)) * roots
     resid_vec = band * b[1:] - state.lam * b[:-1]
     return EigenResidual(
         residual=float(np.linalg.norm(resid_vec)) / nrm,

@@ -122,10 +122,8 @@ def toeplitz_matrix(g: ManinElement, w: WeightSequence, q, N: int) -> TruncatedO
         if i + j > _MAX_BAND_FACTORS:
             raise InputTooLargeError(f"th^{i} tb^{j} needs {i + j} weight ratios "
                                      f"per entry, above the cap {_MAX_BAND_FACTORS}")
-        c = coeff.evaluate(g.q)
-        # Python's complex product: numpy's may fuse a multiply-add and round apart
-        z = np.array([c * p for p in q.powers(-j * n for n in range(lo, hi + 1)).tolist()])
-        s = w.sqrt_ratios(1, hi + i + 1)
+        z = np.array([coeff.evaluate(g.q) * q.power(-j * n) for n in range(lo, hi + 1)])
+        s = np.array([w.sqrt_ratio(k) for k in range(1, hi + i + 1)])
         # column n takes s[k - 1] = sqrt_ratio(k) at k = n + t, first over
         # 0 < t <= i for (w_{n+i}/w_n)^{1/2}, then over i-j < t <= i for
         # (w_{n+i}/w_{n+i-j})^{1/2}

@@ -46,6 +46,7 @@ import numpy as np
 
 from .errors import ToleranceUnreachableError
 from .kernels import csum_logpolar
+from .weights import SERIES_CAP
 
 _CHUNK = 16
 _WINDOW = 12
@@ -97,7 +98,7 @@ class SeriesResult:
 
 
 def sum_series(logmag_fn, phase_fn=None, tol: float = 1e-12,
-               n_max: int = 200_000) -> SeriesResult:
+               n_max: int = SERIES_CAP) -> SeriesResult:
     """Sum ``exp(logmag(n)) * e^{i phase(n)}`` over n >= 0 adaptively.
 
     ``logmag_fn(n0, n1)`` and ``phase_fn(n0, n1)`` produce per-index arrays
@@ -173,7 +174,7 @@ def _certified_tail(last_lm, rho_log, log_tol, acc, scale, max_logmag):
 
 
 def sum_series_rows(logmag_fn, phase_fn, nrows: int, tol: float = 1e-12,
-                    n_max: int = 200_000) -> list:
+                    n_max: int = SERIES_CAP) -> list:
     """Sum ``nrows`` series as the rows of one array, each by the rule of
     :func:`sum_series`.
 

@@ -11,17 +11,15 @@ astronomically large (factorial, |q|-power tables), so every consumer that
 cares about overflow goes through ``log_weight`` / ``log_weights``, and
 every weight quotient is a product of ``ratio``.
 
-Each ``WeightSequence`` builds two tables once, per instance: log w_n and
-the band entries (w_n / w_{n-1})^{1/2}.  ``log_weights`` and
-``sqrt_ratios`` compute entries on demand, up to the largest index asked
-for, into a buffer that doubles and never passes the horizon or the series
-cap of 200,000 terms; ``log_weight`` and ``sqrt_ratio`` read an entry the
-table already holds.
+Each ``WeightSequence`` builds its table of log w_n once, per instance:
+``log_weights`` computes entries on demand, up to the largest index asked
+for, into a buffer that doubles and never passes the horizon or
+``SERIES_CAP``; ``log_weight`` reads an entry the table already holds.
 An entry is the per-index formula's value, bit for bit, wherever it is
-taken.  A band entry is the square root of w_n / w_{n-1} where that
-quotient is a normal double, and otherwise the quotient of the square
-roots (n^(s/2) for a rule), so it leaves the double range only where the
-entry itself does.
+taken.  The band entry (w_n / w_{n-1})^{1/2} is the square root of that
+quotient where it is a normal double, and otherwise the quotient of the
+square roots (n^(s/2) for a rule), so it leaves the double range only
+where the entry itself does.
 
 ``json_number`` and ``json_object`` decide, for every input the package
 reads, what a JSON number is and which keys an object may hold.
@@ -56,8 +54,8 @@ KINDS = tuple(_KINDS)
 
 # largest n with n! finite in float64
 _MAX_EXACT_FACTORIAL = 170
-# the most terms a series sums; no table grows past it
-_SERIES_CAP = 200_000
+# the most terms a series sums; no log-weight table grows past it
+SERIES_CAP = 200_000
 # the smallest normal double
 _NORMAL_MIN = 2.0 ** -1022
 
@@ -98,11 +96,6 @@ class QParam:
             raise InputTooLargeError(f"|q|**{e} overflows a double")
         return math.exp(m) * complex(math.cos(e * self.arg), math.sin(e * self.arg))
 
-    def powers(self, exps) -> np.ndarray:
-        """q**e for each integer e of ``exps`` as one complex array, each
-        entry taken and refused as ``power`` takes it."""
-        return np.array([self.power(e) for e in exps], dtype=complex)
-
 
 @dataclass(frozen=True)
 class WeightSequence:
@@ -121,9 +114,10 @@ class WeightSequence:
     table: Optional[tuple] = None
     horizon: Optional[int] = field(init=False, default=None)
     scale: float = 1.0
-    # (buffer, size) of log w_n and of sqrt ratio n, computed for n < size
-    _tables: list = field(init=False, repr=False, compare=False,
-                          default_factory=lambda: [(np.empty(0), 0)] * 2)
+    # (buffer, size): log w_n for n < size, replaced as one tuple, so a
+    # reader never sees an entry that is not computed
+    _logs: tuple = field(init=False, repr=False, compare=False,
+                         default=(np.empty(0), 0))
 
     def __post_init__(self):
         fixed = _kind(self.kind).fixed
@@ -197,7 +191,7 @@ class WeightSequence:
         if n < 0:
             return 0.0
         self._check(n)
-        logs, size = self._tables[0]
+        logs, size = self._logs
         out = float(logs[n]) if n < size else self._log_entry(n)
         if not math.isfinite(out):
             raise self._refused(n)
@@ -205,8 +199,27 @@ class WeightSequence:
 
     def log_weights(self, n0: int, n1: int) -> np.ndarray:
         """Array of log w_n for n0 <= n < n1 (supports negative n0), refused
-        as ``log_weight`` refuses."""
-        return self._entries(0, n0, n1, 0.0)
+        as ``log_weight`` refuses.  Each entry is computed once, into the
+        table; past ``SERIES_CAP`` nothing is kept."""
+        if n1 <= n0:
+            return np.empty(0)
+        self._check(n1 - 1)
+        lo = max(n0, 0)
+        if n1 > SERIES_CAP:
+            out = self._log_fill(lo, n1)
+        else:
+            buf, size = self._logs
+            if n1 > size:
+                if n1 > buf.size:
+                    limit = SERIES_CAP if self.horizon is None else self.horizon + 1
+                    grown = min(max(n1, 2 * buf.size), limit)
+                    buf = np.concatenate((buf[:size], np.empty(grown - size)))
+                buf[size:n1] = self._log_fill(size, n1)
+                object.__setattr__(self, "_logs", (buf, n1))
+            out = buf[lo:max(n1, 0)].copy()
+        if n0 < 0:
+            out = np.concatenate((np.zeros(min(n1, 0) - n0), out))
+        return out
 
     def _log_entry(self, n: int) -> float:
         if self.table is not None:
@@ -227,9 +240,6 @@ class WeightSequence:
               if self.s else np.zeros(n1 - n0))
         return lg + math.log(self.c) + ls
 
-    def _sqrt_fill(self, n0: int, n1: int) -> np.ndarray:
-        return np.array([self._sqrt_entry(n) for n in range(n0, n1)], dtype=float)
-
     def _refused(self, n: int) -> InputTooLargeError:
         """The refusal naming the first k <= n whose log w_k, as log w_n, is
         past the double range; log w_k is monotone in k, so bisection finds it."""
@@ -239,38 +249,6 @@ class WeightSequence:
             lo, n = (mid, n) if math.isfinite(self._log_entry(mid)) else (lo, mid)
         return InputTooLargeError(
             f"log w_{n} of {self.describe()} weights is past the double range")
-
-    def _entries(self, which: int, n0: int, n1: int, pad: float) -> np.ndarray:
-        """A fresh array of table ``which`` (0: log w_n, 1: sqrt ratio n) at
-        n0 <= n < n1, ``pad`` for n < 0; past the series cap nothing is kept."""
-        if n1 <= n0:
-            return np.empty(0)
-        self._check(n1 - 1)
-        lo = max(n0, 0)
-        if n1 > _SERIES_CAP:
-            out = (self._log_fill, self._sqrt_fill)[which](lo, n1)
-        else:
-            buf, size = self._tables[which]
-            if n1 > size:
-                buf = self._filled(which, n1)
-            out = buf[lo:max(n1, 0)].copy()
-        if n0 < 0:
-            out = np.concatenate((np.full(min(n1, 0) - n0, pad), out))
-        return out
-
-    def _filled(self, which: int, n1: int) -> np.ndarray:
-        """The buffer of table ``which`` with its entries n < n1 computed,
-        each once; a full buffer doubles, up to the horizon or the series
-        cap.  (buffer, size) is replaced as one tuple, so a reader never
-        sees an entry that is not computed."""
-        buf, size = self._tables[which]
-        if n1 > buf.size:
-            limit = _SERIES_CAP if self.horizon is None else self.horizon + 1
-            grown = min(max(n1, 2 * buf.size), limit)
-            buf = np.concatenate((buf[:size], np.empty(grown - size)))
-        buf[size:n1] = (self._log_fill, self._sqrt_fill)[which](size, n1)
-        self._tables[which] = (buf, n1)
-        return buf
 
     def mp_log_weights(self, count: int) -> list:
         """[log w_0, ..., log w_{count-1}] as mpmath floats under the caller's
@@ -304,21 +282,10 @@ class WeightSequence:
             return math.inf
 
     def sqrt_ratio(self, n: int) -> float:
-        """(w_n / w_{n-1})**(1/2), the universal band entry; inf only where
-        the entry itself is past a double."""
-        if n < 0:
-            return 1.0
-        self._check(n)
-        roots, size = self._tables[1]
-        return float(roots[n]) if n < size else self._sqrt_entry(n)
-
-    def sqrt_ratios(self, n0: int, n1: int) -> np.ndarray:
-        """Array of ``sqrt_ratio(n)`` for n0 <= n < n1."""
-        return self._entries(1, n0, n1, 1.0)
-
-    def _sqrt_entry(self, n: int) -> float:
-        """sqrt(w_n / w_{n-1}) where the quotient is a normal double, else
-        sqrt(w_n) / sqrt(w_{n-1}), which is n**(s/2) for a rule."""
+        """(w_n / w_{n-1})**(1/2), the universal band entry: sqrt of the
+        quotient where that is a normal double, else sqrt(w_n) / sqrt(w_{n-1}),
+        which is n**(s/2) for a rule; inf only where the entry itself is
+        past a double."""
         r = self.ratio(n)
         if n <= 0 or _NORMAL_MIN <= r < math.inf:
             return math.sqrt(r)

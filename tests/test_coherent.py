@@ -178,6 +178,16 @@ class TestEigenResidual:
         with pytest.raises(InputTooLargeError, match="entry of column 11 is past"):
             eigen_residual(st, w, 1.0)
 
+    def test_band_entry_past_a_double_from_finite_factors_is_refused(self):
+        # at column 79, q^-79 = 2^79 and (w_79 / w_78)^{1/2} = 79^150 are
+        # doubles, their product is not
+        w, q = WeightSequence.power_factorial(300.0), 0.5
+        st = coherent_coefficients(1e308, w, q)
+        assert st.n_cutoff >= 79
+        assert cmath.isfinite(QParam(q).power(-79)) and math.isfinite(w.sqrt_ratio(79))
+        with pytest.raises(InputTooLargeError, match="entry of column 79 is past"):
+            eigen_residual(st, w, q)
+
 
 class TestEvolution:
     def test_identity_and_half_turn(self):

@@ -32,9 +32,6 @@ def test_qparam_logs_are_computed_once_outside_equality():
     for e in (-7, 1, 12):
         assert q.power(e) == math.exp(e * log_abs) * complex(math.cos(e * arg),
                                                              math.sin(e * arg))
-    assert q.powers(range(-7, 13)).tolist() == [q.power(e) for e in range(-7, 13)]
-    with pytest.raises(InputTooLargeError, match=r"\|q\|\*\*-7000 overflows"):
-        q.powers([0, -7000])
     fresh = QParam(q.value)
     assert q == fresh and hash(q) == hash(fresh)
     assert repr(q) == f"QParam(value={q.value!r})"
@@ -296,7 +293,7 @@ def test_spec_refuses_what_it_does_not_read(spec, text):
         WeightSequence.from_json(spec)
 
 
-# -- the per-instance log-weight and band tables -------------------------------
+# -- the per-instance log-weight table and the band entry ----------------------
 
 _NORMAL_MIN = 2.0 ** -1022
 
@@ -343,12 +340,11 @@ def test_table_slices_are_the_per_index_values_bit_for_bit(w, requests, rnd):
     for order in orders:
         fresh = replace(w)
         for n0, n1 in order:
-            logs, roots = fresh.log_weights(n0, n1), fresh.sqrt_ratios(n0, n1)
-            assert logs.shape == roots.shape == (max(n1 - n0, 0),)
+            logs = fresh.log_weights(n0, n1)
+            assert logs.shape == (max(n1 - n0, 0),)
             want_logs = [_log_reference(w, n).hex() for n in range(n0, n1)]
             want_roots = [_sqrt_reference(w, n).hex() for n in range(n0, n1)]
             assert [x.hex() for x in logs.tolist()] == want_logs
-            assert [x.hex() for x in roots.tolist()] == want_roots
             assert [fresh.log_weight(n).hex() for n in range(n0, n1)] == want_logs
             assert [fresh.sqrt_ratio(n).hex() for n in range(n0, n1)] == want_roots
 
@@ -360,8 +356,7 @@ def test_table_slices_are_the_per_index_values_bit_for_bit(w, requests, rnd):
 ])
 def test_table_band_entry_at_half_range(table, n, root):
     w = WeightSequence.explicit(table)
-    for got in (w.sqrt_ratio(n), w.sqrt_ratios(0, len(table))[n], w.sqrt_ratio(n)):
-        assert math.isclose(got, root, rel_tol=1e-15)
+    assert math.isclose(w.sqrt_ratio(n), root, rel_tol=1e-15)
     # in-range quotients keep sqrt(ratio) bit for bit
     for k in range(len(table)):
         r = w.ratio(k)
@@ -373,7 +368,7 @@ def test_rule_band_entry_below_the_normal_range():
     # 2**-1100 underflows a double; its square root 2**-550 does not
     w = WeightSequence.power_factorial(-1100.0)
     assert w.ratio(2) == 0.0
-    assert w.sqrt_ratio(2) == w.sqrt_ratios(0, 3)[2] == 2.0 ** -550
+    assert w.sqrt_ratio(2) == 2.0 ** -550
 
 
 def test_refusals_are_the_same_on_a_cold_and_a_warm_table():
@@ -392,29 +387,26 @@ def test_refusals_are_the_same_on_a_cold_and_a_warm_table():
 
 def test_a_warm_table_keeps_its_horizon():
     w = WeightSequence.explicit([1.0, 2.0, 6.0])
-    w.log_weights(0, 3), w.sqrt_ratios(-2, 3)
-    for call in (lambda: w.log_weights(0, 4), lambda: w.sqrt_ratios(1, 4),
+    w.log_weights(0, 3)
+    for call in (lambda: w.log_weights(0, 4), lambda: w.log_weights(-2, 4),
                  lambda: w.log_weight(3), lambda: w.sqrt_ratio(3)):
         with pytest.raises(WeightHorizonError):
             call()
 
 
-def test_returned_arrays_do_not_alias_the_tables():
+def test_returned_arrays_do_not_alias_the_table():
     w = WeightSequence.factorial()
-    for read in (w.log_weights, w.sqrt_ratios):
-        for n0, n1 in ((0, 10), (-3, 10), (4, 8), (-5, -1), (-3, 0)):
-            before = read(n0, n1).tolist()
-            read(n0, n1)[:] = 7.0
-            assert read(n0, n1).tolist() == before
+    for n0, n1 in ((0, 10), (-3, 10), (4, 8), (-5, -1), (-3, 0)):
+        before = w.log_weights(n0, n1).tolist()
+        w.log_weights(n0, n1)[:] = 7.0
+        assert w.log_weights(n0, n1).tolist() == before
 
 
 def test_a_warm_table_pads_indexes_below_zero():
     w = WeightSequence.factorial()
-    w.log_weights(0, 40), w.sqrt_ratios(0, 40)
+    w.log_weights(0, 40)
     assert w.log_weights(-5, -1).tolist() == [0.0] * 4
-    assert w.sqrt_ratios(-3, 0).tolist() == [1.0] * 3
     assert w.log_weights(-2, 2).tolist() == [0.0, 0.0, 0.0, 0.0]
-    assert w.sqrt_ratios(-2, 2).tolist() == [1.0, 1.0, 1.0, 1.0]
 
 
 def test_a_request_past_the_series_cap_is_served():
@@ -431,7 +423,7 @@ def test_a_request_past_the_series_cap_is_served():
                          ids=["factorial", "constant", "power-factorial", "explicit"])
 def test_a_warm_table_leaves_equality_hash_and_json(w):
     cold = replace(w)
-    w.log_weights(-2, w.max_index(40) + 1), w.sqrt_ratios(0, w.max_index(40) + 1)
+    w.log_weights(-2, w.max_index(40) + 1)
     assert w == cold and hash(w) == hash(cold)
     assert w.describe() == cold.describe()
     assert w.to_json() == cold.to_json()
