@@ -16,7 +16,12 @@ a lower symbol and a grid of lower symbols all go through it.
 The q power grows quadratically in the exponent, so coefficients are kept
 in log-polar form (log-magnitude plus phase) and every norm or inner
 product is evaluated through max-log rescaling.  Truncation indices carry
-a certified tail bound produced by the series engine.
+a certified tail bound produced by the series engine.  The kernel's terms
+have phase n * (arg lambda - arg mu), which vanishes on the diagonal and
+wherever the two arguments are equal; there the series is summed as a
+real series, bit for bit the complex one.  ``eigen_residual`` takes its
+annihilation band q^{-k} (w_k / w_{k-1})^{1/2} from the array forms
+``QParam.powers`` and ``WeightSequence.sqrt_ratios``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 
 from .errors import (ConfigError, InputTooLargeError, OutsidePhaseSpaceError,
                      ToleranceUnreachableError)
-from .kernels import csum_logpolar
+from .kernels import complex_product, csum_logpolar
 from .series import (SeriesDivergence, SeriesResult, bound_from_log, geometric_indexes,
                      sum_series, sum_series_rows)
 from .weights import SERIES_CAP, QParam, WeightSequence
@@ -111,21 +116,25 @@ def _kernel_series(mu, lam, w: WeightSequence, q: QParam, tol: float,
 
     def logmag_fn(rows, n0, n1):
         n = np.arange(n0, n1, dtype=float)
-        return (n * base[rows, None] + 2.0 * _tri(n) * q.log_abs
-                - w.log_weights(n0, n1))
+        # n (n + 1) = 2 tri(n) exactly: both are n (n + 1) rounded once
+        return n * base[rows, None] + n * (n + 1.0) * q.log_abs - w.log_weights(n0, n1)
 
     def phase_fn(rows, n0, n1):
         return np.arange(n0, n1, dtype=float) * dphase[rows, None]
 
+    # every phase n * 0 vanishes, on the diagonal and wherever arg mu = arg
+    # lam: such series are summed as real series, bit for bit the complex sum
+    phases = phase_fn if dphase.any() else None
     if len(live) == 1:
         # row 0 alone: an integer row index gives the 1-D terms of one series
         try:
-            sums = [sum_series(partial(logmag_fn, 0), partial(phase_fn, 0),
+            sums = [sum_series(partial(logmag_fn, 0),
+                               None if phases is None else partial(phases, 0),
                                tol=tol, n_max=n_max)]
         except (SeriesDivergence, ToleranceUnreachableError) as exc:
             sums = [exc]
     else:
-        sums = sum_series_rows(logmag_fn, phase_fn, len(live), tol=tol, n_max=n_max)
+        sums = sum_series_rows(logmag_fn, phases, len(live), tol=tol, n_max=n_max)
 
     for i, res in zip(live, sums):
         if isinstance(res, SeriesDivergence):
@@ -263,7 +272,8 @@ def eigen_residual(state: CoherentStateVector, w: WeightSequence, q) -> EigenRes
     nrm = float(np.linalg.norm(b))
     if ncut == 0:
         return EigenResidual(0.0, abs(state.lam))
-    band = np.array([q.power(-k) * w.sqrt_ratio(k) for k in range(1, ncut + 1)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        band = complex_product(q.powers(-np.arange(1, ncut + 1)), w.sqrt_ratios(ncut))
     past = np.flatnonzero(~np.isfinite(band))
     if past.size:
         raise InputTooLargeError(f"the annihilation band entry of column {past[0] + 1} "

@@ -1,12 +1,18 @@
 """The hot numerical kernels, in numpy.
 
-The certified series sums reduce to ``csum_logpolar``, and the moment
-checks and the closed-form quantization entries to ``log_power_sums``.
+The certified series sums reduce to ``csum_logpolar``, which sums a
+series whose phases all vanish as a real series, and the moment checks and
+the closed-form quantization entries to ``log_power_sums``.
 ``power_matrix`` and ``weighted_gram`` assemble the Gram matrix of the
 polar-grid certificate of the resolution of the identity.
+``complex_product`` and ``libm_exp`` multiply and exponentiate arrays as
+Python's complex product and ``math.exp`` do, for the entries that must
+equal a per-entry computation bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,15 +28,22 @@ def csum_logpolar(logmag, phase):
     Returns ``(acc, scale)`` with the true value equal to acc * exp(scale).
     An all ``-inf`` input yields (0j, -inf).  On 2-D input each row is one
     sum, and ``acc`` and ``scale`` are arrays with one entry per row.
+    ``phase`` None is the all-zero phase, summed as a real series: the real
+    part is the sum of the magnitudes, as cos 0 = 1 multiplies them exactly,
+    and the imaginary part the +0.0 that the sum of 0 * magnitudes is.
     """
     logmag = np.asarray(logmag, dtype=np.float64)
-    phase = np.asarray(phase, dtype=np.float64)
+    if phase is not None:
+        phase = np.asarray(phase, dtype=np.float64)
     if logmag.ndim == 2:
         m = np.max(logmag, axis=1)
         mags = np.exp(logmag - np.where(m == -np.inf, 0.0, m)[:, None])
-        acc = np.empty(m.shape, dtype=np.complex128)
-        acc.real = np.sum(mags * np.cos(phase), axis=1)
-        acc.imag = np.sum(mags * np.sin(phase), axis=1)
+        acc = np.zeros(m.shape, dtype=np.complex128)
+        if phase is None:
+            acc.real = np.sum(mags, axis=1)
+        else:
+            acc.real = np.sum(mags * np.cos(phase), axis=1)
+            acc.imag = np.sum(mags * np.sin(phase), axis=1)
         return acc, m
     if logmag.size == 0:
         return 0j, -np.inf
@@ -38,8 +51,31 @@ def csum_logpolar(logmag, phase):
     if m == -np.inf:
         return 0j, -np.inf
     mags = np.exp(logmag - m)
-    acc = complex((mags * np.cos(phase)).sum(), (mags * np.sin(phase)).sum())
-    return acc, m
+    if phase is None:
+        return complex(mags.sum(), 0.0), m
+    return complex((mags * np.cos(phase)).sum(), (mags * np.sin(phase)).sum()), m
+
+
+def complex_product(a, b):
+    """a * b elementwise as Python multiplies complex numbers, bit for bit:
+    (ar br - ai bi) + i (ar bi + ai br), each product and sum rounded on
+    its own, a real operand taken with imaginary part +0.0.  numpy's own
+    complex multiply may fuse a product into a sum, which moves last bits."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def libm_exp(x: np.ndarray) -> np.ndarray:
+    """exp of every entry of a 1-D array with libm's rounding, as
+    ``math.exp`` takes it (numpy's vectorized exp may differ in the last
+    bit); exp(±0) = 1 needs no call."""
+    out = np.ones(x.shape)
+    idx = np.flatnonzero(x != 0)
+    out[idx] = [math.exp(v) for v in x[idx].tolist()]
+    return out
 
 
 def log_power_sums(log_nodes, log_masses, nmax):

@@ -66,7 +66,8 @@ from mpmath.libmp import (dps_to_prec, from_float, from_man_exp, fzero, mpf_e, m
 from numpy.polynomial.laguerre import laggauss
 
 from .coherent import coeff_log_arrays
-from .errors import ConfigError, IndefiniteMomentsError, OrderTooHighError
+from .errors import (ConfigError, IndefiniteMomentsError, InputTooLargeError,
+                     OrderTooHighError)
 from .kernels import log_power_sums, power_matrix, weighted_gram
 from .weights import QParam, WeightSequence
 
@@ -598,7 +599,9 @@ def verify_resolution_identity(quad: RadialQuadrature, w: WeightSequence, q,
 
     G[j][k] = sum over the polar grid of weight * a_j(lambda) conj(a_k(lambda))
     must reproduce the identity for j, k <= basis_size; the grid weights
-    of lambda = sqrt(t) e^{i alpha} are pi * mass / angular_points.
+    of lambda = sqrt(t) e^{i alpha} are pi * mass / angular_points.  The
+    matrix is formed in the linear domain, so one whose deviation passes
+    a double is refused with InputTooLargeError naming the basis size.
     """
     q = QParam.of(q)
     if angular_points < 2 * basis_size + 1:
@@ -607,11 +610,15 @@ def verify_resolution_identity(quad: RadialQuadrature, w: WeightSequence, q,
     alpha = 2.0 * math.pi * np.arange(angular_points) / angular_points
     z = (np.sqrt(quad.nodes)[:, None] * np.exp(1j * alpha)[None, :]).ravel()
     wts = np.repeat(quad.masses * (math.pi / angular_points), angular_points)
-    V = power_matrix(z, basis_size)
     logmag, phase = coeff_log_arrays(1.0, w, q, 0, basis_size + 1)
-    pref = np.exp(logmag) * np.exp(1j * phase)       # a_j(1)
-    G = weighted_gram(V * pref[None, :], wts.astype(complex))
-    dev = float(np.max(np.abs(G - np.eye(basis_size + 1))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = power_matrix(z, basis_size)
+        pref = np.exp(logmag) * np.exp(1j * phase)       # a_j(1)
+        G = weighted_gram(V * pref[None, :], wts.astype(complex))
+        dev = float(np.max(np.abs(G - np.eye(basis_size + 1))))
+    if not math.isfinite(dev):
+        raise InputTooLargeError(f"the Gram matrix at basis = {basis_size} is past "
+                                 f"the double range")
     return GramReport(G, dev, tol)
 
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .algebra import ManinElement, format_terms
 from .errors import ConfigError, InputTooLargeError
+from .kernels import complex_product
 from .weights import QParam, WeightSequence
 
 
@@ -122,8 +123,8 @@ def toeplitz_matrix(g: ManinElement, w: WeightSequence, q, N: int) -> TruncatedO
         if i + j > _MAX_BAND_FACTORS:
             raise InputTooLargeError(f"th^{i} tb^{j} needs {i + j} weight ratios "
                                      f"per entry, above the cap {_MAX_BAND_FACTORS}")
-        z = np.array([coeff.evaluate(g.q) * q.power(-j * n) for n in range(lo, hi + 1)])
-        s = np.array([w.sqrt_ratio(k) for k in range(1, hi + i + 1)])
+        z = complex_product(coeff.evaluate(g.q), q.powers(-j * np.arange(lo, hi + 1)))
+        s = w.sqrt_ratios(hi + i)
         # column n takes s[k - 1] = sqrt_ratio(k) at k = n + t, first over
         # 0 < t <= i for (w_{n+i}/w_n)^{1/2}, then over i-j < t <= i for
         # (w_{n+i}/w_{n+i-j})^{1/2}

@@ -31,6 +31,13 @@ with the same libm arithmetic and its stop test is the same
 ``_certified_tail``, so a grid point gets the term count and certificate
 it would get alone.
 
+A series whose phases all vanish (every squared norm, and a kernel at
+points of equal argument) comes with ``phase_fn`` None and is summed as
+a real series: ``csum_logpolar`` sums its magnitudes, with imaginary part
++0.0.  That is bit for bit the complex sum, since cos 0 = 1 multiplies a
+magnitude exactly and 0 * magnitude sums to +0.0, without the cosines and
+sines of zero.
+
 Every log magnitude the engines receive is finite: their only caller,
 ``coherent._kernel_series``, sums no zero term, and ``WeightSequence``
 refuses a log weight past the double range.  No chunk is checked for it.
@@ -45,7 +52,7 @@ from operator import sub
 import numpy as np
 
 from .errors import ToleranceUnreachableError
-from .kernels import csum_logpolar
+from .kernels import csum_logpolar, libm_exp
 from .weights import SERIES_CAP
 
 _CHUNK = 16
@@ -102,9 +109,10 @@ def sum_series(logmag_fn, phase_fn=None, tol: float = 1e-12,
     """Sum ``exp(logmag(n)) * e^{i phase(n)}`` over n >= 0 adaptively.
 
     ``logmag_fn(n0, n1)`` and ``phase_fn(n0, n1)`` produce per-index arrays
-    for ``n0 <= n < n1``.  Raises :class:`SeriesDivergence` when the terms
-    visibly diverge and :class:`ToleranceUnreachableError` when ``n_max``
-    terms cannot certify the tail.
+    for ``n0 <= n < n1``; ``phase_fn`` None sums a real series.  Raises
+    :class:`SeriesDivergence` when the terms visibly diverge and
+    :class:`ToleranceUnreachableError` when ``n_max`` terms cannot certify
+    the tail.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -120,8 +128,7 @@ def sum_series(logmag_fn, phase_fn=None, tol: float = 1e-12,
     while n < n_max:
         hi = min(n + _CHUNK, n_max)
         lm = np.asarray(logmag_fn(n, hi), dtype=float)
-        ph = (np.zeros(hi - n) if phase_fn is None
-              else np.asarray(phase_fn(n, hi), dtype=float))
+        ph = None if phase_fn is None else phase_fn(n, hi)
         new = lm.tolist()
 
         part, m = csum_logpolar(lm, ph)
@@ -143,7 +150,7 @@ def sum_series(logmag_fn, phase_fn=None, tol: float = 1e-12,
 
         # tail certificate: ratios below one and not increasing
         rho_log = max(win)
-        if rho_log < _RHO_CAP and all(b - a <= 1e-12 for a, b in zip(win, win[1:])):
+        if rho_log < _RHO_CAP and max(map(sub, win[1:], win)) <= 1e-12:
             tail_log = _certified_tail(last_lm, rho_log, log_tol, acc, scale, max_logmag)
             if tail_log is not None:
                 return SeriesResult(acc, scale, n, tail_log)
@@ -153,8 +160,7 @@ def sum_series(logmag_fn, phase_fn=None, tol: float = 1e-12,
         if len(ratios) >= _DIV_WINDOW:
             dwin = ratios[-_DIV_WINDOW:]
             slack = 1e-12 * max(1.0, abs(last_lm))
-            if (all(d >= -slack for d in dwin)
-                    and all(b - a >= -slack for a, b in zip(dwin, dwin[1:]))):
+            if min(dwin) >= -slack and min(map(sub, dwin[1:], dwin)) >= -slack:
                 raise SeriesDivergence(
                     f"series terms stopped decaying after {n} terms", n)
 
@@ -179,7 +185,8 @@ def sum_series_rows(logmag_fn, phase_fn, nrows: int, tol: float = 1e-12,
     :func:`sum_series`.
 
     ``logmag_fn(rows, n0, n1)`` and ``phase_fn(rows, n0, n1)`` produce
-    ``(len(rows), n1 - n0)`` arrays for the rows indexed by ``rows``.
+    ``(len(rows), n1 - n0)`` arrays for the rows indexed by ``rows``;
+    ``phase_fn`` None sums real series.
     Returns, per row, its :class:`SeriesResult` or the exception
     (:class:`SeriesDivergence`, :class:`ToleranceUnreachableError`) that
     :func:`sum_series` raises on that row alone.
@@ -205,12 +212,11 @@ def _sum_block(rows, logmag_fn, phase_fn, log_tol, n_max, out) -> None:
     while n < n_max and rows.size:
         hi = min(n + _CHUNK, n_max)
         lm = np.asarray(logmag_fn(rows, n, hi), dtype=float)
-        ph = (np.zeros(lm.shape) if phase_fn is None
-              else np.asarray(phase_fn(rows, n, hi), dtype=float))
+        ph = None if phase_fn is None else phase_fn(rows, n, hi)
 
         part, m = csum_logpolar(lm, ph)
         new_scale = np.maximum(scale, m)
-        acc = acc * _libm_exp(scale - new_scale) + part * _libm_exp(m - new_scale)
+        acc = acc * libm_exp(scale - new_scale) + part * libm_exp(m - new_scale)
         scale = new_scale
         max_logmag = np.maximum(max_logmag, m)
 
@@ -258,15 +264,6 @@ def _sum_block(rows, logmag_fn, phase_fn, log_tol, n_max, out) -> None:
         keep = ~decided
         rows, acc, scale, max_logmag, tail = (
             a[keep] for a in (rows, acc, scale, max_logmag, tail))
-
-
-def _libm_exp(x: np.ndarray) -> np.ndarray:
-    """exp of every entry with libm's rounding, as ``sum_series`` takes it
-    (numpy's vectorized exp may differ in the last bit)."""
-    out = np.ones(x.shape)
-    idx = np.flatnonzero(x != 0)
-    out[idx] = [math.exp(v) for v in x[idx].tolist()]
-    return out
 
 
 def geometric_indexes(lo: int, hi: int, count: int) -> np.ndarray:

@@ -21,6 +21,13 @@ quotient where it is a normal double, and otherwise the quotient of the
 square roots (n^(s/2) for a rule), so it leaves the double range only
 where the entry itself does.
 
+``QParam.powers`` and ``WeightSequence.sqrt_ratios`` are the array forms
+of ``power`` and ``sqrt_ratio``, for a Toeplitz column range or a whole
+band at once.  Each entry is the scalar form's, bit for bit, refusals
+included: exp and the rule powers k**s are libm's, taken per entry (numpy's
+exp and power differ from libm in the last bit), and every other step is
+an IEEE operation numpy rounds as Python does.
+
 ``json_number`` and ``json_object`` decide, for every input the package
 reads, what a JSON number is and which keys an object may hold.
 """
@@ -34,6 +41,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputTooLargeError, WeightHorizonError
+from .kernels import libm_exp
 
 
 class _Kind(NamedTuple):
@@ -95,6 +103,27 @@ class QParam:
         if m > 700.0:
             raise InputTooLargeError(f"|q|**{e} overflows a double")
         return math.exp(m) * complex(math.cos(e * self.arg), math.sin(e * self.arg))
+
+    def powers(self, exponents) -> np.ndarray:
+        """``power(e)`` for each integer e of ``exponents``, as one complex
+        array, bit for bit.  exp is libm's, as numpy's own exp may differ in
+        the last bit; numpy's float64 cos and sin are libm's.  The product
+        is Python's product of the real E = exp(m) with c + i s,
+        (E·c − 0.0·s, E·s + 0.0·c), each term rounded on its own, so signed
+        zeros survive.  Refused as ``power`` refuses, at the first exponent
+        that overflows."""
+        e = np.asarray(exponents)
+        m = e * self.log_abs
+        past = np.flatnonzero(m > 700.0)
+        if past.size:
+            raise InputTooLargeError(f"|q|**{int(e[past[0]])} overflows a double")
+        mag = libm_exp(m)
+        t = e * self.arg
+        c, s = np.cos(t), np.sin(t)
+        out = np.empty(mag.shape, dtype=complex)
+        out.real = mag * c - 0.0 * s
+        out.imag = mag * s + 0.0 * c
+        return out
 
 
 @dataclass(frozen=True)
@@ -276,10 +305,7 @@ class WeightSequence:
         self._check(n)
         if self.table is not None:
             return self.table[n] / self.table[n - 1]
-        try:
-            return float(n) ** self.s
-        except OverflowError:
-            return math.inf
+        return _pow(float(n), self.s)
 
     def sqrt_ratio(self, n: int) -> float:
         """(w_n / w_{n-1})**(1/2), the universal band entry: sqrt of the
@@ -291,10 +317,27 @@ class WeightSequence:
             return math.sqrt(r)
         if self.table is not None:
             return math.sqrt(self.table[n]) / math.sqrt(self.table[n - 1])
-        try:
-            return float(n) ** (0.5 * self.s)
-        except OverflowError:
-            return math.inf
+        return _pow(float(n), 0.5 * self.s)
+
+    def sqrt_ratios(self, n: int) -> np.ndarray:
+        """``sqrt_ratio(k)`` for 1 <= k <= n, as one array, bit for bit: a
+        table's quotients and every square root are IEEE operations, which
+        numpy rounds as Python does, and a rule's powers are Python's."""
+        if n <= 0:
+            return np.empty(0)
+        if n > self.max_index(n):
+            self._check(self.horizon + 1)     # the first k that sqrt_ratio refuses
+        if self.table is not None:
+            t = np.array(self.table[:n + 1])
+            with np.errstate(over="ignore"):
+                r = t[1:] / t[:-1]
+        else:
+            r = np.array([_pow(float(k), self.s) for k in range(1, n + 1)])
+        out = np.sqrt(r)
+        for i in np.flatnonzero((r < _NORMAL_MIN) | (r == math.inf)).tolist():
+            out[i] = (math.sqrt(self.table[i + 1]) / math.sqrt(self.table[i])
+                      if self.table is not None else _pow(float(i + 1), 0.5 * self.s))
+        return out
 
     def max_index(self, requested: int) -> int:
         """Clamp a horizon request to what is materializable."""
@@ -341,6 +384,14 @@ class WeightSequence:
         except (TypeError, OverflowError) as exc:
             raise ConfigError(f"weight spec values must be numbers: {exc}") from exc
         return cls(kind, table=table, **numbers)
+
+
+def _pow(x: float, s: float) -> float:
+    """x ** s as Python takes it, inf where that overflows a double."""
+    try:
+        return x ** s
+    except OverflowError:
+        return math.inf
 
 
 def _kind(name) -> _Kind:

@@ -205,6 +205,9 @@ _REFUSALS = [
      "log w_12 of power-factorial(1e+307) weights is past the double range"),
     (("coherent", "--weights", "power-factorial:600"), {"lambda": [1.5, 0]},
      "the annihilation band entry of column 11 is past the double range"),
+    # a_j(1) = |q|^{j(j+1)/2} / sqrt(w_j) and the node powers in the linear domain
+    (("measure", "--q", "1e4"), {"order": 1},
+     "the Gram matrix at basis = 10 is past the double range"),
 ]
 
 
@@ -874,6 +877,7 @@ _config = st.builds(lambda valid, junk: {**valid, **junk},
 @example("paragrassmann", "factorial", True, {"l": 3, "pg_weights": [1, "2", True]})
 @example("coherent", "power-factorial:-1e306", "1", {})     # log w_58 past a double
 @example("kernel", "power-factorial:1e307", "1", {})        # log w_12 past a double
+@example("measure", "factorial", "1e4", {"order": 1})       # a Gram matrix past a double
 def test_cli_failure_contract(command, weights, q, config):
     """Any input exits 0, 2, 3 or 4, and nothing escapes or warns."""
     flags = []

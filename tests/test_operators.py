@@ -315,3 +315,66 @@ class TestDomainMembership:
 
     def test_growing_terms_outside(self):
         assert domain_membership(lambda n: 1.0, WCONST, 0.8) == "not_in_domain"
+
+
+# -- the toeplitz matrix against a per-entry oracle -----------------------------
+
+def _entrywise_toeplitz(g, w, q, N):
+    """T_g one entry at a time, in Python complex arithmetic: the symbol
+    coefficient times q^{-jn}, times the products of sqrt_ratio taken from
+    1.0 in increasing k; the matrix, or the refusal's type and message."""
+    q = QParam.of(q)
+    mat = np.zeros((N + 1, N + 1), dtype=complex)
+    try:
+        for mon, coeff in g:
+            i, j = mon.i, mon.j
+            for n in range(max(0, j - i), N + min(0, j - i) + 1):
+                z = coeff.evaluate(g.q) * q.power(-j * n)
+                for ts in (range(1, i + 1), range(i - j + 1, i + 1)):
+                    band = 1.0
+                    for t in ts:
+                        band *= w.sqrt_ratio(n + t)
+                    z = z * band
+                mat[n + i - j, n] += z
+        TruncatedOperator(mat, OperatorMeta("g", w.describe(), q.value, True))
+    except ConfigError as exc:
+        return type(exc).__name__, str(exc)
+    return _hex(mat)
+
+
+def _hex(mat):
+    return [(z.real.hex(), z.imag.hex()) for z in mat.ravel().tolist()]
+
+
+def _built(g, w, q, N):
+    try:
+        return _hex(toeplitz_matrix(g, w, q, N).matrix)
+    except ConfigError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("w", [WFAC, WCONST, WeightSequence.power_factorial(-1.5),
+                               WeightSequence.power_factorial(300.0),
+                               WeightSequence.explicit([1e-300, 1e300, 1.0, 2.0, 5.0, 0.5])],
+                         ids=["factorial", "constant", "pf-1.5", "pf300", "table"])
+@pytest.mark.parametrize("q", [1.0, 0.8 * cmath.exp(0.9j), -0.6, 40.0, 25.0 * cmath.exp(-2.2j)])
+def test_toeplitz_matrix_is_the_entrywise_product_bit_for_bit(w, q):
+    # at |q| = 40 and 25, q^{-jn} underflows within the window; pf300's band
+    # entries leave a double, and on the table's whole window th^i tb^j with
+    # i, j >= 1 needs w_{N+1}, past its horizon: both are refused
+    N = w.max_index(60)
+    for i in range(5):
+        for j in range(5):
+            g = ManinElement.monomial(q, i, j, 0.3 - 0.7j)
+            assert _built(g, w, q, N) == _entrywise_toeplitz(g, w, q, N), (i, j)
+    g = (ManinElement.monomial(q, 2, 1, 1.5j) + ManinElement.monomial(q, 3, 2, -0.25)
+         + ManinElement.monomial(q, 0, 4, 2.0))
+    assert _built(g, w, q, N) == _entrywise_toeplitz(g, w, q, N)
+
+
+def test_toeplitz_refusal_names_the_first_power_past_a_double():
+    # the CLI's `operator --q 0.1 --cutoff 400`: |q|^-n passes a double at n = 305
+    g = ManinElement.theta_bar(0.1)
+    want = ("InputTooLargeError", "|q|**-305 overflows a double")
+    assert _entrywise_toeplitz(g, WFAC, 0.1, 400) == want
+    assert _built(g, WFAC, 0.1, 400) == want

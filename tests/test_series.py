@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import qgauss_table
-from qmanin import series
+from qmanin import coherent, series
 from qmanin.coherent import _kernel_series, coeff_log_arrays, coherent_norm_sq, kernel
 from qmanin.errors import OutsidePhaseSpaceError, ToleranceUnreachableError
 from qmanin.kernels import csum_logpolar
@@ -355,3 +355,55 @@ def test_mixed_grid_raises_the_first_failing_points_error():
     # a point that is not finite fails in its turn
     with pytest.raises(OutsidePhaseSpaceError):
         kernel(1.0, np.array([0.5, 2.0, np.inf]), w, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# a series whose phases all vanish is summed as a real series, bit for bit
+# ---------------------------------------------------------------------------
+
+def _bits(res):
+    """Every bit of a result, or the error's type and message."""
+    if isinstance(res, Exception):
+        return type(res).__name__, str(res)
+    return (res.value.real.hex(), res.value.imag.hex(), res.log_scale.hex(),
+            res.nterms, res.tail_log.hex())
+
+
+def _with_zero_phases(engine, rows, took_real):
+    """``engine`` handed the all-zero phases of a complex sum where its
+    caller passes none; ``took_real`` records whether it passed none."""
+    def run(logmag_fn, phase_fn, *args, **kw):
+        took_real.append(phase_fn is None)
+        if phase_fn is None:
+            phase_fn = ((lambda r, n0, n1: np.zeros((len(r), n1 - n0))) if rows
+                        else (lambda n0, n1: np.zeros(n1 - n0)))
+        return engine(logmag_fn, phase_fn, *args, **kw)
+    return run
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-14])
+@pytest.mark.parametrize("q", [1.0, 0.8, cmath.exp(0.6j), 1.3, 0.5])
+@pytest.mark.parametrize("w", _ORACLE_WEIGHTS,
+                         ids=["factorial", "constant", "pf2", "pf0.5", "qgauss"])
+def test_real_series_are_the_complex_series_bit_for_bit(monkeypatch, w, q, tol):
+    rng = np.random.default_rng(11)
+    lam = [r * cmath.exp(2j * math.pi * rng.uniform()) for r in (0.3, 0.9, 1.1, 2.5, 6.0)]
+    # the diagonal, kernels at equal arguments (halving keeps the argument
+    # exact) and a Δarg of -0.0
+    pairs = [(x, x) for x in lam] + [(0.5 * x, x) for x in lam]
+    pairs.append((complex(1.0, 0.0), complex(1.0, -0.0)))
+    qp = QParam.of(q)
+
+    def outcomes():
+        single = [_kernel_series([m], [x], w, qp, tol, n_max=1000)[0] for m, x in pairs]
+        rows = _kernel_series(*zip(*pairs), w, qp, tol, n_max=1000)
+        return [_bits(r) for r in single + rows]
+
+    real = outcomes()
+    took_real = []
+    monkeypatch.setattr(coherent, "sum_series",
+                        _with_zero_phases(series.sum_series, False, took_real))
+    monkeypatch.setattr(coherent, "sum_series_rows",
+                        _with_zero_phases(series.sum_series_rows, True, took_real))
+    assert outcomes() == real
+    assert took_real == [True] * (len(pairs) + 1)

@@ -1,10 +1,11 @@
+import cmath
 import math
 from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmanin import ConfigError, QParam, WeightHorizonError, WeightSequence
@@ -428,3 +429,65 @@ def test_a_warm_table_leaves_equality_hash_and_json(w):
     assert w.describe() == cold.describe()
     assert w.to_json() == cold.to_json()
     assert repr(w) == repr(cold)
+
+
+# -- the array forms of power and sqrt_ratio -----------------------------------
+
+def _parts_or_refusal(call, refusal):
+    """The hex of both parts of every value, or the refusal's type and text."""
+    try:
+        values = call()
+    except refusal as exc:
+        return type(exc).__name__, str(exc)
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+_q_values = st.one_of(
+    st.sampled_from([1.0, -1.0, 1j, -1j, complex(0.5, -0.0), complex(-2.0, -0.0)]),
+    st.floats(1e-3, 1e3).map(complex),                                 # arg 0
+    st.builds(lambda r, a: complex(r * math.cos(a), r * math.sin(a)),
+              st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),        # |q| = 1 or not
+              st.floats(-math.pi, math.pi)),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_q_values, st.one_of(*(st.lists(st.integers(lo, hi), max_size=60)
+                              for lo, hi in ((-400, 400), (-400, 0), (0, 400)))))
+@example(1e3 * cmath.exp(2.5j), list(range(-130, -100)))     # |q|^e underflows
+@example(1e-3 * cmath.exp(-1.1j), list(range(100, 130)))
+@example(1e3, list(range(-130, -100)))
+@example(0.5 * cmath.exp(0.7j), list(range(-300, 300)))     # numpy's exp differs here
+def test_powers_are_power_bit_for_bit(q, exponents):
+    # |q|^e passes a double for some drawn |q| and e: both refuse at the
+    # first such exponent, with the same message; where it underflows to
+    # 0, the signs of the zero parts are compared too
+    q = QParam(q)
+    want = _parts_or_refusal(lambda: [q.power(e) for e in exponents], InputTooLargeError)
+    got = _parts_or_refusal(lambda: q.powers(np.array(exponents, dtype=np.int64)),
+                            InputTooLargeError)
+    assert got == want
+
+
+@settings(deadline=None)
+@given(_table_specs, st.integers(0, 400))
+def test_sqrt_ratios_are_sqrt_ratio_bit_for_bit(w, n):
+    # tables of at most 300 entries: n past the horizon refuses at its first k
+    want = _parts_or_refusal(lambda: [w.sqrt_ratio(k) for k in range(1, n + 1)],
+                             WeightHorizonError)
+    assert _parts_or_refusal(lambda: w.sqrt_ratios(n), WeightHorizonError) == want
+
+
+@pytest.mark.parametrize("w", [
+    WeightSequence.power_factorial(300.0),       # n^300 passes a double from n = 11
+    WeightSequence.power_factorial(-1100.0),     # n^-1100 is below it from n = 2
+    WeightSequence.power_factorial(-1.5),
+    WeightSequence.explicit([1e-300, 1e300, 1.0]),
+    WeightSequence.explicit([1e300, 1e-300, 1.0]),
+    WeightSequence.explicit([1.0, 1e-310, 1.0]),
+], ids=["pf300", "pf-1100", "pf-1.5", "up", "down", "subnormal"])
+def test_sqrt_ratios_at_half_range(w):
+    n = w.max_index(40)
+    want = [w.sqrt_ratio(k).hex() for k in range(1, n + 1)]
+    assert [x.hex() for x in w.sqrt_ratios(n).tolist()] == want
+    assert w.sqrt_ratios(0).size == 0
