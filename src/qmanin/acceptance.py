@@ -70,16 +70,21 @@ def criterion_coherent_eigen_identity() -> tuple[bool, str]:
 # -- 2 ----------------------------------------------------------------------
 
 def criterion_radius() -> tuple[bool, str]:
-    est1 = radius_of_convergence(WeightSequence.constant(), 1.0)
-    ok1 = abs(est1.value - 1.0) <= 1e-2
-    est2 = radius_of_convergence(WeightSequence.factorial(), 1.0)
-    ok2 = math.isinf(est2.value)
-    est3 = radius_of_convergence(WeightSequence.constant(), 2.0)
-    ok3 = est3.value == 0.0 and est3.extreme
-    return (ok1 and ok2 and ok3,
-            f"constant/q=1 -> {est1.value:.4f}, factorial -> "
-            f"{'inf' if ok2 else est2.value}, constant/q=2 -> "
-            f"{est3.value} extreme={est3.extreme}")
+    """Rules give their closed forms exactly, and the table estimator gives
+    the closed form of the rule its table holds within 1e-2."""
+    const, ones = WeightSequence.constant(), WeightSequence.explicit([1.0] * 1001)
+    ok, details = True, []
+    for w, q, want, verdict in ((const, 1.0, 1.0, "diverges"),
+                                (WeightSequence.factorial(), 1.0, math.inf, None),
+                                (const, 2.0, 0.0, None), (ones, 1.0, 1.0, "diverges"),
+                                (ones, 2.0, 0.0, None), (_qgauss_table(0.5), 0.5, 1.0, None),
+                                (_qgauss_table(2.0), 2.0, 1.0, None)):
+        est = radius_of_convergence(w, q)
+        tol = 1e-2 if w.table is not None and want else 0.0
+        ok = (ok and (est.value == want or abs(est.value - want) <= tol)
+              and est.extreme == (want == 0.0) and verdict in (None, est.boundary_verdict))
+        details.append(f"{w.describe()}/q={q:g} -> {est.value:.4f}")
+    return ok, ", ".join(details) + " (rules exact, tables <= 1e-2)"
 
 
 # -- 3 ----------------------------------------------------------------------

@@ -117,16 +117,6 @@ def _nilpotency_order(value) -> int:
     return _count("nilpotency order", value, low=2, cap=MAX_PG_ORDER)
 
 
-def _horizon(value) -> int:
-    from .coherent import MIN_HORIZON
-    return _count("horizon", value, low=MIN_HORIZON)
-
-
-def _cap(value) -> float:
-    from .coherent import _checked_cap
-    return _checked_cap(json_number(value))
-
-
 # Every config key: its parser and its default, which may be a function of
 # the config that derives it from keys above it.  A parser refuses a value
 # that cannot run, with a ConfigError or a TypeError/ValueError/OverflowError.
@@ -137,8 +127,6 @@ _KEYS = {
     "tol": (_tol, 1e-12),
     "order": (lambda v: _count("order", v, low=1), 12),
     "grid": (_grid, {}),
-    "horizon": (_horizon, 10**15),
-    "cap": (_cap, 1e6),
     "symbol": (lambda v: _symbol(v, "th", "tb"), "tb^1"),
     "lambda": (parse_complex, 1.0),
     # no mu: the diagonal, the squared norms K(lambda, lambda)
@@ -232,8 +220,7 @@ def _write_result(outdir: Path, name: str, cfg: RunConfig, result) -> Path:
 def _cmd_radius(cfg: RunConfig, outdir: Path) -> int:
     from .coherent import radius_of_convergence
 
-    est = radius_of_convergence(cfg["weights"], cfg["q"], horizon=cfg["horizon"],
-                                cap=cfg["cap"])
+    est = radius_of_convergence(cfg["weights"], cfg["q"])
     _write_result(outdir, "radius.json", cfg, est)
     return 0
 
@@ -373,7 +360,7 @@ def _cmd_verify(cfg: RunConfig, outdir: Path) -> int:
 
 # each subcommand -> its handler and its help line
 _SUBCOMMANDS = {
-    "radius": (_cmd_radius, "estimate the phase-space radius"),
+    "radius": (_cmd_radius, "phase-space radius: exact for a rule, estimated for a table"),
     "operator": (_cmd_operator, "Toeplitz matrix of a Manin symbol (config key 'symbol')"),
     "coherent": (_cmd_coherent, "coherent state vector and eigen residual (key 'lambda')"),
     "kernel": (_cmd_kernel, "kernel / squared-norm grid as CSV (optional key 'mu')"),

@@ -19,9 +19,11 @@ product is evaluated through max-log rescaling.  Truncation indices carry
 a certified tail bound produced by the series engine.  The kernel's terms
 have phase n * (arg lambda - arg mu), which vanishes on the diagonal and
 wherever the two arguments are equal; there the series is summed as a
-real series, bit for bit the complex one.  ``eigen_residual`` takes its
-annihilation band q^{-k} (w_k / w_{k-1})^{1/2} from the array forms
-``QParam.powers`` and ``WeightSequence.sqrt_ratios``.
+real series, bit for bit the complex one.  The phase-space radius of a
+rule is its closed form, by which a point outside it is refused before
+any term is summed; a table's is estimated from its entries.
+``eigen_residual`` takes its annihilation band q^{-k} (w_k / w_{k-1})^{1/2}
+from the array forms ``QParam.powers`` and ``WeightSequence.sqrt_ratios``.
 """
 
 from __future__ import annotations
@@ -31,15 +33,15 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from numbers import Number
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import (ConfigError, InputTooLargeError, OutsidePhaseSpaceError,
                      ToleranceUnreachableError)
 from .kernels import complex_product, csum_logpolar
-from .series import (SeriesDivergence, SeriesResult, bound_from_log, geometric_indexes,
-                     sum_series, sum_series_rows)
+from .series import (SeriesDivergence, SeriesResult, bound_from_log, sum_series,
+                     sum_series_rows)
 from .weights import SERIES_CAP, QParam, WeightSequence
 
 
@@ -89,12 +91,16 @@ def _kernel_series(mu, lam, w: WeightSequence, q: QParam, tol: float,
     ConfigError for a point that is not finite, an OutsidePhaseSpaceError
     carrying ``series`` ("norm" on the diagonal) where the series diverges
     (the point lies outside the phase space), a ToleranceUnreachableError.
-    A point with mu = 0 or lam = 0 is the single term 1/w_0.  One
+    A point with mu = 0 or lam = 0 is the single term 1/w_0.  Under a rule
+    of radius R < inf (``_rule_radius``), a point with |mu| |lam| >= R^2 is
+    refused before any term is summed, by the InputTooLargeError of a log
+    weight past a double within ``n_max`` terms if there is one.  One
     remaining point is summed by ``sum_series``, more as the rows of one
     array.
     """
     if w.horizon is not None:
         n_max = min(n_max, w.horizon + 1)
+    radius = math.inf if w.table is not None else _rule_radius(w, q)
     out, live, base, dphase = [], [], [], []
     for m, l in zip(mu, lam):
         try:
@@ -105,9 +111,17 @@ def _kernel_series(mu, lam, w: WeightSequence, q: QParam, tol: float,
         if m == 0 or l == 0:
             out.append(SeriesResult(1.0 / w.weight(0) + 0j, 0.0, 1, -math.inf))
             continue
+        b = math.log(abs(m)) + math.log(abs(l))
+        if radius == 0.0 or (radius == 1.0 and b >= 0.0):
+            try:        # a rule's |log w_n| grows with n: the last decides
+                w.log_weight(n_max - 1)
+                out.append(_outside(m, l, series))
+            except InputTooLargeError as exc:
+                out.append(exc)
+            continue
         live.append(len(out))
         out.append((m, l))
-        base.append(math.log(abs(m)) + math.log(abs(l)))
+        base.append(b)
         dphase.append(math.atan2(l.imag, l.real) - math.atan2(m.imag, m.real))
     if not live:
         return out
@@ -138,16 +152,18 @@ def _kernel_series(mu, lam, w: WeightSequence, q: QParam, tol: float,
 
     for i, res in zip(live, sums):
         if isinstance(res, SeriesDivergence):
-            m, l = out[i]
-            where = (f"lambda = {l}: |lambda| is outside the phase space for "
-                     f"these weights and q" if series == "norm"
-                     else f"(mu, lambda) = ({m}, {l})")
-            err = OutsidePhaseSpaceError(f"{series} series diverges at {where}",
-                                         series=series)
+            err = _outside(*out[i], series)
             err.__cause__ = res
             res = err
         out[i] = res
     return out
+
+
+def _outside(m: complex, l: complex, series: str) -> OutsidePhaseSpaceError:
+    where = (f"lambda = {l}: |lambda| is outside the phase space for "
+             f"these weights and q" if series == "norm"
+             else f"(mu, lambda) = ({m}, {l})")
+    return OutsidePhaseSpaceError(f"{series} series diverges at {where}", series=series)
 
 
 def _settled(outcomes: list) -> list:
@@ -346,38 +362,29 @@ def kernel(mu, lam, w: WeightSequence, q, tol: float = 1e-12):
 
 @dataclass(frozen=True)
 class RadiusEstimate:
-    """Finite-sample estimate of the phase-space radius R_w.
-
-    ``samples`` holds log r_n at ``indexes``, so fast-growing weights
-    cannot overflow them.  ``value`` is the running-min liminf estimate
-    over the sample tail, ``math.inf`` when the samples blow past ``cap``
-    monotonically and 0.0 when they decay below 1/cap; ``extreme`` mirrors
-    value == 0 (the one-point phase space).  ``uncertainty`` combines the
-    tail-window spread with the drift between the mid and final samples.
+    """The phase-space radius R_w: a rule's closed form, with uncertainty
+    0, or a table's estimate.  ``extreme`` mirrors value == 0 (the one-point
+    phase space).  A table's ``samples`` hold log r_n at ``indexes``, so
+    fast-growing weights cannot overflow them, and ``monotone`` their
+    trend; its ``uncertainty`` combines the tail-window spread with the
+    drift between the mid and final samples.
     """
 
     value: float
-    samples: tuple
-    indexes: tuple
     boundary_verdict: str
     extreme: bool
     uncertainty: float
-    monotone: str
-    horizon: int
-    cap: float
+    monotone: Optional[str] = None
+    samples: tuple = ()
+    indexes: tuple = ()
 
     def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "boundary_verdict": self.boundary_verdict,
-            "extreme": self.extreme,
-            "uncertainty": self.uncertainty,
-            "monotone": self.monotone,
-            "horizon": self.horizon,
-            "cap": self.cap,
-            "samples": [{"n": n, "log_r": lr}
-                        for n, lr in zip(self.indexes, self.samples)],
-        }
+        doc = {"value": self.value, "boundary_verdict": self.boundary_verdict,
+               "extreme": self.extreme, "uncertainty": self.uncertainty}
+        if self.monotone is not None:
+            doc.update(monotone=self.monotone, samples=[
+                {"n": n, "log_r": lr} for n, lr in zip(self.indexes, self.samples)])
+        return doc
 
 
 def _median(x: np.ndarray) -> float:
@@ -390,16 +397,16 @@ def _median(x: np.ndarray) -> float:
     return float(s[mid]) if s.size % 2 else float((s[mid - 1] + s[mid]) / 2.0)
 
 
-def boundary_series_verdict(radius: float, w: WeightSequence, q,
-                            horizon: int = 10_000) -> str:
-    """Raabe test on the norm series at |lambda| = radius.
+def boundary_series_verdict(radius: float, w: WeightSequence, q) -> str:
+    """Raabe test on the norm series at |lambda| = radius, on the last half
+    of the indexes up to 10,000 or a table's last.
 
     Returns 'converges', 'diverges' or 'inconclusive' (Raabe limit within
     the indeterminate band around 1)."""
     q = QParam.of(q)
     if radius == 0.0:
         return "converges"          # the single point lambda = 0
-    hb = w.max_index(min(horizon, 10_000))
+    hb = w.max_index(10_000)
     if hb < 40:
         return "inconclusive"
     ns = np.arange(hb // 2, hb, dtype=np.int64)
@@ -418,59 +425,56 @@ def boundary_series_verdict(radius: float, w: WeightSequence, q,
 
 
 def _bracketed_boundary_verdict(value: float, uncertainty: float,
-                                w: WeightSequence, q: QParam,
-                                horizon: int) -> str:
+                                w: WeightSequence, q: QParam) -> str:
     """Boundary verdict robust to the estimator's finite-sample drift.
 
     The Raabe classification is run at the point estimate and at the lower
     end of its uncertainty interval; a disagreement means the verdict is an
     artifact of the drift, not a property of the boundary."""
-    at_point = boundary_series_verdict(value, w, q, horizon)
+    at_point = boundary_series_verdict(value, w, q)
     low = max(value - uncertainty, 0.5 * value)
     if low == value:
         return at_point
-    at_low = boundary_series_verdict(low, w, q, horizon)
+    at_low = boundary_series_verdict(low, w, q)
     return at_point if at_point == at_low else "inconclusive"
 
 
-# the smallest horizon a radius estimate runs on
-MIN_HORIZON = 20
+def _rule_radius(w: WeightSequence, q: QParam) -> float:
+    """R of the rule w_n = c (n!)^s, from R^2 = liminf |q|^{-(n+1)} w_n^{1/n}:
+    w_n^{1/n} grows like (n/e)^s, so |q|^{-(n+1)} decides it unless |q| is
+    exactly 1, where the sign of s does."""
+    if q.abs != 1.0:
+        return math.inf if q.abs < 1.0 else 0.0
+    return math.inf if w.s > 0 else 1.0 if w.s == 0 else 0.0
 
 
-def _checked_cap(cap: float) -> float:
-    if not 1.0 < cap < math.inf:
-        raise ConfigError(f"radius cap must be finite and > 1, got {cap!r}")
-    return cap
+# each closed-form radius -> its boundary verdict: on |lambda| = 1 every
+# term is 1/(scale c), the one-point space {0} converges, and R = inf has
+# no boundary circle
+_RULE_VERDICTS = {math.inf: "inconclusive", 1.0: "diverges", 0.0: "converges"}
+
+# a table's samples past RADIUS_CAP (below 1/RADIUS_CAP) read as R = inf (0)
+RADIUS_CAP = 1e6
 
 
-def radius_of_convergence(w: WeightSequence, q, horizon: int = 10**15,
-                          cap: float = 1e6) -> RadiusEstimate:
-    """Estimate R_w from the samples r_n = (|q|^{-(n+1)} w_n^{1/n})^{1/2}.
+def radius_of_convergence(w: WeightSequence, q) -> RadiusEstimate:
+    """The phase-space radius R_w.
 
-    The liminf is approximated by the running minimum over the final
-    quarter of 400 geometrically spaced indexes; infinity and zero are
-    flagged when the last 50 samples pass ``cap`` (resp. 1/cap)
-    monotonically.
+    A rule's is its closed form.  A table's is extrapolated from its
+    entries: the samples r_n = (|q|^{-(n+1)} w_n^{1/n})^{1/2} at 400
+    geometrically spaced indexes up to its last, whose liminf is
+    approximated by the running minimum over the final quarter; infinity
+    and zero are flagged when the last 50 samples pass RADIUS_CAP (resp.
+    1/RADIUS_CAP) monotonically.
     """
     q = QParam.of(q)
-    _checked_cap(cap)
-    horizon = w.max_index(int(horizon))
-    if horizon < MIN_HORIZON:
-        raise ConfigError(f"radius estimation needs a horizon of at least {MIN_HORIZON}")
-
-    def log_r(n):
-        return 0.5 * (w.log_weight(n) / n - (n + 1) * q.log_abs)
-
-    # |log w_n| and the samples grow with n, so the horizon's are the largest
-    try:
-        last = log_r(horizon)
-    except (OverflowError, InputTooLargeError):
-        last = math.inf
-    if not math.isfinite(last):
-        raise ConfigError(f"a radius horizon of {len(str(horizon))} digits takes the "
-                          f"samples or log weights past the double range")
-    idx = geometric_indexes(1, horizon, 400)
-    logr = np.array([log_r(n) for n in idx])
+    if w.table is None:
+        value = _rule_radius(w, q)
+        return RadiusEstimate(value, _RULE_VERDICTS[value], value == 0.0, 0.0)
+    if w.horizon < 20:
+        raise ConfigError("radius estimation needs a horizon of at least 20")
+    idx = _geometric_indexes(1, w.horizon, 400)
+    logr = np.array([0.5 * (w.log_weight(n) / n - (n + 1) * q.log_abs) for n in idx])
 
     d = np.diff(logr)
     if np.all(d >= -1e-15):
@@ -481,7 +485,7 @@ def radius_of_convergence(w: WeightSequence, q, horizon: int = 10**15,
         monotone = "none"
 
     last = logr[-min(50, len(logr)):]
-    log_cap = math.log(cap)
+    log_cap = math.log(RADIUS_CAP)
     if np.all(last > log_cap) and np.all(np.diff(last) >= 0):
         value, verdict, extreme, uncertainty = math.inf, "inconclusive", False, math.inf
     elif np.all(last < -log_cap) and np.all(np.diff(last) <= 0):
@@ -492,7 +496,15 @@ def radius_of_convergence(w: WeightSequence, q, horizon: int = 10**15,
         spread = float(math.exp(np.max(window)) - math.exp(np.min(window)))
         drift = abs(float(math.exp(logr[-1]) - math.exp(logr[len(logr) // 2])))
         uncertainty = spread + drift + 1e-12
-        verdict = _bracketed_boundary_verdict(value, uncertainty, w, q, horizon)
+        verdict = _bracketed_boundary_verdict(value, uncertainty, w, q)
         extreme = False
-    return RadiusEstimate(value, tuple(logr), tuple(idx), verdict, extreme,
-                          uncertainty, monotone, horizon, cap)
+    return RadiusEstimate(value, verdict, extreme, uncertainty, monotone,
+                          tuple(logr), tuple(idx))
+
+
+def _geometric_indexes(lo: int, hi: int, count: int) -> list:
+    """Unique integer sample points, geometrically spaced on [lo, hi].  The
+    first point is exactly ``lo`` and the last exactly ``hi``; only the
+    points between are rounded."""
+    inner = np.geomspace(float(lo), float(hi), num=count)[1:-1].tolist()
+    return sorted({lo, hi} | {min(hi, max(lo, round(x))) for x in inner})

@@ -264,15 +264,3 @@ def _sum_block(rows, logmag_fn, phase_fn, log_tol, n_max, out) -> None:
         keep = ~decided
         rows, acc, scale, max_logmag, tail = (
             a[keep] for a in (rows, acc, scale, max_logmag, tail))
-
-
-def geometric_indexes(lo: int, hi: int, count: int) -> np.ndarray:
-    """Unique integer sample points, geometrically spaced on [lo, hi], as an
-    object array of Python ints: a horizon may lie beyond int64, not beyond
-    a double.  The first point is exactly ``lo`` and the last exactly ``hi``;
-    only the points between are rounded."""
-    if hi <= lo:
-        return np.array([lo], dtype=object)
-    inner = np.geomspace(float(lo), float(hi), num=count)[1:-1].tolist()
-    return np.array(sorted({lo, hi} | {min(hi, max(lo, round(x))) for x in inner}),
-                    dtype=object)

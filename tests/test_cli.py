@@ -104,7 +104,7 @@ _REFUSALS = [
      "entries must be finite"),
     (("radius",), {"weights": {"kind": "explicit"}}, "weight spec"),
     (("radius",), {"weights": {"kind": "constant", "params": [2.0]}}, "weight spec"),
-    (("radius",), {"cap": 0}, "radius cap"),       # log(cap) has no value
+    (("radius",), {"cap": 0}, "config key 'cap'"),        # a key no subcommand reads
     (("symbols",), {"normalized": "false"},        # a string, not JSON false
      "'normalized'"),
     (("coherent",), {"lambda": 30},                # |a_n| passes 1e308
@@ -116,17 +116,17 @@ _REFUSALS = [
     (("symbols",), {"grid": {"rmax": 27, "rmin": 27, "nr": 1, "ntheta": 1},
                     "window": 1024, "order": 4, "cutoff": 4, "normalized": False},
      "unnormalized lower symbol at lambda = (27+0j)"),
-    (("radius",), {"horizon": 10**306},            # log w_n passes a double
-     "horizon of 307 digits"),
-    (("radius",), {"horizon": 10**400},            # n itself passes a double
-     "horizon of 401 digits"),
+    (("radius",), {"horizon": 10**306},            # a key no subcommand reads
+     "config key 'horizon'"),
+    (("radius",), {"horizon": 10**400},
+     "config key 'horizon'"),
     (("coherent",), {"tol": "nan"}, "invalid config value for 'tol'"),   # a string
     (("coherent", "--tol", "inf"), None, "positive finite number, got inf"),
     (("paragrassmann",), {"l": 3, "pg_weights": [1e300, 1e-300, 1.0]},
      "w_1 / w_0"),
     (("coherent",), {"lamda": [2, 0]},             # a key no subcommand reads
      "config key 'lamda'"),
-    (("radius",), {"horizon": 10**308}, "horizon of 309 digits"),
+    (("radius",), {"horizon": 10**308}, "config key 'horizon'"),
     (("coherent",), {"cutoff": 3.7}, "invalid config value for 'cutoff': 3.7"),
     (("measure",), {"order": True}, "invalid config value for 'order': True"),
     (("measure",), {"basis": 2.5}, "'basis'"),
@@ -160,16 +160,16 @@ _REFUSALS = [
     (("coherent",), {"lambda": True}, "invalid config value for 'lambda': True"),
     (("kernel",), {"mu": False}, "invalid config value for 'mu': False"),
     (("kernel",), {"mu": [1, True]}, "invalid config value for 'mu': [1, True]"),
-    (("radius",), {"cap": True}, "invalid config value for 'cap': True"),
+    (("radius",), {"cap": True}, "config key 'cap'"),
     (("kernel",), {"grid": {"rmax": True, "nr": 2, "ntheta": 1}},
      "grid values must be numbers"),
     (("kernel",), {"grid": {"rmin": False}}, "grid values must be numbers"),
     (("coherent",), {"tol": float("nan")}, "positive finite number, got nan"),   # JSON NaN
     # a number or a count is a JSON number, where float("5") would read 5
     (("coherent",), {"cutoff": "5"}, "invalid config value for 'cutoff': '5'"),
-    (("radius",), {"horizon": "100"}, "invalid config value for 'horizon': '100'"),
+    (("radius",), {"horizon": "100"}, "config key 'horizon'"),
     (("paragrassmann",), {"l": "3"}, "invalid config value for 'l': '3'"),
-    (("radius",), {"cap": "1e6"}, "invalid config value for 'cap': '1e6'"),
+    (("radius",), {"cap": "1e6"}, "config key 'cap'"),
     (("coherent",), {"tol": "1e-8"}, "invalid config value for 'tol': '1e-8'"),
     (("kernel",), {"grid": {"nr": "2", "ntheta": 1, "rmax": "0.5"}},
      "grid values must be numbers"),
@@ -182,9 +182,9 @@ _REFUSALS = [
     (("radius",), {"phase_symbol": "zz"}, "cannot parse symbol term 'zz'"),
     (("operator",), {"symbol": 1}, "invalid config value for 'symbol': 1"),
     # a key whose constraint reads its own value alone is checked at load
-    (("operator",), {"cap": 0.5}, "radius cap must be finite and > 1, got 0.5"),
-    (("operator",), {"cap": float("inf")}, "radius cap must be finite and > 1, got inf"),
-    (("operator",), {"horizon": 3}, "horizon must be at least 20, got 3"),
+    (("operator",), {"cap": 0.5}, "config key 'cap'"),     # keys no subcommand reads
+    (("operator",), {"cap": float("inf")}, "config key 'cap'"),
+    (("operator",), {"horizon": 3}, "config key 'horizon'"),
     (("operator",), {"l": 1}, "nilpotency order must be at least 2, got 1"),
     (("operator",), {"pg_weights": [1, -2, 3]}, "w_1 = -2.0 violates w_n > 0"),
     # a refused weight names its key
@@ -301,43 +301,51 @@ def test_size_caps_admit_their_limits(tmp_path):
 
 
 def test_radius_samples_stay_finite_for_fast_growing_weights(tmp_path):
-    # r_n grows like (n!)^{3/(4n)} 0.9^{-(n+1)/2}: exp of the log samples
-    # overflows a double long before the horizon
-    proc = run_cold(tmp_path, ("radius", "--weights", "power-factorial:1.5",
-                               "--q", "0.9"), None)
+    # a factorial table at q = 1e-5: r_n = (|q|^{-(n+1)} w_n^{1/n})^{1/2}
+    # passes a double near n = 120, its log samples do not
+    table = [float(math.factorial(n)) for n in range(171)]
+    proc = run_cold(tmp_path, ("radius", "--q", "1e-5"),
+                    {"weights": {"kind": "explicit", "table": table}})
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     doc = load(tmp_path, "radius.json")
     samples = doc["result"]["samples"]
-    assert len(samples) > 300
+    n = [s["n"] for s in samples]
+    assert n[0] == 1 and n[-1] == 170 and len(n) > 100
     assert all(isinstance(s["log_r"], float) and math.isfinite(s["log_r"])
                for s in samples)
     assert samples[-1]["log_r"] > 709      # r_n itself is beyond a double
     assert doc["result"]["value"] == "inf"
 
 
-def test_radius_horizon_beyond_int64(tmp_path):
-    # at factorial weights, 10^305 is the largest power of ten whose
-    # samples and log weights stay in a double
-    cfg = tmp_path / "cfg.json"
-    for horizon in (10**305, 10**21):
-        cfg.write_text(json.dumps({"horizon": horizon}))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert run(tmp_path, "radius", "--config", str(cfg)) == 0
-    n = [s["n"] for s in load(tmp_path, "radius.json")["result"]["samples"]]
-    assert n[0] == 1 and n[-1] == 10**21
-    assert all(a < b for a, b in zip(n, n[1:]))
+def test_rule_radius_is_exact_without_samples(tmp_path):
+    # power-factorial(-0.5) at q = 1: R = 0, the one-point phase space
+    proc = run_cold(tmp_path, ("radius", "--weights", "power-factorial:-0.5", "--q", "1"),
+                    None)
+    assert proc.returncode == 0, proc.stderr
+    doc = load(tmp_path, "radius.json")
+    assert doc["result"] == {"value": 0.0, "uncertainty": 0.0, "extreme": True,
+                             "boundary_verdict": "converges"}
+    assert set(doc["config"]) == {"weights", "q"}
+
+
+def test_outside_a_rules_phase_space_exits_3_at_once(tmp_path):
+    # the same weights at lambda = 1e-4: refused before any term is summed
+    proc = run_cold(tmp_path, ("coherent", "--weights", "power-factorial:-0.5",
+                               "--q", "1"), {"lambda": [1e-4, 0]})
+    assert proc.returncode == 3, proc.stderr
+    assert "norm series diverges at lambda = (0.0001+0j)" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_integral_numbers_are_counts(tmp_path):
-    # an integral float is the integer it equals: 1e21 runs horizon 10^21
+    # an integral float is the integer it equals: 4.0 runs cutoff 4
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"horizon": 1e21}))
-    assert run(tmp_path, "radius", "--config", str(cfg)) == 0
-    doc = load(tmp_path, "radius.json")
-    assert doc["config"]["horizon"] == 10**21
-    assert doc["result"]["samples"][-1]["n"] == 10**21
+    cfg.write_text(json.dumps({"cutoff": 4.0}))
+    assert run(tmp_path, "operator", "--config", str(cfg)) == 0
+    doc = load(tmp_path, "operator.json")
+    assert doc["config"]["cutoff"] == 4 and type(doc["config"]["cutoff"]) is int
+    assert len(doc["result"]["entries"]) == 5
 
 
 def test_grid_embeds_the_values_that_ran(tmp_path):
@@ -590,7 +598,7 @@ def test_defaults_that_ran_are_embedded(tmp_path):
 # the config keys each subcommand reads, by the artifacts that embed them;
 # paragrassmann reads weights only to derive pg_weights
 _READ = {
-    "radius": (("radius.json",), {"weights", "q", "horizon", "cap"}),
+    "radius": (("radius.json",), {"weights", "q"}),
     "operator": (("operator.json",), {"weights", "q", "cutoff", "symbol"}),
     "coherent": (("coherent.json",), {"weights", "q", "tol", "cutoff", "lambda"}),
     "kernel": (("kernel.json",), {"weights", "q", "tol", "grid", "mu"}),
@@ -654,8 +662,6 @@ _OWN_VIOLATIONS = {
     "tol": [0, math.inf],
     "order": [],
     "grid": [{"nr": 0}, {"rmax": -1}, {"nr": 400, "ntheta": 400}],
-    "horizon": [],
-    "cap": [math.inf],
     "symbol": ["zz"],
     "lambda": ["x"],
     "mu": ["x"],
@@ -805,8 +811,6 @@ _valid = {
     "lambda": _complex,
     "mu": _complex,
     "basis": st.integers(0, 12),
-    "cap": st.floats(1.5, 1e9),
-    "horizon": st.one_of(st.integers(20, 10**4), st.just(10**15), st.just(10**21)),
     "l": st.integers(1, 8),
     "pg_weights": st.lists(st.floats(0.1, 10.0), min_size=1, max_size=6),
     "window": st.integers(0, 30),
@@ -820,7 +824,7 @@ _junk = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
                   st.integers(-10**30, 10**30), st.lists(st.integers(-2, 5), max_size=3))
 # a JSON bool for a numeric key, where float(true) would read as 1.0
 _bool_number = st.one_of(
-    st.dictionaries(st.sampled_from(["tol", "cap", "lambda", "mu"]), st.booleans(),
+    st.dictionaries(st.sampled_from(["tol", "lambda", "mu"]), st.booleans(),
                     min_size=1, max_size=1),
     st.builds(lambda key, b: {"grid": {key: b}}, st.sampled_from(["rmax", "rmin"]),
               st.booleans()))
@@ -828,8 +832,8 @@ _bool_number = st.one_of(
 _numeric_text = st.one_of(st.integers(-3, 40).map(str), st.floats(0.0, 3.0).map(repr),
                           st.sampled_from(["1e-8", "nan", "inf", "1e6"]))
 _string_number = st.one_of(
-    st.dictionaries(st.sampled_from(["cutoff", "order", "tol", "horizon", "cap", "basis",
-                                     "window", "l"]), _numeric_text, min_size=1, max_size=1),
+    st.dictionaries(st.sampled_from(["cutoff", "order", "tol", "basis", "window", "l"]),
+                    _numeric_text, min_size=1, max_size=1),
     st.builds(lambda key, v: {"grid": {key: v}},
               st.sampled_from(["rmax", "rmin", "nr", "ntheta"]), _numeric_text),
     # q is left out: a string q goes in by --q, which overrides the document

@@ -12,6 +12,7 @@ from qmanin import (OutsidePhaseSpaceError, ToleranceUnreachableError,
                     eigen_residual, evolve, evolve_state, kernel,
                     radius_of_convergence)
 from qmanin import jsonio
+from qmanin.coherent import _geometric_indexes
 from qmanin.errors import InputTooLargeError
 from qmanin.weights import QParam
 
@@ -119,6 +120,17 @@ class TestNorm:
     def test_divergence_is_an_error_not_a_number(self):
         with pytest.raises(OutsidePhaseSpaceError):
             coherent_norm_sq(2.0, WCONST, 1.0)
+
+    def test_outside_a_rules_phase_space_refused_before_summing(self):
+        # power-factorial(-0.5) at |q| = 1 has R = 0: the phase space is {0},
+        # and at lambda = 1e-4 the term ratio passes 1 only near n = 1e16
+        w = WeightSequence.power_factorial(-0.5)
+        with pytest.raises(OutsidePhaseSpaceError,
+                           match=r"norm series diverges at lambda = \(0\.0001\+0j\)") as info:
+            coherent_norm_sq(1e-4, w, 1.0)
+        assert info.value.series == "norm" and info.value.__cause__ is None
+        assert w._logs[1] == 0          # no log weight taken: no term summed
+        assert coherent_norm_sq(0.0, w, 1.0) == 1.0
 
 
     def test_log_weights_near_the_double_range_keep_their_sums(self):
@@ -269,6 +281,16 @@ class TestKernel:
         with pytest.raises(OutsidePhaseSpaceError):
             kernel(1.1, 1.1, WCONST, 1.0)
 
+    def test_kernel_domain_is_the_product_of_moduli(self):
+        # constant weights at q = 1: K(mu, lam) = 1 / (1 - conj(mu) lam) for
+        # |mu| |lam| < R^2 = 1, also where |mu| > 1; on |mu| |lam| = 1 every
+        # term has modulus 1 and the series diverges: refused unsummed
+        assert abs(kernel(2.0, 0.4, WCONST, 1.0) - 5.0) <= 1e-11
+        for lam in (0.5j, 0.5, 0.6):
+            with pytest.raises(OutsidePhaseSpaceError) as info:
+                kernel(2.0, lam, WCONST, 1.0)
+            assert info.value.series == "kernel" and info.value.__cause__ is None
+
 
 class TestSeriesTag:
     # the norm, the coefficients and the transform's domain check sum the
@@ -368,14 +390,70 @@ class TestRadius:
         assert math.isnan(_median(x))
 
     def test_scale_invariance_within_uncertainty(self):
-        base = radius_of_convergence(WCONST, 1.0, horizon=10**6)
-        scaled = radius_of_convergence(replace(WCONST, scale=4.0), 1.0, horizon=10**6)
-        assert (abs(base.value - scaled.value)
-                <= base.uncertainty + scaled.uncertainty)
+        for w in (WCONST, WeightSequence.explicit([1.0] * 1001)):
+            base = radius_of_convergence(w, 1.0)
+            scaled = radius_of_convergence(replace(w, scale=4.0), 1.0)
+            assert (abs(base.value - scaled.value)
+                    <= base.uncertainty + scaled.uncertainty)
 
     def test_json_inf_marker(self):
         doc = json.loads(jsonio.dumps(radius_of_convergence(WFAC, 1.0)))
         assert doc["value"] == "inf"
+
+    @pytest.mark.parametrize("w", [WFAC, WCONST, WeightSequence.constant(2.0),
+                                   WeightSequence.power_factorial(-0.5),
+                                   WeightSequence.power_factorial(2.0)],
+                             ids=["factorial", "constant-1", "constant-2",
+                                  "power-factorial--0.5", "power-factorial-2"])
+    @pytest.mark.parametrize("q", [0.5, 1.0, cmath.exp(1j * math.pi / 5), 2.0],
+                             ids=["0.5", "1", "e^(i pi/5)", "2"])
+    def test_rule_radius_is_the_closed_form(self, w, q):
+        # R^2 = liminf |q|^{-(n+1)} w_n^{1/n} with w_n^{1/n} ~ (n/e)^s: |q|
+        # decides it, and at |q| = 1 the sign of s
+        if abs(q) != 1.0:
+            want = math.inf if abs(q) < 1.0 else 0.0
+        else:
+            want = math.inf if w.s > 0 else 1.0 if w.s == 0 else 0.0
+        est = radius_of_convergence(w, q)
+        assert est.value == want and est.uncertainty == 0.0
+        assert est.extreme == (want == 0.0)
+        assert est.boundary_verdict == {math.inf: "inconclusive", 1.0: "diverges",
+                                        0.0: "converges"}[want]
+        doc = json.loads(jsonio.dumps(est))
+        assert set(doc) == {"value", "boundary_verdict", "extreme", "uncertainty"}
+
+    def test_table_estimate_holds_its_samples(self):
+        doc = json.loads(jsonio.dumps(radius_of_convergence(qgauss_table(2.0, 31), 2.0)))
+        assert set(doc) == {"value", "boundary_verdict", "extreme", "uncertainty",
+                            "monotone", "samples"}
+        n = [s["n"] for s in doc["samples"]]
+        assert n[0] == 1 and n[-1] == 30
+
+    def test_factorial_table_is_an_extrapolation(self):
+        # 171 entries (up to 170!, the last finite double) cannot show R = inf
+        w = WeightSequence.explicit([float(math.factorial(n)) for n in range(171)])
+        est = radius_of_convergence(w, 1.0)
+        assert 5.0 < est.value < 8.0 and 4.0 < est.uncertainty < 5.0
+
+
+def test_geometric_indexes():
+    idx = _geometric_indexes(1, 10**6, 50)
+    assert idx[0] == 1 and idx[-1] == 10**6
+    assert np.all(np.diff(idx) > 0)
+    assert _geometric_indexes(5, 5, 10) == [5]
+
+
+@pytest.mark.parametrize("horizon", [10**5, 10**7])
+def test_geometric_indexes_end_exactly_at_the_horizon(horizon):
+    idx = _geometric_indexes(1, horizon, 400)
+    assert idx[0] == 1 and idx[-1] == horizon
+    assert all(type(n) is int for n in idx)
+    assert all(a < b for a, b in zip(idx, idx[1:]))
+    # the points between stay geometric: one common ratio, up to rounding
+    # each point to an integer
+    step = math.exp(math.log(horizon) / 399)
+    ratios = [(a, b / a) for a, b in zip(idx, idx[1:]) if a > 10**4]
+    assert ratios and all(abs(r / step - 1) < 2.0 / a for a, r in ratios)
 
 
 class TestArrayPoints:
