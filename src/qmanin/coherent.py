@@ -9,9 +9,13 @@ and ``coeff_log_arrays`` is their one home.  The reproducing kernel
 K(mu, lambda) = sum_n conj(a_n(mu)) a_n(lambda) is one certified series,
 and the squared norm ||phi_lambda||^2 is its diagonal K(lambda, lambda):
 the norm, the truncation of phi_lambda and the transform's domain check
-all sum that diagonal.  One private core, ``_coefficient_rows``, builds
-truncated coherent states for a block of points from that sum: one state,
-a lower symbol and a grid of lower symbols all go through it.
+all sum that diagonal.  In Bargmann's space (``is_segal_bargmann``:
+w_n = c n! at |q| exactly 1) the kernel is e^{conj(mu) lam} / (c scale),
+and ``kernel`` and ``coherent_norm_sq`` take that closed form per point;
+the callers that need a truncation still sum.  One private core,
+``_coefficient_rows``, builds truncated coherent states for a block of
+points from that sum: one state, a lower symbol and a grid of lower
+symbols all go through it.
 
 The q power grows quadratically in the exponent, so coefficients are kept
 in log-polar form (log-magnitude plus phase) and every norm or inner
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from numbers import Number
@@ -40,8 +45,8 @@ import numpy as np
 from .errors import (ConfigError, InputTooLargeError, OutsidePhaseSpaceError,
                      ToleranceUnreachableError)
 from .kernels import complex_product, csum_logpolar
-from .series import (SeriesDivergence, SeriesResult, bound_from_log, sum_series,
-                     sum_series_rows)
+from .series import (SeriesDivergence, SeriesResult, bound_from_log, checked_log_tol,
+                     sum_series, sum_series_rows)
 from .weights import SERIES_CAP, QParam, WeightSequence
 
 
@@ -159,6 +164,70 @@ def _kernel_series(mu, lam, w: WeightSequence, q: QParam, tol: float,
     return out
 
 
+def is_segal_bargmann(w: WeightSequence, q: QParam) -> bool:
+    """Whether (w, q) gives Bargmann's space: a rule w_n = c n! (s = 1) at
+    |q| exactly 1.0, the exact test ``_rule_radius`` takes.  Its kernel is
+    e^{conj(mu) lam} / (c scale) and its measure the radial Gaussian; at
+    any other |q|, however close, the q powers |q|^{n(n+1)} remain."""
+    return w.table is None and w.s == 1.0 and q.abs == 1.0
+
+
+def _bargmann_kernel(mu, lam, w: WeightSequence, tol: float) -> list:
+    """K(mu, lam) = e^z / w_0, z = conj(mu) lam, in Bargmann's space
+    (``is_segal_bargmann``), as the outcomes ``_kernel_series`` gives:
+    per point a SeriesResult or its ConfigError (a point not finite, or
+    an InputTooLargeError for a modulus past a double); a point with
+    mu = 0 or lam = 0 is 1/w_0.  No term is summed, so there is no
+    truncation error and ``tol`` need only be positive.
+
+    z is formed as the series takes its phases, from r = |mu| |lam| and
+    the difference d = atan2(lam) - atan2(mu): Re z = r cos d and
+    Im z = r sin d, +0.0 where d = 0, so such a value is real.  A product
+    r past a double is taken as the largest double; e^z is then past a
+    double or below its least either way.  The value is SeriesResult(
+    e^{i Im z}, Re z - log w_0).float_value: an e^z past a double is a
+    directed infinity.
+
+    Rounding, with u = 2^-53 and hypot, atan2, cos, sin, exp and log each
+    within one ulp: r is off by at most 5u r, and d by at most 12u (two
+    arguments of at most pi and their difference, below 8), so z is off
+    by at most (5 + 12 + 2 sqrt 2 + 1) u r < 21u |z|.  Re z - log w_0 adds
+    u (|z| + |log w_0|), log w_0 = log(c scale) (c = 1 at s = 1) another
+    2u |log w_0|, and exp, cos, sin and the final product at most 6u.  To
+    first order the relative error is at most
+
+        24 u (|z| + |log(c scale)| + 1).
+    """
+    out, live, log_w0 = [], False, w.log_weight(0)
+    for m, l in zip(mu, lam):
+        try:
+            m, l = _checked(m), _checked(l)
+        except ConfigError as exc:
+            out.append(exc)
+            continue
+        if m == 0 or l == 0:
+            out.append(SeriesResult(1.0 / w.weight(0) + 0j, 0.0, 1, -math.inf))
+            continue
+        live = True
+        r = min(abs(m) * abs(l), sys.float_info.max)
+        d = math.atan2(l.imag, l.real) - math.atan2(m.imag, m.real)
+        im = r * math.sin(d) if d else 0.0
+        out.append(SeriesResult(complex(math.cos(im), math.sin(im)),
+                                r * math.cos(d) - log_w0, 0, -math.inf))
+    if live:        # a bad tol is refused where the engines would sum a point
+        checked_log_tol(tol)
+    return out
+
+
+def _kernel_values(mu, lam, w: WeightSequence, q: QParam, tol: float,
+                   series: str) -> list:
+    """The SeriesResults of K at the points of mu and lam: in closed form in
+    Bargmann's space, else summed by ``_kernel_series``."""
+    if is_segal_bargmann(w, q):
+        return _settled(_bargmann_kernel(mu, lam, w, tol))
+    return _settled(_kernel_series(mu, lam, w, q, tol, series=series))
+
+
 def _outside(m: complex, l: complex, series: str) -> OutsidePhaseSpaceError:
     where = (f"lambda = {l}: |lambda| is outside the phase space for "
              f"these weights and q" if series == "norm"
@@ -260,10 +329,13 @@ def coherent_norm_sq(lam, w: WeightSequence, q, tol: float = 1e-12):
     """The squared norm K(lam, lam) = sum |lam|^{2n} |q|^{n(n+1)} / w_n.
 
     For an array of points, an array of their norms; every point's series
-    is summed together and the first failing point's error is raised."""
+    is summed together and the first failing point's error is raised.
+    In Bargmann's space (w_n = c n! at |q| = 1) it is e^{|lam|^2} / (c scale)
+    in closed form, summing nothing: ``tol``, a truncation tolerance, need
+    only be positive there (see ``_bargmann_kernel``)."""
     pts = np.asarray(lam, dtype=complex)
     flat = pts.ravel().tolist()
-    res = _settled(_kernel_series(flat, flat, w, QParam.of(q), tol))
+    res = _kernel_values(flat, flat, w, QParam.of(q), tol, "norm")
     vals = [r.float_value.real for r in res]
     return vals[0] if isinstance(lam, Number) else np.array(vals).reshape(pts.shape)
 
@@ -348,15 +420,18 @@ def kernel(mu, lam, w: WeightSequence, q, tol: float = 1e-12):
 
     mu and lam broadcast; for arrays the values come back as an array of
     the broadcast shape, every point's series is summed together and the
-    first failing point's error is raised."""
+    first failing point's error is raised.  In Bargmann's space (w_n = c n!
+    at |q| = 1) it is e^{conj(mu) lam} / (c scale) in closed form, summing
+    nothing, which also spares the sum's cancellation off the diagonal:
+    ``tol``, a truncation tolerance, need only be positive there (see
+    ``_bargmann_kernel``)."""
     q = QParam.of(q)
     if isinstance(mu, Number) and isinstance(lam, Number):
-        res, = _settled(_kernel_series([mu], [lam], w, q, tol, series="kernel"))
+        res, = _kernel_values([mu], [lam], w, q, tol, "kernel")
         return res.float_value
     mu, lam = np.broadcast_arrays(np.asarray(mu, dtype=complex),
                                   np.asarray(lam, dtype=complex))
-    res = _settled(_kernel_series(mu.ravel().tolist(), lam.ravel().tolist(),
-                                  w, q, tol, series="kernel"))
+    res = _kernel_values(mu.ravel().tolist(), lam.ravel().tolist(), w, q, tol, "kernel")
     return np.array([r.float_value for r in res]).reshape(mu.shape)
 
 

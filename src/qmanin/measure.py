@@ -65,7 +65,7 @@ from mpmath.libmp import (dps_to_prec, from_float, from_man_exp, fzero, mpf_e, m
                           round_nearest as _RND)
 from numpy.polynomial.laguerre import laggauss
 
-from .coherent import coeff_log_arrays
+from .coherent import coeff_log_arrays, is_segal_bargmann
 from .errors import (ConfigError, IndefiniteMomentsError, InputTooLargeError,
                      OrderTooHighError)
 from .kernels import log_power_sums, power_matrix, weighted_gram
@@ -169,10 +169,9 @@ class ClosedFormDensity:
 
 
 def closed_form_density(w: WeightSequence, q) -> Optional[ClosedFormDensity]:
-    """The known closed form: w_n = c * n! (the rule at s = 1) at |q| = 1,
-    else None."""
-    q = QParam.of(q)
-    if w.table is None and w.s == 1.0 and abs(q.abs - 1.0) <= 1e-12:
+    """The known closed form: w_n = c * n! (the rule at s = 1) at |q|
+    exactly 1 (``is_segal_bargmann``), else None."""
+    if is_segal_bargmann(w, QParam.of(q)):
         return ClosedFormDensity(w.c * w.scale)
     return None
 

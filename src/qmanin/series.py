@@ -2,8 +2,12 @@
 
 Every infinite sum in the library (coherent norms, reproducing kernels,
 domain tests) is a series whose term magnitudes are cheap to produce in
-log form.  The engine sums chunks, watches the ratio trend of the term
-magnitudes, and stops once the geometric tail bound
+log form, but one: in Bargmann's space (w_n = c n! at |q| = 1) the kernel
+and the norm are e^{conj(mu) lam} / (c scale), which ``coherent`` takes in
+closed form, with no truncation for ``tol`` to bound.  The coherent
+states, lower symbols and transforms there still sum their diagonal, as
+they need its truncation.  The engine sums chunks, watches the ratio
+trend of the term magnitudes, and stops once the geometric tail bound
 
     sum_{n >= N} |t_n|  <=  |t_{N-1}| * rho / (1 - rho),   rho = max tail ratio,
 
@@ -72,6 +76,13 @@ class SeriesDivergence(ArithmeticError):
         self.nterms = nterms
 
 
+def checked_log_tol(tol: float) -> float:
+    """log tol, for a relative tolerance ``tol`` that must be positive."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    return math.log(tol)
+
+
 def bound_from_log(log_bound: float) -> float:
     """exp(log_bound), or ``math.inf`` where a bound overflows a double
     (its log-domain form remains meaningful)."""
@@ -114,9 +125,7 @@ def sum_series(logmag_fn, phase_fn=None, tol: float = 1e-12,
     :class:`ToleranceUnreachableError` when ``n_max`` terms cannot certify
     the tail.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    log_tol = math.log(tol)
+    log_tol = checked_log_tol(tol)
     acc = 0j
     scale = -math.inf
     max_logmag = -math.inf
@@ -191,12 +200,11 @@ def sum_series_rows(logmag_fn, phase_fn, nrows: int, tol: float = 1e-12,
     (:class:`SeriesDivergence`, :class:`ToleranceUnreachableError`) that
     :func:`sum_series` raises on that row alone.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    log_tol = checked_log_tol(tol)
     out = [None] * nrows
     for start in range(0, nrows, ROW_BLOCK):
         rows = np.arange(start, min(start + ROW_BLOCK, nrows))
-        _sum_block(rows, logmag_fn, phase_fn, math.log(tol), n_max, out)
+        _sum_block(rows, logmag_fn, phase_fn, log_tol, n_max, out)
     return [ToleranceUnreachableError(
                 f"could not certify tail <= {tol:g} within {n_max} terms")
             if r is None else r for r in out]

@@ -3,16 +3,19 @@ import json
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import qgauss_table
 from qmanin import (OutsidePhaseSpaceError, ToleranceUnreachableError,
                     WeightSequence, coherent_coefficients, coherent_norm_sq, cs_transform,
                     eigen_residual, evolve, evolve_state, kernel,
                     radius_of_convergence)
-from qmanin import jsonio
-from qmanin.coherent import _geometric_indexes
+from qmanin import coherent, jsonio
+from qmanin.coherent import _geometric_indexes, _kernel_series
 from qmanin.errors import InputTooLargeError
 from qmanin.weights import QParam
 
@@ -481,3 +484,103 @@ class TestArrayPoints:
         assert type(kernel(0.5, 0.5j, WFAC, 1.0)) is complex
         assert type(coherent_norm_sq(0.5, WFAC, 1.0)) is float
         assert type(kernel(0.0, 0.5j, WFAC, 1.0)) is complex
+
+
+# -- Bargmann's space: w_n = c n! at |q| = 1, summed in closed form ---------
+
+U = 2.0 ** -53
+UNIT_QS = (1.0, cmath.exp(1j * math.pi / 5), -1.0, 1j)
+
+
+def _bargmann_exact(mu, lam, scale):
+    """(e^z / scale, |z|), z = conj(mu) lam, from the exact doubles at 40
+    digits."""
+    with mpmath.workdps(40):
+        z = mpmath.conj(mpmath.mpc(mu)) * mpmath.mpc(lam)
+        return mpmath.exp(z) / mpmath.mpf(scale), float(abs(z))
+
+
+def _rel(got, exact):
+    with mpmath.workdps(40):
+        return float(abs(mpmath.mpc(got) - exact) / abs(exact))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.floats(0.0, 25.0), st.floats(0.0, 25.0),
+       st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi),
+       st.floats(1e-3, 1e3), st.sampled_from(["factorial", "power-factorial"]),
+       st.sampled_from(UNIT_QS))
+def test_bargmann_kernel_within_its_rounding_bound(rm, rl, am, al, scale, kind, q):
+    # coherent._bargmann_kernel: 24 u (|z| + |log(c scale)| + 1), c = 1
+    w = WeightSequence(kind, s=1.0, scale=scale)
+    mu, lam = cmath.rect(rm, am), cmath.rect(rl, al)
+    exact, size = _bargmann_exact(mu, lam, scale)
+    bound = 24 * U * (size + abs(math.log(scale)) + 1)
+    for got in (kernel(mu, lam, w, q), kernel(np.array([mu]), lam, w, q)[0]):
+        assert _rel(got, exact) <= bound
+    norm, size = _bargmann_exact(lam, lam, scale)
+    bound = 24 * U * (size + abs(math.log(scale)) + 1)
+    for got in (coherent_norm_sq(lam, w, q), coherent_norm_sq(np.array([lam]), w, q)[0]):
+        assert _rel(got, norm) <= bound
+
+
+@pytest.mark.parametrize("r", [5.0, 10.0, 20.0])
+def test_bargmann_kernel_off_the_diagonal_does_not_cancel(r):
+    # arg lam - arg mu = -0.8: the term-by-term sum was off by 0.13 at r = 10
+    mu, lam = cmath.rect(r, 0.4), cmath.rect(r, -0.4)
+    exact, _ = _bargmann_exact(mu, lam, 1.0)
+    assert _rel(kernel(mu, lam, WFAC, 1.0), exact) <= 1e-12
+
+
+@pytest.mark.parametrize("q", [1.0, cmath.exp(1j * math.pi / 5)])
+def test_bargmann_values_sum_no_series(monkeypatch, q):
+    def summed(*args, **kwargs):
+        raise AssertionError("a series was summed")
+
+    monkeypatch.setattr(coherent, "sum_series", summed)
+    monkeypatch.setattr(coherent, "sum_series_rows", summed)
+    mu, lam = 1.5 - 0.5j, np.array([-0.3 + 2j, 0.0, 1.2])
+    expect = np.exp(np.conj(mu) * lam)
+    assert abs(kernel(mu, complex(lam[0]), WFAC, q) - expect[0]) <= 1e-14 * abs(expect[0])
+    assert np.allclose(kernel(mu, lam, WFAC, q), expect, rtol=1e-14, atol=0)
+    assert coherent_norm_sq(1.2, WFAC, q) == kernel(1.2, 1.2, WFAC, q).real
+    assert np.allclose(coherent_norm_sq(lam, WFAC, q), np.exp(abs(lam) ** 2),
+                       rtol=1e-14, atol=0)
+    with pytest.raises(AssertionError, match="summed"):
+        kernel(mu, complex(lam[0]), WFAC, 0.8)       # the patch is in force
+
+
+def test_bargmann_arrays_equal_scalars_bit_for_bit():
+    rng = np.random.default_rng(29)
+    mu = 6 * (rng.uniform(-1, 1, (5, 1)) + 1j * rng.uniform(-1, 1, (5, 1)))
+    lam = 6 * (rng.uniform(-1, 1, (1, 7)) + 1j * rng.uniform(-1, 1, (1, 7)))
+    mu[0, 0], lam[0, :3] = 2.0, (0.0, complex(1.5, -0.0), -3.0)
+
+    def bits(z):
+        return complex(z).real.hex(), complex(z).imag.hex()
+
+    for w in (WFAC, WeightSequence("power-factorial", s=1.0, scale=0.3)):
+        for q in UNIT_QS[:2]:
+            grid = kernel(mu, lam, w, q)
+            norms = coherent_norm_sq(lam, w, q)
+            for i in range(mu.shape[0]):
+                for j in range(lam.shape[1]):
+                    one = kernel(complex(mu[i, 0]), complex(lam[0, j]), w, q)
+                    assert bits(grid[i, j]) == bits(one)
+            for j in range(lam.shape[1]):
+                assert norms[0, j].hex() == coherent_norm_sq(complex(lam[0, j]), w, q).hex()
+            assert bits(grid[0, 0]) == bits(1 / w.weight(0))   # a zero point
+            assert math.copysign(1.0, grid[0, 1].imag) == 1.0  # a real value
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.5, 5.0])
+def test_series_engine_keeps_its_bargmann_oracle(r):
+    # kernel and coherent_norm_sq no longer sum this case; the engine, which
+    # the truncating callers still use, keeps e^{|lam|^2} as its oracle
+    pts = [cmath.rect(r, a) for a in (0.0, 0.9, -2.0)]
+    exact = [math.exp(r * r) for _ in pts]
+    one, = _kernel_series(pts[:1], pts[:1], WFAC, QParam(1.0), 1e-12)
+    rows = _kernel_series(pts, pts, WFAC, QParam(1.0), 1e-12)
+    for res, e in zip([one] + rows, exact[:1] + exact):
+        assert res.float_value.imag == 0.0
+        assert abs(res.float_value.real - e) <= 1e-12 * e

@@ -45,6 +45,12 @@ class TestClosedForm:
         assert closed_form_density(WFAC, 2.0) is None
         assert closed_form_density(WeightSequence.power_factorial(2.0), 1.0) is None
 
+    def test_only_at_q_abs_exactly_one(self):
+        # |q|^{-j(j+1)} j!/pi are not the moments of e^{-t}/pi at |q| != 1
+        assert closed_form_density(WFAC, 1 + 1e-13) is None
+        assert closed_form_density(WFAC, 1 - 1e-13) is None
+        assert closed_form_density(WFAC, cmath.exp(1j * math.pi / 5)) is not None
+
     def test_density_satisfies_moment_identities(self):
         d = closed_form_density(WFAC, 1.0)
         rep = verify_density_moments(d, WFAC, 1.0, 20, tol=1e-9)
