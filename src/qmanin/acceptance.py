@@ -222,12 +222,25 @@ def criterion_transform_kernel() -> tuple[bool, str]:
     worst_diag = float(np.max(np.abs(kernel(lam, lam, w, q, tol=1e-14)
                                      - coherent_norm_sq(lam, w, q, tol=1e-14))))
     worst_exp = float(np.max(np.abs(K - np.exp(mu.conj() * lam))))
+    # Cor 6.1 in the Hardy space (constant weights at q = 1), against the
+    # closed-form Szego kernel 1 / (1 - conj(mu) lam).  With |mu| <= |lam|
+    # each dropped term |a_n(mu) a_n(lam)| is at most |a_n(lam)|^2, so the
+    # truncation costs at most phi_lam's certified tail, 1e-14 K(lam, lam)
+    wh = WeightSequence.constant()
+    rng = default_rng(809)
+    r = 0.8 * np.sqrt(rng.uniform(0, 1, (2, 8)))
+    arg = np.exp(2j * np.pi * rng.uniform(0, 1, (2, 8)))
+    lam, mu = r.max(axis=0) * arg[0], r.min(axis=0) * arg[1]
+    worst_hardy = max(abs(cs_transform(coherent_coefficients(l, wh, q, tol=1e-14)
+                                       .coefficients(), m, wh, q) - k)
+                      for l, m, k in zip(lam, mu, kernel(mu, lam, wh, q)))
     ok = (worst_basis <= 1e-12 and gram.ok and worst_cor <= 1e-10
-          and worst_diag <= 1e-12 and worst_exp <= 1e-10)
+          and worst_diag <= 1e-12 and worst_exp <= 1e-10 and worst_hardy <= 1e-10)
     return ok, (f"basis-image dev {worst_basis:.3e}, image Gram dev "
                 f"{gram.max_deviation:.3e} (<= 1e-8), C(phi_lam) vs K dev "
                 f"{worst_cor:.3e} (<= 1e-10), K diag dev {worst_diag:.3e}, "
-                f"exp kernel dev {worst_exp:.3e} (<= 1e-10)")
+                f"exp kernel dev {worst_exp:.3e} (<= 1e-10), Hardy C(phi_lam) "
+                f"vs Szego K dev {worst_hardy:.3e} (<= 1e-10)")
 
 
 # -- 9 ----------------------------------------------------------------------

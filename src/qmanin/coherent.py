@@ -7,12 +7,15 @@ operator with eigenvalue lambda; its basis coefficients are
 
 and ``coeff_log_arrays`` is their one home.  The reproducing kernel
 K(mu, lambda) = sum_n conj(a_n(mu)) a_n(lambda) is one certified series,
-and the squared norm ||phi_lambda||^2 is its diagonal K(lambda, lambda):
-the norm, the truncation of phi_lambda and the transform's domain check
-all sum that diagonal.  In Bargmann's space (``is_segal_bargmann``:
-w_n = c n! at |q| exactly 1) the kernel is e^{conj(mu) lam} / (c scale),
-and ``kernel`` and ``coherent_norm_sq`` take that closed form per point;
-the callers that need a truncation still sum.  One private core,
+and the squared norm ||phi_lambda||^2 is its diagonal K(lambda, lambda),
+which the norm, the truncation of phi_lambda and the transform's domain
+check sum.  At |q| exactly 1 two rules give closed forms
+(``_closed_kernel``): w_n = c n! gives Bargmann's space, whose kernel is
+e^{conj(mu) lam} / (c scale), and constant weights w_n = c give the Hardy
+space of the unit disk, whose kernel is the Szego kernel
+1 / (c scale (1 - conj(mu) lam)).  ``kernel`` and ``coherent_norm_sq``
+take those closed forms per point, and so does the transform's domain
+check; the callers that need a truncation still sum.  One private core,
 ``_coefficient_rows``, builds truncated coherent states for a block of
 points from that sum: one state, a lower symbol and a grid of lower
 symbols all go through it.
@@ -172,21 +175,31 @@ def is_segal_bargmann(w: WeightSequence, q: QParam) -> bool:
     return w.table is None and w.s == 1.0 and q.abs == 1.0
 
 
-def _bargmann_kernel(mu, lam, w: WeightSequence, tol: float) -> list:
-    """K(mu, lam) = e^z / w_0, z = conj(mu) lam, in Bargmann's space
-    (``is_segal_bargmann``), as the outcomes ``_kernel_series`` gives:
-    per point a SeriesResult or its ConfigError (a point not finite, or
-    an InputTooLargeError for a modulus past a double); a point with
-    mu = 0 or lam = 0 is 1/w_0.  No term is summed, so there is no
-    truncation error and ``tol`` need only be positive.
+def _closed_form_space(w: WeightSequence, q: QParam) -> bool:
+    """Whether K(mu, lam) has a closed form for (w, q): a rule at |q|
+    exactly 1.0 with s = 1, Bargmann's space (``is_segal_bargmann``), or
+    with s = 0, constant weights, the Hardy space of the unit disk."""
+    return w.table is None and w.s in (0.0, 1.0) and q.abs == 1.0
 
-    z is formed as the series takes its phases, from r = |mu| |lam| and
-    the difference d = atan2(lam) - atan2(mu): Re z = r cos d and
-    Im z = r sin d, +0.0 where d = 0, so such a value is real.  A product
-    r past a double is taken as the largest double; e^z is then past a
-    double or below its least either way.  The value is SeriesResult(
-    e^{i Im z}, Re z - log w_0).float_value: an e^z past a double is a
-    directed infinity.
+
+def _closed_kernel(mu, lam, w: WeightSequence, tol: float, series: str) -> list:
+    """K(mu, lam) in a closed-form space (``_closed_form_space``), as the
+    outcomes ``_kernel_series`` gives: per point a SeriesResult or its
+    error, a ConfigError for a point that is not finite (an
+    InputTooLargeError for a modulus past a double); a point with mu = 0 or
+    lam = 0 is 1/w_0.  With z = conj(mu) lam, the value is e^z / w_0 in
+    Bargmann's space (s = 1) and the Szego kernel 1 / ((1 - z) w_0) in the
+    Hardy space (s = 0), where a point with |z| >= 1 is refused with the
+    OutsidePhaseSpaceError of ``series``.  No term is summed, so there is
+    no truncation error and ``tol`` need only be positive.
+
+    Bargmann's space.  z is formed as the series takes its phases, from
+    r = |mu| |lam| and the difference d = atan2(lam) - atan2(mu):
+    Re z = r cos d and Im z = r sin d, +0.0 where d = 0, so such a value is
+    real.  A product r past a double is taken as the largest double; e^z is
+    then past a double or below its least either way.  The value is
+    SeriesResult(e^{i Im z}, Re z - log w_0).float_value: an e^z past a
+    double is a directed infinity.
 
     Rounding, with u = 2^-53 and hypot, atan2, cos, sin, exp and log each
     within one ulp: r is off by at most 5u r, and d by at most 12u (two
@@ -197,6 +210,23 @@ def _bargmann_kernel(mu, lam, w: WeightSequence, tol: float) -> list:
     first order the relative error is at most
 
         24 u (|z| + |log(c scale)| + 1).
+
+    The Hardy space.  ``_szego`` gives 1 / (1 - z) with each part
+    correctly rounded, from exact integer arithmetic on the doubles mu and
+    lam, and decides |z| >= 1 exactly: a plain 1 - z would carry the
+    rounding of z, some u |z|, into a value of size 1 / |1 - z|, and a log
+    test log|mu| + log|lam| >= 0 misplaces points within its rounding of
+    the circle.  The value is SeriesResult(1 / (1 - z), -log w_0)
+    .float_value.  Rounding: 1 / (1 - z) is off by at most u in norm, as
+    each part is; log w_0 = log c + log scale by at most
+    3u (|log c| + |log scale|) (two logs within one ulp and their sum);
+    exp adds 2u and the final product u.  To first order the relative
+    error is at most
+
+        4 u (1 + |log c| + |log scale|),
+
+    with no term in 1 / |1 - z|: near the circle the value keeps the
+    accuracy it has at the origin.
     """
     out, live, log_w0 = [], False, w.log_weight(0)
     for m, l in zip(mu, lam):
@@ -208,24 +238,52 @@ def _bargmann_kernel(mu, lam, w: WeightSequence, tol: float) -> list:
         if m == 0 or l == 0:
             out.append(SeriesResult(1.0 / w.weight(0) + 0j, 0.0, 1, -math.inf))
             continue
+        if w.s:
+            r = min(abs(m) * abs(l), sys.float_info.max)
+            d = math.atan2(l.imag, l.real) - math.atan2(m.imag, m.real)
+            im = r * math.sin(d) if d else 0.0
+            value, log_mag = complex(math.cos(im), math.sin(im)), r * math.cos(d)
+        else:
+            value, log_mag = _szego(m, l), 0.0
+            if value is None:
+                out.append(_outside(m, l, series))
+                continue
         live = True
-        r = min(abs(m) * abs(l), sys.float_info.max)
-        d = math.atan2(l.imag, l.real) - math.atan2(m.imag, m.real)
-        im = r * math.sin(d) if d else 0.0
-        out.append(SeriesResult(complex(math.cos(im), math.sin(im)),
-                                r * math.cos(d) - log_w0, 0, -math.inf))
+        out.append(SeriesResult(value, log_mag - log_w0, 0, -math.inf))
     if live:        # a bad tol is refused where the engines would sum a point
         checked_log_tol(tol)
     return out
 
 
+def _szego(m: complex, l: complex) -> Optional[complex]:
+    """1 / (1 - conj(m) l), each part correctly rounded, or None where
+    |conj(m) l| >= 1, decided exactly.
+
+    Each part of m and l is an integer over a power of two, so
+    conj(m) l = (P + iQ) / D in integers, |conj(m) l| >= 1 exactly when
+    P^2 + Q^2 >= D^2, and 1 / (1 - conj(m) l) = D (R + iQ) / (R^2 + Q^2)
+    with R = D - P.  Python's integer division rounds each part once.
+    Q = 0 on the diagonal gives the imaginary part +0.0."""
+    (a, da), (b, db) = m.real.as_integer_ratio(), m.imag.as_integer_ratio()
+    (c, dc), (d, dd) = l.real.as_integer_ratio(), l.imag.as_integer_ratio()
+    D = da * db * dc * dd
+    P = a * c * db * dd + b * d * da * dc
+    Q = a * d * db * dc - b * c * da * dd
+    if P * P + Q * Q >= D * D:
+        return None
+    R = D - P
+    N = R * R + Q * Q
+    return complex(R * D / N, Q * D / N)
+
+
 def _kernel_values(mu, lam, w: WeightSequence, q: QParam, tol: float,
-                   series: str) -> list:
+                   series: str, n_max: int = SERIES_CAP) -> list:
     """The SeriesResults of K at the points of mu and lam: in closed form in
-    Bargmann's space, else summed by ``_kernel_series``."""
-    if is_segal_bargmann(w, q):
-        return _settled(_bargmann_kernel(mu, lam, w, tol))
-    return _settled(_kernel_series(mu, lam, w, q, tol, series=series))
+    Bargmann's and the Hardy space, else summed by ``_kernel_series`` with
+    at most ``n_max`` terms."""
+    if _closed_form_space(w, q):
+        return _settled(_closed_kernel(mu, lam, w, tol, series))
+    return _settled(_kernel_series(mu, lam, w, q, tol, n_max, series))
 
 
 def _outside(m: complex, l: complex, series: str) -> OutsidePhaseSpaceError:
@@ -330,9 +388,11 @@ def coherent_norm_sq(lam, w: WeightSequence, q, tol: float = 1e-12):
 
     For an array of points, an array of their norms; every point's series
     is summed together and the first failing point's error is raised.
-    In Bargmann's space (w_n = c n! at |q| = 1) it is e^{|lam|^2} / (c scale)
-    in closed form, summing nothing: ``tol``, a truncation tolerance, need
-    only be positive there (see ``_bargmann_kernel``)."""
+    At |q| = 1 it is in closed form, summing nothing, in Bargmann's space
+    (w_n = c n!: e^{|lam|^2} / (c scale)) and in the Hardy space (w_n = c:
+    1 / (c scale (1 - |lam|^2)), refused for |lam| >= 1): ``tol``, a
+    truncation tolerance, need only be positive there (see
+    ``_closed_kernel``)."""
     pts = np.asarray(lam, dtype=complex)
     flat = pts.ravel().tolist()
     res = _kernel_values(flat, flat, w, QParam.of(q), tol, "norm")
@@ -396,12 +456,14 @@ def cs_transform(psi_coeffs: Sequence[complex], lam: complex,
 
     psi is given by its basis coefficients c_k; the value is
     sum_k conj(a_k(lambda)) c_k.  A lambda outside the phase space is
-    refused with OutsidePhaseSpaceError.
+    refused with OutsidePhaseSpaceError by the norm K(lambda, lambda), in
+    closed form where ``_closed_kernel`` has one, else summed to tol 1e-6
+    within 50,000 terms.
     """
     q = QParam.of(q)
     lam = _checked(lam)
     c = np.asarray(psi_coeffs, dtype=complex)
-    _settled(_kernel_series([lam], [lam], w, q, tol=1e-6, n_max=50_000))
+    _kernel_values([lam], [lam], w, q, 1e-6, "norm", n_max=50_000)
     if c.size == 0:
         return 0j
     logmag, phase = coeff_log_arrays(lam, w, q, 0, c.size)
@@ -420,11 +482,12 @@ def kernel(mu, lam, w: WeightSequence, q, tol: float = 1e-12):
 
     mu and lam broadcast; for arrays the values come back as an array of
     the broadcast shape, every point's series is summed together and the
-    first failing point's error is raised.  In Bargmann's space (w_n = c n!
-    at |q| = 1) it is e^{conj(mu) lam} / (c scale) in closed form, summing
-    nothing, which also spares the sum's cancellation off the diagonal:
-    ``tol``, a truncation tolerance, need only be positive there (see
-    ``_bargmann_kernel``)."""
+    first failing point's error is raised.  At |q| = 1 it is in closed form,
+    summing nothing, in Bargmann's space (w_n = c n!: e^{conj(mu) lam} /
+    (c scale)) and in the Hardy space (w_n = c: 1 / (c scale (1 -
+    conj(mu) lam)), refused for |mu| |lam| >= 1), which also spares the
+    sum's cancellation off the diagonal: ``tol``, a truncation tolerance,
+    need only be positive there (see ``_closed_kernel``)."""
     q = QParam.of(q)
     if isinstance(mu, Number) and isinstance(lam, Number):
         res, = _kernel_values([mu], [lam], w, q, tol, "kernel")

@@ -2,12 +2,14 @@
 
 Every infinite sum in the library (coherent norms, reproducing kernels,
 domain tests) is a series whose term magnitudes are cheap to produce in
-log form, but one: in Bargmann's space (w_n = c n! at |q| = 1) the kernel
-and the norm are e^{conj(mu) lam} / (c scale), which ``coherent`` takes in
-closed form, with no truncation for ``tol`` to bound.  The coherent
-states, lower symbols and transforms there still sum their diagonal, as
-they need its truncation.  The engine sums chunks, watches the ratio
-trend of the term magnitudes, and stops once the geometric tail bound
+log form, but two: at |q| = 1 the kernel, the norm and the transform's
+domain test are e^{conj(mu) lam} / (c scale) in Bargmann's space
+(w_n = c n!) and 1 / (c scale (1 - conj(mu) lam)) in the Hardy space
+(w_n = c), which ``coherent`` takes in closed form, with no truncation for
+``tol`` to bound.  The coherent states and lower symbols there still sum
+their diagonal, as they need its truncation.  The engine sums chunks,
+watches the ratio trend of the term magnitudes, and stops once the
+geometric tail bound
 
     sum_{n >= N} |t_n|  <=  |t_{N-1}| * rho / (1 - rho),   rho = max tail ratio,
 

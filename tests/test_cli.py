@@ -498,6 +498,37 @@ def test_kernel_csv_with_mu(tmp_path):
     assert rv == pytest.approx(np.exp(complex(r0, i0)).real, rel=1e-9)
 
 
+def test_kernel_csv_in_the_hardy_space(tmp_path, monkeypatch):
+    # constant weights at q = 1: kernel.csv holds the Szego kernel
+    # 1 / (1 - conj(mu) lam) within coherent._closed_kernel's bound 4u
+    # (c = scale = 1), and no series is summed, inside the disk or past it
+    import mpmath
+    from qmanin import coherent
+
+    def summed(*args, **kwargs):
+        raise AssertionError("a series was summed")
+
+    monkeypatch.setattr(coherent, "sum_series", summed)
+    monkeypatch.setattr(coherent, "sum_series_rows", summed)
+    flags = ("--weights", "constant", "--q", "1", "--config")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mu": [0.6, -0.5], "grid": {"rmax": 1.2, "nr": 4, "ntheta": 6}}))
+    assert run(tmp_path, "kernel", *flags, str(cfg)) == 0
+    rows = (tmp_path / "kernel.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4 * 6
+    for row in rows:
+        re_l, im_l, re_v, im_v = (float(x) for x in row.split(","))
+        with mpmath.workdps(40):
+            exact = 1 / (1 - mpmath.mpc(0.6, 0.5) * mpmath.mpc(re_l, im_l))
+            assert abs(mpmath.mpc(re_v, im_v) - exact) <= 4 * 2.0 ** -53 * abs(exact)
+    # |mu| r reaches 1 on the grid's last circle: exit 3 at once
+    for doc in ({"mu": [0.5, 0.0], "grid": {"rmax": 2.0, "nr": 3, "ntheta": 4}},
+                {"grid": {"rmax": 1.0, "nr": 3, "ntheta": 4}}):
+        cfg.write_text(json.dumps(doc))
+        assert run(tmp_path / "out", "kernel", *flags, str(cfg)) == 3
+    assert not (tmp_path / "out").exists()
+
+
 def test_measure_artifact(tmp_path):
     assert run(tmp_path, "measure") == 0
     doc = load(tmp_path, "measure.json")

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -486,18 +487,34 @@ class TestArrayPoints:
         assert type(kernel(0.0, 0.5j, WFAC, 1.0)) is complex
 
 
-# -- Bargmann's space: w_n = c n! at |q| = 1, summed in closed form ---------
+# -- the closed forms at |q| = 1: Bargmann's space (w_n = c n!) and the ----
+# -- Hardy space (w_n = c), neither summed --------------------------------
 
 U = 2.0 ** -53
 UNIT_QS = (1.0, cmath.exp(1j * math.pi / 5), -1.0, 1j)
 
 
-def _bargmann_exact(mu, lam, scale):
-    """(e^z / scale, |z|), z = conj(mu) lam, from the exact doubles at 40
-    digits."""
+def _closed_rule(s, pf=False, c=1.0, scale=1.0):
+    """A rule with s = 1 (factorial) or s = 0 (constant c), or the same s
+    as power-factorial (c = 1)."""
+    kind = "power-factorial" if pf else "factorial" if s else "constant"
+    return WeightSequence(kind, c=c, s=s, scale=scale)
+
+
+def _closed_exact(mu, lam, w):
+    """e^z / w_0 (s = 1) or 1 / ((1 - z) w_0) (s = 0), z = conj(mu) lam,
+    from the exact doubles at 40 digits."""
     with mpmath.workdps(40):
         z = mpmath.conj(mpmath.mpc(mu)) * mpmath.mpc(lam)
-        return mpmath.exp(z) / mpmath.mpf(scale), float(abs(z))
+        k = mpmath.exp(z) if w.s else 1 / (1 - z)
+        return k / (mpmath.mpf(w.c) * mpmath.mpf(w.scale))
+
+
+def _closed_bound(mu, lam, w):
+    """The rounding bounds coherent._closed_kernel derives."""
+    if w.s:
+        return 24 * U * (abs(mu) * abs(lam) + abs(math.log(w.c * w.scale)) + 1)
+    return 4 * U * (1 + abs(math.log(w.c)) + abs(math.log(w.scale)))
 
 
 def _rel(got, exact):
@@ -505,61 +522,95 @@ def _rel(got, exact):
         return float(abs(mpmath.mpc(got) - exact) / abs(exact))
 
 
+def _outside_disk(mu, lam) -> bool:
+    """|conj(mu) lam| >= 1, in exact rationals."""
+    def sq(z):
+        return Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+    return sq(complex(mu)) * sq(complex(lam)) >= 1
+
+
+@pytest.mark.parametrize("s", [1.0, 0.0])
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(st.floats(0.0, 25.0), st.floats(0.0, 25.0),
        st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi),
-       st.floats(1e-3, 1e3), st.sampled_from(["factorial", "power-factorial"]),
+       st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.booleans(),
        st.sampled_from(UNIT_QS))
-def test_bargmann_kernel_within_its_rounding_bound(rm, rl, am, al, scale, kind, q):
-    # coherent._bargmann_kernel: 24 u (|z| + |log(c scale)| + 1), c = 1
-    w = WeightSequence(kind, s=1.0, scale=scale)
+def test_bargmann_kernel_within_its_rounding_bound(s, rm, rl, am, al, c, scale, pf, q):
+    # coherent._closed_kernel: 24 u (|z| + |log(c scale)| + 1) with c = 1 in
+    # Bargmann's space, 4 u (1 + |log c| + |log scale|) in the Hardy space,
+    # whose radii reach |conj(mu) lam| = 1 - 1e-12, on and off the diagonal
+    w = _closed_rule(s, pf, c, scale)
+    if not s:
+        rm, rl = (math.sqrt(1.0 - 10.0 ** (-12.0 * r / 25.0)) for r in (rm, rl))
     mu, lam = cmath.rect(rm, am), cmath.rect(rl, al)
-    exact, size = _bargmann_exact(mu, lam, scale)
-    bound = 24 * U * (size + abs(math.log(scale)) + 1)
+    exact, bound = _closed_exact(mu, lam, w), _closed_bound(mu, lam, w)
     for got in (kernel(mu, lam, w, q), kernel(np.array([mu]), lam, w, q)[0]):
         assert _rel(got, exact) <= bound
-    norm, size = _bargmann_exact(lam, lam, scale)
-    bound = 24 * U * (size + abs(math.log(scale)) + 1)
+    exact, bound = _closed_exact(lam, lam, w), _closed_bound(lam, lam, w)
     for got in (coherent_norm_sq(lam, w, q), coherent_norm_sq(np.array([lam]), w, q)[0]):
-        assert _rel(got, norm) <= bound
+        assert _rel(got, exact) <= bound
 
 
-@pytest.mark.parametrize("r", [5.0, 10.0, 20.0])
-def test_bargmann_kernel_off_the_diagonal_does_not_cancel(r):
+@pytest.mark.parametrize("w, mu, lam", [
     # arg lam - arg mu = -0.8: the term-by-term sum was off by 0.13 at r = 10
-    mu, lam = cmath.rect(r, 0.4), cmath.rect(r, -0.4)
-    exact, _ = _bargmann_exact(mu, lam, 1.0)
-    assert _rel(kernel(mu, lam, WFAC, 1.0), exact) <= 1e-12
+    *[pytest.param(WFAC, cmath.rect(r, 0.4), cmath.rect(r, -0.4), id=f"bargmann-{r}")
+      for r in (5.0, 10.0, 20.0)],
+    # conj(mu) lam = -0.9998: the alternating sum was off by 1.3e-11
+    pytest.param(WCONST, 0.9998 ** 0.5, -(0.9998 ** 0.5), id="hardy-minus-0.9998"),
+    *[pytest.param(WCONST, cmath.rect(r, 0.4), cmath.rect(r, -0.4), id=f"hardy-{r}")
+      for r in (0.99, 0.9999)],
+    pytest.param(WeightSequence.constant(3.0), cmath.rect(1 - 1e-12, 2.0),
+                 cmath.rect(1 - 1e-13, -1.5), id="hardy-c3-1e-12"),
+])
+def test_bargmann_kernel_off_the_diagonal_does_not_cancel(w, mu, lam):
+    exact = _closed_exact(mu, lam, w)
+    assert _rel(kernel(mu, lam, w, 1.0), exact) <= min(1e-12, _closed_bound(mu, lam, w))
 
 
+@pytest.mark.parametrize("s", [1.0, 0.0])
 @pytest.mark.parametrize("q", [1.0, cmath.exp(1j * math.pi / 5)])
-def test_bargmann_values_sum_no_series(monkeypatch, q):
+def test_bargmann_values_sum_no_series(monkeypatch, s, q):
     def summed(*args, **kwargs):
         raise AssertionError("a series was summed")
 
     monkeypatch.setattr(coherent, "sum_series", summed)
     monkeypatch.setattr(coherent, "sum_series_rows", summed)
-    mu, lam = 1.5 - 0.5j, np.array([-0.3 + 2j, 0.0, 1.2])
-    expect = np.exp(np.conj(mu) * lam)
-    assert abs(kernel(mu, complex(lam[0]), WFAC, q) - expect[0]) <= 1e-14 * abs(expect[0])
-    assert np.allclose(kernel(mu, lam, WFAC, q), expect, rtol=1e-14, atol=0)
-    assert coherent_norm_sq(1.2, WFAC, q) == kernel(1.2, 1.2, WFAC, q).real
-    assert np.allclose(coherent_norm_sq(lam, WFAC, q), np.exp(abs(lam) ** 2),
-                       rtol=1e-14, atol=0)
+    w = _closed_rule(s)
+    if s:
+        mu, lam = 1.5 - 0.5j, np.array([-0.3 + 2j, 0.0, 1.2])
+        expect, norms = np.exp(np.conj(mu) * lam), np.exp(abs(lam) ** 2)
+    else:
+        mu, lam = 0.6 - 0.2j, np.array([-0.3 + 0.7j, 0.0, 0.9])
+        expect, norms = 1 / (1 - np.conj(mu) * lam), 1 / (1 - abs(lam) ** 2)
+    assert abs(kernel(mu, complex(lam[0]), w, q) - expect[0]) <= 1e-14 * abs(expect[0])
+    assert np.allclose(kernel(mu, lam, w, q), expect, rtol=1e-14, atol=0)
+    assert coherent_norm_sq(lam[2], w, q) == kernel(lam[2], lam[2], w, q).real
+    assert np.allclose(coherent_norm_sq(lam, w, q), norms, rtol=1e-14, atol=0)
+    # the transform's domain check takes the closed form too
+    got = cs_transform([1.0, 0.5], complex(lam[0]), w, q)
+    assert abs(got - (1.0 + 0.5 * np.conj(lam[0] * q))) <= 1e-15 * abs(got)
+    if not s:
+        for call in (lambda: kernel(2.0, 0.5j, w, q), lambda: coherent_norm_sq(1.0, w, q),
+                     lambda: cs_transform([1.0], -1.0, w, q)):
+            with pytest.raises(OutsidePhaseSpaceError):
+                call()
     with pytest.raises(AssertionError, match="summed"):
-        kernel(mu, complex(lam[0]), WFAC, 0.8)       # the patch is in force
+        kernel(mu, complex(lam[0]), w, 0.8)       # the patch is in force
 
 
-def test_bargmann_arrays_equal_scalars_bit_for_bit():
+@pytest.mark.parametrize("s, radius", [(1.0, 6.0), (0.0, 0.7)])
+def test_bargmann_arrays_equal_scalars_bit_for_bit(s, radius):
     rng = np.random.default_rng(29)
-    mu = 6 * (rng.uniform(-1, 1, (5, 1)) + 1j * rng.uniform(-1, 1, (5, 1)))
-    lam = 6 * (rng.uniform(-1, 1, (1, 7)) + 1j * rng.uniform(-1, 1, (1, 7)))
-    mu[0, 0], lam[0, :3] = 2.0, (0.0, complex(1.5, -0.0), -3.0)
+    mu = radius * (rng.uniform(-1, 1, (5, 1)) + 1j * rng.uniform(-1, 1, (5, 1)))
+    lam = radius * (rng.uniform(-1, 1, (1, 7)) + 1j * rng.uniform(-1, 1, (1, 7)))
+    k = radius / 6.0
+    mu[0, 0], lam[0, :3] = 2.0 * k, (0.0, complex(1.5 * k, -0.0), -3.0 * k)
 
     def bits(z):
         return complex(z).real.hex(), complex(z).imag.hex()
 
-    for w in (WFAC, WeightSequence("power-factorial", s=1.0, scale=0.3)):
+    for w in (_closed_rule(s), _closed_rule(s, pf=True, scale=0.3),
+              _closed_rule(s, c=2.5, scale=0.3)):
         for q in UNIT_QS[:2]:
             grid = kernel(mu, lam, w, q)
             norms = coherent_norm_sq(lam, w, q)
@@ -571,6 +622,57 @@ def test_bargmann_arrays_equal_scalars_bit_for_bit():
                 assert norms[0, j].hex() == coherent_norm_sq(complex(lam[0, j]), w, q).hex()
             assert bits(grid[0, 0]) == bits(1 / w.weight(0))   # a zero point
             assert math.copysign(1.0, grid[0, 1].imag) == 1.0  # a real value
+
+
+@pytest.mark.parametrize("r2", [0.9999, 0.99995, 1 - 1e-9, 1 - 1e-12])
+def test_hardy_norm_near_the_circle(r2):
+    # the summed norm refused |lam|^2 = 0.9999 after 200,000 terms; the
+    # closed form keeps its few-u bound however close the point is
+    for lam in (r2 ** 0.5, cmath.rect(r2 ** 0.5, 2.5)):
+        exact = _closed_exact(lam, lam, WCONST)
+        got = coherent_norm_sq(lam, WCONST, 1.0)
+        assert _rel(got, exact) <= _closed_bound(lam, lam, WCONST)
+        assert kernel(lam, lam, WCONST, 1.0) == complex(got, 0.0)
+
+
+def test_hardy_refuses_exactly_the_points_outside_the_disk():
+    # points within a few ulps of the unit circle: a point gets a value if
+    # and only if |conj(mu) lam| < 1 in exact arithmetic, which the rounded
+    # log test log|mu| + log|lam| >= 0 misjudges for some of them
+    rng = np.random.default_rng(30)
+    pts = []
+    for theta in rng.uniform(-math.pi, math.pi, 60):
+        z = cmath.rect(1.0, float(theta))
+        for k in range(-3, 4):
+            re = z.real
+            for _ in range(abs(k)):
+                re = math.nextafter(re, math.copysign(math.inf, k * re))
+            pts.append(complex(re, z.imag))
+    pairs = [(p, p) for p in pts] + list(zip(pts, pts[7:] + pts[:7]))
+    misjudged = 0
+    for mu, lam in pairs:
+        outside = _outside_disk(mu, lam)
+        misjudged += outside != (math.log(abs(mu)) + math.log(abs(lam)) >= 0.0)
+        for call in (lambda: kernel(mu, lam, WCONST, 1.0),
+                     lambda: kernel(np.array([mu]), lam, WCONST, 1.0)[0]):
+            if outside:
+                with pytest.raises(OutsidePhaseSpaceError) as info:
+                    call()
+                assert info.value.series == "kernel" and info.value.__cause__ is None
+            else:
+                assert _rel(call(), _closed_exact(mu, lam, WCONST)) <= 4 * U
+        if mu == lam and outside:
+            with pytest.raises(OutsidePhaseSpaceError, match="norm series"):
+                coherent_norm_sq(lam, WCONST, 1.0)
+    assert misjudged > 0
+
+
+def test_cs_transform_domain_check_takes_the_closed_form():
+    # the summed check raised ToleranceUnreachableError at each of these,
+    # where R = inf under factorial weights and |lam| < 1 = R under constant
+    for lam, w in ((600.0, WFAC), (1e8, WFAC), (0.99995 ** 0.5, WCONST)):
+        got = cs_transform([1, 0.5], lam, w, 1)
+        assert abs(got - (1 + 0.5 * lam)) <= 1e-14 * abs(got)
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.5, 5.0])
