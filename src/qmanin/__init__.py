@@ -34,8 +34,8 @@ _HOME = {name: module for module, names in {
                 "verify_moments", "verify_resolution_identity"),
     "operators": ("BoundednessReport", "OperatorMeta", "TruncatedOperator",
                   "adjoint_annihilation_matrix", "annihilation_matrix",
-                  "boundedness_report", "creation_matrix", "domain_membership",
-                  "number_matrix", "toeplitz_matrix"),
+                  "boundedness_report", "creation_matrix", "number_matrix",
+                  "toeplitz_matrix"),
     "paragrassmann": ("ParagrassmannConfig", "StructureReport", "pg_annihilation",
                       "pg_structure_report"),
     "symbols": ("PolynomialSymbol", "SymbolValueGrid", "lower_symbol",

@@ -9,9 +9,8 @@ product of the exact ratios w_k / w_{k-1}.  Degree-raising terms push
 entries past the cutoff window; those are dropped and the operator's
 exactness flag is cleared so truncation loss is never silent.
 
-Also here: the boundedness/compactness classifier for the annihilation
-operator and the domain membership test, both driven by the ratio
-sequence |q|^{-2n} w_n / w_{n-1} taken from the same ratios.
+Also here: the boundedness, compactness and norm of the annihilation
+operator, in closed form for the rule weights w_n = c (n!)^s.
 """
 
 from __future__ import annotations
@@ -19,13 +18,13 @@ from __future__ import annotations
 import csv as _csv
 import io
 import math
+import sys
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .algebra import ManinElement, format_terms
-from .errors import ConfigError, InputTooLargeError
+from .errors import ConfigError, InputTooLargeError, WeightHorizonError
 from .kernels import complex_product
 from .weights import QParam, WeightSequence
 
@@ -105,8 +104,9 @@ _MAX_BAND_FACTORS = 1 << 16
 def toeplitz_matrix(g: ManinElement, w: WeightSequence, q, N: int) -> TruncatedOperator:
     """Truncated matrix of T_g on the basis phi_0..phi_N.
 
-    Each square-root weight quotient is a product of w.sqrt_ratio(k) taken
-    from 1.0 in increasing k; an entry past a double is inf and refused."""
+    Each square-root weight quotient is a product of the band entries
+    (w_k / w_{k-1})^{1/2} of w.sqrt_ratios, taken from 1.0 in increasing k;
+    an entry past a double is inf and refused."""
     q = QParam.of(q)
     if g.q.value != q.value:
         raise ConfigError("symbol was built over a different q")
@@ -125,9 +125,9 @@ def toeplitz_matrix(g: ManinElement, w: WeightSequence, q, N: int) -> TruncatedO
                                      f"per entry, above the cap {_MAX_BAND_FACTORS}")
         z = complex_product(coeff.evaluate(g.q), q.powers(-j * np.arange(lo, hi + 1)))
         s = w.sqrt_ratios(hi + i)
-        # column n takes s[k - 1] = sqrt_ratio(k) at k = n + t, first over
-        # 0 < t <= i for (w_{n+i}/w_n)^{1/2}, then over i-j < t <= i for
-        # (w_{n+i}/w_{n+i-j})^{1/2}
+        # column n takes s[k - 1] = (w_k / w_{k-1})^{1/2} at k = n + t, first
+        # over 0 < t <= i for (w_{n+i}/w_n)^{1/2}, then over i-j < t <= i
+        # for (w_{n+i}/w_{n+i-j})^{1/2}
         with np.errstate(over="ignore", invalid="ignore"):
             for ts in (range(1, i + 1), range(i - j + 1, i + 1)):
                 band = np.ones(hi - lo + 1)
@@ -168,141 +168,61 @@ def number_matrix(N: int) -> TruncatedOperator:
 
 
 # ---------------------------------------------------------------------------
-# boundedness / compactness classification
+# boundedness / compactness of the annihilation operator
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BoundednessReport:
-    """Verdicts from the ratio sequence |q|^{-2n} w_n / w_{n-1}, n = 1..H."""
+    """Verdicts on T_tb and its squared norm, inf where T_tb is unbounded."""
 
-    ratio_sequence: tuple
-    bounded: str          # yes | no | inconclusive
-    compact: str
-    sup_estimate: float
+    bounded: bool
+    compact: bool
+    norm_sq: float
 
     def __post_init__(self):
-        if self.bounded == "yes" and not math.isfinite(self.sup_estimate):
-            raise ConfigError("bounded=yes requires a finite sup estimate")
-        if self.compact == "yes" and self.bounded != "yes":
-            raise ConfigError("compact=yes implies bounded=yes")
+        if self.bounded != math.isfinite(self.norm_sq):
+            raise ConfigError("an operator is bounded exactly when its norm is finite")
+        if self.compact and not self.bounded:
+            raise ConfigError("a compact operator is bounded")
 
 
-def _increment_slope(ratios: np.ndarray, idx: np.ndarray) -> float | None:
-    """log-log slope of the positive increments over the tail window."""
-    d = np.diff(ratios)
-    n = idx[1:].astype(float)
-    pos = d > 0
-    if pos.sum() < 6:
-        return None
-    x, y = np.log(n[pos]), np.log(d[pos])
-    k = max(6, x.size // 2)
-    x, y = x[-k:], y[-k:]
-    slope = np.polyfit(x, y, 1)[0]
-    return float(slope)
+# the log of the largest double
+_LOG_MAX = math.log(sys.float_info.max)
 
 
-def boundedness_report(w: WeightSequence, q, horizon: int = 200) -> BoundednessReport:
-    """Classify T_tb from the first ``horizon`` ratio samples.
+def boundedness_report(w: WeightSequence, q) -> BoundednessReport:
+    """Boundedness, compactness and squared norm of T_tb, in closed form.
 
-    A decaying tail certifies compactness, a flat positive tail certifies
-    boundedness, and steadily growing ratios (increment log-log slope
-    above -1, the p-series threshold) indicate an unbounded operator.
-    Anything ambiguous is reported as inconclusive.
-    """
+    T_tb is a weighted backward shift with |band_n|^2 = |q|^{-2n} n^s for
+    the rule w_n = c (n!)^s, so ||T_tb||^2 = sup_n |band_n|^2, and T_tb is
+    compact exactly when band_n -> 0 (Shields, "Weighted shift operators
+    and analytic function theory", 1974).  The exact test |q| == 1 that the
+    phase-space radius takes decides it:
+
+    - |q| > 1: compact; log |band_n|^2 = s log n - 2n log|q| is concave in
+      n, so the sup is at the floor or the ceiling of s / (2 log|q|), and
+      at n = 1 for s <= 0;
+    - |q| = 1: unbounded for s > 0; norm 1 for s = 0, not compact, and for
+      s < 0, compact;
+    - |q| < 1: unbounded.
+
+    An explicit table fixes no weight past its last index, so no verdict on
+    it can be certified: it is refused with WeightHorizonError.  A norm
+    past a double is an InputTooLargeError, as a band entry past one is."""
     q = QParam.of(q)
-    horizon = w.max_index(int(horizon))
-    if horizon < 10:
-        raise ConfigError("boundedness classification needs horizon >= 10")
-    n = np.arange(1, horizon + 1, dtype=np.int64)
-    with np.errstate(divide="ignore", over="ignore"):
-        ratios = np.exp(-2.0 * n * q.log_abs + np.log([w.ratio(k) for k in n]))
-    window = ratios[-max(8, ratios.size // 4):]
-    sup = float(np.max(ratios))
-    zero_tol = 1e-12 * max(1.0, sup)
-
-    bounded, compact = "inconclusive", "inconclusive"
-    if math.isinf(sup):
-        # the squared norm is at least every ratio, and one is past a double
-        bounded, compact = "no", "no"
-    elif np.all(np.diff(window) <= 1e-12 * np.maximum(window[:-1], 1e-300)):
-        # non-increasing tail
-        if window[-1] <= zero_tol:
-            bounded, compact = "yes", "yes"
-        else:
-            bounded = "yes"
-            if window[-1] > 1e-8 * max(1.0, sup):
-                compact = "no"
-    elif np.all(np.diff(window) >= -1e-12 * np.maximum(window[:-1], 1e-300)):
-        # non-decreasing tail: unbounded iff the increments do not decay
-        # summably; slope > -1 in log-log means the growth never stops
-        if sup > 1e9:
-            bounded, compact = "no", "no"
-        else:
-            slope = _increment_slope(ratios, n)
-            if slope is not None and slope > -0.9:
-                bounded, compact = "no", "no"
-            elif slope is not None and slope < -1.1:
-                bounded = "yes"
-                if window[-1] > zero_tol:
-                    compact = "no"
-
-    if bounded == "no":
-        sup = math.inf
-    return BoundednessReport(tuple(ratios), bounded, compact, sup)
-
-
-CoefficientSource = Union[Sequence[complex], Callable[[int], complex]]
-
-
-def domain_membership(coeff_source: CoefficientSource, w: WeightSequence, q,
-                      horizon: int = 400) -> str:
-    """Does sum a_n phi_n lie in the domain of the annihilation operator?
-
-    Decides convergence of sum |a_n|^2 |q|^{-2n} w_n / w_{n-1} by a ratio
-    test, a harmonic-comparison test and the p-series slope of the terms;
-    finite vectors are always members.  Returns 'in_domain',
-    'not_in_domain' or 'inconclusive'.
-    """
-    q = QParam.of(q)
-    if not callable(coeff_source):
-        return "in_domain"
-    horizon = w.max_index(int(horizon))
-    n = np.arange(1, horizon + 1, dtype=np.int64)
-    log_a = np.empty(n.size)
-    for k in n:
-        a = complex(coeff_source(int(k)))
-        log_a[k - 1] = math.log(abs(a)) if a != 0 else -math.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_t = 2.0 * log_a - 2.0 * n * q.log_abs + np.log([w.ratio(k) for k in n])
-    if np.any(np.isnan(log_t) | np.isposinf(log_t)):
-        return "inconclusive"       # a weight ratio past a double
-    if np.all(np.isneginf(log_t[-(n.size // 4):])):
-        return "in_domain"          # effectively finite support
-
-    win = slice(-max(16, n.size // 4), None)
-    dratio = np.diff(log_t)
-    dwin = dratio[np.isfinite(dratio)][win]
-    if dwin.size >= 8:
-        # geometric decay only counts when the ratio is not drifting upward,
-        # otherwise 1 - 1/n style ratios masquerade as geometric
-        if np.max(dwin) < math.log(0.999) and np.max(np.diff(dwin)) <= 1e-12:
-            return "in_domain"
-        if np.min(dwin) > math.log(1.001):
-            return "not_in_domain"  # terms grow geometrically
-
-    # harmonic comparison: liminf n * t_n > 0 forces divergence
-    log_nt = log_t + np.log(n)
-    tail = log_nt[win]
-    if np.min(tail) > math.log(1e-3) and tail[-1] >= tail[0] - 0.5:
-        return "not_in_domain"
-
-    # p-series slope of log t against log n
-    x, y = np.log(n[win]), log_t[win]
-    finite = np.isfinite(y)
-    if finite.sum() >= 8:
-        slope = float(np.polyfit(x[finite], y[finite], 1)[0])
-        if slope < -1.1:
-            return "in_domain"
-        if slope > -0.9:
-            return "not_in_domain"
-    return "inconclusive"
+    if w.table is not None:
+        raise WeightHorizonError(f"{w.describe()} weights fix no w_n past n = {w.horizon}, "
+                                 "so the boundedness of T_tb is not decided")
+    if q.abs < 1.0 or (q.abs == 1.0 and w.s > 0):
+        return BoundednessReport(False, False, math.inf)
+    if q.abs == 1.0:
+        return BoundednessReport(True, w.s < 0, 1.0)
+    # the real maximizer, clamped to n >= 1; one past a double reads as the
+    # largest double, where the log of the sup is already past the range
+    x = min(max(w.s / (2.0 * q.log_abs), 1.0), sys.float_info.max)
+    log_sup = max(w.s * math.log(n) - n * (2.0 * q.log_abs)
+                  for n in {math.floor(x), math.ceil(x)})
+    if not log_sup <= _LOG_MAX:         # nan too, from inf - inf
+        raise InputTooLargeError(f"||T_tb||^2 of {w.describe()} weights at |q| = {q.abs!r} "
+                                 "is past a double")
+    return BoundednessReport(True, True, math.exp(log_sup))

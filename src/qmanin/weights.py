@@ -21,12 +21,13 @@ quotient where it is a normal double, and otherwise the quotient of the
 square roots (n^(s/2) for a rule), so it leaves the double range only
 where the entry itself does.
 
-``QParam.powers`` and ``WeightSequence.sqrt_ratios`` are the array forms
-of ``power`` and ``sqrt_ratio``, for a Toeplitz column range or a whole
-band at once.  Each entry is the scalar form's, bit for bit, refusals
-included: exp and the rule powers k**s are libm's, taken per entry (numpy's
-exp and power differ from libm in the last bit), and every other step is
-an IEEE operation numpy rounds as Python does.
+``QParam.powers`` is the array form of ``power``, and
+``WeightSequence.sqrt_ratios`` gives the band entries, each for a Toeplitz
+column range or a whole band at once.  Each entry is the per-entry
+formula's, bit for bit, refusals included: exp and the rule powers k**s
+are libm's, taken per entry (numpy's exp and power differ from libm in the
+last bit), and every other step is an IEEE operation numpy rounds as
+Python does.
 
 ``json_number`` and ``json_object`` decide, for every input the package
 reads, what a JSON number is and which keys an object may hold.
@@ -307,26 +308,16 @@ class WeightSequence:
             return self.table[n] / self.table[n - 1]
         return _pow(float(n), self.s)
 
-    def sqrt_ratio(self, n: int) -> float:
-        """(w_n / w_{n-1})**(1/2), the universal band entry: sqrt of the
-        quotient where that is a normal double, else sqrt(w_n) / sqrt(w_{n-1}),
-        which is n**(s/2) for a rule; inf only where the entry itself is
-        past a double."""
-        r = self.ratio(n)
-        if n <= 0 or _NORMAL_MIN <= r < math.inf:
-            return math.sqrt(r)
-        if self.table is not None:
-            return math.sqrt(self.table[n]) / math.sqrt(self.table[n - 1])
-        return _pow(float(n), 0.5 * self.s)
-
     def sqrt_ratios(self, n: int) -> np.ndarray:
-        """``sqrt_ratio(k)`` for 1 <= k <= n, as one array, bit for bit: a
-        table's quotients and every square root are IEEE operations, which
-        numpy rounds as Python does, and a rule's powers are Python's."""
+        """The band entries (w_k / w_{k-1})**(1/2) for 1 <= k <= n, as one
+        array: sqrt of ``ratio(k)`` where that is a normal double, else
+        sqrt(w_k) / sqrt(w_{k-1}), k**(s/2) for a rule.  The quotients and
+        square roots are IEEE operations, which numpy rounds as Python
+        does, and a rule's powers are Python's."""
         if n <= 0:
             return np.empty(0)
         if n > self.max_index(n):
-            self._check(self.horizon + 1)     # the first k that sqrt_ratio refuses
+            self._check(self.horizon + 1)     # the first k past the table
         if self.table is not None:
             t = np.array(self.table[:n + 1])
             with np.errstate(over="ignore"):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,19 @@ def wconst():
 def qgauss_table(q_abs: float, length: int = 31) -> WeightSequence:
     """w_n = |q|^{n(n+1)}: radius exactly one for the given |q|."""
     return WeightSequence.explicit([q_abs ** (n * (n + 1)) for n in range(length)])
+
+
+def sqrt_reference(w, n):
+    """The band entry (w_n / w_{n-1})^{1/2} one index at a time:
+    sqrt(w_n / w_{n-1}) where the quotient is a normal double; past it,
+    sqrt(w_n) / sqrt(w_{n-1}), n**(s/2) for a rule.  Refused past a
+    table's horizon, as ``w.ratio(n)`` refuses."""
+    r = w.ratio(n)
+    if n <= 0 or 2.0 ** -1022 <= r < math.inf:
+        return math.sqrt(r)
+    if w.table is not None:
+        return math.sqrt(w.table[n]) / math.sqrt(w.table[n - 1])
+    return float(n) ** (0.5 * w.s)
 
 
 def random_complex(rng, scale=1.0):

@@ -27,7 +27,7 @@ EXPORTS = {
     "adjoint_annihilation_matrix", "annihilation_matrix", "backend_name",
     "boundedness_report", "closed_form_density", "coherent_coefficients",
     "coherent_norm_sq", "creation_matrix", "cs_transform",
-    "domain_membership", "eigen_residual", "evolve", "evolve_state",
+    "eigen_residual", "evolve", "evolve_state",
     "gauss_quadrature_from_moments", "kernel",
     "lower_symbol", "lower_symbol_grid", "norm_divergence_witness",
     "normal_order_product", "number_matrix", "pg_annihilation",

@@ -1,19 +1,22 @@
 import cmath
 import json
 import math
+import sys
 import warnings
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
-from conftest import column_from_projection
-from qmanin import (ConfigError, ManinElement, WeightSequence,
+from conftest import column_from_projection, sqrt_reference
+from qmanin import (ConfigError, ManinElement, WeightHorizonError, WeightSequence,
                     adjoint_annihilation_matrix, annihilation_matrix,
-                    boundedness_report, creation_matrix, domain_membership,
-                    number_matrix, toeplitz_matrix)
+                    boundedness_report, creation_matrix, number_matrix,
+                    radius_of_convergence, toeplitz_matrix)
 from qmanin import jsonio
 from qmanin.errors import InputTooLargeError
-from qmanin.operators import TruncatedOperator, OperatorMeta
+from qmanin.operators import BoundednessReport, TruncatedOperator, OperatorMeta
 from qmanin.weights import QParam
 
 WFAC = WeightSequence.factorial()
@@ -247,82 +250,104 @@ def test_norm_bound_against_svd():
     assert zero.norm_bound() == 0.0
 
 
+# -- boundedness of the annihilation operator against the theory ---------------
+
+def _sup_reference(s, r):
+    """max over n >= 1 of n^s r^{-2n}, r > 1, at 40 digits: term by term
+    until the terms fall, since log(n^s r^{-2n}) is concave in n; where the
+    peak lies past 10^4 terms, the real maximum (s / (2e log r))^s, which
+    the integer one is within a relative s (2 log r / s)^2 / 2 of."""
+    with mpmath.workdps(40):
+        log_r = mpmath.log(mpmath.mpf(r))
+        if s > 2e4 * log_r:
+            return (s / (2 * mpmath.e * log_r)) ** s
+        best, n = mpmath.mpf(0), 1
+        while True:
+            term = mpmath.mpf(n) ** s * mpmath.exp(-2 * n * log_r)
+            if term < best:
+                return best
+            best, n = term, n + 1
+
+
+_EXPONENTS = (-1.0, -0.1, 0.0, 0.1, 0.5, 1.0, 2.0)
+_MODULI = (0.5, 0.999, 1.0, 1.001, 2.0)
+# phases at which abs(cmath.rect(r, phase)) is r for every r of _MODULI
+_PHASES = (0.0, 2.1, -2.5)
+
+_verdict_cases = [
+    pytest.param(replace(WeightSequence.power_factorial(s), scale=scale),
+                 cmath.rect(r, phase), id=f"s{s:g}-q{r:g}-arg{phase:g}-scale{scale:g}")
+    for s in _EXPONENTS for r in _MODULI for phase in _PHASES for scale in (1.0, 0.03)
+] + [
+    pytest.param(WCONST, 1.2, id="constant-q1.2"),
+    pytest.param(WeightSequence.constant(7.0), 0.8, id="constant7-q0.8"),
+    pytest.param(WFAC, 0.1, id="factorial-q0.1"),   # |q|^{-2n} n! passes a double
+    # x* = s / (2 log|q|) is about 2e16, past 2^53
+    pytest.param(WeightSequence.power_factorial(10.0), 1.0 + 2.0 ** -52, id="pf10-q1+eps"),
+    # abs(q) rounds to 1 - 2^-53, below 1
+    pytest.param(WFAC, cmath.exp(0.31950650216738913j), id="factorial-q1-ulp"),
+    pytest.param(WeightSequence.power_factorial(-1.0), cmath.exp(0.31950650216738913j),
+                 id="pf-1-q1-ulp"),
+    # the sup is about 150075^300 1.001^-300150, past a double
+    pytest.param(WeightSequence.power_factorial(300.0), 1.001, id="pf300-q1.001"),
+    # s log n and 2n log|q| both pass a double at the largest s
+    pytest.param(WeightSequence.power_factorial(sys.float_info.max), 2.0, id="pfmax-q2"),
+    pytest.param(WeightSequence.explicit([math.factorial(n) for n in range(151)]), 1.0,
+                 id="table"),
+]
+
+
+@pytest.mark.parametrize("w, q", _verdict_cases)
+def test_annihilation_verdicts_are_the_closed_form(w, q):
+    # T_tb is the weighted backward shift with |band_n|^2 = |q|^{-2n} n^s:
+    # ||T_tb||^2 = sup_n |band_n|^2, compact iff band_n -> 0.  The norm is
+    # checked against a 40-digit scan; its log-domain value is within a few
+    # ulps of |log ||T_tb||^2| <= 400, so 1e-12 relative bounds it
+    r, s = abs(q), w.s
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if w.table is not None:
+            with pytest.raises(WeightHorizonError, match="no w_n past n = 150"):
+                boundedness_report(w, q)
+            return
+        if r > 1.0 and _sup_reference(s, r) > mpmath.mpf(sys.float_info.max):
+            with pytest.raises(InputTooLargeError, match="past a double"):
+                boundedness_report(w, q)
+            return
+        rep = boundedness_report(w, q)
+    radius = radius_of_convergence(w, q).value
+    if r < 1.0 or (r == 1.0 and s > 0):
+        assert (rep.bounded, rep.compact, rep.norm_sq) == (False, False, math.inf)
+    elif r == 1.0:
+        assert (rep.bounded, rep.compact, rep.norm_sq) == (True, s < 0, 1.0)
+    else:
+        assert rep.bounded and rep.compact
+        assert abs(rep.norm_sq / _sup_reference(s, r) - 1) <= 1e-12
+    # unbounded iff R = inf, compact iff R = 0, and otherwise R = ||T_tb|| = 1
+    assert (not rep.bounded) == (radius == math.inf)
+    assert rep.compact == (radius == 0.0)
+    if rep.bounded and not rep.compact:
+        assert radius == math.sqrt(rep.norm_sq) == 1.0
+
+
 class TestBoundedness:
-    def test_constant_unit_q_bounded_not_compact(self):
-        rep = boundedness_report(WCONST, 1.0)
-        assert rep.bounded == "yes" and rep.compact == "no"
-        assert rep.sup_estimate == 1.0
-
-    def test_factorial_unit_q_unbounded(self):
-        rep = boundedness_report(WFAC, 1.0)
-        assert rep.bounded == "no" and rep.compact == "no"
-        assert math.isinf(rep.sup_estimate)
-
-    def test_factorial_q2_compact(self):
-        rep = boundedness_report(WFAC, 2.0, horizon=200)
-        assert rep.compact == "yes" and rep.bounded == "yes"
-
-    def test_backward_shift_bounded_iff_q_at_least_one(self):
-        # constant weights: ratios |q|^{-2n} decay for |q| > 1 and blow up
-        # geometrically for |q| < 1
-        rep_big = boundedness_report(WCONST, 1.2)
-        assert rep_big.bounded == "yes" and rep_big.compact == "yes"
-        rep_small = boundedness_report(WCONST, 0.8)
-        assert rep_small.bounded == "no"
-
-    def test_slowly_growing_ratios_inconclusive(self):
-        # ratios log(n+2): increments decay exactly like 1/n, the p-series edge
-        table, acc = [], 1.0
-        for n in range(151):
-            if n:
-                acc *= math.log(n + 2)
-            table.append(acc)
-        rep = boundedness_report(WeightSequence.explicit(table), 1.0, horizon=150)
-        assert rep.bounded == "inconclusive"
-
-    def test_overflowing_ratios_are_unbounded_without_warning(self):
-        # |q|^{-2n} n! passes a double near n = 150
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rep = boundedness_report(WFAC, 0.1)
-        assert math.isinf(max(rep.ratio_sequence))
-        assert rep.bounded == "no" and math.isinf(rep.sup_estimate)
-
     def test_invariant_guard(self):
-        from qmanin.operators import BoundednessReport
         with pytest.raises(ConfigError):
-            BoundednessReport((1.0,), "yes", "no", math.inf)
+            BoundednessReport(True, False, math.inf)
         with pytest.raises(ConfigError):
-            BoundednessReport((1.0,), "inconclusive", "yes", 1.0)
-
-
-class TestDomainMembership:
-    def test_finite_vector(self):
-        assert domain_membership([1.0, 2.0, 3.0], WFAC, 1.0) == "in_domain"
-
-    def test_coherent_coefficients_inside(self):
-        lam = 2.0
-        def family(n):
-            return lam**n / math.sqrt(WFAC.weight(n))
-        assert domain_membership(family, WFAC, 1.0) == "in_domain"
-
-    def test_harmonic_coefficients_outside(self):
-        assert domain_membership(lambda n: 1.0 / (n + 1), WFAC, 1.0) \
-            == "not_in_domain"
-
-    def test_geometric_inside_constant_weights(self):
-        assert domain_membership(lambda n: 0.5**n, WCONST, 1.0) == "in_domain"
-
-    def test_growing_terms_outside(self):
-        assert domain_membership(lambda n: 1.0, WCONST, 0.8) == "not_in_domain"
+            BoundednessReport(False, False, 1.0)
+        with pytest.raises(ConfigError):
+            BoundednessReport(False, True, math.inf)
+        assert BoundednessReport(True, True, 0.25).norm_sq == 0.25
 
 
 # -- the toeplitz matrix against a per-entry oracle -----------------------------
 
 def _entrywise_toeplitz(g, w, q, N):
     """T_g one entry at a time, in Python complex arithmetic: the symbol
-    coefficient times q^{-jn}, times the products of sqrt_ratio taken from
-    1.0 in increasing k; the matrix, or the refusal's type and message."""
+    coefficient times q^{-jn}, times the products of the band entries
+    sqrt_reference(w, k) taken from 1.0 in increasing k; the matrix, or the
+    refusal's type and message."""
     q = QParam.of(q)
     mat = np.zeros((N + 1, N + 1), dtype=complex)
     try:
@@ -333,7 +358,7 @@ def _entrywise_toeplitz(g, w, q, N):
                 for ts in (range(1, i + 1), range(i - j + 1, i + 1)):
                     band = 1.0
                     for t in ts:
-                        band *= w.sqrt_ratio(n + t)
+                        band *= sqrt_reference(w, n + t)
                     z = z * band
                 mat[n + i - j, n] += z
         TruncatedOperator(mat, OperatorMeta("g", w.describe(), q.value, True))

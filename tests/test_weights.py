@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import sqrt_reference
 from qmanin import ConfigError, QParam, WeightHorizonError, WeightSequence
 from qmanin.errors import InputTooLargeError
 
@@ -309,17 +310,6 @@ def _log_reference(w, n):
     return lg + math.log(w.c) + math.log(w.scale)
 
 
-def _sqrt_reference(w, n):
-    """sqrt(w_n / w_{n-1}) where the quotient is a normal double; past it,
-    sqrt(w_n) / sqrt(w_{n-1}), n**(s/2) for a rule."""
-    r = w.ratio(n)
-    if n <= 0 or _NORMAL_MIN <= r < math.inf:
-        return math.sqrt(r)
-    if w.table is not None:
-        return math.sqrt(w.table[n]) / math.sqrt(w.table[n - 1])
-    return float(n) ** (0.5 * w.s)
-
-
 _table_specs = st.one_of(
     st.builds(WeightSequence, st.just("factorial"), scale=_positive),
     st.builds(WeightSequence, st.just("constant"), c=_positive, scale=_positive),
@@ -344,10 +334,12 @@ def test_table_slices_are_the_per_index_values_bit_for_bit(w, requests, rnd):
             logs = fresh.log_weights(n0, n1)
             assert logs.shape == (max(n1 - n0, 0),)
             want_logs = [_log_reference(w, n).hex() for n in range(n0, n1)]
-            want_roots = [_sqrt_reference(w, n).hex() for n in range(n0, n1)]
+            k0 = max(n0, 1)
+            want_roots = [sqrt_reference(w, k).hex() for k in range(k0, n1)]
             assert [x.hex() for x in logs.tolist()] == want_logs
             assert [fresh.log_weight(n).hex() for n in range(n0, n1)] == want_logs
-            assert [fresh.sqrt_ratio(n).hex() for n in range(n0, n1)] == want_roots
+            roots = fresh.sqrt_ratios(n1 - 1)[k0 - 1:]
+            assert [x.hex() for x in roots.tolist()] == want_roots
 
 
 @pytest.mark.parametrize("table, n, root", [
@@ -357,19 +349,21 @@ def test_table_slices_are_the_per_index_values_bit_for_bit(w, requests, rnd):
 ])
 def test_table_band_entry_at_half_range(table, n, root):
     w = WeightSequence.explicit(table)
-    assert math.isclose(w.sqrt_ratio(n), root, rel_tol=1e-15)
+    band = w.sqrt_ratios(len(table) - 1)
+    assert math.isclose(band[n - 1], root, rel_tol=1e-15)
     # in-range quotients keep sqrt(ratio) bit for bit
-    for k in range(len(table)):
+    for k in range(1, len(table)):
+        assert band[k - 1] == sqrt_reference(w, k)
         r = w.ratio(k)
         if _NORMAL_MIN <= r < math.inf:
-            assert w.sqrt_ratio(k) == math.sqrt(r)
+            assert band[k - 1] == math.sqrt(r)
 
 
 def test_rule_band_entry_below_the_normal_range():
     # 2**-1100 underflows a double; its square root 2**-550 does not
     w = WeightSequence.power_factorial(-1100.0)
     assert w.ratio(2) == 0.0
-    assert w.sqrt_ratio(2) == 2.0 ** -550
+    assert w.sqrt_ratios(2)[1] == sqrt_reference(w, 2) == 2.0 ** -550
 
 
 def test_refusals_are_the_same_on_a_cold_and_a_warm_table():
@@ -390,7 +384,7 @@ def test_a_warm_table_keeps_its_horizon():
     w = WeightSequence.explicit([1.0, 2.0, 6.0])
     w.log_weights(0, 3)
     for call in (lambda: w.log_weights(0, 4), lambda: w.log_weights(-2, 4),
-                 lambda: w.log_weight(3), lambda: w.sqrt_ratio(3)):
+                 lambda: w.log_weight(3), lambda: w.sqrt_ratios(3)):
         with pytest.raises(WeightHorizonError):
             call()
 
@@ -431,7 +425,7 @@ def test_a_warm_table_leaves_equality_hash_and_json(w):
     assert repr(w) == repr(cold)
 
 
-# -- the array forms of power and sqrt_ratio -----------------------------------
+# -- the array forms of power and the band entry -------------------------------
 
 def _parts_or_refusal(call, refusal):
     """The hex of both parts of every value, or the refusal's type and text."""
@@ -471,9 +465,9 @@ def test_powers_are_power_bit_for_bit(q, exponents):
 
 @settings(deadline=None)
 @given(_table_specs, st.integers(0, 400))
-def test_sqrt_ratios_are_sqrt_ratio_bit_for_bit(w, n):
+def test_sqrt_ratios_are_the_reference_bit_for_bit(w, n):
     # tables of at most 300 entries: n past the horizon refuses at its first k
-    want = _parts_or_refusal(lambda: [w.sqrt_ratio(k) for k in range(1, n + 1)],
+    want = _parts_or_refusal(lambda: [sqrt_reference(w, k) for k in range(1, n + 1)],
                              WeightHorizonError)
     assert _parts_or_refusal(lambda: w.sqrt_ratios(n), WeightHorizonError) == want
 
@@ -488,6 +482,6 @@ def test_sqrt_ratios_are_sqrt_ratio_bit_for_bit(w, n):
 ], ids=["pf300", "pf-1100", "pf-1.5", "up", "down", "subnormal"])
 def test_sqrt_ratios_at_half_range(w):
     n = w.max_index(40)
-    want = [w.sqrt_ratio(k).hex() for k in range(1, n + 1)]
+    want = [sqrt_reference(w, k).hex() for k in range(1, n + 1)]
     assert [x.hex() for x in w.sqrt_ratios(n).tolist()] == want
     assert w.sqrt_ratios(0).size == 0
