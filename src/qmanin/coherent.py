@@ -29,8 +29,9 @@ wherever the two arguments are equal; there the series is summed as a
 real series, bit for bit the complex one.  The phase-space radius of a
 rule is its closed form, by which a point outside it is refused before
 any term is summed; a table's is estimated from its entries.
-``eigen_residual`` takes its annihilation band q^{-k} (w_k / w_{k-1})^{1/2}
-from the array forms ``QParam.powers`` and ``WeightSequence.sqrt_ratios``.
+``eigen_residual`` reads its annihilation band q^{-k} (w_k / w_{k-1})^{1/2}
+from ``WeightSequence.annihilation_band``, which keeps the band of the last
+q on the weights object, so states of one (w, q) share one band.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ import numpy as np
 
 from .errors import (ConfigError, InputTooLargeError, OutsidePhaseSpaceError,
                      ToleranceUnreachableError)
-from .kernels import complex_product, csum_logpolar
+from .kernels import csum_logpolar
 from .series import (SeriesDivergence, SeriesResult, bound_from_log, checked_log_tol,
-                     sum_series, sum_series_rows)
+                     never_certified, sum_series, sum_series_rows, unreachable)
 from .weights import SERIES_CAP, QParam, WeightSequence
 
 
@@ -102,13 +103,27 @@ def _kernel_series(mu, lam, w: WeightSequence, q: QParam, tol: float,
     A point with mu = 0 or lam = 0 is the single term 1/w_0.  Under a rule
     of radius R < inf (``_rule_radius``), a point with |mu| |lam| >= R^2 is
     refused before any term is summed, by the InputTooLargeError of a log
-    weight past a double within ``n_max`` terms if there is one.  One
-    remaining point is summed by ``sum_series``, more as the rows of one
+    weight past a double within ``n_max`` terms if there is one.  Under a
+    rule with s >= 0 and |q| <= 1 the log-ratio of terms n and n - 1,
+    b + 2n log|q| - s log n with b = log|mu| + log|lam|, does not increase
+    with n, so a point whose last one, at n = n_max - 1, leaves no window
+    certifiable (``never_certified``) is refused before any term is summed
+    with the ToleranceUnreachableError the engine would raise at ``n_max``.
+    One remaining point is summed by ``sum_series``, more as the rows of one
     array.
     """
     if w.horizon is not None:
         n_max = min(n_max, w.horizon + 1)
     radius = math.inf if w.table is not None else _rule_radius(w, q)
+    last = n_max - 1
+    if w.table is None and w.s >= 0 and q.log_abs <= 0 and last > 0:
+        # the last log-ratio less b, and the moduli of the parts of
+        # log|t_last| summed, less last |b|
+        rest = 2 * last * q.log_abs - w.s * math.log(last)
+        size = (-last * (last + 1.0) * q.log_abs + w.s * math.lgamma(last + 1)
+                + abs(math.log(w.c)) + abs(math.log(w.scale)))
+    else:
+        rest = None
     out, live, base, dphase = [], [], [], []
     for m, l in zip(mu, lam):
         try:
@@ -126,6 +141,10 @@ def _kernel_series(mu, lam, w: WeightSequence, q: QParam, tol: float,
                 out.append(_outside(m, l, series))
             except InputTooLargeError as exc:
                 out.append(exc)
+            continue
+        if rest is not None and never_certified(b + rest, last * abs(b) + size):
+            checked_log_tol(tol)    # a bad tol is refused as the engines refuse it
+            out.append(unreachable(tol, n_max))
             continue
         live.append(len(out))
         out.append((m, l))
@@ -411,8 +430,9 @@ def eigen_residual(state: CoherentStateVector, w: WeightSequence, q) -> EigenRes
     """|| T phi - lambda phi || / ||phi|| on the truncation window.
 
     The single window-edge row (which only sees the discarded a_{N+1}) is
-    excluded from the residual and reported as ``leakage`` instead.  A band
-    entry past a double is refused with InputTooLargeError.
+    excluded from the residual and reported as ``leakage`` instead.  The
+    band is ``w.annihilation_band(q, N)``, kept on ``w`` for the last q: a
+    band entry past a double is refused with InputTooLargeError.
     """
     q = QParam.of(q)
     b, _ = state.scaled_coefficients()
@@ -420,13 +440,7 @@ def eigen_residual(state: CoherentStateVector, w: WeightSequence, q) -> EigenRes
     nrm = float(np.linalg.norm(b))
     if ncut == 0:
         return EigenResidual(0.0, abs(state.lam))
-    with np.errstate(over="ignore", invalid="ignore"):
-        band = complex_product(q.powers(-np.arange(1, ncut + 1)), w.sqrt_ratios(ncut))
-    past = np.flatnonzero(~np.isfinite(band))
-    if past.size:
-        raise InputTooLargeError(f"the annihilation band entry of column {past[0] + 1} "
-                                 f"is past the double range")
-    resid_vec = band * b[1:] - state.lam * b[:-1]
+    resid_vec = w.annihilation_band(q, ncut) * b[1:] - state.lam * b[:-1]
     return EigenResidual(
         residual=float(np.linalg.norm(resid_vec)) / nrm,
         leakage=abs(state.lam) * abs(b[-1]) / nrm,

@@ -175,8 +175,24 @@ def sum_series(logmag_fn, phase_fn=None, tol: float = 1e-12,
                 raise SeriesDivergence(
                     f"series terms stopped decaying after {n} terms", n)
 
-    raise ToleranceUnreachableError(
+    raise unreachable(tol, n_max)
+
+
+def unreachable(tol: float, n_max: int) -> ToleranceUnreachableError:
+    """The refusal of a series that ``n_max`` terms cannot certify to ``tol``."""
+    return ToleranceUnreachableError(
         f"could not certify tail <= {tol:g} within {n_max} terms")
+
+
+def never_certified(last_log_ratio: float, size: float) -> bool:
+    """Whether no window can certify a series whose log-ratios, in exact
+    arithmetic, are non-increasing down to ``last_log_ratio`` at the last
+    index summed, each the difference of two log magnitudes whose parts
+    sum to at most ``size`` in modulus.  A log-ratio as the engines take
+    it is off by a few u times ``size``; the slack 1e-12 max(1, size)
+    covers that, so every ratio of every window stays at or above the
+    cap ``_RHO_CAP`` that a certified window must stay below."""
+    return last_log_ratio - 1e-12 * max(1.0, size) >= _RHO_CAP
 
 
 def _certified_tail(last_lm, rho_log, log_tol, acc, scale, max_logmag):
@@ -207,9 +223,7 @@ def sum_series_rows(logmag_fn, phase_fn, nrows: int, tol: float = 1e-12,
     for start in range(0, nrows, ROW_BLOCK):
         rows = np.arange(start, min(start + ROW_BLOCK, nrows))
         _sum_block(rows, logmag_fn, phase_fn, log_tol, n_max, out)
-    return [ToleranceUnreachableError(
-                f"could not certify tail <= {tol:g} within {n_max} terms")
-            if r is None else r for r in out]
+    return [unreachable(tol, n_max) if r is None else r for r in out]
 
 
 def _sum_block(rows, logmag_fn, phase_fn, log_tol, n_max, out) -> None:

@@ -27,7 +27,12 @@ column range or a whole band at once.  Each entry is the per-entry
 formula's, bit for bit, refusals included: exp and the rule powers k**s
 are libm's, taken per entry (numpy's exp and power differ from libm in the
 last bit), and every other step is an IEEE operation numpy rounds as
-Python does.
+Python does.  ``annihilation_band`` multiplies the two into the band
+q^{-k} (w_k / w_{k-1})^{1/2} of the annihilation operator and keeps it on
+the instance for the last q asked for, up to the largest cutoff asked for
+(at most ``SERIES_CAP`` entries, 3.2 MB): a cutoff past it or another q
+builds the band anew at exactly that cutoff, so an entry and a refusal are
+those of a fresh build.
 
 ``json_number`` and ``json_object`` decide, for every input the package
 reads, what a JSON number is and which keys an object may hold.
@@ -42,7 +47,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputTooLargeError, WeightHorizonError
-from .kernels import libm_exp
+from .kernels import complex_product, libm_exp
 
 
 class _Kind(NamedTuple):
@@ -148,6 +153,13 @@ class WeightSequence:
     # reader never sees an entry that is not computed
     _logs: tuple = field(init=False, repr=False, compare=False,
                          default=(np.empty(0), 0))
+    # (key, band, first): the annihilation band of the q whose
+    # (log|q|, arg q), all that QParam.powers reads, is key, and the index
+    # of its first entry past a double (band.size if none), replaced as
+    # one tuple.  q itself is no key: -1 + 0i == -1 - 0i, yet their args
+    # pi and -pi give conjugate bands
+    _band: tuple = field(init=False, repr=False, compare=False,
+                         default=(None, np.empty(0, dtype=complex), 0))
 
     def __post_init__(self):
         fixed = _kind(self.kind).fixed
@@ -329,6 +341,28 @@ class WeightSequence:
             out[i] = (math.sqrt(self.table[i + 1]) / math.sqrt(self.table[i])
                       if self.table is not None else _pow(float(i + 1), 0.5 * self.s))
         return out
+
+    def annihilation_band(self, q: QParam, n: int) -> np.ndarray:
+        """The band entries q^{-k} (w_k / w_{k-1})^{1/2} of the annihilation
+        operator for 1 <= k <= n, as a read-only array: the product of
+        ``q.powers`` and ``sqrt_ratios``, refused as they refuse, and an
+        entry past a double is an InputTooLargeError naming its column.
+        The band of the last q is kept: a request up to its length is a
+        slice of it, any other is built at exactly n and kept in its place
+        (up to ``SERIES_CAP`` entries)."""
+        key, band, first = self._band
+        if key != (q.log_abs, q.arg) or n > band.size:
+            with np.errstate(over="ignore", invalid="ignore"):
+                band = complex_product(q.powers(-np.arange(1, n + 1)), self.sqrt_ratios(n))
+            band.flags.writeable = False
+            past = np.flatnonzero(~np.isfinite(band))
+            first = int(past[0]) if past.size else band.size
+            if n <= SERIES_CAP:
+                object.__setattr__(self, "_band", ((q.log_abs, q.arg), band, first))
+        if first < n:
+            raise InputTooLargeError(f"the annihilation band entry of column {first + 1} "
+                                     f"is past the double range")
+        return band[:max(n, 0)]
 
     def max_index(self, requested: int) -> int:
         """Clamp a horizon request to what is materializable."""

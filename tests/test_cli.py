@@ -338,6 +338,16 @@ def test_outside_a_rules_phase_space_exits_3_at_once(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_terms_growing_at_the_cap_exit_4_at_once(tmp_path):
+    # factorial weights at q = 1 have R = inf, but at lambda = 1e8 the terms
+    # still grow at the 200,000-term cap: exit 4, not 3 (outside the phase
+    # space)
+    proc = run_cold(tmp_path, ("coherent",), {"lambda": [1e8, 0], "q": 1})
+    assert proc.returncode == 4, proc.stderr
+    assert "could not certify tail <= 1e-12 within 200000 terms" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_integral_numbers_are_counts(tmp_path):
     # an integral float is the integer it equals: 4.0 runs cutoff 4
     cfg = tmp_path / "cfg.json"

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from qmanin import (OutsidePhaseSpaceError, ToleranceUnreachableError,
                     eigen_residual, evolve, evolve_state, kernel,
                     radius_of_convergence)
 from qmanin import coherent, jsonio
-from qmanin.coherent import _geometric_indexes, _kernel_series
+from qmanin.coherent import CoherentStateVector, _geometric_indexes, _kernel_series
 from qmanin.errors import InputTooLargeError
 from qmanin.weights import QParam
 
@@ -203,6 +204,53 @@ class TestEigenResidual:
         assert cmath.isfinite(QParam(q).power(-79)) and math.isfinite(sqrt_reference(w, 79))
         with pytest.raises(InputTooLargeError, match="entry of column 79 is past"):
             eigen_residual(st, w, q)
+
+    @pytest.mark.parametrize("w", [WFAC, WeightSequence.power_factorial(0.5),
+                                   replace(WeightSequence.constant(2.5), scale=0.3),
+                                   qgauss_table(1.3)],
+                             ids=["factorial", "pf0.5", "constant", "table"])
+    def test_a_warm_band_gives_the_cold_residual_bit_for_bit(self, w):
+        # one object switches q back and forth, |q| < 1, = 1 and > 1 (q =
+        # -1 + 0i and -1 - 0i compare equal but differ in arg q), while its
+        # cutoff rises and falls; every residual is that of a fresh object
+        rng = np.random.default_rng(32)
+        warm = replace(w)
+        for q in (0.8, 1.0, cmath.exp(0.9j), 1.3, 0.8, complex(-1.0, 0.0),
+                  complex(-1.0, -0.0), 1.0):
+            for n in (5, w.max_index(60), 12, w.max_index(60), 2):
+                st = _random_state(rng, n)
+                assert _hexes(eigen_residual(st, warm, q)) == _hexes(
+                    eigen_residual(st, replace(w), q))
+
+    def test_a_warm_band_is_not_built_again(self, monkeypatch):
+        w, q = WeightSequence.power_factorial(0.5), 0.9j
+        big, small = (coherent_coefficients(lam, w, q) for lam in (3.0, 0.5))
+        assert small.n_cutoff < big.n_cutoff
+        want = [_hexes(eigen_residual(st, replace(w), q)) for st in (big, small)]
+        eigen_residual(big, w, q)
+
+        def built(*args):
+            raise AssertionError("the band was built")
+
+        monkeypatch.setattr(QParam, "powers", built)
+        monkeypatch.setattr(WeightSequence, "sqrt_ratios", built)
+        assert [_hexes(eigen_residual(st, w, q)) for st in (big, small, big)] == want + want[:1]
+        # another q, or a longer cutoff, builds the band anew
+        longer = coherent_coefficients(30.0, w, q)
+        assert longer.n_cutoff > big.n_cutoff
+        for st, p in ((big, 1.0), (longer, q)):
+            with pytest.raises(AssertionError, match="the band was built"):
+                eigen_residual(st, w, p)
+
+
+def _random_state(rng, n):
+    """A state of cutoff n with random coefficients, for the band's bits."""
+    return CoherentStateVector(complex(*rng.normal(size=2)), rng.normal(size=n + 1),
+                               rng.uniform(-math.pi, math.pi, n + 1), -40.0, 1.0)
+
+
+def _hexes(res):
+    return res.residual.hex(), res.leakage.hex()
 
 
 class TestEvolution:
@@ -686,3 +734,46 @@ def test_series_engine_keeps_its_bargmann_oracle(r):
     for res, e in zip([one] + rows, exact[:1] + exact):
         assert res.float_value.imag == 0.0
         assert abs(res.float_value.real - e) <= 1e-12 * e
+
+
+# -- points whose terms still grow at the term cap ----------------------------
+
+_THETA_Q = cmath.exp(0.31950650216738913j)      # abs() rounds to 1 - 2^-53
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: coherent_coefficients(1e8, WFAC, 1.0), "1e-12 within 200000"),
+    (lambda: coherent_coefficients(500.0, WFAC, 1.0), "1e-12 within 200000"),
+    (lambda: coherent_norm_sq(1.5, WCONST, _THETA_Q), "1e-12 within 200000"),
+    (lambda: cs_transform([1.0, 0.5], 6e4, WeightSequence.power_factorial(2.0), 1.0),
+     "1e-06 within 50000"),
+], ids=["factorial-1e8", "factorial-500", "constant-theta", "cs-transform"])
+def test_terms_growing_at_the_cap_are_refused_before_summing(monkeypatch, call, text):
+    # R = inf at each point, yet the terms still grow at the last index the
+    # engine reaches, so no sum to the cap can certify them
+    def summed(*args, **kwargs):
+        raise AssertionError("a series was summed")
+
+    monkeypatch.setattr(coherent, "sum_series", summed)
+    monkeypatch.setattr(coherent, "sum_series_rows", summed)
+    took = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(ToleranceUnreachableError,
+                           match=f"could not certify tail <= {text} terms"):
+            call()
+        took.append(time.perf_counter() - start)
+    assert min(took) < 5e-3
+    assert abs(_THETA_Q) == 1 - 2.0 ** -53
+    assert radius_of_convergence(WCONST, _THETA_Q).value == math.inf
+
+
+def test_a_sum_whose_terms_peak_below_the_cap_keeps_its_bits():
+    # factorial weights at q = 1, |lam| = 400: the terms peak near
+    # n = 160,000 and the sum certifies within the cap, as it did before
+    # the cap refusal
+    res, = _kernel_series([400.0], [400.0], WFAC, QParam(1.0), 1e-12)
+    assert (res.value.real.hex(), res.value.imag.hex(), res.log_scale.hex(),
+            res.nterms, res.tail_log.hex()) == (
+        "0x1.f5536f3ad00ccp+9", "0x0.0p+0", "0x1.387c8b77e5118p+17", 162832,
+        "0x1.38721c2efc2d8p+17")

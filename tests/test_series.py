@@ -370,15 +370,26 @@ def test_real_series_are_the_complex_series_bit_for_bit(monkeypatch, w, q, tol):
     pairs.append((complex(1.0, 0.0), complex(1.0, -0.0)))
     qp = QParam.of(q)
 
-    def outcomes():
-        single = [_kernel_series([m], [x], w, qp, tol, n_max=1000)[0] for m, x in pairs]
-        return single + _kernel_series(*zip(*pairs), w, qp, tol, n_max=1000)
+    def single():
+        return [_kernel_series([m], [x], w, qp, tol, n_max=1000)[0] for m, x in pairs]
 
+    def outcomes():
+        return single() + _kernel_series(*zip(*pairs), w, qp, tol, n_max=1000)
+
+    # a pair outside a rule's phase space, or one whose terms still grow at
+    # the term cap, is refused before any term is summed; every other pair
+    # is summed once alone, and once among the rows
+    alone = []
+
+    def counted(*args, **kwargs):
+        alone.append(1)
+        return series.sum_series(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(coherent, "sum_series", counted)
+        single()
+    summed = len(alone)
     real = outcomes()
-    # a pair outside a rule's phase space is refused before any term is
-    # summed; every other pair is summed once alone, and once among the rows
-    summed = sum(not (isinstance(r, OutsidePhaseSpaceError) and r.__cause__ is None)
-                 for r in real[:len(pairs)])
     took_real = []
     monkeypatch.setattr(coherent, "sum_series",
                         _with_zero_phases(series.sum_series, False, took_real))
@@ -386,3 +397,40 @@ def test_real_series_are_the_complex_series_bit_for_bit(monkeypatch, w, q, tol):
                         _with_zero_phases(series.sum_series_rows, True, took_real))
     assert list(map(_bits, outcomes())) == list(map(_bits, real))
     assert took_real == [True] * (summed + (summed > 0))
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("q", [1.0, 0.9999, cmath.exp(0.31950650216738913j),
+                               0.99 * cmath.exp(2.0j)])
+def test_the_cap_refusal_takes_no_point_the_engine_certifies(monkeypatch, s, q):
+    # points on both sides of where the last log-ratio the engine reaches,
+    # at n_max = 1000, meets the certificate's cap: a point refused before
+    # summing gets no value from the engine either, and every other point
+    # keeps the engine's bits
+    w, qp, last = WeightSequence("power-factorial", s=s), QParam(q), 999
+    edge = series._RHO_CAP - 2 * last * qp.log_abs + s * math.log(last)
+    steps = (-0.5, -1e-2, -1e-4, -1e-9, 0.0, 1e-9, 1e-4, 1e-2, 0.5)
+    pts = [cmath.rect(math.exp(0.5 * (edge + d)), 0.3 * i) for i, d in enumerate(steps)]
+
+    def outcomes():
+        return [_kernel_series([p], [p], w, qp, 1e-12, n_max=1000)[0] for p in pts]
+
+    early = outcomes()
+    with monkeypatch.context() as m:
+        m.setattr(coherent, "never_certified", lambda *args: False)
+        summed = outcomes()
+    for e, t in zip(early, summed):
+        if isinstance(e, ToleranceUnreachableError):
+            assert not isinstance(t, SeriesResult)
+        else:
+            assert _bits(e) == _bits(t)
+
+    def engine(*args, **kwargs):
+        raise AssertionError("a series was summed")
+
+    # well past the slack, every point is refused before a term is summed
+    monkeypatch.setattr(coherent, "sum_series", engine)
+    for p, d in zip(pts, steps):
+        if d >= 1e-4:
+            refusal, = _kernel_series([p], [p], w, qp, 1e-12, n_max=1000)
+            assert isinstance(refusal, (ToleranceUnreachableError, OutsidePhaseSpaceError))

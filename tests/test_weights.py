@@ -419,6 +419,7 @@ def test_a_request_past_the_series_cap_is_served():
 def test_a_warm_table_leaves_equality_hash_and_json(w):
     cold = replace(w)
     w.log_weights(-2, w.max_index(40) + 1)
+    w.annihilation_band(QParam(0.8), w.max_index(40))
     assert w == cold and hash(w) == hash(cold)
     assert w.describe() == cold.describe()
     assert w.to_json() == cold.to_json()
@@ -485,3 +486,44 @@ def test_sqrt_ratios_at_half_range(w):
     want = [sqrt_reference(w, k).hex() for k in range(1, n + 1)]
     assert [x.hex() for x in w.sqrt_ratios(n).tolist()] == want
     assert w.sqrt_ratios(0).size == 0
+
+
+# -- the annihilation band kept per weights object -----------------------------
+
+_BAND_REFUSALS = (InputTooLargeError, WeightHorizonError)
+
+
+@pytest.mark.parametrize("w, q, ns, refusal", [
+    # |q|^-1010 passes a double at |q| = 0.5
+    (WeightSequence.constant(), 0.5, [1009, 1010, 1008, 1011, 1009],
+     "|q|**-1010 overflows a double"),
+    (WeightSequence.explicit([1.0, 2.0, 6.0, 24.0]), 0.8, [3, 4, 2, 5, 3],
+     "w_4 requested but only indices <= 3 are materialized"),
+    # (w_11 / w_10)^{1/2} = 11^300 passes a double
+    (WeightSequence.power_factorial(600.0), 1.0, [10, 11, 5, 40, 10],
+     "the annihilation band entry of column 11 is past the double range"),
+], ids=["q-power", "horizon", "pf600"])
+def test_a_warm_band_refuses_as_a_cold_one(w, q, ns, refusal):
+    # n rises past the refusal and falls back below it on one object; every
+    # answer is that of a fresh object, the band or the refusal's text
+    refused = []
+    for n in ns:
+        cold = _parts_or_refusal(lambda: replace(w).annihilation_band(QParam(q), n),
+                                 _BAND_REFUSALS)
+        assert _parts_or_refusal(lambda: w.annihilation_band(QParam(q), n),
+                                 _BAND_REFUSALS) == cold
+        refused.append(isinstance(cold, tuple))
+        assert cold[1] == refusal if refused[-1] else len(cold) == n
+    assert refused == [False, True, False, True, False]
+
+
+def test_the_band_is_the_product_of_its_factors_read_only():
+    w, q = WeightSequence.power_factorial(2.0), QParam(0.9 * cmath.exp(0.4j))
+    n = np.arange(1, 31)
+    want = [q.power(-k) * sqrt_reference(w, k) for k in n.tolist()]
+    band = w.annihilation_band(q, 30)
+    assert [(z.real.hex(), z.imag.hex()) for z in band.tolist()] == [
+        (z.real.hex(), z.imag.hex()) for z in want]
+    assert not band.flags.writeable
+    assert not w.annihilation_band(q, 12).flags.writeable
+    assert w.annihilation_band(q, 0).size == 0
