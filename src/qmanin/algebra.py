@@ -47,7 +47,7 @@ class QCoeff:
     def evaluate(self, q: QParam) -> complex:
         if self.qexp == 0:
             return self.value
-        return self.value * q.power(self.qexp)
+        return self.value * complex(q.power(self.qexp))
 
     def scaled(self, z: complex) -> "QCoeff":
         return QCoeff(self.value * z, self.qexp)
@@ -62,8 +62,8 @@ def _merge(a: QCoeff, b: QCoeff, q: QParam) -> QCoeff:
     if a.qexp == b.qexp:
         return QCoeff(a.value + b.value, a.qexp)
     base = max(a.qexp, b.qexp) if q.abs >= 1.0 else min(a.qexp, b.qexp)
-    return QCoeff(a.value * q.power(a.qexp - base) + b.value * q.power(b.qexp - base),
-                  base)
+    return QCoeff(a.value * complex(q.power(a.qexp - base))
+                  + b.value * complex(q.power(b.qexp - base)), base)
 
 
 class ManinElement:

@@ -5,9 +5,8 @@ series whose phases all vanish as a real series, and the moment checks and
 the closed-form quantization entries to ``log_power_sums``.
 ``power_matrix`` and ``weighted_gram`` assemble the Gram matrix of the
 polar-grid certificate of the resolution of the identity.
-``complex_product`` and ``libm_exp`` multiply and exponentiate arrays as
-Python's complex product and ``math.exp`` do, for the entries that must
-equal a per-entry computation bit for bit.
+``libm_exp`` exponentiates an array as ``math.exp`` does, for the row
+engine's rescaling.
 """
 
 from __future__ import annotations
@@ -56,22 +55,12 @@ def csum_logpolar(logmag, phase):
     return complex((mags * np.cos(phase)).sum(), (mags * np.sin(phase)).sum()), m
 
 
-def complex_product(a, b):
-    """a * b elementwise as Python multiplies complex numbers, bit for bit:
-    (ar br - ai bi) + i (ar bi + ai br), each product and sum rounded on
-    its own, a real operand taken with imaginary part +0.0.  numpy's own
-    complex multiply may fuse a product into a sum, which moves last bits."""
-    a, b = np.asarray(a), np.asarray(b)
-    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def libm_exp(x: np.ndarray) -> np.ndarray:
     """exp of every entry of a 1-D array with libm's rounding, as
     ``math.exp`` takes it (numpy's vectorized exp may differ in the last
-    bit); exp(±0) = 1 needs no call."""
+    bit); exp(±0) = 1 needs no call.  Its one user is ``series._sum_block``,
+    whose row sums it keeps bit for bit those of ``sum_series``, which
+    rescales by ``math.exp``; a single series engine would remove it."""
     out = np.ones(x.shape)
     idx = np.flatnonzero(x != 0)
     out[idx] = [math.exp(v) for v in x[idx].tolist()]

@@ -25,7 +25,6 @@ import numpy as np
 
 from .algebra import ManinElement, format_terms
 from .errors import ConfigError, InputTooLargeError, WeightHorizonError
-from .kernels import complex_product
 from .weights import QParam, WeightSequence
 
 
@@ -104,9 +103,11 @@ _MAX_BAND_FACTORS = 1 << 16
 def toeplitz_matrix(g: ManinElement, w: WeightSequence, q, N: int) -> TruncatedOperator:
     """Truncated matrix of T_g on the basis phi_0..phi_N.
 
-    Each square-root weight quotient is a product of the band entries
-    (w_k / w_{k-1})^{1/2} of w.sqrt_ratios, taken from 1.0 in increasing k;
-    an entry past a double is inf and refused."""
+    Each entry is the symbol coefficient times the q powers of
+    ``QParam.power`` times the square-root weight quotients, each a product
+    of the band entries (w_k / w_{k-1})^{1/2} of ``w.sqrt_ratios`` taken
+    from 1.0 in increasing k, all multiplied as numpy rounds; an entry
+    past a double is inf or NaN and refused."""
     q = QParam.of(q)
     if g.q.value != q.value:
         raise ConfigError("symbol was built over a different q")
@@ -123,12 +124,13 @@ def toeplitz_matrix(g: ManinElement, w: WeightSequence, q, N: int) -> TruncatedO
         if i + j > _MAX_BAND_FACTORS:
             raise InputTooLargeError(f"th^{i} tb^{j} needs {i + j} weight ratios "
                                      f"per entry, above the cap {_MAX_BAND_FACTORS}")
-        z = complex_product(coeff.evaluate(g.q), q.powers(-j * np.arange(lo, hi + 1)))
+        c, qpow = coeff.evaluate(g.q), q.power(-j * np.arange(lo, hi + 1))
         s = w.sqrt_ratios(hi + i)
         # column n takes s[k - 1] = (w_k / w_{k-1})^{1/2} at k = n + t, first
         # over 0 < t <= i for (w_{n+i}/w_n)^{1/2}, then over i-j < t <= i
         # for (w_{n+i}/w_{n+i-j})^{1/2}
         with np.errstate(over="ignore", invalid="ignore"):
+            z = c * qpow
             for ts in (range(1, i + 1), range(i - j + 1, i + 1)):
                 band = np.ones(hi - lo + 1)
                 for t in ts:

@@ -16,23 +16,21 @@ Each ``WeightSequence`` builds its table of log w_n once, per instance:
 for, into a buffer that doubles and never passes the horizon or
 ``SERIES_CAP``; ``log_weight`` reads an entry the table already holds.
 An entry is the per-index formula's value, bit for bit, wherever it is
-taken.  The band entry (w_n / w_{n-1})^{1/2} is the square root of that
-quotient where it is a normal double, and otherwise the quotient of the
-square roots (n^(s/2) for a rule), so it leaves the double range only
-where the entry itself does.
+taken.
 
-``QParam.powers`` is the array form of ``power``, and
-``WeightSequence.sqrt_ratios`` gives the band entries, each for a Toeplitz
-column range or a whole band at once.  Each entry is the per-entry
-formula's, bit for bit, refusals included: exp and the rule powers k**s
-are libm's, taken per entry (numpy's exp and power differ from libm in the
-last bit), and every other step is an IEEE operation numpy rounds as
-Python does.  ``annihilation_band`` multiplies the two into the band
-q^{-k} (w_k / w_{k-1})^{1/2} of the annihilation operator and keeps it on
-the instance for the last q asked for, up to the largest cutoff asked for
-(at most ``SERIES_CAP`` entries, 3.2 MB): a cutoff past it or another q
-builds the band anew at exactly that cutoff, so an entry and a refusal are
-those of a fresh build.
+``QParam.power`` takes q**e for an integer or an integer array e, and
+``WeightSequence.sqrt_ratios`` gives the band entries (w_k / w_{k-1})^{1/2}
+of a Toeplitz column range or a whole band at once, each as one numpy
+expression that numpy rounds: exp(e log|q|) e^{i e arg q} for a q power,
+k^{s/2} for a rule's entry and sqrt(w_k) / sqrt(w_{k-1}) for a table's, so
+an entry leaves the double range only where the entry itself does.  A
+scalar is an array of one; there is no per-entry form.
+``annihilation_band`` multiplies the two into the band q^{-k}
+(w_k / w_{k-1})^{1/2} of the annihilation operator and keeps it on the
+instance for the last q asked for, up to the largest cutoff asked for (at
+most ``SERIES_CAP`` entries, 3.2 MB): a cutoff past it or another q builds
+the band anew at exactly that cutoff, so an entry and a refusal are those
+of a fresh build.
 
 ``json_number`` and ``json_object`` decide, for every input the package
 reads, what a JSON number is and which keys an object may hold.
@@ -47,7 +45,6 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputTooLargeError, WeightHorizonError
-from .kernels import complex_product, libm_exp
 
 
 class _Kind(NamedTuple):
@@ -70,8 +67,6 @@ KINDS = tuple(_KINDS)
 _MAX_EXACT_FACTORIAL = 170
 # the most terms a series sums; no log-weight table grows past it
 SERIES_CAP = 200_000
-# the smallest normal double
-_NORMAL_MIN = 2.0 ** -1022
 
 
 @dataclass(frozen=True)
@@ -79,7 +74,7 @@ class QParam:
     """The non-zero complex parameter q of the commutation relation."""
 
     value: complex
-    # computed once per q: every Toeplitz column calls ``power``
+    # computed once per q: every q power reads them
     log_abs: float = field(init=False, repr=False, compare=False)
     arg: float = field(init=False, repr=False, compare=False)
 
@@ -101,35 +96,15 @@ class QParam:
     def abs(self) -> float:
         return abs(self.value)
 
-    def power(self, e: int) -> complex:
-        """q**e for integer e, via logs so large |e| cannot silently wrap."""
-        if e == 0:
-            return 1.0 + 0.0j
-        m = e * self.log_abs
-        if m > 700.0:
-            raise InputTooLargeError(f"|q|**{e} overflows a double")
-        return math.exp(m) * complex(math.cos(e * self.arg), math.sin(e * self.arg))
-
-    def powers(self, exponents) -> np.ndarray:
-        """``power(e)`` for each integer e of ``exponents``, as one complex
-        array, bit for bit.  exp is libm's, as numpy's own exp may differ in
-        the last bit; numpy's float64 cos and sin are libm's.  The product
-        is Python's product of the real E = exp(m) with c + i s,
-        (E·c − 0.0·s, E·s + 0.0·c), each term rounded on its own, so signed
-        zeros survive.  Refused as ``power`` refuses, at the first exponent
-        that overflows."""
-        e = np.asarray(exponents)
+    def power(self, e):
+        """q**e for an integer or an integer array e, via logs so large |e|
+        cannot silently wrap: exp(e log|q|) e^{i e arg q}, as numpy rounds
+        it.  Refused at the first e whose e log|q| passes 700."""
         m = e * self.log_abs
         past = np.flatnonzero(m > 700.0)
         if past.size:
-            raise InputTooLargeError(f"|q|**{int(e[past[0]])} overflows a double")
-        mag = libm_exp(m)
-        t = e * self.arg
-        c, s = np.cos(t), np.sin(t)
-        out = np.empty(mag.shape, dtype=complex)
-        out.real = mag * c - 0.0 * s
-        out.imag = mag * s + 0.0 * c
-        return out
+            raise InputTooLargeError(f"|q|**{int(np.ravel(e)[past[0]])} overflows a double")
+        return np.exp(m) * np.exp(1j * (e * self.arg))
 
 
 @dataclass(frozen=True)
@@ -154,7 +129,7 @@ class WeightSequence:
     _logs: tuple = field(init=False, repr=False, compare=False,
                          default=(np.empty(0), 0))
     # (key, band, first): the annihilation band of the q whose
-    # (log|q|, arg q), all that QParam.powers reads, is key, and the index
+    # (log|q|, arg q), all that QParam.power reads, is key, and the index
     # of its first entry past a double (band.size if none), replaced as
     # one tuple.  q itself is no key: -1 + 0i == -1 - 0i, yet their args
     # pi and -pi give conjugate bands
@@ -322,30 +297,22 @@ class WeightSequence:
 
     def sqrt_ratios(self, n: int) -> np.ndarray:
         """The band entries (w_k / w_{k-1})**(1/2) for 1 <= k <= n, as one
-        array: sqrt of ``ratio(k)`` where that is a normal double, else
-        sqrt(w_k) / sqrt(w_{k-1}), k**(s/2) for a rule.  The quotients and
-        square roots are IEEE operations, which numpy rounds as Python
-        does, and a rule's powers are Python's."""
+        array: k**(s/2) for a rule, sqrt(w_k) / sqrt(w_{k-1}) for a table.
+        An entry past a double is inf, one below its range 0 or subnormal."""
         if n <= 0:
             return np.empty(0)
         if n > self.max_index(n):
             self._check(self.horizon + 1)     # the first k past the table
-        if self.table is not None:
-            t = np.array(self.table[:n + 1])
-            with np.errstate(over="ignore"):
-                r = t[1:] / t[:-1]
-        else:
-            r = np.array([_pow(float(k), self.s) for k in range(1, n + 1)])
-        out = np.sqrt(r)
-        for i in np.flatnonzero((r < _NORMAL_MIN) | (r == math.inf)).tolist():
-            out[i] = (math.sqrt(self.table[i + 1]) / math.sqrt(self.table[i])
-                      if self.table is not None else _pow(float(i + 1), 0.5 * self.s))
-        return out
+        with np.errstate(over="ignore"):
+            if self.table is None:
+                return np.arange(1.0, n + 1) ** (0.5 * self.s)
+            roots = np.sqrt(self.table[:n + 1])
+            return roots[1:] / roots[:-1]
 
     def annihilation_band(self, q: QParam, n: int) -> np.ndarray:
         """The band entries q^{-k} (w_k / w_{k-1})^{1/2} of the annihilation
         operator for 1 <= k <= n, as a read-only array: the product of
-        ``q.powers`` and ``sqrt_ratios``, refused as they refuse, and an
+        ``q.power`` and ``sqrt_ratios``, refused as they refuse, and an
         entry past a double is an InputTooLargeError naming its column.
         The band of the last q is kept: a request up to its length is a
         slice of it, any other is built at exactly n and kept in its place
@@ -353,7 +320,7 @@ class WeightSequence:
         key, band, first = self._band
         if key != (q.log_abs, q.arg) or n > band.size:
             with np.errstate(over="ignore", invalid="ignore"):
-                band = complex_product(q.powers(-np.arange(1, n + 1)), self.sqrt_ratios(n))
+                band = q.power(-np.arange(1, n + 1)) * self.sqrt_ratios(n)
             band.flags.writeable = False
             past = np.flatnonzero(~np.isfinite(band))
             first = int(past[0]) if past.size else band.size

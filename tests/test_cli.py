@@ -16,10 +16,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import TABLE_ENTRY_ULPS, rounding_error, sqrt_reference
 import qmanin
 from qmanin.cli import (MAX_BASIS, MAX_CUTOFF, MAX_GRID_POINTS, RunConfig, _KEYS,
                         _grid_points, main, parse_manin_symbol)
-from qmanin import errors
+from qmanin import WeightSequence, errors
 from qmanin.errors import ConfigError
 
 
@@ -239,6 +240,28 @@ def test_table_band_entry_whose_quotient_leaves_a_double(tmp_path, table, entry)
                "--cutoff", "2", "--q", "1") == 0
     re_, im_ = load(tmp_path, "operator.json")["result"]["entries"][0][1]
     assert math.isclose(re_, entry, rel_tol=1e-15) and im_ == 0.0
+
+
+@pytest.mark.parametrize("table", [(5e-324, 1.7e308, 1.0),    # (w_1 / w_0)^{1/2} passes a double
+                                   (1.7e308, 5e-324, 1.0)])   # it is 1.7e-316, subnormal
+def test_extreme_table_quotients_warn_nothing(tmp_path, capsys, table):
+    # sqrt(w_1) / sqrt(w_0) at the ends of the double range, in-process, so
+    # that no warning can hide in a subprocess's stderr
+    w = WeightSequence.explicit(table)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(tmp_path, "operator", "--weights", f"explicit:{','.join(map(repr, table))}",
+                   "--cutoff", "2", "--q", "1")
+    assert caught == []
+    if table[0] < table[1]:
+        assert code == 2
+        assert "error: operator entries must be finite" in capsys.readouterr().err
+        return
+    assert code == 0
+    entries = load(tmp_path, "operator.json")["result"]["entries"]
+    for k in (1, 2):
+        assert rounding_error(complex(*entries[k - 1][k]),
+                              sqrt_reference(w, k)) <= TABLE_ENTRY_ULPS
 
 
 def test_precision_cap_refusal_exits_4_without_traceback(tmp_path):

@@ -232,7 +232,7 @@ class TestEigenResidual:
         def built(*args):
             raise AssertionError("the band was built")
 
-        monkeypatch.setattr(QParam, "powers", built)
+        monkeypatch.setattr(QParam, "power", built)
         monkeypatch.setattr(WeightSequence, "sqrt_ratios", built)
         assert [_hexes(eigen_residual(st, w, q)) for st in (big, small, big)] == want + want[:1]
         # another q, or a longer cutoff, builds the band anew

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import sqrt_reference
+from conftest import (band_bounds, power_ulps, rounding_error, sqrt_reference,
+                      RULE_ENTRY_ULPS, TABLE_ENTRY_ULPS, within)
 from qmanin import ConfigError, QParam, WeightHorizonError, WeightSequence
 from qmanin.errors import InputTooLargeError
 
@@ -28,12 +29,19 @@ def test_qparam_integer_powers():
     assert abs(QParam(2.0).power(10) - 1024.0) < 1e-9
 
 
+def test_unit_q_powers_are_exactly_one():
+    q = QParam(1.0)
+    e = [0, 1, -1, 7, -400, 2**31, -2**31, 10**9]
+    one = [((1.0).hex(), (0.0).hex())] * len(e)
+    assert [(z.real.hex(), z.imag.hex()) for z in map(q.power, e)] == one
+    assert [(z.real.hex(), z.imag.hex())
+            for z in q.power(np.array(e, dtype=np.int64)).tolist()] == one
+
+
 def test_qparam_logs_are_computed_once_outside_equality():
     q = QParam(0.9 * complex(math.cos(0.4), math.sin(0.4)))
     log_abs, arg = math.log(abs(q.value)), math.atan2(q.value.imag, q.value.real)
-    for e in (-7, 1, 12):
-        assert q.power(e) == math.exp(e * log_abs) * complex(math.cos(e * arg),
-                                                             math.sin(e * arg))
+    assert (q.log_abs, q.arg) == (log_abs, arg)
     fresh = QParam(q.value)
     assert q == fresh and hash(q) == hash(fresh)
     assert repr(q) == f"QParam(value={q.value!r})"
@@ -297,8 +305,6 @@ def test_spec_refuses_what_it_does_not_read(spec, text):
 
 # -- the per-instance log-weight table and the band entry ----------------------
 
-_NORMAL_MIN = 2.0 ** -1022
-
 
 def _log_reference(w, n):
     """log w_n as the per-index formula takes it."""
@@ -328,6 +334,7 @@ def test_table_slices_are_the_per_index_values_bit_for_bit(w, requests, rnd):
     requests = [(n0, w.max_index(n0 + k - 1) + 1) for n0, k in requests]
     shuffled = rnd.sample(requests, len(requests))
     orders = (shuffled, sorted(requests, key=lambda r: -r[1]), sorted(requests, key=lambda r: r[1]))
+    bounds = band_bounds(w, max(n1 for _, n1 in requests) - 1)
     for order in orders:
         fresh = replace(w)
         for n0, n1 in order:
@@ -335,11 +342,11 @@ def test_table_slices_are_the_per_index_values_bit_for_bit(w, requests, rnd):
             assert logs.shape == (max(n1 - n0, 0),)
             want_logs = [_log_reference(w, n).hex() for n in range(n0, n1)]
             k0 = max(n0, 1)
-            want_roots = [sqrt_reference(w, k).hex() for k in range(k0, n1)]
             assert [x.hex() for x in logs.tolist()] == want_logs
             assert [fresh.log_weight(n).hex() for n in range(n0, n1)] == want_logs
+            # the band entries of a warm object are within their bound too
             roots = fresh.sqrt_ratios(n1 - 1)[k0 - 1:]
-            assert [x.hex() for x in roots.tolist()] == want_roots
+            assert roots.shape == (max(n1 - k0, 0),) and within(roots, bounds, k0)
 
 
 @pytest.mark.parametrize("table, n, root", [
@@ -351,12 +358,8 @@ def test_table_band_entry_at_half_range(table, n, root):
     w = WeightSequence.explicit(table)
     band = w.sqrt_ratios(len(table) - 1)
     assert math.isclose(band[n - 1], root, rel_tol=1e-15)
-    # in-range quotients keep sqrt(ratio) bit for bit
     for k in range(1, len(table)):
-        assert band[k - 1] == sqrt_reference(w, k)
-        r = w.ratio(k)
-        if _NORMAL_MIN <= r < math.inf:
-            assert band[k - 1] == math.sqrt(r)
+        assert rounding_error(band[k - 1], sqrt_reference(w, k)) <= TABLE_ENTRY_ULPS
 
 
 def test_rule_band_entry_below_the_normal_range():
@@ -426,7 +429,7 @@ def test_a_warm_table_leaves_equality_hash_and_json(w):
     assert repr(w) == repr(cold)
 
 
-# -- the array forms of power and the band entry -------------------------------
+# -- q powers and band entries against mpmath ----------------------------------
 
 def _parts_or_refusal(call, refusal):
     """The hex of both parts of every value, or the refusal's type and text."""
@@ -452,25 +455,42 @@ _q_values = st.one_of(
 @example(1e3 * cmath.exp(2.5j), list(range(-130, -100)))     # |q|^e underflows
 @example(1e-3 * cmath.exp(-1.1j), list(range(100, 130)))
 @example(1e3, list(range(-130, -100)))
-@example(0.5 * cmath.exp(0.7j), list(range(-300, 300)))     # numpy's exp differs here
-def test_powers_are_power_bit_for_bit(q, exponents):
-    # |q|^e passes a double for some drawn |q| and e: both refuse at the
-    # first such exponent, with the same message; where it underflows to
-    # 0, the signs of the zero parts are compared too
+@example(0.5 * cmath.exp(0.7j), list(range(-300, 300)))     # exponents of both signs
+def test_power_is_within_its_bound_of_mpmath(q, exponents):
+    # |q|^e passes a double for some drawn |q| and e: the array and the
+    # scalar refuse at the first such exponent, with the same message;
+    # where |q|^e is below the normal range, the error is taken absolutely
     q = QParam(q)
-    want = _parts_or_refusal(lambda: [q.power(e) for e in exponents], InputTooLargeError)
-    got = _parts_or_refusal(lambda: q.powers(np.array(exponents, dtype=np.int64)),
-                            InputTooLargeError)
-    assert got == want
+    e = np.array(exponents, dtype=np.int64)
+    past = [k for k in exponents if k * q.log_abs > 700.0]
+    if past:
+        for call in (lambda: q.power(e), lambda: q.power(past[0])):
+            with pytest.raises(InputTooLargeError) as exc:
+                call()
+            assert str(exc.value) == f"|q|**{past[0]} overflows a double"
+        return
+    got = q.power(e)
+    assert got.shape == e.shape
+    with mpmath.workdps(40):
+        z = mpmath.mpc(q.value)
+        for k, array_value in zip(exponents, got.tolist()):
+            exact = z ** k
+            for v in (array_value, q.power(k)):
+                assert rounding_error(v, exact) <= power_ulps(q, k), (k, v)
 
 
 @settings(deadline=None)
 @given(_table_specs, st.integers(0, 400))
-def test_sqrt_ratios_are_the_reference_bit_for_bit(w, n):
+def test_sqrt_ratios_are_within_their_bound_of_mpmath(w, n):
     # tables of at most 300 entries: n past the horizon refuses at its first k
-    want = _parts_or_refusal(lambda: [sqrt_reference(w, k) for k in range(1, n + 1)],
-                             WeightHorizonError)
-    assert _parts_or_refusal(lambda: w.sqrt_ratios(n), WeightHorizonError) == want
+    try:
+        bounds = band_bounds(w, n)
+    except WeightHorizonError as exc:
+        with pytest.raises(WeightHorizonError) as got:
+            w.sqrt_ratios(n)
+        assert str(got.value) == str(exc)
+    else:
+        assert within(w.sqrt_ratios(n), bounds)
 
 
 @pytest.mark.parametrize("w", [
@@ -480,11 +500,12 @@ def test_sqrt_ratios_are_the_reference_bit_for_bit(w, n):
     WeightSequence.explicit([1e-300, 1e300, 1.0]),
     WeightSequence.explicit([1e300, 1e-300, 1.0]),
     WeightSequence.explicit([1.0, 1e-310, 1.0]),
-], ids=["pf300", "pf-1100", "pf-1.5", "up", "down", "subnormal"])
+    WeightSequence.explicit([5e-324, 1.7e308, 1.0]),   # the entry passes a double
+    WeightSequence.explicit([1.7e308, 5e-324, 1.0]),   # the entry is subnormal
+], ids=["pf300", "pf-1100", "pf-1.5", "up", "down", "subnormal", "past", "below"])
 def test_sqrt_ratios_at_half_range(w):
     n = w.max_index(40)
-    want = [sqrt_reference(w, k).hex() for k in range(1, n + 1)]
-    assert [x.hex() for x in w.sqrt_ratios(n).tolist()] == want
+    assert within(w.sqrt_ratios(n), band_bounds(w, n))
     assert w.sqrt_ratios(0).size == 0
 
 
@@ -518,12 +539,15 @@ def test_a_warm_band_refuses_as_a_cold_one(w, q, ns, refusal):
 
 
 def test_the_band_is_the_product_of_its_factors_read_only():
+    # each entry is within the bounds of its two factors, plus the rounding
+    # of their product
     w, q = WeightSequence.power_factorial(2.0), QParam(0.9 * cmath.exp(0.4j))
-    n = np.arange(1, 31)
-    want = [q.power(-k) * sqrt_reference(w, k) for k in n.tolist()]
     band = w.annihilation_band(q, 30)
-    assert [(z.real.hex(), z.imag.hex()) for z in band.tolist()] == [
-        (z.real.hex(), z.imag.hex()) for z in want]
+    assert band.shape == (30,)
+    with mpmath.workdps(40):
+        for k, z in enumerate(band.tolist(), 1):
+            exact = mpmath.mpc(q.value) ** -k * sqrt_reference(w, k)
+            assert rounding_error(z, exact) <= power_ulps(q, -k) + RULE_ENTRY_ULPS + 2
     assert not band.flags.writeable
     assert not w.annihilation_band(q, 12).flags.writeable
     assert w.annihilation_band(q, 0).size == 0
