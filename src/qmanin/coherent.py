@@ -15,15 +15,16 @@ e^{conj(mu) lam} / (c scale), and constant weights w_n = c give the Hardy
 space of the unit disk, whose kernel is the Szego kernel
 1 / (c scale (1 - conj(mu) lam)).  ``kernel`` and ``coherent_norm_sq``
 take those closed forms per point, and so does the transform's domain
-check; the callers that need a truncation still sum.  One private core,
+check; a truncation there takes its cutoff, tail bound and retained norm
+from the closed form too (``_closed_truncations``).  One private core,
 ``_coefficient_rows``, builds truncated coherent states for a block of
-points from that sum: one state, a lower symbol and a grid of lower
-symbols all go through it.
+points from the closed form or the sum: one state, a lower symbol and a
+grid of lower symbols all go through it.
 
 The q power grows quadratically in the exponent, so coefficients are kept
 in log-polar form (log-magnitude plus phase) and every norm or inner
 product is evaluated through max-log rescaling.  Truncation indices carry
-a certified tail bound produced by the series engine.  The kernel's terms
+a certified tail bound, from the series engine or the closed form.  The kernel's terms
 have phase n * (arg lambda - arg mu), which vanishes on the diagonal and
 wherever the two arguments are equal; there the series is summed as a
 real series, bit for bit the complex one.  The phase-space radius of a
@@ -49,8 +50,9 @@ import numpy as np
 from .errors import (ConfigError, InputTooLargeError, OutsidePhaseSpaceError,
                      ToleranceUnreachableError)
 from .kernels import csum_logpolar
-from .series import (SeriesDivergence, SeriesResult, bound_from_log, checked_log_tol,
-                     never_certified, sum_series, sum_series_rows, unreachable)
+from .series import (_CHUNK, _NOISE, SeriesDivergence, SeriesResult, bound_from_log,
+                     checked_log_tol, never_certified, sum_series, sum_series_rows,
+                     unreachable)
 from .weights import SERIES_CAP, QParam, WeightSequence
 
 
@@ -295,6 +297,113 @@ def _szego(m: complex, l: complex) -> Optional[complex]:
     return complex(R * D / N, Q * D / N)
 
 
+def _closed_truncations(pts: list, w: WeightSequence, tol: float) -> list:
+    """The truncations of the coherent states at ``pts`` in a closed-form
+    space (``_closed_form_space``), as the outcomes ``_kernel_series``
+    gives on the diagonal, with no term summed: per point a SeriesResult
+    whose ``nterms`` is the cutoff N, ``tail_log`` the log of a bound on
+    the tail sum_{n >= N} |a_n|^2 and value the retained norm K - tail, or
+    the point's error: a ConfigError for a point that is not finite (an
+    InputTooLargeError for a modulus past a double), in the Hardy space the
+    OutsidePhaseSpaceError of ``_closed_kernel``'s exact test |lam| >= 1,
+    and the cap's ToleranceUnreachableError where N would pass SERIES_CAP.
+    A point lam = 0 is the single term 1/w_0.
+
+    With l = |lam|^2 and K = K(lam, lam), the tail is exactly l^N K in the
+    Hardy space, and in Bargmann's space, for N + 1 > l, at most
+    t_N / (1 - l/(N+1)), with t_N / K = e^{-l} l^N / N!.  N is the first
+    multiple of the engine's chunk, at least one chunk, where the tail is
+    at most ``tol`` times the retained norm, or at most 1e-17 times the
+    largest term (the summed certificate's rounding floor).  The summed
+    path bounds the same tail by l^N K (Hardy) or by a looser geometric
+    bound (Bargmann), but against the retained sum itself: on every point
+    tried with tol up to 0.1 it stopped at the same multiple or one chunk
+    later, while at tol 0.3 and l near 2e5 the closed form can stop a
+    chunk later instead.  Bargmann's space steps chunk by chunk from
+    ceil(l/16) 16; the Hardy space starts at the chunk below
+    log(tol/(1+tol)) / log l, one or two steps from N.
+
+    Rounding, with u = 2^-53.  In Bargmann's space l = r r, r = |lam|, is
+    within 3u l and log l = 2 log r within 2u (1 + |log l|); lgamma(N+1)
+    is within 5u of it relative on the integers up to SERIES_CAP (sampled
+    against mpmath), and log1p(-x), x = l/(N+1), within 2u x / (1 - x)
+    <= 2u (l + 1) plus u of its own size, as N >= l.  With ``size`` the
+    sum of the moduli l, N |log l|, lgamma(N+1) and |log1p(-x)|, which is
+    at least N, the log of the bound is within some 20u size.  In the Hardy
+    space 1 / (1 - l) is ``_szego``'s, correctly rounded, for l > 1/2 and
+    1 / (1 - r r), within 5u, below; log l is within 5u |log l|, from
+    log1p(-(1 - l)) for l >= 1/2 and from 2 log r below, so N log l is
+    within 6u size, size = N |log l|.  The log tail fraction reported is
+    the computed one plus 1e-12 max(1, size), 400 times either error, and
+    it is compared with max(-log1p(1/tol), log of the largest term's
+    fraction + log 1e-17), each within some 4u of its own size, which the
+    slack also exceeds, since a certified fraction's size is at least the
+    threshold's modulus.  So the reported tail bounds the true one and is
+    at most ``tol`` times the retained norm reported, both to first order
+    in u.
+    """
+    out, thr_tol, log_w0 = [], None, w.log_weight(0)
+    for lam in pts:
+        try:
+            lam = _checked(lam)
+        except ConfigError as exc:
+            out.append(exc)
+            continue
+        if lam == 0:
+            out.append(SeriesResult(1.0 / w.weight(0) + 0j, 0.0, 1, -math.inf))
+            continue
+        r = abs(lam)
+        l = r * r
+        if not w.s:
+            # 1 - r r is good to 4u for l <= 1/2; nearer the circle the exact
+            # integer form decides l < 1 and rounds 1 / (1 - l) once
+            szego = 1.0 / (1.0 - l) if l <= 0.5 else _szego(lam, lam)
+            if szego is None:
+                out.append(_outside(lam, lam, "norm"))
+                continue
+        if thr_tol is None:     # a bad tol is refused where the engines would sum
+            checked_log_tol(tol)
+            thr_tol = -math.log1p(1.0 / tol)        # log(tol / (1 + tol))
+        # K w_0 = k e^lk: k = 1, lk = l in Bargmann's space, k = 1 / (1 - l),
+        # lk = 0 in the Hardy space
+        if w.s:
+            if not l < SERIES_CAP:
+                out.append(unreachable(tol, SERIES_CAP))
+                continue
+            log_l, peak = 2.0 * math.log(r), math.floor(l)
+            thr = max(thr_tol, peak * log_l - l - math.lgamma(peak + 1.0) + _NOISE)
+            n, k, lk = max(_CHUNK, math.ceil(l / _CHUNK) * _CHUNK), 1.0, l
+        else:
+            k, lk = szego.real, 0.0
+            log_l = math.log1p(-1.0 / k) if k >= 2.0 else 2.0 * math.log(r)
+            thr = max(thr_tol, -math.log(k) + _NOISE)
+            n = max(_CHUNK, math.floor(thr / log_l / _CHUNK) * _CHUNK)
+        while n <= SERIES_CAP:
+            frac = _log_tail_fraction(n, l, log_l, w.s)
+            if frac <= thr:
+                break
+            n += _CHUNK
+        else:
+            out.append(unreachable(tol, SERIES_CAP))
+            continue
+        out.append(SeriesResult(complex(-math.expm1(frac) * k), lk - log_w0, n,
+                                frac + math.log(k) + lk - log_w0))
+    return out
+
+
+def _log_tail_fraction(n: int, l: float, log_l: float, s: float) -> float:
+    """log of the bound on the tail after n terms over K that
+    ``_closed_truncations`` reports, with its rounding slack: n log l in
+    the Hardy space (s = 0), and in Bargmann's space (s = 1, n + 1 > l)
+    n log l - l - lgamma(n+1) - log1p(-l/(n+1))."""
+    if s:
+        g, x = math.lgamma(n + 1.0), -math.log1p(-l / (n + 1))
+        size = l + n * abs(log_l) + g + x
+        return n * log_l - l - g + x + 1e-12 * max(1.0, size)
+    frac = n * log_l
+    return frac + 1e-12 * max(1.0, -frac)
+
+
 def _kernel_values(mu, lam, w: WeightSequence, q: QParam, tol: float,
                    series: str, n_max: int = SERIES_CAP) -> list:
     """The SeriesResults of K at the points of mu and lam: in closed form in
@@ -327,7 +436,9 @@ class CoherentStateVector:
 
     ``logmag[n]`` and ``phase[n]`` describe a_n for n = 0..N; ``tail_log``
     is the log of the certified bound on the discarded mass
-    sum_{n>N} |a_n|^2 and ``norm_sq`` is the retained sum_{n<=N} |a_n|^2.
+    sum_{n>N} |a_n|^2 and ``norm_sq`` is the retained sum_{n<=N} |a_n|^2
+    (in Bargmann's and the Hardy space the closed-form norm less the tail
+    bound, so within the tail bound of the retained sum).
     """
 
     lam: complex
@@ -363,11 +474,16 @@ class CoherentStateVector:
 def _coefficient_rows(pts: list, w: WeightSequence, q: QParam, tol: float,
                       cut_max: float = math.inf):
     """(outcomes, logmag, phase) of the truncated coherent states at
-    ``pts``, a block of at most ROW_BLOCK points: each point's norm series
-    from ``_kernel_series``, and a row (log|a_n|, arg a_n) up to its cutoff
-    nterms - 1, -inf past it, for each point before the first one that
-    fails or whose cutoff passes ``cut_max``."""
-    outcomes = _kernel_series(pts, pts, w, q, tol)
+    ``pts``, a block of at most ROW_BLOCK points: each point's truncated
+    norm series, from the closed form in Bargmann's and the Hardy space
+    (``_closed_truncations``), else summed by ``_kernel_series``, and a row
+    (log|a_n|, arg a_n) up to its cutoff nterms - 1, -inf past it, for each
+    point before the first one that fails or whose cutoff passes
+    ``cut_max``."""
+    if _closed_form_space(w, q):
+        outcomes = _closed_truncations(pts, w, tol)
+    else:
+        outcomes = _kernel_series(pts, pts, w, q, tol)
     sizes = []
     for res in outcomes:
         if isinstance(res, Exception) or res.nterms > cut_max + 1:

@@ -6,8 +6,9 @@ log form, but two: at |q| = 1 the kernel, the norm and the transform's
 domain test are e^{conj(mu) lam} / (c scale) in Bargmann's space
 (w_n = c n!) and 1 / (c scale (1 - conj(mu) lam)) in the Hardy space
 (w_n = c), which ``coherent`` takes in closed form, with no truncation for
-``tol`` to bound.  The coherent states and lower symbols there still sum
-their diagonal, as they need its truncation.  The engine sums chunks,
+``tol`` to bound; the coherent states and lower symbols there take their
+truncation from the closed form too, at a multiple of the engine's chunk.
+The engine sums chunks,
 watches the ratio trend of the term magnitudes, and stops once the
 geometric tail bound
 

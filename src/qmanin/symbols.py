@@ -14,8 +14,9 @@ b = a * exp(-m) of the truncated coherent state, on the block of A that
 its indexes reach.  The Berezin symbol divides by b^H b, so it never
 forms ||phi_lambda||^2, which can overflow a double where the symbol does
 not.  Points are taken ROW_BLOCK at a time: a block's diagonal series are
-summed together, its coefficient rows come from the one coherent-state
-core in ``coherent``, and its quadratic forms are one matrix product.  A
+summed together (or, in Bargmann's and the Hardy space, truncated in
+closed form), its coefficient rows come from the one coherent-state core
+in ``coherent``, and its quadratic forms are one matrix product.  A
 single point is the block of one.
 """
 
@@ -201,8 +202,9 @@ def lower_symbol(A: TruncatedOperator, lam: complex, w: WeightSequence, q,
 def lower_symbol_grid(A: TruncatedOperator, points, w: WeightSequence, q,
                       normalized: bool = True, tol: float = 1e-14) -> SymbolValueGrid:
     """``lower_symbol`` at every point, ROW_BLOCK points at a time: their
-    diagonal series are summed together and their quadratic forms taken in
-    one matrix product.  The first point that fails raises its error."""
+    diagonal series are summed together (truncated in closed form in
+    Bargmann's and the Hardy space) and their quadratic forms taken in one
+    matrix product.  The first point that fails raises its error."""
     q = QParam.of(q)
     pts = np.asarray(points, dtype=complex).ravel()
     vals = np.empty(pts.size, dtype=complex)

@@ -371,6 +371,27 @@ def test_terms_growing_at_the_cap_exit_4_at_once(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_coherent_norm_past_a_double_exits_2_without_summing(tmp_path, monkeypatch, capsys):
+    # factorial weights at q = 1, lambda = 400: the cutoff 162,831 comes
+    # from the closed form e^{|lambda|^2}, which passes a double, so the
+    # state is refused with no term of its norm series summed
+    from qmanin import coherent
+
+    def summed(*args, **kwargs):
+        raise AssertionError("a series was summed")
+
+    monkeypatch.setattr(coherent, "sum_series", summed)
+    monkeypatch.setattr(coherent, "sum_series_rows", summed)
+    state = coherent.coherent_coefficients(400.0, WeightSequence.factorial(), 1.0)
+    assert state.n_cutoff == 162_831 and math.isinf(state.norm_sq)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda": [400, 0]}))
+    assert run(tmp_path / "out", "coherent", "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == ("error: the coherent state at lambda = (400+0j) "
+                                       "has coefficients too large for a double\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_integral_numbers_are_counts(tmp_path):
     # an integral float is the integer it equals: 4.0 runs cutoff 4
     cfg = tmp_path / "cfg.json"

@@ -777,3 +777,40 @@ def test_a_sum_whose_terms_peak_below_the_cap_keeps_its_bits():
             res.nterms, res.tail_log.hex()) == (
         "0x1.f5536f3ad00ccp+9", "0x0.0p+0", "0x1.387c8b77e5118p+17", 162832,
         "0x1.38721c2efc2d8p+17")
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-14])
+@pytest.mark.parametrize("space", ["bargmann", "hardy"])
+def test_closed_form_truncation_against_mpmath(monkeypatch, space, tol):
+    # in Bargmann's space (w_n = w_0 n!) the true tail after N terms is
+    # e^l P(N, l) / w_0, with P the regularized lower incomplete gamma
+    # function and l = |lam|^2; in the Hardy space (w_n = w_0) it is
+    # l^N / (w_0 (1 - l)).  Each state's cutoff is taken from the closed
+    # form with no series summed: its certified tail bounds the true one
+    # and its cutoff is the summed one or one chunk (16 terms) shorter
+    rng = np.random.default_rng(34)
+    if space == "bargmann":
+        w, radius = replace(WFAC, scale=0.3), 20.0
+    else:
+        w, radius = replace(WeightSequence.constant(2.5), scale=0.7), math.sqrt(0.999)
+    r = radius * np.sqrt(rng.uniform(size=16))
+    pts = (r * np.exp(2j * math.pi * rng.uniform(size=16))).tolist() + [radius + 0j]
+    summed = [res.nterms for res in _kernel_series(pts, pts, w, QParam(1.0), tol)]
+
+    def summing(*args, **kwargs):
+        raise AssertionError("a series was summed")
+
+    monkeypatch.setattr(coherent, "sum_series", summing)
+    monkeypatch.setattr(coherent, "sum_series_rows", summing)
+    for lam, nterms in zip(pts, summed):
+        st = coherent_coefficients(lam, w, 1.0, tol=tol)
+        n = st.n_cutoff + 1
+        assert n % 16 == 0 and nterms - 16 <= n <= nterms
+        with mpmath.workdps(40):
+            l = mpmath.mpf(lam.real) ** 2 + mpmath.mpf(lam.imag) ** 2
+            w0 = mpmath.mpf(w.c) * mpmath.mpf(w.scale)
+            if space == "bargmann":
+                true_tail = mpmath.exp(l) * mpmath.gammainc(n, 0, l, regularized=True) / w0
+            else:
+                true_tail = l ** n / (w0 * (1 - l))
+            assert true_tail <= st.tail_bound <= tol * st.norm_sq
