@@ -24,12 +24,13 @@ grid of lower symbols all go through it.
 The q power grows quadratically in the exponent, so coefficients are kept
 in log-polar form (log-magnitude plus phase) and every norm or inner
 product is evaluated through max-log rescaling.  Truncation indices carry
-a certified tail bound, from the series engine or the closed form.  The kernel's terms
-have phase n * (arg lambda - arg mu), which vanishes on the diagonal and
-wherever the two arguments are equal; there the series is summed as a
-real series, bit for bit the complex one.  The phase-space radius of a
-rule is its closed form, by which a point outside it is refused before
-any term is summed; a table's is estimated from its entries.
+a certified tail bound, from the series engine or the closed form.  The
+kernel's terms have phase n * (arg lambda - arg mu), which vanishes on the
+diagonal and wherever the two arguments are equal; there the series is
+summed as a real series, bit for bit the complex one.  The phase-space
+radius of a rule is its closed form, by which a point outside it is
+refused before any term is summed; a table's is estimated from its
+entries.
 ``eigen_residual`` reads its annihilation band q^{-k} (w_k / w_{k-1})^{1/2}
 from ``WeightSequence.annihilation_band``, which keeps the band of the last
 q on the weights object, so states of one (w, q) share one band.
@@ -280,16 +281,30 @@ def _szego(m: complex, l: complex) -> Optional[complex]:
     """1 / (1 - conj(m) l), each part correctly rounded, or None where
     |conj(m) l| >= 1, decided exactly.
 
-    Each part of m and l is an integer over a power of two, so
-    conj(m) l = (P + iQ) / D in integers, |conj(m) l| >= 1 exactly when
-    P^2 + Q^2 >= D^2, and 1 / (1 - conj(m) l) = D (R + iQ) / (R^2 + Q^2)
-    with R = D - P.  Python's integer division rounds each part once.
-    Q = 0 on the diagonal gives the imaginary part +0.0."""
-    (a, da), (b, db) = m.real.as_integer_ratio(), m.imag.as_integer_ratio()
-    (c, dc), (d, dd) = l.real.as_integer_ratio(), l.imag.as_integer_ratio()
-    D = da * db * dc * dd
-    P = a * c * db * dd + b * d * da * dc
-    Q = a * d * db * dc - b * c * da * dd
+    Each part of a point is an integer over a power of two, so m is
+    (a + ib) / dm and l is (c + id) / dl in integers, dm and dl the larger
+    denominators of their parts.  Then conj(m) l = (P + iQ) / D with
+    D = dm dl, |conj(m) l| >= 1 exactly when P^2 + Q^2 >= D^2, and
+    1 / (1 - conj(m) l) = D (R + iQ) / (R^2 + Q^2) with R = D - P.
+    Python's integer division rounds each part once.  On the diagonal
+    Q = 0, so the test is P >= D, the value D / R and its imaginary part
+    +0.0."""
+    (a, dm), (b, db) = m.real.as_integer_ratio(), m.imag.as_integer_ratio()
+    if dm < db:
+        a, dm = a * (db // dm), db
+    else:
+        b *= dm // db
+    if l == m:
+        D, P = dm * dm, a * a + b * b
+        return None if P >= D else complex(D / (D - P), 0.0)
+    (c, dl), (d, dd) = l.real.as_integer_ratio(), l.imag.as_integer_ratio()
+    if dl < dd:
+        c, dl = c * (dd // dl), dd
+    else:
+        d *= dl // dd
+    D = dm * dl
+    P = a * c + b * d
+    Q = a * d - b * c
     if P * P + Q * Q >= D * D:
         return None
     R = D - P
@@ -303,25 +318,31 @@ def _closed_truncations(pts: list, w: WeightSequence, tol: float) -> list:
     gives on the diagonal, with no term summed: per point a SeriesResult
     whose ``nterms`` is the cutoff N, ``tail_log`` the log of a bound on
     the tail sum_{n >= N} |a_n|^2 and value the retained norm K - tail, or
-    the point's error: a ConfigError for a point that is not finite (an
-    InputTooLargeError for a modulus past a double), in the Hardy space the
-    OutsidePhaseSpaceError of ``_closed_kernel``'s exact test |lam| >= 1,
-    and the cap's ToleranceUnreachableError where N would pass SERIES_CAP.
-    A point lam = 0 is the single term 1/w_0.
+    the point's error.  K and every refusal but the cap's come from
+    ``_closed_kernel`` on the diagonal, whose point lam = 0 is the single
+    term 1/w_0; the cap's ToleranceUnreachableError is raised where N
+    would pass SERIES_CAP.
 
     With l = |lam|^2 and K = K(lam, lam), the tail is exactly l^N K in the
     Hardy space, and in Bargmann's space, for N + 1 > l, at most
     t_N / (1 - l/(N+1)), with t_N / K = e^{-l} l^N / N!.  N is the first
     multiple of the engine's chunk, at least one chunk, where the tail is
     at most ``tol`` times the retained norm, or at most 1e-17 times the
-    largest term (the summed certificate's rounding floor).  The summed
-    path bounds the same tail by l^N K (Hardy) or by a looser geometric
-    bound (Bargmann), but against the retained sum itself: on every point
-    tried with tol up to 0.1 it stopped at the same multiple or one chunk
-    later, while at tol 0.3 and l near 2e5 the closed form can stop a
-    chunk later instead.  Bargmann's space steps chunk by chunk from
-    ceil(l/16) 16; the Hardy space starts at the chunk below
-    log(tol/(1+tol)) / log l, one or two steps from N.
+    largest term (the summed certificate's rounding floor).  Bargmann's
+    space steps chunk by chunk from ceil(l/16) 16; the Hardy space starts
+    at the chunk below log(tol/(1+tol)) / log l, one or two steps from N.
+
+    Against the summed cutoff.  In the Hardy space the engine's geometric
+    bound is the exact tail l^N K too, and it stops at the same multiple.
+    In Bargmann's space the engine bounds the tail more loosely but
+    against the retained sum itself, where the closed form bounds it by
+    K less its own bound.  On 400 points with l log-uniform up to 2e5 and
+    each tol from 1e-14 to 0.01 the engine stopped at the same multiple
+    or one chunk later.  From tol 0.1 and large l the closed form can
+    stop later instead: at tol 0.3 one chunk, on 17 of those 400 points,
+    all past l = 4e4, and at tol 0.5 up to two.  So a point whose summed
+    cutoff is SERIES_CAP itself can be refused with the cap's
+    ToleranceUnreachableError: at tol 0.3, l from 199,544 to 199,554.
 
     Rounding, with u = 2^-53.  In Bargmann's space l = r r, r = |lam|, is
     within 3u l and log l = 2 log r within 2u (1 + |log l|); lgamma(N+1)
@@ -330,51 +351,37 @@ def _closed_truncations(pts: list, w: WeightSequence, tol: float) -> list:
     <= 2u (l + 1) plus u of its own size, as N >= l.  With ``size`` the
     sum of the moduli l, N |log l|, lgamma(N+1) and |log1p(-x)|, which is
     at least N, the log of the bound is within some 20u size.  In the Hardy
-    space 1 / (1 - l) is ``_szego``'s, correctly rounded, for l > 1/2 and
-    1 / (1 - r r), within 5u, below; log l is within 5u |log l|, from
-    log1p(-(1 - l)) for l >= 1/2 and from 2 log r below, so N log l is
-    within 6u size, size = N |log l|.  The log tail fraction reported is
-    the computed one plus 1e-12 max(1, size), 400 times either error, and
-    it is compared with max(-log1p(1/tol), log of the largest term's
-    fraction + log 1e-17), each within some 4u of its own size, which the
-    slack also exceeds, since a certified fraction's size is at least the
-    threshold's modulus.  So the reported tail bounds the true one and is
-    at most ``tol`` times the retained norm reported, both to first order
-    in u.
+    space 1 / (1 - l) is ``_szego``'s, correctly rounded; log l is within
+    5u |log l|, from log1p(-(1 - l)) for l >= 1/2 and from 2 log r below,
+    so N log l is within 6u size, size = N |log l|.  The log tail fraction
+    reported is the computed one plus 1e-12 max(1, size), 400 times either
+    error, and it is compared with max(-log1p(1/tol), log of the largest
+    term's fraction + log 1e-17), each within some 4u of its own size,
+    which the slack also exceeds, since a certified fraction's size is at
+    least the threshold's modulus.  So the reported tail bounds the true
+    one and is at most ``tol`` times the retained norm reported, both to
+    first order in u.
     """
-    out, thr_tol, log_w0 = [], None, w.log_weight(0)
-    for lam in pts:
-        try:
-            lam = _checked(lam)
-        except ConfigError as exc:
-            out.append(exc)
+    out = []
+    # log(tol / (1 + tol)); a bad tol is refused by _closed_kernel at any
+    # point that gets here
+    thr_tol = -math.log1p(1.0 / tol) if tol > 0 else None
+    for lam, res in zip(pts, _closed_kernel(pts, pts, w, tol, "norm")):
+        if isinstance(res, Exception) or res.nterms:    # a refusal, or lam = 0
+            out.append(res)
             continue
-        if lam == 0:
-            out.append(SeriesResult(1.0 / w.weight(0) + 0j, 0.0, 1, -math.inf))
-            continue
-        r = abs(lam)
+        # K = k e^{log_scale}: k = 1 in Bargmann's space, 1 / (1 - l) in the
+        # Hardy space
+        k, r = res.value.real, abs(complex(lam))
         l = r * r
-        if not w.s:
-            # 1 - r r is good to 4u for l <= 1/2; nearer the circle the exact
-            # integer form decides l < 1 and rounds 1 / (1 - l) once
-            szego = 1.0 / (1.0 - l) if l <= 0.5 else _szego(lam, lam)
-            if szego is None:
-                out.append(_outside(lam, lam, "norm"))
-                continue
-        if thr_tol is None:     # a bad tol is refused where the engines would sum
-            checked_log_tol(tol)
-            thr_tol = -math.log1p(1.0 / tol)        # log(tol / (1 + tol))
-        # K w_0 = k e^lk: k = 1, lk = l in Bargmann's space, k = 1 / (1 - l),
-        # lk = 0 in the Hardy space
         if w.s:
             if not l < SERIES_CAP:
                 out.append(unreachable(tol, SERIES_CAP))
                 continue
             log_l, peak = 2.0 * math.log(r), math.floor(l)
             thr = max(thr_tol, peak * log_l - l - math.lgamma(peak + 1.0) + _NOISE)
-            n, k, lk = max(_CHUNK, math.ceil(l / _CHUNK) * _CHUNK), 1.0, l
+            n = max(_CHUNK, math.ceil(l / _CHUNK) * _CHUNK)
         else:
-            k, lk = szego.real, 0.0
             log_l = math.log1p(-1.0 / k) if k >= 2.0 else 2.0 * math.log(r)
             thr = max(thr_tol, -math.log(k) + _NOISE)
             n = max(_CHUNK, math.floor(thr / log_l / _CHUNK) * _CHUNK)
@@ -386,8 +393,8 @@ def _closed_truncations(pts: list, w: WeightSequence, tol: float) -> list:
         else:
             out.append(unreachable(tol, SERIES_CAP))
             continue
-        out.append(SeriesResult(complex(-math.expm1(frac) * k), lk - log_w0, n,
-                                frac + math.log(k) + lk - log_w0))
+        out.append(SeriesResult(complex(-math.expm1(frac) * k), res.log_scale, n,
+                                frac + math.log(k) + res.log_scale))
     return out
 
 

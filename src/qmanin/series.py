@@ -8,9 +8,8 @@ domain test are e^{conj(mu) lam} / (c scale) in Bargmann's space
 (w_n = c), which ``coherent`` takes in closed form, with no truncation for
 ``tol`` to bound; the coherent states and lower symbols there take their
 truncation from the closed form too, at a multiple of the engine's chunk.
-The engine sums chunks,
-watches the ratio trend of the term magnitudes, and stops once the
-geometric tail bound
+The engine sums chunks, watches the ratio trend of the term magnitudes,
+and stops once the geometric tail bound
 
     sum_{n >= N} |t_n|  <=  |t_{N-1}| * rho / (1 - rho),   rho = max tail ratio,
 

@@ -19,7 +19,7 @@ from qmanin import (OutsidePhaseSpaceError, ToleranceUnreachableError,
 from qmanin import coherent, jsonio
 from qmanin.coherent import CoherentStateVector, _geometric_indexes, _kernel_series
 from qmanin.errors import InputTooLargeError
-from qmanin.weights import QParam
+from qmanin.weights import SERIES_CAP, QParam
 
 WFAC = WeightSequence.factorial()
 WCONST = WeightSequence.constant()
@@ -814,3 +814,39 @@ def test_closed_form_truncation_against_mpmath(monkeypatch, space, tol):
             else:
                 true_tail = l ** n / (w0 * (1 - l))
             assert true_tail <= st.tail_bound <= tol * st.norm_sq
+
+
+def test_closed_form_truncation_at_a_loose_tol_near_the_cap(monkeypatch):
+    # at tol 0.3 and l = |lam|^2 near 2e5 in Bargmann's space the summed
+    # path bounds the tail against its own retained sum, which the closed
+    # form knows only as K less its tail bound, so the closed form can stop
+    # one chunk later.  Its certificate holds either way, and it refuses at
+    # the cap only where the summed cutoff is the cap itself: l = 199,548
+    # is such a point, and l = 199,500 one that stops a chunk later
+    tol = 0.3
+    rng = np.random.default_rng(34)
+    ls = [199_500.0, 199_548.0] + rng.uniform(1.9e5, 1.995e5, 6).tolist()
+    pts = [math.sqrt(l) * cmath.exp(2j * math.pi * a)
+           for l, a in zip(ls, rng.uniform(size=len(ls)))]
+    summed = _kernel_series(pts, pts, WFAC, QParam(1.0), tol)
+
+    def summing(*args, **kwargs):
+        raise AssertionError("a series was summed")
+
+    monkeypatch.setattr(coherent, "sum_series", summing)
+    monkeypatch.setattr(coherent, "sum_series_rows", summing)
+    later = refused = 0
+    for lam, s, c in zip(pts, summed, coherent._closed_truncations(pts, WFAC, tol)):
+        if isinstance(c, ToleranceUnreachableError):
+            assert isinstance(s, ToleranceUnreachableError) or s.nterms == SERIES_CAP
+            refused += 1
+            continue
+        n = c.nterms
+        assert n % 16 == 0 and s.nterms - 16 <= n <= s.nterms + 16
+        later += n > s.nterms
+        with mpmath.workdps(40):
+            l = mpmath.mpf(lam.real) ** 2 + mpmath.mpf(lam.imag) ** 2
+            true_log = l + mpmath.log(mpmath.gammainc(n, 0, l, regularized=True))
+            assert true_log <= c.tail_log
+        assert c.tail_log <= math.log(tol) + math.log(c.value.real) + c.log_scale
+    assert later and refused == 1
