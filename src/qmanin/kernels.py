@@ -5,13 +5,9 @@ series whose phases all vanish as a real series, and the moment checks and
 the closed-form quantization entries to ``log_power_sums``.
 ``power_matrix`` and ``weighted_gram`` assemble the Gram matrix of the
 polar-grid certificate of the resolution of the identity.
-``libm_exp`` exponentiates an array as ``math.exp`` does, for the row
-engine's rescaling.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -53,18 +49,6 @@ def csum_logpolar(logmag, phase):
     if phase is None:
         return complex(mags.sum(), 0.0), m
     return complex((mags * np.cos(phase)).sum(), (mags * np.sin(phase)).sum()), m
-
-
-def libm_exp(x: np.ndarray) -> np.ndarray:
-    """exp of every entry of a 1-D array with libm's rounding, as
-    ``math.exp`` takes it (numpy's vectorized exp may differ in the last
-    bit); exp(±0) = 1 needs no call.  Its one user is ``series._sum_block``,
-    whose row sums it keeps bit for bit those of ``sum_series``, which
-    rescales by ``math.exp``; a single series engine would remove it."""
-    out = np.ones(x.shape)
-    idx = np.flatnonzero(x != 0)
-    out[idx] = [math.exp(v) for v in x[idx].tolist()]
-    return out
 
 
 def log_power_sums(log_nodes, log_masses, nmax):

@@ -27,15 +27,17 @@ outside the phase space.
 
 ``sum_series`` sums one series.  Its terms and chunk sums are numpy; the
 certificate's bookkeeping (the window of log-ratios, the trend and
-divergence tests, the tail bound) runs on Python floats, a few dozen per
-chunk, with the same IEEE double subtractions and comparisons numpy would
-take.  ``sum_series_rows`` sums many series as the rows of one array, in
-blocks of ``ROW_BLOCK`` rows: every row follows the same rule with its own
-certificate and retires as soon as it is decided.  A row's chunk sums come
-from the same numpy kernel as in ``sum_series``, its rescaling is taken
-with the same libm arithmetic and its stop test is the same
-``_certified_tail``, so a grid point gets the term count and certificate
-it would get alone.
+divergence tests) runs on Python floats, a few dozen per chunk, with the
+same IEEE double subtractions and comparisons numpy would take.
+``sum_series_rows`` sums many series as the rows of one array, in blocks
+of ``ROW_BLOCK`` rows: every row follows the same rule with its own
+certificate, all rows are decided in one vectorized step per chunk, and a
+row retires as soon as it is decided.  Both engines take their chunk sums
+from the same numpy kernel, and their rescale factors, tail bounds
+(``_tail_log``) and log|S| from the same numpy ufuncs, whose results on a
+float and on an array are the same double; so a grid point gets the bits,
+term count and certificate it would get alone.  libm's exp and log1p
+round differently from numpy's, which is why neither engine takes them.
 
 A series whose phases all vanish (every squared norm, and a kernel at
 points of equal argument) comes with ``phase_fn`` None and is summed as
@@ -58,7 +60,7 @@ from operator import sub
 import numpy as np
 
 from .errors import ToleranceUnreachableError
-from .kernels import csum_logpolar, libm_exp
+from .kernels import csum_logpolar
 from .weights import SERIES_CAP
 
 _CHUNK = 16
@@ -130,7 +132,6 @@ def sum_series(logmag_fn, phase_fn=None, tol: float = 1e-12,
     log_tol = checked_log_tol(tol)
     acc = 0j
     scale = -math.inf
-    max_logmag = -math.inf
     # the certificate's bookkeeping runs on Python floats: each subtraction
     # and comparison is the IEEE double operation numpy would take
     ratios = []         # log-ratios of the last _KEEP + 1 terms
@@ -144,9 +145,8 @@ def sum_series(logmag_fn, phase_fn=None, tol: float = 1e-12,
 
         part, m = csum_logpolar(lm, ph)
         new_scale = max(scale, m)
-        acc = acc * math.exp(scale - new_scale) + part * math.exp(m - new_scale)
+        acc = acc * _factor(scale - new_scale) + part * _factor(m - new_scale)
         scale = new_scale
-        max_logmag = max(max_logmag, m)
 
         if last_lm is not None:
             ratios.append(new[0] - last_lm)
@@ -162,8 +162,12 @@ def sum_series(logmag_fn, phase_fn=None, tol: float = 1e-12,
         # tail certificate: ratios below one and not increasing
         rho_log = max(win)
         if rho_log < _RHO_CAP and max(map(sub, win[1:], win)) <= 1e-12:
-            tail_log = _certified_tail(last_lm, rho_log, log_tol, acc, scale, max_logmag)
-            if tail_log is not None:
+            tail_log = float(_tail_log(last_lm, rho_log))
+            # |S| = hypot(re, im), as _sum_block takes it; hypot(x, 0) is |x|
+            # exactly (C99 Annex F), which spares a real series the call
+            mag = np.hypot(acc.real, acc.imag) if acc.imag else abs(acc.real)
+            log_sum = float(np.log(mag)) + scale if mag else -math.inf
+            if tail_log <= log_tol + log_sum or tail_log <= scale + _NOISE:
                 return SeriesResult(acc, scale, n, tail_log)
 
         # divergence: magnitudes not decaying and growth rate not shrinking;
@@ -195,15 +199,21 @@ def never_certified(last_log_ratio: float, size: float) -> bool:
     return last_log_ratio - 1e-12 * max(1.0, size) >= _RHO_CAP
 
 
-def _certified_tail(last_lm, rho_log, log_tol, acc, scale, max_logmag):
-    """log of the tail bound |t_last| * rho/(1 - rho), taken with libm, when
-    it certifies the sum acc * exp(scale) to relative ``exp(log_tol)`` or
-    sits below the summation's rounding floor; otherwise None."""
-    tail_log = last_lm + rho_log - math.log1p(-math.exp(rho_log))
-    log_sum = (math.log(abs(acc)) + scale) if acc != 0 else -math.inf
-    if tail_log <= log_tol + log_sum or tail_log <= max_logmag + _NOISE:
-        return tail_log
-    return None
+def _factor(x: float) -> float:
+    """numpy's exp of the rescale exponent ``x`` of ``sum_series``, as
+    ``_sum_block`` takes it on an array; exp(0) = 1 and exp(-inf) = 0 need
+    no call."""
+    if x == 0.0:
+        return 1.0
+    if x == -math.inf:
+        return 0.0
+    return float(np.exp(x))
+
+
+def _tail_log(last_lm, rho_log):
+    """log of the geometric tail bound |t_last| * rho / (1 - rho), with
+    rho = exp(rho_log), of one series (floats) or of rows (arrays)."""
+    return last_lm + rho_log - np.log1p(-np.exp(rho_log))
 
 
 def sum_series_rows(logmag_fn, phase_fn, nrows: int, tol: float = 1e-12,
@@ -230,7 +240,6 @@ def _sum_block(rows, logmag_fn, phase_fn, log_tol, n_max, out) -> None:
     """Rows of one block in lockstep; a decided row leaves every array."""
     acc = np.zeros(rows.size, dtype=complex)
     scale = np.full(rows.size, -np.inf)
-    max_logmag = np.full(rows.size, -np.inf)
     tail = np.empty((rows.size, 0))       # the last 65 log magnitudes
     n = 0
     while n < n_max and rows.size:
@@ -240,9 +249,8 @@ def _sum_block(rows, logmag_fn, phase_fn, log_tol, n_max, out) -> None:
 
         part, m = csum_logpolar(lm, ph)
         new_scale = np.maximum(scale, m)
-        acc = acc * libm_exp(scale - new_scale) + part * libm_exp(m - new_scale)
+        acc = acc * np.exp(scale - new_scale) + part * np.exp(m - new_scale)
         scale = new_scale
-        max_logmag = np.maximum(max_logmag, m)
 
         tail = np.concatenate([tail, lm], axis=1)[:, -(_KEEP + 1):]
         n = hi
@@ -252,24 +260,15 @@ def _sum_block(rows, logmag_fn, phase_fn, log_tol, n_max, out) -> None:
         win = diffs[:, -_WINDOW:]
         last_lm = tail[:, -1]
 
-        # tail certificate: ratios below one and not increasing.  numpy's
-        # exp and log pick the rows whose tail may be small enough; each of
-        # them is decided with the libm arithmetic of sum_series, so a row
-        # stops where it stops alone and records the same certificate
+        # tail certificate: ratios below one and not increasing, decided for
+        # every row at once; the bound of a row with rho_log >= 0 is nan or
+        # inf, and no row past the cap reads its bound
         rho_log = win.max(axis=1)
-        trend_ok = (np.diff(win, axis=1) <= 1e-12).all(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            approx = last_lm + rho_log - np.log1p(-np.exp(rho_log))
-            bound = np.maximum(log_tol + np.log(np.abs(acc)) + scale, max_logmag + _NOISE)
-            far = approx > bound + 1e-9 * (1.0 + np.abs(bound))
-        done = np.zeros(rows.size, dtype=bool)
-        for i in np.flatnonzero((rho_log < _RHO_CAP) & trend_ok & ~far):
-            a, s = complex(acc[i]), float(scale[i])
-            tail_log = _certified_tail(float(last_lm[i]), float(rho_log[i]), log_tol,
-                                       a, s, float(max_logmag[i]))
-            if tail_log is not None:
-                out[rows[i]] = SeriesResult(a, s, n, tail_log)
-                done[i] = True
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            tail_log = _tail_log(last_lm, rho_log)
+            log_sum = np.log(np.hypot(acc.real, acc.imag)) + scale
+        done = ((rho_log < _RHO_CAP) & (np.diff(win, axis=1) <= 1e-12).all(axis=1)
+                & ((tail_log <= log_tol + log_sum) | (tail_log <= scale + _NOISE)))
 
         # divergence: magnitudes not decaying and growth rate not shrinking
         diverged = np.zeros(rows.size, dtype=bool)
@@ -282,9 +281,11 @@ def _sum_block(rows, logmag_fn, phase_fn, log_tol, n_max, out) -> None:
         decided = done | diverged
         if not decided.any():
             continue
+        for i in np.flatnonzero(done):
+            out[rows[i]] = SeriesResult(complex(acc[i]), float(scale[i]), n,
+                                        float(tail_log[i]))
         for i in np.flatnonzero(diverged):
             out[rows[i]] = SeriesDivergence(
                 f"series terms stopped decaying after {n} terms", n)
         keep = ~decided
-        rows, acc, scale, max_logmag, tail = (
-            a[keep] for a in (rows, acc, scale, max_logmag, tail))
+        rows, acc, scale, tail = (a[keep] for a in (rows, acc, scale, tail))

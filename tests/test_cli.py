@@ -32,17 +32,22 @@ def load(tmp_path, name):
     return json.loads((tmp_path / name).read_text())
 
 
+def config_args(tmp_path, config):
+    """``--config`` and a file holding ``config``; nothing for None."""
+    if config is None:
+        return []
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    return ["--config", str(cfg)]
+
+
 def run_cold(tmp_path, argv, config, preexec_fn=None):
     """The CLI in a fresh interpreter, with ``config`` passed by --config;
     ``preexec_fn`` runs in the child before the interpreter starts."""
-    extra = []
-    if config is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        extra = ["--config", str(cfg)]
     env = dict(os.environ, PYTHONPATH=str(Path(qmanin.__file__).parents[1]))
     return subprocess.run(
-        [sys.executable, "-m", "qmanin.cli", "--out", str(tmp_path), *argv, *extra],
+        [sys.executable, "-m", "qmanin.cli", "--out", str(tmp_path), *argv,
+         *config_args(tmp_path, config)],
         capture_output=True, text=True, env=env, timeout=120, preexec_fn=preexec_fn)
 
 
@@ -212,15 +217,32 @@ _REFUSALS = [
 ]
 
 
+def _refused(code, stderr, text):
+    assert code == 2, stderr
+    assert stderr.startswith("error: ")
+    assert text in stderr
+    assert "Traceback" not in stderr
+
+
 # the ids name each case by its argv and config alone, as argvN-configN
 @pytest.mark.parametrize("argv, config, text", _REFUSALS, ids=[
     f"argv{i}-{'None' if c is None else f'config{i}'}" for i, (_, c, _) in enumerate(_REFUSALS)])
-def test_refusals_exit_2_without_traceback(tmp_path, argv, config, text):
+def test_refusals_exit_2_without_traceback(tmp_path, capsys, argv, config, text):
+    # in process: an uncaught exception fails the test where a cold run
+    # would print its traceback, and a warning, which a cold run would print
+    # before the error line, is recorded
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(tmp_path, *argv, *config_args(tmp_path, config))
+    assert caught == []
+    _refused(code, capsys.readouterr().err, text)
+
+
+# perfbench's two cli-cold refusals, in a fresh interpreter
+@pytest.mark.parametrize("argv, config, text", _REFUSALS[:2], ids=["argv0-None", "argv1-config1"])
+def test_refusals_exit_2_cold(tmp_path, argv, config, text):
     proc = run_cold(tmp_path, argv, config)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: ")
-    assert text in proc.stderr
-    assert "Traceback" not in proc.stderr
+    _refused(proc.returncode, proc.stderr, text)
 
 
 def test_coherent_band_entry_inside_a_double(tmp_path):
