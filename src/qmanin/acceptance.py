@@ -357,7 +357,7 @@ def criterion_oracle_suites() -> tuple[bool, str]:
     for i in range(5):
         for j in range(5):
             g = ManinElement.monomial(q, i, j)
-            T = toeplitz_matrix(g, w, q, N)
+            T = toeplitz_matrix(g, w, q, N).matrix
             for n in range(N + 1):
                 col = np.zeros(N + 1, dtype=complex)
                 phi_n = ManinElement.monomial(q, n, 0, w.weight(n) ** -0.5)
@@ -367,7 +367,7 @@ def criterion_oracle_suites() -> tuple[bool, str]:
                         col[mon.i] = (img.coefficient(mon.i, 0)
                                       * math.sqrt(w.weight(mon.i)))
                 scale = max(float(np.max(np.abs(col))), 1.0)
-                worst_t = max(worst_t, float(np.max(np.abs(T.matrix[:, n] - col))) / scale)
+                worst_t = max(worst_t, float(np.max(np.abs(T[:, n] - col))) / scale)
     if worst_t > 1e-12:
         return False, f"toeplitz oracle deviation {worst_t:.3e}"
 

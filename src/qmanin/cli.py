@@ -239,10 +239,7 @@ def _cmd_coherent(cfg: RunConfig, outdir: Path) -> int:
     from .coherent import coherent_coefficients, eigen_residual
 
     lam, w, q = cfg["lambda"], cfg["weights"], cfg["q"]
-    state = coherent_coefficients(lam, w, q, tol=cfg["tol"])
-    if not math.isfinite(state.norm_sq):
-        raise InputTooLargeError(f"the coherent state at lambda = {lam} has "
-                                 f"coefficients too large for a double")
+    state = coherent_coefficients(lam, w, q, tol=cfg["tol"], finite_norm=True)
     window = max(cfg["cutoff"], state.n_cutoff)
     res = eigen_residual(state, w, q)
     _write_result(outdir, "coherent.json", cfg, {"state": state,

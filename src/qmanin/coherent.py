@@ -479,22 +479,27 @@ class CoherentStateVector:
 
 
 def _coefficient_rows(pts: list, w: WeightSequence, q: QParam, tol: float,
-                      cut_max: float = math.inf):
+                      cut_max: float = math.inf, finite_norm: bool = False):
     """(outcomes, logmag, phase) of the truncated coherent states at
     ``pts``, a block of at most ROW_BLOCK points: each point's truncated
     norm series, from the closed form in Bargmann's and the Hardy space
     (``_closed_truncations``), else summed by ``_kernel_series``, and a row
     (log|a_n|, arg a_n) up to its cutoff nterms - 1, -inf past it, for each
     point before the first one that fails or whose cutoff passes
-    ``cut_max``."""
+    ``cut_max``.  With ``finite_norm``, a point whose retained norm passes
+    a double is refused there with InputTooLargeError, before any row is
+    formed."""
     if _closed_form_space(w, q):
         outcomes = _closed_truncations(pts, w, tol)
     else:
         outcomes = _kernel_series(pts, pts, w, q, tol)
     sizes = []
-    for res in outcomes:
+    for lam, res in zip(pts, outcomes):
         if isinstance(res, Exception) or res.nterms > cut_max + 1:
             break
+        if finite_norm and not math.isfinite(res.float_value.real):
+            raise InputTooLargeError(f"the coherent state at lambda = {lam} has "
+                                     f"coefficients too large for a double")
         sizes.append(res.nterms)
     K = max(sizes, default=0)
     logmag, phase = coeff_log_arrays(pts[:len(sizes)], w, q, 0, K)
@@ -504,17 +509,19 @@ def _coefficient_rows(pts: list, w: WeightSequence, q: QParam, tol: float,
     return outcomes, logmag, phase
 
 
-def coherent_coefficients(lam: complex, w: WeightSequence, q,
-                          tol: float = 1e-12) -> CoherentStateVector:
+def coherent_coefficients(lam: complex, w: WeightSequence, q, tol: float = 1e-12,
+                          finite_norm: bool = False) -> CoherentStateVector:
     """Construct phi_lambda truncated so the tail is below ``tol * norm^2``.
 
     Raises OutsidePhaseSpaceError when the defining series diverges at
     ``lam`` (no coherent state there) and ToleranceUnreachableError when
-    the tolerance cannot be certified within 200,000 terms.
+    the tolerance cannot be certified within 200,000 terms.  With
+    ``finite_norm`` a state whose norm passes a double is refused with
+    InputTooLargeError from its truncation, before a coefficient is formed.
     """
     q = QParam.of(q)
     lam = _checked(lam)
-    outcomes, logmag, phase = _coefficient_rows([lam], w, q, tol)
+    outcomes, logmag, phase = _coefficient_rows([lam], w, q, tol, finite_norm=finite_norm)
     res, = _settled(outcomes)
     return CoherentStateVector(
         lam=lam,

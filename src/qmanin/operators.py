@@ -1,13 +1,14 @@
-"""Truncated matrices of Toeplitz operators on the graded basis phi_n.
+"""Truncated Toeplitz operators on the graded basis phi_n, held as bands.
 
 Column n of T_{theta^i tb^j} holds a single entry
 
     q^{-jn} * (w_{n+i} / w_n)^{1/2} * (w_{n+i} / w_{n+i-j})^{1/2}   at row n + i - j,
 
-extended linearly over the symbol's terms; each weight quotient is a
-product of the exact ratios w_k / w_{k-1}.  Degree-raising terms push
-entries past the cutoff window; those are dropped and the operator's
-exactness flag is cleared so truncation loss is never silent.
+so T_{theta^i tb^j} is the one band at offset j - i, summed linearly over
+the symbol's terms; each weight quotient is a product of the exact ratios
+w_k / w_{k-1}.  Degree-raising terms push entries past the cutoff window;
+those are dropped and the operator's exactness flag is cleared so
+truncation loss is never silent.
 
 Also here: the boundedness, compactness and norm of the annihilation
 operator, in closed form for the rule weights w_n = c (n!)^s.
@@ -15,8 +16,6 @@ operator, in closed form for the rule weights w_n = c (n!)^s.
 
 from __future__ import annotations
 
-import csv as _csv
-import io
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -39,61 +38,58 @@ class OperatorMeta:
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """A dense (N+1) x (N+1) complex matrix plus cutoff metadata."""
+    """An operator on phi_0..phi_{dim-1} as its bands, plus cutoff metadata.
 
-    matrix: np.ndarray
+    Band d, |d| < dim, holds the dim - |d| entries (r, r + d) from
+    r = max(0, -d) on, in the order of ``np.diag(matrix, d)``; a band left
+    out is zero.  ``matrix`` is the dense view, formed on each read."""
+
+    bands: dict
+    dim: int
     meta: OperatorMeta
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise ConfigError(f"operator matrix must be square, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ConfigError("operator entries must be finite")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+        if self.dim < 1:
+            raise ConfigError(f"operator dimension must be at least 1, got {self.dim}")
+        bands = {d: np.asarray(band, dtype=complex) for d, band in sorted(self.bands.items())}
+        for d, band in bands.items():
+            if not abs(d) < self.dim:
+                raise ConfigError(f"band offset {d} is outside a {self.dim}-dimensional operator")
+            if band.shape != (self.dim - abs(d),):
+                raise ConfigError(f"band {d} has shape {band.shape}, not ({self.dim - abs(d)},)")
+            if not np.isfinite(band).all():
+                raise ConfigError("operator entries must be finite")
+        object.__setattr__(self, "bands", bands)
 
     @property
     def cutoff(self) -> int:
         return self.dim - 1
 
+    @property
+    def matrix(self) -> np.ndarray:
+        m = np.zeros((self.dim, self.dim), dtype=complex)
+        for d, band in self.bands.items():
+            r = np.arange(max(0, -d), max(0, -d) + band.size)
+            m[r, r + d] = band
+        return m
+
     def norm_bound(self) -> float:
-        """An upper bound of the spectral norm ||A||_2 in O(entries).
-
-        When every non-zero entry lies on one diagonal, as on the
-        annihilation, creation and number bands, it is max |entry|, which is
-        ||A||_2 itself; otherwise it is sqrt(||A||_1 ||A||_inf), which is
-        also below the sum over the diagonals of their largest |entry|."""
-        a = np.abs(self.matrix)
-        rows, cols = np.nonzero(a)
-        if rows.size and np.all(cols - rows == cols[0] - rows[0]):
-            return float(a.max())
-        return math.sqrt(float(a.sum(axis=0).max())) * math.sqrt(float(a.sum(axis=1).max()))
-
-    def _relabel(self, **changes) -> "TruncatedOperator":
-        """The same, already validated matrix under changed metadata."""
-        op = object.__new__(TruncatedOperator)
-        object.__setattr__(op, "matrix", self.matrix)
-        object.__setattr__(op, "meta", replace(self.meta, **changes))
-        return op
+        """An upper bound of ||A||_2 in O(entries): the sum over the bands of
+        their largest |entry|, the norm of each, so ||A||_2 itself on one band."""
+        return float(sum(np.abs(band).max() for band in self.bands.values()))
 
     def adjoint(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.matrix.conj().T,
-                                 replace(self.meta, symbol=f"({self.meta.symbol})*"))
+        """The conjugate transpose: each band conjugated, at the negated offset."""
+        return TruncatedOperator({-d: band.conj() for d, band in self.bands.items()},
+                                 self.dim, replace(self.meta, symbol=f"({self.meta.symbol})*"))
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "entries": self.matrix, "meta": self.meta}
 
     def to_csv(self) -> str:
         """Row-major CSV with quoted "re,im" cells."""
-        buf = io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        for row in self.matrix:
-            writer.writerow([f"{float(z.real)!r},{float(z.imag)!r}" for z in row])
-        return buf.getvalue()
+        return "".join(",".join(f'"{float(z.real)!r},{float(z.imag)!r}"' for z in row) + "\n"
+                       for row in self.matrix)
 
 
 # ratio factors one band entry may multiply; a longer band is refused
@@ -101,20 +97,17 @@ _MAX_BAND_FACTORS = 1 << 16
 
 
 def toeplitz_matrix(g: ManinElement, w: WeightSequence, q, N: int) -> TruncatedOperator:
-    """Truncated matrix of T_g on the basis phi_0..phi_N.
+    """T_g truncated to the basis phi_0..phi_N, term by term into its bands.
 
     Each entry is the symbol coefficient times the q powers of
     ``QParam.power`` times the square-root weight quotients, each a product
     of the band entries (w_k / w_{k-1})^{1/2} of ``w.sqrt_ratios`` taken
-    from 1.0 in increasing k, all multiplied as numpy rounds; an entry
-    past a double is inf or NaN and refused."""
+    from 1.0 in increasing k, all multiplied as numpy rounds, and added
+    into complex zeros; an entry past a double is inf or NaN and refused."""
     q = QParam.of(q)
     if g.q.value != q.value:
         raise ConfigError("symbol was built over a different q")
-    if N < 0:
-        raise ConfigError("cutoff must be non-negative")
-    mat = np.zeros((N + 1, N + 1), dtype=complex)
-    exact = True
+    bands, exact = {}, True
     for mon, coeff in g:
         i, j = mon.i, mon.j
         exact = exact and i <= j       # else column N's image leaves the window
@@ -136,36 +129,38 @@ def toeplitz_matrix(g: ManinElement, w: WeightSequence, q, N: int) -> TruncatedO
                 for t in ts:
                     band *= s[lo + t - 1:hi + t]
                 z = z * band
-        cols = np.arange(lo, hi + 1)
-        mat[cols + i - j, cols] += z
-    return TruncatedOperator(mat, OperatorMeta(
+        bands[j - i] = bands.get(j - i, 0j) + z
+    return TruncatedOperator(bands, N + 1, OperatorMeta(
         symbol=format_terms(((g.coefficient(mon.i, mon.j), mon.i, mon.j) for mon, _ in g),
                             "th", "tb"),
         weights=w.describe(), q=q.value, exact=exact))
 
 
 def annihilation_matrix(w: WeightSequence, q, N: int) -> TruncatedOperator:
-    """T_tb: entry (n-1, n) = q^{-n} (w_n / w_{n-1})^{1/2}."""
+    """T_tb: entry (n-1, n) = q^{-n} (w_n / w_{n-1})^{1/2}, the band that
+    ``w.annihilation_band`` keeps, refused where that band is refused."""
     q = QParam.of(q)
-    return toeplitz_matrix(ManinElement.theta_bar(q), w, q, N)._relabel(symbol="tb")
+    return TruncatedOperator({1: w.annihilation_band(q, N)} if N else {}, N + 1,
+                             OperatorMeta("tb", w.describe(), q.value, exact=True))
 
 
 def creation_matrix(w: WeightSequence, q, N: int) -> TruncatedOperator:
     """T_th: entry (n+1, n) = (w_{n+1} / w_n)^{1/2}, q-free; column N's
     image phi_{N+1} falls outside the window."""
-    q = QParam.of(q)
-    return toeplitz_matrix(ManinElement.theta(q), w, q, N)._relabel(symbol="th")
+    C = toeplitz_matrix(ManinElement.theta(q), w, q, N)
+    return replace(C, meta=replace(C.meta, symbol="th"))
 
 
 def adjoint_annihilation_matrix(w: WeightSequence, q, N: int) -> TruncatedOperator:
     """(T_tb)*: the conjugate transpose band, entry (n+1, n) =
     conj(q)^{-(n+1)} (w_{n+1} / w_n)^{1/2}."""
-    return annihilation_matrix(w, q, N).adjoint()._relabel(symbol="tb*", exact=False)
+    A = annihilation_matrix(w, q, N).adjoint()
+    return replace(A, meta=replace(A.meta, symbol="tb*", exact=False))
 
 
 def number_matrix(N: int) -> TruncatedOperator:
     """Degree operator: diag(0, 1, ..., N)."""
-    return TruncatedOperator(np.diag(np.arange(N + 1, dtype=complex)),
+    return TruncatedOperator({0: np.arange(N + 1, dtype=complex)}, N + 1,
                              OperatorMeta("N", "any", 1.0 + 0j, exact=False))
 
 

@@ -14,16 +14,16 @@ textbook extreme quantum theory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, InputTooLargeError
-from .operators import TruncatedOperator, annihilation_matrix
+from .operators import OperatorMeta, TruncatedOperator, annihilation_matrix
 from .weights import QParam, WeightSequence
 
-# Largest nilpotency order accepted: it bounds the l x l matrix of
-# pg_annihilation (pg_structure_report is O(l^2) on its band).
+# Largest nilpotency order accepted: it bounds the l x l matrix that
+# paragrassmann.json writes (pg_structure_report is O(l^2) on the band).
 MAX_PG_ORDER = 256
 
 
@@ -54,12 +54,12 @@ class ParagrassmannConfig:
 
 
 def pg_annihilation(cfg: ParagrassmannConfig) -> TruncatedOperator:
-    """The l x l annihilation matrix: superdiagonal (w_j / w_{j-1})^{1/2},
-    the annihilation band of the table at q = 1.
+    """The l x l annihilation operator: the superdiagonal band
+    (w_j / w_{j-1})^{1/2}, the annihilation band of the table at q = 1.
 
     q-independent; exact, since nothing is truncated away."""
     A = annihilation_matrix(WeightSequence.explicit(cfg.weights), 1.0, cfg.l - 1)
-    return A._relabel(symbol="tb (paragrassmann)", weights=f"pg[{cfg.l}]", q=cfg.q)
+    return replace(A, meta=OperatorMeta("tb (paragrassmann)", f"pg[{cfg.l}]", cfg.q, True))
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def pg_structure_report(cfg: ParagrassmannConfig) -> StructureReport:
     entries a dense ``power @ T`` forms, in O(l) per power.  T^l has no band
     left, so the nilpotency index is l unless a band below it underflows to
     zero or overflows, which is refused."""
-    t = np.diag(pg_annihilation(cfg).matrix, k=1).real
+    t = pg_annihilation(cfg).bands[1].real
     l = cfg.l
     band = t
     with np.errstate(over="ignore", divide="ignore"):

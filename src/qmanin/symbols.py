@@ -16,7 +16,7 @@ forms ||phi_lambda||^2, which can overflow a double where the symbol does
 not.  Points are taken ROW_BLOCK at a time: a block's diagonal series are
 summed together (or, in Bargmann's and the Hardy space, truncated in
 closed form), its coefficient rows come from the one coherent-state core
-in ``coherent``, and its quadratic forms are one matrix product.  A
+in ``coherent``, and its quadratic forms are summed band by band.  A
 single point is the block of one.
 """
 
@@ -132,13 +132,15 @@ class SymbolValueGrid:
 def _forms(A: TruncatedOperator, B: np.ndarray, m: np.ndarray, pts,
            normalized: bool) -> np.ndarray:
     """<phi, A phi> for each row b of B, where phi = b * exp(m) on the
-    indexes 0..K-1 and A acts on the K x K block those indexes reach.
+    indexes 0..K-1 and A acts, band by band, on the K x K block they reach.
 
     The normalized form is b^H A b / b^H b, taken in the scaled domain;
     an unnormalized value beyond a double is refused."""
-    K = B.shape[1]
-    Bc = B.conj()
-    forms = (Bc * (B @ A.matrix[:K, :K].T)).sum(axis=1)
+    Bc, K = B.conj(), B.shape[1]
+    forms = 0j          # broadcasts where A has no band
+    for d, band in A.bands.items():
+        r, c, n = max(0, -d), max(0, d), max(0, K - abs(d))
+        forms = forms + (Bc[:, r:r + n] * B[:, c:c + n]) @ band[:n]
     if normalized:
         return forms / (Bc * B).real.sum(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -203,8 +205,8 @@ def lower_symbol_grid(A: TruncatedOperator, points, w: WeightSequence, q,
                       normalized: bool = True, tol: float = 1e-14) -> SymbolValueGrid:
     """``lower_symbol`` at every point, ROW_BLOCK points at a time: their
     diagonal series are summed together (truncated in closed form in
-    Bargmann's and the Hardy space) and their quadratic forms taken in one
-    matrix product.  The first point that fails raises its error."""
+    Bargmann's and the Hardy space) and their quadratic forms taken band
+    by band.  The first point that fails raises its error."""
     q = QParam.of(q)
     pts = np.asarray(points, dtype=complex).ravel()
     vals = np.empty(pts.size, dtype=complex)
@@ -224,9 +226,9 @@ def _quantize(f: PolynomialSymbol, quad: RadialQuadrature, w: WeightSequence,
     I[k, n] = integral of f(lambda) lambda^k conj(lambda)^n d rho.
 
     rho is rotation invariant, so only the terms c_ab lambda^a conj(lambda)^b
-    with k + a = n + b survive, and I[k, n] = pi * sum of c_ab S_{k+a} with
-    S_j = sum_i mass_i t_i^j, which the rule matches for j <= 2 * order - 1.
-    Each entry is summed in the log domain, so no factor overflows alone.
+    with k + a = n + b survive, on the band at offset a - b, and I[k, n] =
+    pi * sum of c_ab S_{k+a} with S_j = sum_i mass_i t_i^j, which the rule
+    matches for j <= 2 * order - 1.  Each entry is summed in the log domain.
     """
     q = QParam.of(q)
     reach = N + f.degree
@@ -236,13 +238,15 @@ def _quantize(f: PolynomialSymbol, quad: RadialQuadrature, w: WeightSequence,
             f"{2 * quad.order - 1} but the integrands reach degree {reach}")
     log_s = log_power_sums(*quad.log_arrays(), reach)
     logmag, phase = coeff_log_arrays(1.0, w, q, 0, N + 1)
-    mat = np.zeros((N + 1, N + 1), dtype=complex)
+    bands = {}
     for (a, b), c in f.coeffs.items():
         k = np.arange(max(0, b - a), N + 1 - max(0, a - b))
         n = k + a - b
-        mat[k, n] += c * np.exp(math.log(math.pi) + log_s[k + a] + logmag[k]
-                                + logmag[n]) * np.exp(1j * (phase[k] - phase[n]))
-    return TruncatedOperator(mat, OperatorMeta(
+        if k.size:
+            bands[a - b] = bands.get(a - b, 0j) + c * np.exp(
+                math.log(math.pi) + log_s[k + a] + logmag[k] + logmag[n]
+            ) * np.exp(1j * (phase[k] - phase[n]))
+    return TruncatedOperator(bands, N + 1, OperatorMeta(
         symbol=symbol, weights=w.describe(), q=q.value, exact=True, basis=basis))
 
 

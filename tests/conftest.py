@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qmanin import WeightSequence
+from qmanin import TruncatedOperator, WeightSequence
 
 
 @pytest.fixture
@@ -102,6 +102,15 @@ def within(got, bounds, k0=1):
     its interval of ``bounds``."""
     lo, hi = (b[k0 - 1:k0 - 1 + len(got)] for b in bounds)
     return len(lo) == len(got) and bool(np.all((lo <= got) & (got <= hi)))
+
+
+def operator_from_matrix(matrix, meta):
+    """The TruncatedOperator of a dense square matrix: its nonzero
+    diagonals as bands."""
+    m = np.asarray(matrix, dtype=complex)
+    dim = m.shape[0]
+    return TruncatedOperator({d: np.diag(m, d) for d in range(1 - dim, dim)
+                              if np.diag(m, d).any()}, dim, meta)
 
 
 def random_complex(rng, scale=1.0):

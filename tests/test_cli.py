@@ -414,6 +414,38 @@ def test_coherent_norm_past_a_double_exits_2_without_summing(tmp_path, monkeypat
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("weights,summed", [("factorial", 0), ("power-factorial:2", 1)])
+def test_coherent_norm_past_a_double_is_refused_before_a_coefficient(
+        tmp_path, monkeypatch, capsys, weights, summed):
+    # lambda = 400 is refused from its truncation alone: no coefficient row
+    # is formed, and the summed norm series (power-factorial(2), I_0(800))
+    # is summed once
+    from qmanin import coherent
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def formed(*args, **kwargs):
+        raise AssertionError("a coefficient row was formed")
+
+    monkeypatch.setattr(coherent, "sum_series", counted(coherent.sum_series))
+    monkeypatch.setattr(coherent, "sum_series_rows", counted(coherent.sum_series_rows))
+    monkeypatch.setattr(coherent, "coeff_log_arrays", formed)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda": [400, 0]}))
+    assert run(tmp_path / "out", "coherent", "--weights", weights,
+               "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == ("error: the coherent state at lambda = (400+0j) "
+                                       "has coefficients too large for a double\n")
+    assert len(calls) == summed
+    assert not (tmp_path / "out").exists()
+
+
 def test_integral_numbers_are_counts(tmp_path):
     # an integral float is the integer it equals: 4.0 runs cutoff 4
     cfg = tmp_path / "cfg.json"

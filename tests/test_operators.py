@@ -10,8 +10,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import (DOUBLE_MAX, U, band_entry_ulps, column_from_projection, power_ulps,
-                      sqrt_reference)
+from conftest import (DOUBLE_MAX, U, band_entry_ulps, column_from_projection,
+                      operator_from_matrix, power_ulps, sqrt_reference)
 from qmanin import (ConfigError, ManinElement, WeightHorizonError, WeightSequence,
                     adjoint_annihilation_matrix, annihilation_matrix,
                     boundedness_report, creation_matrix, number_matrix,
@@ -136,7 +136,8 @@ class TestToeplitzMatrix:
         # the band entry (w_n / w_{n-1})^{1/2} = n^200 passes a double from
         # n = 35 on
         w = WeightSequence.power_factorial(400.0)
-        with pytest.raises(ConfigError, match="finite"):
+        with pytest.raises(InputTooLargeError, match="^the annihilation band entry of "
+                                                     "column 35 is past the double range$"):
             annihilation_matrix(w, 1.0, 100)
 
     def test_band_entry_inside_a_double_builds_where_its_square_does_not(self):
@@ -199,7 +200,30 @@ class TestTruncatedOperator:
         bad = np.eye(3, dtype=complex)
         bad[1, 1] = math.inf
         with pytest.raises(ConfigError):
-            TruncatedOperator(bad, OperatorMeta("x", "factorial", 1.0, True))
+            operator_from_matrix(bad, OperatorMeta("x", "factorial", 1.0, True))
+
+    @pytest.mark.parametrize("bands,dim,message", [
+        ({1: np.ones(3)}, 3, "^band 1 has shape \\(3,\\), not \\(2,\\)$"),
+        ({-2: np.ones((1, 1))}, 3, "^band -2 has shape \\(1, 1\\), not \\(1,\\)$"),
+        ({3: np.ones(0)}, 3, "^band offset 3 is outside a 3-dimensional operator$"),
+        ({-4: np.ones(1)}, 3, "^band offset -4 is outside a 3-dimensional operator$"),
+        ({0: [1.0, math.nan, 2.0]}, 3, "^operator entries must be finite$"),
+        ({-1: [1.0, complex(0, math.inf)]}, 3, "^operator entries must be finite$"),
+        ({}, 0, "^operator dimension must be at least 1, got 0$"),
+    ], ids=["long-band", "2d-band", "offset-past-dim", "offset-below-dim", "nan",
+            "complex-inf", "dim-0"])
+    def test_band_refusals(self, bands, dim, message):
+        with pytest.raises(ConfigError, match=message):
+            TruncatedOperator(bands, dim, OperatorMeta("x", "factorial", 1.0, True))
+
+    def test_bands_and_their_dense_view(self):
+        # band d holds the entries (r, r + d) in the order np.diag reads them
+        A = TruncatedOperator({2: [1, 2], -1: [3j, 4, 5], 0: np.zeros(4)}, 4,
+                              OperatorMeta("x", "factorial", 1.0, True))
+        assert list(A.bands) == [-1, 0, 2] and A.cutoff == 3
+        assert A.matrix.tolist() == [[0, 0, 1, 0], [3j, 0, 0, 2], [0, 4, 0, 0], [0, 0, 5, 0]]
+        assert A.adjoint().matrix.tolist() == A.matrix.conj().T.tolist()
+        assert A.norm_bound() == 5.0 + 0.0 + 2.0
 
     def test_json_and_csv(self):
         A = annihilation_matrix(WFAC, 1j, 2)
@@ -240,7 +264,7 @@ def test_norm_bound_against_svd():
     # an upper bound of ||A||_2 up to rounding, and ||A||_2 itself on one band
     count = 0
     for matrix, one_band in _norm_bound_cases():
-        A = TruncatedOperator(matrix, OperatorMeta("A", "w", 1.0, True))
+        A = operator_from_matrix(matrix, OperatorMeta("A", "w", 1.0, True))
         svd = float(np.linalg.norm(A.matrix, 2))
         ulp4 = 4 * np.spacing(svd)
         assert A.norm_bound() >= svd - ulp4
@@ -248,7 +272,7 @@ def test_norm_bound_against_svd():
             assert abs(A.norm_bound() - svd) <= ulp4
         count += 1
     assert count == 2 * 4 * 4 * 5 + 3 * 3
-    zero = TruncatedOperator(np.zeros((4, 4)), OperatorMeta("0", "w", 1.0, True))
+    zero = operator_from_matrix(np.zeros((4, 4)), OperatorMeta("0", "w", 1.0, True))
     assert zero.norm_bound() == 0.0
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import qgauss_table
+from conftest import operator_from_matrix, qgauss_table
 from qmanin import (ConfigError, InsufficientQuadratureError, ManinElement,
                     MomentSequence, OutsidePhaseSpaceError, PolynomialSymbol,
                     WeightSequence,
@@ -15,7 +15,7 @@ from qmanin import (ConfigError, InsufficientQuadratureError, ManinElement,
                     quantize_cs_norm_bound, secondary_toeplitz, toeplitz_matrix)
 from qmanin.coherent import _kernel_series, coeff_log_arrays
 from qmanin.errors import InputTooLargeError
-from qmanin.operators import TruncatedOperator
+from qmanin.operators import OperatorMeta, TruncatedOperator
 from qmanin.series import bound_from_log
 from qmanin.symbols import _forms
 from qmanin.weights import QParam
@@ -100,14 +100,13 @@ class TestLowerSymbol:
     def test_adjoint_rule_and_reality(self):
         rng = np.random.default_rng(23)
         M = rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60))
-        from qmanin.operators import TruncatedOperator, OperatorMeta
-        A = TruncatedOperator(M, OperatorMeta("rand", "factorial", 1.0, True))
+        A = operator_from_matrix(M, OperatorMeta("rand", "factorial", 1.0, True))
         lam = 0.8 - 0.3j
         sharp = lower_symbol(A, lam, WFAC, 1.0, normalized=False)
         sharp_star = lower_symbol(A.adjoint(), lam, WFAC, 1.0, normalized=False)
         assert abs(sharp_star - sharp.conjugate()) < 1e-10 * abs(sharp)
-        sym = TruncatedOperator(M + M.conj().T,
-                                OperatorMeta("sym", "factorial", 1.0, True))
+        sym = operator_from_matrix(M + M.conj().T,
+                                   OperatorMeta("sym", "factorial", 1.0, True))
         v = lower_symbol(sym, lam, WFAC, 1.0)
         assert abs(v.imag) < 1e-12 * max(abs(v), 1.0)
 
@@ -322,7 +321,7 @@ class TestLowerSymbolGrid:
         with pytest.raises(InputTooLargeError):
             lower_symbol_grid(A, [1.0, 27.0], WFAC, 1.0, normalized=False)
         # a vanishing form stays 0, not 0 * e^729
-        Z = TruncatedOperator(np.zeros((1025, 1025)), A.meta)
+        Z = operator_from_matrix(np.zeros((1025, 1025)), A.meta)
         assert lower_symbol(Z, 27.0, WFAC, 1.0, normalized=False) == 0
 
     def test_error_bound_past_a_double(self):
@@ -341,6 +340,41 @@ class TestLowerSymbolGrid:
             _, err = lower_symbol(A, 1.7, WFAC, 1.0, normalized=normalized,
                                   return_error=True)
             assert abs(err - want) <= 1e-12 * want
+
+
+def _band_operators(w, q, N):
+    """A^2, A*A, the number operator and a random operator of five bands,
+    each built from its bands, on phi_0..phi_N."""
+    a = annihilation_matrix(w, q, N).bands[1]
+    meta = OperatorMeta("x", w.describe(), complex(q), True)
+    rng = np.random.default_rng(41)
+    rand = {d: rng.normal(size=N + 1 - abs(d)) + 1j * rng.normal(size=N + 1 - abs(d))
+            for d in (-3, -1, 0, 2, 4)}
+    return {"A^2": TruncatedOperator({2: a[:-1] * a[1:]}, N + 1, meta),
+            "A*A": TruncatedOperator({0: np.r_[0, np.abs(a) ** 2]}, N + 1, meta),
+            "number": number_matrix(N),
+            "random-5-band": TruncatedOperator(rand, N + 1, meta)}
+
+
+@pytest.mark.parametrize("w,q", [(WFAC, 1.0),
+                                 (WeightSequence.constant(), 0.9 * cmath.exp(0.3j))],
+                         ids=["factorial-1", "constant-0.9e^0.3i"])
+def test_band_lower_symbols_match_the_dense_form(w, q):
+    # b^H M b / b^H b on the dense M = .matrix, with b the scaled
+    # coefficients of the coherent state the lower symbol truncates
+    pts = [0.7 + 0.4j, -1.5 + 0.3j, 2.5j]
+    for name, op in _band_operators(w, q, 100).items():
+        M = op.matrix
+        grid = lower_symbol_grid(op, pts, w, q).values
+        for lam, got_grid in zip(pts, grid):
+            b, _ = coherent_coefficients(lam, w, q, tol=1e-14).scaled_coefficients()
+            K = b.size
+            want = np.vdot(b, M[:K, :K] @ b) / np.vdot(b, b)
+            got = lower_symbol(op, lam, w, q)
+            for value in (got, got_grid):
+                assert abs(value - want) <= 1e-13 * abs(want), (name, lam)
+        svd = float(np.linalg.norm(M, 2))
+        assert op.norm_bound() >= svd - 4 * np.spacing(svd), name
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +468,6 @@ class TestWickIdentities:
         for a, b in _DEGREE_2:
             M = (np.linalg.matrix_power(A.matrix.conj().T, b)
                  @ np.linalg.matrix_power(A.matrix, a))
-            got = lower_symbol_grid(TruncatedOperator(M, A.meta), pts, w, q).values
+            got = lower_symbol_grid(operator_from_matrix(M, A.meta), pts, w, q).values
             want = pts.conj() ** b * pts ** a
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
