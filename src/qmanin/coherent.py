@@ -8,15 +8,15 @@ operator with eigenvalue lambda; its basis coefficients are
 and ``coeff_log_arrays`` is their one home.  The reproducing kernel
 K(mu, lambda) = sum_n conj(a_n(mu)) a_n(lambda) is one certified series,
 and the squared norm ||phi_lambda||^2 is its diagonal K(lambda, lambda),
-which the norm, the truncation of phi_lambda and the transform's domain
-check sum.  At |q| exactly 1 two rules give closed forms
-(``_closed_kernel``): w_n = c n! gives Bargmann's space, whose kernel is
-e^{conj(mu) lam} / (c scale), and constant weights w_n = c give the Hardy
-space of the unit disk, whose kernel is the Szego kernel
-1 / (c scale (1 - conj(mu) lam)).  ``kernel`` and ``coherent_norm_sq``
-take those closed forms per point, and so does the transform's domain
-check; a truncation there takes its cutoff, tail bound and retained norm
-from the closed form too (``_closed_truncations``).  One private core,
+which the norm and the truncation of phi_lambda sum.  At |q| exactly 1
+two rules give closed forms (``_closed_kernel``): w_n = c n! gives
+Bargmann's space, whose kernel is e^{conj(mu) lam} / (c scale), and
+constant weights w_n = c give the Hardy space of the unit disk, whose
+kernel is the Szego kernel 1 / (c scale (1 - conj(mu) lam)).  ``kernel``
+and ``coherent_norm_sq`` take those closed forms per point, and so does
+the transform's domain check; a truncation there takes its cutoff, tail
+bound and retained norm from the closed form too
+(``_closed_truncations``).  One private core,
 ``_coefficient_rows``, builds truncated coherent states for a block of
 points from the closed form or the sum: one state, a lower symbol and a
 grid of lower symbols all go through it.
@@ -27,10 +27,9 @@ product is evaluated through max-log rescaling.  Truncation indices carry
 a certified tail bound, from the series engine or the closed form.  The
 kernel's terms have phase n * (arg lambda - arg mu), which vanishes on the
 diagonal and wherever the two arguments are equal; there the series is
-summed as a real series, bit for bit the complex one.  The phase-space
-radius of a rule is its closed form, by which a point outside it is
-refused before any term is summed; a table's is estimated from its
-entries.
+summed as a real series, bit for bit the complex one.  The phase space
+is decided from (w, q) alone, before any term is summed: by a rule's
+radius in closed form (``_rule_radius``); a table has no point outside.
 ``eigen_residual`` reads its annihilation band q^{-k} (w_k / w_{k-1})^{1/2}
 from ``WeightSequence.annihilation_band``, which keeps the band of the last
 q on the weights object, so states of one (w, q) share one band.
@@ -51,9 +50,8 @@ import numpy as np
 from .errors import (ConfigError, InputTooLargeError, OutsidePhaseSpaceError,
                      ToleranceUnreachableError)
 from .kernels import csum_logpolar
-from .series import (_CHUNK, _NOISE, SeriesDivergence, SeriesResult, bound_from_log,
-                     checked_log_tol, never_certified, sum_series, sum_series_rows,
-                     unreachable)
+from .series import (_CHUNK, _NOISE, SeriesResult, bound_from_log, checked_log_tol,
+                     never_certified, sum_series, sum_series_rows, unreachable)
 from .weights import SERIES_CAP, QParam, WeightSequence
 
 
@@ -101,29 +99,32 @@ def _kernel_series(mu, lam, w: WeightSequence, q: QParam, tol: float,
 
     Returns, per point, its SeriesResult or the error it raises: a
     ConfigError for a point that is not finite, an OutsidePhaseSpaceError
-    carrying ``series`` ("norm" on the diagonal) where the series diverges
-    (the point lies outside the phase space), a ToleranceUnreachableError.
-    A point with mu = 0 or lam = 0 is the single term 1/w_0.  Under a rule
-    of radius R < inf (``_rule_radius``), a point with |mu| |lam| >= R^2 is
-    refused before any term is summed, by the InputTooLargeError of a log
-    weight past a double within ``n_max`` terms if there is one.  Under a
-    rule with s >= 0 and |q| <= 1 the log-ratio of terms n and n - 1,
-    b + 2n log|q| - s log n with b = log|mu| + log|lam|, does not increase
-    with n, so a point whose last one, at n = n_max - 1, leaves no window
-    certifiable (``never_certified``) is refused before any term is summed
-    with the ToleranceUnreachableError the engine would raise at ``n_max``.
-    One remaining point is summed by ``sum_series``, more as the rows of one
-    array.
+    carrying ``series`` ("norm" on the diagonal) for a point outside the
+    phase space, a ToleranceUnreachableError for a series that ``n_max``
+    terms cannot certify.  A point with mu = 0 or lam = 0 is the single
+    term 1/w_0.  The phase space comes from (w, q) alone: under a rule of
+    radius R = 0 (``_rule_radius``) every other point is refused before
+    any term is summed, by the InputTooLargeError of a log weight past a
+    double within ``n_max`` terms if there is one.  A table fixes no weight
+    past its last index, so none of its points is outside; R = 1, the Hardy
+    space, is its callers' to take in closed form.  Under a rule with
+    |q| <= 1 the log-ratio of terms n and n - 1, b + 2n log|q| - s log n
+    with b = log|mu| + log|lam|, does not increase with n for s >= 0, and
+    rises, then falls for s < 0 (it is concave), so a point whose last one,
+    at n = n_max - 1, leaves no window certifiable (``never_certified``) is
+    refused before any term is summed with the ToleranceUnreachableError
+    the engine would raise at ``n_max``.  One remaining point is summed by
+    ``sum_series``, more as the rows of one array.
     """
     if w.horizon is not None:
         n_max = min(n_max, w.horizon + 1)
-    radius = math.inf if w.table is not None else _rule_radius(w, q)
+    point_space = w.table is None and _rule_radius(w, q) == 0.0
     last = n_max - 1
-    if w.table is None and w.s >= 0 and q.log_abs <= 0 and last > 0:
+    if w.table is None and q.log_abs <= 0 and last > 0:
         # the last log-ratio less b, and the moduli of the parts of
         # log|t_last| summed, less last |b|
         rest = 2 * last * q.log_abs - w.s * math.log(last)
-        size = (-last * (last + 1.0) * q.log_abs + w.s * math.lgamma(last + 1)
+        size = (-last * (last + 1.0) * q.log_abs + abs(w.s) * math.lgamma(last + 1)
                 + abs(math.log(w.c)) + abs(math.log(w.scale)))
     else:
         rest = None
@@ -137,14 +138,14 @@ def _kernel_series(mu, lam, w: WeightSequence, q: QParam, tol: float,
         if m == 0 or l == 0:
             out.append(SeriesResult(1.0 / w.weight(0) + 0j, 0.0, 1, -math.inf))
             continue
-        b = math.log(abs(m)) + math.log(abs(l))
-        if radius == 0.0 or (radius == 1.0 and b >= 0.0):
+        if point_space:
             try:        # a rule's |log w_n| grows with n: the last decides
                 w.log_weight(n_max - 1)
                 out.append(_outside(m, l, series))
             except InputTooLargeError as exc:
                 out.append(exc)
             continue
+        b = math.log(abs(m)) + math.log(abs(l))
         if rest is not None and never_certified(b + rest, last * abs(b) + size):
             checked_log_tol(tol)    # a bad tol is refused as the engines refuse it
             out.append(unreachable(tol, n_max))
@@ -175,16 +176,11 @@ def _kernel_series(mu, lam, w: WeightSequence, q: QParam, tol: float,
             sums = [sum_series(partial(logmag_fn, 0),
                                None if phases is None else partial(phases, 0),
                                tol=tol, n_max=n_max)]
-        except (SeriesDivergence, ToleranceUnreachableError) as exc:
+        except ToleranceUnreachableError as exc:
             sums = [exc]
     else:
         sums = sum_series_rows(logmag_fn, phases, len(live), tol=tol, n_max=n_max)
-
     for i, res in zip(live, sums):
-        if isinstance(res, SeriesDivergence):
-            err = _outside(*out[i], series)
-            err.__cause__ = res
-            res = err
         out[i] = res
     return out
 
@@ -412,13 +408,12 @@ def _log_tail_fraction(n: int, l: float, log_l: float, s: float) -> float:
 
 
 def _kernel_values(mu, lam, w: WeightSequence, q: QParam, tol: float,
-                   series: str, n_max: int = SERIES_CAP) -> list:
+                   series: str) -> list:
     """The SeriesResults of K at the points of mu and lam: in closed form in
-    Bargmann's and the Hardy space, else summed by ``_kernel_series`` with
-    at most ``n_max`` terms."""
+    Bargmann's and the Hardy space, else summed by ``_kernel_series``."""
     if _closed_form_space(w, q):
         return _settled(_closed_kernel(mu, lam, w, tol, series))
-    return _settled(_kernel_series(mu, lam, w, q, tol, n_max, series))
+    return _settled(_kernel_series(mu, lam, w, q, tol, series=series))
 
 
 def _outside(m: complex, l: complex, series: str) -> OutsidePhaseSpaceError:
@@ -513,9 +508,9 @@ def coherent_coefficients(lam: complex, w: WeightSequence, q, tol: float = 1e-12
                           finite_norm: bool = False) -> CoherentStateVector:
     """Construct phi_lambda truncated so the tail is below ``tol * norm^2``.
 
-    Raises OutsidePhaseSpaceError when the defining series diverges at
-    ``lam`` (no coherent state there) and ToleranceUnreachableError when
-    the tolerance cannot be certified within 200,000 terms.  With
+    Raises OutsidePhaseSpaceError at a ``lam`` outside the phase space (no
+    coherent state there) and ToleranceUnreachableError when the tolerance
+    cannot be certified within 200,000 terms or a table's entries.  With
     ``finite_norm`` a state whose norm passes a double is refused with
     InputTooLargeError from its truncation, before a coefficient is formed.
     """
@@ -600,14 +595,17 @@ def cs_transform(psi_coeffs: Sequence[complex], lam: complex,
 
     psi is given by its basis coefficients c_k; the value is
     sum_k conj(a_k(lambda)) c_k.  A lambda outside the phase space is
-    refused with OutsidePhaseSpaceError by the norm K(lambda, lambda), in
-    closed form where ``_closed_kernel`` has one, else summed to tol 1e-6
-    within 50,000 terms.
+    refused with the OutsidePhaseSpaceError of ``coherent_norm_sq``, from
+    (w, q) alone and with no series summed: every lambda but 0 where a
+    rule has R = 0, and |lambda| >= 1 in the Hardy space (R = 1).
     """
     q = QParam.of(q)
     lam = _checked(lam)
     c = np.asarray(psi_coeffs, dtype=complex)
-    _kernel_values([lam], [lam], w, q, 1e-6, "norm", n_max=50_000)
+    if w.table is None and _rule_radius(w, q) < math.inf:
+        # the norm's refusal, unsummed at R = 0 and closed at R = 1: no
+        # tolerance to bound
+        _kernel_values([lam], [lam], w, q, 1.0, "norm")
     if c.size == 0:
         return 0j
     logmag, phase = coeff_log_arrays(lam, w, q, 0, c.size)

@@ -30,7 +30,9 @@ class InsufficientQuadratureError(ConfigError):
 
 
 class OutsidePhaseSpaceError(QmaninError):
-    """A series diverged: the requested lambda is not an eigenvalue."""
+    """A point outside a rule's phase space, |mu| |lambda| >= R^2 with R
+    the rule's radius: its series diverges, and the requested lambda is not
+    an eigenvalue."""
 
     exit_code = 3
 

@@ -1,13 +1,13 @@
 """Adaptive summation of log-polar power series with certified tails.
 
-Every infinite sum in the library (coherent norms, reproducing kernels,
-domain tests) is a series whose term magnitudes are cheap to produce in
-log form, but two: at |q| = 1 the kernel, the norm and the transform's
-domain test are e^{conj(mu) lam} / (c scale) in Bargmann's space
-(w_n = c n!) and 1 / (c scale (1 - conj(mu) lam)) in the Hardy space
-(w_n = c), which ``coherent`` takes in closed form, with no truncation for
-``tol`` to bound; the coherent states and lower symbols there take their
-truncation from the closed form too, at a multiple of the engine's chunk.
+Every infinite sum in the library (coherent norms, reproducing kernels)
+is a series whose term magnitudes are cheap to produce in log form, but
+two: at |q| = 1 the kernel and the norm are e^{conj(mu) lam} / (c scale)
+in Bargmann's space (w_n = c n!) and 1 / (c scale (1 - conj(mu) lam)) in
+the Hardy space (w_n = c), which ``coherent`` takes in closed form, with
+no truncation for ``tol`` to bound; the coherent states and lower symbols
+there take their truncation from the closed form too, at a multiple of
+the engine's chunk.
 The engine sums chunks, watches the ratio trend of the term magnitudes,
 and stops once the geometric tail bound
 
@@ -21,14 +21,15 @@ is convex.  For an explicit table it is only checked on the window, so a
 table whose ratios rise again past the window (one small w_n) can be
 certified short of its sum.
 
-Divergence is reported when term magnitudes stop decaying and their
-growth rate is not shrinking; that is the numerical signature of a point
-outside the phase space.
+The engines decide no divergence: whether a point lies in the phase space
+is a property of (w, q), which ``coherent`` decides before it sums.  A
+series that ``n_max`` terms cannot certify, diverging or not, is a
+``ToleranceUnreachableError``.
 
 ``sum_series`` sums one series.  Its terms and chunk sums are numpy; the
-certificate's bookkeeping (the window of log-ratios, the trend and
-divergence tests) runs on Python floats, a few dozen per chunk, with the
-same IEEE double subtractions and comparisons numpy would take.
+certificate's bookkeeping (the window of log-ratios and the trend test)
+runs on Python floats, a dozen per chunk, with the same IEEE double
+subtractions and comparisons numpy would take.
 ``sum_series_rows`` sums many series as the rows of one array, in blocks
 of ``ROW_BLOCK`` rows: every row follows the same rule with its own
 certificate, all rows are decided in one vectorized step per chunk, and a
@@ -64,20 +65,10 @@ from .kernels import csum_logpolar
 from .weights import SERIES_CAP
 
 _CHUNK = 16
-_WINDOW = 12
-_DIV_WINDOW = 64
-_KEEP = max(_WINDOW, _DIV_WINDOW)   # log-ratios a chunk's tests look back on
+_WINDOW = 12                  # log-ratios a chunk's certificate looks back on
 _RHO_CAP = math.log(0.9999)   # ratios must sit below this to certify a tail
 _NOISE = math.log(1e-17)      # tail below the summation's own rounding floor
 ROW_BLOCK = 1024              # rows summed together; bounds the memory of a grid
-
-
-class SeriesDivergence(ArithmeticError):
-    """Raised internally; callers translate to OutsidePhaseSpaceError."""
-
-    def __init__(self, message, nterms):
-        super().__init__(message)
-        self.nterms = nterms
 
 
 def checked_log_tol(tol: float) -> float:
@@ -125,7 +116,6 @@ def sum_series(logmag_fn, phase_fn=None, tol: float = 1e-12,
 
     ``logmag_fn(n0, n1)`` and ``phase_fn(n0, n1)`` produce per-index arrays
     for ``n0 <= n < n1``; ``phase_fn`` None sums a real series.  Raises
-    :class:`SeriesDivergence` when the terms visibly diverge and
     :class:`ToleranceUnreachableError` when ``n_max`` terms cannot certify
     the tail.
     """
@@ -134,7 +124,7 @@ def sum_series(logmag_fn, phase_fn=None, tol: float = 1e-12,
     scale = -math.inf
     # the certificate's bookkeeping runs on Python floats: each subtraction
     # and comparison is the IEEE double operation numpy would take
-    ratios = []         # log-ratios of the last _KEEP + 1 terms
+    ratios = []         # log-ratios of the last _WINDOW + 1 terms
     last_lm = None      # log magnitude of the last term summed
     n = 0
     while n < n_max:
@@ -151,17 +141,16 @@ def sum_series(logmag_fn, phase_fn=None, tol: float = 1e-12,
         if last_lm is not None:
             ratios.append(new[0] - last_lm)
         ratios.extend(map(sub, new[1:], new))
-        del ratios[:-_KEEP]
+        del ratios[:-_WINDOW]
         last_lm = new[-1]
         n = hi
 
         if len(ratios) < _WINDOW:
             continue
-        win = ratios[-_WINDOW:]
 
         # tail certificate: ratios below one and not increasing
-        rho_log = max(win)
-        if rho_log < _RHO_CAP and max(map(sub, win[1:], win)) <= 1e-12:
+        rho_log = max(ratios)
+        if rho_log < _RHO_CAP and max(map(sub, ratios[1:], ratios)) <= 1e-12:
             tail_log = float(_tail_log(last_lm, rho_log))
             # |S| = hypot(re, im), as _sum_block takes it; hypot(x, 0) is |x|
             # exactly (C99 Annex F), which spares a real series the call
@@ -169,15 +158,6 @@ def sum_series(logmag_fn, phase_fn=None, tol: float = 1e-12,
             log_sum = float(np.log(mag)) + scale if mag else -math.inf
             if tail_log <= log_tol + log_sum or tail_log <= scale + _NOISE:
                 return SeriesResult(acc, scale, n, tail_log)
-
-        # divergence: magnitudes not decaying and growth rate not shrinking;
-        # the slack scales with the log magnitude (rounding of n*c grows with n)
-        if len(ratios) >= _DIV_WINDOW:
-            dwin = ratios[-_DIV_WINDOW:]
-            slack = 1e-12 * max(1.0, abs(last_lm))
-            if min(dwin) >= -slack and min(map(sub, dwin[1:], dwin)) >= -slack:
-                raise SeriesDivergence(
-                    f"series terms stopped decaying after {n} terms", n)
 
     raise unreachable(tol, n_max)
 
@@ -190,12 +170,14 @@ def unreachable(tol: float, n_max: int) -> ToleranceUnreachableError:
 
 def never_certified(last_log_ratio: float, size: float) -> bool:
     """Whether no window can certify a series whose log-ratios, in exact
-    arithmetic, are non-increasing down to ``last_log_ratio`` at the last
-    index summed, each the difference of two log magnitudes whose parts
-    sum to at most ``size`` in modulus.  A log-ratio as the engines take
-    it is off by a few u times ``size``; the slack 1e-12 max(1, size)
-    covers that, so every ratio of every window stays at or above the
-    cap ``_RHO_CAP`` that a certified window must stay below."""
+    arithmetic, are non-increasing, or rise and then fall, down to
+    ``last_log_ratio`` at the last index summed, each the difference of two
+    log magnitudes whose parts sum to at most ``size`` in modulus.  A
+    log-ratio as the engines take it is off by a few u times ``size``; the
+    slack 1e-12 max(1, size) covers that, so every ratio past the rise
+    stays at or above the cap ``_RHO_CAP`` that a certified window must
+    stay below, and a window on the rise has increasing ratios, which the
+    trend test refuses."""
     return last_log_ratio - 1e-12 * max(1.0, size) >= _RHO_CAP
 
 
@@ -224,9 +206,9 @@ def sum_series_rows(logmag_fn, phase_fn, nrows: int, tol: float = 1e-12,
     ``logmag_fn(rows, n0, n1)`` and ``phase_fn(rows, n0, n1)`` produce
     ``(len(rows), n1 - n0)`` arrays for the rows indexed by ``rows``;
     ``phase_fn`` None sums real series.
-    Returns, per row, its :class:`SeriesResult` or the exception
-    (:class:`SeriesDivergence`, :class:`ToleranceUnreachableError`) that
-    :func:`sum_series` raises on that row alone.
+    Returns, per row, its :class:`SeriesResult` or the
+    :class:`ToleranceUnreachableError` that :func:`sum_series` raises on
+    that row alone.
     """
     log_tol = checked_log_tol(tol)
     out = [None] * nrows
@@ -240,7 +222,7 @@ def _sum_block(rows, logmag_fn, phase_fn, log_tol, n_max, out) -> None:
     """Rows of one block in lockstep; a decided row leaves every array."""
     acc = np.zeros(rows.size, dtype=complex)
     scale = np.full(rows.size, -np.inf)
-    tail = np.empty((rows.size, 0))       # the last 65 log magnitudes
+    tail = np.empty((rows.size, 0))       # the last 13 log magnitudes
     n = 0
     while n < n_max and rows.size:
         hi = min(n + _CHUNK, n_max)
@@ -252,12 +234,11 @@ def _sum_block(rows, logmag_fn, phase_fn, log_tol, n_max, out) -> None:
         acc = acc * np.exp(scale - new_scale) + part * np.exp(m - new_scale)
         scale = new_scale
 
-        tail = np.concatenate([tail, lm], axis=1)[:, -(_KEEP + 1):]
+        tail = np.concatenate([tail, lm], axis=1)[:, -(_WINDOW + 1):]
         n = hi
-        diffs = np.diff(tail, axis=1)
-        if diffs.shape[1] < _WINDOW:
+        win = np.diff(tail, axis=1)
+        if win.shape[1] < _WINDOW:
             continue
-        win = diffs[:, -_WINDOW:]
         last_lm = tail[:, -1]
 
         # tail certificate: ratios below one and not increasing, decided for
@@ -269,23 +250,10 @@ def _sum_block(rows, logmag_fn, phase_fn, log_tol, n_max, out) -> None:
             log_sum = np.log(np.hypot(acc.real, acc.imag)) + scale
         done = ((rho_log < _RHO_CAP) & (np.diff(win, axis=1) <= 1e-12).all(axis=1)
                 & ((tail_log <= log_tol + log_sum) | (tail_log <= scale + _NOISE)))
-
-        # divergence: magnitudes not decaying and growth rate not shrinking
-        diverged = np.zeros(rows.size, dtype=bool)
-        if diffs.shape[1] >= _DIV_WINDOW:
-            dwin = diffs[:, -_DIV_WINDOW:]
-            slack = (1e-12 * np.maximum(1.0, np.abs(last_lm)))[:, None]
-            diverged = (~done & (dwin >= -slack).all(axis=1)
-                        & (np.diff(dwin, axis=1) >= -slack).all(axis=1))
-
-        decided = done | diverged
-        if not decided.any():
+        if not done.any():
             continue
         for i in np.flatnonzero(done):
             out[rows[i]] = SeriesResult(complex(acc[i]), float(scale[i]), n,
                                         float(tail_log[i]))
-        for i in np.flatnonzero(diverged):
-            out[rows[i]] = SeriesDivergence(
-                f"series terms stopped decaying after {n} terms", n)
-        keep = ~decided
+        keep = ~done
         rows, acc, scale, tail = (a[keep] for a in (rows, acc, scale, tail))

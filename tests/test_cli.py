@@ -393,6 +393,15 @@ def test_terms_growing_at_the_cap_exit_4_at_once(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_table_series_its_entries_cannot_certify_exits_4(tmp_path, capsys):
+    # an explicit table has no point outside the phase space: a kernel grid
+    # at |lambda| >= 1 under 1,001 ones exits 4, naming the table's length
+    cfg = {"weights": {"kind": "explicit", "table": [1.0] * 1001}, "q": 1,
+           "grid": {"rmin": 1.0, "rmax": 1.5, "nr": 2, "ntheta": 2}}
+    assert run(tmp_path, "kernel", *config_args(tmp_path, cfg)) == 4
+    assert "could not certify tail <= 1e-12 within 1001 terms" in capsys.readouterr().err
+
+
 def test_coherent_norm_past_a_double_exits_2_without_summing(tmp_path, monkeypatch, capsys):
     # factorial weights at q = 1, lambda = 400: the cutoff 162,831 comes
     # from the closed form e^{|lambda|^2}, which passes a double, so the

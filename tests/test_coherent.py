@@ -113,6 +113,20 @@ class TestCoefficients:
             kernel(lam, 1.0, WFAC, 1.0)
 
 
+def _mp_norm(lam: float, s: float, q) -> mpmath.mpf:
+    """sum_n |lam|^{2n} |q|^{n(n+1)} (n!)^{-s}, at the working precision and
+    the exact modulus of the double q, to past the peak term by 45 digits."""
+    logl, logq = 2 * mpmath.log(abs(mpmath.mpf(lam))), mpmath.log(abs(mpmath.mpc(q)))
+    total, peak, log_t, n = mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(0), 0
+    while True:
+        t = mpmath.exp(log_t)
+        total, peak = total + t, max(peak, t)
+        ratio = logl + 2 * (n + 1) * logq - s * mpmath.log(n + 1)
+        if ratio < 0 and t < peak * mpmath.mpf(10) ** -45:
+            return total
+        log_t, n = log_t + ratio, n + 1
+
+
 class TestNorm:
     def test_lambda_zero(self):
         assert coherent_norm_sq(0.0, WeightSequence.constant(5.0), 1.0) == 0.2
@@ -136,6 +150,29 @@ class TestNorm:
         assert info.value.series == "norm" and info.value.__cause__ is None
         assert w._logs[1] == 0          # no log weight taken: no term summed
         assert coherent_norm_sq(0.0, w, 1.0) == 1.0
+
+    @pytest.mark.parametrize("s", [-0.5, -2.0])
+    @pytest.mark.parametrize("q", [0.9, 0.95 * cmath.exp(0.3j), 0.99,
+                                   0.999 * cmath.exp(0.3j)])
+    def test_a_rule_of_infinite_radius_refuses_no_point(self, s, q):
+        # power-factorial(s < 0) at |q| < 1 has R = inf: the terms rise for
+        # a long stretch before they fall, and every point gets its norm.
+        # Up to |q| = 0.95 the norm is within tol of a 40-digit sum at the
+        # exact modulus of q, taken in the log domain since some norms pass
+        # a double (the worst, 8.8e-13 at s = -2 and |q| = 0.95, is mostly
+        # the rounding of |q|); nearer the circle the rounding of the log
+        # terms can pass tol (ROADMAP item 12)
+        w, tol = WeightSequence.power_factorial(s), 1e-12
+        lams = np.exp(np.random.default_rng(37).uniform(math.log(0.05), math.log(40.0), 12))
+        norms = coherent_norm_sq(lams, w, q, tol=tol)
+        assert np.all(norms > 0)
+        if abs(q) > 0.95:
+            return
+        for lam, res in zip(lams, _kernel_series(lams, lams, w, QParam.of(q), tol)):
+            with mpmath.workdps(40):
+                exact = _mp_norm(float(lam), s, q)
+                got = mpmath.mpf(res.value.real) * mpmath.exp(res.log_scale)
+                assert abs(got - exact) <= tol * exact
 
 
     def test_log_weights_near_the_double_range_keep_their_sums(self):
@@ -375,6 +412,18 @@ class TestExplicitHorizon:
         for call in (lambda: kernel(1.0, 1.5, w, 1.0),
                      lambda: coherent_norm_sq(1.5, w, 1.0)):
             with pytest.raises(ToleranceUnreachableError, match="within 9 terms"):
+                call()
+
+    @pytest.mark.parametrize("lam", [1.0, 1.5, 3.0j])
+    def test_a_table_has_no_point_outside(self, lam):
+        # a table fixes no weight past its last index, so no point of it is
+        # outside the phase space: 1,001 ones at |lam| >= 1 are summed to the
+        # table's end and refused with the tolerance error naming its length
+        w = WeightSequence.explicit([1.0] * 1001)
+        for call in (lambda: coherent_norm_sq(lam, w, 1.0), lambda: kernel(lam, lam, w, 1.0),
+                     lambda: coherent_coefficients(lam, w, 1.0)):
+            with pytest.raises(ToleranceUnreachableError,
+                               match="could not certify tail <= 1e-12 within 1001 terms"):
                 call()
 
 
@@ -741,31 +790,51 @@ def test_series_engine_keeps_its_bargmann_oracle(r):
 _THETA_Q = cmath.exp(0.31950650216738913j)      # abs() rounds to 1 - 2^-53
 
 
-@pytest.mark.parametrize("call, text", [
+def _summing(*args, **kwargs):
+    raise AssertionError("a series was summed")
+
+
+@pytest.mark.parametrize("call, want", [
     (lambda: coherent_coefficients(1e8, WFAC, 1.0), "1e-12 within 200000"),
     (lambda: coherent_coefficients(500.0, WFAC, 1.0), "1e-12 within 200000"),
     (lambda: coherent_norm_sq(1.5, WCONST, _THETA_Q), "1e-12 within 200000"),
+    # the transform sums no norm: at R = inf it refuses no point, and its
+    # value is 1 + lam/2 exactly
     (lambda: cs_transform([1.0, 0.5], 6e4, WeightSequence.power_factorial(2.0), 1.0),
-     "1e-06 within 50000"),
+     30001.0),
 ], ids=["factorial-1e8", "factorial-500", "constant-theta", "cs-transform"])
-def test_terms_growing_at_the_cap_are_refused_before_summing(monkeypatch, call, text):
+def test_terms_growing_at_the_cap_are_refused_before_summing(monkeypatch, call, want):
     # R = inf at each point, yet the terms still grow at the last index the
     # engine reaches, so no sum to the cap can certify them
-    def summed(*args, **kwargs):
-        raise AssertionError("a series was summed")
-
-    monkeypatch.setattr(coherent, "sum_series", summed)
-    monkeypatch.setattr(coherent, "sum_series_rows", summed)
+    monkeypatch.setattr(coherent, "sum_series", _summing)
+    monkeypatch.setattr(coherent, "sum_series_rows", _summing)
     took = []
     for _ in range(3):
         start = time.perf_counter()
-        with pytest.raises(ToleranceUnreachableError,
-                           match=f"could not certify tail <= {text} terms"):
-            call()
+        if isinstance(want, str):
+            with pytest.raises(ToleranceUnreachableError,
+                               match=f"could not certify tail <= {want} terms"):
+                call()
+        else:
+            assert abs(call() - want) <= 1e-15 * want
         took.append(time.perf_counter() - start)
     assert min(took) < 5e-3
     assert abs(_THETA_Q) == 1 - 2.0 ** -53
     assert radius_of_convergence(WCONST, _THETA_Q).value == math.inf
+
+
+@pytest.mark.parametrize("w, lam", [(WeightSequence.power_factorial(-0.5), 1e-4),
+                                    (WCONST, 1.5)], ids=["point-space", "hardy"])
+def test_cs_transform_refuses_outside_points_without_summing(monkeypatch, w, lam):
+    # R = 0 at q = 1 for s < 0, and |lam| > 1 = R in the Hardy space: the
+    # transform refuses as the norm refuses, from (w, q) alone
+    monkeypatch.setattr(coherent, "sum_series", _summing)
+    monkeypatch.setattr(coherent, "sum_series_rows", _summing)
+    for call in (lambda: cs_transform([1.0, 0.5], lam, w, 1.0),
+                 lambda: coherent_norm_sq(lam, w, 1.0)):
+        with pytest.raises(OutsidePhaseSpaceError, match="norm series") as info:
+            call()
+        assert info.value.series == "norm"
 
 
 def test_a_sum_whose_terms_peak_below_the_cap_keeps_its_bits():
