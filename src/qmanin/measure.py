@@ -14,15 +14,21 @@ coefficients are computed in arbitrary precision because raw moment
 sequences at factorial scale annihilate double precision long before the
 orders used here: going from moments to the recurrence is exponentially
 ill-conditioned, so its working precision is 50 + 6 * order + span digits.
-The float64 eigenvalues of the Jacobi matrix only seed the nodes: Newton
-on the recurrence polishes each one, and the masses are the Christoffel
-numbers, each read off the last Newton step by the confluent
-Christoffel-Darboux identity.  The polish starts from the recurrence and
-keeps only a float64 node and mass, so it runs at 192 bits: a 53-bit seed
-and the 2^-70 stop rule take 123 bits, and 192 leaves 64 guard bits above
-128.  A rule whose nodes are ill conditioned relative to the entries of
-its Jacobi matrix, as a node near t = 0 far below the rest makes them,
-keeps the recurrence's precision.
+The float64 eigenvalues of the Jacobi matrix only seed the nodes.  One
+Newton step on the recurrence, exact in fixed point, lifts each 53-bit seed
+to about 106 bits; from there one correctly rounded Newton sweep meets the
+2^-70 stop rule and polishes the node, and the mass is the Christoffel
+number read off that sweep by the confluent Christoffel-Darboux identity.
+The fixed point keeps 192 guard bits below the ulp of the smallest nonzero
+seed.  The masses of nearly atomic rules read its truncation, since their
+nodes cluster and lower-order zeros lie close to them: over 3,000 rules at
+q = e^{i theta} with 64 or 128 guard bits a few float64 masses moved, one
+by 8e-8 relative, and with 192 none did.  The polish starts from the
+recurrence and keeps only a float64 node and mass, so it runs at 192
+bits: a 53-bit seed and the 2^-70 stop rule take 123 bits, and 192 leaves
+64 guard bits above 128.  A rule whose nodes are ill conditioned relative
+to the entries of its Jacobi matrix, as a node near t = 0 far below the
+rest makes them, keeps the recurrence's precision.
 
 The recurrence and the polish run on signed (mantissa, exponent) integer
 pairs, through a small kernel of their own.  Each operation rounds its
@@ -30,14 +36,15 @@ exact result half-even to the precision at hand.  Under round_nearest,
 mpmath's mpf_add, mpf_sub, mpf_mul and mpf_div are correctly rounded in
 the same sense, and a correctly rounded result is unique.  So the
 recurrence is bit for bit mpf arithmetic at the working precision, and the
-polish is bit for bit mpf arithmetic at 192 bits on the coefficients
-rounded once to 192 bits, without mpmath's cost per operation.  That the
-float64 rules are the ones a polish at the working precision gives was
-checked by sweep over weights, q and orders; it does not hold by
-construction.  Only the final nodes and masses are cast to float64, which
-perturbs the matched moments by a few ulps at most.  A polished node below
-zero means no positive measure on t >= 0 fits the moments, even with a
-definite Hankel matrix, and the rule is refused as indefinite.
+polish is bit for bit mpf arithmetic at 192 bits on the coefficients and
+the refined seed, each rounded once to 192 bits, without mpmath's cost per
+operation.  That the float64 rules are the ones a polish at the working
+precision gives was checked by sweep over weights, q and orders; it does
+not hold by construction.  Only the final nodes and masses are cast to
+float64, which perturbs the matched moments by a few ulps at most.  A
+polished node below zero means no positive measure on t >= 0 fits the
+moments, even with a definite Hankel matrix, and the rule is refused as
+indefinite.
 
 Atomic rules are accepted on purpose: only moment identities enter the
 downstream computations, so absolute continuity of the underlying measure
@@ -360,21 +367,28 @@ _POLISH_BITS = 192
 # the largest relative condition of the nodes at which the polish runs at
 # _POLISH_BITS (see _polish_prec)
 _MAX_CONDITION = 2.0 ** 48
+# Guard bits of _refine_seeds' fixed point below the ulp of the smallest
+# nonzero seed; at 64 or 128 the masses of some nearly atomic rules move
+# (see the module docstring)
+_SEED_GUARD_BITS = 192
 
 
 def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and masses of the Gauss rule, ascending, as float64.
 
     float64 eigenvalues of the Jacobi matrix seed Newton on the monic
-    recurrence p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1} at
-    _POLISH_BITS, capped at the recurrence's precision; each mass is the
-    Christoffel number 1 / sum_k p_k(x)^2 / (beta_1 ... beta_k) in units
-    where m_0 = 1, taken from the last Newton sweep by the
-    Christoffel-Darboux identity.  With the nodes' relative condition at
-    most 2^48, 192 bits keep more than 144 bits of each node, 74 above the
-    stop rule; a worse conditioned rule is polished at the recurrence's
-    precision (see _polish_prec).  A mass below the smallest normal double
-    is refused as an underflow.
+    recurrence p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1}.  _refine_seeds
+    takes the first step exactly in fixed point, which leaves each seed
+    about 106 bits right; the polish at _POLISH_BITS, capped at the
+    recurrence's precision, then meets the 2^-70 stop rule on its first
+    correctly rounded sweep, where a float64 seed took two.  That sweep
+    gives every node, and each mass is the Christoffel number
+    1 / sum_k p_k(x)^2 / (beta_1 ... beta_k) in units where m_0 = 1, taken
+    from it by the Christoffel-Darboux identity.  With the nodes' relative
+    condition at most 2^48, 192 bits keep more than 144 bits of each node,
+    74 above the stop rule; a worse conditioned rule is polished at the
+    recurrence's precision (see _polish_prec).  A mass below the smallest
+    normal double is refused as an underflow.
     """
     alpha, beta, atoms, log_s, log_m0, dps = _chebyshev_recurrence(m, order)
     npts = atoms if atoms is not None else order
@@ -384,7 +398,8 @@ def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray
     if not np.all(np.isfinite(jacobi)):
         raise _Breakdown("the Jacobi matrix overflows float64")
     seeds = np.linalg.eigvalsh(jacobi)
-    roots, weights = _polish(alpha[:npts], beta[:npts], seeds, dps,
+    starts = _refine_seeds(alpha[:npts], beta[:npts], seeds)
+    roots, weights = _polish(alpha[:npts], beta[:npts], seeds, dps, starts,
                              prec=_polish_prec(jacobi, dps))
     if any(mpf_le(b, a) for a, b in zip(roots, roots[1:])):
         raise _Breakdown("two float64 seeds polished into one node")
@@ -428,14 +443,59 @@ def _polish_prec(jacobi: np.ndarray, dps: int) -> int:
     return prec
 
 
-def _polish(alpha, beta, seeds, dps: int, *, prec: int) -> tuple[list, list]:
+def _refine_seeds(alpha, beta, seeds) -> list:
+    """One Newton step on p_npts, npts = len(alpha), from each float64 seed,
+    exactly in fixed point, as (mantissa, exponent) integer pairs.
+
+    alpha_k, beta_k and the seed are truncated to multiples of 2^-F, F being
+    _SEED_GUARD_BITS below the ulp of the smallest nonzero seed, so every
+    seed is exact.  The coefficients of p_npts then come out of the
+    recurrence as exact integers, that of x^j in units of 2^-(npts-j)F, once
+    for all seeds; Horner's rule in the seed's 53-bit mantissa gives
+    p_npts(x) and p_npts'(x) exactly.  No operation is rounded: only the step
+    p_npts / p_npts' is truncated to a multiple of 2^-F.  A seed whose
+    p_npts' is 0 keeps its float64 value."""
+    smallest = min((abs(s) for s in seeds if s), default=1.0)
+    f = _SEED_GUARD_BITS - (math.frexp(math.ulp(smallest))[1] - 1)
+
+    def fixed(x):
+        m, e = _pair(x)
+        return m << (e + f) if e + f >= 0 else m >> -(e + f)
+
+    # p_{k-1} and p_k, highest coefficient first
+    prev, cur = [], [1]
+    for a, b in zip(alpha, beta):
+        am, bm = fixed(a._mpf_), fixed(b._mpf_)
+        nxt = cur + [0]
+        for j in range(len(cur)):
+            nxt[j + 1] -= am * cur[j]
+        for j in range(len(prev)):
+            nxt[j + 2] -= bm * prev[j] << f
+        prev, cur = cur, nxt
+    starts = []
+    for seed in seeds:
+        xm, xe = _pair(from_float(seed))
+        sh = xe + f                     # x in units of 2^-F is xm << sh
+        p, dp = 1, 0
+        for c in cur[1:]:
+            dp = (dp * xm << sh) + p
+            p = (p * xm << sh) + c
+        starts.append(((xm << sh) - p // dp, -f) if dp else (xm, xe))
+    return starts
+
+
+def _polish(alpha, beta, seeds, dps: int, starts=None, *,
+            prec: int) -> tuple[list, list]:
     """Newton-polished zeros of p_npts, npts = len(alpha), from the float64
     seeds, and the Christoffel number at each, as raw mpf tuples at ``prec``
-    bits.  Each alpha_k and beta_k is rounded once to ``prec`` bits, as
-    mpf(+a) rounds it there, and the iteration runs on integer pairs, every
-    operation correctly rounded to nearest, so each tuple is the one mpf
-    arithmetic gives at ``prec`` bits.  The noise floor 10^-(dps // 2) still
-    comes from the recurrence's ``dps``.
+    bits.  Newton starts from ``starts``, one (mantissa, exponent) pair per
+    seed as _refine_seeds gives them, or else from the seeds themselves; a
+    message names the float64 seed.  Each start, alpha_k and beta_k is
+    rounded once to ``prec`` bits, as mpf(+a) rounds it there, and the
+    iteration runs on integer pairs, every operation correctly rounded to
+    nearest, so each tuple is the one mpf arithmetic gives at ``prec`` bits
+    from that start.  The noise floor 10^-(dps // 2) still comes from the
+    recurrence's ``dps``.
 
     Each Newton sweep ends with p_npts, p_npts', p_{npts-1} and p_{npts-1}'
     at its iterate, and the confluent Christoffel-Darboux identity, exact at
@@ -446,9 +506,9 @@ def _polish(alpha, beta, seeds, dps: int, *, prec: int) -> tuple[list, list]:
     with h_k = beta_1 ... beta_k, gives the Christoffel number 1 / sum as
     h_{npts-1} over that numerator, with no further sweep.  It is taken at
     the iterate just before the node: the stop rule bounds that last step
-    by 2^-70 |x|, and from float64 seeds the step is about the square of
-    the seed's error, far below float64.  A numerator that is not positive
-    is a breakdown."""
+    by 2^-70 |x|, and from a refined seed, whose first sweep is its last,
+    the step is about the refined seed's error, some 2^-106 |x|, far below
+    float64.  A numerator that is not positive is a breakdown."""
     with mpmath.workprec(prec):
         # Newton converges quadratically, so once a step is below 2^-70 |x|
         # the node is exact far beyond float64; a node at t = 0 only meets
@@ -461,8 +521,10 @@ def _polish(alpha, beta, seeds, dps: int, *, prec: int) -> tuple[list, list]:
     for _, _, bm, be in coeffs[1:]:
         hm, he = _round(hm * bm, he + be, prec)
     roots, weights = [], []
-    for seed in seeds:
-        xm, xe = _pair(from_float(seed))
+    if starts is None:
+        starts = [_pair(from_float(s)) for s in seeds]
+    for seed, (xm, xe) in zip(seeds, starts):
+        xm, xe = _round(xm, xe, prec)
         for _ in range(_NEWTON_STEPS):
             # p_npts(x) and p_npts'(x) by the recurrence and its derivative
             qm = qe = pe = dqm = dqe = dpm = dpe = 0     # p_prev, p, dp_prev, dp

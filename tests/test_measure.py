@@ -374,6 +374,103 @@ def test_polish_bits_match_mpf_objects(w, q, order):
 @pytest.mark.parametrize("q", [1.0, 0.95 * cmath.exp(0.7j), 0.7, 1.3, 0.5],
                          ids=["1", "0.95e^0.7i", "0.7", "1.3", "0.5"])
 @pytest.mark.parametrize("order", [2, 8, 14, 20])
+def test_refined_polish_matches_mpf_objects(w, q, order):
+    # the solver's own path: the polish at _POLISH_BITS starts from the pairs
+    # of _refine_seeds, each rounded once to those bits as mpf(x) rounds the
+    # exact seed, so every node and Christoffel number is the raw tuple mpf
+    # objects give from the refined seeds taken as exact mpf
+    m = MomentSequence.from_weights(w, q, 2 * order - 1)
+    recurrence = _outcome(measure._chebyshev_recurrence, m, order)
+    if _refused(recurrence):
+        return
+    alpha, beta, atoms, _, _, dps = recurrence
+    npts = atoms if atoms is not None else order
+    seeds = _outcome(_jacobi_seeds, alpha, beta, npts)
+    if _refused(seeds):
+        return
+    starts = measure._refine_seeds(alpha[:npts], beta[:npts], seeds)
+    exact = [mpmath.mp.make_mpf(libmp.from_man_exp(*s)) for s in starts]
+    polished = _outcome(functools.partial(measure._polish, prec=measure._POLISH_BITS),
+                        alpha[:npts], beta[:npts], seeds, dps, starts)
+    ref = _outcome(functools.partial(_mpf_polish, prec=measure._POLISH_BITS),
+                   alpha[:npts], beta[:npts], exact, dps)
+    if _refused(ref):
+        # the solver's message names the float64 seed, the reference's the
+        # refined one
+        assert _refused(polished) and polished[0] is ref[0]
+    else:
+        assert polished == tuple([x._mpf_ for x in xs] for xs in ref)
+
+
+@pytest.mark.parametrize("w", [WFAC, WeightSequence.power_factorial(2.0), WCONST],
+                         ids=["factorial", "power-factorial-2", "constant"])
+@pytest.mark.parametrize("band", [(0.95, 0.96), (0.90, 0.91)])
+def test_one_sweep_per_node(w, band, monkeypatch):
+    # from a refined seed every node meets the 2^-70 stop rule on its first
+    # correctly rounded sweep, so the polish divides twice per node: once for
+    # the Newton step and once for the Christoffel number (float64 seeds take
+    # two sweeps, three divisions); the |q| bands are those of the
+    # quadrature benchmark
+    div, polish = measure._div, measure._polish
+    polishing, counts = [], []          # [divisions, nodes] per polish
+
+    def counting_div(*args):
+        if polishing:
+            counts[-1][0] += 1
+        return div(*args)
+
+    def counting_polish(alpha, beta, seeds, *args, **kwargs):
+        counts.append([0, len(seeds)])
+        polishing.append(True)
+        try:
+            return polish(alpha, beta, seeds, *args, **kwargs)
+        finally:
+            polishing.clear()
+
+    monkeypatch.setattr(measure, "_div", counting_div)
+    monkeypatch.setattr(measure, "_polish", counting_polish)
+    rng = random.Random(38)
+    for order in range(8, 21):
+        q = rng.uniform(*band) * cmath.exp(2j * math.pi * rng.random())
+        gauss_quadrature_from_moments(MomentSequence.from_weights(w, q, 2 * order - 1),
+                                      order)
+    assert len(counts) == 13
+    assert all(divisions == 2 * nodes for divisions, nodes in counts)
+
+
+@pytest.mark.parametrize("w, q, order", [
+    (WeightSequence.constant(2.0), 0.10178114258214559 + 0.9948068149217077j, 6),
+    (WCONST, 0.8737292721603928 + 0.48641253989804817j, 5),
+    (WDELTA01, -0.8151944056348668 + 0.5791874316847839j, 4),
+    # 64 guard bits move a mass by one ulp
+    (WCONST, -0.1490597623392169 + 0.9888281889445588j, 4),
+    (WDELTA01, -0.9912759751350373 - 0.13180265976102656j, 7),
+    # 128 guard bits move the mass at t = 0 by 1e-14, and one by 8e-8
+    (WDELTA01, 0.05548377731337452 + 0.9984595887941784j, 8),
+    (WDELTA01, 0.6616357683510744 - 0.7498253863657081j, 9),
+])
+def test_seed_guard_bits(w, q, order, monkeypatch):
+    # nearly atomic rules at q = e^{i theta}: nodes clustered within 1e-8 of
+    # t = 1, a node near t = 0, and lower-order zeros near the nodes, so the
+    # Christoffel numbers read the fixed point's truncation; with 192 guard
+    # bits the rule is the one the two-sweep polish from the float64 seeds
+    # gives at the recurrence's precision
+    m = MomentSequence.from_weights(w, q, 2 * order - 1)
+    rule = gauss_quadrature_from_moments(m, order)
+    monkeypatch.setattr(measure, "_golub_welsch",
+                        functools.partial(_mpf_golub_welsch, polish=_mpf_polish))
+    ref = gauss_quadrature_from_moments(m, order)
+    assert np.array_equal(rule.nodes, ref.nodes)
+    assert np.array_equal(rule.masses, ref.masses)
+
+
+@pytest.mark.parametrize("w", [WFAC, WeightSequence.power_factorial(2.0), WCONST,
+                               WDELTA01],
+                         ids=["factorial", "power-factorial-2", "constant",
+                              "delta0+delta1"])
+@pytest.mark.parametrize("q", [1.0, 0.95 * cmath.exp(0.7j), 0.7, 1.3, 0.5],
+                         ids=["1", "0.95e^0.7i", "0.7", "1.3", "0.5"])
+@pytest.mark.parametrize("order", [2, 8, 14, 20])
 def test_polish_bits_keep_a_guard_margin(w, q, order, monkeypatch):
     # a float64 seed and the 2^-70 stop rule need 123 bits; the polish at
     # 128 bits already gives every float64 rule and refusal it gives at
