@@ -1,9 +1,10 @@
 """The acceptance suite: every closed-form identity as a checkable gate.
 
 Each criterion pins its own configuration and tolerance and reports a
-pass/fail verdict with the worst observed deviation.  The CLI command
-``qmanin verify`` runs the full list and exits non-zero on any failure;
-the pytest suite wraps the same functions.
+pass/fail verdict with the worst observed deviation, taken by
+``measure.worst`` so that a NaN deviation is the worst and fails.  The
+CLI command ``qmanin verify`` runs the full list and exits non-zero on
+any failure; the pytest suite wraps the same functions.
 
 Oracles used for cross-checking (the adjacent-swap rewriter, the
 coefficient recursion, column-wise projection of symbol products) are
@@ -27,7 +28,7 @@ from .coherent import (coherent_coefficients, coherent_norm_sq, cs_transform,
 from .measure import (MomentSequence, closed_form_density,
                       gauss_quadrature_from_moments, norm_divergence_witness,
                       verify_density_moments, verify_moments,
-                      verify_resolution_identity)
+                      verify_resolution_identity, worst)
 from .operators import (adjoint_annihilation_matrix, annihilation_matrix,
                         toeplitz_matrix)
 from .paragrassmann import ParagrassmannConfig, pg_annihilation, pg_structure_report
@@ -58,13 +59,12 @@ def _qgauss_table(q_abs: float, length: int = 31) -> WeightSequence:
 def criterion_coherent_eigen_identity() -> tuple[bool, str]:
     """Eigen residual of truncated coherent states at tol 1e-14."""
     w = WeightSequence.factorial()
-    worst = 0.0
+    residual = 0.0
     for q in (1.0, 1j, cmath.exp(1j * math.pi / 5)):
         for lam in (0.5, 1 + 1j, 3.0):
             st = coherent_coefficients(lam, w, q, tol=1e-14)
-            r = eigen_residual(st, w, q)
-            worst = max(worst, r.residual)
-    return worst <= 1e-10, f"max residual {worst:.3e} (<= 1e-10)"
+            residual = worst(residual, eigen_residual(st, w, q).residual)
+    return residual <= 1e-10, f"max residual {residual:.3e} (<= 1e-10)"
 
 
 # -- 2 ----------------------------------------------------------------------
@@ -120,7 +120,7 @@ def criterion_divergence_identity() -> tuple[bool, str]:
     quad = gauss_quadrature_from_moments(
         MomentSequence.from_weights(w, 1.0, 23), 12)
     wit = norm_divergence_witness(quad, w, 1.0, 20)
-    term_dev = max(abs(s - (n + 1)) for n, s in enumerate(wit.partial_sums))
+    term_dev = worst(*(abs(s - (n + 1)) for n, s in enumerate(wit.partial_sums)))
     slope_dev = abs(wit.slope - 1.0)
     return (term_dev <= 1e-6 and slope_dev <= 1e-6,
             f"partial-sum dev {term_dev:.3e} (<= 1e-6), "
@@ -150,7 +150,7 @@ def criterion_lower_symbols() -> tuple[bool, str]:
         A = annihilation_matrix(w, q, window)
         pts = _lambda_grid(scale)
         vals = lower_symbol_grid(A, pts, w, q, normalized=True).values
-        worst_flat = max(worst_flat, float(np.max(np.abs(vals - pts))))
+        worst_flat = worst(worst_flat, float(np.max(np.abs(vals - pts))))
     ok_flat = worst_flat <= 1e-10
 
     worst_sharp = 0.0
@@ -161,7 +161,7 @@ def criterion_lower_symbols() -> tuple[bool, str]:
         A = adjoint_annihilation_matrix(w, q, window)
         v = lower_symbol(A, lam, w, q, normalized=False)
         target = complex(lam).conjugate() * coherent_norm_sq(lam, w, q, tol=1e-14)
-        worst_sharp = max(worst_sharp, abs(v - target))
+        worst_sharp = worst(worst_sharp, abs(v - target))
     ok_sharp = worst_sharp <= 1e-9
     return (ok_flat and ok_sharp,
             f"annihilation Berezin dev {worst_flat:.3e} (<= 1e-10) over 5 configs, "
@@ -204,7 +204,7 @@ def criterion_transform_kernel() -> tuple[bool, str]:
         for lam in (0.4, 1 - 0.7j):
             got = cs_transform(e, lam, w, q)
             expect = w.weight(j) ** -0.5 * complex(lam).conjugate() ** j
-            worst_basis = max(worst_basis, abs(got - expect))
+            worst_basis = worst(worst_basis, abs(got - expect))
     # orthonormality of the images under the quadrature inner product, on the
     # Gauss-Laguerre surrogate of e^{-t}/pi (criterion 4 certifies the
     # moment-solved rule)
@@ -216,9 +216,9 @@ def criterion_transform_kernel() -> tuple[bool, str]:
     lam, mu = np.array([[complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
                          for _ in range(2)] for _ in range(20)]).T
     K = kernel(mu, lam, w, q, tol=1e-14)
-    worst_cor = max(abs(cs_transform(coherent_coefficients(l, w, q, tol=1e-14)
-                                     .coefficients(), m, w, q) - k)
-                    for l, m, k in zip(lam, mu, K))
+    worst_cor = worst(*(abs(cs_transform(coherent_coefficients(l, w, q, tol=1e-14)
+                                         .coefficients(), m, w, q) - k)
+                        for l, m, k in zip(lam, mu, K)))
     worst_diag = float(np.max(np.abs(kernel(lam, lam, w, q, tol=1e-14)
                                      - coherent_norm_sq(lam, w, q, tol=1e-14))))
     worst_exp = float(np.max(np.abs(K - np.exp(mu.conj() * lam))))
@@ -231,9 +231,9 @@ def criterion_transform_kernel() -> tuple[bool, str]:
     r = 0.8 * np.sqrt(rng.uniform(0, 1, (2, 8)))
     arg = np.exp(2j * np.pi * rng.uniform(0, 1, (2, 8)))
     lam, mu = r.max(axis=0) * arg[0], r.min(axis=0) * arg[1]
-    worst_hardy = max(abs(cs_transform(coherent_coefficients(l, wh, q, tol=1e-14)
-                                       .coefficients(), m, wh, q) - k)
-                      for l, m, k in zip(lam, mu, kernel(mu, lam, wh, q)))
+    worst_hardy = worst(*(abs(cs_transform(coherent_coefficients(l, wh, q, tol=1e-14)
+                                           .coefficients(), m, wh, q) - k)
+                          for l, m, k in zip(lam, mu, kernel(mu, lam, wh, q))))
     ok = (worst_basis <= 1e-12 and gram.ok and worst_cor <= 1e-10
           and worst_diag <= 1e-12 and worst_exp <= 1e-10 and worst_hardy <= 1e-10)
     return ok, (f"basis-image dev {worst_basis:.3e}, image Gram dev "
@@ -252,15 +252,15 @@ def criterion_secondary_quantization() -> tuple[bool, str]:
         quad = gauss_quadrature_from_moments(
             MomentSequence.from_weights(w, q, 2 * order - 1), order)
         S1 = secondary_toeplitz(PolynomialSymbol.one(), quad, w, q, N)
-        worst_id = max(worst_id, float(np.max(np.abs(S1.matrix - np.eye(N + 1)))))
+        worst_id = worst(worst_id, float(np.max(np.abs(S1.matrix - np.eye(N + 1)))))
         S = secondary_toeplitz(PolynomialSymbol.lam_conj(), quad, w, q, N)
         shift = np.zeros((N + 1, N + 1), dtype=complex)
         for k in range(N):
             shift[k + 1, k] = (QParam.of(q).value.conjugate() ** -(k + 1)
                                * math.sqrt(w.weight(k + 1) / w.weight(k)))
         scale = float(np.max(np.abs(shift)))
-        worst_shift = max(worst_shift, float(np.max(np.abs(S.matrix - shift))) / scale)
-        worst_adj = max(worst_adj, float(np.max(np.abs(
+        worst_shift = worst(worst_shift, float(np.max(np.abs(S.matrix - shift))) / scale)
+        worst_adj = worst(worst_adj, float(np.max(np.abs(
             S.matrix - adjoint_annihilation_matrix(w, q, N).matrix))) / scale)
     ok = worst_id <= 1e-12 and worst_shift <= 1e-8 and worst_adj <= 1e-8
     return ok, (f"S(1) dev {worst_id:.3e}, S(lam*) closed-form rel dev "
@@ -274,7 +274,7 @@ def criterion_time_evolution() -> tuple[bool, str]:
     w = WeightSequence.factorial()
     q = cmath.exp(1j * math.pi / 5)
     rng = default_rng(505)
-    worst, worst_norm = 0.0, 0.0
+    worst_coef, worst_norm = 0.0, 0.0
     for _ in range(20):
         lam = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         t = float(rng.uniform(0, 2 * math.pi))
@@ -282,11 +282,11 @@ def criterion_time_evolution() -> tuple[bool, str]:
         moved = evolve_state(st, t)
         rebuilt = coherent_coefficients(evolve(lam, t), w, q, tol=1e-14)
         n = min(moved.n_cutoff, rebuilt.n_cutoff) + 1
-        worst = max(worst, float(np.max(np.abs(
+        worst_coef = worst(worst_coef, float(np.max(np.abs(
             moved.coefficients()[:n] - rebuilt.coefficients()[:n]))))
-        worst_norm = max(worst_norm, abs(moved.norm_sq - st.norm_sq))
-    ok = worst <= 1e-12 and worst_norm <= 1e-12
-    return ok, (f"componentwise dev {worst:.3e} (<= 1e-12), "
+        worst_norm = worst(worst_norm, abs(moved.norm_sq - st.norm_sq))
+    ok = worst_coef <= 1e-12 and worst_norm <= 1e-12
+    return ok, (f"componentwise dev {worst_coef:.3e} (<= 1e-12), "
                 f"norm drift {worst_norm:.3e}")
 
 
@@ -346,7 +346,7 @@ def criterion_oracle_suites() -> tuple[bool, str]:
         (mon, coeff), = list(prod)
         if (mon.i, mon.j) != (oi, oj) or coeff.qexp != oexp:
             return False, f"normal ordering mismatch at {(i1, j1, i2, j2)}"
-        if abs(coeff.value - c1 * c2) > 1e-12 * abs(c1 * c2):
+        if not abs(coeff.value - c1 * c2) <= 1e-12 * abs(c1 * c2):
             return False, f"coefficient mismatch at {(i1, j1, i2, j2)}"
 
     # toeplitz matrix vs algebra-side projection, all monomials i,j <= 4
@@ -367,8 +367,8 @@ def criterion_oracle_suites() -> tuple[bool, str]:
                         col[mon.i] = (img.coefficient(mon.i, 0)
                                       * math.sqrt(w.weight(mon.i)))
                 scale = max(float(np.max(np.abs(col))), 1.0)
-                worst_t = max(worst_t, float(np.max(np.abs(T[:, n] - col))) / scale)
-    if worst_t > 1e-12:
+                worst_t = worst(worst_t, float(np.max(np.abs(T[:, n] - col))) / scale)
+    if not worst_t <= 1e-12:
         return False, f"toeplitz oracle deviation {worst_t:.3e}"
 
     # closed form (explicit power) vs the recursion, 50 random triples
@@ -387,8 +387,8 @@ def criterion_oracle_suites() -> tuple[bool, str]:
             rec[n + 1] = (lam * qp.value ** (n + 1)
                           * math.sqrt(wseq.weight(n) / wseq.weight(n + 1)) * rec[n])
         scale = float(np.max(np.abs(rec)))
-        worst_r = max(worst_r, float(np.max(np.abs(closed - rec))) / scale)
-    if worst_r > 1e-12:
+        worst_r = worst(worst_r, float(np.max(np.abs(closed - rec))) / scale)
+    if not worst_r <= 1e-12:
         return False, f"recursion oracle deviation {worst_r:.3e}"
     return True, (f"200 ordering cases exact, toeplitz dev {worst_t:.3e}, "
                   f"recursion dev {worst_r:.3e} (<= 1e-12)")

@@ -9,7 +9,7 @@ and ``coeff_log_arrays`` is their one home.  The reproducing kernel
 K(mu, lambda) = sum_n conj(a_n(mu)) a_n(lambda) is one certified series,
 and the squared norm ||phi_lambda||^2 is its diagonal K(lambda, lambda),
 which the norm and the truncation of phi_lambda sum.  At |q| exactly 1
-two rules give closed forms (``_closed_kernel``): w_n = c n! gives
+two rules give closed forms (``WeightSequence.closed_form``): w_n = c n! gives
 Bargmann's space, whose kernel is e^{conj(mu) lam} / (c scale), and
 constant weights w_n = c give the Hardy space of the unit disk, whose
 kernel is the Szego kernel 1 / (c scale (1 - conj(mu) lam)).  ``kernel``
@@ -29,7 +29,7 @@ kernel's terms have phase n * (arg lambda - arg mu), which vanishes on the
 diagonal and wherever the two arguments are equal; there the series is
 summed as a real series, bit for bit the complex one.  The phase space
 is decided from (w, q) alone, before any term is summed: by a rule's
-radius in closed form (``_rule_radius``); a table has no point outside.
+radius in closed form (``WeightSequence.radius``); a table has none.
 ``eigen_residual`` reads its annihilation band q^{-k} (w_k / w_{k-1})^{1/2}
 from ``WeightSequence.annihilation_band``, which keeps the band of the last
 q on the weights object, so states of one (w, q) share one band.
@@ -102,13 +102,13 @@ def _kernel_series(mu, lam, w: WeightSequence, q: QParam, tol: float,
     carrying ``series`` ("norm" on the diagonal) for a point outside the
     phase space, a ToleranceUnreachableError for a series that ``n_max``
     terms cannot certify.  A point with mu = 0 or lam = 0 is the single
-    term 1/w_0.  The phase space comes from (w, q) alone: under a rule of
-    radius R = 0 (``_rule_radius``) every other point is refused before
+    term 1/w_0.  The phase space comes from (w, q) alone: where a rule's
+    radius ``w.radius(q)`` is R = 0 every other point is refused before
     any term is summed, by the InputTooLargeError of a log weight past a
     double within ``n_max`` terms if there is one.  A table fixes no weight
     past its last index, so none of its points is outside; R = 1, the Hardy
-    space, is its callers' to take in closed form.  Under a rule with
-    |q| <= 1 the log-ratio of terms n and n - 1, b + 2n log|q| - s log n
+    space, is its callers' to take in closed form.  Where R is 1 or inf,
+    |q| <= 1 and the log-ratio of terms n and n - 1, b + 2n log|q| - s log n
     with b = log|mu| + log|lam|, does not increase with n for s >= 0, and
     rises, then falls for s < 0 (it is concave), so a point whose last one,
     at n = n_max - 1, leaves no window certifiable (``never_certified``) is
@@ -118,9 +118,9 @@ def _kernel_series(mu, lam, w: WeightSequence, q: QParam, tol: float,
     """
     if w.horizon is not None:
         n_max = min(n_max, w.horizon + 1)
-    point_space = w.table is None and _rule_radius(w, q) == 0.0
+    R = w.radius(q)
     last = n_max - 1
-    if w.table is None and q.log_abs <= 0 and last > 0:
+    if R in (1.0, math.inf) and last > 0:
         # the last log-ratio less b, and the moduli of the parts of
         # log|t_last| summed, less last |b|
         rest = 2 * last * q.log_abs - w.s * math.log(last)
@@ -138,7 +138,7 @@ def _kernel_series(mu, lam, w: WeightSequence, q: QParam, tol: float,
         if m == 0 or l == 0:
             out.append(SeriesResult(1.0 / w.weight(0) + 0j, 0.0, 1, -math.inf))
             continue
-        if point_space:
+        if R == 0.0:
             try:        # a rule's |log w_n| grows with n: the last decides
                 w.log_weight(n_max - 1)
                 out.append(_outside(m, l, series))
@@ -185,30 +185,16 @@ def _kernel_series(mu, lam, w: WeightSequence, q: QParam, tol: float,
     return out
 
 
-def is_segal_bargmann(w: WeightSequence, q: QParam) -> bool:
-    """Whether (w, q) gives Bargmann's space: a rule w_n = c n! (s = 1) at
-    |q| exactly 1.0, the exact test ``_rule_radius`` takes.  Its kernel is
-    e^{conj(mu) lam} / (c scale) and its measure the radial Gaussian; at
-    any other |q|, however close, the q powers |q|^{n(n+1)} remain."""
-    return w.table is None and w.s == 1.0 and q.abs == 1.0
-
-
-def _closed_form_space(w: WeightSequence, q: QParam) -> bool:
-    """Whether K(mu, lam) has a closed form for (w, q): a rule at |q|
-    exactly 1.0 with s = 1, Bargmann's space (``is_segal_bargmann``), or
-    with s = 0, constant weights, the Hardy space of the unit disk."""
-    return w.table is None and w.s in (0.0, 1.0) and q.abs == 1.0
-
-
-def _closed_kernel(mu, lam, w: WeightSequence, tol: float, series: str) -> list:
-    """K(mu, lam) in a closed-form space (``_closed_form_space``), as the
+def _closed_kernel(mu, lam, w: WeightSequence, space: str, tol: float,
+                   series: str) -> list:
+    """K(mu, lam) in the closed-form ``space`` ``w.closed_form`` names, as the
     outcomes ``_kernel_series`` gives: per point a SeriesResult or its
     error, a ConfigError for a point that is not finite (an
     InputTooLargeError for a modulus past a double); a point with mu = 0 or
     lam = 0 is 1/w_0.  With z = conj(mu) lam, the value is e^z / w_0 in
-    Bargmann's space (s = 1) and the Szego kernel 1 / ((1 - z) w_0) in the
-    Hardy space (s = 0), where a point with |z| >= 1 is refused with the
-    OutsidePhaseSpaceError of ``series``.  No term is summed, so there is
+    Bargmann's space ("bargmann") and the Szego kernel 1 / ((1 - z) w_0) in
+    the Hardy space ("hardy"), where a point with |z| >= 1 is refused with
+    the OutsidePhaseSpaceError of ``series``.  No term is summed, so there is
     no truncation error and ``tol`` need only be positive.
 
     Bargmann's space.  z is formed as the series takes its phases, from
@@ -256,7 +242,7 @@ def _closed_kernel(mu, lam, w: WeightSequence, tol: float, series: str) -> list:
         if m == 0 or l == 0:
             out.append(SeriesResult(1.0 / w.weight(0) + 0j, 0.0, 1, -math.inf))
             continue
-        if w.s:
+        if space == "bargmann":
             r = min(abs(m) * abs(l), sys.float_info.max)
             d = math.atan2(l.imag, l.real) - math.atan2(m.imag, m.real)
             im = r * math.sin(d) if d else 0.0
@@ -308,9 +294,9 @@ def _szego(m: complex, l: complex) -> Optional[complex]:
     return complex(R * D / N, Q * D / N)
 
 
-def _closed_truncations(pts: list, w: WeightSequence, tol: float) -> list:
-    """The truncations of the coherent states at ``pts`` in a closed-form
-    space (``_closed_form_space``), as the outcomes ``_kernel_series``
+def _closed_truncations(pts: list, w: WeightSequence, space: str, tol: float) -> list:
+    """The truncations of the coherent states at ``pts`` in the closed-form
+    ``space`` (``_closed_kernel``), as the outcomes ``_kernel_series``
     gives on the diagonal, with no term summed: per point a SeriesResult
     whose ``nterms`` is the cutoff N, ``tail_log`` the log of a bound on
     the tail sum_{n >= N} |a_n|^2 and value the retained norm K - tail, or
@@ -362,7 +348,7 @@ def _closed_truncations(pts: list, w: WeightSequence, tol: float) -> list:
     # log(tol / (1 + tol)); a bad tol is refused by _closed_kernel at any
     # point that gets here
     thr_tol = -math.log1p(1.0 / tol) if tol > 0 else None
-    for lam, res in zip(pts, _closed_kernel(pts, pts, w, tol, "norm")):
+    for lam, res in zip(pts, _closed_kernel(pts, pts, w, space, tol, "norm")):
         if isinstance(res, Exception) or res.nterms:    # a refusal, or lam = 0
             out.append(res)
             continue
@@ -370,7 +356,7 @@ def _closed_truncations(pts: list, w: WeightSequence, tol: float) -> list:
         # Hardy space
         k, r = res.value.real, abs(complex(lam))
         l = r * r
-        if w.s:
+        if space == "bargmann":
             if not l < SERIES_CAP:
                 out.append(unreachable(tol, SERIES_CAP))
                 continue
@@ -382,7 +368,7 @@ def _closed_truncations(pts: list, w: WeightSequence, tol: float) -> list:
             thr = max(thr_tol, -math.log(k) + _NOISE)
             n = max(_CHUNK, math.floor(thr / log_l / _CHUNK) * _CHUNK)
         while n <= SERIES_CAP:
-            frac = _log_tail_fraction(n, l, log_l, w.s)
+            frac = _log_tail_fraction(n, l, log_l, space)
             if frac <= thr:
                 break
             n += _CHUNK
@@ -394,12 +380,12 @@ def _closed_truncations(pts: list, w: WeightSequence, tol: float) -> list:
     return out
 
 
-def _log_tail_fraction(n: int, l: float, log_l: float, s: float) -> float:
+def _log_tail_fraction(n: int, l: float, log_l: float, space: str) -> float:
     """log of the bound on the tail after n terms over K that
     ``_closed_truncations`` reports, with its rounding slack: n log l in
-    the Hardy space (s = 0), and in Bargmann's space (s = 1, n + 1 > l)
+    the Hardy space, and in Bargmann's space (n + 1 > l)
     n log l - l - lgamma(n+1) - log1p(-l/(n+1))."""
-    if s:
+    if space == "bargmann":
         g, x = math.lgamma(n + 1.0), -math.log1p(-l / (n + 1))
         size = l + n * abs(log_l) + g + x
         return n * log_l - l - g + x + 1e-12 * max(1.0, size)
@@ -411,8 +397,9 @@ def _kernel_values(mu, lam, w: WeightSequence, q: QParam, tol: float,
                    series: str) -> list:
     """The SeriesResults of K at the points of mu and lam: in closed form in
     Bargmann's and the Hardy space, else summed by ``_kernel_series``."""
-    if _closed_form_space(w, q):
-        return _settled(_closed_kernel(mu, lam, w, tol, series))
+    space = w.closed_form(q)
+    if space:
+        return _settled(_closed_kernel(mu, lam, w, space, tol, series))
     return _settled(_kernel_series(mu, lam, w, q, tol, series=series))
 
 
@@ -484,10 +471,9 @@ def _coefficient_rows(pts: list, w: WeightSequence, q: QParam, tol: float,
     ``cut_max``.  With ``finite_norm``, a point whose retained norm passes
     a double is refused there with InputTooLargeError, before any row is
     formed."""
-    if _closed_form_space(w, q):
-        outcomes = _closed_truncations(pts, w, tol)
-    else:
-        outcomes = _kernel_series(pts, pts, w, q, tol)
+    space = w.closed_form(q)
+    outcomes = (_closed_truncations(pts, w, space, tol) if space
+                else _kernel_series(pts, pts, w, q, tol))
     sizes = []
     for lam, res in zip(pts, outcomes):
         if isinstance(res, Exception) or res.nterms > cut_max + 1:
@@ -602,7 +588,7 @@ def cs_transform(psi_coeffs: Sequence[complex], lam: complex,
     q = QParam.of(q)
     lam = _checked(lam)
     c = np.asarray(psi_coeffs, dtype=complex)
-    if w.table is None and _rule_radius(w, q) < math.inf:
+    if w.radius(q) in (0.0, 1.0):
         # the norm's refusal, unsummed at R = 0 and closed at R = 1: no
         # tolerance to bound
         _kernel_values([lam], [lam], w, q, 1.0, "norm")
@@ -719,15 +705,6 @@ def _bracketed_boundary_verdict(value: float, uncertainty: float,
     return at_point if at_point == at_low else "inconclusive"
 
 
-def _rule_radius(w: WeightSequence, q: QParam) -> float:
-    """R of the rule w_n = c (n!)^s, from R^2 = liminf |q|^{-(n+1)} w_n^{1/n}:
-    w_n^{1/n} grows like (n/e)^s, so |q|^{-(n+1)} decides it unless |q| is
-    exactly 1, where the sign of s does."""
-    if q.abs != 1.0:
-        return math.inf if q.abs < 1.0 else 0.0
-    return math.inf if w.s > 0 else 1.0 if w.s == 0 else 0.0
-
-
 # each closed-form radius -> its boundary verdict: on |lambda| = 1 every
 # term is 1/(scale c), the one-point space {0} converges, and R = inf has
 # no boundary circle
@@ -749,7 +726,7 @@ def radius_of_convergence(w: WeightSequence, q) -> RadiusEstimate:
     """
     q = QParam.of(q)
     if w.table is None:
-        value = _rule_radius(w, q)
+        value = w.radius(q)
         return RadiusEstimate(value, _RULE_VERDICTS[value], value == 0.0, 0.0)
     if w.horizon < 20:
         raise ConfigError("radius estimation needs a horizon of at least 20")

@@ -64,9 +64,10 @@ def log_power_sums(log_nodes, log_masses, nmax):
     terms = np.repeat(log_masses[:, None], nmax + 1, axis=1)
     terms[:, 1:] += n[None, :] * log_nodes[:, None]
     m = np.max(terms, axis=0)
-    out = m + np.log(np.sum(np.exp(terms - m[None, :]), axis=0))
-    out[np.isneginf(m)] = -np.inf
-    return out
+    # a column of -inf terms (S_n = 0) is shifted by 0, as in csum_logpolar,
+    # and its log is -inf; every other column sums to at least 1
+    sums = np.sum(np.exp(terms - np.where(m == -np.inf, 0.0, m)[None, :]), axis=0)
+    return m + np.log(sums, out=np.full(m.shape, -np.inf), where=sums > 0)
 
 
 def power_matrix(z, nmax):

@@ -5,8 +5,8 @@ measure must reproduce the moment targets
 
     m_j = |q|^{-j(j+1)} w_j / pi,         j = 0, 1, 2, ...
 
-A closed form is known for factorial weights with |q| = 1 (the radial
-Gaussian, t-density e^{-t}/pi): its Gauss surrogate is numpy's
+A closed form is known in Bargmann's space (``WeightSequence.closed_form``;
+the radial Gaussian, t-density e^{-t}/pi): its Gauss surrogate is numpy's
 Gauss-Laguerre rule, and its moments are certified by mpmath's adaptive
 tanh-sinh quadrature in double precision.  Every other case goes through a
 Golub-Welsch Gauss rule built from the moments.  The three-term recurrence
@@ -72,7 +72,7 @@ from mpmath.libmp import (dps_to_prec, from_float, from_man_exp, fzero, mpf_e, m
                           round_nearest as _RND)
 from numpy.polynomial.laguerre import laggauss
 
-from .coherent import coeff_log_arrays, is_segal_bargmann
+from .coherent import coeff_log_arrays
 from .errors import (ConfigError, IndefiniteMomentsError, InputTooLargeError,
                      OrderTooHighError)
 from .kernels import log_power_sums, power_matrix, weighted_gram
@@ -144,6 +144,8 @@ class RadialQuadrature:
         masses = np.asarray(self.masses, dtype=float)
         if nodes.shape != masses.shape or nodes.ndim != 1:
             raise ConfigError("nodes and masses must be parallel 1-d arrays")
+        if not (np.isfinite(nodes).all() and np.isfinite(masses).all()):
+            raise ConfigError("quadrature nodes and masses must be finite")
         if np.any(masses <= 0):
             raise ConfigError("quadrature masses must be positive")
         if np.any(nodes < 0):
@@ -176,9 +178,9 @@ class ClosedFormDensity:
 
 
 def closed_form_density(w: WeightSequence, q) -> Optional[ClosedFormDensity]:
-    """The known closed form: w_n = c * n! (the rule at s = 1) at |q|
-    exactly 1 (``is_segal_bargmann``), else None."""
-    if is_segal_bargmann(w, QParam.of(q)):
+    """The radial Gaussian, where ``w.closed_form(q)`` is "bargmann"
+    (w_n = c * n! at |q| exactly 1), else None."""
+    if w.closed_form(QParam.of(q)) == "bargmann":
         return ClosedFormDensity(w.c * w.scale)
     return None
 
@@ -387,8 +389,9 @@ def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray
     from it by the Christoffel-Darboux identity.  With the nodes' relative
     condition at most 2^48, 192 bits keep more than 144 bits of each node,
     74 above the stop rule; a worse conditioned rule is polished at the
-    recurrence's precision (see _polish_prec).  A mass below the smallest
-    normal double is refused as an underflow.
+    recurrence's precision (see _polish_prec).  A mass, or a node the
+    polish left nonzero, below the smallest normal double is refused as an
+    underflow, and a node past a double as an overflow.
     """
     alpha, beta, atoms, log_s, log_m0, dps = _chebyshev_recurrence(m, order)
     npts = atoms if atoms is not None else order
@@ -412,9 +415,16 @@ def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray
         scale, total = map(make, _e_powers([log_s._mpf_, log_m0._mpf_], mpmath.mp.prec))
         nodes = np.array([float(make(x) * scale) for x in roots])
         masses = np.array([float(make(w) * total) for w in weights])
-    # a subnormal mass keeps only a few bits, too few for the moments it matches
-    if np.any(masses < np.finfo(float).tiny):
+    # a subnormal mass keeps only a few bits, too few for the moments it
+    # matches, and so does a nonzero node rounded to 0 or a subnormal; a node
+    # past a double matches none
+    tiny = np.finfo(float).tiny
+    if np.any(masses < tiny):
         raise _Breakdown("a Christoffel mass underflows float64")
+    if not np.isfinite(nodes).all():
+        raise _Breakdown("a Gauss node overflows float64")
+    if any(x != fzero and t < tiny for x, t in zip(roots, nodes)):
+        raise _Breakdown("a nonzero Gauss node underflows float64")
     return nodes, masses
 
 
@@ -576,6 +586,12 @@ def _probe_achievable(m: MomentSequence, order: int) -> int:
 # verification
 # ---------------------------------------------------------------------------
 
+def worst(*devs: float) -> float:
+    """The largest of ``devs``, NaN if any is NaN: Python's max keeps a NaN
+    only where it comes first, and a NaN deviation must never pass a check."""
+    return math.nan if any(map(math.isnan, devs)) else max(devs)
+
+
 @dataclass(frozen=True)
 class MomentCheckReport:
     """Deviations of pi * S_n * |q|^{n(n+1)} / w_n from 1 (the resolution
@@ -610,7 +626,7 @@ def verify_moments(quad: RadialQuadrature, w: WeightSequence, q,
                    nmax: int, tol: float = 1e-8) -> MomentCheckReport:
     """Check the normalization integrals for n = 0..nmax on the rule."""
     devs = [abs(t - 1.0) for t in _normalization_terms(quad, w, QParam.of(q), nmax)]
-    return MomentCheckReport(tuple(devs), max(devs), tol)
+    return MomentCheckReport(tuple(devs), worst(*devs), tol)
 
 
 def _moment_integrand(density: ClosedFormDensity, t: float, j: int) -> float:
@@ -631,7 +647,7 @@ def verify_density_moments(density: ClosedFormDensity, w: WeightSequence, q,
         target = math.exp(target_log)
         val = mpmath.fp.quad(lambda t: _moment_integrand(density, t, j), [lo, hi])
         devs.append(abs(val - target) / abs(target))
-    return MomentCheckReport(tuple(devs), max(devs), tol)
+    return MomentCheckReport(tuple(devs), worst(*devs), tol)
 
 
 @dataclass(frozen=True)

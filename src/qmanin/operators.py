@@ -11,7 +11,8 @@ those are dropped and the operator's exactness flag is cleared so
 truncation loss is never silent.
 
 Also here: the boundedness, compactness and norm of the annihilation
-operator, in closed form for the rule weights w_n = c (n!)^s.
+operator, in closed form for the rule weights w_n = c (n!)^s, as the
+phase-space radius ``WeightSequence.radius`` decides them.
 """
 
 from __future__ import annotations
@@ -193,15 +194,11 @@ def boundedness_report(w: WeightSequence, q) -> BoundednessReport:
     T_tb is a weighted backward shift with |band_n|^2 = |q|^{-2n} n^s for
     the rule w_n = c (n!)^s, so ||T_tb||^2 = sup_n |band_n|^2, and T_tb is
     compact exactly when band_n -> 0 (Shields, "Weighted shift operators
-    and analytic function theory", 1974).  The exact test |q| == 1 that the
-    phase-space radius takes decides it:
-
-    - |q| > 1: compact; log |band_n|^2 = s log n - 2n log|q| is concave in
-      n, so the sup is at the floor or the ceiling of s / (2 log|q|), and
-      at n = 1 for s <= 0;
-    - |q| = 1: unbounded for s > 0; norm 1 for s = 0, not compact, and for
-      s < 0, compact;
-    - |q| < 1: unbounded.
+    and analytic function theory", 1974).  So T_tb is unbounded exactly
+    where the phase-space radius R = ``w.radius(q)`` is inf, and compact
+    exactly where R = 0; at R = 1 every |band_n| is 1.  Where it is bounded,
+    log |band_n|^2 = s log n - 2n log|q| is concave in n, with its sup at
+    the floor or the ceiling of s / (2 log|q|) for s > 0, at n = 1 for s <= 0.
 
     An explicit table fixes no weight past its last index, so no verdict on
     it can be certified: it is refused with WeightHorizonError.  A norm
@@ -210,16 +207,15 @@ def boundedness_report(w: WeightSequence, q) -> BoundednessReport:
     if w.table is not None:
         raise WeightHorizonError(f"{w.describe()} weights fix no w_n past n = {w.horizon}, "
                                  "so the boundedness of T_tb is not decided")
-    if q.abs < 1.0 or (q.abs == 1.0 and w.s > 0):
+    R = w.radius(q)
+    if R == math.inf:
         return BoundednessReport(False, False, math.inf)
-    if q.abs == 1.0:
-        return BoundednessReport(True, w.s < 0, 1.0)
     # the real maximizer, clamped to n >= 1; one past a double reads as the
     # largest double, where the log of the sup is already past the range
-    x = min(max(w.s / (2.0 * q.log_abs), 1.0), sys.float_info.max)
+    x = min(max(w.s / (2.0 * q.log_abs), 1.0), sys.float_info.max) if w.s > 0 else 1.0
     log_sup = max(w.s * math.log(n) - n * (2.0 * q.log_abs)
                   for n in {math.floor(x), math.ceil(x)})
     if not log_sup <= _LOG_MAX:         # nan too, from inf - inf
         raise InputTooLargeError(f"||T_tb||^2 of {w.describe()} weights at |q| = {q.abs!r} "
                                  "is past a double")
-    return BoundednessReport(True, True, math.exp(log_sup))
+    return BoundednessReport(True, R == 0.0, math.exp(log_sup))

@@ -5,6 +5,9 @@ determines the whole theory: the sesquilinear form, the operator matrices,
 the phase-space radius and the moment problem all read their numbers from
 here.  The convention w_m = 1 for m < 0 is baked in.
 
+What (w, q) gives is decided here alone: ``WeightSequence.radius`` is the
+phase-space radius, ``WeightSequence.closed_form`` the closed-form space.
+
 Every rule is one family, w_n = c * (n!)**s; only explicit tables differ,
 and only a table has a ``horizon``, its last index.  Weights can be
 astronomically large (factorial, |q|-power tables), so every consumer that
@@ -334,6 +337,26 @@ class WeightSequence:
     def max_index(self, requested: int) -> int:
         """Clamp a horizon request to what is materializable."""
         return requested if self.horizon is None else min(requested, self.horizon)
+
+    # -- the phase space ---------------------------------------------------
+
+    def radius(self, q: QParam) -> Optional[float]:
+        """R of the rule w_n = c (n!)^s, from R^2 = liminf |q|^{-(n+1)} w_n^{1/n}:
+        w_n^{1/n} grows like (n/e)^s, so |q|^{-(n+1)} decides it unless |q| is
+        exactly 1.0, where the sign of s does.  None for a table."""
+        if self.table is not None:
+            return None
+        if q.abs != 1.0:
+            return math.inf if q.abs < 1.0 else 0.0
+        return math.inf if self.s > 0 else 1.0 if self.s == 0 else 0.0
+
+    def closed_form(self, q: QParam) -> Optional[str]:
+        """At |q| exactly 1.0: "bargmann" for w_n = c n! (s = 1), Bargmann's
+        space, "hardy" for w_n = c (s = 0), the Hardy space of the unit disk;
+        else None: at any other |q| the q powers |q|^{n(n+1)} remain."""
+        if self.table is not None or q.abs != 1.0:
+            return None
+        return "bargmann" if self.s == 1.0 else "hardy" if self.s == 0.0 else None
 
     # -- serialization -----------------------------------------------------
 

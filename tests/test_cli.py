@@ -44,7 +44,9 @@ def config_args(tmp_path, config):
 def run_cold(tmp_path, argv, config, preexec_fn=None):
     """The CLI in a fresh interpreter, with ``config`` passed by --config;
     ``preexec_fn`` runs in the child before the interpreter starts."""
-    env = dict(os.environ, PYTHONPATH=str(Path(qmanin.__file__).parents[1]))
+    # a RuntimeWarning is an error in the child, as the suite makes it in process
+    env = dict(os.environ, PYTHONPATH=str(Path(qmanin.__file__).parents[1]),
+               PYTHONWARNINGS="error::RuntimeWarning")
     return subprocess.run(
         [sys.executable, "-m", "qmanin.cli", "--out", str(tmp_path), *argv,
          *config_args(tmp_path, config)],
@@ -295,6 +297,23 @@ def test_precision_cap_refusal_exits_4_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("q, reason", [
+    ("1e-155", "a Gauss node overflows float64"),            # the node is about 1e310
+    ("1e300", "a nonzero Gauss node underflows float64"),    # the node is about 1e-600
+])
+def test_gauss_node_past_the_double_range_exits_4(tmp_path, capsys, q, reason):
+    # in process, so that a warning is recorded rather than printed
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(tmp_path, "measure", "--q", q, *config_args(
+            tmp_path, {"order": 1, "basis": 0}))
+    assert caught == []
+    assert code == 4
+    err = capsys.readouterr().err
+    assert reason in err and "largest achievable order is 0" in err
+    assert not (tmp_path / "measure.json").exists()
+
+
 def test_negative_node_rule_exits_4_without_nan(tmp_path):
     # the Hankel matrix is definite, but the order-2 rule has a node t < 0
     proc = run_cold(tmp_path, ("measure", "--q", "1.3"), {"order": 2})
@@ -477,7 +496,7 @@ def _run_raw(tmp_path, raw: bytes, stdin: bool):
     """The CLI in a fresh interpreter on config text ``raw``, from a file or
     from stdin; stdin decodes strictly, as under a UTF-8 locale."""
     env = dict(os.environ, PYTHONPATH=str(Path(qmanin.__file__).parents[1]),
-               PYTHONIOENCODING="utf-8:strict")
+               PYTHONIOENCODING="utf-8:strict", PYTHONWARNINGS="error::RuntimeWarning")
     path = tmp_path / "cfg.json"
     path.write_bytes(raw)
     return subprocess.run(

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from conftest import qgauss_table, sqrt_reference
 from qmanin import (OutsidePhaseSpaceError, ToleranceUnreachableError,
-                    WeightSequence, coherent_coefficients, coherent_norm_sq, cs_transform,
-                    eigen_residual, evolve, evolve_state, kernel,
+                    WeightHorizonError, WeightSequence, boundedness_report,
+                    closed_form_density, coherent_coefficients, coherent_norm_sq,
+                    cs_transform, eigen_residual, evolve, evolve_state, kernel,
                     radius_of_convergence)
 from qmanin import coherent, jsonio
 from qmanin.coherent import CoherentStateVector, _geometric_indexes, _kernel_series
@@ -905,7 +906,7 @@ def test_closed_form_truncation_at_a_loose_tol_near_the_cap(monkeypatch):
     monkeypatch.setattr(coherent, "sum_series", summing)
     monkeypatch.setattr(coherent, "sum_series_rows", summing)
     later = refused = 0
-    for lam, s, c in zip(pts, summed, coherent._closed_truncations(pts, WFAC, tol)):
+    for lam, s, c in zip(pts, summed, coherent._closed_truncations(pts, WFAC, "bargmann", tol)):
         if isinstance(c, ToleranceUnreachableError):
             assert isinstance(s, ToleranceUnreachableError) or s.nterms == SERIES_CAP
             refused += 1
@@ -919,3 +920,47 @@ def test_closed_form_truncation_at_a_loose_tol_near_the_cap(monkeypatch):
             assert true_log <= c.tail_log
         assert c.tail_log <= math.log(tol) + math.log(c.value.real) + c.log_scale
     assert later and refused == 1
+
+
+class _Summed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("w", [WFAC, WCONST, WeightSequence.constant(2.0),
+                               WeightSequence.power_factorial(-0.5),
+                               WeightSequence.power_factorial(0.5),
+                               WeightSequence.power_factorial(2.0)],
+                         ids=lambda w: w.describe())
+@pytest.mark.parametrize("q", [0.5, 1.0, cmath.exp(1j * math.pi / 5), 2.0, _THETA_Q],
+                         ids=["0.5", "1", "e^(i pi/5)", "2", "theta"])
+def test_one_decision_of_the_phase_space(w, q, monkeypatch):
+    # WeightSequence.radius and closed_form decide everything (w, q) gives
+    qp = QParam.of(q)
+    R, space = w.radius(qp), w.closed_form(qp)
+    if q is _THETA_Q:       # 1 - 2^-53 is not the circle
+        assert R == math.inf and space is None
+    assert radius_of_convergence(w, q).value == R
+    rep = boundedness_report(w, q)
+    assert rep.bounded == (R < math.inf) and rep.compact == (R == 0.0)
+    assert (closed_form_density(w, q) is not None) == (space == "bargmann")
+
+    def summing(*args, **kwargs):
+        raise _Summed
+
+    monkeypatch.setattr(coherent, "_kernel_series", summing)
+    lam = 0.3 + 0.2j if R else 0.0     # inside the phase space
+    for f in (lambda: kernel(0.5j * lam, lam, w, q), lambda: coherent_norm_sq(lam, w, q),
+              lambda: coherent_coefficients(lam, w, q)):
+        if space is None:
+            with pytest.raises(_Summed):
+                f()
+        else:
+            f()
+
+
+def test_a_table_decides_no_space():
+    for q in (0.5, 1.0, 2.0):
+        w = qgauss_table(abs(q))
+        assert w.radius(QParam.of(q)) is None and w.closed_form(QParam.of(q)) is None
+        with pytest.raises(WeightHorizonError, match="not decided"):
+            boundedness_report(w, q)

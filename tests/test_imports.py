@@ -78,7 +78,9 @@ def cold_report(tmp_path_factory):
             ["kernel", "--config", str(rmax)]]
     script = _COLD_SCRIPT.format(heavy=HEAVY, out=str(tmp / "out"), runs=runs,
                                  measure_cfg=str(order))
-    env = dict(os.environ, PYTHONPATH=str(Path(qmanin.__file__).parents[1]))
+    # a RuntimeWarning is an error in the child, as the suite makes it in process
+    env = dict(os.environ, PYTHONPATH=str(Path(qmanin.__file__).parents[1]),
+               PYTHONWARNINGS="error::RuntimeWarning")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr

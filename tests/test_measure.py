@@ -71,7 +71,9 @@ class TestClosedForm:
                   "assert result.passed, result.detail\n"
                   "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
                   "assert not loaded, loaded\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(qmanin.__file__).parents[1]))
+        # a RuntimeWarning is an error in the child, as the suite makes it in process
+        env = dict(os.environ, PYTHONPATH=str(Path(qmanin.__file__).parents[1]),
+                   PYTHONWARNINGS="error::RuntimeWarning")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -240,6 +242,25 @@ class TestMomentSolver:
         quad = gauss_quadrature_from_moments(m, achievable)
         assert np.all(quad.masses >= np.finfo(float).tiny)
         assert verify_moments(quad, w, q, 2 * achievable - 1).ok
+
+    @pytest.mark.parametrize("q, order, reason", [
+        (1e-155, 1, "a Gauss node overflows float64"),          # node about 1e310
+        (1e300, 1, "a nonzero Gauss node underflows float64"),  # node about 1e-600
+        (1e-155, 2, "the Jacobi matrix overflows float64"),
+    ])
+    def test_node_past_the_double_range_refused(self, q, order, reason):
+        # cast as is, the node 1e310 is inf and 1e-600 is 0.0, and the rules
+        # of order 1 passed on as the achievable ones
+        m = MomentSequence.from_weights(WFAC, q, 2 * order)
+        with pytest.raises(OrderTooHighError, match=reason) as info:
+            gauss_quadrature_from_moments(m, order)
+        assert info.value.achievable == 0
+
+    @pytest.mark.parametrize("nodes, masses", [
+        ([math.inf], [1.0]), ([math.nan], [1.0]), ([1.0], [math.inf]), ([1.0], [math.nan])])
+    def test_rule_not_finite_refused(self, nodes, masses):
+        with pytest.raises(ConfigError, match="must be finite"):
+            RadialQuadrature(nodes, masses, 1, "moment-solved")
 
     def test_probe_lets_faults_through(self, monkeypatch):
         # only the solver's own failures lower the achievable order; a
@@ -825,6 +846,34 @@ class TestVerification:
                                quad12.order, "moment-solved")
         rep = verify_moments(bad, WFAC, 1.0, 10)
         assert 5e-3 <= rep.max_deviation <= 2e-2
+
+    def test_nan_deviation_fails_the_report(self, quad12, monkeypatch):
+        # Python's max drops a NaN that does not come first
+        report = measure.MomentCheckReport((0.0, math.nan), measure.worst(0.0, math.nan), 1.0)
+        assert math.isnan(report.max_deviation) and not report.ok
+        real = measure.log_power_sums
+
+        def nan_at_3(*args):
+            out = real(*args)
+            out[3] = math.nan
+            return out
+
+        monkeypatch.setattr(measure, "log_power_sums", nan_at_3)
+        rep = verify_moments(quad12, WFAC, 1.0, 10)
+        assert math.isnan(rep.deviations[3]) and math.isnan(rep.max_deviation)
+        assert not rep.ok and rep.to_json()["ok"] is False
+        real_quad = measure.mpmath.fp.quad
+        calls = iter(range(100))
+        monkeypatch.setattr(measure.mpmath.fp, "quad", lambda *args: (
+            math.nan if next(calls) == 3 else real_quad(*args)))
+        rep = verify_density_moments(closed_form_density(WFAC, 1.0), WFAC, 1.0, 6)
+        assert math.isnan(rep.max_deviation) and not rep.ok
+
+    def test_zero_node_rule_checks_without_warning(self):
+        # every column max of log S_n, n >= 1, is -inf; the suite turns a
+        # RuntimeWarning into an error
+        rep = verify_moments(RadialQuadrature([0.0], [0.5], 1, "moment-solved"), WFAC, 1.0, 3)
+        assert rep.deviations == (abs(math.pi * 0.5 - 1.0), 1.0, 1.0, 1.0)
 
     def test_gram_identity(self, quad12):
         rep = verify_resolution_identity(quad12, WFAC, 1.0, 10, 25, tol=1e-8)
