@@ -14,37 +14,38 @@ coefficients are computed in arbitrary precision because raw moment
 sequences at factorial scale annihilate double precision long before the
 orders used here: going from moments to the recurrence is exponentially
 ill-conditioned, so its working precision is 50 + 6 * order + span digits.
-The float64 eigenvalues of the Jacobi matrix only seed the nodes.  One
-Newton step on the recurrence, exact in fixed point, lifts each 53-bit seed
-to about 106 bits; from there one correctly rounded Newton sweep meets the
-2^-70 stop rule and polishes the node, and the mass is the Christoffel
-number read off that sweep by the confluent Christoffel-Darboux identity.
-The fixed point keeps 192 guard bits below the ulp of the smallest nonzero
-seed.  The masses of nearly atomic rules read its truncation, since their
-nodes cluster and lower-order zeros lie close to them: over 3,000 rules at
-q = e^{i theta} with 64 or 128 guard bits a few float64 masses moved, one
-by 8e-8 relative, and with 192 none did.  The polish starts from the
-recurrence and keeps only a float64 node and mass, so it runs at 192
-bits: a 53-bit seed and the 2^-70 stop rule take 123 bits, and 192 leaves
-64 guard bits above 128.  A rule whose nodes are ill conditioned relative
-to the entries of its Jacobi matrix, as a node near t = 0 far below the
-rest makes them, keeps the recurrence's precision.
+The float64 eigenvalues of the Jacobi matrix only seed the nodes.  The
+polish is Newton's method on the recurrence, exact in fixed point: the
+recurrence coefficients and the seeds are truncated to multiples of 2^-F,
+192 guard bits below the ulp of the smallest nonzero seed, and nothing
+else is rounded but each Newton step, truncated to 2^-F.  The first step
+lifts a 53-bit seed to about 106 bits and the second meets the stop rule,
+a step of at most 2^-70 |x| or the recurrence's noise floor
+10^-(dps // 2); a node inside the floor is 0.  The mass is the Christoffel
+number by the confluent Christoffel-Darboux identity, exact at the iterate
+before the node and rounded once.  A nonzero node that keeps fewer than
+192 + 53 bits of 2^-F lies far below its seed, as a node near t = 0 far
+below the rest does when its float64 seed is noise, and the polish reruns
+with F widened by the shortfall.  The masses of nearly atomic rules read
+the truncation, since their nodes cluster and lower-order zeros lie close
+to them: on rules at q = e^{i theta} with 128 guard bits a float64 mass
+moved by 1.5e-8 relative, and with 192 none did.
 
-The recurrence and the polish run on signed (mantissa, exponent) integer
-pairs, through a small kernel of their own.  Each operation rounds its
-exact result half-even to the precision at hand.  Under round_nearest,
-mpmath's mpf_add, mpf_sub, mpf_mul and mpf_div are correctly rounded in
-the same sense, and a correctly rounded result is unique.  So the
-recurrence is bit for bit mpf arithmetic at the working precision, and the
-polish is bit for bit mpf arithmetic at 192 bits on the coefficients and
-the refined seed, each rounded once to 192 bits, without mpmath's cost per
-operation.  That the float64 rules are the ones a polish at the working
-precision gives was checked by sweep over weights, q and orders; it does
-not hold by construction.  Only the final nodes and masses are cast to
-float64, which perturbs the matched moments by a few ulps at most.  A
-polished node below zero means no positive measure on t >= 0 fits the
-moments, even with a definite Hankel matrix, and the rule is refused as
-indefinite.
+The recurrence runs on signed (mantissa, exponent) integer pairs, through
+a small kernel of its own.  Each operation rounds its exact result
+half-even to the working precision.  Under round_nearest, mpmath's
+mpf_add, mpf_sub, mpf_mul and mpf_div are correctly rounded in the same
+sense, and a correctly rounded result is unique.  So the recurrence is bit
+for bit mpf arithmetic at the working precision, without mpmath's cost per
+operation.  The polish holds each node to the stop rule and each mass to
+the truncation by construction; that the float64 rules are those of a
+polish rounded at the working precision was checked by sweep over
+weights, q and orders, save where a value lies nearer a midpoint of
+doubles than that polish holds it.  Only the final nodes and
+masses are cast to float64, which perturbs the matched moments by a few
+ulps at most.  A polished node below zero means no positive measure on
+t >= 0 fits the moments, even with a definite Hankel matrix, and the rule
+is refused as indefinite.
 
 Atomic rules are accepted on purpose: only moment identities enter the
 downstream computations, so absolute continuity of the underlying measure
@@ -67,8 +68,8 @@ from typing import Optional
 
 import mpmath
 import numpy as np
-from mpmath.libmp import (dps_to_prec, from_float, from_man_exp, fzero, mpf_e, mpf_exp,
-                          mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_pow,
+from mpmath.libmp import (dps_to_prec, from_float, from_man_exp, from_rational, mpf_e,
+                          mpf_exp, mpf_log, mpf_mul, mpf_pow, mpf_shift,
                           round_nearest as _RND)
 from numpy.polynomial.laguerre import laggauss
 
@@ -98,6 +99,10 @@ class MomentSequence:
 
     log_values: tuple
     mp_logs: tuple = ()
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, self.log_values)):
+            raise ConfigError(f"log moments must be finite, got {self.log_values}")
 
     @classmethod
     def from_weights(cls, w: WeightSequence, q, jmax: int) -> "MomentSequence":
@@ -191,11 +196,8 @@ def closed_form_density(w: WeightSequence, q) -> Optional[ClosedFormDensity]:
 
 class _Breakdown(Exception):
     """The working precision, Newton polish or the float64 surface failed
-    at this order."""
-
-
-# the solver's own failures at an order; anything else is a fault and propagates
-_SOLVER_FAILURES = (_Breakdown, ZeroDivisionError, OverflowError)
+    at this order: the solver's only failure on finite moments, where
+    anything else raised is a fault and propagates."""
 
 
 # Correctly rounded arithmetic on integer pairs.  A pair (m, e) is the value
@@ -351,25 +353,16 @@ def gauss_quadrature_from_moments(m: MomentSequence, order: int) -> RadialQuadra
         order = MAX_ORDER
     try:
         nodes, masses = _golub_welsch(m, order)
-    except IndefiniteMomentsError:
-        raise
-    except _SOLVER_FAILURES as exc:
+    except _Breakdown as exc:
         achievable = _probe_achievable(m, order)
-        reason = exc if isinstance(exc, _Breakdown) else "moment conditioning failed"
         raise OrderTooHighError(
-            f"{reason} at order {order}; largest achievable order is "
+            f"{exc} at order {order}; largest achievable order is "
             f"{achievable}", achievable=achievable) from exc
     return RadialQuadrature(nodes, masses, order, provenance="moment-solved")
 
 
 _NEWTON_STEPS = 30
-# Arithmetic precision of the Newton polish, in bits.  A float64 seed and the
-# 2^-70 stop rule take 53 + 70 = 123 bits; 192 leaves 64 guard bits above 128.
-_POLISH_BITS = 192
-# the largest relative condition of the nodes at which the polish runs at
-# _POLISH_BITS (see _polish_prec)
-_MAX_CONDITION = 2.0 ** 48
-# Guard bits of _refine_seeds' fixed point below the ulp of the smallest
+# Guard bits of the polish's fixed point below the ulp of the smallest
 # nonzero seed; at 64 or 128 the masses of some nearly atomic rules move
 # (see the module docstring)
 _SEED_GUARD_BITS = 192
@@ -379,19 +372,18 @@ def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray
     """Nodes and masses of the Gauss rule, ascending, as float64.
 
     float64 eigenvalues of the Jacobi matrix seed Newton on the monic
-    recurrence p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1}.  _refine_seeds
-    takes the first step exactly in fixed point, which leaves each seed
-    about 106 bits right; the polish at _POLISH_BITS, capped at the
-    recurrence's precision, then meets the 2^-70 stop rule on its first
-    correctly rounded sweep, where a float64 seed took two.  That sweep
-    gives every node, and each mass is the Christoffel number
-    1 / sum_k p_k(x)^2 / (beta_1 ... beta_k) in units where m_0 = 1, taken
-    from it by the Christoffel-Darboux identity.  With the nodes' relative
-    condition at most 2^48, 192 bits keep more than 144 bits of each node,
-    74 above the stop rule; a worse conditioned rule is polished at the
-    recurrence's precision (see _polish_prec).  A mass, or a node the
-    polish left nonzero, below the smallest normal double is refused as an
-    underflow, and a node past a double as an overflow.
+    recurrence p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1}, which
+    _nodes_and_masses runs exactly in fixed point, in units of 2^-F with F
+    _SEED_GUARD_BITS below the ulp of the smallest nonzero seed, widened
+    where a node lies far below its seed.  Each node meets the 2^-70 stop
+    rule, or is 0 inside the recurrence's noise floor, as an integer in
+    units of 2^-F, so the nodes compare exactly; each mass is the
+    Christoffel number 1 / sum_k p_k(x)^2 / (beta_1 ... beta_k) in units
+    where m_0 = 1.  Both hold by construction for the recurrence truncated
+    to 2^-F; that the float64 rule is the one of the recurrence itself
+    holds by sweep.  A mass, or a node the polish left nonzero, below the
+    smallest normal double is refused as an underflow, and a node past a
+    double as an overflow.
     """
     alpha, beta, atoms, log_s, log_m0, dps = _chebyshev_recurrence(m, order)
     npts = atoms if atoms is not None else order
@@ -400,20 +392,18 @@ def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray
               + np.diag(off, 1) + np.diag(off, -1))
     if not np.all(np.isfinite(jacobi)):
         raise _Breakdown("the Jacobi matrix overflows float64")
-    seeds = np.linalg.eigvalsh(jacobi)
-    starts = _refine_seeds(alpha[:npts], beta[:npts], seeds)
-    roots, weights = _polish(alpha[:npts], beta[:npts], seeds, dps, starts,
-                             prec=_polish_prec(jacobi, dps))
-    if any(mpf_le(b, a) for a, b in zip(roots, roots[1:])):
+    roots, weights, f = _nodes_and_masses(alpha[:npts], beta[:npts],
+                                          np.linalg.eigvalsh(jacobi), dps)
+    if any(b <= a for a, b in zip(roots, roots[1:])):
         raise _Breakdown("two float64 seeds polished into one node")
-    if mpf_lt(roots[0], fzero):
+    if roots[0] < 0:
         raise IndefiniteMomentsError(
             f"the order-{npts} Gauss rule has a node t = r^2 < 0: no "
             f"positive measure on t >= 0 matches these moments", order=npts)
     with mpmath.workdps(dps):
         make = mpmath.mp.make_mpf
         scale, total = map(make, _e_powers([log_s._mpf_, log_m0._mpf_], mpmath.mp.prec))
-        nodes = np.array([float(make(x) * scale) for x in roots])
+        nodes = np.array([float(make(from_man_exp(x, -f)) * scale) for x in roots])
         masses = np.array([float(make(w) * total) for w in weights])
     # a subnormal mass keeps only a few bits, too few for the moments it
     # matches, and so does a nonzero node rounded to 0 or a subnormal; a node
@@ -423,153 +413,99 @@ def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray
         raise _Breakdown("a Christoffel mass underflows float64")
     if not np.isfinite(nodes).all():
         raise _Breakdown("a Gauss node overflows float64")
-    if any(x != fzero and t < tiny for x, t in zip(roots, nodes)):
+    if any(x and t < tiny for x, t in zip(roots, nodes)):
         raise _Breakdown("a nonzero Gauss node underflows float64")
     return nodes, masses
 
 
-def _polish_prec(jacobi: np.ndarray, dps: int) -> int:
-    """The polish's precision in bits: _POLISH_BITS, capped at the
-    recurrence's, when the nodes are well conditioned relative to the
-    entries of the Jacobi matrix J, else the recurrence's.
+def _nodes_and_masses(alpha, beta, seeds, dps: int) -> tuple[list, list, int]:
+    """The Newton-polished zero of p_n, n = len(alpha), from each float64
+    seed, as an integer in units of 2^-F; the Christoffel number at each,
+    as a raw mpf tuple rounded once to the recurrence's precision; and F.
 
-    A sweep rounded to b bits is exact for J with each entry moved by a
-    few 2^-b of itself.  For a definite J that moves each node by at most
-    about 2^-b / lambda_min(H) of itself, with H = D^-1/2 J D^-1/2 and
-    D = diag(J) (Demmel and Veselic 1992).  Nodes spread over many decades
-    by a graded J keep lambda_min(H) near 1.  A node near t = 0 far below
-    the rest, as a nearly atomic measure at 0 gives, drives it to float64
-    noise, and 192 bits would hold that node too coarsely for the stop
-    rule."""
-    prec = dps_to_prec(dps)
-    diag = np.diag(jacobi)
-    if np.all(diag > 0):
-        d = 1.0 / np.sqrt(diag)
-        with np.errstate(over="ignore"):
-            h = d[:, None] * jacobi * d[None, :]
-        if (np.all(np.isfinite(h))
-                and np.linalg.eigvalsh(h)[0] * _MAX_CONDITION >= 1.0):
-            return min(prec, _POLISH_BITS)
-    return prec
-
-
-def _refine_seeds(alpha, beta, seeds) -> list:
-    """One Newton step on p_npts, npts = len(alpha), from each float64 seed,
-    exactly in fixed point, as (mantissa, exponent) integer pairs.
-
-    alpha_k, beta_k and the seed are truncated to multiples of 2^-F, F being
+    alpha_k and beta_k are truncated to multiples of 2^-F, F being
     _SEED_GUARD_BITS below the ulp of the smallest nonzero seed, so every
-    seed is exact.  The coefficients of p_npts then come out of the
-    recurrence as exact integers, that of x^j in units of 2^-(npts-j)F, once
-    for all seeds; Horner's rule in the seed's 53-bit mantissa gives
-    p_npts(x) and p_npts'(x) exactly.  No operation is rounded: only the step
-    p_npts / p_npts' is truncated to a multiple of 2^-F.  A seed whose
-    p_npts' is 0 keeps its float64 value."""
+    seed is exact.  The coefficients of p_{n-1} and p_n, that of x^j in
+    p_k in units of 2^-(k-j)F, and h = beta_1 ... beta_{n-1} are then exact
+    integers, and Horner's rule gives p_n(x) and p_n'(x) exactly; only each
+    Newton step p_n / p_n' is truncated to 2^-F.  Once a step is at most
+    2^-70 |x| the node is exact far beyond float64; a node at t = 0 only
+    meets the noise floor 10^-(dps // 2), inside which it is 0.
+
+    The confluent Christoffel-Darboux identity, exact at every x,
+
+        sum_{k<n} p_k(x)^2 / h_k = (p_n' p_{n-1} - p_n p_{n-1}') / h_{n-1}
+
+    with h_k = beta_1 ... beta_k, gives the Christoffel number 1 / sum
+    exactly at the iterate before the node, some 2^-106 |x| off it from a
+    float64 seed.  A numerator that is not positive is a breakdown.
+
+    A nonzero node that keeps fewer than _SEED_GUARD_BITS + 53 bits lies
+    far below its seed, and the polish reruns with F widened by the
+    shortfall.  That ends, as a node inside the floor is 0 and any other
+    keeps more than F - (dps // 2) log2(10) bits."""
+    n, prec = len(alpha), dps_to_prec(dps)
     smallest = min((abs(s) for s in seeds if s), default=1.0)
     f = _SEED_GUARD_BITS - (math.frexp(math.ulp(smallest))[1] - 1)
-
-    def fixed(x):
-        m, e = _pair(x)
-        return m << (e + f) if e + f >= 0 else m >> -(e + f)
-
-    # p_{k-1} and p_k, highest coefficient first
-    prev, cur = [], [1]
-    for a, b in zip(alpha, beta):
-        am, bm = fixed(a._mpf_), fixed(b._mpf_)
-        nxt = cur + [0]
-        for j in range(len(cur)):
-            nxt[j + 1] -= am * cur[j]
-        for j in range(len(prev)):
-            nxt[j + 2] -= bm * prev[j] << f
-        prev, cur = cur, nxt
-    starts = []
-    for seed in seeds:
-        xm, xe = _pair(from_float(seed))
-        sh = xe + f                     # x in units of 2^-F is xm << sh
-        p, dp = 1, 0
-        for c in cur[1:]:
-            dp = (dp * xm << sh) + p
-            p = (p * xm << sh) + c
-        starts.append(((xm << sh) - p // dp, -f) if dp else (xm, xe))
-    return starts
-
-
-def _polish(alpha, beta, seeds, dps: int, starts=None, *,
-            prec: int) -> tuple[list, list]:
-    """Newton-polished zeros of p_npts, npts = len(alpha), from the float64
-    seeds, and the Christoffel number at each, as raw mpf tuples at ``prec``
-    bits.  Newton starts from ``starts``, one (mantissa, exponent) pair per
-    seed as _refine_seeds gives them, or else from the seeds themselves; a
-    message names the float64 seed.  Each start, alpha_k and beta_k is
-    rounded once to ``prec`` bits, as mpf(+a) rounds it there, and the
-    iteration runs on integer pairs, every operation correctly rounded to
-    nearest, so each tuple is the one mpf arithmetic gives at ``prec`` bits
-    from that start.  The noise floor 10^-(dps // 2) still comes from the
-    recurrence's ``dps``.
-
-    Each Newton sweep ends with p_npts, p_npts', p_{npts-1} and p_{npts-1}'
-    at its iterate, and the confluent Christoffel-Darboux identity, exact at
-    every x,
-
-        sum_{k<npts} p_k(x)^2 / h_k = (p_npts' p_{npts-1} - p_npts p_{npts-1}') / h_{npts-1}
-
-    with h_k = beta_1 ... beta_k, gives the Christoffel number 1 / sum as
-    h_{npts-1} over that numerator, with no further sweep.  It is taken at
-    the iterate just before the node: the stop rule bounds that last step
-    by 2^-70 |x|, and from a refined seed, whose first sweep is its last,
-    the step is about the refined seed's error, some 2^-106 |x|, far below
-    float64.  A numerator that is not positive is a breakdown."""
-    with mpmath.workprec(prec):
-        # Newton converges quadratically, so once a step is below 2^-70 |x|
-        # the node is exact far beyond float64; a node at t = 0 only meets
-        # the recurrence's own noise floor, and inside it the node is 0
-        floor_m, floor_e = _pair((mpmath.mpf(10) ** (-(dps // 2)))._mpf_)
-    # each coefficient rounded once to prec bits, as mpf(+a) rounds it
-    coeffs = [(*_round(*_pair(a._mpf_), prec), *_round(*_pair(b._mpf_), prec))
-              for a, b in zip(alpha, beta)]
-    hm, he = 1, 0                           # beta_1 ... beta_{npts-1}
-    for _, _, bm, be in coeffs[1:]:
-        hm, he = _round(hm * bm, he + be, prec)
-    roots, weights = [], []
-    if starts is None:
-        starts = [_pair(from_float(s)) for s in seeds]
-    for seed, (xm, xe) in zip(seeds, starts):
-        xm, xe = _round(xm, xe, prec)
-        for _ in range(_NEWTON_STEPS):
-            # p_npts(x) and p_npts'(x) by the recurrence and its derivative
-            qm = qe = pe = dqm = dqe = dpm = dpe = 0     # p_prev, p, dp_prev, dp
-            pm = 1
-            for am, ae, bm, be in coeffs:
-                tm, te = _add(xm, xe, -am, ae, prec)
-                um, ue = _round(tm * pm, te + pe, prec)
-                vm, ve = _round(bm * qm, be + qe, prec)
-                nm, ne = _add(um, ue, -vm, ve, prec)
-                um, ue = _round(tm * dpm, te + dpe, prec)
-                um, ue = _add(pm, pe, um, ue, prec)
-                vm, ve = _round(bm * dqm, be + dqe, prec)
-                dqm, dqe, dpm, dpe = dpm, dpe, *_add(um, ue, -vm, ve, prec)
-                qm, qe, pm, pe = pm, pe, nm, ne
-            dm, de = _div(pm, pe, dpm, dpe, prec)
-            xm, xe = _add(xm, xe, -dm, de, prec)
-            sm, se = abs(xm), xe - 70                  # 2^-70 |x|, exact
-            if _lt(sm, se, floor_m, floor_e):
-                sm, se = floor_m, floor_e
-            if not _lt(sm, se, abs(dm), de):
+    floor = 10 ** (dps // 2)        # y 2^-F is inside the floor iff |y| floor <= 2^F
+    while True:
+        coeffs = [(_fixed(a, f), _fixed(b, f)) for a, b in zip(alpha, beta)]
+        # p_{n-1} and p_n, highest coefficient first
+        prev, cur = [], [1]
+        for am, bm in coeffs:
+            nxt = cur + [0]
+            for j in range(len(cur)):
+                nxt[j + 1] -= am * cur[j]
+            for j in range(len(prev)):
+                nxt[j + 2] -= bm * prev[j] << f
+            prev, cur = cur, nxt
+        h = math.prod(bm for _, bm in coeffs[1:])
+        one = 1 << f
+        roots, weights = [], []
+        for seed in seeds:
+            xm, xe = _pair(from_float(seed))
+            x, sh = xm, xe + f              # the iterate in units of 2^-F is x << sh
+            for _ in range(_NEWTON_STEPS):
+                p, dp = _horner(cur, x, sh)
+                if not dp:
+                    raise _Breakdown(f"Newton polish met p_n' = 0 from seed {seed!r}")
+                step = p // dp
+                last, x, sh = (x, sh), (x << sh) - step, 0
+                converged = abs(step) << 70 <= abs(x) or abs(step) * floor <= one
+                if converged:
+                    break
+            nonzero = abs(x) * floor > one
+            short = _SEED_GUARD_BITS + 53 - abs(x).bit_length()
+            if nonzero and short > 0:
+                f += short
                 break
+            if not converged:
+                raise _Breakdown(f"Newton polish did not converge from seed {seed!r}")
+            q, dq = _horner(prev, *last)
+            cd = dp * q - p * dq            # in units of 2^-2(n-1)F
+            if cd <= 0:
+                raise _Breakdown(f"the Christoffel-Darboux numerator is not positive "
+                                 f"at the node polished from seed {seed!r}")
+            roots.append(x if nonzero else 0)
+            weights.append(mpf_shift(from_rational(h, cd, prec, _RND), (n - 1) * f))
         else:
-            raise _Breakdown(f"Newton polish did not converge from seed {seed!r}")
-        if not _lt(floor_m, floor_e, abs(xm), xe):
-            xm = 0
-        # the last sweep's values, at the iterate before x
-        um, ue = _round(dpm * qm, dpe + qe, prec)
-        vm, ve = _round(pm * dqm, pe + dqe, prec)
-        cm, ce = _add(um, ue, -vm, ve, prec)
-        if cm <= 0:
-            raise _Breakdown(f"the Christoffel-Darboux numerator is not positive "
-                             f"at the node polished from seed {seed!r}")
-        roots.append(from_man_exp(xm, xe))
-        weights.append(from_man_exp(*_div(hm, he, cm, ce, prec)))
-    return roots, weights
+            return roots, weights, f
+
+
+def _fixed(x, f: int) -> int:
+    """The mpf x truncated to a multiple of 2^-f, in units of 2^-f."""
+    m, e = _pair(x._mpf_)
+    return m << (e + f) if e + f >= 0 else m >> -(e + f)
+
+
+def _horner(coeffs: list, xm: int, sh: int) -> tuple:
+    """p(x) and p'(x), exactly, for the monic p whose integer ``coeffs``
+    run highest first, at x = xm 2^sh in units of 2^-F."""
+    p, dp = 1, 0
+    for c in coeffs[1:]:
+        dp = (dp * xm << sh) + p
+        p = (p * xm << sh) + c
+    return p, dp
 
 
 def _probe_achievable(m: MomentSequence, order: int) -> int:
@@ -577,7 +513,7 @@ def _probe_achievable(m: MomentSequence, order: int) -> int:
         try:
             _golub_welsch(m, k)
             return k
-        except (IndefiniteMomentsError, *_SOLVER_FAILURES):
+        except (IndefiniteMomentsError, _Breakdown):
             continue
     return 0
 

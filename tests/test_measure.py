@@ -287,6 +287,14 @@ class TestMomentSolver:
             quad = gauss_quadrature_from_moments(m, 25)
         assert quad.order == 20
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_log_moments_refused(self, bad):
+        # a NaN would slip past Python's max into the solver's precision and
+        # an infinity would overflow it: malformed input is a ConfigError,
+        # not a conditioning refusal
+        with pytest.raises(ConfigError, match="log moments must be finite"):
+            MomentSequence((0.0, bad, 1.0, 2.0))
+
     def test_positivity_enforced(self):
         with pytest.raises(ConfigError):
             RadialQuadrature(np.array([1.0]), np.array([-0.5]), 1, "moment-solved")
@@ -316,31 +324,20 @@ def _refused(outcome):
                          ids=["1", "0.95e^0.7i", "0.7", "1.3", "0.5"])
 @pytest.mark.parametrize("order", [2, 8, 14, 20])
 def test_raw_tuple_solver_matches_mpf_objects(w, q, order, monkeypatch):
-    # the recurrence and the polish on raw mpf tuples round every operation
-    # as mpf objects do, so every coefficient, polished node and Christoffel
-    # number is the same to the last bit of the working precision, and so is
-    # every rule and refusal; at |q| = 0.5 order 20 is refused below it
+    # the recurrence on raw mpf tuples rounds every operation as mpf objects
+    # do, so every coefficient is the same to the last bit of the working
+    # precision, and so is every rule and refusal; at |q| = 0.5 order 20 is
+    # refused below it
     m = MomentSequence.from_weights(w, q, 2 * order - 1)
     got = _outcome(measure._chebyshev_recurrence, m, order)
     want = _outcome(_mpf_recurrence, m, order)
     if _refused(want):
         assert got == want
     else:
-        alpha, beta, atoms, _, _, dps = got
+        alpha, beta = got[:2]
         assert all(isinstance(x, mpmath.mpf) for x in alpha + beta)
         assert alpha == want[0] and beta == want[1]
         assert got[2:] == want[2:]
-        npts = atoms if atoms is not None else order
-        seeds = _outcome(_jacobi_seeds, alpha, beta, npts)
-        if not _refused(seeds):
-            args = (alpha[:npts], beta[:npts], seeds, dps)
-            polished = _outcome(functools.partial(measure._polish,
-                                                  prec=libmp.dps_to_prec(dps)), *args)
-            ref = _outcome(_mpf_polish, *args)
-            if _refused(ref):
-                assert polished == ref
-            else:
-                assert polished == tuple([x._mpf_ for x in xs] for xs in ref)
     rule = _outcome(gauss_quadrature_from_moments, m, order)
     # the float64 rule is also the one the Christoffel sum at the polished
     # node gives, as the masses differ far below float64
@@ -362,111 +359,68 @@ def test_raw_tuple_solver_matches_mpf_objects(w, q, order, monkeypatch):
 @pytest.mark.parametrize("q", [1.0, 0.95 * cmath.exp(0.7j), 0.7, 1.3, 0.5],
                          ids=["1", "0.95e^0.7i", "0.7", "1.3", "0.5"])
 @pytest.mark.parametrize("order", [2, 8, 14, 20])
-def test_polish_bits_match_mpf_objects(w, q, order):
-    # the solver polishes at _POLISH_BITS, below the recurrence's precision:
-    # with each coefficient rounded once to those bits and the noise floor
-    # still taken from the recurrence's dps, every node and Christoffel
-    # number is the raw tuple mpf objects give at those bits; a refused
-    # recurrence or seed leaves nothing to polish
+def test_exact_polish_matches_mpf_objects(w, q, order):
+    # the exact fixed-point polish against mpf objects rounded at the
+    # recurrence's precision, both from the float64 seeds: every node and
+    # Christoffel number agrees to 2^-120 of itself, and a node inside the
+    # noise floor is 0 in both; a refused recurrence or seed leaves nothing
+    # to polish
     m = MomentSequence.from_weights(w, q, 2 * order - 1)
     recurrence = _outcome(measure._chebyshev_recurrence, m, order)
     if _refused(recurrence):
         return
     alpha, beta, atoms, _, _, dps = recurrence
-    assert libmp.dps_to_prec(dps) > measure._POLISH_BITS
     npts = atoms if atoms is not None else order
     seeds = _outcome(_jacobi_seeds, alpha, beta, npts)
     if _refused(seeds):
         return
     args = (alpha[:npts], beta[:npts], seeds, dps)
-    polished = _outcome(functools.partial(measure._polish,
-                                          prec=measure._POLISH_BITS), *args)
-    ref = _outcome(functools.partial(_mpf_polish, prec=measure._POLISH_BITS), *args)
+    ref = _outcome(_mpf_polish, *args)
+    polished = _outcome(measure._nodes_and_masses, *args)
     if _refused(ref):
         assert polished == ref
-    else:
-        assert polished == tuple([x._mpf_ for x in xs] for xs in ref)
-
-
-@pytest.mark.parametrize("w", [WFAC, WeightSequence.power_factorial(2.0), WCONST,
-                               WDELTA01],
-                         ids=["factorial", "power-factorial-2", "constant",
-                              "delta0+delta1"])
-@pytest.mark.parametrize("q", [1.0, 0.95 * cmath.exp(0.7j), 0.7, 1.3, 0.5],
-                         ids=["1", "0.95e^0.7i", "0.7", "1.3", "0.5"])
-@pytest.mark.parametrize("order", [2, 8, 14, 20])
-def test_refined_polish_matches_mpf_objects(w, q, order):
-    # the solver's own path: the polish at _POLISH_BITS starts from the pairs
-    # of _refine_seeds, each rounded once to those bits as mpf(x) rounds the
-    # exact seed, so every node and Christoffel number is the raw tuple mpf
-    # objects give from the refined seeds taken as exact mpf
-    m = MomentSequence.from_weights(w, q, 2 * order - 1)
-    recurrence = _outcome(measure._chebyshev_recurrence, m, order)
-    if _refused(recurrence):
         return
-    alpha, beta, atoms, _, _, dps = recurrence
+    roots, weights, f = polished
+    assert len(roots) == len(weights) == npts
+    with mpmath.workdps(dps):
+        bound = mpmath.mpf(2) ** -120
+        for x, want in zip(roots, ref[0]):
+            assert abs(mpmath.ldexp(x, -f) - want) <= bound * abs(want)
+        for c, want in zip(weights, ref[1]):
+            assert abs(mpmath.mp.make_mpf(c) - want) <= bound * want
+
+
+@pytest.mark.parametrize("q, order", [
+    (0.9999943765867481, 20), (0.9999968377223398, 20), (0.9999982217205899, 18)])
+def test_polish_widens_below_a_noisy_seed(q, order, monkeypatch):
+    # a node near t = 0 whose float64 seed is noise 60 decades or more
+    # above it keeps fewer than 192 + 53 bits of 2^-F, so the polish reruns
+    # with F widened; at the first F that node lands 3.5e-91 to 4.5e-91, or
+    # 3e-14 to 2e-9 of itself, off
+    m = MomentSequence.from_weights(WDELTA01, q, 2 * order - 1)
+    alpha, beta, atoms, _, _, dps = measure._chebyshev_recurrence(m, order)
     npts = atoms if atoms is not None else order
-    seeds = _outcome(_jacobi_seeds, alpha, beta, npts)
-    if _refused(seeds):
-        return
-    starts = measure._refine_seeds(alpha[:npts], beta[:npts], seeds)
-    exact = [mpmath.mp.make_mpf(libmp.from_man_exp(*s)) for s in starts]
-    polished = _outcome(functools.partial(measure._polish, prec=measure._POLISH_BITS),
-                        alpha[:npts], beta[:npts], seeds, dps, starts)
-    ref = _outcome(functools.partial(_mpf_polish, prec=measure._POLISH_BITS),
-                   alpha[:npts], beta[:npts], exact, dps)
-    if _refused(ref):
-        # the solver's message names the float64 seed, the reference's the
-        # refined one
-        assert _refused(polished) and polished[0] is ref[0]
-    else:
-        assert polished == tuple([x._mpf_ for x in xs] for xs in ref)
-
-
-@pytest.mark.parametrize("w", [WFAC, WeightSequence.power_factorial(2.0), WCONST],
-                         ids=["factorial", "power-factorial-2", "constant"])
-@pytest.mark.parametrize("band", [(0.95, 0.96), (0.90, 0.91)])
-def test_one_sweep_per_node(w, band, monkeypatch):
-    # from a refined seed every node meets the 2^-70 stop rule on its first
-    # correctly rounded sweep, so the polish divides twice per node: once for
-    # the Newton step and once for the Christoffel number (float64 seeds take
-    # two sweeps, three divisions); the |q| bands are those of the
-    # quadrature benchmark
-    div, polish = measure._div, measure._polish
-    polishing, counts = [], []          # [divisions, nodes] per polish
-
-    def counting_div(*args):
-        if polishing:
-            counts[-1][0] += 1
-        return div(*args)
-
-    def counting_polish(alpha, beta, seeds, *args, **kwargs):
-        counts.append([0, len(seeds)])
-        polishing.append(True)
-        try:
-            return polish(alpha, beta, seeds, *args, **kwargs)
-        finally:
-            polishing.clear()
-
-    monkeypatch.setattr(measure, "_div", counting_div)
-    monkeypatch.setattr(measure, "_polish", counting_polish)
-    rng = random.Random(38)
-    for order in range(8, 21):
-        q = rng.uniform(*band) * cmath.exp(2j * math.pi * rng.random())
-        gauss_quadrature_from_moments(MomentSequence.from_weights(w, q, 2 * order - 1),
-                                      order)
-    assert len(counts) == 13
-    assert all(divisions == 2 * nodes for divisions, nodes in counts)
+    seeds = _jacobi_seeds(alpha, beta, npts)
+    smallest = min(abs(s) for s in seeds if s)
+    first = measure._SEED_GUARD_BITS - (math.frexp(math.ulp(smallest))[1] - 1)
+    roots, _, f = measure._nodes_and_masses(alpha[:npts], beta[:npts], seeds, dps)
+    assert f > first
+    node = min(x for x in roots if x)
+    assert 0 < node / 2 ** f < 1e-60 * smallest
+    rule = gauss_quadrature_from_moments(m, order)
+    monkeypatch.setattr(measure, "_golub_welsch", _mpf_golub_welsch)
+    ref = gauss_quadrature_from_moments(m, order)
+    assert np.array_equal(rule.nodes, ref.nodes)
+    assert np.array_equal(rule.masses, ref.masses)
 
 
 @pytest.mark.parametrize("w, q, order", [
     (WeightSequence.constant(2.0), 0.10178114258214559 + 0.9948068149217077j, 6),
     (WCONST, 0.8737292721603928 + 0.48641253989804817j, 5),
     (WDELTA01, -0.8151944056348668 + 0.5791874316847839j, 4),
-    # 64 guard bits move a mass by one ulp
     (WCONST, -0.1490597623392169 + 0.9888281889445588j, 4),
     (WDELTA01, -0.9912759751350373 - 0.13180265976102656j, 7),
-    # 128 guard bits move the mass at t = 0 by 1e-14, and one by 8e-8
+    # 128 guard bits move a mass by one ulp, and one by 1.5e-8
     (WDELTA01, 0.05548377731337452 + 0.9984595887941784j, 8),
     (WDELTA01, 0.6616357683510744 - 0.7498253863657081j, 9),
 ])
@@ -485,53 +439,56 @@ def test_seed_guard_bits(w, q, order, monkeypatch):
     assert np.array_equal(rule.masses, ref.masses)
 
 
-@pytest.mark.parametrize("w", [WFAC, WeightSequence.power_factorial(2.0), WCONST,
-                               WDELTA01],
-                         ids=["factorial", "power-factorial-2", "constant",
-                              "delta0+delta1"])
-@pytest.mark.parametrize("q", [1.0, 0.95 * cmath.exp(0.7j), 0.7, 1.3, 0.5],
-                         ids=["1", "0.95e^0.7i", "0.7", "1.3", "0.5"])
-@pytest.mark.parametrize("order", [2, 8, 14, 20])
-def test_polish_bits_keep_a_guard_margin(w, q, order, monkeypatch):
-    # a float64 seed and the 2^-70 stop rule need 123 bits; the polish at
-    # 128 bits already gives every float64 rule and refusal it gives at
-    # _POLISH_BITS, so the production precision keeps 64 guard bits
+@pytest.mark.parametrize("w, q, order", [
+    (WFAC, 0.1, 9),                 # nodes over 33 decades, each well conditioned
+    (WFAC, 0.95, 20),
+    (WDELTA01, 0.9999, 16),         # a node near t = 0, 40 decades below the rest
+    (WDELTA01, 0.99999, 12),
+    (WDELTA01, 0.9999999, 8),
+    # nodes over 236 decades: at 192 rounded bits a Christoffel-Darboux
+    # numerator comes out not positive, where the mass underflows
+    (WFAC, -2.877957375027204e-30 + 2.556262796661036e-30j, 3),
+], ids=["factorial-0.1", "factorial-0.95", "delta0+delta1-0.9999",
+        "delta0+delta1-0.99999", "delta0+delta1-0.9999999", "factorial-3e-30"])
+def test_graded_and_nearly_atomic_rules_match_mpf_objects(w, q, order, monkeypatch):
+    # a graded Jacobi matrix spreads the nodes over many decades, each well
+    # conditioned; a node near t = 0 far below the rest is ill conditioned
+    # relative to the matrix entries; for each the exact polish gives the
+    # rule or refusal that mpf objects give at the recurrence's precision
     m = MomentSequence.from_weights(w, q, 2 * order - 1)
     rule = _outcome(gauss_quadrature_from_moments, m, order)
-    monkeypatch.setattr(measure, "_POLISH_BITS", 128)
-    lean = _outcome(gauss_quadrature_from_moments, m, order)
-    if _refused(rule):
-        assert lean == rule
+    monkeypatch.setattr(measure, "_golub_welsch", _mpf_golub_welsch)
+    ref = _outcome(gauss_quadrature_from_moments, m, order)
+    if _refused(ref):
+        assert rule == ref
     else:
-        assert np.array_equal(lean.nodes, rule.nodes)
-        assert np.array_equal(lean.masses, rule.masses)
+        assert np.array_equal(rule.nodes, ref.nodes)
+        assert np.array_equal(rule.masses, ref.masses)
 
 
-@pytest.mark.parametrize("w, q, order, full", [
-    (WFAC, 0.1, 9, False),              # nodes over 33 decades, each well conditioned
-    (WFAC, 0.95, 20, False),
-    (WDELTA01, 0.9999, 16, True),       # a node near t = 0, 40 decades below the rest
-    (WDELTA01, 0.99999, 12, True),
-    (WDELTA01, 0.9999999, 8, True),
-], ids=["factorial-0.1", "factorial-0.95", "delta0+delta1-0.9999",
-        "delta0+delta1-0.99999", "delta0+delta1-0.9999999"])
-def test_polish_precision_follows_the_nodes_condition(w, q, order, full, monkeypatch):
-    # 192 bits hold a node near t = 0 far below the rest too coarsely: the
-    # stop rule then fails, or the polish stops a few ulps off, so such a
-    # rule is polished at the recurrence's precision; a graded Jacobi matrix
-    # spreads its nodes over many decades and keeps each well conditioned
-    m = MomentSequence.from_weights(w, q, 2 * order - 1)
-    dps = measure._chebyshev_recurrence(m, order)[5]
-    bits = []
-    polish = measure._polish
-    monkeypatch.setattr(measure, "_polish",
-                        lambda *args, prec: bits.append(prec) or polish(*args, prec=prec))
-    rule = gauss_quadrature_from_moments(m, order)
-    assert bits == [libmp.dps_to_prec(dps) if full else measure._POLISH_BITS]
-    monkeypatch.setattr(measure, "_POLISH_BITS", 10**6)
-    exact = gauss_quadrature_from_moments(m, order)
-    assert np.array_equal(rule.nodes, exact.nodes)
-    assert np.array_equal(rule.masses, exact.masses)
+@pytest.mark.parametrize("w, q", [
+    # the node 3.4e-17 lies 2.4e-48 of itself above a midpoint of doubles,
+    # nearer than a polish rounded to the recurrence's 209 bits holds it
+    (WDELTA01, 0.912978884799118 + 0.40800680865759914j),
+    (WFAC, 1.0), (WCONST, 0.7), (WeightSequence.power_factorial(2.0), 0.95 * cmath.exp(0.7j)),
+], ids=["delta0+delta1-circle", "factorial-1", "constant-0.7", "power-factorial-2"])
+def test_two_point_rule_is_correctly_rounded(w, q):
+    # the zeros of p_2 = (x - alpha_0)(x - alpha_1) - beta_1 in closed form,
+    # and the Christoffel numbers 1 / (1 + (x - alpha_0)^2 / beta_1) there,
+    # at four times the recurrence's precision: every float64 node and mass
+    # of the solver is their value rounded once
+    m = MomentSequence.from_weights(w, q, 3)
+    quad = gauss_quadrature_from_moments(m, 2)
+    alpha, beta, atoms, log_s, log_m0, dps = measure._chebyshev_recurrence(m, 2)
+    assert atoms is None
+    with mpmath.workdps(4 * dps):
+        a0, a1, b1 = alpha[0], alpha[1], beta[1]
+        top = (a0 + a1) / 2 + mpmath.sqrt(((a0 - a1) / 2) ** 2 + b1)
+        xs = [(a0 * a1 - b1) / top, top]     # the smaller zero without cancellation
+        nodes = [float(x * mpmath.e ** log_s) for x in xs]
+        masses = [float(mpmath.e ** log_m0 / (1 + (x - a0) ** 2 / b1)) for x in xs]
+    assert list(quad.nodes) == nodes
+    assert list(quad.masses) == masses
 
 
 def _mpf_recurrence(m, order):
@@ -790,7 +747,7 @@ def test_stieltjes_wigert_closed_form(q_abs, solved):
         try:
             # not the public solver, whose refusals re-solve every lower order
             nodes, masses = measure._golub_welsch(m, order)
-        except measure._SOLVER_FAILURES:
+        except measure._Breakdown:
             continue
         orders.append(order)
         alpha, beta, atoms, log_s, _, dps = measure._chebyshev_recurrence(m, order)
