@@ -352,31 +352,58 @@ def test_raw_tuple_solver_matches_mpf_objects(w, q, order, monkeypatch):
             assert np.array_equal(rule.masses, ref.masses)
 
 
-@pytest.mark.parametrize("w", [WFAC, WeightSequence.power_factorial(2.0), WCONST,
-                               WDELTA01],
-                         ids=["factorial", "power-factorial-2", "constant",
-                              "delta0+delta1"])
-@pytest.mark.parametrize("q", [1.0, 0.95 * cmath.exp(0.7j), 0.7, 1.3, 0.5],
-                         ids=["1", "0.95e^0.7i", "0.7", "1.3", "0.5"])
-@pytest.mark.parametrize("order", [2, 8, 14, 20])
+def _on_polish_grid(test):
+    """Parametrize ``test`` over the 80 configurations (w, q, order) on
+    which the polish is compared with mpf objects."""
+    for mark in [
+            pytest.mark.parametrize("order", [2, 8, 14, 20]),
+            pytest.mark.parametrize("q", [1.0, 0.95 * cmath.exp(0.7j), 0.7, 1.3, 0.5],
+                                    ids=["1", "0.95e^0.7i", "0.7", "1.3", "0.5"]),
+            pytest.mark.parametrize("w", [WFAC, WeightSequence.power_factorial(2.0),
+                                          WCONST, WDELTA01],
+                                    ids=["factorial", "power-factorial-2", "constant",
+                                         "delta0+delta1"])]:
+        test = mark(test)
+    return test
+
+
+@functools.cache
+def _polish_args(w, q, order):
+    """The polish's arguments (alpha, beta, seeds, dps) for the order-n
+    rule, or None where the recurrence or the seeds are refused and leave
+    nothing to polish; cached, as four tests share the grid."""
+    m = MomentSequence.from_weights(w, q, 2 * order - 1)
+    recurrence = _outcome(measure._chebyshev_recurrence, m, order)
+    if _refused(recurrence):
+        return None
+    alpha, beta, atoms, _, _, dps = recurrence
+    npts = atoms if atoms is not None else order
+    seeds = _outcome(_jacobi_seeds, alpha, beta, npts)
+    if _refused(seeds):
+        return None
+    return alpha[:npts], beta[:npts], seeds, dps
+
+
+@functools.cache
+def _exact_polish(w, q, order):
+    """``measure._nodes_and_masses`` on ``_polish_args``, or None."""
+    args = _polish_args(w, q, order)
+    return None if args is None else _outcome(measure._nodes_and_masses, *args)
+
+
+@_on_polish_grid
 def test_exact_polish_matches_mpf_objects(w, q, order):
     # the exact fixed-point polish against mpf objects rounded at the
     # recurrence's precision, both from the float64 seeds: every node and
     # Christoffel number agrees to 2^-120 of itself, and a node inside the
     # noise floor is 0 in both; a refused recurrence or seed leaves nothing
     # to polish
-    m = MomentSequence.from_weights(w, q, 2 * order - 1)
-    recurrence = _outcome(measure._chebyshev_recurrence, m, order)
-    if _refused(recurrence):
+    args = _polish_args(w, q, order)
+    if args is None:
         return
-    alpha, beta, atoms, _, _, dps = recurrence
-    npts = atoms if atoms is not None else order
-    seeds = _outcome(_jacobi_seeds, alpha, beta, npts)
-    if _refused(seeds):
-        return
-    args = (alpha[:npts], beta[:npts], seeds, dps)
+    npts, dps = len(args[0]), args[3]
     ref = _outcome(_mpf_polish, *args)
-    polished = _outcome(measure._nodes_and_masses, *args)
+    polished = _exact_polish(w, q, order)
     if _refused(ref):
         assert polished == ref
         return
@@ -388,6 +415,74 @@ def test_exact_polish_matches_mpf_objects(w, q, order):
             assert abs(mpmath.ldexp(x, -f) - want) <= bound * abs(want)
         for c, want in zip(weights, ref[1]):
             assert abs(mpmath.mp.make_mpf(c) - want) <= bound * want
+
+
+@_on_polish_grid
+def test_exact_polish_nodes_bracket_a_zero(w, q, order):
+    # with alpha_k and beta_k truncated to 2^-F, P_k = p_k 2^{kF} is an
+    # integer at every x = X 2^-F, by P_{k+1} = (X - A_k) P_k - B_k 2^F
+    # P_{k-1}: that recurrence changes sign across each nonzero polished
+    # node within 2^-140 of it, twice the 2^-70 stop rule's bits
+    args = _polish_args(w, q, order)
+    if args is None:
+        return
+    polished = _exact_polish(w, q, order)
+    if _refused(polished):
+        return
+    alpha, beta = args[:2]
+    roots, _, f = polished
+    coeffs = [(measure._fixed(a, f), measure._fixed(b, f)) for a, b in zip(alpha, beta)]
+
+    def p_n(x):
+        prev, cur = 0, 1
+        for a, b in coeffs:
+            prev, cur = cur, (x - a) * cur - (b << f) * prev
+        return cur
+
+    for x in roots:
+        if x:
+            d = abs(x) >> 140
+            assert p_n(x - d) * p_n(x + d) < 0
+
+
+@_on_polish_grid
+def test_exact_christoffel_numbers_match_the_christoffel_sum(w, q, order):
+    # the Christoffel-Darboux mass, exact at the iterate before the node,
+    # against 1 / sum_k p_k(x)^2 / h_k in mpf objects at the node polished
+    # at the recurrence's precision: they agree to 2^-80 of the mass, 27
+    # bits below float64
+    args = _polish_args(w, q, order)
+    if args is None:
+        return
+    ref = _outcome(_mpf_christoffel_polish, *args)
+    polished = _exact_polish(w, q, order)
+    if _refused(ref) or _refused(polished):
+        return
+    with mpmath.workdps(args[3]):
+        bound = mpmath.mpf(2) ** -80
+        for c, want in zip(polished[1], ref[1]):
+            assert abs(mpmath.mp.make_mpf(c) - want) <= bound * want
+
+
+@_on_polish_grid
+def test_polish_bits_keep_a_guard_margin(w, q, order, monkeypatch):
+    # every nonzero node keeps at least _SEED_GUARD_BITS + 53 bits of 2^-F,
+    # and 128 guard bits already give every float64 rule and refusal that
+    # _SEED_GUARD_BITS give, so the production fixed point keeps 64 bits of
+    # margin on these configurations
+    polished = _exact_polish(w, q, order)
+    if polished is not None and not _refused(polished):
+        assert all(abs(x).bit_length() >= measure._SEED_GUARD_BITS + 53
+                   for x in polished[0] if x)
+    m = MomentSequence.from_weights(w, q, 2 * order - 1)
+    rule = _outcome(gauss_quadrature_from_moments, m, order)
+    monkeypatch.setattr(measure, "_SEED_GUARD_BITS", 128)
+    lean = _outcome(gauss_quadrature_from_moments, m, order)
+    if _refused(rule):
+        assert lean == rule
+    else:
+        assert np.array_equal(lean.nodes, rule.nodes)
+        assert np.array_equal(lean.masses, rule.masses)
 
 
 @pytest.mark.parametrize("q, order", [
