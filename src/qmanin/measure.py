@@ -443,10 +443,16 @@ def _nodes_and_masses(alpha, beta, seeds, dps: int) -> tuple[list, list, int]:
     A nonzero node that keeps fewer than _SEED_GUARD_BITS + 53 bits lies
     far below its seed, and the polish reruns with F widened by the
     shortfall.  That ends, as a node inside the floor is 0 and any other
-    keeps more than F - (dps // 2) log2(10) bits."""
+    keeps more than F - (dps // 2) log2(10) bits.
+
+    F is at least 0, so every shift below is non-negative: a nonzero
+    seed's exponent plus F is at least _SEED_GUARD_BITS, and a zero seed's
+    is F.  F would be negative only where the smallest nonzero seed is 2^244
+    or more, which float64 eigenvalues of a graded Jacobi matrix, off by up
+    to eps ||J||, may give; there the fixed point keeps more guard bits."""
     n, prec = len(alpha), dps_to_prec(dps)
     smallest = min((abs(s) for s in seeds if s), default=1.0)
-    f = _SEED_GUARD_BITS - (math.frexp(math.ulp(smallest))[1] - 1)
+    f = max(0, _SEED_GUARD_BITS - (math.frexp(math.ulp(smallest))[1] - 1))
     floor = 10 ** (dps // 2)        # y 2^-F is inside the floor iff |y| floor <= 2^F
     while True:
         coeffs = [(_fixed(a, f), _fixed(b, f)) for a, b in zip(alpha, beta)]

@@ -466,14 +466,9 @@ def test_exact_christoffel_numbers_match_the_christoffel_sum(w, q, order):
 
 @_on_polish_grid
 def test_polish_bits_keep_a_guard_margin(w, q, order, monkeypatch):
-    # every nonzero node keeps at least _SEED_GUARD_BITS + 53 bits of 2^-F,
-    # and 128 guard bits already give every float64 rule and refusal that
+    # 128 guard bits already give every float64 rule and refusal that
     # _SEED_GUARD_BITS give, so the production fixed point keeps 64 bits of
     # margin on these configurations
-    polished = _exact_polish(w, q, order)
-    if polished is not None and not _refused(polished):
-        assert all(abs(x).bit_length() >= measure._SEED_GUARD_BITS + 53
-                   for x in polished[0] if x)
     m = MomentSequence.from_weights(w, q, 2 * order - 1)
     rule = _outcome(gauss_quadrature_from_moments, m, order)
     monkeypatch.setattr(measure, "_SEED_GUARD_BITS", 128)
@@ -483,6 +478,25 @@ def test_polish_bits_keep_a_guard_margin(w, q, order, monkeypatch):
     else:
         assert np.array_equal(lean.nodes, rule.nodes)
         assert np.array_equal(lean.masses, rule.masses)
+
+
+def test_polish_takes_seeds_past_two_to_the_244():
+    # 192 guard bits below the ulp of a seed near 2^249 would put F below 0;
+    # F stays at 0, and the two-point rule of alpha = (2^250, 2^251),
+    # beta_1 = 2^500 still matches its closed form, nodes 2^249 (3 -+ sqrt 5)
+    # with masses 1 / (1 + (x - alpha_0)^2 / beta_1)
+    alpha = [mpmath.mpf(2) ** 250, mpmath.mpf(2) ** 251]
+    beta = [mpmath.mpf(1), mpmath.mpf(2) ** 500]
+    seeds = _jacobi_seeds(alpha, beta, 2)
+    assert min(seeds) >= 2.0 ** 244
+    roots, weights, f = measure._nodes_and_masses(alpha, beta, seeds, 30)
+    assert f == 0
+    with mpmath.workdps(60):
+        for x, w, sign in zip(roots, weights, (-1, 1)):
+            node = 2 ** 249 * (3 + sign * mpmath.sqrt(5))
+            mass = 1 / (1 + (node - alpha[0]) ** 2 / beta[1])
+            assert abs(x - node) <= 2 ** -70 * node
+            assert abs(mpmath.mp.make_mpf(w) - mass) <= 2 ** -80 * mass
 
 
 @pytest.mark.parametrize("q, order", [
@@ -639,8 +653,9 @@ def _jacobi_seeds(alpha, beta, npts):
 
 def _mpf_newton(alpha, beta, seed, dps, prec=None):
     """The polished node from one seed and the last Newton sweep's values,
-    as ``measure._polish`` takes them, in mpf objects at ``prec`` bits, by
-    default the precision of ``dps`` digits; the floor comes from ``dps``."""
+    in mpf objects at ``prec`` bits, by default the precision of ``dps``
+    digits; the floor comes from ``dps``.  The mpf-object Newton polish that
+    ``measure._nodes_and_masses`` is compared against."""
     npts = len(alpha)
     with mpmath.workprec(prec or libmp.dps_to_prec(dps)):
         tol = mpmath.mpf(2) ** -70
@@ -659,7 +674,8 @@ def _mpf_newton(alpha, beta, seed, dps, prec=None):
 
 
 def _mpf_polish(alpha, beta, seeds, dps, prec=None):
-    """``measure._polish`` in mpf-object arithmetic, returning mpf: each mass
+    """The mpf-object polish that ``measure._nodes_and_masses`` is compared
+    against, returning mpf: each mass
     is h_{npts-1} / (p_npts' p_{npts-1} - p_npts p_{npts-1}') from the last
     Newton sweep, the confluent Christoffel-Darboux identity.  Every
     coefficient is first rounded to the working precision."""
