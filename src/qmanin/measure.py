@@ -17,19 +17,20 @@ ill-conditioned, so its working precision is 50 + 6 * order + span digits.
 The float64 eigenvalues of the Jacobi matrix only seed the nodes.  The
 polish is Newton's method on the recurrence, exact in fixed point: the
 recurrence coefficients and the seeds are truncated to multiples of 2^-F,
-192 guard bits below the ulp of the smallest nonzero seed, and nothing
-else is rounded but each Newton step, truncated to 2^-F.  The first step
-lifts a 53-bit seed to about 106 bits and the second meets the stop rule,
-a step of at most 2^-70 |x| or the recurrence's noise floor
-10^-(dps // 2); a node inside the floor is 0.  The mass is the Christoffel
-number by the confluent Christoffel-Darboux identity, exact at the iterate
-before the node and rounded once.  A nonzero node that keeps fewer than
-192 + 53 bits of 2^-F lies far below its seed, as a node near t = 0 far
-below the rest does when its float64 seed is noise, and the polish reruns
-with F widened by the shortfall.  The masses of nearly atomic rules read
-the truncation, since their nodes cluster and lower-order zeros lie close
-to them: on rules at q = e^{i theta} with 128 guard bits a float64 mass
-moved by 1.5e-8 relative, and with 192 none did.
+192 guard bits below the ulp of the smallest nonzero seed (more where that
+would put F below 0), and nothing else is rounded but each Newton step,
+truncated to 2^-F.  The first step lifts a 53-bit seed to about 106 bits
+and the second meets the stop rule, a step of at most 2^-70 |x| or the
+recurrence's noise floor 10^-(dps // 2); a node inside the floor is 0.
+The mass is the Christoffel number by the confluent Christoffel-Darboux
+identity, exact at the iterate before the node and rounded once.  A
+nonzero node that keeps fewer than 192 + 53 bits of 2^-F lies far below
+its seed, as a node near t = 0 far below the rest does when its float64
+seed is noise, and the polish reruns with F widened by the shortfall.  The
+masses of nearly atomic rules read the truncation, since their nodes
+cluster and lower-order zeros lie close to them: with 128 guard bits a
+float64 mass of a rule at q = e^{i theta} moved by 1.5e-8 relative, and
+with 192 none did.
 
 The recurrence runs on signed (mantissa, exponent) integer pairs, through
 a small kernel of its own.  Each operation rounds its exact result
@@ -445,11 +446,8 @@ def _nodes_and_masses(alpha, beta, seeds, dps: int) -> tuple[list, list, int]:
     shortfall.  That ends, as a node inside the floor is 0 and any other
     keeps more than F - (dps // 2) log2(10) bits.
 
-    F is at least 0, so every shift below is non-negative: a nonzero
-    seed's exponent plus F is at least _SEED_GUARD_BITS, and a zero seed's
-    is F.  F would be negative only where the smallest nonzero seed is 2^244
-    or more, which float64 eigenvalues of a graded Jacobi matrix, off by up
-    to eps ||J||, may give; there the fixed point keeps more guard bits."""
+    F is at least 0, so no shift below is negative; only a smallest nonzero
+    seed at 2^244 or more, from a graded Jacobi matrix, gets more guard bits."""
     n, prec = len(alpha), dps_to_prec(dps)
     smallest = min((abs(s) for s in seeds if s), default=1.0)
     f = max(0, _SEED_GUARD_BITS - (math.frexp(math.ulp(smallest))[1] - 1))
