@@ -9,11 +9,30 @@ A closed form is known in Bargmann's space (``WeightSequence.closed_form``;
 the radial Gaussian, t-density e^{-t}/pi): its Gauss surrogate is numpy's
 Gauss-Laguerre rule, and its moments are certified by mpmath's adaptive
 tanh-sinh quadrature in double precision.  Every other case goes through a
-Golub-Welsch Gauss rule built from the moments.  The three-term recurrence
-coefficients are computed in arbitrary precision because raw moment
-sequences at factorial scale annihilate double precision long before the
-orders used here: going from moments to the recurrence is exponentially
-ill-conditioned, so its working precision is 50 + 6 * order + span digits.
+Golub-Welsch Gauss rule built from the moments.  Going from moments to the
+three-term recurrence is exponentially ill-conditioned (Gautschi 2004,
+section 2.1), so the recurrence runs in extended precision from scaled
+moments nu_j = m_j / (m_0 s^j), s = m_1 / m_0, that the solver forms
+itself at its working precision.  For weights, nu_j is a running product
+of exact ratios: w_{j+1} / w_j, an integer for a rule with integer s >= 0,
+one exp(s log(j+1)) for any other s and a quotient of doubles for a table,
+and 1/|q|^2, where |q|^2 = re^2 + im^2 is exact.  The products carry 32
+guard bits, so each nu_j lies within one ulp of its exact value; s and m_0
+come from the same ratios.  A sequence given by its logs alone is solved
+from e^{L_j - L_0 - j (L_1 - L_0)}.
+
+The working precision starts at 50 + 6 * order digits.  Beside the
+recurrence runs an enclosure, a running bound on the error of every
+intermediate and so of every alpha_k and beta_k.  The recurrence reruns at
+more digits wherever some value inside the enclosure would change the
+epsilon test on a beta_k (positive, an atom or indefinite; epsilon =
+10^-(dps // 2)), or where the enclosure of a coefficient the polish reads
+is wider than the polish's unit 2^-F.  MAX_DPS caps that loop; an order it
+cannot certify is refused, and the refusal keeps its achievable order.  So
+every verdict is the one exact moments give at the final precision, and
+the polish reads coefficients whose truncation to 2^-F is that of the exact
+ones, up to one unit, which its guard bits absorb.
+
 The float64 eigenvalues of the Jacobi matrix only seed the nodes.  The
 polish is Newton's method on the recurrence, exact in fixed point: the
 recurrence coefficients and the seeds are truncated to multiples of 2^-F,
@@ -21,16 +40,17 @@ recurrence coefficients and the seeds are truncated to multiples of 2^-F,
 would put F below 0), and nothing else is rounded but each Newton step,
 truncated to 2^-F.  The first step lifts a 53-bit seed to about 106 bits
 and the second meets the stop rule, a step of at most 2^-70 |x| or the
-recurrence's noise floor 10^-(dps // 2); a node inside the floor is 0.
-The mass is the Christoffel number by the confluent Christoffel-Darboux
-identity, exact at the iterate before the node and rounded once.  A
-nonzero node that keeps fewer than 192 + 53 bits of 2^-F lies far below
-its seed, as a node near t = 0 far below the rest does when its float64
-seed is noise, and the polish reruns with F widened by the shortfall.  The
-masses of nearly atomic rules read the truncation, since their nodes
-cluster and lower-order zeros lie close to them: with 128 guard bits a
-float64 mass of a rule at q = e^{i theta} moved by 1.5e-8 relative, and
-with 192 none did.
+recurrence's noise floor 10^-(dps // 2) at the final precision; a node
+inside the floor is 0.  The mass is the Christoffel number by the
+confluent Christoffel-Darboux identity, exact at the iterate before the
+node and rounded once.  A nonzero node that keeps fewer than 192 + 53 bits
+of 2^-F lies far below its seed, as a node near t = 0 far below the rest
+does when its float64 seed is noise, and the polish reruns with F widened
+by the shortfall, which the enclosure must then meet too.  A node is 0
+only where 2^-F also lies 16 bits below the floor.  The masses of nearly
+atomic rules read the truncation, since their nodes cluster and
+lower-order zeros lie close to them; 128 guard bits already give every
+float64 rule of tests/test_measure.py, and 192 keep a margin of 64.
 
 The recurrence runs on signed (mantissa, exponent) integer pairs, through
 a small kernel of its own.  Each operation rounds its exact result
@@ -39,14 +59,13 @@ mpf_add, mpf_sub, mpf_mul and mpf_div are correctly rounded in the same
 sense, and a correctly rounded result is unique.  So the recurrence is bit
 for bit mpf arithmetic at the working precision, without mpmath's cost per
 operation.  The polish holds each node to the stop rule and each mass to
-the truncation by construction; that the float64 rules are those of a
-polish rounded at the working precision was checked by sweep over
-weights, q and orders, save where a value lies nearer a midpoint of
-doubles than that polish holds it.  Only the final nodes and
-masses are cast to float64, which perturbs the matched moments by a few
-ulps at most.  A polished node below zero means no positive measure on
-t >= 0 fits the moments, even with a definite Hankel matrix, and the rule
-is refused as indefinite.
+the truncation by construction; that the float64 rules are those of exact
+moments was checked by sweep (tests/gauss_sweep.py) over weights, q and
+orders, save where a value lies nearer a midpoint of doubles than the
+polish holds it.  Only the final nodes and masses are cast to float64,
+which perturbs the matched moments by a few ulps at most.  A polished node
+below zero means no positive measure on t >= 0 fits the moments, even
+with a definite Hankel matrix, and the rule is refused as indefinite.
 
 Atomic rules are accepted on purpose: only moment identities enter the
 downstream computations, so absolute continuity of the underlying measure
@@ -65,13 +84,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import mpmath
 import numpy as np
-from mpmath.libmp import (dps_to_prec, from_float, from_man_exp, from_rational, mpf_e,
-                          mpf_exp, mpf_log, mpf_mul, mpf_pow, mpf_shift,
-                          round_nearest as _RND)
+from mpmath.libmp import (dps_to_prec, from_float, from_int, from_man_exp, from_rational,
+                          mpf_exp, mpf_log, mpf_mul, mpf_pi, mpf_pow_int, mpf_shift,
+                          mpf_sub, round_nearest as _RND)
 from numpy.polynomial.laguerre import laggauss
 
 from .coherent import coeff_log_arrays
@@ -81,10 +100,10 @@ from .kernels import log_power_sums, power_matrix, weighted_gram
 from .weights import QParam, WeightSequence
 
 MAX_ORDER = 20
-# Working precision of the Gauss solver, in decimal digits.  Every rule that
-# solves in float64 needs at most a few hundred digits; moments spanning
-# more decades than this cap allows break down anyway, so they are refused
-# before any extended-precision arithmetic runs.
+# Cap on the Gauss solver's working precision, in decimal digits.  The
+# recurrence starts at 50 + 6 * order digits and reruns at more wherever its
+# enclosure cannot certify a verdict or a coefficient; past this cap the
+# order is refused.
 MAX_DPS = 2000
 
 
@@ -93,13 +112,15 @@ class MomentSequence:
     """Targets m_j, kept as their logs log m_j, since the moments of
     factorial-scale weights leave the double range.
 
-    ``mp_logs`` carries the same logs at extended precision when the
-    sequence was produced from weights; the solver prefers them so its
-    nodes are accurate to float64 and not merely moment-consistent.
+    A sequence from weights also keeps the weights and q: the solver forms
+    its scaled moments from their exact ratios at its working precision,
+    and the logs, taken in double precision, only name the sequence.  A
+    sequence given by its logs alone is solved from them.
     """
 
     log_values: tuple
-    mp_logs: tuple = ()
+    weights: Optional[WeightSequence] = None
+    q: Optional[QParam] = None
 
     def __post_init__(self):
         if not all(map(math.isfinite, self.log_values)):
@@ -107,13 +128,11 @@ class MomentSequence:
 
     @classmethod
     def from_weights(cls, w: WeightSequence, q, jmax: int) -> "MomentSequence":
+        """m_j = |q|^{-j(j+1)} w_j / pi for j = 0..jmax."""
         q = QParam.of(q)
-        with mpmath.workdps(120):
-            log_q = mpmath.log(abs(mpmath.mpc(q.value)))
-            log_pi = mpmath.log(mpmath.pi)
-            mp_logs = tuple(-j * (j + 1) * log_q + log_w - log_pi
-                            for j, log_w in enumerate(w.mp_log_weights(jmax + 1)))
-        return cls(tuple(float(x) for x in mp_logs), mp_logs)
+        j = np.arange(jmax + 1)
+        logs = w.log_weights(0, jmax + 1) - j * (j + 1) * q.log_abs - math.log(math.pi)
+        return cls(tuple(logs.tolist()), w, q)
 
     @property
     def jmax(self) -> int:
@@ -260,92 +279,296 @@ def _pair(x: tuple) -> tuple:
     return (-man if sign else man), exp
 
 
-def _chebyshev_recurrence(m: MomentSequence, order: int):
-    """Three-term recurrence coefficients from the (scaled) moments.
+def _make(x: tuple):
+    """An integer pair as an mpf."""
+    return mpmath.mp.make_mpf(from_man_exp(*x))
 
-    The scaled moments come from mpmath at the working precision; the
-    recurrence itself runs on integer pairs, each operation correctly
-    rounded as mpf arithmetic rounds it.  Returns (alpha, beta, atoms,
-    log_s, log_m0, dps) with alpha and beta as lists of mpf, where ``atoms``
-    is set when a vanishing beta reveals an exactly atomic measure of fewer
-    than ``order`` points.  A precision above MAX_DPS is refused with
-    _Breakdown.
+
+# Guard bits of the running products that form the scaled moments; each
+# scaled moment is rounded to the working precision once, at the end
+_NU_GUARD_BITS = 32
+
+
+def _scaled_moments(m: MomentSequence, count: int, prec: int) -> tuple:
+    """The scaled moments nu_j = m_j / (m_0 s^j), j < count, with s =
+    m_1 / m_0, as integer pairs rounded to ``prec`` bits; and s and m_0 as
+    mpf.
+
+    Each lies within one ulp at ``prec``, 2^(e + b - prec) for the pair
+    (m, e) with b = bitlen(m), of its exact value.  From weights, nu_j is a
+    running product of exact ratios,
+
+        nu_{j+1} = nu_j (w_{j+1} / w_j) (w_0 / w_1) / |q|^{2j},
+
+    where w_{j+1} / w_j is the integer (j+1)^s for a rule with integer
+    s >= 0 (up to prec + 32 bits), one exp(s log(j+1)) otherwise, and a
+    quotient of doubles for a table, and 1/|q|^2 is one quotient, |q|^2 =
+    re^2 + im^2 being exact.  The products run at prec + 32 bits, so nu_j
+    carries at most j^2 + 2j relative errors of 2^-(prec+32) before its one
+    rounding to ``prec``: under a quarter ulp for every j < 2^14, and half
+    an ulp from the rounding.  s and m_0 are rounded once from values within
+    2^-(prec+32) of themselves.  From logs alone, nu_j = e^x with x = L_j -
+    L_0 - j (L_1 - L_0) exact and e^x taken at prec + 32 bits.
+    """
+    wp = prec + _NU_GUARD_BITS
+    if m.weights is None:
+        logs = [from_float(x) for x in m.log_values[:count]]
+        step = mpf_sub(logs[1], logs[0])
+        nu = [_pair(mpf_exp(mpf_sub(mpf_sub(x, logs[0]), mpf_mul(from_int(j), step)),
+                            wp, _RND)) for j, x in enumerate(logs)]
+        scale, mass = mpf_exp(step, prec, _RND), mpf_exp(logs[0], prec, _RND)
+        return [_round(*x, prec) for x in nu], _make(_pair(scale)), _make(_pair(mass))
+    w, (re, im) = m.weights, (_pair(from_float(x)) for x in (m.q.value.real, m.q.value.imag))
+    q2 = _exact_sum(re[0] * re[0], 2 * re[1], im[0] * im[0], 2 * im[1])
+    inv = _div(1, 0, *q2, wp)                        # 1 / |q|^2
+    if w.table is not None:
+        t = [_pair(from_float(x)) for x in w.table[:count]]
+        # (w_{j+1} / w_j) (w_0 / w_1), each one quotient of exact products
+        ratios = [_div(t[j + 1][0] * t[0][0], t[j + 1][1] + t[0][1],
+                       t[j][0] * t[1][0], t[j][1] + t[1][1], wp) for j in range(count - 1)]
+        first, w0 = t[:2], t[0]
+    else:
+        # w_{j+1} / w_j = (j+1)^s and w_1 / w_0 = 1
+        ratios = [_rule_ratio(j + 1, w.s, wp) for j in range(count - 1)]
+        first, w0 = [(1, 0), (1, 0)], _pair(from_float(w.c))
+    nu, power = [(1, 0)], (1, 0)                     # power = 1 / |q|^{2j}
+    for cm, ce in ratios:
+        xm, xe = nu[-1]
+        xm, xe = _round(xm * cm, xe + ce, wp)
+        nu.append(_round(xm * power[0], xe + power[1], wp))
+        power = _round(power[0] * inv[0], power[1] + inv[1], wp)
+    sm, se = _pair(from_float(w.scale))
+    scale = _div(first[1][0] * inv[0], first[1][1] + inv[1], *first[0], prec)
+    mass = _div(w0[0] * sm, w0[1] + se, *_pair(mpf_pi(wp)), prec)
+    return [_round(*x, prec) for x in nu], _make(scale), _make(mass)
+
+
+def _rule_ratio(k: int, s: float, wp: int) -> tuple:
+    """k^s as an integer pair: exact for integer s >= 0 where it has at most
+    ``wp`` bits, else exp(s log k) at ``wp`` bits, log k taken with guard
+    bits for the size of s log k."""
+    if s.is_integer() and s >= 0 and s * math.log2(k) <= wp:
+        return k ** int(s), 0
+    guard = int(abs(s) * math.log(k)).bit_length() + 10
+    return _pair(mpf_exp(mpf_mul(from_float(s), mpf_log(from_int(k), wp + guard)), wp, _RND))
+
+
+def _exact_sum(m1: int, e1: int, m2: int, e2: int) -> tuple:
+    """m1 2^e1 + m2 2^e2, exactly."""
+    if e1 < e2:
+        m1, e1, m2, e2 = m2, e2, m1, e1
+    return (m1 << (e1 - e2)) + m2, e2
+
+
+# The enclosure.  Every bound is a log2, a float, where -inf stands for 0;
+# each upper bound is raised by _SLACK, which dwarfs the float64 rounding
+# of the logs themselves.
+_SLACK = 2.0 ** -20
+
+
+def _log2(x: tuple) -> float:
+    """log2 |m 2^e| for the pair x = (m, e)."""
+    m, e = x
+    return e + math.log2(abs(m)) if m else -math.inf
+
+
+def _mag(x: tuple) -> int:
+    """A log2 bound on |m 2^e|, e + bitlen(m), for the pair x = (m, e)."""
+    m, e = x
+    return e + abs(m).bit_length() if m else -math.inf
+
+
+def _lsum(*logs: float) -> float:
+    """An upper bound on the log2 of the sum of 2^x over ``logs``."""
+    top = max(logs)
+    if top == -math.inf:
+        return top
+    total = 0.0
+    for x in logs:
+        total += 2.0 ** (x - top)
+    return top + math.log2(total) + _SLACK
+
+
+def _quotient_radius(q: tuple, x: tuple, y: tuple, lex: float, ley: float,
+                     prec: int) -> float:
+    """log2 of a bound on |x / y - q| for the rounded quotient q of the pairs
+    x and y, where x and y lie within 2^lex and 2^ley of the exact values:
+    (Ex + |q| Ey) / (|y| - Ey) and the rounding, 2^-prec |q|.  An enclosure
+    of y that reaches past |y| / 2 leaves the quotient uncertain."""
+    ly = _log2(y) - _SLACK
+    if ley - ly > -1:
+        raise _Uncertain(ley - ly + 1)
+    lq = _log2(q) + _SLACK
+    return _lsum(_lsum(lex, lq + ley) - ly - math.log2(1 - 2.0 ** (ley - ly)),
+                 lq - prec)
+
+
+class _Uncertain(Exception):
+    """The enclosure at this working precision leaves an epsilon-test
+    verdict, or a coefficient the polish reads, undecided; ``bits`` more
+    should decide it."""
+
+    def __init__(self, bits: float):
+        super().__init__(bits)
+        self.bits = bits
+
+
+def _more_digits(dps: int, bits: float) -> int:
+    """The working precision after ``dps`` fell ``bits`` short: that many
+    and 10 digits more, and at least a quarter more, up to MAX_DPS.  A
+    shortfall at the cap is a breakdown."""
+    if dps >= MAX_DPS:
+        raise _Breakdown(f"the recurrence is not certified within the cap of "
+                         f"{MAX_DPS} working digits")
+    need = bits * math.log10(2) + 10 if math.isfinite(bits) else MAX_DPS
+    return min(MAX_DPS, dps + max(math.ceil(need), dps // 4))
+
+
+class _Recurrence(NamedTuple):
+    """The recurrence coefficients as mpf, alpha_k and beta_k within
+    2^alpha_radius[k] and 2^beta_radius[k] of their exact values; ``atoms``
+    is set where a vanishing beta_atoms ends the rule at fewer points.  The
+    scale s and the mass m_0 turn the scaled rule into the rule in t."""
+
+    alpha: list
+    beta: list
+    atoms: Optional[int]
+    scale: mpmath.mpf
+    mass: mpmath.mpf
+    dps: int
+    alpha_radius: list
+    beta_radius: list
+
+
+def _chebyshev_recurrence(m: MomentSequence, order: int, dps: int = 0) -> _Recurrence:
+    """Three-term recurrence coefficients from the scaled moments.
+
+    The working precision starts at ``dps``, by default 50 + 6 * order
+    digits, and rises wherever the enclosure leaves an epsilon-test
+    verdict undecided; past MAX_DPS the order is refused with _Breakdown.
     """
     if order < 1:
         raise ConfigError("quadrature order must be >= 1")
     if 2 * order - 1 > m.jmax:
         raise ConfigError(f"order {order} needs moments up to {2 * order - 1}, "
                           f"have {m.jmax}")
-    span = max(abs(x) for x in m.log_values[: 2 * order]) / math.log(10.0)
-    dps = int(50 + 6 * order + span)
-    if dps > MAX_DPS:
-        raise _Breakdown(f"the moments need {dps} working digits, above the "
-                         f"cap of {MAX_DPS}")
-    raw = m.mp_logs if len(m.mp_logs) > m.jmax else [mpmath.mpf(x) for x in m.log_values]
-    with mpmath.workdps(dps):
-        prec = mpmath.mp.prec
-        log_m0 = mpmath.mpf(raw[0])
-        log_s = mpmath.mpf(raw[1]) - log_m0
-        # scaled moments nu_j = m_j / (m_0 * s^j); nu_0 = nu_1 = 1
-        logs = [(mpmath.mpf(raw[j]) - log_m0 - j * log_s)._mpf_ for j in range(2 * order)]
-        nu = [_pair(x) for x in _e_powers(logs, prec)]
-        eps_m, eps_e = _pair((mpmath.mpf(10) ** (-(dps // 2)))._mpf_)
-    # integer pairs from here on, each operation rounded to nearest at prec
-    alpha = [_div(*nu[1], *nu[0], prec)]
-    beta = [nu[0]]
+    dps = dps or 50 + 6 * order
+    while True:
+        nu, scale, mass = _scaled_moments(m, 2 * order, dps_to_prec(dps))
+        try:
+            alpha, beta, atoms, ra, rb = _recurrence(nu, order, dps)
+        except _Uncertain as exc:
+            dps = _more_digits(dps, exc.bits)
+            continue
+        return _Recurrence([_make(a) for a in alpha], [_make(b) for b in beta], atoms,
+                           scale, mass, dps, ra, rb)
+
+
+def _recurrence(nu: list, order: int, dps: int) -> tuple:
+    """alpha, beta (integer pairs), atoms and the log2 radii of alpha_k and
+    beta_k, from the scaled moments ``nu``, each within one ulp at the
+    working precision.
+
+    The modified Chebyshev algorithm on ordinary moments,
+
+        sigma_{k,l} = sigma_{k-1,l+1} - alpha_{k-1} sigma_{k-1,l}
+                      - beta_{k-1} sigma_{k-2,l},
+
+    runs on integer pairs, each operation correctly rounded as mpf
+    arithmetic rounds it.  Beside it runs an enclosure: a bound E_{k,l} on
+    the error of each sigma_{k,l}, carried as its log2 a row at a time,
+
+        E_{k,l} = E_{k-1,l+1} + (|a| + R_a) E_{k-1,l} + R_a |sigma_{k-1,l}|
+                  + (|b| + R_b) E_{k-2,l} + R_b |sigma_{k-2,l}| + 3.01 u S_{k,l}
+
+    for a = alpha_{k-1} and b = beta_{k-1} within R_a and R_b, where S_{k,l}
+    = |sigma_{k-1,l+1}| + |a sigma_{k-1,l}| + |b sigma_{k-2,l}| bounds what
+    the three roundings of sigma_{k,l} act on and u = 2^-prec (Higham 2002,
+    ch. 3).  A quotient's radius follows from those of its numerator and
+    denominator.  beta_k is tested against epsilon max(1, beta_{k-1}),
+    epsilon = 10^-(dps // 2): above it beta_k is positive, below minus it
+    indefinite, and between an atom; a verdict that some value inside the
+    enclosures would change raises _Uncertain.
+    """
+    prec = dps_to_prec(dps)
+    n2 = 2 * order
+    eps = _pair(mpf_pow_int(from_int(10), -(dps // 2), prec, _RND))
+    leps = _log2(eps)
+    local = math.log2(3.01) - prec       # the three roundings of sigma_{k,l}, over S
+    # log2 bounds on |sigma| (mag) and on its error (err), rows k-2 and k-1
+    mag_prev, err_prev = np.full(n2, -math.inf), np.full(n2, -math.inf)
+    mag_cur = np.array([_mag(x) for x in nu])
+    err_cur = mag_cur - prec             # nu_j within one ulp
+    # q is sigma_{k,k+1} / sigma_{k,k}; alpha_k is its step from row k-1
+    q = _div(*nu[1], *nu[0], prec)
+    rq = _quotient_radius(q, nu[1], nu[0], err_cur[1], err_cur[0], prec)
+    alpha, beta, ra, rb = [q], [nu[0]], [rq], [err_cur[0]]
     zero = (0, 0)
-    sig_prev = [zero] * (2 * order)
+    sig_prev = [zero] * n2
     sig_cur = nu
     atoms = None
     for k in range(1, order):
         (am, ae), (bm, be) = alpha[k - 1], beta[k - 1]
-        sig_next = [zero] * (2 * order)
-        for l in range(k, 2 * order - k):
+        sig_next = [zero] * n2
+        for l in range(k, n2 - k):
             cm, ce = sig_cur[l]
             um, ue = _round(am * cm, ae + ce, prec)
             vm, ve = _add(*sig_cur[l + 1], -um, ue, prec)
             cm, ce = sig_prev[l]
             um, ue = _round(bm * cm, be + ce, prec)
             sig_next[l] = _add(vm, ve, -um, ue, prec)
+        hi = n2 - k
+        la, lb = _log2(alpha[-1]) + _SLACK, _log2(beta[-1]) + _SLACK
+        mag_next, err_next = np.full(n2, -math.inf), np.full(n2, -math.inf)
+        mag_next[k:hi] = [e + m.bit_length() for m, e in sig_next[k:hi]]
+        rounding = np.logaddexp2.reduce((mag_cur[k + 1:hi + 1], la + mag_cur[k:hi],
+                                         lb + mag_prev[k:hi]))
+        err_next[k:hi] = np.logaddexp2.reduce((
+            err_cur[k + 1:hi + 1], _lsum(la, ra[-1]) + err_cur[k:hi], ra[-1] + mag_cur[k:hi],
+            _lsum(lb, rb[-1]) + err_prev[k:hi], rb[-1] + mag_prev[k:hi],
+            local + rounding)) + _SLACK
         # every beta so far is positive, so max(1, |beta_{k-1}|) needs no abs
-        tm, te = (_round(eps_m * bm, eps_e + be, prec) if _lt(1, 0, bm, be)
-                  else (eps_m, eps_e))
+        tm, te = (_round(eps[0] * bm, eps[1] + be, prec) if _lt(1, 0, bm, be)
+                  else eps)
         km, ke = _div(*sig_next[k], *sig_cur[k - 1], prec)
-        if not _lt(tm, te, km, ke):
-            if _lt(km, ke, -tm, te):
-                raise IndefiniteMomentsError(
-                    f"Hankel matrix indefinite at order {k + 1}: no positive "
-                    f"measure matches these moments", order=k + 1)
+        r = _quotient_radius((km, ke), sig_next[k], sig_cur[k - 1], err_next[k],
+                             err_cur[k - 1], prec)
+        positive = _lt(tm, te, km, ke)
+        indefinite = not positive and _lt(km, ke, -tm, te)
+        # the distance from beta_k to the nearer bound of its verdict, which
+        # moves by epsilon R_{beta_{k-1}} and by the rounding of the bound
+        gap = (_exact_sum(km, ke, -tm, te) if positive else
+               _exact_sum(-tm, te, -km, ke) if indefinite else
+               _exact_sum(tm, te, -abs(km), ke))
+        need = _lsum(r, leps + rb[-1], _log2((tm, te)) + 2 - prec)
+        if _log2(gap) - _SLACK <= need:
+            raise _Uncertain(need - _log2(gap) + 1)
+        if indefinite:
+            raise IndefiniteMomentsError(
+                f"Hankel matrix indefinite at order {k + 1}: no positive "
+                f"measure matches these moments", order=k + 1)
+        if not positive:
             atoms = k          # exactly k atoms carry all the mass
             break
-        um, ue = _div(*sig_next[k + 1], *sig_next[k], prec)
-        vm, ve = _div(*sig_cur[k], *sig_cur[k - 1], prec)
-        alpha.append(_add(um, ue, -vm, ve, prec))
+        q_next = _div(*sig_next[k + 1], *sig_next[k], prec)
+        rq_next = _quotient_radius(q_next, sig_next[k + 1], sig_next[k], err_next[k + 1],
+                                   err_next[k], prec)
+        alpha.append(_add(*q_next, -q[0], q[1], prec))
         beta.append((km, ke))
+        ra.append(_lsum(rq_next, rq, _log2(alpha[-1]) - prec))
+        rb.append(r)
+        q, rq = q_next, rq_next
         sig_prev, sig_cur = sig_cur, sig_next
-    make = mpmath.mp.make_mpf
-    return ([make(from_man_exp(*a)) for a in alpha],
-            [make(from_man_exp(*b)) for b in beta], atoms, log_s, log_m0, dps)
-
-
-def _e_powers(xs, prec: int) -> list:
-    """e ** x for each raw mpf x, rounded to nearest at ``prec`` bits as
-    ``mpmath.e ** x`` rounds it, with log e taken once for all of them.
-
-    A fractional exponent goes mpf_pow's own way, exp(x log e) with log e at
-    prec + 10 bits; integer and half-integer exponents keep mpf_pow."""
-    e = mpf_e(prec, _RND)
-    loge = mpf_log(e, prec + 10, _RND)
-    return [mpf_exp(mpf_mul(x, loge), prec, _RND) if x[2] < -1
-            else mpf_pow(e, x, prec, _RND) for x in xs]
+        mag_prev, mag_cur, err_prev, err_cur = mag_cur, mag_next, err_cur, err_next
+    return alpha, beta, atoms, ra, rb
 
 
 def gauss_quadrature_from_moments(m: MomentSequence, order: int) -> RadialQuadrature:
     """Gauss rule with ``order`` points matching moments 0..2*order-1.
 
     Raises IndefiniteMomentsError when no positive measure exists at this
-    order and OrderTooHighError when the working precision would exceed
-    MAX_DPS or the recurrence, the node polish or the float64 surface
+    order and OrderTooHighError when MAX_DPS digits cannot certify the
+    recurrence, or the recurrence, the node polish or the float64 surface
     breaks down (the error carries the achievable order).
     """
     if order > MAX_ORDER:
@@ -364,9 +587,11 @@ def gauss_quadrature_from_moments(m: MomentSequence, order: int) -> RadialQuadra
 
 _NEWTON_STEPS = 30
 # Guard bits of the polish's fixed point below the ulp of the smallest
-# nonzero seed; at 64 or 128 the masses of some nearly atomic rules move
-# (see the module docstring)
+# nonzero seed; at 64 a node of a nearly atomic rule moves, at 128 none of
+# the tested rules does (see the module docstring)
 _SEED_GUARD_BITS = 192
+# Bits of 2^-F below the noise floor wherever a node is 0
+_FLOOR_GUARD_BITS = 16
 
 
 def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -376,36 +601,41 @@ def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray
     recurrence p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1}, which
     _nodes_and_masses runs exactly in fixed point, in units of 2^-F with F
     _SEED_GUARD_BITS below the ulp of the smallest nonzero seed, widened
-    where a node lies far below its seed.  Each node meets the 2^-70 stop
-    rule, or is 0 inside the recurrence's noise floor, as an integer in
-    units of 2^-F, so the nodes compare exactly; each mass is the
-    Christoffel number 1 / sum_k p_k(x)^2 / (beta_1 ... beta_k) in units
-    where m_0 = 1.  Both hold by construction for the recurrence truncated
-    to 2^-F; that the float64 rule is the one of the recurrence itself
-    holds by sweep.  A mass, or a node the polish left nonzero, below the
-    smallest normal double is refused as an underflow, and a node past a
-    double as an overflow.
+    where a node lies far below its seed.  Where the enclosure of a
+    coefficient is wider than 2^-F, the recurrence reruns at more digits.
+    Each node meets the 2^-70 stop rule, or is 0 inside the recurrence's
+    noise floor, as an integer in units of 2^-F, so the nodes compare
+    exactly; each mass is the Christoffel number 1 / sum_k p_k(x)^2 /
+    (beta_1 ... beta_k) in units where m_0 = 1.  Both hold by construction
+    for the recurrence truncated to 2^-F; that the float64 rule is the one
+    of the recurrence itself holds by sweep.  A mass, or a node the polish
+    left nonzero, below the smallest normal double is refused as an
+    underflow, and a node past a double as an overflow.
     """
-    alpha, beta, atoms, log_s, log_m0, dps = _chebyshev_recurrence(m, order)
-    npts = atoms if atoms is not None else order
-    off = np.sqrt(np.array([float(b) for b in beta[1:npts]]))
-    jacobi = (np.diag([float(a) for a in alpha[:npts]])
-              + np.diag(off, 1) + np.diag(off, -1))
-    if not np.all(np.isfinite(jacobi)):
-        raise _Breakdown("the Jacobi matrix overflows float64")
-    roots, weights, f = _nodes_and_masses(alpha[:npts], beta[:npts],
-                                          np.linalg.eigvalsh(jacobi), dps)
+    rec = _chebyshev_recurrence(m, order)
+    while True:
+        npts = rec.atoms if rec.atoms is not None else order
+        alpha, beta = rec.alpha[:npts], rec.beta[:npts]
+        off = np.sqrt(np.array([float(b) for b in beta[1:]]))
+        jacobi = np.diag([float(a) for a in alpha]) + np.diag(off, 1) + np.diag(off, -1)
+        if not np.all(np.isfinite(jacobi)):
+            raise _Breakdown("the Jacobi matrix overflows float64")
+        radius = max(rec.alpha_radius[:npts] + rec.beta_radius[:npts])
+        try:
+            roots, weights, f = _nodes_and_masses(alpha, beta, np.linalg.eigvalsh(jacobi),
+                                                  rec.dps, radius)
+            break
+        except _Uncertain as exc:
+            rec = _chebyshev_recurrence(m, order, _more_digits(rec.dps, exc.bits))
     if any(b <= a for a, b in zip(roots, roots[1:])):
         raise _Breakdown("two float64 seeds polished into one node")
     if roots[0] < 0:
         raise IndefiniteMomentsError(
             f"the order-{npts} Gauss rule has a node t = r^2 < 0: no "
             f"positive measure on t >= 0 matches these moments", order=npts)
-    with mpmath.workdps(dps):
-        make = mpmath.mp.make_mpf
-        scale, total = map(make, _e_powers([log_s._mpf_, log_m0._mpf_], mpmath.mp.prec))
-        nodes = np.array([float(make(from_man_exp(x, -f)) * scale) for x in roots])
-        masses = np.array([float(make(w) * total) for w in weights])
+    with mpmath.workdps(rec.dps):
+        nodes = np.array([float(_make((x, -f)) * rec.scale) for x in roots])
+        masses = np.array([float(mpmath.mp.make_mpf(w) * rec.mass) for w in weights])
     # a subnormal mass keeps only a few bits, too few for the moments it
     # matches, and so does a nonzero node rounded to 0 or a subnormal; a node
     # past a double matches none
@@ -419,7 +649,8 @@ def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray
     return nodes, masses
 
 
-def _nodes_and_masses(alpha, beta, seeds, dps: int) -> tuple[list, list, int]:
+def _nodes_and_masses(alpha, beta, seeds, dps: int,
+                      radius: float = -math.inf) -> tuple[list, list, int]:
     """The Newton-polished zero of p_n, n = len(alpha), from each float64
     seed, as an integer in units of 2^-F; the Christoffel number at each,
     as a raw mpf tuple rounded once to the recurrence's precision; and F.
@@ -444,15 +675,23 @@ def _nodes_and_masses(alpha, beta, seeds, dps: int) -> tuple[list, list, int]:
     A nonzero node that keeps fewer than _SEED_GUARD_BITS + 53 bits lies
     far below its seed, and the polish reruns with F widened by the
     shortfall.  That ends, as a node inside the floor is 0 and any other
-    keeps more than F - (dps // 2) log2(10) bits.
+    keeps more than F - (dps // 2) log2(10) bits.  A node is 0 only where
+    2^-F lies _FLOOR_GUARD_BITS below the floor, else F widens to that: a
+    node between the floor and 2^-F is not 0.
 
     F is at least 0, so no shift below is negative; only a smallest nonzero
-    seed at 2^244 or more, from a graded Jacobi matrix, gets more guard bits."""
+    seed at 2^244 or more, from a graded Jacobi matrix, gets more guard bits.
+
+    Every alpha_k and beta_k lies within 2^radius of its exact value; an
+    enclosure wider than 2^-F, at the first F or a widened one, leaves the
+    truncated coefficients uncertain and raises _Uncertain."""
     n, prec = len(alpha), dps_to_prec(dps)
     smallest = min((abs(s) for s in seeds if s), default=1.0)
     f = max(0, _SEED_GUARD_BITS - (math.frexp(math.ulp(smallest))[1] - 1))
     floor = 10 ** (dps // 2)        # y 2^-F is inside the floor iff |y| floor <= 2^F
     while True:
+        if radius + 1 > -f:
+            raise _Uncertain(radius + 1 + f)
         coeffs = [(_fixed(a, f), _fixed(b, f)) for a, b in zip(alpha, beta)]
         # p_{n-1} and p_n, highest coefficient first
         prev, cur = [], [1]
@@ -479,8 +718,11 @@ def _nodes_and_masses(alpha, beta, seeds, dps: int) -> tuple[list, list, int]:
                 if converged:
                     break
             nonzero = abs(x) * floor > one
-            short = _SEED_GUARD_BITS + 53 - abs(x).bit_length()
-            if nonzero and short > 0:
+            # a nonzero node keeps _SEED_GUARD_BITS + 53 bits, and a zero one
+            # is 0 on a grid 2^16 finer than the floor
+            short = (_SEED_GUARD_BITS + 53 - abs(x).bit_length() if nonzero
+                     else (floor << _FLOOR_GUARD_BITS).bit_length() - f)
+            if short > 0:
                 f += short
                 break
             if not converged:

@@ -270,23 +270,6 @@ class WeightSequence:
         return InputTooLargeError(
             f"log w_{n} of {self.describe()} weights is past the double range")
 
-    def mp_log_weights(self, count: int) -> list:
-        """[log w_0, ..., log w_{count-1}] as mpmath floats under the caller's
-        precision context, with log c and log scale taken once."""
-        import mpmath
-
-        if count <= 0:
-            return []
-        self._check(count - 1)
-        ls = mpmath.log(mpmath.mpf(self.scale))
-        if self.table is not None:
-            return [mpmath.log(mpmath.mpf(self.table[n])) + ls for n in range(count)]
-        log_c = mpmath.log(mpmath.mpf(self.c))
-        if not self.s:
-            return [log_c + ls] * count
-        s = mpmath.mpf(self.s)
-        return [s * mpmath.loggamma(n + 1) + log_c + ls for n in range(count)]
-
     def ratio(self, n: int) -> float:
         """w_n / w_{n-1} (w_{-1} = 1); n**s for the rule, so huge indices
         do not go through lossy lgamma differences.  A ratio too large for

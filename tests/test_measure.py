@@ -24,10 +24,16 @@ from qmanin import (ConfigError, IndefiniteMomentsError, MomentSequence,
                     verify_moments, verify_resolution_identity)
 from qmanin.errors import OrderTooHighError
 
+from gauss_reference import (exact_golub_welsch, exact_scaled_moments, jacobi_seeds,
+                             mpf_christoffel_polish, mpf_golub_welsch, mpf_polish,
+                             mpf_recurrence, solver_precision)
+
 WFAC = WeightSequence.factorial()
 WCONST = WeightSequence.constant()
 # delta_0 + delta_1 at |q| = 1: moments (2, 1, 1, ...), an atomic measure
 WDELTA01 = WeightSequence.explicit([math.pi * x for x in (2,) + (1,) * 39])
+# |q|^2 = 1 - 4.2e-17, where delta_0 + delta_1 is nearly atomic
+NEAR_CIRCLE = 0.6616357683510744 - 0.7498253863657081j
 
 
 class TestClosedForm:
@@ -139,7 +145,10 @@ class TestMomentSolver:
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_node_at_zero_polishes_to_zero(self, order):
-        # moments m_j = w_j / pi = (2, 1, 1, ...): the measure delta_0 + delta_1
+        # moments m_j = w_j / pi = (2, 1, 1, ...): the measure delta_0 + delta_1;
+        # its node at t = 0 is exactly 0, and the noise floor 10^-(dps // 2)
+        # lies at 1e-42, 1e-42 and 1e-46 of t / s, s = 1/2 (85, 85 and 92
+        # digits at orders 2, 3 and 4)
         w = WeightSequence.explicit([math.pi * x for x in (2, 1, 1, 1, 1, 1, 1, 1)])
         quad = gauss_quadrature_from_moments(
             MomentSequence.from_weights(w, 1.0, 2 * order - 1), order)
@@ -212,8 +221,8 @@ class TestMomentSolver:
     @pytest.mark.parametrize("w, q, order, achievable", [
         # the smallest Christoffel mass underflows float64
         (WCONST, 0.6, 20, 19),
-        # the moments need more working digits than the solver's cap, and
-        # the orders below it overflow or underflow float64
+        # the Jacobi matrix overflows float64, and the orders below it
+        # overflow or underflow float64
         (WFAC, 1e-6, 10, 4),
         (WFAC, 1e-30, 20, 2),
     ])
@@ -275,11 +284,32 @@ class TestMomentSolver:
         with pytest.raises(TypeError, match="fault below"):
             gauss_quadrature_from_moments(m, 8)
 
-    def test_precision_cap_leaves_definiteness_undecided(self):
+    def test_graded_moments_are_definite(self):
+        # moments over 44,000 decades, yet 50 + 6 * order digits certify every
+        # beta_k positive, as they are for a Stieltjes moment sequence
+        # (Berg 2005)
         m = MomentSequence.from_weights(WFAC, 1e-30, 39)
         assert m.is_positive_definite(2)
+        assert m.is_positive_definite(20)
+        assert measure._chebyshev_recurrence(m, 20).dps == 50 + 6 * 20
+
+    def test_precision_cap_leaves_definiteness_undecided(self, monkeypatch):
+        # delta_0 + delta_1 at |q|^2 = 1 - 4.2e-17: the 104 digits of order 9
+        # leave a beta_k's verdict undecided and 130 certify it; with the cap
+        # at 104 the loop cannot rise, and the refusal keeps the achievable
+        # order, whose coefficients 104 digits certify for the polish
+        m = MomentSequence.from_weights(WDELTA01, NEAR_CIRCLE, 17)
+        assert m.is_positive_definite(9)
+        monkeypatch.setattr(measure, "MAX_DPS", 104)
         with pytest.raises(OrderTooHighError, match="undecided"):
-            m.is_positive_definite(20)
+            m.is_positive_definite(9)
+        with pytest.raises(OrderTooHighError, match="not certified within the cap "
+                                                    "of 104 working digits") as info:
+            gauss_quadrature_from_moments(m, 9)
+        assert info.value.achievable == 2
+        assert len(gauss_quadrature_from_moments(m, 2).nodes) == 2
+        with pytest.raises(OrderTooHighError, match="not certified"):
+            gauss_quadrature_from_moments(m, 3)
 
     def test_order_cap_warns_and_falls_back(self):
         m = MomentSequence.from_weights(WFAC, 1.0, 2 * 25 - 1)
@@ -325,31 +355,82 @@ def _refused(outcome):
 @pytest.mark.parametrize("order", [2, 8, 14, 20])
 def test_raw_tuple_solver_matches_mpf_objects(w, q, order, monkeypatch):
     # the recurrence on raw mpf tuples rounds every operation as mpf objects
-    # do, so every coefficient is the same to the last bit of the working
-    # precision, and so is every rule and refusal; at |q| = 0.5 order 20 is
-    # refused below it
+    # do, so from the solver's own scaled moments at its working precision
+    # every coefficient is the same to the last bit, and so is every rule
+    # and refusal
     m = MomentSequence.from_weights(w, q, 2 * order - 1)
     got = _outcome(measure._chebyshev_recurrence, m, order)
-    want = _outcome(_mpf_recurrence, m, order)
+    nu, _, _, dps = solver_precision(m, order, measure._chebyshev_recurrence)
+    want = _outcome(mpf_recurrence, nu, order, dps)
     if _refused(want):
         assert got == want
     else:
-        alpha, beta = got[:2]
-        assert all(isinstance(x, mpmath.mpf) for x in alpha + beta)
-        assert alpha == want[0] and beta == want[1]
-        assert got[2:] == want[2:]
+        assert all(isinstance(x, mpmath.mpf) for x in got.alpha + got.beta)
+        assert (got.alpha, got.beta, got.atoms, got.dps) == want + (dps,)
     rule = _outcome(gauss_quadrature_from_moments, m, order)
     # the float64 rule is also the one the Christoffel sum at the polished
     # node gives, as the masses differ far below float64
-    for polish in (_mpf_polish, _mpf_christoffel_polish):
+    for polish in (mpf_polish, mpf_christoffel_polish):
         monkeypatch.setattr(measure, "_golub_welsch",
-                            functools.partial(_mpf_golub_welsch, polish=polish))
+                            functools.partial(mpf_golub_welsch, polish=polish))
         ref = _outcome(gauss_quadrature_from_moments, m, order)
         if _refused(ref):
             assert rule == ref
         else:
             assert np.array_equal(rule.nodes, ref.nodes)
             assert np.array_equal(rule.masses, ref.masses)
+
+
+_ULP_WEIGHTS = pytest.mark.parametrize(
+    "w", [WFAC, WeightSequence.power_factorial(2.0), WeightSequence.power_factorial(0.5),
+          WeightSequence.power_factorial(-3.0), WeightSequence.power_factorial(200.0),
+          WeightSequence.constant(2.5),
+          WeightSequence.explicit([3.0 * math.exp(math.sin(j)) for j in range(40)])],
+    ids=["factorial", "power-factorial-2", "power-factorial-0.5", "power-factorial--3",
+         "power-factorial-200", "constant", "table"])
+
+
+def _ulps(x, prec):
+    """2^(mag - prec), one ulp at ``prec`` bits of the mpf or pair x."""
+    return mpmath.ldexp(1, measure._mag(x if isinstance(x, tuple) else
+                                        measure._pair(x._mpf_)) - prec)
+
+
+@_ULP_WEIGHTS
+@pytest.mark.parametrize("q", [1e-30, 1e-30 * cmath.exp(2j), 0.3, 0.95 * cmath.exp(0.7j),
+                               1.0, 1.3j, 1e4, 1e4 * cmath.exp(-1j)],
+                         ids=["1e-30", "1e-30e^2i", "0.3", "0.95e^0.7i", "1", "1.3i", "1e4",
+                              "1e4e^-i"])
+def test_scaled_moments_are_within_one_ulp(w, q):
+    # each nu_j formed from the exact weight ratios, and the scale and mass,
+    # lie within one ulp at the working precision of order 20 of their value
+    # from the exact moments, rounded at four times that precision
+    prec = libmp.dps_to_prec(50 + 6 * 20)
+    m = MomentSequence.from_weights(w, q, 39)
+    nu, scale, mass = measure._scaled_moments(m, 40, prec)
+    ref_nu, ref_scale, ref_mass = exact_scaled_moments(w, m.q, 40, 4 * prec)
+    with mpmath.workprec(4 * prec):
+        for x, want in zip(nu, ref_nu):
+            assert abs(measure._make(x) - want) <= _ulps(x, prec)
+        for x, want in ((scale, ref_scale), (mass, ref_mass)):
+            assert abs(x - want) <= _ulps(x, prec)
+
+
+@pytest.mark.parametrize("w, q", [(WFAC, 0.5), (WCONST, 0.95 * cmath.exp(0.7j)),
+                                  (WeightSequence.power_factorial(0.5), 1e4)])
+def test_scaled_moments_from_logs_are_within_one_ulp(w, q):
+    # a sequence given only its logs L_j: nu_j = e^x with x = L_j - L_0 -
+    # j (L_1 - L_0), s = e^(L_1 - L_0) and m_0 = e^L_0, each within one ulp
+    prec = libmp.dps_to_prec(50 + 6 * 20)
+    m = MomentSequence(MomentSequence.from_weights(w, q, 39).log_values)
+    nu, scale, mass = measure._scaled_moments(m, 40, prec)
+    with mpmath.workprec(4 * prec):
+        logs = [mpmath.mpf(x) for x in m.log_values]
+        step = logs[1] - logs[0]
+        want = [mpmath.exp(x - logs[0] - j * step) for j, x in enumerate(logs)]
+        for x, ref in zip(nu + [scale, mass], want + [mpmath.exp(step), mpmath.exp(logs[0])]):
+            x = measure._make(x) if isinstance(x, tuple) else x
+            assert abs(x - ref) <= _ulps(x, prec)
 
 
 def _on_polish_grid(test):
@@ -373,15 +454,14 @@ def _polish_args(w, q, order):
     rule, or None where the recurrence or the seeds are refused and leave
     nothing to polish; cached, as four tests share the grid."""
     m = MomentSequence.from_weights(w, q, 2 * order - 1)
-    recurrence = _outcome(measure._chebyshev_recurrence, m, order)
-    if _refused(recurrence):
+    rec = _outcome(measure._chebyshev_recurrence, m, order)
+    if _refused(rec):
         return None
-    alpha, beta, atoms, _, _, dps = recurrence
-    npts = atoms if atoms is not None else order
-    seeds = _outcome(_jacobi_seeds, alpha, beta, npts)
+    npts = rec.atoms if rec.atoms is not None else order
+    seeds = _outcome(jacobi_seeds, rec.alpha, rec.beta, npts)
     if _refused(seeds):
         return None
-    return alpha[:npts], beta[:npts], seeds, dps
+    return rec.alpha[:npts], rec.beta[:npts], seeds, rec.dps
 
 
 @functools.cache
@@ -402,7 +482,7 @@ def test_exact_polish_matches_mpf_objects(w, q, order):
     if args is None:
         return
     npts, dps = len(args[0]), args[3]
-    ref = _outcome(_mpf_polish, *args)
+    ref = _outcome(mpf_polish, *args)
     polished = _exact_polish(w, q, order)
     if _refused(ref):
         assert polished == ref
@@ -454,7 +534,7 @@ def test_exact_christoffel_numbers_match_the_christoffel_sum(w, q, order):
     args = _polish_args(w, q, order)
     if args is None:
         return
-    ref = _outcome(_mpf_christoffel_polish, *args)
+    ref = _outcome(mpf_christoffel_polish, *args)
     polished = _exact_polish(w, q, order)
     if _refused(ref) or _refused(polished):
         return
@@ -480,6 +560,86 @@ def test_polish_bits_keep_a_guard_margin(w, q, order, monkeypatch):
         assert np.array_equal(lean.masses, rule.masses)
 
 
+@_on_polish_grid
+def test_enclosure_contains_the_recurrence_at_twice_the_digits(w, q, order):
+    # every alpha_k and beta_k lies within its enclosure of the mpf-object
+    # recurrence at twice the working digits from the exact moments, with
+    # the same epsilon, and every verdict is the same
+    m = MomentSequence.from_weights(w, q, 2 * order - 1)
+    rec = _outcome(measure._chebyshev_recurrence, m, order)
+    dps = solver_precision(m, order, measure._chebyshev_recurrence)[3]
+    prec = libmp.dps_to_prec(2 * dps)
+    ref = _outcome(mpf_recurrence, exact_scaled_moments(w, m.q, 2 * order, prec)[0],
+                   order, dps, prec)
+    if _refused(rec):
+        assert ref == rec
+        return
+    alpha, beta, atoms = ref
+    assert rec.atoms == atoms and len(rec.alpha) == len(alpha)
+    with mpmath.workprec(prec):
+        for got, want, radius in zip(rec.alpha + rec.beta, alpha + beta,
+                                     rec.alpha_radius + rec.beta_radius):
+            assert abs(got - want) <= mpmath.mpf(2) ** radius
+
+
+def test_too_few_digits_raise_the_precision():
+    # started at 20 digits, the loop reruns until the enclosure decides
+    # every verdict, and then every coefficient lies within both its own
+    # enclosure and that of the default start
+    m = MomentSequence.from_weights(WCONST, 0.9, 39)
+    low, default = (measure._chebyshev_recurrence(m, 20, dps) for dps in (20, 0))
+    assert 20 < low.dps and default.dps == 170
+    assert low.atoms == default.atoms is None
+    with mpmath.workdps(2 * max(low.dps, default.dps)):
+        for a, b, ra, rb in zip(low.alpha + low.beta, default.alpha + default.beta,
+                                low.alpha_radius + low.beta_radius,
+                                default.alpha_radius + default.beta_radius):
+            assert abs(a - b) <= mpmath.mpf(2) ** ra + mpmath.mpf(2) ** rb
+
+
+@pytest.mark.parametrize("halves, outcome", [(2, "uncertain"), (4, "positive"),
+                                            (1, "atom"), (-4, "indefinite")])
+def test_epsilon_test_verdicts_are_certified(halves, outcome):
+    # nu = (1, 1, 1 + c epsilon, 1) gives beta_1 = c epsilon, tested against
+    # epsilon = 10^-(dps // 2): at c = 1 the rounding of nu_2 leaves beta_1
+    # within its enclosure of the bound, and the verdict is left to more
+    # digits; at c = 2, 1/2 and -2 it is positive, an atom and indefinite
+    dps = 62
+    prec = libmp.dps_to_prec(dps)
+    em, ee = measure._pair(libmp.mpf_pow_int(libmp.from_int(10), -(dps // 2), prec,
+                                             libmp.round_nearest))
+    nu2 = measure._round(*measure._exact_sum(1, 0, halves * em, ee - 1), prec)
+    nu = [(1, 0), (1, 0), nu2, (1, 0)]
+    if outcome == "uncertain":
+        with pytest.raises(measure._Uncertain):
+            measure._recurrence(nu, 2, dps)
+    elif outcome == "indefinite":
+        with pytest.raises(IndefiniteMomentsError, match="order 2"):
+            measure._recurrence(nu, 2, dps)
+    else:
+        atoms = measure._recurrence(nu, 2, dps)[2]
+        assert atoms == (1 if outcome == "atom" else None)
+
+
+@pytest.mark.parametrize("w, q, order", [
+    (WeightSequence.constant(0.8563164613529595), 0.99999999, 17),
+    (WDELTA01, NEAR_CIRCLE, 9),
+], ids=["constant-0.99999999", "delta0+delta1-near-circle"])
+def test_nearly_atomic_rules_match_exact_moments(w, q, order):
+    # scaled moments from 120-digit logs left these rules wrong, by 3.5e-3
+    # in a node and 377% in a mass (constant), and with a node at 4.4644 for
+    # 1.0000000268710287 (delta0+delta1), while the moment and Gram checks
+    # passed.  From exact ratios, with the coefficients certified to 2^-F
+    # above the start of 50 + 6 * order digits, each rule is that of the
+    # exact moments at four times the working precision, bit for bit
+    m = MomentSequence.from_weights(w, q, 2 * order - 1)
+    rule = gauss_quadrature_from_moments(m, order)
+    assert solver_precision(m, order)[3] > 50 + 6 * order
+    nodes, masses = exact_golub_welsch(m, order)
+    assert np.array_equal(rule.nodes, nodes)
+    assert np.array_equal(rule.masses, masses)
+
+
 def test_polish_takes_seeds_past_two_to_the_244():
     # 192 guard bits below the ulp of a seed near 2^249 would put F below 0;
     # F stays at 0, and the two-point rule of alpha = (2^250, 2^251),
@@ -487,7 +647,7 @@ def test_polish_takes_seeds_past_two_to_the_244():
     # with masses 1 / (1 + (x - alpha_0)^2 / beta_1)
     alpha = [mpmath.mpf(2) ** 250, mpmath.mpf(2) ** 251]
     beta = [mpmath.mpf(1), mpmath.mpf(2) ** 500]
-    seeds = _jacobi_seeds(alpha, beta, 2)
+    seeds = jacobi_seeds(alpha, beta, 2)
     assert min(seeds) >= 2.0 ** 244
     roots, weights, f = measure._nodes_and_masses(alpha, beta, seeds, 30)
     assert f == 0
@@ -505,11 +665,14 @@ def test_polish_widens_below_a_noisy_seed(q, order, monkeypatch):
     # a node near t = 0 whose float64 seed is noise 60 decades or more
     # above it keeps fewer than 192 + 53 bits of 2^-F, so the polish reruns
     # with F widened; at the first F that node lands 3.5e-91 to 4.5e-91, or
-    # 3e-14 to 2e-9 of itself, off
+    # 3e-14 to 2e-9 of itself, off.  The nodes, 1.1e-77, 2.0e-82 and
+    # 8.3e-79 of t / s, lie 58 to 61 decades above the noise floor, 1e-138,
+    # 1e-143 and 1e-136 at the final 277, 286 and 272 digits
     m = MomentSequence.from_weights(WDELTA01, q, 2 * order - 1)
-    alpha, beta, atoms, _, _, dps = measure._chebyshev_recurrence(m, order)
-    npts = atoms if atoms is not None else order
-    seeds = _jacobi_seeds(alpha, beta, npts)
+    rec = measure._chebyshev_recurrence(m, order)
+    alpha, beta, dps = rec.alpha, rec.beta, rec.dps
+    npts = rec.atoms if rec.atoms is not None else order
+    seeds = jacobi_seeds(alpha, beta, npts)
     smallest = min(abs(s) for s in seeds if s)
     first = measure._SEED_GUARD_BITS - (math.frexp(math.ulp(smallest))[1] - 1)
     roots, _, f = measure._nodes_and_masses(alpha[:npts], beta[:npts], seeds, dps)
@@ -517,7 +680,7 @@ def test_polish_widens_below_a_noisy_seed(q, order, monkeypatch):
     node = min(x for x in roots if x)
     assert 0 < node / 2 ** f < 1e-60 * smallest
     rule = gauss_quadrature_from_moments(m, order)
-    monkeypatch.setattr(measure, "_golub_welsch", _mpf_golub_welsch)
+    monkeypatch.setattr(measure, "_golub_welsch", mpf_golub_welsch)
     ref = gauss_quadrature_from_moments(m, order)
     assert np.array_equal(rule.nodes, ref.nodes)
     assert np.array_equal(rule.masses, ref.masses)
@@ -529,20 +692,23 @@ def test_polish_widens_below_a_noisy_seed(q, order, monkeypatch):
     (WDELTA01, -0.8151944056348668 + 0.5791874316847839j, 4),
     (WCONST, -0.1490597623392169 + 0.9888281889445588j, 4),
     (WDELTA01, -0.9912759751350373 - 0.13180265976102656j, 7),
-    # 128 guard bits move a mass by one ulp, and one by 1.5e-8
     (WDELTA01, 0.05548377731337452 + 0.9984595887941784j, 8),
-    (WDELTA01, 0.6616357683510744 - 0.7498253863657081j, 9),
+    (WDELTA01, NEAR_CIRCLE, 9),
 ])
 def test_seed_guard_bits(w, q, order, monkeypatch):
     # nearly atomic rules at q = e^{i theta}: nodes clustered within 1e-8 of
     # t = 1, a node near t = 0, and lower-order zeros near the nodes, so the
     # Christoffel numbers read the fixed point's truncation; with 192 guard
     # bits the rule is the one the two-sweep polish from the float64 seeds
-    # gives at the recurrence's precision
+    # gives at the recurrence's precision, as it is with 128.  The nodes
+    # near t = 0 of the delta_0 + delta_1 rules, at orders 4, 7, 8 and 9,
+    # are 1.8e-49, 1.7e-108, 3.4e-111 and 3.9e-127 of t / s, above the floors
+    # 1e-84, 1e-145, 1e-164 and 1e-175 at the final 169, 290, 328 and 351
+    # digits
     m = MomentSequence.from_weights(w, q, 2 * order - 1)
     rule = gauss_quadrature_from_moments(m, order)
     monkeypatch.setattr(measure, "_golub_welsch",
-                        functools.partial(_mpf_golub_welsch, polish=_mpf_polish))
+                        functools.partial(mpf_golub_welsch, polish=mpf_polish))
     ref = gauss_quadrature_from_moments(m, order)
     assert np.array_equal(rule.nodes, ref.nodes)
     assert np.array_equal(rule.masses, ref.masses)
@@ -551,7 +717,10 @@ def test_seed_guard_bits(w, q, order, monkeypatch):
 @pytest.mark.parametrize("w, q, order", [
     (WFAC, 0.1, 9),                 # nodes over 33 decades, each well conditioned
     (WFAC, 0.95, 20),
-    (WDELTA01, 0.9999, 16),         # a node near t = 0, 40 decades below the rest
+    # a node near t = 0, 40 decades below the rest: 4.2e-44, 8.2e-45 and
+    # 6.5e-44 of t / s, above the floors 1e-113, 1e-100 and 1e-93 at the
+    # final 227, 201 and 186 digits
+    (WDELTA01, 0.9999, 16),
     (WDELTA01, 0.99999, 12),
     (WDELTA01, 0.9999999, 8),
     # nodes over 236 decades: at 192 rounded bits a Christoffel-Darboux
@@ -566,7 +735,7 @@ def test_graded_and_nearly_atomic_rules_match_mpf_objects(w, q, order, monkeypat
     # rule or refusal that mpf objects give at the recurrence's precision
     m = MomentSequence.from_weights(w, q, 2 * order - 1)
     rule = _outcome(gauss_quadrature_from_moments, m, order)
-    monkeypatch.setattr(measure, "_golub_welsch", _mpf_golub_welsch)
+    monkeypatch.setattr(measure, "_golub_welsch", mpf_golub_welsch)
     ref = _outcome(gauss_quadrature_from_moments, m, order)
     if _refused(ref):
         assert rule == ref
@@ -577,180 +746,30 @@ def test_graded_and_nearly_atomic_rules_match_mpf_objects(w, q, order, monkeypat
 
 @pytest.mark.parametrize("w, q", [
     # the node 3.4e-17 lies 2.4e-48 of itself above a midpoint of doubles,
-    # nearer than a polish rounded to the recurrence's 209 bits holds it
+    # nearer than a polish rounded to the recurrence's 209 bits holds it;
+    # the floor at the final 101 digits is 1e-50 of t / s
     (WDELTA01, 0.912978884799118 + 0.40800680865759914j),
     (WFAC, 1.0), (WCONST, 0.7), (WeightSequence.power_factorial(2.0), 0.95 * cmath.exp(0.7j)),
 ], ids=["delta0+delta1-circle", "factorial-1", "constant-0.7", "power-factorial-2"])
 def test_two_point_rule_is_correctly_rounded(w, q):
     # the zeros of p_2 = (x - alpha_0)(x - alpha_1) - beta_1 in closed form,
     # and the Christoffel numbers 1 / (1 + (x - alpha_0)^2 / beta_1) there,
-    # at four times the recurrence's precision: every float64 node and mass
-    # of the solver is their value rounded once
+    # at four times the recurrence's precision, from the solver's own
+    # coefficients, scale and mass: every float64 node and mass of the solver
+    # is their value rounded once
     m = MomentSequence.from_weights(w, q, 3)
     quad = gauss_quadrature_from_moments(m, 2)
-    alpha, beta, atoms, log_s, log_m0, dps = measure._chebyshev_recurrence(m, 2)
+    nu, scale, mass, dps = solver_precision(m, 2)
+    alpha, beta, atoms = mpf_recurrence(nu, 2, dps)
     assert atoms is None
     with mpmath.workdps(4 * dps):
         a0, a1, b1 = alpha[0], alpha[1], beta[1]
         top = (a0 + a1) / 2 + mpmath.sqrt(((a0 - a1) / 2) ** 2 + b1)
         xs = [(a0 * a1 - b1) / top, top]     # the smaller zero without cancellation
-        nodes = [float(x * mpmath.e ** log_s) for x in xs]
-        masses = [float(mpmath.e ** log_m0 / (1 + (x - a0) ** 2 / b1)) for x in xs]
+        nodes = [float(x * scale) for x in xs]
+        masses = [float(mass / (1 + (x - a0) ** 2 / b1)) for x in xs]
     assert list(quad.nodes) == nodes
     assert list(quad.masses) == masses
-
-
-def _mpf_recurrence(m, order):
-    """``measure._chebyshev_recurrence`` in mpf-object arithmetic."""
-    if 2 * order - 1 > m.jmax:
-        raise ConfigError(f"order {order} needs moments up to {2 * order - 1}, "
-                          f"have {m.jmax}")
-    span = max(abs(x) for x in m.log_values[: 2 * order]) / math.log(10.0)
-    dps = int(50 + 6 * order + span)
-    if dps > measure.MAX_DPS:
-        raise measure._Breakdown(f"the moments need {dps} working digits, above "
-                                 f"the cap of {measure.MAX_DPS}")
-    raw = m.mp_logs if len(m.mp_logs) > m.jmax else [mpmath.mpf(x) for x in m.log_values]
-    with mpmath.workdps(dps):
-        log_m0 = mpmath.mpf(raw[0])
-        log_s = mpmath.mpf(raw[1]) - log_m0 if m.jmax >= 1 else mpmath.mpf(0)
-        nu = [mpmath.e ** (mpmath.mpf(raw[j]) - log_m0 - j * log_s)
-              for j in range(2 * order)]
-        alpha = [nu[1] / nu[0]]
-        beta = [nu[0]]
-        eps = mpmath.mpf(10) ** (-(dps // 2))
-        sig_prev = [mpmath.mpf(0)] * (2 * order)
-        sig_cur = list(nu)
-        atoms = None
-        for k in range(1, order):
-            sig_next = [mpmath.mpf(0)] * (2 * order)
-            for l in range(k, 2 * order - k):
-                sig_next[l] = (sig_cur[l + 1]
-                               - alpha[k - 1] * sig_cur[l]
-                               - beta[k - 1] * sig_prev[l])
-            b = sig_next[k] / sig_cur[k - 1]
-            if b <= eps * max(1, abs(beta[-1])):
-                if b < -eps * max(1, abs(beta[-1])):
-                    raise IndefiniteMomentsError(
-                        f"Hankel matrix indefinite at order {k + 1}: no positive "
-                        f"measure matches these moments", order=k + 1)
-                atoms = k
-                break
-            alpha.append(sig_next[k + 1] / sig_next[k] - sig_cur[k] / sig_cur[k - 1])
-            beta.append(b)
-            sig_prev, sig_cur = sig_cur, sig_next
-        return alpha, beta, atoms, log_s, log_m0, dps
-
-
-def _jacobi_seeds(alpha, beta, npts):
-    off = np.sqrt(np.array([float(b) for b in beta[1:npts]]))
-    jacobi = (np.diag([float(a) for a in alpha[:npts]])
-              + np.diag(off, 1) + np.diag(off, -1))
-    if not np.all(np.isfinite(jacobi)):
-        raise measure._Breakdown("the Jacobi matrix overflows float64")
-    return np.linalg.eigvalsh(jacobi)
-
-
-def _mpf_newton(alpha, beta, seed, dps, prec=None):
-    """The polished node from one seed and the last Newton sweep's values,
-    in mpf objects at ``prec`` bits, by default the precision of ``dps``
-    digits; the floor comes from ``dps``.  The mpf-object Newton polish that
-    ``measure._nodes_and_masses`` is compared against."""
-    npts = len(alpha)
-    with mpmath.workprec(prec or libmp.dps_to_prec(dps)):
-        tol = mpmath.mpf(2) ** -70
-        floor = mpmath.mpf(10) ** (-(dps // 2))
-        x = mpmath.mpf(seed)
-        for _ in range(measure._NEWTON_STEPS):
-            sweep = _monic_values(alpha, beta, npts, x)
-            dx = sweep[1] / sweep[2]           # p_npts / p_npts'
-            x -= dx
-            if abs(dx) <= max(tol * abs(x), floor):
-                break
-        else:
-            raise measure._Breakdown(
-                f"Newton polish did not converge from seed {seed!r}")
-        return (x if abs(x) > floor else mpmath.mpf(0)), sweep
-
-
-def _mpf_polish(alpha, beta, seeds, dps, prec=None):
-    """The mpf-object polish that ``measure._nodes_and_masses`` is compared
-    against, returning mpf: each mass
-    is h_{npts-1} / (p_npts' p_{npts-1} - p_npts p_{npts-1}') from the last
-    Newton sweep, the confluent Christoffel-Darboux identity.  Every
-    coefficient is first rounded to the working precision."""
-    with mpmath.workprec(prec or libmp.dps_to_prec(dps)):
-        alpha, beta = [+a for a in alpha], [+b for b in beta]
-        h_last = mpmath.mpf(1)
-        for b in beta[1:]:
-            h_last *= b
-        roots, weights = [], []
-        for seed in seeds:
-            x, (values, p, dp, dp_prev) = _mpf_newton(alpha, beta, seed, dps, prec)
-            cd = dp * values[-1] - p * dp_prev
-            if not cd > 0:
-                raise measure._Breakdown(
-                    f"the Christoffel-Darboux numerator is not positive at the "
-                    f"node polished from seed {seed!r}")
-            roots.append(x)
-            weights.append(h_last / cd)
-        return roots, weights
-
-
-def _mpf_christoffel_polish(alpha, beta, seeds, dps):
-    """The same nodes with each mass the Christoffel sum
-    1 / sum_k p_k(x)^2 / (beta_1 ... beta_k), taken in a further sweep at
-    the polished node, in mpf objects."""
-    npts = len(alpha)
-    with mpmath.workdps(dps):
-        norms = [mpmath.mpf(1)]
-        for k in range(1, npts):
-            norms.append(norms[-1] * beta[k])
-        roots, weights = [], []
-        for seed in seeds:
-            x, _ = _mpf_newton(alpha, beta, seed, dps)
-            p = _monic_values(alpha, beta, npts, x)[0]
-            roots.append(x)
-            weights.append(1 / mpmath.fsum(v ** 2 / h for v, h in zip(p, norms)))
-        return roots, weights
-
-
-def _mpf_golub_welsch(m, order, polish=_mpf_polish):
-    """``measure._golub_welsch`` in mpf-object arithmetic throughout."""
-    alpha, beta, atoms, log_s, log_m0, dps = _mpf_recurrence(m, order)
-    npts = atoms if atoms is not None else order
-    seeds = _jacobi_seeds(alpha, beta, npts)
-    roots, weights = polish(alpha[:npts], beta[:npts], seeds, dps)
-    with mpmath.workdps(dps):
-        if any(a >= b for a, b in zip(roots, roots[1:])):
-            raise measure._Breakdown("two float64 seeds polished into one node")
-        if roots[0] < 0:
-            raise IndefiniteMomentsError(
-                f"the order-{npts} Gauss rule has a node t = r^2 < 0: no "
-                f"positive measure on t >= 0 matches these moments", order=npts)
-        scale = mpmath.e ** log_s
-        total = mpmath.e ** log_m0
-        nodes = np.array([float(x * scale) for x in roots])
-        masses = np.array([float(w * total) for w in weights])
-    if np.any(masses < np.finfo(float).tiny):
-        raise measure._Breakdown("a Christoffel mass underflows float64")
-    return nodes, masses
-
-
-def _monic_values(alpha, beta, npts, x):
-    """[p_0(x) .. p_{npts-1}(x)], p_npts(x), p_npts'(x) and p_{npts-1}'(x)
-    in mpf objects."""
-    p_prev, p = mpmath.mpf(0), mpmath.mpf(1)
-    dp_prev, dp = mpmath.mpf(0), mpmath.mpf(0)
-    values = []
-    for k in range(npts):
-        values.append(p)
-        t = x - alpha[k]
-        p_next = t * p - beta[k] * p_prev
-        dp_next = p + t * dp - beta[k] * dp_prev
-        p_prev, p = p, p_next
-        dp_prev, dp = dp, dp_next
-    return values, p, dp, dp_prev
 
 
 # the solver's integer-pair arithmetic against mpmath.libmp at round_nearest:
@@ -829,7 +848,7 @@ def test_kernel_matches_libmp_on_edge_cases(prec):
 def _eigsy_rule(m, order):
     """Reference rule: the Jacobi matrix diagonalized by mpmath.eigsy at the
     recurrence's precision, masses from the eigenvectors' first components."""
-    alpha, beta, atoms, log_s, log_m0, dps = measure._chebyshev_recurrence(m, order)
+    alpha, beta, atoms, scale, mass, dps = measure._chebyshev_recurrence(m, order)[:6]
     n = atoms if atoms is not None else order
     with mpmath.workdps(dps):
         J = mpmath.zeros(n, n)
@@ -838,8 +857,8 @@ def _eigsy_rule(m, order):
         for k in range(1, n):
             J[k, k - 1] = J[k - 1, k] = mpmath.sqrt(beta[k])
         E, Q = mpmath.eigsy(J)
-        nodes = np.array([float(E[i] * mpmath.e ** log_s) for i in range(n)])
-        masses = np.array([float(Q[0, i] ** 2 * mpmath.e ** log_m0) for i in range(n)])
+        nodes = np.array([float(E[i] * scale) for i in range(n)])
+        masses = np.array([float(Q[0, i] ** 2 * mass) for i in range(n)])
     idx = np.argsort(nodes)
     return nodes[idx], masses[idx]
 
@@ -861,7 +880,7 @@ def test_stieltjes_wigert_closed_form(q_abs, solved):
         except measure._Breakdown:
             continue
         orders.append(order)
-        alpha, beta, atoms, log_s, _, dps = measure._chebyshev_recurrence(m, order)
+        alpha, beta, atoms, s, _, dps = measure._chebyshev_recurrence(m, order)[:6]
         assert atoms is None
         with mpmath.workdps(2 * dps):
             r2 = 1 / mpmath.mpf(q_abs) ** 2
@@ -869,7 +888,6 @@ def test_stieltjes_wigert_closed_form(q_abs, solved):
             b = [mpmath.mpf(c) / mpmath.pi] + [r2 ** (3 * n - 1) * (r2 ** n - 1)
                                                 for n in range(1, order)]
             # the solver works in t / s with s = m_1 / m_0
-            s = mpmath.e ** log_s
             for n in range(order):
                 assert abs(alpha[n] * s / a[n] - 1) <= 1e-50
                 if n:

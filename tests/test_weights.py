@@ -182,36 +182,7 @@ def test_power_factorial_one_is_factorial_bit_for_bit(scale):
         assert pf1.weight(n) == fac.weight(n)
         assert pf1.log_weight(n) == fac.log_weight(n)
         assert pf1.ratio(n) == fac.ratio(n)
-    with mpmath.workdps(40):
-        assert pf1.mp_log_weights(201) == fac.mp_log_weights(201)
     assert np.array_equal(pf1.log_weights(-2, 201), fac.log_weights(-2, 201))
-
-
-def _mp_log_weight_reference(w, n):
-    """log w_n as one expression per index: (s log n! + log c) + log scale."""
-    ls = mpmath.log(mpmath.mpf(w.scale))
-    if w.table is not None:
-        return mpmath.log(mpmath.mpf(w.table[n])) + ls
-    lg = mpmath.mpf(w.s) * mpmath.loggamma(n + 1) if w.s else 0
-    return lg + mpmath.log(mpmath.mpf(w.c)) + ls
-
-
-@pytest.mark.parametrize("scale", [1.0, 3.7])
-@pytest.mark.parametrize("w", [WeightSequence.factorial(), WeightSequence.constant(2.5),
-                               WeightSequence.power_factorial(0.5),
-                               WeightSequence.explicit([1.0, 3.0, 7.5, 2e300, 0.1])],
-                         ids=["factorial", "constant", "power-factorial", "explicit"])
-def test_mp_log_weights_are_mp_log_weight_bit_for_bit(w, scale):
-    w = replace(w, scale=scale)
-    count = w.max_index(40) + 1
-    for dps in (40, 120):
-        with mpmath.workdps(dps):
-            logs = w.mp_log_weights(count)
-            assert len(logs) == count and w.mp_log_weights(0) == []
-            for n in range(count):
-                assert logs[n] == _mp_log_weight_reference(w, n)
-    with pytest.raises(WeightHorizonError):
-        WeightSequence.explicit([1.0, 2.0]).mp_log_weights(3)
 
 
 @pytest.mark.parametrize("s", [0.5, 1.5, 2.0])
