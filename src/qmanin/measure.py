@@ -18,8 +18,7 @@ of exact ratios: w_{j+1} / w_j, an integer for a rule with integer s >= 0,
 one exp(s log(j+1)) for any other s and a quotient of doubles for a table,
 and 1/|q|^2, where |q|^2 = re^2 + im^2 is exact.  The products carry 32
 guard bits, so each nu_j lies within one ulp of its exact value; s and m_0
-come from the same ratios.  A sequence given by its logs alone is solved
-from e^{L_j - L_0 - j (L_1 - L_0)}.
+come from the same ratios.
 
 The working precision starts at 50 + 6 * order digits.  Beside the
 recurrence runs an enclosure, a running bound on the error of every
@@ -52,20 +51,22 @@ atomic rules read the truncation, since their nodes cluster and
 lower-order zeros lie close to them; 128 guard bits already give every
 float64 rule of tests/test_measure.py, and 192 keep a margin of 64.
 
-The recurrence runs on signed (mantissa, exponent) integer pairs, through
-a small kernel of its own.  Each operation rounds its exact result
-half-even to the working precision.  Under round_nearest, mpmath's
-mpf_add, mpf_sub, mpf_mul and mpf_div are correctly rounded in the same
-sense, and a correctly rounded result is unique.  So the recurrence is bit
-for bit mpf arithmetic at the working precision, without mpmath's cost per
-operation.  The polish holds each node to the stop rule and each mass to
-the truncation by construction; that the float64 rules are those of exact
-moments was checked by sweep (tests/gauss_sweep.py) over weights, q and
-orders, save where a value lies nearer a midpoint of doubles than the
-polish holds it.  Only the final nodes and masses are cast to float64,
-which perturbs the matched moments by a few ulps at most.  A polished node
-below zero means no positive measure on t >= 0 fits the moments, even
-with a definite Hankel matrix, and the rule is refused as indefinite.
+The solver holds one number type from the scaled moments to the float64
+rule: signed (mantissa, exponent) integer pairs, through a small kernel of
+its own.  Each operation rounds its exact result half-even to the working
+precision.  Under round_nearest, mpmath's mpf_add, mpf_sub, mpf_mul and
+mpf_div are correctly rounded in the same sense, and a correctly rounded
+result is unique.  So the solver is bit for bit mpf arithmetic at the
+working precision, without mpmath's cost per operation; mpf objects
+appear only in the oracles it is tested against.  The polish holds each
+node to the stop rule and each mass to the truncation by construction;
+that the float64 rules are those of exact moments was checked by sweep
+(tests/gauss_sweep.py) over weights, q and orders, save where a value
+lies nearer a midpoint of doubles than the polish holds it.  Only the
+final nodes and masses are rounded to float64, which perturbs the matched
+moments by a few ulps at most.  A polished node below zero means no
+positive measure on t >= 0 fits the moments, even with a definite Hankel
+matrix, and the rule is refused as indefinite.
 
 Atomic rules are accepted on purpose: only moment identities enter the
 downstream computations, so absolute continuity of the underlying measure
@@ -83,14 +84,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import mpmath
 import numpy as np
-from mpmath.libmp import (dps_to_prec, from_float, from_int, from_man_exp, from_rational,
-                          mpf_exp, mpf_log, mpf_mul, mpf_pi, mpf_pow_int, mpf_shift,
-                          mpf_sub, round_nearest as _RND)
+from mpmath.libmp import (dps_to_prec, from_float, from_int, mpf_exp, mpf_log, mpf_mul,
+                          mpf_pi, mpf_pow_int, round_nearest as _RND)
 from numpy.polynomial.laguerre import laggauss
 
 from .coherent import coeff_log_arrays
@@ -109,34 +109,33 @@ MAX_DPS = 2000
 
 @dataclass(frozen=True)
 class MomentSequence:
-    """Targets m_j, kept as their logs log m_j, since the moments of
-    factorial-scale weights leave the double range.
+    """Targets m_j = |q|^{-j(j+1)} w_j / pi, j = 0..jmax, of the weights w
+    at q.
 
-    A sequence from weights also keeps the weights and q: the solver forms
-    its scaled moments from their exact ratios at its working precision,
-    and the logs, taken in double precision, only name the sequence.  A
-    sequence given by its logs alone is solved from them.
+    The solver forms its scaled moments from the exact ratios of the
+    weights at its working precision, as integer pairs.  The logs log m_j,
+    taken in double precision at construction, only name the sequence (the
+    moments of factorial-scale weights leave the double range); taking them
+    refuses a jmax past a table's horizon with WeightHorizonError.
     """
 
-    log_values: tuple
-    weights: Optional[WeightSequence] = None
-    q: Optional[QParam] = None
+    weights: WeightSequence
+    q: QParam
+    jmax: int
+    log_values: tuple = field(init=False)
 
     def __post_init__(self):
-        if not all(map(math.isfinite, self.log_values)):
-            raise ConfigError(f"log moments must be finite, got {self.log_values}")
+        q = QParam.of(self.q)
+        j = np.arange(self.jmax + 1)
+        logs = (self.weights.log_weights(0, self.jmax + 1) - j * (j + 1) * q.log_abs
+                - math.log(math.pi))
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "log_values", tuple(logs.tolist()))
 
     @classmethod
     def from_weights(cls, w: WeightSequence, q, jmax: int) -> "MomentSequence":
         """m_j = |q|^{-j(j+1)} w_j / pi for j = 0..jmax."""
-        q = QParam.of(q)
-        j = np.arange(jmax + 1)
-        logs = w.log_weights(0, jmax + 1) - j * (j + 1) * q.log_abs - math.log(math.pi)
-        return cls(tuple(logs.tolist()), w, q)
-
-    @property
-    def jmax(self) -> int:
-        return len(self.log_values) - 1
+        return cls(w, q, jmax)
 
     def is_positive_definite(self, order: int) -> bool:
         """Hankel positive definiteness up to ``order`` via the recurrence."""
@@ -225,7 +224,7 @@ class _Breakdown(Exception):
 # rounds its exact result half-even to ``prec`` bits.  Under round_nearest,
 # mpmath's mpf_add, mpf_sub, mpf_mul and mpf_div round the same way, so the
 # two agree to the last bit; mpmath also strips trailing zeros, which
-# from_man_exp does at the boundary.
+# changes no value.
 
 def _round(m: int, e: int, prec: int) -> tuple:
     n = abs(m)
@@ -279,9 +278,14 @@ def _pair(x: tuple) -> tuple:
     return (-man if sign else man), exp
 
 
-def _make(x: tuple):
-    """An integer pair as an mpf."""
-    return mpmath.mp.make_mpf(from_man_exp(*x))
+def _float(x: tuple) -> float:
+    """The pair x as float(mpf) rounds it: half-even to 53 bits, then by
+    ldexp, which rounds a subnormal again; +-inf past the double range."""
+    m, e = _round(*x, 53)
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.copysign(math.inf, m)
 
 
 # Guard bits of the running products that form the scaled moments; each
@@ -291,8 +295,7 @@ _NU_GUARD_BITS = 32
 
 def _scaled_moments(m: MomentSequence, count: int, prec: int) -> tuple:
     """The scaled moments nu_j = m_j / (m_0 s^j), j < count, with s =
-    m_1 / m_0, as integer pairs rounded to ``prec`` bits; and s and m_0 as
-    mpf.
+    m_1 / m_0, and s and m_0, as integer pairs rounded to ``prec`` bits.
 
     Each lies within one ulp at ``prec``, 2^(e + b - prec) for the pair
     (m, e) with b = bitlen(m), of its exact value.  From weights, nu_j is a
@@ -307,17 +310,9 @@ def _scaled_moments(m: MomentSequence, count: int, prec: int) -> tuple:
     carries at most j^2 + 2j relative errors of 2^-(prec+32) before its one
     rounding to ``prec``: under a quarter ulp for every j < 2^14, and half
     an ulp from the rounding.  s and m_0 are rounded once from values within
-    2^-(prec+32) of themselves.  From logs alone, nu_j = e^x with x = L_j -
-    L_0 - j (L_1 - L_0) exact and e^x taken at prec + 32 bits.
+    2^-(prec+32) of themselves.
     """
     wp = prec + _NU_GUARD_BITS
-    if m.weights is None:
-        logs = [from_float(x) for x in m.log_values[:count]]
-        step = mpf_sub(logs[1], logs[0])
-        nu = [_pair(mpf_exp(mpf_sub(mpf_sub(x, logs[0]), mpf_mul(from_int(j), step)),
-                            wp, _RND)) for j, x in enumerate(logs)]
-        scale, mass = mpf_exp(step, prec, _RND), mpf_exp(logs[0], prec, _RND)
-        return [_round(*x, prec) for x in nu], _make(_pair(scale)), _make(_pair(mass))
     w, (re, im) = m.weights, (_pair(from_float(x)) for x in (m.q.value.real, m.q.value.imag))
     q2 = _exact_sum(re[0] * re[0], 2 * re[1], im[0] * im[0], 2 * im[1])
     inv = _div(1, 0, *q2, wp)                        # 1 / |q|^2
@@ -340,7 +335,7 @@ def _scaled_moments(m: MomentSequence, count: int, prec: int) -> tuple:
     sm, se = _pair(from_float(w.scale))
     scale = _div(first[1][0] * inv[0], first[1][1] + inv[1], *first[0], prec)
     mass = _div(w0[0] * sm, w0[1] + se, *_pair(mpf_pi(wp)), prec)
-    return [_round(*x, prec) for x in nu], _make(scale), _make(mass)
+    return [_round(*x, prec) for x in nu], scale, mass
 
 
 def _rule_ratio(k: int, s: float, wp: int) -> tuple:
@@ -425,16 +420,15 @@ def _more_digits(dps: int, bits: float) -> int:
 
 
 class _Recurrence(NamedTuple):
-    """The recurrence coefficients as mpf, alpha_k and beta_k within
-    2^alpha_radius[k] and 2^beta_radius[k] of their exact values; ``atoms``
-    is set where a vanishing beta_atoms ends the rule at fewer points.  The
-    scale s and the mass m_0 turn the scaled rule into the rule in t."""
+    """The recurrence coefficients as integer pairs, alpha_k and beta_k
+    within 2^alpha_radius[k] and 2^beta_radius[k] of their exact values; a
+    vanishing beta_k ends them, and the rule, at k points.  The scale s and
+    the mass m_0, pairs too, turn the scaled rule into the rule in t."""
 
     alpha: list
     beta: list
-    atoms: Optional[int]
-    scale: mpmath.mpf
-    mass: mpmath.mpf
+    scale: tuple
+    mass: tuple
     dps: int
     alpha_radius: list
     beta_radius: list
@@ -456,18 +450,17 @@ def _chebyshev_recurrence(m: MomentSequence, order: int, dps: int = 0) -> _Recur
     while True:
         nu, scale, mass = _scaled_moments(m, 2 * order, dps_to_prec(dps))
         try:
-            alpha, beta, atoms, ra, rb = _recurrence(nu, order, dps)
+            alpha, beta, ra, rb = _recurrence(nu, order, dps)
         except _Uncertain as exc:
             dps = _more_digits(dps, exc.bits)
             continue
-        return _Recurrence([_make(a) for a in alpha], [_make(b) for b in beta], atoms,
-                           scale, mass, dps, ra, rb)
+        return _Recurrence(alpha, beta, scale, mass, dps, ra, rb)
 
 
 def _recurrence(nu: list, order: int, dps: int) -> tuple:
-    """alpha, beta (integer pairs), atoms and the log2 radii of alpha_k and
-    beta_k, from the scaled moments ``nu``, each within one ulp at the
-    working precision.
+    """alpha, beta (integer pairs) and the log2 radii of alpha_k and beta_k,
+    from the scaled moments ``nu``, each within one ulp at the working
+    precision.
 
     The modified Chebyshev algorithm on ordinary moments,
 
@@ -487,8 +480,9 @@ def _recurrence(nu: list, order: int, dps: int) -> tuple:
     ch. 3).  A quotient's radius follows from those of its numerator and
     denominator.  beta_k is tested against epsilon max(1, beta_{k-1}),
     epsilon = 10^-(dps // 2): above it beta_k is positive, below minus it
-    indefinite, and between an atom; a verdict that some value inside the
-    enclosures would change raises _Uncertain.
+    indefinite, and between it ends the coefficients at k, as k atoms carry
+    all the mass; a verdict that some value inside the enclosures would
+    change raises _Uncertain.
     """
     prec = dps_to_prec(dps)
     n2 = 2 * order
@@ -506,7 +500,6 @@ def _recurrence(nu: list, order: int, dps: int) -> tuple:
     zero = (0, 0)
     sig_prev = [zero] * n2
     sig_cur = nu
-    atoms = None
     for k in range(1, order):
         (am, ae), (bm, be) = alpha[k - 1], beta[k - 1]
         sig_next = [zero] * n2
@@ -548,7 +541,6 @@ def _recurrence(nu: list, order: int, dps: int) -> tuple:
                 f"Hankel matrix indefinite at order {k + 1}: no positive "
                 f"measure matches these moments", order=k + 1)
         if not positive:
-            atoms = k          # exactly k atoms carry all the mass
             break
         q_next = _div(*sig_next[k + 1], *sig_next[k], prec)
         rq_next = _quotient_radius(q_next, sig_next[k + 1], sig_next[k], err_next[k + 1],
@@ -560,7 +552,7 @@ def _recurrence(nu: list, order: int, dps: int) -> tuple:
         q, rq = q_next, rq_next
         sig_prev, sig_cur = sig_cur, sig_next
         mag_prev, mag_cur, err_prev, err_cur = mag_cur, mag_next, err_cur, err_next
-    return alpha, beta, atoms, ra, rb
+    return alpha, beta, ra, rb
 
 
 def gauss_quadrature_from_moments(m: MomentSequence, order: int) -> RadialQuadrature:
@@ -614,16 +606,14 @@ def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray
     """
     rec = _chebyshev_recurrence(m, order)
     while True:
-        npts = rec.atoms if rec.atoms is not None else order
-        alpha, beta = rec.alpha[:npts], rec.beta[:npts]
-        off = np.sqrt(np.array([float(b) for b in beta[1:]]))
-        jacobi = np.diag([float(a) for a in alpha]) + np.diag(off, 1) + np.diag(off, -1)
+        off = np.sqrt(np.array([_float(b) for b in rec.beta[1:]]))
+        jacobi = np.diag([_float(a) for a in rec.alpha]) + np.diag(off, 1) + np.diag(off, -1)
         if not np.all(np.isfinite(jacobi)):
             raise _Breakdown("the Jacobi matrix overflows float64")
-        radius = max(rec.alpha_radius[:npts] + rec.beta_radius[:npts])
+        radius = max(rec.alpha_radius + rec.beta_radius)
         try:
-            roots, weights, f = _nodes_and_masses(alpha, beta, np.linalg.eigvalsh(jacobi),
-                                                  rec.dps, radius)
+            roots, weights, f = _nodes_and_masses(rec.alpha, rec.beta,
+                                                  np.linalg.eigvalsh(jacobi), rec.dps, radius)
             break
         except _Uncertain as exc:
             rec = _chebyshev_recurrence(m, order, _more_digits(rec.dps, exc.bits))
@@ -631,11 +621,12 @@ def _golub_welsch(m: MomentSequence, order: int) -> tuple[np.ndarray, np.ndarray
         raise _Breakdown("two float64 seeds polished into one node")
     if roots[0] < 0:
         raise IndefiniteMomentsError(
-            f"the order-{npts} Gauss rule has a node t = r^2 < 0: no "
-            f"positive measure on t >= 0 matches these moments", order=npts)
-    with mpmath.workdps(rec.dps):
-        nodes = np.array([float(_make((x, -f)) * rec.scale) for x in roots])
-        masses = np.array([float(mpmath.mp.make_mpf(w) * rec.mass) for w in weights])
+            f"the order-{len(roots)} Gauss rule has a node t = r^2 < 0: no "
+            f"positive measure on t >= 0 matches these moments", order=len(roots))
+    # each product with s or m_0 rounded to the working precision, then to a double
+    prec, (sm, se), (mm, me) = dps_to_prec(rec.dps), rec.scale, rec.mass
+    nodes = np.array([_float(_round(x * sm, se - f, prec)) for x in roots])
+    masses = np.array([_float(_round(wm * mm, we + me, prec)) for wm, we in weights])
     # a subnormal mass keeps only a few bits, too few for the moments it
     # matches, and so does a nonzero node rounded to 0 or a subnormal; a node
     # past a double matches none
@@ -653,9 +644,9 @@ def _nodes_and_masses(alpha, beta, seeds, dps: int,
                       radius: float = -math.inf) -> tuple[list, list, int]:
     """The Newton-polished zero of p_n, n = len(alpha), from each float64
     seed, as an integer in units of 2^-F; the Christoffel number at each,
-    as a raw mpf tuple rounded once to the recurrence's precision; and F.
+    as an integer pair rounded once to the recurrence's precision; and F.
 
-    alpha_k and beta_k are truncated to multiples of 2^-F, F being
+    The pairs alpha_k and beta_k are truncated to multiples of 2^-F, F being
     _SEED_GUARD_BITS below the ulp of the smallest nonzero seed, so every
     seed is exact.  The coefficients of p_{n-1} and p_n, that of x^j in
     p_k in units of 2^-(k-j)F, and h = beta_1 ... beta_{n-1} are then exact
@@ -733,14 +724,15 @@ def _nodes_and_masses(alpha, beta, seeds, dps: int,
                 raise _Breakdown(f"the Christoffel-Darboux numerator is not positive "
                                  f"at the node polished from seed {seed!r}")
             roots.append(x if nonzero else 0)
-            weights.append(mpf_shift(from_rational(h, cd, prec, _RND), (n - 1) * f))
+            wm, we = _div(h, 0, cd, 0, prec)
+            weights.append((wm, we + (n - 1) * f))
         else:
             return roots, weights, f
 
 
-def _fixed(x, f: int) -> int:
-    """The mpf x truncated to a multiple of 2^-f, in units of 2^-f."""
-    m, e = _pair(x._mpf_)
+def _fixed(x: tuple, f: int) -> int:
+    """The pair x truncated to a multiple of 2^-f, in units of 2^-f."""
+    m, e = x
     return m << (e + f) if e + f >= 0 else m >> -(e + f)
 
 

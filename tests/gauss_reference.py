@@ -1,14 +1,16 @@
 """Reference Gauss rules in mpf-object arithmetic, for the tests and for
 tests/gauss_sweep.py.
 
-``mpf_recurrence`` and ``mpf_polish`` are the solver's recurrence and Newton
-polish in mpf objects.  From the solver's own scaled moments and working
-precision (``solver_precision``) they give its coefficients to the last bit
-and its rules.  ``exact_golub_welsch`` runs them from the exact moments of
-the weights instead, rounded once at four times the solver's working
-precision, with the recurrence and polish at that precision too: the rule
-the solver would give if nothing but its epsilon test and noise floor,
-which keep the solver's digits, depended on its precision.
+The solver holds integer pairs (m, e), the value m 2^e, from its scaled
+moments to its float64 rule; ``to_mpf`` turns one into an mpf for these
+oracles.  ``mpf_recurrence`` and ``mpf_polish`` are the solver's recurrence
+and Newton polish in mpf objects.  From the solver's own scaled moments and
+working precision (``solver_precision``) they give its coefficients to the
+last bit and its rules.  ``exact_golub_welsch`` runs them from the exact
+moments of the weights instead, rounded once at four times the solver's
+working precision, with the recurrence and polish at that precision too:
+the rule the solver would give if nothing but its epsilon test and noise
+floor, which keep the solver's digits, depended on its precision.
 """
 
 import contextlib
@@ -26,11 +28,17 @@ from qmanin.errors import IndefiniteMomentsError
 SOLVER = measure._golub_welsch
 
 
+def to_mpf(x):
+    """The solver's integer pair x = (m, e) as the mpf m 2^e."""
+    return mpmath.mp.make_mpf(libmp.from_man_exp(*x))
+
+
 def solver_precision(m, order, solve=None):
-    """The scaled moments (mpf) and the working precision at which the last
+    """The scaled moments and the working precision at which the last
     recurrence of ``solve``, by default the solver, ran on the
     order-``order`` rule of ``m``, whether it returned or was refused, with
-    the scale and mass taken at that precision."""
+    the scale and mass taken at that precision; the moments, scale and mass
+    as mpf."""
     seen = []
     real = measure._recurrence
 
@@ -43,7 +51,7 @@ def solver_precision(m, order, solve=None):
         (solve or SOLVER)(m, order)
     nu, dps = seen[-1]
     _, scale, mass = measure._scaled_moments(m, 2 * order, libmp.dps_to_prec(dps))
-    return [measure._make(x) for x in nu], scale, mass, dps
+    return [to_mpf(x) for x in nu], to_mpf(scale), to_mpf(mass), dps
 
 
 def mpf_recurrence(nu, order, dps, prec=None):

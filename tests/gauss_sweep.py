@@ -11,7 +11,8 @@ achievable order.  The script prints the outcomes by kind, per part and per
 tree, and how many differ.  For each input whose outcome differs it prints
 both outcomes and that of the exact-moment reference
 (``gauss_reference.exact_golub_welsch``, run in the change's tree, whose
-solver API it uses).  It writes nothing.
+solver API it uses).  It writes nothing, and exits 1 when any outcome
+differs, else 0.
 
 The inputs are fixed here once, 5,483 of them in five parts:
 
@@ -232,8 +233,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="checkout of the parent tree")
     parser.add_argument("--change", required=True, help="checkout of the changed tree")
     args = parser.parse_args(argv)
-    compare(args.parent, args.change, configurations())
-    return 0
+    return 1 if compare(args.parent, args.change, configurations()) else 0
 
 
 if __name__ == "__main__":

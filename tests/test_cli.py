@@ -216,6 +216,11 @@ _REFUSALS = [
     # a_j(1) = |q|^{j(j+1)/2} / sqrt(w_j) and the node powers in the linear domain
     (("measure", "--q", "1e4"), {"order": 1},
      "the Gram matrix at basis = 10 is past the double range"),
+    # moments past a table's horizon, refused as the moment sequence is built
+    (("measure", "--weights", "explicit:1,2,3"), {"order": 4},
+     "w_7 requested but only indices <= 2 are materialized"),
+    (("symbols", "--weights", "explicit:1,2,3"), {"order": 4},
+     "w_7 requested but only indices <= 2 are materialized"),
 ]
 
 

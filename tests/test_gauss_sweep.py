@@ -51,3 +51,21 @@ def test_sweep_prints_a_difference_with_the_exact_outcome(monkeypatch):
                              if line.startswith(("  parent:", "  change:", "  exact:")))
     assert change == '["rule", ["0x1.0000000000000p+0"], ["0x1.0000000000000p+0"]]'
     assert exact == parent != change
+
+
+def test_sweep_exits_1_on_a_difference(monkeypatch):
+    # main's exit status, on canned outcomes: 1 with the planted difference
+    # on the change's side, 0 with none
+    rule = ["rule", ["0x1.0000000000000p+0"], ["0x1.0000000000000p+0"]]
+
+    def canned(tree, configs, mode="solve"):
+        res = [rule] * len(configs)
+        if tree == "planted" and mode == "solve":
+            res[0] = ["refused", "OrderTooHighError", "planted", 0]
+        return res
+
+    configs = _first_of_each_part()
+    monkeypatch.setattr(gauss_sweep, "outcomes", canned)
+    monkeypatch.setattr(gauss_sweep, "configurations", lambda: configs)
+    assert gauss_sweep.main(["--parent", str(ROOT), "--change", "planted"]) == 1
+    assert gauss_sweep.main(["--parent", str(ROOT), "--change", str(ROOT)]) == 0

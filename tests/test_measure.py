@@ -22,11 +22,11 @@ from qmanin import (ConfigError, IndefiniteMomentsError, MomentSequence,
                     closed_form_density, gauss_quadrature_from_moments,
                     norm_divergence_witness, quantize_cs, verify_density_moments,
                     verify_moments, verify_resolution_identity)
-from qmanin.errors import OrderTooHighError
+from qmanin.errors import OrderTooHighError, WeightHorizonError
 
 from gauss_reference import (exact_golub_welsch, exact_scaled_moments, jacobi_seeds,
                              mpf_christoffel_polish, mpf_golub_welsch, mpf_polish,
-                             mpf_recurrence, solver_precision)
+                             mpf_recurrence, solver_precision, to_mpf)
 
 WFAC = WeightSequence.factorial()
 WCONST = WeightSequence.constant()
@@ -34,6 +34,11 @@ WCONST = WeightSequence.constant()
 WDELTA01 = WeightSequence.explicit([math.pi * x for x in (2,) + (1,) * 39])
 # |q|^2 = 1 - 4.2e-17, where delta_0 + delta_1 is nearly atomic
 NEAR_CIRCLE = 0.6616357683510744 - 0.7498253863657081j
+
+
+def _mpfs(pairs):
+    """The solver's integer pairs as mpf, for the oracles."""
+    return [to_mpf(x) for x in pairs]
 
 
 class TestClosedForm:
@@ -119,7 +124,9 @@ class TestMomentSolver:
         atoms = np.linspace(0.5, 9.0, 6) + rng.uniform(-0.2, 0.2, size=6)
         masses = rng.uniform(0.2, 2.0, size=6)
         vals = [float(np.sum(masses * atoms**j)) for j in range(12)]
-        m = MomentSequence(tuple(math.log(v) for v in vals))
+        # m_j = w_j / pi at q = 1
+        w = WeightSequence.explicit([math.pi * v for v in vals])
+        m = MomentSequence.from_weights(w, 1.0, 11)
         quad = gauss_quadrature_from_moments(m, 6)
         for j in range(12):
             s = float(np.sum(quad.masses * quad.nodes**j))
@@ -318,12 +325,21 @@ class TestMomentSolver:
         assert quad.order == 20
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_log_moments_refused(self, bad):
-        # a NaN would slip past Python's max into the solver's precision and
-        # an infinity would overflow it: malformed input is a ConfigError,
-        # not a conditioning refusal
-        with pytest.raises(ConfigError, match="log moments must be finite"):
-            MomentSequence((0.0, bad, 1.0, 2.0))
+    def test_non_finite_q_refused(self, bad):
+        # malformed input is a ConfigError at construction, not a
+        # conditioning refusal of the solver
+        for q in (bad, complex(0.5, bad)):
+            with pytest.raises(ConfigError, match="q must be finite"):
+                MomentSequence(WFAC, q, 3)
+            with pytest.raises(ConfigError, match="q must be finite"):
+                MomentSequence.from_weights(WFAC, q, 3)
+
+    def test_moments_past_a_table_refused_at_construction(self):
+        # the logs are taken at construction, so w_7 of a three-entry table
+        # is refused there, before any solve
+        with pytest.raises(WeightHorizonError,
+                           match="w_7 requested but only indices <= 2 are materialized"):
+            MomentSequence.from_weights(WeightSequence.explicit([1, 2, 3]), 1.0, 7)
 
     def test_positivity_enforced(self):
         with pytest.raises(ConfigError):
@@ -354,7 +370,7 @@ def _refused(outcome):
                          ids=["1", "0.95e^0.7i", "0.7", "1.3", "0.5"])
 @pytest.mark.parametrize("order", [2, 8, 14, 20])
 def test_raw_tuple_solver_matches_mpf_objects(w, q, order, monkeypatch):
-    # the recurrence on raw mpf tuples rounds every operation as mpf objects
+    # the recurrence on integer pairs rounds every operation as mpf objects
     # do, so from the solver's own scaled moments at its working precision
     # every coefficient is the same to the last bit, and so is every rule
     # and refusal
@@ -365,8 +381,8 @@ def test_raw_tuple_solver_matches_mpf_objects(w, q, order, monkeypatch):
     if _refused(want):
         assert got == want
     else:
-        assert all(isinstance(x, mpmath.mpf) for x in got.alpha + got.beta)
-        assert (got.alpha, got.beta, got.atoms, got.dps) == want + (dps,)
+        atoms = len(got.alpha) if len(got.alpha) < order else None
+        assert (_mpfs(got.alpha), _mpfs(got.beta), atoms, got.dps) == want + (dps,)
     rule = _outcome(gauss_quadrature_from_moments, m, order)
     # the float64 rule is also the one the Christoffel sum at the polished
     # node gives, as the masses differ far below float64
@@ -391,9 +407,8 @@ _ULP_WEIGHTS = pytest.mark.parametrize(
 
 
 def _ulps(x, prec):
-    """2^(mag - prec), one ulp at ``prec`` bits of the mpf or pair x."""
-    return mpmath.ldexp(1, measure._mag(x if isinstance(x, tuple) else
-                                        measure._pair(x._mpf_)) - prec)
+    """2^(mag - prec), one ulp at ``prec`` bits of the pair x."""
+    return mpmath.ldexp(1, measure._mag(x) - prec)
 
 
 @_ULP_WEIGHTS
@@ -410,27 +425,8 @@ def test_scaled_moments_are_within_one_ulp(w, q):
     nu, scale, mass = measure._scaled_moments(m, 40, prec)
     ref_nu, ref_scale, ref_mass = exact_scaled_moments(w, m.q, 40, 4 * prec)
     with mpmath.workprec(4 * prec):
-        for x, want in zip(nu, ref_nu):
-            assert abs(measure._make(x) - want) <= _ulps(x, prec)
-        for x, want in ((scale, ref_scale), (mass, ref_mass)):
-            assert abs(x - want) <= _ulps(x, prec)
-
-
-@pytest.mark.parametrize("w, q", [(WFAC, 0.5), (WCONST, 0.95 * cmath.exp(0.7j)),
-                                  (WeightSequence.power_factorial(0.5), 1e4)])
-def test_scaled_moments_from_logs_are_within_one_ulp(w, q):
-    # a sequence given only its logs L_j: nu_j = e^x with x = L_j - L_0 -
-    # j (L_1 - L_0), s = e^(L_1 - L_0) and m_0 = e^L_0, each within one ulp
-    prec = libmp.dps_to_prec(50 + 6 * 20)
-    m = MomentSequence(MomentSequence.from_weights(w, q, 39).log_values)
-    nu, scale, mass = measure._scaled_moments(m, 40, prec)
-    with mpmath.workprec(4 * prec):
-        logs = [mpmath.mpf(x) for x in m.log_values]
-        step = logs[1] - logs[0]
-        want = [mpmath.exp(x - logs[0] - j * step) for j, x in enumerate(logs)]
-        for x, ref in zip(nu + [scale, mass], want + [mpmath.exp(step), mpmath.exp(logs[0])]):
-            x = measure._make(x) if isinstance(x, tuple) else x
-            assert abs(x - ref) <= _ulps(x, prec)
+        for x, want in zip(nu + [scale, mass], ref_nu + [ref_scale, ref_mass]):
+            assert abs(to_mpf(x) - want) <= _ulps(x, prec)
 
 
 def _on_polish_grid(test):
@@ -451,17 +447,23 @@ def _on_polish_grid(test):
 @functools.cache
 def _polish_args(w, q, order):
     """The polish's arguments (alpha, beta, seeds, dps) for the order-n
-    rule, or None where the recurrence or the seeds are refused and leave
-    nothing to polish; cached, as four tests share the grid."""
+    rule, alpha_k and beta_k the solver's integer pairs, or None where the
+    recurrence or the seeds are refused and leave nothing to polish;
+    cached, as four tests share the grid."""
     m = MomentSequence.from_weights(w, q, 2 * order - 1)
     rec = _outcome(measure._chebyshev_recurrence, m, order)
     if _refused(rec):
         return None
-    npts = rec.atoms if rec.atoms is not None else order
-    seeds = _outcome(jacobi_seeds, rec.alpha, rec.beta, npts)
+    seeds = _outcome(jacobi_seeds, _mpfs(rec.alpha), _mpfs(rec.beta), len(rec.alpha))
     if _refused(seeds):
         return None
-    return rec.alpha[:npts], rec.beta[:npts], seeds, rec.dps
+    return rec.alpha, rec.beta, seeds, rec.dps
+
+
+def _as_mpf(args):
+    """``_polish_args`` with alpha_k and beta_k as mpf, for the oracles."""
+    alpha, beta, seeds, dps = args
+    return _mpfs(alpha), _mpfs(beta), seeds, dps
 
 
 @functools.cache
@@ -482,7 +484,7 @@ def test_exact_polish_matches_mpf_objects(w, q, order):
     if args is None:
         return
     npts, dps = len(args[0]), args[3]
-    ref = _outcome(mpf_polish, *args)
+    ref = _outcome(mpf_polish, *_as_mpf(args))
     polished = _exact_polish(w, q, order)
     if _refused(ref):
         assert polished == ref
@@ -494,7 +496,7 @@ def test_exact_polish_matches_mpf_objects(w, q, order):
         for x, want in zip(roots, ref[0]):
             assert abs(mpmath.ldexp(x, -f) - want) <= bound * abs(want)
         for c, want in zip(weights, ref[1]):
-            assert abs(mpmath.mp.make_mpf(c) - want) <= bound * want
+            assert abs(to_mpf(c) - want) <= bound * want
 
 
 @_on_polish_grid
@@ -534,14 +536,14 @@ def test_exact_christoffel_numbers_match_the_christoffel_sum(w, q, order):
     args = _polish_args(w, q, order)
     if args is None:
         return
-    ref = _outcome(mpf_christoffel_polish, *args)
+    ref = _outcome(mpf_christoffel_polish, *_as_mpf(args))
     polished = _exact_polish(w, q, order)
     if _refused(ref) or _refused(polished):
         return
     with mpmath.workdps(args[3]):
         bound = mpmath.mpf(2) ** -80
         for c, want in zip(polished[1], ref[1]):
-            assert abs(mpmath.mp.make_mpf(c) - want) <= bound * want
+            assert abs(to_mpf(c) - want) <= bound * want
 
 
 @_on_polish_grid
@@ -575,11 +577,11 @@ def test_enclosure_contains_the_recurrence_at_twice_the_digits(w, q, order):
         assert ref == rec
         return
     alpha, beta, atoms = ref
-    assert rec.atoms == atoms and len(rec.alpha) == len(alpha)
+    assert len(rec.alpha) == len(alpha) == (order if atoms is None else atoms)
     with mpmath.workprec(prec):
         for got, want, radius in zip(rec.alpha + rec.beta, alpha + beta,
                                      rec.alpha_radius + rec.beta_radius):
-            assert abs(got - want) <= mpmath.mpf(2) ** radius
+            assert abs(to_mpf(got) - want) <= mpmath.mpf(2) ** radius
 
 
 def test_too_few_digits_raise_the_precision():
@@ -589,12 +591,12 @@ def test_too_few_digits_raise_the_precision():
     m = MomentSequence.from_weights(WCONST, 0.9, 39)
     low, default = (measure._chebyshev_recurrence(m, 20, dps) for dps in (20, 0))
     assert 20 < low.dps and default.dps == 170
-    assert low.atoms == default.atoms is None
+    assert len(low.alpha) == len(default.alpha) == 20
     with mpmath.workdps(2 * max(low.dps, default.dps)):
         for a, b, ra, rb in zip(low.alpha + low.beta, default.alpha + default.beta,
                                 low.alpha_radius + low.beta_radius,
                                 default.alpha_radius + default.beta_radius):
-            assert abs(a - b) <= mpmath.mpf(2) ** ra + mpmath.mpf(2) ** rb
+            assert abs(to_mpf(a) - to_mpf(b)) <= mpmath.mpf(2) ** ra + mpmath.mpf(2) ** rb
 
 
 @pytest.mark.parametrize("halves, outcome", [(2, "uncertain"), (4, "positive"),
@@ -603,7 +605,8 @@ def test_epsilon_test_verdicts_are_certified(halves, outcome):
     # nu = (1, 1, 1 + c epsilon, 1) gives beta_1 = c epsilon, tested against
     # epsilon = 10^-(dps // 2): at c = 1 the rounding of nu_2 leaves beta_1
     # within its enclosure of the bound, and the verdict is left to more
-    # digits; at c = 2, 1/2 and -2 it is positive, an atom and indefinite
+    # digits; at c = 2, 1/2 and -2 it is positive, an atom, which ends the
+    # coefficients at one, and indefinite
     dps = 62
     prec = libmp.dps_to_prec(dps)
     em, ee = measure._pair(libmp.mpf_pow_int(libmp.from_int(10), -(dps // 2), prec,
@@ -617,8 +620,8 @@ def test_epsilon_test_verdicts_are_certified(halves, outcome):
         with pytest.raises(IndefiniteMomentsError, match="order 2"):
             measure._recurrence(nu, 2, dps)
     else:
-        atoms = measure._recurrence(nu, 2, dps)[2]
-        assert atoms == (1 if outcome == "atom" else None)
+        alpha = measure._recurrence(nu, 2, dps)[0]
+        assert len(alpha) == (1 if outcome == "atom" else 2)
 
 
 @pytest.mark.parametrize("w, q, order", [
@@ -645,18 +648,17 @@ def test_polish_takes_seeds_past_two_to_the_244():
     # F stays at 0, and the two-point rule of alpha = (2^250, 2^251),
     # beta_1 = 2^500 still matches its closed form, nodes 2^249 (3 -+ sqrt 5)
     # with masses 1 / (1 + (x - alpha_0)^2 / beta_1)
-    alpha = [mpmath.mpf(2) ** 250, mpmath.mpf(2) ** 251]
-    beta = [mpmath.mpf(1), mpmath.mpf(2) ** 500]
-    seeds = jacobi_seeds(alpha, beta, 2)
+    alpha, beta = [(1, 250), (1, 251)], [(1, 0), (1, 500)]
+    seeds = jacobi_seeds(_mpfs(alpha), _mpfs(beta), 2)
     assert min(seeds) >= 2.0 ** 244
     roots, weights, f = measure._nodes_and_masses(alpha, beta, seeds, 30)
     assert f == 0
     with mpmath.workdps(60):
         for x, w, sign in zip(roots, weights, (-1, 1)):
             node = 2 ** 249 * (3 + sign * mpmath.sqrt(5))
-            mass = 1 / (1 + (node - alpha[0]) ** 2 / beta[1])
+            mass = 1 / (1 + (node - to_mpf(alpha[0])) ** 2 / to_mpf(beta[1]))
             assert abs(x - node) <= 2 ** -70 * node
-            assert abs(mpmath.mp.make_mpf(w) - mass) <= 2 ** -80 * mass
+            assert abs(to_mpf(w) - mass) <= 2 ** -80 * mass
 
 
 @pytest.mark.parametrize("q, order", [
@@ -670,12 +672,10 @@ def test_polish_widens_below_a_noisy_seed(q, order, monkeypatch):
     # 1e-143 and 1e-136 at the final 277, 286 and 272 digits
     m = MomentSequence.from_weights(WDELTA01, q, 2 * order - 1)
     rec = measure._chebyshev_recurrence(m, order)
-    alpha, beta, dps = rec.alpha, rec.beta, rec.dps
-    npts = rec.atoms if rec.atoms is not None else order
-    seeds = jacobi_seeds(alpha, beta, npts)
+    seeds = jacobi_seeds(_mpfs(rec.alpha), _mpfs(rec.beta), len(rec.alpha))
     smallest = min(abs(s) for s in seeds if s)
     first = measure._SEED_GUARD_BITS - (math.frexp(math.ulp(smallest))[1] - 1)
-    roots, _, f = measure._nodes_and_masses(alpha[:npts], beta[:npts], seeds, dps)
+    roots, _, f = measure._nodes_and_masses(rec.alpha, rec.beta, seeds, rec.dps)
     assert f > first
     node = min(x for x in roots if x)
     assert 0 < node / 2 ** f < 1e-60 * smallest
@@ -848,9 +848,10 @@ def test_kernel_matches_libmp_on_edge_cases(prec):
 def _eigsy_rule(m, order):
     """Reference rule: the Jacobi matrix diagonalized by mpmath.eigsy at the
     recurrence's precision, masses from the eigenvectors' first components."""
-    alpha, beta, atoms, scale, mass, dps = measure._chebyshev_recurrence(m, order)[:6]
-    n = atoms if atoms is not None else order
-    with mpmath.workdps(dps):
+    rec = measure._chebyshev_recurrence(m, order)
+    alpha, beta, scale, mass = _mpfs(rec.alpha), _mpfs(rec.beta), *_mpfs([rec.scale, rec.mass])
+    n = len(alpha)
+    with mpmath.workdps(rec.dps):
         J = mpmath.zeros(n, n)
         for k in range(n):
             J[k, k] = alpha[k]
@@ -880,9 +881,10 @@ def test_stieltjes_wigert_closed_form(q_abs, solved):
         except measure._Breakdown:
             continue
         orders.append(order)
-        alpha, beta, atoms, s, _, dps = measure._chebyshev_recurrence(m, order)[:6]
-        assert atoms is None
-        with mpmath.workdps(2 * dps):
+        rec = measure._chebyshev_recurrence(m, order)
+        alpha, beta, s = _mpfs(rec.alpha), _mpfs(rec.beta), to_mpf(rec.scale)
+        assert len(alpha) == order
+        with mpmath.workdps(2 * rec.dps):
             r2 = 1 / mpmath.mpf(q_abs) ** 2
             a = [r2 ** n * (r2 ** n * (1 + r2) - 1) for n in range(order)]
             b = [mpmath.mpf(c) / mpmath.pi] + [r2 ** (3 * n - 1) * (r2 ** n - 1)

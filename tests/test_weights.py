@@ -161,6 +161,22 @@ def test_only_a_table_sets_the_horizon():
     assert replace(WeightSequence.explicit([1, 2, 6]), scale=2.0).horizon == 2
 
 
+@pytest.mark.parametrize("q", [1.0, -1.0, 1j, 0.6 + 0.8j, cmath.exp(0.31950650216738913j),
+                               0.5, 1.3 * cmath.exp(2j)])
+def test_radius_one_is_exactly_the_hardy_space(q):
+    # R = 1 where and only where the closed form is the Hardy space, on the
+    # unit circle and off it (|q| = 1 - 2^-53 at the fifth q): the callers
+    # of the kernel series take that space in closed form first, so they
+    # never sum a series at R = 1
+    qp = QParam.of(q)
+    rules = [WeightSequence.factorial(), WeightSequence.constant(),
+             replace(WeightSequence.constant(2.5), scale=0.3),
+             WeightSequence.explicit([1.0, 2.0, 3.0])]
+    rules += [WeightSequence.power_factorial(s) for s in (-1.0, 0.0, 0.5, 1.0, 2.0)]
+    for w in rules:
+        assert (w.radius(qp) == 1.0) == (w.closed_form(qp) == "hardy"), w
+
+
 def test_kind_fixes_the_family_parameters():
     # w_n = c * (n!)**s: each kind fixes (c, s) instead of ignoring one
     assert WeightSequence("factorial", c=5.0, s=3.0) == WeightSequence.factorial()
